@@ -74,7 +74,8 @@ let bechamel_tests () =
   in
   let config_roundtrip () =
     let config = accel () in
-    ignore (Config_parser.parse_string (Config_parser.to_string Host_config.pynq_z2 config))
+    ignore
+      (Config_parser.parse_string_result (Config_parser.to_string Host_config.pynq_z2 config))
   in
   [
     Test.make ~name:"table1-config-roundtrip" (Staged.stage config_roundtrip);

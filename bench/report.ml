@@ -87,10 +87,7 @@ let end_experiment () =
       (List.length doc.Benchdiff.doc_points);
     if Metrics.enabled Metrics.default then begin
       let mpath = Filename.concat dir (!current_experiment ^ ".metrics.json") in
-      let oc = open_out mpath in
-      output_string oc (Json.to_string ~indent:2 (Metrics.to_json ()));
-      output_char oc '\n';
-      close_out oc
+      Json.write_file ~indent:2 mpath (Metrics.to_json ())
     end
 
 (* One critpath artifact per experiment: the perf doctor's diagnosis of

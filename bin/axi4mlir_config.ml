@@ -28,12 +28,14 @@ let run_tool list_presets preset flow output check platform_preset check_platfor
           (Platform_cost.resource_total_exn p))
       Platform_ir.presets;
     `Ok ()
-  | false, _, Some path, _, _ ->
-    let _host, config = Config_parser.parse_file path in
-    Printf.printf "%s: valid (%s, %s flow, %d opcodes)\n" path
-      config.Accel_config.accel_name config.Accel_config.selected_flow
-      (List.length config.Accel_config.opcode_map);
-    `Ok ()
+  | false, _, Some path, _, _ -> (
+    match Config_parser.parse_file_result path with
+    | Error msg -> `Error (false, msg)
+    | Ok (_host, config) ->
+      Printf.printf "%s: valid (%s, %s flow, %d opcodes)\n" path
+        config.Accel_config.accel_name config.Accel_config.selected_flow
+        (List.length config.Accel_config.opcode_map);
+      `Ok ())
   | false, None, None, Some name, _ -> (
     match Platform_ir.find_preset name with
     | Error msg -> `Error (false, msg)
@@ -58,14 +60,10 @@ let run_tool list_presets preset flow output check platform_preset check_platfor
     match Presets.find_by_name ?flow name with
     | Error msg -> `Error (false, msg)
     | Ok config ->
-      let text = Config_parser.to_string Host_config.pynq_z2 config in
       (match output with
-      | None -> print_endline text
+      | None -> print_endline (Config_parser.to_string Host_config.pynq_z2 config)
       | Some path ->
-        let oc = open_out path in
-        output_string oc text;
-        output_char oc '\n';
-        close_out oc;
+        Config_parser.write_file path Host_config.pynq_z2 config;
         Printf.printf "wrote %s\n" path);
       `Ok ())
   | false, None, None, None, None ->

@@ -63,7 +63,11 @@ let run_tool config_path input emit_matmul emit_conv flow tiles no_cpu_tiling no
         | Some p -> p
         | None -> failwith "--config is required (except with --cpu)"
       in
-      let host, accel = Config_parser.parse_file config_path in
+      let host, accel =
+        match Config_parser.parse_file_result config_path with
+        | Ok parsed -> parsed
+        | Error msg -> failwith msg
+      in
       let bench = Axi4mlir.create ~host accel in
       let options =
         {

@@ -79,7 +79,11 @@ let run_tool config_path matmul conv flow tiles coalesce double_buffer cpu_only
   let config_path =
     match config_path with Some p -> p | None -> failwith "--config is required"
   in
-  let host, accel = Config_parser.parse_file config_path in
+  let host, accel =
+    match Config_parser.parse_file_result config_path with
+    | Ok parsed -> parsed
+    | Error msg -> failwith msg
+  in
   let bench = Axi4mlir.create ~host accel in
   (* Compile-side events are wall-clock; they get their own tracer so
      the measured run's reset (which clears the SoC tracer) cannot drop

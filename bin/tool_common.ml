@@ -86,10 +86,7 @@ let finish ~remarks ~metrics =
   match metrics with
   | None -> ()
   | Some path ->
-    let oc = open_out path in
-    output_string oc (Json.to_string ~indent:2 (metrics_json ()));
-    output_char oc '\n';
-    close_out oc;
+    Json.write_file ~indent:2 path (metrics_json ());
     Printf.eprintf "metrics      : %s\n" path
 
 (* Run [body], dumping remarks/metrics on both the success and the

@@ -57,8 +57,9 @@ let () =
   let path = Filename.temp_file "fig6a_accelerator" ".json" in
   Config_parser.write_file path Host_config.pynq_z2 accel;
   Printf.printf "wrote %s\n" path;
-  let _host, reloaded = Config_parser.parse_file path in
-  assert (reloaded = accel);
+  (match Config_parser.parse_file_result path with
+  | Ok (_host, reloaded) -> assert (reloaded = accel)
+  | Error msg -> failwith msg);
 
   (* 0x25 is the engine's fused load-B/compute/drain instruction, so
      one opcode moves B in, runs the tile MAC, and streams C out —

@@ -5,7 +5,7 @@
 
 (* 1. The accelerator + host description — the Fig. 5 configuration
    file. In a real project this lives in a .json file next to your
-   build; Config_parser.parse_file reads it. *)
+   build; Config_parser.parse_file_result reads it. *)
 let config_text =
   {|{
   "cpu": {
@@ -46,7 +46,11 @@ let config_text =
 }|}
 
 let () =
-  let host, accel = Config_parser.parse_string config_text in
+  let host, accel =
+    match Config_parser.parse_string_result config_text with
+    | Ok parsed -> parsed
+    | Error msg -> failwith msg
+  in
   Printf.printf "Loaded accelerator '%s' (%s flow) for host '%s'\n\n"
     accel.Accel_config.accel_name accel.Accel_config.selected_flow
     host.Host_config.cpu_name;

@@ -123,108 +123,80 @@ let attach soc t =
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Field accessor with a path-qualified structured error: a missing
-   field, a type mismatch, or a conversion failure (bad opcode syntax,
-   unknown engine name, ...) all report as "accel_config.FIELD: WHY". *)
-let field ?(path = "accel_config") name json convert =
-  match Json.member_opt name json with
-  | None -> Error (Printf.sprintf "%s.%s: missing field" path name)
-  | Some v -> (
-    match convert v with
-    | ok -> Ok ok
-    | exception Json.Type_error msg -> Error (Printf.sprintf "%s.%s: %s" path name msg)
-    | exception Failure msg -> Error (Printf.sprintf "%s.%s: %s" path name msg)
-    | exception Opcode.Syntax_error msg -> Error (Printf.sprintf "%s.%s: %s" path name msg))
+(* Every malformed field — missing, mistyped, bad opcode syntax, an
+   unknown engine or data type — reports as "accel_config.FIELD: WHY". *)
+let opcode_syntax parse path json =
+  let* text = Json.string path json in
+  match parse text with v -> Ok v | exception Opcode.Syntax_error msg -> Json.error path msg
 
-let engine_of_json json =
-  let* name = field "engine" json Json.to_str in
+let engine_of_json path json =
+  let* name = Json.field "engine" Json.string path json in
   match name with
   | "conv" -> Ok Conv_engine
   | v -> (
     match Accel_matmul.version_of_string v with
     | Some version ->
-      let* size = field "size" json Json.to_int in
+      let* size = Json.field "size" Json.int path json in
       Ok (Matmul_engine (version, size))
-    | None -> Error (Printf.sprintf "accel_config.engine: unknown engine %s" v))
+    | None -> Json.error (path ^ ".engine") ("unknown engine " ^ v))
 
-let dma_of_json json =
-  let path = "accel_config.dma" in
-  let* dma_id = field ~path "id" json Json.to_int in
-  let* input_address = field ~path "input_address" json Json.to_int in
-  let* input_buffer_size = field ~path "input_buffer_size" json Json.to_int in
-  let* output_address = field ~path "output_address" json Json.to_int in
-  let* output_buffer_size = field ~path "output_buffer_size" json Json.to_int in
+let data_type_of_json path json =
+  let* name = Json.string path json in
+  match Ty.dtype_of_string name with
+  | Some d -> Ok d
+  | None -> Json.error path ("unknown data type " ^ name)
+
+let dma_of_json path json =
+  let* dma_id = Json.field "id" Json.int path json in
+  let* input_address = Json.field "input_address" Json.int path json in
+  let* input_buffer_size = Json.field "input_buffer_size" Json.int path json in
+  let* output_address = Json.field "output_address" Json.int path json in
+  let* output_buffer_size = Json.field "output_buffer_size" Json.int path json in
   Ok { dma_id; input_address; input_buffer_size; output_address; output_buffer_size }
 
 let of_json_result json =
-  match json with
-  | Json.Obj _ ->
-    let* accel_name = field "name" json Json.to_str in
-    let* engine = engine_of_json json in
-    let* op_kind = field "operation" json Json.to_str in
-    let* data_type_name = field "data_type" json Json.to_str in
-    let* data_type =
-      match Ty.dtype_of_string data_type_name with
-      | Some d -> Ok d
-      | None ->
-        Error (Printf.sprintf "accel_config.data_type: unknown data type %s" data_type_name)
-    in
-    let* accel_dims =
-      field "dims" json (fun v -> List.map Json.to_int (Json.to_list v))
-    in
-    let* flexible =
-      match Json.member_opt "flexible" json with
-      | None -> Ok false
-      | Some v -> (
-        match Json.to_bool v with
-        | b -> Ok b
-        | exception Json.Type_error msg ->
-          Error (Printf.sprintf "accel_config.flexible: %s" msg))
-    in
-    let* buffer_capacity_elems = field "buffer_elems" json Json.to_int in
-    let* frequency_mhz = field "frequency_mhz" json Json.to_float in
-    let* ops_per_cycle = field "ops_per_cycle" json Json.to_float in
-    let* dma_json = field "dma" json (fun v -> v) in
-    let* dma = dma_of_json dma_json in
-    let* opcode_map =
-      field "opcode_map" json (fun v -> Opcode.parse_map (Json.to_str v))
-    in
-    let* opcode_flows =
-      field "opcode_flows" json (fun v ->
-          List.map
-            (fun (name, f) -> (name, Opcode.parse_flow (Json.to_str f)))
-            (Json.to_obj v))
-    in
-    let* selected_flow = field "flow" json Json.to_str in
-    let* init_opcodes =
-      field "init_opcodes" json (fun v ->
-          Opcode.flow_opcodes (Opcode.parse_flow (Json.to_str v)))
-    in
-    let config =
-      {
-        accel_name;
-        engine;
-        op_kind;
-        data_type;
-        accel_dims;
-        flexible;
-        buffer_capacity_elems;
-        frequency_mhz;
-        ops_per_cycle;
-        dma;
-        opcode_map;
-        opcode_flows;
-        selected_flow;
-        init_opcodes;
-      }
-    in
-    (match validate config with
-    | Ok () -> Ok config
-    | Error msg -> Error (Printf.sprintf "accel_config %s: %s" accel_name msg))
-  | _ -> Error "accel_config: expected a JSON object"
-
-let of_json json =
-  match of_json_result json with Ok config -> config | Error msg -> failwith msg
+  let path = "accel_config" in
+  let* accel_name = Json.field "name" Json.string path json in
+  let* engine = engine_of_json path json in
+  let* op_kind = Json.field "operation" Json.string path json in
+  let* data_type = Json.field "data_type" data_type_of_json path json in
+  let* accel_dims = Json.field "dims" (Json.list Json.int) path json in
+  let* flexible = Json.field_opt "flexible" Json.bool path json in
+  let* buffer_capacity_elems = Json.field "buffer_elems" Json.int path json in
+  let* frequency_mhz = Json.field "frequency_mhz" Json.float path json in
+  let* ops_per_cycle = Json.field "ops_per_cycle" Json.float path json in
+  let* dma = Json.field "dma" dma_of_json path json in
+  let* opcode_map = Json.field "opcode_map" (opcode_syntax Opcode.parse_map) path json in
+  let* opcode_flows =
+    Json.field "opcode_flows" (Json.assoc (opcode_syntax Opcode.parse_flow)) path json
+  in
+  let* selected_flow = Json.field "flow" Json.string path json in
+  let* init_opcodes =
+    Json.field "init_opcodes"
+      (opcode_syntax (fun text -> Opcode.flow_opcodes (Opcode.parse_flow text)))
+      path json
+  in
+  let config =
+    {
+      accel_name;
+      engine;
+      op_kind;
+      data_type;
+      accel_dims;
+      flexible = Option.value flexible ~default:false;
+      buffer_capacity_elems;
+      frequency_mhz;
+      ops_per_cycle;
+      dma;
+      opcode_map;
+      opcode_flows;
+      selected_flow;
+      init_opcodes;
+    }
+  in
+  match validate config with
+  | Ok () -> Ok config
+  | Error msg -> Error (Printf.sprintf "accel_config %s: %s" accel_name msg)
 
 let to_json t =
   let engine_fields =

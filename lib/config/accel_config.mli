@@ -70,8 +70,4 @@ val of_json_result : Json.t -> (t, string) result
     field-qualified message ("accel_config.dma.id: ..."), never an
     exception. *)
 
-val of_json : Json.t -> t
-(** As {!of_json_result}; raises [Failure] with the same structured
-    message on malformed input. *)
-
 val to_json : t -> Json.t

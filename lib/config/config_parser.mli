@@ -3,20 +3,18 @@
     accelerator descriptions, and can serialise them back. *)
 
 val parse_string_result : string -> (Host_config.t * Accel_config.t, string) result
-(** Every malformed input — invalid JSON, a missing section, a missing
-    or mistyped field, a failed consistency check — yields [Error] with
-    a field-qualified message, never an exception. *)
-
-val parse_string : string -> Host_config.t * Accel_config.t
-(** As {!parse_string_result}; raises [Failure] with the same
-    structured message. *)
+(** Every malformed input — invalid JSON, a non-object document, a
+    missing section, a missing or mistyped field, a failed consistency
+    check — yields [Error] with a field-qualified message
+    ("config: expected a JSON object", "cpu.caches[0].assoc: must be
+    positive"), never an exception. *)
 
 val parse_file_result : string -> (Host_config.t * Accel_config.t, string) result
-(** [Error] additionally covers unreadable files. *)
-
-val parse_file : string -> Host_config.t * Accel_config.t
+(** As {!parse_string_result}, prefixed with ["FILE: "]; [Error]
+    additionally covers unreadable files. *)
 
 val to_string : Host_config.t -> Accel_config.t -> string
-(** Pretty-printed JSON, parseable by {!parse_string}. *)
+(** Pretty-printed JSON, parseable by {!parse_string_result}. *)
 
 val write_file : string -> Host_config.t -> Accel_config.t -> unit
+(** {!to_string} plus a trailing newline. *)

@@ -11,45 +11,27 @@ let pynq_z2 =
     caches = [ Cache.cortex_a9_l1; Cache.cortex_a9_l2 ];
   }
 
-let geometry_of_json json =
-  {
-    Cache.size_bytes = 1024 * Json.to_int (Json.member "size_kb" json);
-    line_bytes =
-      (match Json.member_opt "line_bytes" json with
-      | Some v -> Json.to_int v
-      | None -> 32);
-    assoc = Json.to_int (Json.member "assoc" json);
-  }
+let ( let* ) = Result.bind
+
+(* Cache's own geometry rules, reported against the file's field names
+   (the file gives the size in KiB). *)
+let geometry_of_json path json =
+  let* size_kb = Json.field "size_kb" Json.int path json in
+  let* line_bytes = Json.field_opt "line_bytes" Json.int path json in
+  let* assoc = Json.field "assoc" Json.int path json in
+  let line_bytes = Option.value line_bytes ~default:32 in
+  let g = { Cache.size_bytes = 1024 * size_kb; line_bytes; assoc } in
+  match Cache.check_geometry g with
+  | Ok () -> Ok g
+  | Error (field, why) ->
+    Json.error (path ^ "." ^ if field = "size_bytes" then "size_kb" else field) why
 
 let of_json_result json =
-  let ( let* ) = Result.bind in
-  let field name convert =
-    match Json.member_opt name json with
-    | None -> Error (Printf.sprintf "cpu.%s: missing field" name)
-    | Some v -> (
-      match convert v with
-      | ok -> Ok ok
-      | exception Json.Type_error msg -> Error (Printf.sprintf "cpu.%s: %s" name msg))
-  in
-  match json with
-  | Json.Obj _ ->
-    let* cpu_name =
-      match Json.member_opt "name" json with
-      | None -> Ok "cpu"
-      | Some v -> (
-        match Json.to_str v with
-        | s -> Ok s
-        | exception Json.Type_error msg -> Error ("cpu.name: " ^ msg))
-    in
-    let* frequency_mhz = field "frequency_mhz" Json.to_float in
-    let* caches =
-      field "caches" (fun v -> List.map geometry_of_json (Json.to_list v))
-    in
-    Ok { cpu_name; frequency_mhz; caches }
-  | _ -> Error "cpu: expected a JSON object"
-
-let of_json json =
-  match of_json_result json with Ok host -> host | Error msg -> failwith msg
+  let path = "cpu" in
+  let* cpu_name = Json.field_opt "name" Json.string path json in
+  let* frequency_mhz = Json.field "frequency_mhz" Json.float path json in
+  let* caches = Json.field "caches" (Json.list geometry_of_json) path json in
+  Ok { cpu_name = Option.value cpu_name ~default:"cpu"; frequency_mhz; caches }
 
 let to_json t =
   Json.Obj

@@ -13,12 +13,10 @@ val pynq_z2 : t
     L1 and 512 KiB L2. *)
 
 val of_json_result : Json.t -> (t, string) result
-(** Parse the ["cpu"] object. Malformed input yields [Error] with a
-    field-qualified message ("cpu.frequency_mhz: ..."). *)
-
-val of_json : Json.t -> t
-(** As {!of_json_result}; raises [Failure] with the same structured
-    message on malformed input. *)
+(** Parse the ["cpu"] object. Malformed input, including a cache
+    geometry {!Cache.check_geometry} rejects, yields [Error] with a
+    field-qualified message ("cpu.caches[0].assoc: must be
+    positive"). *)
 
 val to_json : t -> Json.t
 

@@ -94,76 +94,68 @@ let to_json t =
 
 let ( let* ) = Result.bind
 
-let field name json f =
-  match Json.member_opt name json with
-  | None -> Error (Printf.sprintf "case.%s: missing field" name)
-  | Some v -> (
-    match f v with
-    | ok -> Ok ok
-    | exception Json.Type_error msg -> Error (Printf.sprintf "case.%s: %s" name msg))
+(* Extents, strides, tiles, the DMA buffer and the matmul engine edge
+   size the harness's buffers and loops: a non-positive one is a
+   malformed case, not a compiler failure. *)
+let positive path json =
+  let* n = Json.int path json in
+  if n > 0 then Ok n else Json.error path "must be positive"
 
-let workload_of_json json =
-  let* kind = field "kind" json Json.to_str in
+let workload_of_json path json =
+  let* kind = Json.field "kind" Json.string path json in
   match kind with
   | "matmul" ->
-    let* m = field "m" json Json.to_int in
-    let* n = field "n" json Json.to_int in
-    let* k = field "k" json Json.to_int in
+    let* m = Json.field "m" positive path json in
+    let* n = Json.field "n" positive path json in
+    let* k = Json.field "k" positive path json in
     Ok (Matmul { m; n; k })
   | "conv" ->
-    let* ic = field "ic" json Json.to_int in
-    let* ihw = field "ihw" json Json.to_int in
-    let* oc = field "oc" json Json.to_int in
-    let* fhw = field "fhw" json Json.to_int in
-    let* stride = field "stride" json Json.to_int in
+    let* ic = Json.field "ic" positive path json in
+    let* ihw = Json.field "ihw" positive path json in
+    let* oc = Json.field "oc" positive path json in
+    let* fhw = Json.field "fhw" positive path json in
+    let* stride = Json.field "stride" positive path json in
     Ok (Conv { ic; ihw; oc; fhw; stride })
-  | other -> Error (Printf.sprintf "case.workload.kind: unknown kind %s" other)
+  | other -> Json.error (path ^ ".kind") ("unknown kind " ^ other)
 
 let of_json_result json =
-  match json with
-  | Json.Obj _ ->
-    let* engine = field "engine" json Json.to_str in
-    let* size = field "size" json Json.to_int in
-    let* flow = field "flow" json Json.to_str in
-    let* workload_json = field "workload" json (fun j -> j) in
-    let* workload = workload_of_json workload_json in
-    let* tiles =
-      match Json.member_opt "tiles" json with
-      | None -> Ok None
-      | Some v -> (
-        match List.map Json.to_int (Json.to_list v) with
-        | ts -> Ok (Some ts)
-        | exception Json.Type_error msg -> Error (Printf.sprintf "case.tiles: %s" msg))
-    in
-    let* cpu_tiling = field "cpu_tiling" json Json.to_bool in
-    let* copy_specialization = field "copy_specialization" json Json.to_bool in
-    let* coalesce_transfers = field "coalesce_transfers" json Json.to_bool in
-    let* double_buffer = field "double_buffer" json Json.to_bool in
-    let* to_runtime_calls = field "to_runtime_calls" json Json.to_bool in
-    let* dma_buffer_bytes = field "dma_buffer_bytes" json Json.to_int in
-    let* data_seed = field "data_seed" json Json.to_int in
-    let* init_c = field "init_c" json Json.to_bool in
-    Ok
-      {
-        engine;
-        size;
-        flow;
-        workload;
-        tiles;
-        cpu_tiling;
-        copy_specialization;
-        coalesce_transfers;
-        double_buffer;
-        to_runtime_calls;
-        dma_buffer_bytes;
-        data_seed;
-        init_c;
-      }
-  | _ -> Error "case: expected a JSON object"
+  let path = "case" in
+  let* engine = Json.field "engine" Json.string path json in
+  (* conv cases carry size 0: the conv engine has no edge size *)
+  let* size =
+    Json.field "size" (if engine = "conv" then Json.int else positive) path json
+  in
+  let* flow = Json.field "flow" Json.string path json in
+  let* workload = Json.field "workload" workload_of_json path json in
+  let* tiles = Json.field_opt "tiles" (Json.list positive) path json in
+  let* cpu_tiling = Json.field "cpu_tiling" Json.bool path json in
+  let* copy_specialization = Json.field "copy_specialization" Json.bool path json in
+  let* coalesce_transfers = Json.field "coalesce_transfers" Json.bool path json in
+  let* double_buffer = Json.field "double_buffer" Json.bool path json in
+  let* to_runtime_calls = Json.field "to_runtime_calls" Json.bool path json in
+  let* dma_buffer_bytes = Json.field "dma_buffer_bytes" positive path json in
+  let* data_seed = Json.field "data_seed" Json.int path json in
+  let* init_c = Json.field "init_c" Json.bool path json in
+  Ok
+    {
+      engine;
+      size;
+      flow;
+      workload;
+      tiles;
+      cpu_tiling;
+      copy_specialization;
+      coalesce_transfers;
+      double_buffer;
+      to_runtime_calls;
+      dma_buffer_bytes;
+      data_seed;
+      init_c;
+    }
 
 let of_string_result line =
-  match Json.of_string line with
-  | json -> of_json_result json
-  | exception Json.Parse_error msg -> Error ("case: invalid JSON: " ^ msg)
+  match Json.of_string_result line with
+  | Ok json -> of_json_result json
+  | Error msg -> Error ("case: invalid JSON: " ^ msg)
 
 let equal a b = a = b

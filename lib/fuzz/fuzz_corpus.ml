@@ -5,46 +5,17 @@
    scenarios that failed before. Blank lines and '#' comments are
    tolerated so corpora can be annotated by hand. *)
 
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec go lineno acc errs =
-        match input_line ic with
-        | exception End_of_file -> (List.rev acc, List.rev errs)
-        | line ->
-          let trimmed = String.trim line in
-          if trimmed = "" || (String.length trimmed > 0 && trimmed.[0] = '#') then
-            go (lineno + 1) acc errs
-          else (
-            match Fuzz_case.of_string_result trimmed with
-            | Ok case -> go (lineno + 1) (case :: acc) errs
-            | Error msg ->
-              go (lineno + 1) acc (Printf.sprintf "%s:%d: %s" path lineno msg :: errs))
-      in
-      go 1 [] [])
-
 let load_result path =
-  match load path with
-  | cases_and_errs -> Ok cases_and_errs
-  | exception Sys_error msg -> Error msg
+  Result.map
+    (fun lines ->
+      List.mapi (fun i line -> (i + 1, String.trim line)) lines
+      |> List.filter (fun (_, line) -> line <> "" && line.[0] <> '#')
+      |> List.partition_map (fun (lineno, line) ->
+             match Fuzz_case.of_string_result line with
+             | Ok case -> Either.Left case
+             | Error msg -> Either.Right (Printf.sprintf "%s:%d: %s" path lineno msg)))
+    (Json.read_lines path)
 
-let append path case =
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (Json.to_string (Fuzz_case.to_json case));
-      output_char oc '\n')
+let append path case = Json.write_lines ~append:true path [ Fuzz_case.to_json case ]
 
-let save path cases =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      List.iter
-        (fun case ->
-          output_string oc (Json.to_string (Fuzz_case.to_json case));
-          output_char oc '\n')
-        cases)
+let save path cases = Json.write_lines path (List.map Fuzz_case.to_json cases)

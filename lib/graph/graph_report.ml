@@ -45,7 +45,4 @@ let to_json (r : Graph_exec.result) =
 
 let render r = Json.to_string ~indent:1 (to_json r) ^ "\n"
 
-let write r ~path =
-  let oc = open_out_bin path in
-  output_string oc (render r);
-  close_out oc
+let write r ~path = Json.write_file ~indent:1 path (to_json r)

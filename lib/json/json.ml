@@ -355,3 +355,98 @@ let to_bool = function Bool b -> b | json -> type_error "bool" json
 let to_str = function String s -> s | json -> type_error "string" json
 let to_list = function List l -> l | json -> type_error "array" json
 let to_obj = function Obj members -> members | json -> type_error "object" json
+
+(* ------------------------------------------------------------------ *)
+(* Decoders                                                            *)
+(* ------------------------------------------------------------------ *)
+
+type 'a decoder = string -> t -> ('a, string) result
+
+let ( let* ) = Result.bind
+
+let error path why = Error (Printf.sprintf "%s: %s" path why)
+
+let lift convert path json =
+  match convert json with
+  | v -> Ok v
+  | exception Type_error msg -> error path msg
+  | exception Failure msg -> error path msg
+
+let int = lift to_int
+let float = lift to_float
+let bool = lift to_bool
+let string = lift to_str
+let value _path json = Ok json
+
+let list decode path = function
+  | List items ->
+    let rec go acc i = function
+      | [] -> Ok (List.rev acc)
+      | item :: rest ->
+        let* v = decode (Printf.sprintf "%s[%d]" path i) item in
+        go (v :: acc) (i + 1) rest
+    in
+    go [] 0 items
+  | json -> error path (Printf.sprintf "expected array, found %s" (type_name json))
+
+let assoc decode path = function
+  | Obj members ->
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | (key, item) :: rest ->
+        let* v = decode (path ^ "." ^ key) item in
+        go ((key, v) :: acc) rest
+    in
+    go [] members
+  | _ -> error path "expected a JSON object"
+
+let field_opt name decode path = function
+  | Obj members -> (
+    match List.assoc_opt name members with
+    | None | Some Null -> Ok None
+    | Some v -> Result.map Option.some (decode (path ^ "." ^ name) v))
+  | _ -> error path "expected a JSON object"
+
+let field name decode path json =
+  let* v = field_opt name decode path json in
+  match v with Some v -> Ok v | None -> error (path ^ "." ^ name) "missing field"
+
+let schema tag path json =
+  let* got = field "schema" string path json in
+  if got = tag then Ok ()
+  else error (path ^ ".schema") (Printf.sprintf "expected %S, got %S" tag got)
+
+(* ------------------------------------------------------------------ *)
+(* Files                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let of_string_result text =
+  match of_string text with json -> Ok json | exception Parse_error msg -> Error msg
+
+let read_text path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> Ok text
+  | exception Sys_error msg -> Error msg
+
+let read_file path =
+  let* text = read_text path in
+  Result.map_error (fun msg -> path ^ ": " ^ msg) (of_string_result text)
+
+let load decode path =
+  let* json = read_file path in
+  Result.map_error (fun msg -> path ^ ": " ^ msg) (decode json)
+
+let read_lines path = Result.map (String.split_on_char '\n') (read_text path)
+
+let write_text ~flags path text =
+  Out_channel.with_open_gen (Open_wronly :: Open_creat :: Open_binary :: flags) 0o644 path
+    (fun oc -> Out_channel.output_string oc text)
+
+let write_file ?indent path json =
+  write_text ~flags:[ Open_trunc ] path (to_string ?indent json ^ "\n")
+
+let write_lines ?(append = false) path jsons =
+  write_text
+    ~flags:[ (if append then Open_append else Open_trunc) ]
+    path
+    (String.concat "" (List.map (fun json -> to_string json ^ "\n") jsons))

@@ -46,3 +46,78 @@ val to_bool : t -> bool
 val to_str : t -> string
 val to_list : t -> t list
 val to_obj : t -> (string * t) list
+
+(** {1 Decoders}
+
+    Every reader of a configuration or artifact is written with these.
+    A decoder receives the path of the value it decodes
+    (["platform.instances[1]"]) and reports malformed input as
+    [Error "PATH: WHY"], never as an exception. The path grows by
+    [.name] for an object member and by [[i]] for an array element, so
+    an error names the offending field exactly
+    (["platform.instances[1].engine: expected string, found int"]). *)
+
+type 'a decoder = string -> t -> ('a, string) result
+
+val error : string -> string -> ('a, string) result
+(** [error path why] is [Error "PATH: WHY"]. *)
+
+val lift : (t -> 'a) -> 'a decoder
+(** A decoder from a raising converter: a {!Type_error} or [Failure]
+    becomes [Error "PATH: MESSAGE"]. *)
+
+val int : int decoder
+val float : float decoder
+val bool : bool decoder
+val string : string decoder
+(** {!lift}ed {!to_int}, {!to_float}, {!to_bool} and {!to_str}. *)
+
+val value : t decoder
+(** Any value, unchanged. *)
+
+val list : 'a decoder -> 'a list decoder
+(** An array; element [i] is decoded at [PATH[i]]. *)
+
+val assoc : 'a decoder -> (string * 'a) list decoder
+(** An object's members in document order; member [k] is decoded at
+    [PATH.k]. *)
+
+val field : string -> 'a decoder -> 'a decoder
+(** [field name dec path obj] decodes member [name] of [obj] at
+    [PATH.name]. An absent or [null] member is
+    ["PATH.name: missing field"]; a non-object [obj] is
+    ["PATH: expected a JSON object"]. *)
+
+val field_opt : string -> 'a decoder -> 'a option decoder
+(** As {!field}, but an absent or [null] member is [Ok None]. *)
+
+val schema : string -> unit decoder
+(** [schema tag] checks the object's required ["schema"] member:
+    ["PATH.schema: expected \"TAG\", got \"OTHER\""] on a mismatch. *)
+
+(** {1 Documents and files}
+
+    Never raise on bad input: an unreadable file or a syntax error is
+    an [Error] naming the file. Writers always close the channel. *)
+
+val of_string_result : string -> (t, string) result
+(** {!of_string} with the {!Parse_error} message as [Error]. *)
+
+val read_file : string -> (t, string) result
+(** Read and parse a whole file (["FILE: line L, column C: ..."] on a
+    syntax error). *)
+
+val load : (t -> ('a, string) result) -> string -> ('a, string) result
+(** {!read_file}, then decode; a decode error is prefixed with
+    ["FILE: "]. *)
+
+val write_file : ?indent:int -> string -> t -> unit
+(** Create or truncate the file and write {!to_string} [?indent] plus a
+    trailing newline. *)
+
+val read_lines : string -> (string list, string) result
+(** The lines of a JSON-lines file (one compact document per line). *)
+
+val write_lines : ?append:bool -> string -> t list -> unit
+(** Write one compact document per line, truncating the file or, with
+    [~append:true], appending to it (creating it if needed). *)

@@ -72,54 +72,29 @@ let to_json doc =
       ("points", Json.List (List.map point_to_json doc.doc_points));
     ]
 
-let point_of_json json =
-  match json with
-  | Json.Obj _ ->
-    {
-      pt_id = Json.to_str (Json.member "id" json);
-      pt_kind = Json.to_str (Json.member "kind" json);
-      pt_dims = List.map Json.to_int (Json.to_list (Json.member "dims" json));
-      pt_config = Json.to_str (Json.member "config" json);
-      pt_metrics =
-        List.map (fun (k, v) -> (k, Json.to_float v)) (Json.to_obj (Json.member "metrics" json));
-    }
-  | _ -> raise (Json.Type_error "bench point: expected an object")
+let ( let* ) = Result.bind
+
+let point_of_json path json =
+  let* pt_id = Json.field "id" Json.string path json in
+  let* pt_kind = Json.field "kind" Json.string path json in
+  let* pt_dims = Json.field "dims" (Json.list Json.int) path json in
+  let* pt_config = Json.field "config" Json.string path json in
+  let* pt_metrics = Json.field "metrics" (Json.assoc Json.float) path json in
+  Ok { pt_id; pt_kind; pt_dims; pt_config; pt_metrics }
 
 let of_json_result json =
-  match
-    let s = Json.to_str (Json.member "schema" json) in
-    if s <> schema then
-      raise (Json.Type_error (Printf.sprintf "unsupported schema %s (want %s)" s schema));
-    {
-      doc_experiment = Json.to_str (Json.member "experiment" json);
-      doc_quick = Json.to_bool (Json.member "quick" json);
-      doc_points = List.map point_of_json (Json.to_list (Json.member "points" json));
-    }
-  with
-  | doc -> Ok doc
-  | exception Json.Type_error msg -> Error msg
+  let path = "bench" in
+  let* () = Json.schema schema path json in
+  let* doc_experiment = Json.field "experiment" Json.string path json in
+  let* doc_quick = Json.field "quick" Json.bool path json in
+  let* doc_points = Json.field "points" (Json.list point_of_json) path json in
+  Ok { doc_experiment; doc_quick; doc_points }
 
 let filename exp = Printf.sprintf "BENCH_%s.json" exp
 
-let write_file path doc =
-  let oc = open_out path in
-  output_string oc (Json.to_string ~indent:2 (to_json doc));
-  output_char oc '\n';
-  close_out oc
+let write_file path doc = Json.write_file ~indent:2 path (to_json doc)
 
-let read_file path =
-  match
-    let ic = open_in_bin path in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    Json.of_string text
-  with
-  | json -> (
-    match of_json_result json with
-    | Ok doc -> Ok doc
-    | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
-  | exception Sys_error msg -> Error msg
-  | exception Json.Parse_error msg -> Error (Printf.sprintf "%s: %s" path msg)
+let read_file path = Json.load of_json_result path
 
 (* ------------------------------------------------------------------ *)
 (* Comparison                                                          *)

@@ -62,15 +62,17 @@ val config_hash : Json.t -> string
 
 val to_json : doc -> Json.t
 val of_json_result : Json.t -> (doc, string) result
+(** Malformed input is an [Error] with a field-qualified message
+    ("bench.points[0].id: missing field"). *)
 
 val filename : string -> string
 (** [filename exp] is ["BENCH_<exp>.json"]. *)
 
 val write_file : string -> doc -> unit
 val read_file : string -> (doc, string) result
-(** [Error] on unreadable files, JSON syntax errors and schema
-    mismatches alike — the gate treats all three as failures, never
-    exceptions. *)
+(** [Error] ("FILE: ...") on unreadable files, JSON syntax errors,
+    schema mismatches and malformed fields alike — the gate treats all
+    of them as failures, never exceptions. *)
 
 (** {1 Comparison} *)
 

@@ -86,9 +86,4 @@ let to_string ?cpu_freq_mhz ?track_names events =
   Json.to_string ~indent:1 (to_json ?cpu_freq_mhz ?track_names events)
 
 let write_file ?cpu_freq_mhz ?track_names path events =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_string ?cpu_freq_mhz ?track_names events);
-      output_char oc '\n')
+  Json.write_file ~indent:1 path (to_json ?cpu_freq_mhz ?track_names events)

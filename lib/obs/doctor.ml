@@ -147,13 +147,7 @@ let to_json dg =
       ("critical_path", Json.List (List.map segment_json rp.rp_segments));
     ]
 
-let write_json dg ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string ~indent:1 (to_json dg));
-      output_char oc '\n')
+let write_json dg ~path = Json.write_file ~indent:1 path (to_json dg)
 
 (* ------------------------------------------------------------------ *)
 (* Remarks, metrics, trace highlight                                   *)

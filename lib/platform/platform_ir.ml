@@ -178,61 +178,22 @@ let to_json p =
       ("instances", Json.List (List.map instance_json p.pf_instances));
     ]
 
-let field ?(path = "platform") name json convert =
-  match Json.member_opt name json with
-  | None -> Error (Printf.sprintf "%s.%s: missing field" path name)
-  | Some v -> (
-    match convert v with
-    | v -> Ok v
-    | exception Json.Type_error msg -> Error (Printf.sprintf "%s.%s: %s" path name msg)
-    | exception Failure msg -> Error (Printf.sprintf "%s.%s: %s" path name msg))
-
-let instance_of_json i json =
-  let path = Printf.sprintf "platform.instances[%d]" i in
-  match json with
-  | Json.Obj _ ->
-    let* in_id = field ~path "id" json Json.to_str in
-    let* in_engine = field ~path "engine" json Json.to_str in
-    let* in_capacity_elems =
-      match Json.member_opt "capacity_elems" json with
-      | None | Some Json.Null -> Ok None
-      | Some v -> (
-        match Json.to_int v with
-        | c -> Ok (Some c)
-        | exception Json.Type_error msg ->
-          Error (Printf.sprintf "%s.capacity_elems: %s" path msg))
-    in
-    Ok { in_id; in_engine; in_capacity_elems }
-  | _ -> Error (Printf.sprintf "%s: expected a JSON object" path)
+let instance_of_json path json =
+  let* in_id = Json.field "id" Json.string path json in
+  let* in_engine = Json.field "engine" Json.string path json in
+  let* in_capacity_elems = Json.field_opt "capacity_elems" Json.int path json in
+  Ok { in_id; in_engine; in_capacity_elems }
 
 let of_json_result json =
-  match json with
-  | Json.Obj _ ->
-    let* got_schema = field "schema" json Json.to_str in
-    let* () =
-      if got_schema <> schema then
-        Error
-          (Printf.sprintf "platform.schema: expected %S, got %S" schema got_schema)
-      else Ok ()
-    in
-    let* pf_name = field "name" json Json.to_str in
-    let* pf_dma_channels = field "dma_channels" json Json.to_int in
-    let* pf_axi_beat_bytes = field "axi_beat_bytes" json Json.to_int in
-    let* instances_json = field "instances" json Json.to_list in
-    let rec parse_instances acc i = function
-      | [] -> Ok (List.rev acc)
-      | v :: rest ->
-        let* inst = instance_of_json i v in
-        parse_instances (inst :: acc) (i + 1) rest
-    in
-    let* pf_instances = parse_instances [] 0 instances_json in
-    let p = { pf_name; pf_instances; pf_dma_channels; pf_axi_beat_bytes } in
-    let* () = validate p in
-    Ok p
-  | _ -> Error "platform: expected a JSON object"
-
-let of_json json =
-  match of_json_result json with Ok p -> p | Error msg -> failwith msg
+  let path = "platform" in
+  let* () = Json.schema schema path json in
+  let* pf_name = Json.field "name" Json.string path json in
+  let* pf_dma_channels = Json.field "dma_channels" Json.int path json in
+  let* pf_axi_beat_bytes = Json.field "axi_beat_bytes" Json.int path json in
+  let* pf_instances = Json.field "instances" (Json.list instance_of_json) path json in
+  let p = { pf_name; pf_instances; pf_dma_channels; pf_axi_beat_bytes } in
+  let* () = validate p in
+  Ok p
 
 (* ------------------------------------------------------------------ *)
 (* Rendering and files                                                 *)
@@ -254,24 +215,6 @@ let to_string p =
   in
   Printf.sprintf "%s, %d ch, beat %d" engines p.pf_dma_channels p.pf_axi_beat_bytes
 
-let write_file path p =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string ~indent:1 (to_json p));
-      output_char oc '\n')
+let write_file path p = Json.write_file ~indent:1 path (to_json p)
 
-let load_file path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error (Printf.sprintf "platform: %s" msg)
-  | ic ->
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    (match Json.of_string text with
-    | json -> of_json_result json
-    | exception Json.Parse_error msg ->
-      Error (Printf.sprintf "platform: %s: %s" path msg))
+let load_file path = Json.load of_json_result path

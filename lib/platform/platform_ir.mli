@@ -92,13 +92,9 @@ val of_json_result : Json.t -> (t, string) result
     yields [Error] with a field-qualified message, never an
     exception. *)
 
-val of_json : Json.t -> t
-(** As {!of_json_result}; raises [Failure] with the same structured
-    message. *)
-
 val to_json : t -> Json.t
 (** The [axi4mlir-platform-v1] document (see the compatibility
-    rule). [of_json (to_json p) = p] for every valid [p]. *)
+    rule). [of_json_result (to_json p) = Ok p] for every valid [p]. *)
 
 val to_string : t -> string
 (** One-line summary ("2x v4_16 + 1x v3_16, 2 ch, beat 8") for tables

@@ -338,13 +338,7 @@ let to_json rp =
         match rp.rp_platform with None -> Json.Null | Some p -> Json.String p );
     ]
 
-let write_file path rp =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string ~indent:1 (to_json rp));
-      output_char oc '\n')
+let write_file path rp = Json.write_file ~indent:1 path (to_json rp)
 
 (* ------------------------------------------------------------------ *)
 (* Perfetto export                                                     *)

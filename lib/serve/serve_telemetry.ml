@@ -147,10 +147,4 @@ let to_json policies =
       ("policies", Json.List (List.map policy_to_json policies));
     ]
 
-let write_file path policies =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string ~indent:1 (to_json policies));
-      output_char oc '\n')
+let write_file path policies = Json.write_file ~indent:1 path (to_json policies)

@@ -13,11 +13,20 @@ type level = {
 
 type t = { levels : level list }
 
+let check_geometry geom =
+  if geom.assoc < 1 then Error ("assoc", "must be positive")
+  else if not (Util.is_pow2 geom.line_bytes) then
+    Error ("line_bytes", "must be a power of two")
+  else if not (Util.is_pow2 geom.size_bytes) then
+    Error ("size_bytes", "must be a power of two")
+  else if geom.size_bytes mod (geom.line_bytes * geom.assoc) <> 0 then
+    Error ("size_bytes", "must be a multiple of line_bytes * assoc")
+  else Ok ()
+
 let make_level geom =
-  if not (Util.is_pow2 geom.line_bytes) || not (Util.is_pow2 geom.size_bytes) then
-    invalid_arg "Cache: geometry sizes must be powers of two";
-  if geom.size_bytes mod (geom.line_bytes * geom.assoc) <> 0 then
-    invalid_arg "Cache: size must be a multiple of line_bytes * assoc";
+  (match check_geometry geom with
+  | Ok () -> ()
+  | Error (field, why) -> invalid_arg (Printf.sprintf "Cache: %s %s" field why));
   let n_sets = geom.size_bytes / (geom.line_bytes * geom.assoc) in
   {
     geom;

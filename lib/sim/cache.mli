@@ -9,6 +9,12 @@ type geometry = { size_bytes : int; line_bytes : int; assoc : int }
 (** One cache level. [size_bytes] must be a multiple of
     [line_bytes * assoc]; all three must be powers of two. *)
 
+val check_geometry : geometry -> (unit, string * string) result
+(** The rules above plus [assoc >= 1]: [Error (field, why)] names the
+    first offending record field and why ("must be positive", "must be
+    a power of two", "must be a multiple of line_bytes * assoc").
+    {!create} raises [Invalid_argument] on the same violations. *)
+
 val cortex_a9_l1 : geometry
 (** 32 KiB, 32-byte lines, 4-way. *)
 

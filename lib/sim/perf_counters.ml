@@ -86,27 +86,11 @@ let copy c = { c with cycles = c.cycles }
 let to_json c = Json.Obj (List.map (fun (name, v) -> (name, Json.Float v)) (fields c))
 
 let of_json_result json =
-  match json with
-  | Json.Obj kvs ->
-    let c = create () in
-    let rec fill = function
-      | [] -> Ok c
-      | (name, v) :: rest -> (
-        match List.assoc_opt name setters with
-        | None -> Error (Printf.sprintf "perf_counters.%s: unknown counter" name)
-        | Some set -> (
-          match Json.to_float v with
-          | value ->
-            set c value;
-            fill rest
-          | exception Json.Type_error msg ->
-            Error (Printf.sprintf "perf_counters.%s: %s" name msg)))
-    in
-    fill kvs
-  | _ -> Error "perf_counters: expected a JSON object"
-
-let of_json json =
-  match of_json_result json with Ok c -> c | Error msg -> invalid_arg msg
+  let path = "perf_counters" in
+  Result.bind (Json.assoc Json.float path json) (fun kvs ->
+      match List.find_opt (fun (name, _) -> not (List.mem_assoc name setters)) kvs with
+      | Some (name, _) -> Json.error (path ^ "." ^ name) "unknown counter"
+      | None -> Ok (of_fields kvs))
 
 let cache_references c = c.l1_accesses +. c.l2_accesses
 

@@ -51,16 +51,12 @@ val of_fields : (string * float) list -> t
 
 val to_json : t -> Json.t
 (** An object with one number per counter (used by the trace
-    exporters). [of_json (to_json c)] equals [c]. *)
+    exporters). [of_json_result (to_json c)] is [Ok c]. *)
 
 val of_json_result : Json.t -> (t, string) result
 (** Inverse of {!to_json}. Malformed input — a non-object, an unknown
     counter name, a non-numeric value — yields [Error] with a
     field-qualified message ("perf_counters.cycles: ..."). *)
-
-val of_json : Json.t -> t
-(** As {!of_json_result}; raises [Invalid_argument] with the same
-    structured message on malformed input. *)
 
 val cache_references : t -> float
 (** [l1_accesses + l2_accesses]. *)

@@ -65,53 +65,34 @@ let to_json t =
       ("entries", Json.List (List.rev_map entry_to_json t.entries));
     ]
 
-let save t path =
-  let oc = open_out path in
-  output_string oc (Json.to_string ~indent:2 (to_json t));
-  output_char oc '\n';
-  close_out oc
+let save t path = Json.write_file ~indent:2 path (to_json t)
 
-let entry_of_json json =
-  let outcome_json = Json.member "outcome" json in
-  let outcome =
-    match Json.member_opt "cycles" outcome_json with
-    | Some c -> Cycles (Json.to_float c)
-    | None -> Rejected (Json.to_str (Json.member "rejected" outcome_json))
-  in
-  {
-    e_key = Json.to_str (Json.member "key" json);
-    e_label = Json.to_str (Json.member "label" json);
-    e_workload = Json.to_str (Json.member "workload" json);
-    e_candidate = Json.member "candidate" json;
-    e_outcome = outcome;
-  }
+let ( let* ) = Result.bind
+
+let outcome_of_json path json =
+  let* cycles = Json.field_opt "cycles" Json.float path json in
+  match cycles with
+  | Some c -> Ok (Cycles c)
+  | None -> Result.map (fun r -> Rejected r) (Json.field "rejected" Json.string path json)
+
+let entry_of_json path json =
+  let* e_key = Json.field "key" Json.string path json in
+  let* e_label = Json.field "label" Json.string path json in
+  let* e_workload = Json.field "workload" Json.string path json in
+  let* e_candidate = Json.field "candidate" Json.value path json in
+  let* e_outcome = Json.field "outcome" outcome_of_json path json in
+  Ok { e_key; e_label; e_workload; e_candidate; e_outcome }
+
+let of_json_result json =
+  let* () = Json.schema schema "tune" json in
+  let* entries = Json.field "entries" (Json.list entry_of_json) "tune" json in
+  let t = create () in
+  List.iter
+    (fun e ->
+      if not (Hashtbl.mem t.table e.e_key) then t.entries <- e :: t.entries;
+      Hashtbl.replace t.table e.e_key e.e_outcome)
+    entries;
+  Ok t
 
 let load path =
-  if not (Sys.file_exists path) then Ok (create ())
-  else
-    match
-      let ic = open_in_bin path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      Json.of_string text
-    with
-    | exception Sys_error msg -> Error msg
-    | exception Json.Parse_error msg ->
-      Error (Printf.sprintf "%s: not a tune cache: %s" path msg)
-    | json -> (
-      match
-        let got = Json.to_str (Json.member "schema" json) in
-        if got <> schema then
-          failwith (Printf.sprintf "schema %S, expected %S" got schema);
-        List.map entry_of_json (Json.to_list (Json.member "entries" json))
-      with
-      | exception Failure msg -> Error (Printf.sprintf "%s: %s" path msg)
-      | exception Json.Type_error msg -> Error (Printf.sprintf "%s: %s" path msg)
-      | entries ->
-        let t = create () in
-        List.iter
-          (fun e ->
-            if not (Hashtbl.mem t.table e.e_key) then t.entries <- e :: t.entries;
-            Hashtbl.replace t.table e.e_key e.e_outcome)
-          entries;
-        Ok t)
+  if not (Sys.file_exists path) then Ok (create ()) else Json.load of_json_result path

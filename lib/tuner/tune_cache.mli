@@ -49,6 +49,10 @@ val add :
 
 val size : t -> int
 
+val of_json_result : Json.t -> (t, string) result
+(** Inverse of the saved document; malformed input is an [Error] with a
+    field-qualified message ("tune.entries[0].key: missing field"). *)
+
 val load : string -> (t, string) result
 (** Read a cache file. A missing file yields an empty cache (first run);
     unreadable JSON or a wrong schema is an [Error]. *)

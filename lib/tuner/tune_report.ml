@@ -106,8 +106,4 @@ let render t =
     (Tune_strategy.to_string t.rp_strategy)
     (Tabulate.render table)
 
-let write_file path t =
-  let oc = open_out path in
-  output_string oc (Json.to_string ~indent:2 (to_json t));
-  output_char oc '\n';
-  close_out oc
+let write_file path t = Json.write_file ~indent:2 path (to_json t)

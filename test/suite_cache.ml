@@ -5,7 +5,7 @@ let tiny = { Cache.size_bytes = 256; line_bytes = 32; assoc = 2 }
 
 let test_geometry_validation () =
   Alcotest.check_raises "non-pow2 line"
-    (Invalid_argument "Cache: geometry sizes must be powers of two") (fun () ->
+    (Invalid_argument "Cache: line_bytes must be a power of two") (fun () ->
       ignore (Cache.create [ { Cache.size_bytes = 256; line_bytes = 48; assoc = 2 } ]))
 
 let test_hit_after_fill () =

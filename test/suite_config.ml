@@ -38,7 +38,7 @@ let test_config_json_roundtrip () =
     (fun config ->
       let host = Host_config.pynq_z2 in
       let text = Config_parser.to_string host config in
-      let host', config' = Config_parser.parse_string text in
+      let host', config' = Result.get_ok (Config_parser.parse_string_result text) in
       Alcotest.(check string) "accel name survives" config.Accel_config.accel_name
         config'.Accel_config.accel_name;
       Alcotest.(check bool) "host equal" true (host = host');
@@ -58,13 +58,13 @@ let test_config_json_errors () =
         "flow": "Missing",
         "init_opcodes": "()"}}|}
   in
-  (match Config_parser.parse_string bad_flow with
-  | exception _ -> ()
-  | _ -> Alcotest.fail "undefined selected flow accepted");
+  (match Config_parser.parse_string_result bad_flow with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "undefined selected flow accepted");
   let bad_engine = {|{"cpu": {"frequency_mhz": 650, "caches": []}, "accelerator": {"name": "a", "engine": "v9"}}|} in
-  match Config_parser.parse_string bad_engine with
-  | exception _ -> ()
-  | _ -> Alcotest.fail "unknown engine accepted"
+  match Config_parser.parse_string_result bad_engine with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "unknown engine accepted"
 
 let test_with_flow () =
   let config = Presets.matmul ~version:Accel_matmul.V3 ~size:8 () in

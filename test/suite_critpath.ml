@@ -357,8 +357,9 @@ let test_doctor_trace_highlight () =
        --critical-path test/golden/critpath_v3_16_cs_16.json *)
 let test_golden_artifact () =
   let host, accel =
-    Config_parser.parse_file
-      (Filename.concat (Filename.concat ".." "examples/configs") "v3_16_cs.json")
+    Result.get_ok
+      (Config_parser.parse_file_result
+         (Filename.concat (Filename.concat ".." "examples/configs") "v3_16_cs.json"))
   in
   let bench = Axi4mlir.create ~host accel in
   let a, b, c = Axi4mlir.alloc_matmul_operands bench ~m:16 ~n:16 ~k:16 in

@@ -181,11 +181,24 @@ let test_corpus_roundtrip () =
       let oc = open_out_gen [ Open_append ] 0o644 path in
       output_string oc "# comment line\n\n";
       close_out oc;
-      let loaded, errors = Fuzz_corpus.load path in
+      let loaded, errors = Result.get_ok (Fuzz_corpus.load_result path) in
       Alcotest.(check (list string)) "no parse errors" [] errors;
       Alcotest.(check int) "all cases loaded" 7 (List.length loaded);
       Alcotest.(check bool) "cases survive the round trip" true
         (List.for_all2 Fuzz_case.equal cases (Util.list_take 6 loaded)))
+
+(* The decoder's positivity checks accept everything the generator
+   draws, so corpora and the generated campaigns are unaffected. *)
+let test_generated_cases_decode () =
+  for seed = 1 to 3 do
+    for index = 0 to 499 do
+      let case = Fuzz_gen.case_at ~seed ~index () in
+      match Fuzz_case.of_json_result (Fuzz_case.to_json case) with
+      | Ok back when Fuzz_case.equal case back -> ()
+      | Ok _ -> Alcotest.failf "seed %d index %d: round trip changed the case" seed index
+      | Error msg -> Alcotest.failf "seed %d index %d: %s" seed index msg
+    done
+  done
 
 let test_corpus_reports_bad_lines () =
   let path = Filename.temp_file "axi4mlir_corpus" ".jsonl" in
@@ -195,7 +208,7 @@ let test_corpus_reports_bad_lines () =
       let oc = open_out path in
       output_string oc "{\"engine\": \"v3\"}\nnot json at all\n";
       close_out oc;
-      let loaded, errors = Fuzz_corpus.load path in
+      let loaded, errors = Result.get_ok (Fuzz_corpus.load_result path) in
       Alcotest.(check int) "nothing loaded" 0 (List.length loaded);
       Alcotest.(check int) "both lines reported" 2 (List.length errors));
   match Fuzz_corpus.load_result "/nonexistent/corpus.jsonl" with
@@ -263,6 +276,7 @@ let tests =
       test_shrinker_reaches_fixpoint;
     Alcotest.test_case "corpus round trip" `Quick test_corpus_roundtrip;
     Alcotest.test_case "corpus reports bad lines" `Quick test_corpus_reports_bad_lines;
+    Alcotest.test_case "generated cases decode" `Quick test_generated_cases_decode;
     Alcotest.test_case "cache refs monotone in footprint" `Quick
       test_cache_refs_monotone_in_footprint;
     Alcotest.test_case "tuner never loses to the heuristic" `Quick

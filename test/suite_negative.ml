@@ -154,12 +154,9 @@ let test_perf_counters_structured_errors () =
   expect_error "non-numeric value"
     (Perf_counters.of_json_result (Json.Obj [ ("cycles", Json.String "fast") ]))
     "perf_counters.cycles";
-  (* the exception API carries the same structured message *)
-  (match Perf_counters.of_json (Json.Obj [ ("bogus", Json.Float 0.0) ]) with
-  | exception Invalid_argument msg ->
-    Alcotest.(check bool) "of_json mirrors of_json_result" true
-      (contains msg "perf_counters.bogus")
-  | _ -> Alcotest.fail "unknown counter accepted");
+  expect_error "unknown counter with a zero value"
+    (Perf_counters.of_json_result (Json.Obj [ ("bogus", Json.Float 0.0) ]))
+    "perf_counters.bogus";
   (* well-formed input still round-trips *)
   let c = Perf_counters.create () in
   c.Perf_counters.cycles <- 42.0;
@@ -237,12 +234,74 @@ let test_config_parser_structured_errors () =
       accel'.Accel_config.accel_name
   | Error msg -> Alcotest.fail msg
 
+let error_of = function Ok _ -> "Ok" | Error msg -> msg
+
+let test_config_non_object () =
+  Alcotest.(check string) "top-level array" "config: expected a JSON object"
+    (error_of (Config_parser.parse_string_result "[]"));
+  expect_error "non-object cpu section"
+    (Config_parser.parse_string_result {|{"cpu": [], "accelerator": {}}|})
+    "cpu: expected a JSON object"
+
+(* A cache level Cache.create would reject is a field error of the
+   config, named with the file's field names. *)
+let test_cache_geometry_errors () =
+  let decode cache =
+    error_of
+      (Host_config.of_json_result
+         (Json.of_string (Printf.sprintf {|{"frequency_mhz": 650, "caches": [%s]}|} cache)))
+  in
+  List.iter
+    (fun (cache, expected) -> Alcotest.(check string) cache expected (decode cache))
+    [
+      ({|{"size_kb": 32, "assoc": 0}|}, "cpu.caches[0].assoc: must be positive");
+      ( {|{"size_kb": 32, "line_bytes": 0, "assoc": 4}|},
+        "cpu.caches[0].line_bytes: must be a power of two" );
+      ({|{"size_kb": 48, "assoc": 4}|}, "cpu.caches[0].size_kb: must be a power of two");
+      ( {|{"size_kb": 1, "line_bytes": 512, "assoc": 4}|},
+        "cpu.caches[0].size_kb: must be a multiple of line_bytes * assoc" );
+      ({|{"size_kb": 32, "assoc": 4}|}, "Ok");
+    ]
+
 let test_fuzz_case_structured_errors () =
   expect_error "invalid JSON" (Fuzz_case.of_string_result "{") "case: invalid JSON";
   expect_error "non-object" (Fuzz_case.of_string_result "[1, 2]") "expected a JSON object";
   expect_error "missing field"
     (Fuzz_case.of_string_result "{\"engine\": \"v3\"}")
     "case.size: missing field";
+  let with_fields fields =
+    let case = Fuzz_case.to_json (Fuzz_gen.case_at ~seed:7 ~index:0 ()) in
+    Json.to_string
+      (List.fold_left (fun json (key, v) -> with_key key (Json.of_string v) json) case fields)
+  in
+  List.iter
+    (fun (name, fields, expected) ->
+      Alcotest.(check string) name expected
+        (error_of (Fuzz_case.of_string_result (with_fields fields))))
+    [
+      ( "zero stride",
+        [
+          ("engine", {|"conv"|});
+          ("size", "0");
+          ( "workload",
+            {|{"kind": "conv", "ic": 1, "ihw": 4, "oc": 1, "fhw": 1, "stride": 0}|} );
+        ],
+        "case.workload.stride: must be positive" );
+      ( "negative extent",
+        [
+          ("engine", {|"v3"|});
+          ("size", "4");
+          ("workload", {|{"kind": "matmul", "m": -4, "n": 4, "k": 4}|});
+        ],
+        "case.workload.m: must be positive" );
+      ( "zero engine size",
+        [ ("engine", {|"v3"|}); ("size", "0") ],
+        "case.size: must be positive" );
+      ("zero tile", [ ("tiles", "[4, 0, 4]") ], "case.tiles[1]: must be positive");
+      ( "zero DMA buffer",
+        [ ("dma_buffer_bytes", "0") ],
+        "case.dma_buffer_bytes: must be positive" );
+    ];
   let valid = Fuzz_gen.case_at ~seed:7 ~index:0 () in
   let line = Json.to_string (Fuzz_case.to_json valid) in
   match Fuzz_case.of_string_result line with
@@ -426,6 +485,9 @@ let tests =
       test_accel_config_structured_errors;
     Alcotest.test_case "config parser: structured parse errors" `Quick
       test_config_parser_structured_errors;
+    Alcotest.test_case "config parser: non-object document" `Quick test_config_non_object;
+    Alcotest.test_case "host config: cache geometry errors" `Quick
+      test_cache_geometry_errors;
     Alcotest.test_case "fuzz case: structured parse errors" `Quick
       test_fuzz_case_structured_errors;
     Alcotest.test_case "preset lookup: structured errors" `Quick

@@ -32,7 +32,7 @@ let test_counter_fields_roundtrip () =
   let b = Perf_counters.of_fields kvs in
   Alcotest.(check string) "of_fields round-trips" (Perf_counters.to_string a)
     (Perf_counters.to_string b);
-  let c = Perf_counters.of_json (Perf_counters.to_json a) in
+  let c = Result.get_ok (Perf_counters.of_json_result (Perf_counters.to_json a)) in
   Alcotest.(check string) "JSON round-trips" (Perf_counters.to_string a)
     (Perf_counters.to_string c);
   Alcotest.check_raises "unknown field rejected"

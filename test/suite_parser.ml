@@ -167,7 +167,7 @@ let check_golden name ~golden m =
 let config_path file = Filename.concat (Filename.concat ".." "examples/configs") file
 
 let compile_from_config ?(options = Axi4mlir.default_codegen) ~config m =
-  let host, accel = Config_parser.parse_file (config_path config) in
+  let host, accel = Result.get_ok (Config_parser.parse_file_result (config_path config)) in
   let bench = Axi4mlir.create ~host accel in
   Axi4mlir.compile bench ~options m
 
