@@ -14,14 +14,8 @@ let problems () =
   in
   if !Report.quick then [ List.hd triples ] else triples
 
-let measure_choice bench ~m ~n ~k (choice : Heuristics.choice) =
-  let options =
-    {
-      Axi4mlir.default_codegen with
-      flow = Some choice.Heuristics.flow;
-      tiles = Some [ choice.Heuristics.tm; choice.Heuristics.tn; choice.Heuristics.tk ];
-    }
-  in
+let measure_choice bench ~m ~n ~k choice =
+  let options = Heuristics.options_of_choice bench.Axi4mlir.accel choice in
   let a, b, c = Axi4mlir.alloc_matmul_operands bench ~m ~n ~k in
   Report.ms bench (Report.generated_matmul_counters bench ~options ~m ~n ~k ~a ~b ~c ())
 

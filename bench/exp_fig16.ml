@@ -41,10 +41,7 @@ let run_layer (l : Resnet18.layer) =
       else begin
         let ir = Axi4mlir.build_conv_module ~stride ~n ~ic ~ih ~iw ~oc ~fh:fhw ~fw:fhw () in
         let compiled = Axi4mlir.compile bench ir in
-        Report.measure bench (fun () ->
-            Axi4mlir.run_func bench ~copy_strategy:Dma_library.Specialized compiled
-              "conv_call"
-              [ Interp.M i; Interp.M w; Interp.M o ])
+        Report.measure bench (fun () -> Axi4mlir.run_conv bench compiled ~i ~w ~o)
       end
     in
     counters.Perf_counters.cycles *. scale

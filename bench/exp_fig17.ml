@@ -42,15 +42,7 @@ let shape_cycles strategy (s : Tinybert.matmul_shape) =
     let options =
       match strategy with
       | Ns -> { Axi4mlir.default_codegen with flow = Some "Ns"; tiles = Some [ 16; 16; 16 ] }
-      | Best | Cpu -> (
-        match Heuristics.best accel ~m ~n ~k with
-        | Some choice ->
-          {
-            Axi4mlir.default_codegen with
-            flow = Some choice.Heuristics.flow;
-            tiles = Some [ choice.Heuristics.tm; choice.Heuristics.tn; choice.Heuristics.tk ];
-          }
-        | None -> Axi4mlir.default_codegen)
+      | Best | Cpu -> Heuristics.best_options accel ~m ~n ~k
     in
     let a, b, c = Axi4mlir.alloc_matmul_operands bench ~m ~n ~k in
     let counters = Report.generated_matmul_counters bench ~options ~m ~n ~k ~a ~b ~c () in

@@ -18,34 +18,11 @@ let fail fmt = Printf.ksprintf failwith fmt
 let measure_candidate kind label workload candidate =
   match Tune_space.config_of_candidate candidate with
   | Error msg -> fail "exp_tune: %s: %s" label msg
-  | Ok config -> (
-    let bench = Axi4mlir.create config in
+  | Ok config ->
     let options = Tune_space.codegen_of_candidate candidate in
-    match (workload : Tune_workload.t) with
-    | Tune_workload.Matmul { m; n; k } ->
-      let a, b, c = Axi4mlir.alloc_matmul_operands bench ~m ~n ~k in
-      let ir = Axi4mlir.compile_matmul bench ~options ~m ~n ~k () in
-      Report.set_context kind [ m; n; k ];
-      let counters =
-        Report.measure bench (fun () -> Axi4mlir.run_matmul bench ~options ir ~a ~b ~c)
-      in
-      counters.Perf_counters.cycles
-    | Tune_workload.Conv { ic; ih; iw; oc; fhw; stride } ->
-      let i, w, o =
-        Axi4mlir.alloc_conv_operands ~stride bench ~n:1 ~ic ~ih ~iw ~oc ~fh:fhw ~fw:fhw
-      in
-      let ir =
-        Axi4mlir.build_conv_module ~stride ~n:1 ~ic ~ih ~iw ~oc ~fh:fhw ~fw:fhw ()
-      in
-      let compiled = Axi4mlir.compile bench ~options ir in
-      Report.set_context kind [ ic; ih; iw; oc; fhw; stride ];
-      let counters =
-        Report.measure bench (fun () ->
-            Axi4mlir.run_func bench ~copy_strategy:Dma_library.Specialized compiled
-              "conv_call"
-              [ Interp.M i; Interp.M w; Interp.M o ])
-      in
-      counters.Perf_counters.cycles)
+    let bench, run = Tune_eval.prepare ~batch:1 config ~options workload in
+    Report.set_context kind (Tune_workload.dims workload);
+    (Report.measure bench run).Perf_counters.cycles
 
 let best_of label (report : Tune_report.t) =
   match report.Tune_report.rp_results with

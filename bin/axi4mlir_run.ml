@@ -150,9 +150,7 @@ let run_tool config_path matmul conv flow tiles coalesce double_buffer cpu_only
         in
         let counters =
           Axi4mlir.measure bench (fun () ->
-              Axi4mlir.run_func bench ~copy_strategy:Dma_library.Specialized compiled
-                "conv_call"
-                [ Interp.M i; Interp.M w; Interp.M o ])
+              Axi4mlir.run_conv bench ~options compiled ~i ~w ~o)
         in
         (counters, Gold.max_abs_diff gold (Memref_view.to_array o))
       | _ -> failwith "--conv expects IC,IHW,OC,FHW")

@@ -63,10 +63,7 @@ let () =
       let ir = Axi4mlir.build_conv_module ~stride ~n:1 ~ic ~ih ~iw ~oc ~fh:fhw ~fw:fhw () in
       let compiled = Axi4mlir.compile bench ir in
       let counters =
-        Axi4mlir.measure bench (fun () ->
-            Axi4mlir.run_func bench ~copy_strategy:Dma_library.Specialized compiled
-              "conv_call"
-              [ Interp.M i; Interp.M w; Interp.M o ])
+        Axi4mlir.measure bench (fun () -> Axi4mlir.run_conv bench compiled ~i ~w ~o)
       in
       let ok = Gold.max_abs_diff gold (Memref_view.to_array o) < 1e-9 in
       Tabulate.add_row t

@@ -53,13 +53,7 @@ let () =
       let best_cycles, best_config =
         match Heuristics.best accel ~m ~n ~k with
         | Some choice ->
-          ( run
-              {
-                Axi4mlir.default_codegen with
-                flow = Some choice.Heuristics.flow;
-                tiles =
-                  Some [ choice.Heuristics.tm; choice.Heuristics.tn; choice.Heuristics.tk ];
-              },
+          ( run (Heuristics.options_of_choice accel choice),
             Printf.sprintf "%s %d,%d,%d" choice.Heuristics.flow choice.Heuristics.tm
               choice.Heuristics.tn choice.Heuristics.tk )
         | None -> (nan, "-")

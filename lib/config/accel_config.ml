@@ -49,6 +49,8 @@ let iteration_dims t =
 
 let ( let* ) r f = Result.bind r f
 
+let max_dma_buffer_bytes = 16 * 1024 * 1024
+
 let validate t =
   let* () =
     match t.op_kind with
@@ -100,9 +102,16 @@ let validate t =
       if t.buffer_capacity_elems <= Accel_conv.buffer_capacity_elems then Ok ()
       else Error "buffer_capacity_elems exceeds the conv engine's capacity"
   in
-  if t.dma.input_buffer_size <= 0 || t.dma.output_buffer_size <= 0 then
-    Error "DMA buffer sizes must be positive"
-  else Ok ()
+  let region field bytes =
+    if bytes <= 0 then Error (Printf.sprintf "dma.%s: must be positive" field)
+    else if bytes > max_dma_buffer_bytes then
+      Error
+        (Printf.sprintf "dma.%s: exceeds the %d MiB ceiling" field
+           (max_dma_buffer_bytes lsr 20))
+    else Ok ()
+  in
+  let* () = region "input_buffer_size" t.dma.input_buffer_size in
+  region "output_buffer_size" t.dma.output_buffer_size
 
 let make_device ?tracer t =
   match t.engine with

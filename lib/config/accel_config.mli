@@ -51,10 +51,15 @@ val flow_exn : t -> string -> Opcode.flow
 val with_flow : t -> string -> t
 (** Select a different flow (validated). *)
 
+val max_dma_buffer_bytes : int
+(** The largest DMA region {!validate} accepts: 16 MiB, 256x the 0xFF00
+    preset window. *)
+
 val validate : t -> (unit, string) result
 (** Full consistency check: known op kind, dims arity, opcode map/flow
     validity, selected flow exists, init opcodes defined, buffer
-    capacities consistent with the engine. *)
+    capacities consistent with the engine, each DMA region in
+    [1, max_dma_buffer_bytes] ("dma.input_buffer_size: ..."). *)
 
 val make_device : ?tracer:Trace.t -> t -> Accel_device.t
 (** Instantiate the simulator model this config describes. *)

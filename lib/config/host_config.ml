@@ -20,6 +20,9 @@ let geometry_of_json path json =
   let* line_bytes = Json.field_opt "line_bytes" Json.int path json in
   let* assoc = Json.field "assoc" Json.int path json in
   let line_bytes = Option.value line_bytes ~default:32 in
+  (* clamp before scaling, so a huge size_kb hits the ceiling instead of
+     wrapping round to a legal size *)
+  let size_kb = Int.max (-1) (Int.min size_kb (max_int / 1024)) in
   let g = { Cache.size_bytes = 1024 * size_kb; line_bytes; assoc } in
   match Cache.check_geometry g with
   | Ok () -> Ok g

@@ -33,12 +33,15 @@ let alloc_conv_operands ?(stride = 1) t ~n ~ic ~ih ~iw ~oc ~fh ~fw =
     alloc_view t ~label:"W" [ oc; ic; fh; fw ],
     alloc_zero t ~label:"O" [ n; oc; oh; ow ] )
 
-let build_matmul_module ?(func_name = "matmul_call") ~m ~n ~k () =
+let matmul_func_name = "matmul_call"
+let conv_func_name = "conv_call"
+
+let build_matmul_module ~m ~n ~k () =
   let a_ty = Ty.memref [ m; k ] Ty.F32 in
   let b_ty = Ty.memref [ k; n ] Ty.F32 in
   let c_ty = Ty.memref [ m; n ] Ty.F32 in
   let f =
-    Func.func_op ~name:func_name ~args:[ a_ty; b_ty; c_ty ] (fun b args ->
+    Func.func_op ~name:matmul_func_name ~args:[ a_ty; b_ty; c_ty ] (fun b args ->
         match args with
         | [ a; bv; c ] ->
           ignore (Linalg.matmul b ~a ~b:bv ~c);
@@ -47,13 +50,13 @@ let build_matmul_module ?(func_name = "matmul_call") ~m ~n ~k () =
   in
   Ir.module_op [ f ]
 
-let build_conv_module ?(func_name = "conv_call") ?(stride = 1) ~n ~ic ~ih ~iw ~oc ~fh ~fw () =
+let build_conv_module ?(stride = 1) ~n ~ic ~ih ~iw ~oc ~fh ~fw () =
   let oh = Gold.conv_out ih ~fhw:fh ~stride and ow = Gold.conv_out iw ~fhw:fw ~stride in
   let i_ty = Ty.memref [ n; ic; ih; iw ] Ty.F32 in
   let w_ty = Ty.memref [ oc; ic; fh; fw ] Ty.F32 in
   let o_ty = Ty.memref [ n; oc; oh; ow ] Ty.F32 in
   let f =
-    Func.func_op ~name:func_name ~args:[ i_ty; w_ty; o_ty ] (fun b args ->
+    Func.func_op ~name:conv_func_name ~args:[ i_ty; w_ty; o_ty ] (fun b args ->
         match args with
         | [ input; filter; output ] ->
           ignore (Linalg.conv_2d_nchw_fchw ~stride b ~input ~filter ~output);
@@ -120,11 +123,18 @@ let run_func t ?copy_strategy m name args =
   let interp = Interp.create ?copy_strategy t.soc m in
   ignore (Interp.invoke interp name args)
 
+(* Only the accel-dialect level reads the interpreter's strategy; the
+   runtime-call level names it in its "_spec" callees. *)
+let copy_strategy_of options =
+  if options.copy_specialization then Dma_library.Specialized else Dma_library.Generic
+
 let run_matmul t ?(options = default_codegen) m ~a ~b ~c =
-  let copy_strategy =
-    if options.copy_specialization then Dma_library.Specialized else Dma_library.Generic
-  in
-  run_func t ~copy_strategy m (sole_func_name m) [ Interp.M a; Interp.M b; Interp.M c ]
+  run_func t ~copy_strategy:(copy_strategy_of options) m (sole_func_name m)
+    [ Interp.M a; Interp.M b; Interp.M c ]
+
+let run_conv t ?(options = default_codegen) m ~i ~w ~o =
+  run_func t ~copy_strategy:(copy_strategy_of options) m conv_func_name
+    [ Interp.M i; Interp.M w; Interp.M o ]
 
 let measure t thunk =
   Soc.reset_run_state t.soc;

@@ -55,12 +55,11 @@ val alloc_conv_operands :
 
 (** {1 IR construction} *)
 
-val build_matmul_module : ?func_name:string -> m:int -> n:int -> k:int -> unit -> Ir.op
-(** A module with one function [@func_name(%A, %B, %C)] containing a
-    [linalg.generic] matmul (default name ["matmul_call"]). *)
+val build_matmul_module : m:int -> n:int -> k:int -> unit -> Ir.op
+(** A module with one function [@matmul_call(%A, %B, %C)] containing a
+    [linalg.generic] matmul. *)
 
 val build_conv_module :
-  ?func_name:string ->
   ?stride:int ->
   n:int ->
   ic:int ->
@@ -71,6 +70,8 @@ val build_conv_module :
   fw:int ->
   unit ->
   Ir.op
+(** A module with one function [@conv_call(%I, %W, %O)] containing a
+    [linalg.conv_2d_nchw_fchw] (valid padding, the given stride). *)
 
 (** {1 Compilation} *)
 
@@ -138,6 +139,18 @@ val run_matmul :
     accel-dialect level (when [to_runtime_calls] was false) honours
     [options.copy_specialization] through the interpreter's copy
     strategy. *)
+
+val run_conv :
+  t ->
+  ?options:codegen_options ->
+  Ir.op ->
+  i:Memref_view.t ->
+  w:Memref_view.t ->
+  o:Memref_view.t ->
+  unit
+(** The conv sibling of {!run_matmul}: invoke a compiled
+    {!build_conv_module} module on input, filter and output views, with
+    the copy strategy derived from [options] the same way. *)
 
 val measure : t -> (unit -> unit) -> Perf_counters.t
 (** Reset the SoC run state, run the thunk, and return a snapshot of

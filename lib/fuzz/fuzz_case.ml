@@ -101,6 +101,14 @@ let positive path json =
   let* n = Json.int path json in
   if n > 0 then Ok n else Json.error path "must be positive"
 
+(* The harness sizes both DMA regions from it: Accel_config's ceiling. *)
+let dma_bytes path json =
+  let* n = positive path json in
+  if n <= Accel_config.max_dma_buffer_bytes then Ok n
+  else
+    Json.error path
+      (Printf.sprintf "exceeds the %d MiB ceiling" (Accel_config.max_dma_buffer_bytes lsr 20))
+
 let workload_of_json path json =
   let* kind = Json.field "kind" Json.string path json in
   match kind with
@@ -133,7 +141,7 @@ let of_json_result json =
   let* coalesce_transfers = Json.field "coalesce_transfers" Json.bool path json in
   let* double_buffer = Json.field "double_buffer" Json.bool path json in
   let* to_runtime_calls = Json.field "to_runtime_calls" Json.bool path json in
-  let* dma_buffer_bytes = Json.field "dma_buffer_bytes" positive path json in
+  let* dma_buffer_bytes = Json.field "dma_buffer_bytes" dma_bytes path json in
   let* data_seed = Json.field "data_seed" Json.int path json in
   let* init_c = Json.field "init_c" Json.bool path json in
   Ok

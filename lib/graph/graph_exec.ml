@@ -271,16 +271,6 @@ let run ?(batch = 1) ~residency (g : Graph_ir.t) =
   let compiled : (string, Ir.op * Axi4mlir.codegen_options) Hashtbl.t =
     Hashtbl.create 8
   in
-  let best_options ~m ~n ~k =
-    match Heuristics.best accel ~m ~n ~k with
-    | Some c ->
-      {
-        Axi4mlir.default_codegen with
-        flow = Some c.Heuristics.flow;
-        tiles = Some [ c.Heuristics.tm; c.Heuristics.tn; c.Heuristics.tk ];
-      }
-    | None -> Axi4mlir.default_codegen
-  in
   let run_matmul nd b =
     let m, n, k = Graph_ir.matmul_dims g nd in
     let key = Printf.sprintf "%d,%d,%d" m n k in
@@ -288,7 +278,7 @@ let run ?(batch = 1) ~residency (g : Graph_ir.t) =
       match Hashtbl.find_opt compiled key with
       | Some v -> v
       | None ->
-        let options = best_options ~m ~n ~k in
+        let options = Heuristics.best_options accel ~m ~n ~k in
         let ir = Axi4mlir.compile_matmul bench ~options ~m ~n ~k () in
         Hashtbl.add compiled key (ir, options);
         (ir, options)

@@ -10,7 +10,6 @@ type t = {
   funcs : (string, Ir.op) Hashtbl.t;
   libs : (int, Dma_library.t) Hashtbl.t;  (* one DMA library per engine id *)
   mutable current_lib : int option;  (* engine of the kernel being driven *)
-  last_env : (int, value) Hashtbl.t;  (* retained for test inspection *)
 }
 
 let create ?(copy_strategy = Dma_library.Generic) soc module_op =
@@ -18,14 +17,7 @@ let create ?(copy_strategy = Dma_library.Generic) soc module_op =
   List.iter
     (fun (o : Ir.op) -> if Func.is_func o then Hashtbl.replace funcs (Func.name_of o) o)
     (Ir.module_body module_op);
-  {
-    soc;
-    copy_strategy;
-    funcs;
-    libs = Hashtbl.create 4;
-    current_lib = None;
-    last_env = Hashtbl.create 64;
-  }
+  { soc; copy_strategy; funcs; libs = Hashtbl.create 4; current_lib = None }
 
 let lib t =
   match t.current_lib with
@@ -336,15 +328,9 @@ and exec_func t (f : Ir.op) args =
     ~args:[ ("n_ops", Trace.Int (List.length block.body)) ]
     ("func " ^ Func.name_of f)
     (fun () -> List.iter (exec_op t frame) block.body);
-  let results =
-    match List.rev block.body with
-    | last :: _ when last.Ir.name = "func.return" -> List.map (lookup frame) last.operands
-    | _ -> []
-  in
-  (* Retain the outermost frame's bindings for test inspection. *)
-  Hashtbl.reset t.last_env;
-  Hashtbl.iter (Hashtbl.replace t.last_env) frame.env;
-  results
+  match List.rev block.body with
+  | last :: _ when last.Ir.name = "func.return" -> List.map (lookup frame) last.operands
+  | _ -> []
 
 let invoke t name args =
   match Hashtbl.find_opt t.funcs name with
@@ -362,6 +348,3 @@ let try_invoke t name args =
   | exception Runtime_error msg -> Error ("interpreter: " ^ msg)
   | exception Failure msg -> Error msg
   | exception Invalid_argument msg -> Error msg
-
-let view_of_alloc t (v : Ir.value) =
-  match Hashtbl.find_opt t.last_env v.vid with Some (M view) -> Some view | _ -> None

@@ -45,7 +45,3 @@ val try_invoke : t -> string -> value list -> (value list, string) result
     [Invalid_argument] raised by device models and views on malformed
     traffic) into [Error] — the form the differential fuzzer's oracle
     classifies as a crash. *)
-
-val view_of_alloc : t -> Ir.value -> Memref_view.t option
-(** Look up the view bound to a value in the last invocation (for
-    tests inspecting allocations). *)

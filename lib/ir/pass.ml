@@ -29,9 +29,10 @@ let run_pipeline ?(options = default_options) ?stats ?(tracer = Trace.noop) pass
   let record st =
     match stats with None -> () | Some acc -> acc := !acc @ [ st ]
   in
+  (* Passes see the IR unchanged between them, so each pass's op count
+     after is the next one's count before: one walk per pass. *)
   List.fold_left
-    (fun ir pass ->
-      let ops_before = count_all ir in
+    (fun (ir, ops_before) pass ->
       let t0 = Sys.time () in
       let ir = pass.run ir in
       let seconds = Sys.time () -. t0 in
@@ -70,8 +71,9 @@ let run_pipeline ?(options = default_options) ?stats ?(tracer = Trace.noop) pass
               pass.pass_name (Printer.to_generic ir);
           raise (Pass_failure { pass = pass.pass_name; failing_op; message = reason })
       end;
-      ir)
-    root passes
+      (ir, ops_after))
+    (root, count_all root) passes
+  |> fst
 
 let report_stats stats =
   let buf = Buffer.create 512 in

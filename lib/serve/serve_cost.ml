@@ -96,57 +96,21 @@ let memoised t key compute =
     Hashtbl.add t.oc_memo key c;
     c
 
-(* The Sec. IV-C "Best" selection, as exp_fig17 applies it: override
-   flow and tiles when a feasible choice exists, otherwise let the
-   pipeline fall back to its defaults. *)
-let best_options accel ~m ~n ~k =
-  match Heuristics.best accel ~m ~n ~k with
-  | Some c ->
-    (* tile overrides are a flexible-engine (v4) feature; fixed-geometry
-       engines always tile by their own size *)
-    let tiles =
-      if accel.Accel_config.flexible then
-        Some [ c.Heuristics.tm; c.Heuristics.tn; c.Heuristics.tk ]
-      else None
-    in
-    { Axi4mlir.default_codegen with flow = Some c.Heuristics.flow; tiles }
-  | None -> Axi4mlir.default_codegen
-
 let counter_parts (counters : Perf_counters.t) =
   ( counters.Perf_counters.cycles,
     counters.Perf_counters.dma_words_sent +. counters.Perf_counters.dma_words_received )
 
+(* Matmul layers compile with the Sec. IV-C "Best" selection for the
+   batched shape; conv layers run the fixed Os-flow sidecar. *)
 let measure_workload t (w : Tune_workload.t) ~batch =
-  match w with
-  | Tune_workload.Matmul { m; n; k } ->
-    (* batching stacks the batch's activation rows: m -> batch * m with
-       the weight operand B shared across the batch *)
-    let m = m * batch in
-    let accel = t.oc_accel in
-    let bench = Axi4mlir.create accel in
-    let options = best_options accel ~m ~n ~k in
-    let a, b, c = Axi4mlir.alloc_matmul_operands bench ~m ~n ~k in
-    let ir = Axi4mlir.compile_matmul bench ~options ~m ~n ~k () in
-    let counters =
-      Axi4mlir.measure bench (fun () -> Axi4mlir.run_matmul bench ~options ir ~a ~b ~c)
-    in
-    counter_parts counters
-  | Tune_workload.Conv { ic; ih; iw; oc; fhw; stride } ->
-    (* batching is the image dimension: n -> batch *)
-    let n = batch in
-    let bench = Axi4mlir.create (Presets.conv ~flow:"Os" ()) in
-    let i, w_, o =
-      Axi4mlir.alloc_conv_operands ~stride bench ~n ~ic ~ih ~iw ~oc ~fh:fhw ~fw:fhw
-    in
-    let ir = Axi4mlir.build_conv_module ~stride ~n ~ic ~ih ~iw ~oc ~fh:fhw ~fw:fhw () in
-    let compiled = Axi4mlir.compile bench ir in
-    let counters =
-      Axi4mlir.measure bench (fun () ->
-          Axi4mlir.run_func bench ~copy_strategy:Dma_library.Specialized compiled
-            "conv_call"
-            [ Interp.M i; Interp.M w_; Interp.M o ])
-    in
-    counter_parts counters
+  let accel, options =
+    match w with
+    | Tune_workload.Matmul { m; n; k } ->
+      (t.oc_accel, Heuristics.best_options t.oc_accel ~m:(batch * m) ~n ~k)
+    | Tune_workload.Conv _ -> (Presets.conv ~flow:"Os" (), Axi4mlir.default_codegen)
+  in
+  let bench, run = Tune_eval.prepare ~batch accel ~options w in
+  counter_parts (Axi4mlir.measure bench run)
 
 let measure_layer t (named : Tune_workload.named) ~batch =
   let w = named.Tune_workload.wl_workload in

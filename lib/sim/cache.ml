@@ -13,14 +13,21 @@ type level = {
 
 type t = { levels : level list }
 
+let max_size_bytes = 64 * 1024 * 1024
+
+(* The multiple rule is tested as a quotient, so a hostile line_bytes *
+   assoc cannot overflow to zero. *)
 let check_geometry geom =
   if geom.assoc < 1 then Error ("assoc", "must be positive")
   else if not (Util.is_pow2 geom.line_bytes) then
     Error ("line_bytes", "must be a power of two")
+  else if geom.size_bytes > max_size_bytes then
+    Error ("size_bytes", Printf.sprintf "exceeds the %d MiB ceiling" (max_size_bytes lsr 20))
   else if not (Util.is_pow2 geom.size_bytes) then
     Error ("size_bytes", "must be a power of two")
-  else if geom.size_bytes mod (geom.line_bytes * geom.assoc) <> 0 then
-    Error ("size_bytes", "must be a multiple of line_bytes * assoc")
+  else if
+    geom.line_bytes > geom.size_bytes || geom.size_bytes / geom.line_bytes mod geom.assoc <> 0
+  then Error ("size_bytes", "must be a multiple of line_bytes * assoc")
   else Ok ()
 
 let make_level geom =

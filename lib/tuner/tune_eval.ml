@@ -14,49 +14,45 @@ let bottleneck_of bench =
   | Ok dg -> Some (Doctor.binding_resource dg)
   | Error _ -> None
 
-let run_candidate ?host workload candidate =
-  match Tune_space.config_of_candidate candidate with
-  | Error msg -> Error msg
-  | Ok config -> (
-    let bench = Axi4mlir.create ?host config in
-    let options = Tune_space.codegen_of_candidate candidate in
+(* Operands are allocated before compiling, as every measured run has
+   always done: their Sim_memory addresses feed the cache simulator. *)
+let prepare ?host ~batch accel ~options (workload : Tune_workload.t) =
+  let bench = Axi4mlir.create ?host accel in
+  let run =
     match workload with
     | Tune_workload.Matmul { m; n; k } ->
+      (* batching stacks the batch's activation rows: m -> batch * m
+         with the weight operand B shared across the batch *)
+      let m = batch * m in
       let a, b, c = Axi4mlir.alloc_matmul_operands bench ~m ~n ~k in
-      let compiled = Axi4mlir.compile_matmul bench ~options ~m ~n ~k () in
-      let counters =
-        Axi4mlir.measure bench (fun () ->
-            Axi4mlir.run_matmul bench ~options compiled ~a ~b ~c)
-      in
-      Ok
-        ( {
-            ev_cycles = counters.Perf_counters.cycles;
-            ev_counters = counters;
-            ev_bottleneck = bottleneck_of bench;
-          },
-          bench )
+      let ir = Axi4mlir.compile_matmul bench ~options ~m ~n ~k () in
+      fun () -> Axi4mlir.run_matmul bench ~options ir ~a ~b ~c
     | Tune_workload.Conv { ic; ih; iw; oc; fhw; stride } ->
-      let n = 1 in
+      (* batching is the image dimension: n -> batch *)
+      let n = batch in
       let i, w, o =
         Axi4mlir.alloc_conv_operands ~stride bench ~n ~ic ~ih ~iw ~oc ~fh:fhw ~fw:fhw
       in
       let ir =
-        Axi4mlir.build_conv_module ~stride ~n ~ic ~ih ~iw ~oc ~fh:fhw ~fw:fhw ()
+        Axi4mlir.compile bench ~options
+          (Axi4mlir.build_conv_module ~stride ~n ~ic ~ih ~iw ~oc ~fh:fhw ~fw:fhw ())
       in
-      let compiled = Axi4mlir.compile bench ~options ir in
-      let counters =
-        Axi4mlir.measure bench (fun () ->
-            Axi4mlir.run_func bench ~copy_strategy:Dma_library.Specialized compiled
-              "conv_call"
-              [ Interp.M i; Interp.M w; Interp.M o ])
-      in
-      Ok
-        ( {
-            ev_cycles = counters.Perf_counters.cycles;
-            ev_counters = counters;
-            ev_bottleneck = bottleneck_of bench;
-          },
-          bench ))
+      fun () -> Axi4mlir.run_conv bench ~options ir ~i ~w ~o
+  in
+  (bench, run)
+
+let run_candidate ?host workload candidate =
+  Tune_space.config_of_candidate candidate
+  |> Result.map (fun config ->
+         let options = Tune_space.codegen_of_candidate candidate in
+         let bench, run = prepare ?host ~batch:1 config ~options workload in
+         let counters = Axi4mlir.measure bench run in
+         ( {
+             ev_cycles = counters.Perf_counters.cycles;
+             ev_counters = counters;
+             ev_bottleneck = bottleneck_of bench;
+           },
+           bench ))
 
 (* The pipeline signals "cannot offload" with Failure (the facade's
    on_skip) and pass breakage with Pass_failure / Rejected; all are

@@ -24,15 +24,31 @@ type outcome = {
           cache does not persist bottlenecks. *)
 }
 
+val prepare :
+  ?host:Host_config.t ->
+  batch:int ->
+  Accel_config.t ->
+  options:Axi4mlir.codegen_options ->
+  Tune_workload.t ->
+  Axi4mlir.t * (unit -> unit)
+(** Set one kernel up for measurement: a fresh SoC for the engine, the
+    workload's operands allocated (before compiling, so the simulated
+    addresses every caller has always measured stay put), its module
+    built and compiled with [options]. Returns the SoC and the thunk
+    that runs the compiled kernel once; time it with
+    {!Axi4mlir.measure}. [batch] scales the leading dimension: matmul
+    [m -> batch * m] (the weights [B] shared across the batch), conv
+    [n = batch] images. Raises as the pipeline does ([Failure] for
+    "cannot offload", {!Pass.Pass_failure}). *)
+
 val evaluate :
   ?host:Host_config.t ->
   ?tracer:Trace.t ->
   Tune_workload.t ->
   Tune_space.candidate ->
   (outcome, string) result
-(** Compile+simulate the candidate on the workload. Conv workloads run
-    the specialised copy strategy (the hand-written-driver default).
-    [tracer] is the {e tuning} tracer (tuner track), not the simulated
+(** Compile+simulate the candidate on the workload ({!prepare} at
+    batch 1, then {!Axi4mlir.measure}). [tracer] is the {e tuning} tracer (tuner track), not the simulated
     SoC's. *)
 
 val diagnose :

@@ -194,3 +194,14 @@ let choose ?(cost = Cost_model.default) (config : Accel_config.t) ~m ~n ~k =
           predicted_cycles = estimate_cycles config ~cost ~flow ~m ~n ~k ~tm ~tn ~tk;
           predicted_transfer_elems = transfer_elems ~flow ~m ~n ~k ~tm ~tn ~tk;
         }
+
+(* Tile overrides are a flexible-engine (v4) feature; fixed-geometry
+   engines always tile by their own size. *)
+let options_of_choice (config : Accel_config.t) c =
+  let tiles = if config.flexible then Some [ c.tm; c.tn; c.tk ] else None in
+  { Axi4mlir.default_codegen with flow = Some c.flow; tiles }
+
+let best_options config ~m ~n ~k =
+  match best config ~m ~n ~k with
+  | Some c -> options_of_choice config c
+  | None -> Axi4mlir.default_codegen

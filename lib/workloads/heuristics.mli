@@ -72,3 +72,13 @@ val choose : ?cost:Cost_model.t -> Accel_config.t -> m:int -> n:int -> k:int -> 
     configuration's [selected_flow]. [None] when no feasible tiling
     exists (the op stays on the CPU path). Any returned choice divides
     every dimension and fits the per-operand buffers. *)
+
+val options_of_choice : Accel_config.t -> choice -> Axi4mlir.codegen_options
+(** The codegen options that compile a choice: its flow, plus its tile
+    shape when the engine is [flexible] (fixed-geometry engines always
+    tile by their own size, so they get [tiles = None]). *)
+
+val best_options :
+  Accel_config.t -> m:int -> n:int -> k:int -> Axi4mlir.codegen_options
+(** {!options_of_choice} of the {!best} choice, or
+    {!Axi4mlir.default_codegen} when no feasible tiling exists. *)

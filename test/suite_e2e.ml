@@ -212,8 +212,7 @@ let test_conv_generated () =
       in
       let ir = Axi4mlir.build_conv_module ~n ~ic ~ih ~iw ~oc ~fh ~fw () in
       let compiled = Axi4mlir.compile bench ir in
-      Axi4mlir.run_func bench ~copy_strategy:Dma_library.Specialized compiled "conv_call"
-        [ Interp.M i; Interp.M w; Interp.M o ];
+      Axi4mlir.run_conv bench compiled ~i ~w ~o;
       check_result ("generated conv " ^ flow) gold o)
     [ "Ws"; "Os"; "Ns" ]
 
@@ -243,7 +242,7 @@ let test_conv_cpu_paths_agree () =
   let ir = Axi4mlir.compile_cpu (Axi4mlir.build_conv_module ~n ~ic ~ih ~iw ~oc ~fh ~fw ()) in
   let interp_counters =
     Axi4mlir.measure bench (fun () ->
-        Axi4mlir.run_func bench ir "conv_call" [ Interp.M i; Interp.M w; Interp.M o ])
+        Axi4mlir.run_conv bench ir ~i ~w ~o)
   in
   check_result "conv interp" gold o;
   Memref_view.fill_from o (Array.make (Memref_view.num_elements o) 0.0);
@@ -280,8 +279,7 @@ let test_strided_conv_all_paths () =
       Alcotest.(check bool) "matcher accepts" true (Matcher.is_conv_2d_nchw_fchw generic);
       (* generated *)
       let compiled = Axi4mlir.compile bench ir in
-      Axi4mlir.run_func bench ~copy_strategy:Dma_library.Specialized compiled "conv_call"
-        [ Interp.M i; Interp.M w; Interp.M o ];
+      Axi4mlir.run_conv bench compiled ~i ~w ~o;
       check_result (Printf.sprintf "generated stride-%d conv" stride) gold o;
       (* manual *)
       zero o;
@@ -293,8 +291,7 @@ let test_strided_conv_all_paths () =
       let cpu_ir = Axi4mlir.compile_cpu (Axi4mlir.build_conv_module ~stride ~n ~ic ~ih ~iw ~oc ~fh ~fw ()) in
       let interp_counters =
         Axi4mlir.measure bench (fun () ->
-            Axi4mlir.run_func bench cpu_ir "conv_call"
-              [ Interp.M i; Interp.M w; Interp.M o ])
+            Axi4mlir.run_conv bench cpu_ir ~i ~w ~o)
       in
       check_result (Printf.sprintf "cpu stride-%d conv" stride) gold o;
       zero o;
@@ -380,7 +377,7 @@ let prop_conv_random =
         Axi4mlir.compile bench
           (Axi4mlir.build_conv_module ~n:1 ~ic ~ih:ihw ~iw:ihw ~oc ~fh:fhw ~fw:fhw ())
       in
-      Axi4mlir.run_func bench compiled "conv_call" [ Interp.M i; Interp.M w; Interp.M o ];
+      Axi4mlir.run_conv bench compiled ~i ~w ~o;
       Gold.max_abs_diff gold (Memref_view.to_array o) < 1e-9)
 
 let tests =

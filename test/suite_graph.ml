@@ -472,10 +472,7 @@ let test_conv_proxy_calibration () =
   let ir = Axi4mlir.build_conv_module ~n:1 ~ic ~ih:ihw ~iw:ihw ~oc ~fh:fhw ~fw:fhw () in
   let compiled = Axi4mlir.compile bench ir in
   let counters =
-    Axi4mlir.measure bench (fun () ->
-        Axi4mlir.run_func bench ~copy_strategy:Dma_library.Specialized compiled
-          "conv_call"
-          [ Interp.M i; Interp.M w_; Interp.M o ])
+    Axi4mlir.measure bench (fun () -> Axi4mlir.run_conv bench compiled ~i ~w:w_ ~o)
   in
   let estimate = Heuristics.estimate_conv_cycles ~macs:(Tune_workload.macs w) in
   let ratio = counters.Perf_counters.cycles /. estimate in

@@ -206,7 +206,26 @@ let test_accel_config_structured_errors () =
   expect_error "undefined selected flow"
     (Accel_config.of_json_result
        (with_key "flow" (Json.String "Zs") (valid_accel_json ())))
-    "selected flow Zs is not defined"
+    "selected flow Zs is not defined";
+  (* DMA regions are sized from the file: a huge one is refused before
+     anything allocates it *)
+  let with_dma field bytes =
+    let json = valid_accel_json () in
+    let dma = match json with Json.Obj kvs -> List.assoc "dma" kvs | j -> j in
+    Accel_config.of_json_result (with_key "dma" (with_key field (Json.Int bytes) dma) json)
+  in
+  expect_error "huge input region"
+    (with_dma "input_buffer_size" (1 lsl 50))
+    "dma.input_buffer_size: exceeds the 16 MiB ceiling";
+  expect_error "huge output region"
+    (with_dma "output_buffer_size" (Accel_config.max_dma_buffer_bytes + 1))
+    "dma.output_buffer_size: exceeds the 16 MiB ceiling";
+  expect_error "empty input region"
+    (with_dma "input_buffer_size" 0)
+    "dma.input_buffer_size: must be positive";
+  match with_dma "input_buffer_size" Accel_config.max_dma_buffer_bytes with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail ("a region at the ceiling is legal: " ^ msg)
 
 let test_config_parser_structured_errors () =
   expect_error "invalid JSON" (Config_parser.parse_string_result "{ nope") "config:";
@@ -260,6 +279,17 @@ let test_cache_geometry_errors () =
       ({|{"size_kb": 48, "assoc": 4}|}, "cpu.caches[0].size_kb: must be a power of two");
       ( {|{"size_kb": 1, "line_bytes": 512, "assoc": 4}|},
         "cpu.caches[0].size_kb: must be a multiple of line_bytes * assoc" );
+      ( {|{"size_kb": 1099511627776, "assoc": 8}|},
+        "cpu.caches[0].size_kb: exceeds the 64 MiB ceiling" );
+      ( {|{"size_kb": 131072, "assoc": 8}|},
+        "cpu.caches[0].size_kb: exceeds the 64 MiB ceiling" );
+      (* 1024 * size_kb would wrap round to 1024: clamped, not wrapped *)
+      ( {|{"size_kb": 9007199254740993, "assoc": 1}|},
+        "cpu.caches[0].size_kb: exceeds the 64 MiB ceiling" );
+      (* line_bytes * assoc would overflow to zero *)
+      ( {|{"size_kb": 32, "line_bytes": 2147483648, "assoc": 4294967296}|},
+        "cpu.caches[0].size_kb: must be a multiple of line_bytes * assoc" );
+      ({|{"size_kb": 65536, "assoc": 8}|}, "Ok");
       ({|{"size_kb": 32, "assoc": 4}|}, "Ok");
     ]
 
@@ -301,6 +331,9 @@ let test_fuzz_case_structured_errors () =
       ( "zero DMA buffer",
         [ ("dma_buffer_bytes", "0") ],
         "case.dma_buffer_bytes: must be positive" );
+      ( "huge DMA buffer",
+        [ ("dma_buffer_bytes", "1125899906842624") ],
+        "case.dma_buffer_bytes: exceeds the 16 MiB ceiling" );
     ];
   let valid = Fuzz_gen.case_at ~seed:7 ~index:0 () in
   let line = Json.to_string (Fuzz_case.to_json valid) in

@@ -315,10 +315,21 @@ let test_pass_stats () =
   let stats = ref [] in
   let tracer = Trace.create () in
   Trace.enable tracer ~clock:(fun () -> 0.0);
-  let _ir =
-    Axi4mlir.compile bench ~stats ~tracer (Axi4mlir.build_matmul_module ~m:8 ~n:8 ~k:8 ())
-  in
+  let modul = Axi4mlir.build_matmul_module ~m:8 ~n:8 ~k:8 () in
+  let ir = Axi4mlir.compile bench ~stats ~tracer modul in
   Alcotest.(check bool) "one stat per pass" true (List.length !stats >= 4);
+  (* the IR is untouched between passes, so the counts chain from the
+     input module's size to the output's *)
+  let count = Ir.count_ops (fun _ -> true) in
+  let last =
+    List.fold_left
+      (fun before s ->
+        Alcotest.(check int) (s.Pass.st_pass ^ " starts where the last pass ended") before
+          s.Pass.st_ops_before;
+        s.Pass.st_ops_after)
+      (count modul) !stats
+  in
+  Alcotest.(check int) "last count is the output's" (count ir) last;
   List.iter
     (fun s ->
       Alcotest.(check bool) (s.Pass.st_pass ^ " counts ops") true

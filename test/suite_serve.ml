@@ -442,22 +442,13 @@ let prop_fifo_order =
 let real_oracle () =
   Serve_cost.create (ok (Serve_cost.models_of_specs [ "matmul:16,16,16" ]))
 
-(* what the oracle should measure, spelled out independently: the
-   Best-heuristic compile+run of the single kernel, exactly as the
-   bench experiments do it *)
+(* what the oracle should measure, spelled out independently of
+   Tune_eval.prepare: the Best-heuristic compile+run of the single
+   kernel, exactly as the bench experiments do it *)
 let direct_matmul_cycles ~m ~n ~k =
   let accel = Presets.matmul ~version:Accel_matmul.V4 ~size:16 () in
   let bench = Axi4mlir.create accel in
-  let options =
-    match Heuristics.best accel ~m ~n ~k with
-    | Some c ->
-      {
-        Axi4mlir.default_codegen with
-        flow = Some c.Heuristics.flow;
-        tiles = Some [ c.Heuristics.tm; c.Heuristics.tn; c.Heuristics.tk ];
-      }
-    | None -> Axi4mlir.default_codegen
-  in
+  let options = Heuristics.best_options accel ~m ~n ~k in
   let a, b, c = Axi4mlir.alloc_matmul_operands bench ~m ~n ~k in
   let ir = Axi4mlir.compile_matmul bench ~options ~m ~n ~k () in
   let counters =

@@ -152,6 +152,33 @@ let test_choose_fixed_engine () =
   Alcotest.(check bool) "non-dividing -> None" true
     (Heuristics.choose v3 ~m:30 ~n:32 ~k:32 = None)
 
+(* The one rule that turns a choice into codegen options *)
+
+let test_best_options () =
+  let options_of config ~m ~n ~k =
+    let o = Heuristics.best_options config ~m ~n ~k in
+    (o.Axi4mlir.flow, o.Axi4mlir.tiles)
+  in
+  let flow_tiles = Alcotest.(pair (option string) (option (list int))) in
+  (match Heuristics.best v4 ~m:32 ~n:256 ~k:512 with
+  | Some c ->
+    Alcotest.(check flow_tiles) "flexible v4_16 gets Best's flow and tiles"
+      (Some c.Heuristics.flow, Some [ c.Heuristics.tm; c.Heuristics.tn; c.Heuristics.tk ])
+      (options_of v4 ~m:32 ~n:256 ~k:512)
+  | None -> Alcotest.fail "Best found nothing on a feasible problem");
+  let v3 = Presets.matmul ~version:Accel_matmul.V3 ~size:16 () in
+  (match Heuristics.best v3 ~m:32 ~n:48 ~k:64 with
+  | Some c ->
+    Alcotest.(check flow_tiles) "fixed v3_16 gets the flow, never tiles"
+      (Some c.Heuristics.flow, None)
+      (options_of v3 ~m:32 ~n:48 ~k:64);
+    Alcotest.(check bool) "options_of_choice agrees" true
+      (Heuristics.options_of_choice v3 c = Heuristics.best_options v3 ~m:32 ~n:48 ~k:64)
+  | None -> Alcotest.fail "v3_16 tiles dividing dims");
+  (* no feasible tiling: the pipeline's own defaults *)
+  Alcotest.(check bool) "infeasible -> default_codegen" true
+    (Heuristics.best_options v3 ~m:30 ~n:32 ~k:32 = Axi4mlir.default_codegen)
+
 (* Property: whatever choose returns fits the engine and divides the
    problem — the contract the autotuner's baseline leans on. *)
 let prop_choose_fits =
@@ -210,6 +237,8 @@ let tests =
     Alcotest.test_case "choose: flexible engines use Best" `Quick test_choose_flexible_is_best;
     Alcotest.test_case "choose: fixed engines, square tile or CPU" `Quick
       test_choose_fixed_engine;
+    Alcotest.test_case "best_options: tiles only on flexible engines" `Quick
+      test_best_options;
     QCheck_alcotest.to_alcotest prop_choose_fits;
     QCheck_alcotest.to_alcotest prop_transfer_formula;
   ]
