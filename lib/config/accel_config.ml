@@ -50,6 +50,15 @@ let iteration_dims t =
 let ( let* ) r f = Result.bind r f
 
 let max_dma_buffer_bytes = 16 * 1024 * 1024
+let max_engine_size = 64
+
+let engine_size path json =
+  let* size = Json.int path json in
+  if size <= 0 then Json.error path "must be positive"
+  else if size > max_engine_size then
+    Json.error path
+      (Printf.sprintf "exceeds the engine-size ceiling of %d" max_engine_size)
+  else Ok size
 
 let validate t =
   let* () =
@@ -145,7 +154,7 @@ let engine_of_json path json =
   | v -> (
     match Accel_matmul.version_of_string v with
     | Some version ->
-      let* size = Json.field "size" Json.int path json in
+      let* size = Json.field "size" engine_size path json in
       Ok (Matmul_engine (version, size))
     | None -> Json.error (path ^ ".engine") ("unknown engine " ^ v))
 

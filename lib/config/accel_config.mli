@@ -55,6 +55,14 @@ val max_dma_buffer_bytes : int
 (** The largest DMA region {!validate} accepts: 16 MiB, 256x the 0xFF00
     preset window. *)
 
+val max_engine_size : int
+(** The largest matmul engine edge a configuration may name: 64, whose
+    v1-v3 buffer of 4096 elements equals v4's. *)
+
+val engine_size : int Json.decoder
+(** A matmul engine edge in [\[1, max_engine_size\]] ("SIZE: must be
+    positive", "SIZE: exceeds the engine-size ceiling of 64"). *)
+
 val validate : t -> (unit, string) result
 (** Full consistency check: known op kind, dims arity, opcode map/flow
     validity, selected flow exists, init opcodes defined, buffer

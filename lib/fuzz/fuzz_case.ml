@@ -94,9 +94,9 @@ let to_json t =
 
 let ( let* ) = Result.bind
 
-(* Extents, strides, tiles, the DMA buffer and the matmul engine edge
-   size the harness's buffers and loops: a non-positive one is a
-   malformed case, not a compiler failure. *)
+(* Extents, strides, tiles and the DMA buffer size the harness's
+   buffers and loops: a non-positive one is a malformed case, not a
+   compiler failure. *)
 let positive path json =
   let* n = Json.int path json in
   if n > 0 then Ok n else Json.error path "must be positive"
@@ -129,9 +129,12 @@ let workload_of_json path json =
 let of_json_result json =
   let path = "case" in
   let* engine = Json.field "engine" Json.string path json in
-  (* conv cases carry size 0: the conv engine has no edge size *)
+  (* conv cases carry size 0: the conv engine has no edge size; a
+     matmul edge is held to Accel_config's range *)
   let* size =
-    Json.field "size" (if engine = "conv" then Json.int else positive) path json
+    Json.field "size"
+      (if engine = "conv" then Json.int else Accel_config.engine_size)
+      path json
   in
   let* flow = Json.field "flow" Json.string path json in
   let* workload = Json.field "workload" workload_of_json path json in

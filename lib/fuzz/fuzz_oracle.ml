@@ -276,6 +276,20 @@ let critpath_property ~path (bench : Axi4mlir.t) (c : Perf_counters.t) =
          path attributed report.Critpath.rp_makespan);
     List.rev !problems
 
+(* Every token a run starts must be waited before it ends: a leaked
+   token is a double-buffer codegen bug that no counter shows (its
+   transfer is charged at start time either way). *)
+let leaked_tokens bench =
+  List.filter_map
+    (fun (id, engine) ->
+      match Dma_engine.outstanding_tokens engine with
+      | [] -> None
+      | toks ->
+        Some
+          (Invariant
+             (Printf.sprintf "dma%d: %d token(s) never waited" id (List.length toks))))
+    bench.Axi4mlir.soc.Soc.engines
+
 let run_accel host accel case ops compiled =
   guard ~path:"accel" (fun () ->
       let bench, views = setup_path host accel case ops in
@@ -286,7 +300,11 @@ let run_accel host accel case ops compiled =
       Metrics.enable Metrics.default;
       Metrics.reset Metrics.default;
       let counters = run_module bench case compiled views in
-      let parity = metrics_parity counters @ critpath_property ~path:"accel" bench counters in
+      let parity =
+        metrics_parity counters
+        @ critpath_property ~path:"accel" bench counters
+        @ leaked_tokens bench
+      in
       if not was_enabled then Metrics.disable Metrics.default;
       (Memref_view.to_array (output_view views), counters, parity))
 

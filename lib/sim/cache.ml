@@ -15,6 +15,10 @@ type t = { levels : level list }
 
 let max_size_bytes = 64 * 1024 * 1024
 
+(* Each line costs two array slots in [make_level]: 2^21 lines is a
+   64 MiB level at the default 32-byte line. *)
+let max_lines = 1 lsl 21
+
 (* The multiple rule is tested as a quotient, so a hostile line_bytes *
    assoc cannot overflow to zero. *)
 let check_geometry geom =
@@ -28,6 +32,11 @@ let check_geometry geom =
   else if
     geom.line_bytes > geom.size_bytes || geom.size_bytes / geom.line_bytes mod geom.assoc <> 0
   then Error ("size_bytes", "must be a multiple of line_bytes * assoc")
+  else if geom.size_bytes / geom.line_bytes > max_lines then
+    Error
+      ( "line_bytes",
+        Printf.sprintf "must be at least %d for this size (the %d-line ceiling)"
+          (geom.size_bytes / max_lines) max_lines )
   else Ok ()
 
 let make_level geom =

@@ -10,12 +10,14 @@ type geometry = { size_bytes : int; line_bytes : int; assoc : int }
     [line_bytes * assoc]; all three must be powers of two. *)
 
 val check_geometry : geometry -> (unit, string * string) result
-(** The rules above plus [assoc >= 1] and a 64 MiB ceiling on
-    [size_bytes] (128x the Cortex-A9 L2): [Error (field, why)] names
-    the first offending record field and why ("must be positive",
-    "must be a power of two", "exceeds the 64 MiB ceiling", "must be a
-    multiple of line_bytes * assoc"). {!create} raises
-    [Invalid_argument] on the same violations. *)
+(** The rules above plus [assoc >= 1], a 64 MiB ceiling on
+    [size_bytes] (128x the Cortex-A9 L2) and a 2^21-line ceiling per
+    level (64 MiB of 32-byte lines): [Error (field, why)] names the
+    first offending record field and why ("must be positive", "must be
+    a power of two", "exceeds the 64 MiB ceiling", "must be a multiple
+    of line_bytes * assoc", "must be at least N for this size" on
+    [line_bytes]). {!create} raises [Invalid_argument] on the same
+    violations. *)
 
 val cortex_a9_l1 : geometry
 (** 32 KiB, 32-byte lines, 4-way. *)

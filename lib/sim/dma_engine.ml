@@ -10,7 +10,6 @@ type flight = {
   fl_data : float array;  (* drained output (recv tokens) *)
   fl_seq : int;  (* timeline seq of the transfer event (dep edges) *)
   fl_flow : int;  (* trace flow-arrow id, unique per recording sink *)
-  mutable fl_waited : bool;
 }
 
 type t = {
@@ -31,6 +30,8 @@ type t = {
   mutable pending_recv : int option;  (* len *)
   mutable send_done_at : float;  (* completion time of an async send *)
   flights : (token, flight) Hashtbl.t;
+      (* outstanding transfers only: [wait_token] removes its flight, so
+         a token below [next_token] that is absent was already waited *)
   mutable next_token : int;
   completions : (float * int) Queue.t;
       (* per-batch device (completion time, compute event seq) pairs,
@@ -296,7 +297,7 @@ let start_send_token t =
   t.batch_lo <- max_int;
   Hashtbl.iter
     (fun _ fl ->
-      if (not fl.fl_waited) && fl.fl_dir = `Send && ranges_overlap fl.fl_window (lo, lo + len)
+      if fl.fl_dir = `Send && ranges_overlap fl.fl_window (lo, lo + len)
       then failwith "DMA engine: staged batch overlaps a send still in flight")
     t.flights;
   charge_program t ~label:"program_send";
@@ -341,7 +342,6 @@ let start_send_token t =
         fl_data = [||];
         fl_seq = tseq;
         fl_flow = flow;
-        fl_waited = false;
       }
   in
   Trace.complete t.tracer ~cat:"dma_async"
@@ -386,7 +386,6 @@ let start_recv_token t ~len_words =
         fl_data = data;
         fl_seq = tseq;
         fl_flow = flow;
-        fl_waited = false;
       }
   in
   Trace.complete t.tracer ~cat:"dma_async"
@@ -401,10 +400,11 @@ let start_recv_token t ~len_words =
 
 let wait_token t tok =
   match Hashtbl.find_opt t.flights tok with
+  | None when 0 <= tok && tok < t.next_token ->
+    failwith "DMA engine: token already waited"
   | None -> failwith "DMA engine: wait on an unknown token"
-  | Some fl when fl.fl_waited -> failwith "DMA engine: token already waited"
   | Some fl ->
-    fl.fl_waited <- true;
+    Hashtbl.remove t.flights tok;
     let now = t.counters.cycles in
     if fl.fl_finish > now then begin
       (* Transfer still in flight: stall to completion and pay the full
@@ -428,8 +428,7 @@ let wait_token t tok =
     fl.fl_data
 
 let outstanding_tokens t =
-  Hashtbl.fold (fun tok fl acc -> if fl.fl_waited then acc else tok :: acc) t.flights []
-  |> List.sort compare
+  Hashtbl.fold (fun tok _ acc -> tok :: acc) t.flights [] |> List.sort compare
 
 let reset_device t =
   t.dev.Accel_device.reset_device ();

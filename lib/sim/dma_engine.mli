@@ -111,9 +111,11 @@ val start_recv_token : t -> len_words:int -> token
 
 val wait_token : t -> token -> float array
 (** Synchronise the host with a transfer. Returns the received words
-    for recv tokens ([[||]] for sends). Raises [Failure] on an unknown
-    or already-waited token. *)
+    for recv tokens ([[||]] for sends). The engine keeps only
+    outstanding transfers, so waiting forgets the token: a later wait
+    on it raises [Failure] ("already waited"), as does a wait on a
+    token the engine never issued ("unknown token"). *)
 
 val outstanding_tokens : t -> token list
-(** Tokens not yet waited (ascending) — the interpreter's end-of-run
+(** Tokens not yet waited (ascending) — the fuzz oracle's end-of-run
     leak check. *)

@@ -5,6 +5,11 @@
 
 let ( => ) name b = Alcotest.(check bool) name true b
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 (* ------------------------------------------------------------------ *)
 (* Timeline                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -100,33 +105,54 @@ let test_pingpong_serialises_halves () =
   done;
   let tok = Dma_engine.start_send_token engine in
   Dma_engine.stage engine ~offset:0 (Axi_word.Inst Isa.mm_load_b);
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   (match Dma_engine.start_send_token engine with
   | exception Failure msg ->
     "overlap error names the hazard" => contains msg "in flight"
   | _ -> Alcotest.fail "reusing an in-flight half must fail");
   ignore (Dma_engine.wait_token engine tok)
 
+(* The engine keeps only outstanding transfers: a long run of waited
+   tokens leaves nothing behind, yet the waited ones are still told
+   apart from tokens it never issued. *)
 let test_wait_token_is_linear () =
   let soc = Soc.create () in
   let config = Presets.matmul ~version:Accel_matmul.V3 ~size:2 () in
   let engine = Accel_config.attach soc config in
-  Dma_engine.stage engine ~offset:0 (Axi_word.Inst Isa.mm_load_a);
-  for i = 1 to 4 do
-    Dma_engine.stage engine ~offset:i (Axi_word.Data 1.0)
+  let send () =
+    Dma_engine.stage engine ~offset:0 (Axi_word.Inst Isa.mm_load_a);
+    for i = 1 to 4 do
+      Dma_engine.stage engine ~offset:i (Axi_word.Data 1.0)
+    done;
+    Dma_engine.start_send_token engine
+  in
+  let rounds = 10_000 in
+  let first = send () in
+  ignore (Dma_engine.wait_token engine first);
+  for _ = 2 to rounds do
+    ignore (Dma_engine.wait_token engine (send ()))
   done;
-  let tok = Dma_engine.start_send_token engine in
-  ignore (Dma_engine.wait_token engine tok);
-  (match Dma_engine.wait_token engine tok with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "double wait must fail");
-  match Dma_engine.wait_token engine 999 with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "unknown token must fail"
+  Alcotest.(check (list int)) "every waited token is forgotten" []
+    (Dma_engine.outstanding_tokens engine);
+  let live = send () in
+  Alcotest.(check (list int)) "the unwaited token is the only one listed" [ live ]
+    (Dma_engine.outstanding_tokens engine);
+  let fails_with tok fragment =
+    match Dma_engine.wait_token engine tok with
+    | exception Failure msg ->
+      Printf.sprintf "token %d: %S names %S" tok msg fragment
+      => contains msg fragment
+    | _ -> Alcotest.fail (Printf.sprintf "wait on token %d must fail" tok)
+  in
+  fails_with first "already waited";
+  fails_with (-1) "unknown token";
+  fails_with (live + 1) "unknown token";
+  (* restaging the live send's words still trips the overlap check *)
+  Dma_engine.stage engine ~offset:0 (Axi_word.Inst Isa.mm_load_b);
+  (match Dma_engine.start_send_token engine with
+  | exception Failure msg -> "overlap with the live send" => contains msg "in flight"
+  | _ -> Alcotest.fail "reusing the live send's half must fail");
+  ignore (Dma_engine.wait_token engine live);
+  Alcotest.(check (list int)) "drained" [] (Dma_engine.outstanding_tokens engine)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end double buffering                                         *)

@@ -207,6 +207,18 @@ let test_accel_config_structured_errors () =
     (Accel_config.of_json_result
        (with_key "flow" (Json.String "Zs") (valid_accel_json ())))
     "selected flow Zs is not defined";
+  (* the engine edge sizes the device's buffers: a hostile one is a
+     field error, not an allocation failure *)
+  let with_size n =
+    Accel_config.of_json_result (with_key "size" (Json.Int n) (valid_accel_json ()))
+  in
+  expect_error "huge engine size" (with_size 1_000_000_000)
+    "accel_config.size: exceeds the engine-size ceiling of 64";
+  expect_error "negative engine size" (with_size (-4))
+    "accel_config.size: must be positive";
+  (match with_size Accel_config.max_engine_size with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail ("an engine at the ceiling is legal: " ^ msg));
   (* DMA regions are sized from the file: a huge one is refused before
      anything allocates it *)
   let with_dma field bytes =
@@ -289,6 +301,11 @@ let test_cache_geometry_errors () =
       (* line_bytes * assoc would overflow to zero *)
       ( {|{"size_kb": 32, "line_bytes": 2147483648, "assoc": 4294967296}|},
         "cpu.caches[0].size_kb: must be a multiple of line_bytes * assoc" );
+      (* 64 MiB of 1-byte lines would allocate two 64M-entry arrays *)
+      ( {|{"size_kb": 65536, "line_bytes": 1, "assoc": 8}|},
+        "cpu.caches[0].line_bytes: must be at least 32 for this size (the 2097152-line \
+         ceiling)" );
+      (* ... while the same level at the default 32-byte line stays legal *)
       ({|{"size_kb": 65536, "assoc": 8}|}, "Ok");
       ({|{"size_kb": 32, "assoc": 4}|}, "Ok");
     ]
@@ -327,6 +344,9 @@ let test_fuzz_case_structured_errors () =
       ( "zero engine size",
         [ ("engine", {|"v3"|}); ("size", "0") ],
         "case.size: must be positive" );
+      ( "huge engine size",
+        [ ("engine", {|"v3"|}); ("size", "1000000000") ],
+        "case.size: exceeds the engine-size ceiling of 64" );
       ("zero tile", [ ("tiles", "[4, 0, 4]") ], "case.tiles[1]: must be positive");
       ( "zero DMA buffer",
         [ ("dma_buffer_bytes", "0") ],
