@@ -24,8 +24,8 @@
 
    The quick space (2 engines x 2 slots x 2 channels x 2 beats) keeps
    CI interactive; the full run searches the 171-candidate default
-   space. Simulation cost scales with distinct engines (the oracle
-   registry is shared across candidates), not candidates. *)
+   space. Simulation cost scales with distinct engines, not candidates:
+   one oracle, its memo keyed by engine, serves every candidate. *)
 
 let freq_mhz = Cost_model.default.Cost_model.cpu_freq_mhz
 
@@ -138,7 +138,7 @@ let run () =
   (* identity gate: a homogeneous platform file and --accels K are the
      same simulation, bit for bit *)
   let homogeneous = Platform_ir.homogeneous ~accels:2 () in
-  let fleet = Platform_serve.create ~platform:homogeneous models in
+  let fleet = Platform_serve.create ~platform:homogeneous (Serve_cost.create models) in
   let via_platform =
     match Platform_serve.run ~policy fleet requests with
     | Ok o -> o

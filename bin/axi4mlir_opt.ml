@@ -19,15 +19,26 @@ let read_input = function
        done
      with End_of_file -> ());
     Buffer.contents buf
-  | path ->
-    let ic = open_in_bin path in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    text
+  | path -> (
+    match In_channel.with_open_bin path In_channel.input_all with
+    | text -> text
+    | exception Sys_error msg -> failwith msg)
 
-let parse_tiles = function
-  | None -> None
-  | Some text -> Some (List.map int_of_string (String.split_on_char ',' text))
+(* Hostile IR ends in one line naming the input, not an uncaught
+   exception. *)
+let parse_input path =
+  match Parser_ir.parse_op (read_input path) with
+  | modul -> modul
+  | exception Parser_ir.Parse_error msg ->
+    failwith (Printf.sprintf "%s: %s" (if path = "-" then "<stdin>" else path) msg)
+
+let parse_ints ~flag text =
+  match List.map int_of_string (String.split_on_char ',' text) with
+  | ints -> ints
+  | exception Failure _ ->
+    failwith (Printf.sprintf "--%s: expected comma-separated integers (got %S)" flag text)
+
+let parse_tiles = Option.map (parse_ints ~flag:"tiles")
 
 let run_tool config_path input emit_matmul emit_conv flow tiles no_cpu_tiling no_copy_spec
     coalesce double_buffer accel_only cpu_only pretty list_passes remarks metrics_out =
@@ -43,15 +54,15 @@ let run_tool config_path input emit_matmul emit_conv flow tiles no_cpu_tiling no
     match (emit_matmul, emit_conv, input) with
     | Some _, Some _, _ -> failwith "--emit-matmul and --emit-conv are exclusive"
     | Some dims, None, _ -> (
-      match List.map int_of_string (String.split_on_char ',' dims) with
+      match parse_ints ~flag:"emit-matmul" dims with
       | [ m; n; k ] -> Axi4mlir.build_matmul_module ~m ~n ~k ()
       | _ -> failwith "--emit-matmul expects M,N,K")
     | None, Some dims, _ -> (
-      match List.map int_of_string (String.split_on_char ',' dims) with
+      match parse_ints ~flag:"emit-conv" dims with
       | [ ic; ihw; oc; fhw ] ->
         Axi4mlir.build_conv_module ~n:1 ~ic ~ih:ihw ~iw:ihw ~oc ~fh:fhw ~fw:fhw ()
       | _ -> failwith "--emit-conv expects IC,IHW,OC,FHW")
-    | None, None, Some path -> Parser_ir.parse_op (read_input path)
+    | None, None, Some path -> parse_input path
     | None, None, None ->
       failwith "provide an input file (or '-'), --emit-matmul or --emit-conv"
   in

@@ -52,15 +52,14 @@ let run_tool workloads graph platform_file rps accels policy_name requests seed
     | "all" -> Serve_policy.all
     | name -> [ fail_on_error (Serve_policy.of_string name) ]
   in
-  let params =
-    {
-      Serve_sim.sp_accels = accels;
-      sp_policy = Serve_policy.Fifo;
-      sp_queue_cap = queue_cap;
-      sp_batch_max = batch_max;
-    }
-  in
-  fail_on_error (Serve_sim.validate params);
+  fail_on_error
+    (Serve_sim.validate
+       {
+         Serve_sim.sp_accels = accels;
+         sp_policy = Serve_policy.Fifo;
+         sp_queue_cap = queue_cap;
+         sp_batch_max = batch_max;
+       });
   let oracle =
     if graph then begin
       (* whole-model serving: each request costs a full Graph_exec
@@ -83,24 +82,17 @@ let run_tool workloads graph platform_file rps accels policy_name requests seed
     else
       Serve_cost.create (fail_on_error (Serve_cost.models_of_specs ~rows ~seq workloads))
   in
+  (* without --platform the fleet is the homogeneous description of
+     --accels K, whose transfer scale is exactly the identity *)
   let fleet =
-    match platform with
-    | None -> None
-    | Some p ->
-      Some
-        (Platform_serve.create ~platform:p
-           (fail_on_error (Serve_cost.models_of_specs ~rows ~seq workloads)))
+    Platform_serve.create
+      ~platform:
+        (match platform with
+        | Some p -> p
+        | None -> Platform_ir.homogeneous ~accels ())
+      oracle
   in
-  let service, predict, service_at, predict_at =
-    match fleet with
-    | None -> (Serve_cost.service oracle, Serve_cost.predict oracle, None, None)
-    | Some f ->
-      ( (fun model ~batch -> Platform_serve.service_at f ~accel:0 model ~batch),
-        (fun model -> Platform_serve.predict_at f ~accel:0 model),
-        Some (fun ~accel model ~batch -> Platform_serve.service_at f ~accel model ~batch),
-        Some (fun ~accel model -> Platform_serve.predict_at f ~accel model) )
-  in
-  let engines = Option.map Platform_serve.engines fleet in
+  let engines = Option.map (fun _ -> Platform_serve.engines fleet) platform in
   let freq_mhz = Cost_model.default.Cost_model.cpu_freq_mhz in
   let mean_gap = freq_mhz *. 1e6 /. rps in
   let stream =
@@ -116,10 +108,7 @@ let run_tool workloads graph platform_file rps accels policy_name requests seed
     List.map
       (fun policy ->
         let outcome =
-          fail_on_error
-            (Serve_sim.run ?service_at ?predict_at ~service ~predict
-               { params with Serve_sim.sp_policy = policy }
-               reqs)
+          fail_on_error (Platform_serve.run ?queue_cap ~batch_max ~policy fleet reqs)
         in
         (policy, outcome))
       policies
@@ -165,13 +154,9 @@ let run_tool workloads graph platform_file rps accels policy_name requests seed
       List.map
         (fun (policy, _) ->
           let telemetry = fail_on_error (Serve_telemetry.create ~window:width ~accels) in
-          let outcome =
-            fail_on_error
-              (Serve_sim.run ~telemetry ?service_at ?predict_at ~service ~predict
-                 { params with Serve_sim.sp_policy = policy }
-                 reqs)
-          in
-          ignore outcome;
+          ignore
+            (fail_on_error
+               (Platform_serve.run ~telemetry ?queue_cap ~batch_max ~policy fleet reqs));
           (policy, telemetry, Serve_telemetry.evaluate telemetry slos))
         outcomes
     end

@@ -163,7 +163,7 @@ let total t name =
   | Some { sr_shape = Dist cells; _ } ->
     Hashtbl.fold (fun _ samples acc -> acc +. float_of_int (List.length !samples)) cells 0.0
 
-(* Nearest rank, as in Serve_report: the ceil(p/100 * n)-th smallest. *)
+(* Nearest rank: the ceil(p/100 * n)-th smallest. *)
 let percentile p xs =
   match List.sort compare xs with
   | [] -> None

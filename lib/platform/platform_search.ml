@@ -136,12 +136,12 @@ let default_measure ?freq_mhz ?queue_cap ?(batch_max = 1) ~policy ~models ~reque
     | Some f -> f
     | None -> Cost_model.default.Cost_model.cpu_freq_mhz
   in
-  (* one Serve_cost oracle per distinct engine config, shared across
-     every candidate this closure ever measures: the search's
-     simulation cost scales with distinct engines, not candidates *)
-  let oracles : (string, Serve_cost.t) Hashtbl.t = Hashtbl.create 8 in
+  (* one oracle, keyed by engine, shared across every candidate this
+     closure measures: the search's simulation cost scales with
+     distinct engines, not candidates *)
+  let oracle = Serve_cost.create models in
   fun (p : Platform_ir.t) ->
-    let fleet = Platform_serve.create ~oracles ~platform:p models in
+    let fleet = Platform_serve.create ~platform:p oracle in
     match Platform_serve.run ?queue_cap ~batch_max ~policy fleet requests with
     | Error _ -> None
     | Ok outcome -> (
@@ -251,22 +251,9 @@ let search ?(strategy = Tune_strategy.Grid) ?area_budget ?baseline ~measure s =
   in
   let candidates = Array.of_list kept in
   let n = Array.length candidates in
-  (* measurements memoised by the platform document's config hash:
-     strategies already evaluate each index once, but the baseline (and
-     re-searches sharing a measure closure) reuse results through it *)
-  let memo : (string, (float * float) option) Hashtbl.t = Hashtbl.create 32 in
-  let measure_memo p =
-    let key = Benchdiff.config_hash (Platform_ir.to_json p) in
-    match Hashtbl.find_opt memo key with
-    | Some r -> r
-    | None ->
-      let r = measure p in
-      Hashtbl.add memo key r;
-      r
-  in
   let points = Hashtbl.create 32 in
   let point_of p resource =
-    match measure_memo p with
+    match measure p with
     | None -> None
     | Some (rps, p99) ->
       if resource > 0.0 then

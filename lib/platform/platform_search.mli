@@ -9,8 +9,8 @@
     the tuner's machinery — candidates live in an abstract index space
     searched by {!Tune_strategy} (grid or the cost-model-seeded greedy
     climb), infeasible candidates are pruned {e statically} (over the
-    resource budget — the analogue of {!Tune_prune}), and every
-    measurement is memoised under a {!Benchdiff.config_hash} key.
+    resource budget — the analogue of {!Tune_prune}), and
+    {!Tune_strategy} evaluates each candidate at most once.
 
     Candidates are evaluated at the {e serving} level, not per-kernel:
     a platform's worth is what a whole request stream sees — slow slots
@@ -79,11 +79,11 @@ val default_measure :
 (** The serving oracle: build the platform's {!Platform_serve} fleet,
     serve [requests] under [policy], return
     [(throughput_rps, p99_cycles)] — [None] when the run fails or
-    nothing completes. The closure shares one {!Serve_cost} oracle per
-    distinct engine configuration {e across every candidate it ever
-    measures}, so a search's simulation cost scales with distinct
-    engines, not candidates. [freq_mhz] defaults to the cost model's
-    CPU clock; [batch_max] to 1. *)
+    nothing completes. The closure shares one {!Serve_cost} oracle,
+    whose memo is keyed by engine configuration, {e across every
+    candidate it ever measures}, so a search's simulation cost scales
+    with distinct engines, not candidates. [freq_mhz] defaults to the
+    cost model's CPU clock; [batch_max] to 1. *)
 
 val search :
   ?strategy:Tune_strategy.t ->
@@ -100,8 +100,8 @@ val search :
     {e not} subject to the budget. Every returned point (best, front,
     baseline excepted) respects the budget, and no front point is
     dominated on both axes — QCheck properties in the test suite.
-    [measure] is memoised by platform {!Benchdiff.config_hash}, so the
-    baseline reuses a candidate's measurement when it is one. *)
+    [measure] runs once per evaluated candidate plus once for the
+    baseline. *)
 
 val pick_winner : outcome -> point option
 (** The deployment recommendation: the highest-per-resource front

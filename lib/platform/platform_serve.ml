@@ -1,12 +1,12 @@
-(* Platform -> heterogeneous serving fleet: a Serve_cost oracle per
-   distinct engine config, Serve_sim hooks, and the transfer model
-   that applies the platform's beat width and channel contention to
-   the DMA share of each measured service time. *)
+(* Platform -> heterogeneous serving fleet: each instance's engine
+   config costed through one shared Serve_cost oracle, Serve_sim hooks,
+   and the transfer model that applies the platform's beat width and
+   channel contention to the DMA share of each measured service time. *)
 
 type t = {
   ps_platform : Platform_ir.t;
-  ps_oracles : Serve_cost.t array;  (* by instance index; shared per engine *)
-  ps_distinct : int;
+  ps_oracle : Serve_cost.t;
+  ps_engines : Accel_config.t array;  (* by instance index *)
   ps_scale : float;
   ps_identity : bool;  (* scale is exactly 1: skip all FP arithmetic *)
 }
@@ -27,42 +27,20 @@ let scale_is_identity (p : Platform_ir.t) =
   p.Platform_ir.pf_dma_channels >= Platform_ir.n_instances p
   && p.Platform_ir.pf_axi_beat_bytes = 4
 
-let create ?oracles ?(graphs = []) ?(graph_residency = true) ~platform models =
+let create ~platform oracle =
   (match Platform_ir.validate platform with
   | Ok () -> ()
   | Error msg -> failwith msg);
-  let registry =
-    match oracles with Some r -> r | None -> Hashtbl.create 4
-  in
-  let oracle_of inst =
-    let config =
-      match Platform_ir.engine_config inst with
-      | Ok c -> c
-      | Error msg ->
-        failwith
-          (Printf.sprintf "platform: instance %s: %s" inst.Platform_ir.in_id msg)
-    in
-    let key = Benchdiff.config_hash (Accel_config.to_json config) in
-    match Hashtbl.find_opt registry key with
-    | Some o -> o
-    | None ->
-      let o = Serve_cost.create ~matmul_accel:config ~graphs ~graph_residency models in
-      Hashtbl.add registry key o;
-      o
-  in
-  let fleet = Array.of_list (List.map oracle_of platform.Platform_ir.pf_instances) in
-  let distinct =
-    (* by physical identity: a shared registry may hold oracles built
-       for other platforms; only count the ones this fleet references *)
-    List.length
-      (Array.fold_left
-         (fun acc o -> if List.memq o acc then acc else o :: acc)
-         [] fleet)
+  let engine_of inst =
+    match Platform_ir.engine_config inst with
+    | Ok c -> c
+    | Error msg ->
+      failwith (Printf.sprintf "platform: instance %s: %s" inst.Platform_ir.in_id msg)
   in
   {
     ps_platform = platform;
-    ps_oracles = fleet;
-    ps_distinct = distinct;
+    ps_oracle = oracle;
+    ps_engines = Array.of_list (List.map engine_of platform.Platform_ir.pf_instances);
     ps_scale = dma_scale platform;
     ps_identity = scale_is_identity platform;
   }
@@ -71,32 +49,19 @@ let platform t = t.ps_platform
 
 let engines t = Platform_ir.instance_names t.ps_platform
 
-let distinct_oracles t = t.ps_distinct
-
-let memo_stats t =
-  (* sum over distinct oracles only (instances share them) *)
-  let seen = ref [] in
-  Array.fold_left
-    (fun (h, m) o ->
-      if List.memq o !seen then (h, m)
-      else begin
-        seen := o :: !seen;
-        let oh, om = Serve_cost.memo_stats o in
-        (h + oh, m + om)
-      end)
-    (0, 0) t.ps_oracles
-
-let oracle_at t idx =
-  if idx < 0 || idx >= Array.length t.ps_oracles then
+let engine_at t idx =
+  if idx < 0 || idx >= Array.length t.ps_engines then
     failwith
       (Printf.sprintf "platform: accelerator index %d out of range (platform has %d)"
-         idx (Array.length t.ps_oracles))
-  else t.ps_oracles.(idx)
+         idx (Array.length t.ps_engines))
+  else t.ps_engines.(idx)
 
 let cycles_per_word = lazy (Cost_model.cpu_cycles_per_word Cost_model.default)
 
 let service_at t ~accel model ~batch =
-  let cycles, words = Serve_cost.service_parts (oracle_at t accel) model ~batch in
+  let cycles, words =
+    Serve_cost.service_parts ~engine:(engine_at t accel) t.ps_oracle model ~batch
+  in
   if t.ps_identity then cycles
   else begin
     (* split the measurement into its DMA and compute shares, scale
@@ -107,7 +72,8 @@ let service_at t ~accel model ~batch =
     compute +. (dma *. t.ps_scale)
   end
 
-let predict_at t ~accel model = Serve_cost.predict (oracle_at t accel) model
+let predict_at t ~accel model =
+  Serve_cost.predict ~engine:(engine_at t accel) t.ps_oracle model
 
 let run ?telemetry ?queue_cap ?(batch_max = 1) ~policy t requests =
   let params =

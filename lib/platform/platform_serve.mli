@@ -1,11 +1,11 @@
 (** Instantiating the serving simulator from a platform description.
 
     This is the bridge the architecture search evaluates through: a
-    {!Platform_ir.t} becomes a heterogeneous fleet — one
-    {!Serve_cost} oracle per {e distinct} engine configuration (shared
-    across same-engine instances, so measurement cost scales with
-    distinct engines, not slots), wired into {!Serve_sim.run} through
-    its [service_at]/[predict_at] hooks.
+    {!Platform_ir.t} becomes a heterogeneous fleet — each instance's
+    engine configuration, costed through one shared {!Serve_cost}
+    oracle whose memo is keyed by engine (so measurement cost scales
+    with distinct engines, not slots or platforms), wired into
+    {!Serve_sim.run} through its [service_at]/[predict_at] hooks.
 
     {2 The platform transfer model}
 
@@ -27,24 +27,15 @@
 
 type t
 
-val create :
-  ?oracles:(string, Serve_cost.t) Hashtbl.t ->
-  ?graphs:(string * Graph_ir.t) list ->
-  ?graph_residency:bool ->
-  platform:Platform_ir.t ->
-  (string * Tune_workload.named list) list ->
-  t
-(** Build the per-instance oracle fleet. The platform must be valid
-    (raises [Failure] with the {!Platform_ir.validate} message
-    otherwise — CLI callers validate first via
-    {!Platform_ir.load_file}). [graphs]/[graph_residency] are passed
-    through to every {!Serve_cost.create}.
-
-    [oracles] is the engine-fingerprint-keyed oracle registry to use
-    and extend; passing the same table across [create] calls shares
-    memoised measurements between fleets — how {!Platform_search}
-    keeps a whole search's simulation cost proportional to distinct
-    engines. Default: a fresh private table. *)
+val create : platform:Platform_ir.t -> Serve_cost.t -> t
+(** Build the fleet: resolve each instance's engine configuration
+    once, and cost every instance through [oracle] (which carries the
+    models and graphs served). The platform must be valid (raises
+    [Failure] with the {!Platform_ir.validate} message otherwise — CLI
+    callers validate first via {!Platform_ir.load_file}). Passing one
+    oracle to several [create] calls shares its memoised measurements
+    between fleets — how {!Platform_search} keeps a whole search's
+    simulation cost proportional to distinct engines. *)
 
 val platform : t -> Platform_ir.t
 
@@ -52,27 +43,20 @@ val engines : t -> string list
 (** {!Platform_ir.instance_names} — what {!Serve_report.summarize}
     takes as [engines]. *)
 
-val distinct_oracles : t -> int
-(** How many distinct engine configurations the fleet compiled — the
-    number of oracles actually built. *)
-
-val memo_stats : t -> int * int
-(** [(hits, misses)] summed over the distinct oracles. *)
-
 val dma_scale : Platform_ir.t -> float
 (** The transfer multiplier [(4 / beat_bytes) * max(1, instances /
     channels)]. Exactly [1.0] (computed without FP division) when
     [channels >= instances] and [beat_bytes = 4]. *)
 
 val service_at : t -> accel:int -> string -> batch:int -> float
-(** Instance [accel]'s service time for one dispatch: the instance's
-    oracle measurement with the platform transfer model applied.
-    Raises [Failure] on an out-of-range index or any
+(** Instance [accel]'s service time for one dispatch: the oracle's
+    measurement on the instance's engine, with the platform transfer
+    model applied. Raises [Failure] on an out-of-range index or any
     {!Serve_cost.service} failure. *)
 
 val predict_at : t -> accel:int -> string -> float
 (** Instance [accel]'s SJF ranking key ({!Serve_cost.predict} on its
-    oracle — a v3_16 slot ranks with v3_16 predictions). *)
+    engine — a v3_16 slot ranks with v3_16 predictions). *)
 
 val run :
   ?telemetry:Serve_telemetry.t ->
@@ -84,5 +68,5 @@ val run :
   (Serve_sim.outcome, string) result
 (** Serve a stream on the platform: {!Serve_sim.run} with
     [sp_accels = n_instances], the platform hooks, and instance 0's
-    oracle as the uniform fallback (never consulted — the hooks are
+    costs as the uniform fallback (never consulted — the hooks are
     always given). [batch_max] defaults to 1. *)

@@ -6,8 +6,13 @@
     measure) — matmul layers on the flexible v4_16 engine under the
     [Best] heuristic's flow/tile choice, conv layers on the Conv2D
     engine under the [Os] flow with copy specialisation. Results are
-    memoised per (layer, batch), so a serving run pays for each
-    distinct kernel once no matter how many requests invoke it.
+    memoised per (engine, layer, batch), so a serving run pays for
+    each distinct kernel once no matter how many requests invoke it.
+
+    The matmul engine is an argument of each query ([?engine], default
+    {!default_matmul_accel}), not of the oracle: one oracle serves
+    every instance of a heterogeneous platform, and a platform search
+    shares one oracle across all its candidates.
 
     Batching semantics ([batch > 1]): the batch's requests share the
     model, so a batched invocation runs each layer with a batched
@@ -39,22 +44,17 @@ val models_of_specs :
     names the offending spec. *)
 
 val default_matmul_accel : unit -> Accel_config.t
-(** The engine used when [create] gets no [matmul_accel]: the flexible
-    v4_16 preset — the configuration every pre-platform serving run
-    used. *)
+(** The engine a query costs with when it gets no [engine]: the
+    flexible v4_16 preset — the configuration every pre-platform
+    serving run used. *)
 
 val create :
-  ?matmul_accel:Accel_config.t ->
   ?graphs:(string * Graph_ir.t) list ->
   ?graph_residency:bool ->
   (string * Tune_workload.named list) list ->
   t
-(** An oracle over the given models, with an empty memo table.
-
-    [matmul_accel] is the matmul engine this oracle costs with
-    (default {!default_matmul_accel}) — a heterogeneous platform
-    builds one oracle per distinct engine configuration. The conv
-    engine is not configurable: every instance carries the same
+(** An oracle over the given models, with an empty memo table. The
+    conv engine is not configurable: every instance carries the same
     Sec. IV-D sidecar.
 
     [graphs] adds {e whole-model} entries: a request for such a model
@@ -62,10 +62,8 @@ val create :
     edges and all) rather than a per-shape-class layer sum —
     [graph_residency] (default true) selects the residency-planned
     execution. Graph names shadow nothing: they are looked up before
-    the layer-list models. *)
-
-val matmul_accel : t -> Accel_config.t
-(** The engine configuration this oracle was created with. *)
+    the layer-list models. Graph costs do not depend on the matmul
+    engine, so their memo keys carry none. *)
 
 val models : t -> string list
 (** The model names, in [create] order (repeats preserved; graph
@@ -75,17 +73,18 @@ val memo_stats : t -> int * int
 (** [(hits, misses)] of the memo table across {!service} and
     {!predict} calls — also exported as the [serve.oracle_hits] /
     [serve.oracle_misses] metrics counters. Memo keys carry the
-    engine-config fingerprint ({!Benchdiff.config_hash}) and the
-    workload's canonical dimension list, so results can never leak
-    across configurations or shape aliases. *)
+    engine-config fingerprint ({!Benchdiff.config_hash}, computed once
+    per distinct engine) and the workload's canonical dimension list,
+    so results can never leak across configurations or shape
+    aliases. *)
 
-val service : t -> string -> batch:int -> float
+val service : ?engine:Accel_config.t -> t -> string -> batch:int -> float
 (** Measured cycles for one invocation of the model serving [batch]
     coalesced requests (see batching semantics above). Memoised.
     Raises [Failure] for an unknown model, a non-positive batch, or a
     workload the pipeline rejects (the message names the layer). *)
 
-val service_parts : t -> string -> batch:int -> float * float
+val service_parts : ?engine:Accel_config.t -> t -> string -> batch:int -> float * float
 (** [(cycles, dma_words)] for one invocation: the same measured cycles
     as {!service}, plus the total DMA words the run moved
     (send + receive perf counters). The words let a platform model
@@ -93,7 +92,8 @@ val service_parts : t -> string -> batch:int -> float * float
     share a wider AXI beat or a contended DMA channel scales.
     Memoised under the same key as {!service}. *)
 
-val predict : t -> string -> float
-(** Cheap analytic estimate of [service ~batch:1], for the SJF policy:
-    {!Heuristics.best}'s [predicted_cycles] for matmul layers, a
-    MAC-count proxy for conv layers. Never runs the pipeline. *)
+val predict : ?engine:Accel_config.t -> t -> string -> float
+(** Cheap analytic estimate of [service ?engine ~batch:1], for the SJF
+    policy: {!Heuristics.best}'s [predicted_cycles] on [engine] for
+    matmul layers, a MAC-count proxy for conv layers. Never runs the
+    pipeline; memoised per (engine, model). *)

@@ -9,19 +9,11 @@ type dist = {
   d_max : float;
 }
 
-(* Nearest-rank percentile: the ceil(p/100 * n)-th smallest sample. *)
-let percentile p xs =
-  match List.sort compare xs with
-  | [] -> 0.0
-  | sorted ->
-    let n = List.length sorted in
-    let rank = int_of_float (ceil (float_of_int p /. 100.0 *. float_of_int n)) in
-    List.nth sorted (max 0 (min (n - 1) (rank - 1)))
-
 let dist_of xs =
   match xs with
   | [] -> { d_mean = 0.0; d_p50 = 0.0; d_p95 = 0.0; d_p99 = 0.0; d_max = 0.0 }
   | _ ->
+    let percentile p xs = Option.value (Timeseries.percentile p xs) ~default:0.0 in
     {
       d_mean = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs);
       d_p50 = percentile 50 xs;

@@ -19,12 +19,9 @@ type dist = {
   d_max : float;
 }
 
-val percentile : int -> float list -> float
-(** Nearest-rank percentile ([percentile 99 xs] = the smallest value
-    with at least 99% of the samples at or below it); [0.] on the
-    empty list. *)
-
 val dist_of : float list -> dist
+(** Mean, nearest-rank percentiles ({!Timeseries.percentile}) and max
+    of the samples; all zero on the empty list. *)
 
 type accel_row = {
   ar_id : int;

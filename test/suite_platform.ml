@@ -273,33 +273,76 @@ let test_dma_scale () =
        (platform ~channels:1 ~beat:4
           [ instance "acc0" "v4_16"; instance "acc1" "v4_16" ]))
 
+(* (hits, misses) of an oracle's memo *)
+let check_memo name expected oracle =
+  Alcotest.(check (pair int int)) name expected (Serve_cost.memo_stats oracle)
+
 let test_hetero_fleet () =
   let p = hetero () in
-  let fleet = Platform_serve.create ~platform:p (models ()) in
+  let oracle = Serve_cost.create (models ()) in
+  let fleet = Platform_serve.create ~platform:p oracle in
   Alcotest.(check (list string))
     "engines in instance order" [ "v4_16"; "v3_16" ]
     (Platform_serve.engines fleet);
-  Alcotest.(check int) "two distinct oracles" 2
-    (Platform_serve.distinct_oracles fleet);
   let s0 = Platform_serve.service_at fleet ~accel:0 "matmul:16,16,16" ~batch:1 in
   let s1 = Platform_serve.service_at fleet ~accel:1 "matmul:16,16,16" ~batch:1 in
   Alcotest.(check bool) "per-instance service times differ" true (s0 <> s1);
-  (* same-engine slots share one oracle *)
-  let homo_fleet =
-    Platform_serve.create
-      ~platform:(Platform_ir.homogeneous ~accels:3 ())
-      (models ())
-  in
-  Alcotest.(check int) "homogeneous fleet shares one oracle" 1
-    (Platform_serve.distinct_oracles homo_fleet);
+  check_memo "one measurement per distinct engine" (0, 2) oracle;
   match Platform_serve.service_at fleet ~accel:9 "matmul:16,16,16" ~batch:1 with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "out-of-range instance index accepted"
 
+let test_shared_memo () =
+  let model = "matmul:16,16,16" in
+  (* same-engine slots share one measurement *)
+  let oracle = Serve_cost.create (models ()) in
+  let fleet =
+    Platform_serve.create ~platform:(Platform_ir.homogeneous ~accels:3 ()) oracle
+  in
+  List.iter
+    (fun accel -> ignore (Platform_serve.service_at fleet ~accel model ~batch:1))
+    [ 0; 1; 2 ];
+  check_memo "homogeneous slots: 1 miss, 2 hits" (2, 1) oracle;
+  (* predictions depend on the engine, so they are keyed by it *)
+  let oracle = Serve_cost.create (models ()) in
+  ignore (Serve_cost.predict oracle model);
+  ignore
+    (Serve_cost.predict
+       ~engine:(Presets.matmul ~version:Accel_matmul.V3 ~size:16 ())
+       oracle model);
+  check_memo "predict on two engines misses twice" (0, 2) oracle;
+  (* a whole search shares one oracle: the quick space holds two
+     engines, so every candidate after the first per engine hits *)
+  let stream =
+    ok
+      (Serve_request.generate
+         {
+           Serve_request.st_seed = 1;
+           st_count = 12;
+           st_mean_gap = Cost_model.default.Cost_model.cpu_freq_mhz *. 1e6 /. 1000.0;
+           st_models = [ model ];
+         })
+  in
+  let measure =
+    Platform_search.default_measure ~policy:Serve_policy.Fifo ~models:(models ())
+      ~requests:stream ()
+  in
+  Metrics.enable Metrics.default;
+  Metrics.reset Metrics.default;
+  ignore
+    (ok (Platform_search.search ~area_budget:800.0 ~measure Platform_search.quick_space));
+  let hits = Metrics.counter_value "serve.oracle_hits"
+  and misses = Metrics.counter_value "serve.oracle_misses" in
+  Metrics.disable Metrics.default;
+  Alcotest.(check (pair (float 0.0) (float 0.0)))
+    "search over the quick space: 250 hits, 2 misses" (250.0, 2.0) (hits, misses)
+
 let test_homogeneous_bit_identity () =
   let reqs = requests () in
   let fleet =
-    Platform_serve.create ~platform:(Platform_ir.homogeneous ~accels:2 ()) (models ())
+    Platform_serve.create
+      ~platform:(Platform_ir.homogeneous ~accels:2 ())
+      (Serve_cost.create (models ()))
   in
   let via_platform = ok (Platform_serve.run ~policy:Serve_policy.Fifo fleet reqs) in
   let oracle = Serve_cost.create (models ()) in
@@ -457,6 +500,7 @@ let tests =
     Alcotest.test_case "serve bridge: dma scale" `Quick test_dma_scale;
     Alcotest.test_case "serve bridge: heterogeneous fleet" `Quick
       test_hetero_fleet;
+    Alcotest.test_case "serve bridge: one memo keyed by engine" `Quick test_shared_memo;
     Alcotest.test_case "serve bridge: homogeneous bit-identity" `Quick
       test_homogeneous_bit_identity;
     Alcotest.test_case "search: enumerate" `Quick test_enumerate;

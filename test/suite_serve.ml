@@ -76,16 +76,18 @@ let test_stream_seed_sensitivity () =
   Alcotest.(check bool) "different seeds, different arrivals" true (a <> b)
 
 let test_percentile () =
-  let xs = List.init 100 (fun i -> float_of_int (i + 1)) in
-  Alcotest.(check (float 0.0)) "p50 of 1..100" 50.0 (Serve_report.percentile 50 xs);
-  Alcotest.(check (float 0.0)) "p95 of 1..100" 95.0 (Serve_report.percentile 95 xs);
-  Alcotest.(check (float 0.0)) "p99 of 1..100" 99.0 (Serve_report.percentile 99 xs);
-  Alcotest.(check (float 0.0)) "p99 of a singleton" 42.0
-    (Serve_report.percentile 99 [ 42.0 ]);
-  Alcotest.(check (float 0.0)) "empty list" 0.0 (Serve_report.percentile 99 []);
+  (* the serve report's latency percentiles are nearest-rank
+     (Timeseries.percentile), zero on an empty run *)
+  let p99 xs = (Serve_report.dist_of xs).Serve_report.d_p99 in
+  let xs = Serve_report.dist_of (List.init 100 (fun i -> float_of_int (i + 1))) in
+  Alcotest.(check (float 0.0)) "p50 of 1..100" 50.0 xs.Serve_report.d_p50;
+  Alcotest.(check (float 0.0)) "p95 of 1..100" 95.0 xs.d_p95;
+  Alcotest.(check (float 0.0)) "p99 of 1..100" 99.0 xs.d_p99;
+  Alcotest.(check (float 0.0)) "p99 of a singleton" 42.0 (p99 [ 42.0 ]);
+  Alcotest.(check (float 0.0)) "empty list" 0.0 (p99 []);
   (* small n: p99's nearest rank is the maximum *)
   Alcotest.(check (float 0.0)) "p99 of 10 samples is the max" 10.0
-    (Serve_report.percentile 99 (List.init 10 (fun i -> float_of_int (i + 1))))
+    (p99 (List.init 10 (fun i -> float_of_int (i + 1))))
 
 let contains hay needle =
   let nl = String.length needle and hl = String.length hay in

@@ -66,12 +66,23 @@ let test_shape_mismatch () =
       ignore (Timeseries.dist_percentile t "s" ~p:50))
 
 let test_percentiles () =
-  Alcotest.(check (option (float 0.0))) "empty list" None (Timeseries.percentile 99 []);
+  let upto n = List.init n (fun i -> float_of_int (i + 1)) in
   let xs = [ 5.0; 1.0; 3.0; 2.0; 4.0 ] in
-  Alcotest.(check (option (float 0.0))) "p50 of 5" (Some 3.0) (Timeseries.percentile 50 xs);
-  Alcotest.(check (option (float 0.0))) "p99 of 5 = max" (Some 5.0)
-    (Timeseries.percentile 99 xs);
-  Alcotest.(check (option (float 0.0))) "p1 = min" (Some 1.0) (Timeseries.percentile 1 xs);
+  List.iter
+    (fun (name, p, samples, expected) ->
+      Alcotest.(check (option (float 0.0))) name expected (Timeseries.percentile p samples))
+    [
+      ("empty list", 99, [], None);
+      ("p50 of 5", 50, xs, Some 3.0);
+      ("p99 of 5 = max", 99, xs, Some 5.0);
+      ("p1 = min", 1, xs, Some 1.0);
+      ("p50 of 1..100", 50, upto 100, Some 50.0);
+      ("p95 of 1..100", 95, upto 100, Some 95.0);
+      ("p99 of 1..100", 99, upto 100, Some 99.0);
+      ("p99 of a singleton", 99, [ 42.0 ], Some 42.0);
+      (* small n: p99's nearest rank is the maximum *)
+      ("p99 of 10 samples is the max", 99, upto 10, Some 10.0);
+    ];
   let t = mk () in
   (* the window-2 sample lands first: out-of-order wrt recording *)
   Timeseries.observe t ~series:"lat" ~t:25.0 100.0;
