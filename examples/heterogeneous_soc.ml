@@ -62,7 +62,7 @@ let () =
     (Ir.count_ops
        (fun o ->
          o.Ir.name = "func.call"
-         && Ir.attr o "callee" = Some (Attribute.Str Runtime_abi.dma_init))
+         && Ir.attr o "callee" = Some (Attribute.Str (Runtime_abi.name Dma_init)))
        compiled);
 
   let alloc label shape =

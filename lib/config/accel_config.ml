@@ -39,8 +39,6 @@ let flow_exn t name =
          name
          (String.concat ", " (List.map fst t.opcode_flows)))
 
-let selected_flow_exn t = flow_exn t t.selected_flow
-
 let iteration_dims t =
   match t.op_kind with
   | "matmul" -> 3

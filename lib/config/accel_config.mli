@@ -46,7 +46,6 @@ val n_args : t -> int
 (** Number of [linalg.generic] operands of the supported op (3 for both
     matmul and conv). *)
 
-val selected_flow_exn : t -> Opcode.flow
 val flow_exn : t -> string -> Opcode.flow
 val with_flow : t -> string -> t
 (** Select a different flow (validated). *)

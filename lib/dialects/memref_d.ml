@@ -5,8 +5,6 @@ let alloc b ty =
   | Ty.Scalar _ | Ty.Func _ | Ty.Token -> invalid_arg "Memref_d.alloc: not a memref type");
   Builder.emit_result b (Ir.op "memref.alloc" ~results:[ Ir.fresh_value ty ])
 
-let dealloc b v = Builder.emit b (Ir.op "memref.dealloc" ~operands:[ v ])
-
 let subview b src ~offsets ~sizes =
   let m = Ty.memref_of src.Ir.vty in
   if List.length offsets <> Ty.rank m || List.length sizes <> Ty.rank m then

@@ -5,8 +5,6 @@
 val alloc : Builder.t -> Ty.t -> Ir.value
 (** [memref.alloc] of a memref type with identity layout. *)
 
-val dealloc : Builder.t -> Ir.value -> unit
-
 val subview :
   Builder.t -> Ir.value -> offsets:Ir.value list -> sizes:int list -> Ir.value
 (** [memref.subview %src[%o0, %o1][s0, s1][1, 1]]: dynamic offsets

@@ -27,26 +27,6 @@ let loop_body (o : Ir.op) =
   if o.name <> for_name then invalid_arg "Scf.loop_body: not an scf.for";
   List.filter (fun (op : Ir.op) -> op.name <> yield_name) (Ir.single_block o).body
 
-let static_bounds func_op for_op =
-  let constants = Hashtbl.create 16 in
-  Ir.walk
-    (fun (o : Ir.op) ->
-      if o.name = "arith.constant" then
-        match (o.results, Ir.attr o "value") with
-        | [ r ], Some (Attribute.Int n) -> Hashtbl.replace constants r.Ir.vid n
-        | _ -> ())
-    func_op;
-  match for_op.Ir.operands with
-  | [ lb; ub; step ] -> (
-    match
-      ( Hashtbl.find_opt constants lb.Ir.vid,
-        Hashtbl.find_opt constants ub.Ir.vid,
-        Hashtbl.find_opt constants step.Ir.vid )
-    with
-    | Some lb, Some ub, Some step -> Some (lb, ub, step)
-    | _ -> None)
-  | _ -> None
-
 let verify_for (o : Ir.op) =
   match o.operands with
   | [ lb; ub; step ] ->

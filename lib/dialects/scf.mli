@@ -27,8 +27,4 @@ val induction_var : Ir.op -> Ir.value
 val loop_body : Ir.op -> Ir.op list
 (** Body ops of an [scf.for], excluding the terminating [scf.yield]. *)
 
-val static_bounds : Ir.op -> Ir.op -> (int * int * int) option
-(** [static_bounds func_op for_op]: (lb, ub, step) when all three loop
-    operands are [arith.constant]s defined in the function. *)
-
 val register : unit -> unit

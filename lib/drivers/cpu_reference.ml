@@ -39,22 +39,22 @@ let matmul soc ~a ~b ~c =
     done
   done
 
-let matmul_sampled soc ~a ~b ~c ~sample_rows =
+(* Row-sampled costing around an exact kernel: the functional result
+   is computed exactly on the full problem, while the cost of the [m]
+   loop is measured on [sample_rows] rows after two warm-up rows and
+   scaled to the rest. *)
+let sampled exact soc ~a ~b ~c ~sample_rows =
   let m = extent a 0 and k = extent a 1 and n = extent b 1 in
-  if m <= sample_rows * 2 then matmul soc ~a ~b ~c
+  if m <= sample_rows * 2 then exact soc ~a ~b ~c
   else begin
-    (* Functional result, computed exactly on the full problem. *)
     let a_data = Memref_view.to_array a in
     let b_data = Memref_view.to_array b in
     let c_data = Memref_view.to_array c in
     Gold.matmul_acc ~m ~n ~k a_data b_data c_data;
-    (* Cost: warm the caches on two rows, measure [sample_rows], scale. *)
     let row_slice i rows view =
       Memref_view.subview view ~offsets:[ i; 0 ] ~sizes:[ rows; extent view 1 ]
     in
-    let run_rows i rows =
-      matmul soc ~a:(row_slice i rows a) ~b ~c:(row_slice i rows c)
-    in
+    let run_rows i rows = exact soc ~a:(row_slice i rows a) ~b ~c:(row_slice i rows c) in
     let warm = 2 in
     run_rows 0 warm;
     let before = Perf_counters.copy soc.Soc.counters in
@@ -65,6 +65,8 @@ let matmul_sampled soc ~a ~b ~c ~sample_rows =
     (* Overwrite whatever the cost-simulation rows wrote. *)
     Memref_view.fill_from c c_data
   end
+
+let matmul_sampled soc ~a ~b ~c ~sample_rows = sampled matmul soc ~a ~b ~c ~sample_rows
 
 (* -O3-style scalar VFP matmul: C[i][j] accumulates in a register, the
    inner loop is unrolled by four, addresses are strength-reduced.
@@ -112,29 +114,7 @@ let matmul_optimized_exact soc ~a ~b ~c =
 let matmul_optimized soc ~a ~b ~c ?sample_rows () =
   match sample_rows with
   | None -> matmul_optimized_exact soc ~a ~b ~c
-  | Some sample_rows ->
-    let m = extent a 0 and k = extent a 1 and n = extent b 1 in
-    if m <= sample_rows * 2 then matmul_optimized_exact soc ~a ~b ~c
-    else begin
-      let a_data = Memref_view.to_array a in
-      let b_data = Memref_view.to_array b in
-      let c_data = Memref_view.to_array c in
-      Gold.matmul_acc ~m ~n ~k a_data b_data c_data;
-      let row_slice i rows view =
-        Memref_view.subview view ~offsets:[ i; 0 ] ~sizes:[ rows; extent view 1 ]
-      in
-      let run_rows i rows =
-        matmul_optimized_exact soc ~a:(row_slice i rows a) ~b ~c:(row_slice i rows c)
-      in
-      let warm = 2 in
-      run_rows 0 warm;
-      let before = Perf_counters.copy soc.Soc.counters in
-      run_rows warm sample_rows;
-      let delta = Perf_counters.diff soc.Soc.counters before in
-      let remaining = float_of_int (m - warm - sample_rows) /. float_of_int sample_rows in
-      Perf_counters.accumulate soc.Soc.counters (Perf_counters.scale delta remaining);
-      Memref_view.fill_from c c_data
-    end
+  | Some sample_rows -> sampled matmul_optimized_exact soc ~a ~b ~c ~sample_rows
 
 let conv2d ?(stride = 1) soc ~input ~filter ~output =
   let n = extent input 0 and ic = extent input 1 in

@@ -1,3 +1,32 @@
+(* The conv engine's host protocol, one DMA transfer per opcode. *)
+
+let send_two lib a b =
+  let offset = Dma_library.stage_literal lib a ~offset:0 in
+  ignore (Dma_library.stage_literal lib b ~offset);
+  Dma_library.flush_send lib
+
+let send_tile lib lit view =
+  Soc.alu (Dma_library.soc lib) 6;
+  let offset = Dma_library.stage_literal lib lit ~offset:0 in
+  ignore
+    (Dma_library.copy_to_dma_region_with lib (Dma_library.manual_strategy view) view ~offset);
+  Dma_library.flush_send lib
+
+let recv_tile lib ~accumulate view =
+  Soc.alu (Dma_library.soc lib) 6;
+  ignore (Dma_library.stage_literal lib Isa.cv_drain ~offset:0);
+  Dma_library.flush_send lib;
+  let count = Memref_view.num_elements view in
+  Dma_engine.start_recv (Dma_library.engine lib) ~len_words:count;
+  let data = Dma_engine.wait_recv (Dma_library.engine lib) in
+  Dma_library.copy_from_data_with lib (Dma_library.manual_strategy view) view ~accumulate data
+
+let loop soc count body =
+  for i = 0 to count - 1 do
+    Soc.loop_iteration soc;
+    body i
+  done
+
 let run soc (config : Accel_config.t) ?(flow = "Ws") ?(stride = 1) ~input ~filter ~output () =
   (match config.engine with
   | Accel_config.Conv_engine -> ()
@@ -12,40 +41,12 @@ let run soc (config : Accel_config.t) ?(flow = "Ws") ?(stride = 1) ~input ~filte
   if ic * fh * fw > config.buffer_capacity_elems then
     failwith "Manual_conv: slice exceeds the engine's buffer capacity";
   let lib = Dma_library.init soc ~dma_id:config.dma.dma_id ~strategy:Dma_library.Specialized in
-  let send_two a bword =
-    let offset = Dma_library.stage_literal lib a ~offset:0 in
-    ignore (Dma_library.stage_literal lib bword ~offset);
-    Dma_library.flush_send lib
-  in
+  let send_tile = send_tile lib and recv_tile = recv_tile lib ~accumulate:true in
+  let loop = loop soc in
   (* reset + configuration *)
-  ignore (Dma_library.stage_literal lib Isa.reset ~offset:0);
-  Dma_library.flush_send lib;
-  send_two Isa.cv_set_fhw fh;
-  send_two Isa.cv_set_ic ic;
-  let send_tile lit view =
-    Soc.alu soc 6;
-    let offset = Dma_library.stage_literal lib lit ~offset:0 in
-    ignore
-      (Dma_library.copy_to_dma_region_with lib (Dma_library.manual_strategy view) view
-         ~offset);
-    Dma_library.flush_send lib
-  in
-  let recv_tile view =
-    Soc.alu soc 6;
-    ignore (Dma_library.stage_literal lib Isa.cv_drain ~offset:0);
-    Dma_library.flush_send lib;
-    let count = Memref_view.num_elements view in
-    Dma_engine.start_recv (Dma_library.engine lib) ~len_words:count;
-    let data = Dma_engine.wait_recv (Dma_library.engine lib) in
-    Dma_library.copy_from_data_with lib (Dma_library.manual_strategy view) view
-      ~accumulate:true data
-  in
-  let loop count body =
-    for i = 0 to count - 1 do
-      Soc.loop_iteration soc;
-      body i
-    done
-  in
+  Dma_library.send_reset lib;
+  send_two lib Isa.cv_set_fhw fh;
+  send_two lib Isa.cv_set_ic ic;
   let w_slice f =
     Memref_view.subview filter ~offsets:[ f; 0; 0; 0 ] ~sizes:[ 1; ic; fh; fw ]
   in

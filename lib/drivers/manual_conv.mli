@@ -16,3 +16,21 @@ val run :
     conv engine. Flows: ["Ws"] (per-pixel receive, default), ["Rs"]
     (one receive per output row — the natural hand-optimised batching)
     or ["Os"] (whole output slice received once per channel). *)
+
+(** {1 Protocol helpers}
+
+    The conv engine's host protocol, shared with the whole-model
+    executor ([Graph_exec]). Each opcode is one DMA transfer; tile
+    copies use {!Dma_library.manual_strategy}. *)
+
+val send_two : Dma_library.t -> int -> int -> unit
+(** Stage an opcode and its operand word, then flush. *)
+
+val send_tile : Dma_library.t -> int -> Memref_view.t -> unit
+(** Stage an opcode and a tile, then flush. *)
+
+val recv_tile : Dma_library.t -> accumulate:bool -> Memref_view.t -> unit
+(** Drain the engine into a view ([+=] when [accumulate]). *)
+
+val loop : Soc.t -> int -> (int -> unit) -> unit
+(** [for i = 0 to count - 1], charging one loop iteration each. *)

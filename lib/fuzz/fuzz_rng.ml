@@ -7,12 +7,7 @@
 
 type t = { mutable state : int64 }
 
-let golden = 0x9E3779B97F4A7C15L
-
-let mix z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+let mix = Util.splitmix64_mix
 
 let create seed = { state = mix (Int64.of_int seed) }
 
@@ -22,7 +17,7 @@ let derive ~seed ~index =
   { state = mix (Int64.add (mix (Int64.of_int seed)) (Int64.of_int (index + 1))) }
 
 let next t =
-  t.state <- Int64.add t.state golden;
+  t.state <- Int64.add t.state Util.splitmix64_gamma;
   mix t.state
 
 (* 62 non-negative bits. *)

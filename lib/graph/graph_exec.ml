@@ -119,20 +119,8 @@ let run ?(batch = 1) ~residency (g : Graph_ir.t) =
     total_skipped := !total_skipped + words
   in
   (* --- the conv driver (manual Os flow + residency extensions) --- *)
-  let send_two a bword =
-    let l = the_lib () in
-    let offset = Dma_library.stage_literal l a ~offset:0 in
-    ignore (Dma_library.stage_literal l bword ~offset);
-    Dma_library.flush_send l
-  in
-  let send_tile lit v =
-    let l = the_lib () in
-    Soc.alu soc 6;
-    let offset = Dma_library.stage_literal l lit ~offset:0 in
-    ignore
-      (Dma_library.copy_to_dma_region_with l (Dma_library.manual_strategy v) v ~offset);
-    Dma_library.flush_send l
-  in
+  let send_two a b = Manual_conv.send_two (the_lib ()) a b in
+  let send_tile lit v = Manual_conv.send_tile (the_lib ()) lit v in
   let send_literals lits =
     let l = the_lib () in
     Soc.alu soc 6;
@@ -140,23 +128,8 @@ let run ?(batch = 1) ~residency (g : Graph_ir.t) =
     List.iter (fun w -> offset := Dma_library.stage_literal l w ~offset:!offset) lits;
     Dma_library.flush_send l
   in
-  let recv_tile v =
-    let l = the_lib () in
-    Soc.alu soc 6;
-    ignore (Dma_library.stage_literal l Isa.cv_drain ~offset:0);
-    Dma_library.flush_send l;
-    let count = Memref_view.num_elements v in
-    Dma_engine.start_recv (Dma_library.engine l) ~len_words:count;
-    let data = Dma_engine.wait_recv (Dma_library.engine l) in
-    Dma_library.copy_from_data_with l (Dma_library.manual_strategy v) v
-      ~accumulate:false data
-  in
-  let loop count body =
-    for i = 0 to count - 1 do
-      Soc.loop_iteration soc;
-      body i
-    done
-  in
+  let recv_tile v = Manual_conv.recv_tile (the_lib ()) ~accumulate:false v in
+  let loop = Manual_conv.loop soc in
   let run_conv nd (d : Graph_residency.decision) ~images =
     let dims = Graph_ir.conv_dims g nd in
     let input_id = List.nth nd.Graph_ir.nd_args 0 in

@@ -49,11 +49,6 @@ let words tn = List.fold_left ( * ) 1 tn.tn_shape
 let consumers g tid =
   Array.to_list g.g_nodes |> List.filter (fun nd -> List.mem tid nd.nd_args)
 
-let producer g tid =
-  let found = ref None in
-  Array.iter (fun nd -> if nd.nd_out = tid then found := Some nd) g.g_nodes;
-  !found
-
 type conv_dims = {
   cd_ic : int;
   cd_ih : int;

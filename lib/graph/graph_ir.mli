@@ -63,9 +63,6 @@ val words : tensor -> int
 val consumers : t -> int -> node list
 (** Nodes reading tensor [tid], in node order. *)
 
-val producer : t -> int -> node option
-(** The node writing tensor [tid] ([None] for inputs/weights). *)
-
 type conv_dims = {
   cd_ic : int;
   cd_ih : int;

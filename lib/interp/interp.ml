@@ -10,6 +10,7 @@ type t = {
   funcs : (string, Ir.op) Hashtbl.t;
   libs : (int, Dma_library.t) Hashtbl.t;  (* one DMA library per engine id *)
   mutable current_lib : int option;  (* engine of the kernel being driven *)
+  mutable received : float array option;  (* dma_wait_recv's words, for copy_from *)
 }
 
 let create ?(copy_strategy = Dma_library.Generic) soc module_op =
@@ -17,7 +18,7 @@ let create ?(copy_strategy = Dma_library.Generic) soc module_op =
   List.iter
     (fun (o : Ir.op) -> if Func.is_func o then Hashtbl.replace funcs (Func.name_of o) o)
     (Ir.module_body module_op);
-  { soc; copy_strategy; funcs; libs = Hashtbl.create 4; current_lib = None }
+  { soc; copy_strategy; funcs; libs = Hashtbl.create 4; current_lib = None; received = None }
 
 let lib t =
   match t.current_lib with
@@ -69,7 +70,7 @@ let as_token frame v =
   | I _ | F _ | M _ -> error "expected an !accel.token value"
 
 (* ------------------------------------------------------------------ *)
-(* Runtime-library call dispatch                                       *)
+(* Runtime entry points                                                *)
 (* ------------------------------------------------------------------ *)
 
 let double_buffer_of (o : Ir.op) =
@@ -77,147 +78,83 @@ let double_buffer_of (o : Ir.op) =
   | Some (Attribute.Bool b) -> b
   | Some _ | None -> false
 
-let runtime_call t frame (o : Ir.op) callee =
-  let bind_result rtv =
-    match o.Ir.results with
-    | [] -> ()
-    | [ r ] -> bind frame r rtv
-    | _ -> error "runtime calls return at most one value"
-  in
-  let arg n = List.nth o.Ir.operands n in
-  Metrics.incr "interp.runtime_calls" ~labels:[ ("callee", callee) ];
-  (* No dispatch cost here: the library entry points account for their
-     own call overhead, exactly as when the manual drivers call them. *)
-  if callee = Runtime_abi.dma_init then
-    init_lib t ~double_buffer:(double_buffer_of o) ~dma_id:(as_int frame (arg 0))
-  else if callee = Runtime_abi.dma_free then Dma_library.free (lib t)
-  else if callee = Runtime_abi.stage_literal then begin
-    let word = as_int frame (arg 0) in
-    let offset = as_int frame (arg 1) in
-    bind_result (I (Dma_library.stage_literal (lib t) word ~offset))
-  end
-  else if callee = Runtime_abi.dma_flush_send then Dma_library.flush_send (lib t)
-  else if callee = Runtime_abi.dma_start_recv then
-    Dma_engine.start_recv (Dma_library.engine (lib t)) ~len_words:(as_int frame (arg 0))
-  else if callee = Runtime_abi.dma_start_send_async then
-    bind_result (T (Dma_library.start_send (lib t)))
-  else if
-    callee = Runtime_abi.dma_start_recv_async
-    || callee = Runtime_abi.dma_start_recv_async_spec
-  then begin
-    let view = as_view frame (arg 0) in
-    let accumulate =
-      match Ir.attr o "mode" with Some (Attribute.Str "accumulate") -> true | _ -> false
-    in
-    let strategy =
-      if callee = Runtime_abi.dma_start_recv_async_spec then Dma_library.Specialized
-      else Dma_library.Generic
-    in
-    bind_result (T (Dma_library.start_recv (lib t) ~strategy view ~accumulate))
-  end
-  else if callee = Runtime_abi.dma_wait then
-    Dma_library.wait (lib t) (as_token frame (arg 0))
-  else if callee = Runtime_abi.dma_wait_recv then begin
-    let data = Dma_engine.wait_recv (Dma_library.engine (lib t)) in
-    (* Stash for the following copy_from call. *)
-    Hashtbl.replace frame.env (-1) (M (Memref_view.of_buffer
-      { Sim_memory.base = 0; data; label = "dma-recv" } [ Array.length data ]))
-  end
-  else if
-    callee = Runtime_abi.copy_to_dma_region || callee = Runtime_abi.copy_to_dma_region_spec
-  then begin
-    let view = as_view frame (arg 0) in
-    let offset = as_int frame (arg 1) in
-    let strategy =
-      if callee = Runtime_abi.copy_to_dma_region_spec then Dma_library.Specialized
-      else Dma_library.Generic
-    in
-    bind_result (I (Dma_library.copy_to_dma_region_with (lib t) strategy view ~offset))
-  end
-  else if
-    List.mem callee
-      [
-        Runtime_abi.copy_from_dma_region;
-        Runtime_abi.copy_from_dma_region_accumulate;
-        Runtime_abi.copy_from_dma_region_spec;
-        Runtime_abi.copy_from_dma_region_accumulate_spec;
-      ]
-  then begin
-    let view = as_view frame (arg 0) in
-    let data =
-      match Hashtbl.find_opt frame.env (-1) with
-      | Some (M recv_view) -> recv_view.Memref_view.buf.Sim_memory.data
-      | _ -> error "copy_from_dma_region without a preceding dma_wait_recv"
-    in
-    let accumulate =
-      callee = Runtime_abi.copy_from_dma_region_accumulate
-      || callee = Runtime_abi.copy_from_dma_region_accumulate_spec
-    in
-    let strategy =
-      if
-        callee = Runtime_abi.copy_from_dma_region_spec
-        || callee = Runtime_abi.copy_from_dma_region_accumulate_spec
-      then Dma_library.Specialized
-      else Dma_library.Generic
-    in
-    Dma_library.copy_from_data_with (lib t) strategy view ~accumulate data;
-    Hashtbl.remove frame.env (-1);
-    bind_result (I 0)
-  end
-  else error "call to unknown runtime symbol %s" callee
+let arg (o : Ir.op) n = List.nth o.operands n
 
-(* ------------------------------------------------------------------ *)
-(* Accel dialect execution                                             *)
-(* ------------------------------------------------------------------ *)
+let bind_result frame (o : Ir.op) rtv =
+  match o.results with
+  | [] -> ()
+  | [ r ] -> bind frame r rtv
+  | _ -> error "runtime calls return at most one value"
 
+let strategy_of spec = if spec then Dma_library.Specialized else Dma_library.Generic
+
+(* The one implementation of each entry, for a runtime-level func.call
+   and an accel op alike: both carry the entry's operands in the same
+   order. No dispatch cost here: the library entry points account for
+   their own call overhead, exactly as when the manual drivers call
+   them. *)
+let exec_entry t frame (o : Ir.op) (entry : Runtime_abi.t) =
+  match entry with
+  | Dma_init ->
+    init_lib t ~double_buffer:(double_buffer_of o) ~dma_id:(as_int frame (arg o 0))
+  | Dma_free -> Dma_library.free (lib t)
+  | Stage_literal ->
+    let word = as_int frame (arg o 0) in
+    let offset = as_int frame (arg o 1) in
+    bind_result frame o (I (Dma_library.stage_literal (lib t) word ~offset))
+  | Copy_to { spec } ->
+    let view = as_view frame (arg o 0) in
+    let offset = as_int frame (arg o 1) in
+    bind_result frame o
+      (I (Dma_library.copy_to_dma_region_with (lib t) (strategy_of spec) view ~offset))
+  | Flush_send -> Dma_library.flush_send (lib t)
+  | Start_recv ->
+    Dma_engine.start_recv (Dma_library.engine (lib t)) ~len_words:(as_int frame (arg o 0))
+  | Wait_recv -> t.received <- Some (Dma_engine.wait_recv (Dma_library.engine (lib t)))
+  | Start_send_async -> bind_result frame o (T (Dma_library.start_send (lib t)))
+  | Start_recv_async { spec } ->
+    let view = as_view frame (arg o 0) in
+    let accumulate = Accel.recv_mode_of o = Accel.Accumulate in
+    bind_result frame o
+      (T (Dma_library.start_recv (lib t) ~strategy:(strategy_of spec) view ~accumulate))
+  | Wait -> Dma_library.wait (lib t) (as_token frame (arg o 0))
+  | Copy_from { accumulate; spec } -> (
+    let view = as_view frame (arg o 0) in
+    match t.received with
+    | Some data ->
+      Dma_library.copy_from_data_with (lib t) (strategy_of spec) view ~accumulate data;
+      t.received <- None;
+      bind_result frame o (I 0)
+    | None -> error "%s without a preceding dma_wait_recv" (Runtime_abi.name entry))
+
+(* At the accel level the interpreter's strategy stands in for the
+   Copy_specialization pass. *)
+let at_accel_level t entry =
+  match (t.copy_strategy, Runtime_abi.specialize entry) with
+  | Dma_library.Specialized, Some twin -> twin
+  | _ -> entry
+
+(* Pass-through ops run as their entry; sendDim and recv as the entries
+   Lower_accel_to_runtime expands them into, minus the constants and
+   index casts that lowering adds. *)
 let accel_op t frame (o : Ir.op) =
-  let bind_result rtv =
-    match o.Ir.results with [ r ] -> bind frame r rtv | _ -> ()
-  in
-  let arg n = List.nth o.Ir.operands n in
-  let flush_after () = if Accel.is_flush o then Dma_library.flush_send (lib t) in
-  match o.name with
-  | "accel.dma_init" ->
-    init_lib t ~double_buffer:(double_buffer_of o) ~dma_id:(as_int frame (arg 0))
-  | "accel.dma_free" -> Dma_library.free (lib t)
-  | "accel.sendLiteral" ->
-    let word = as_int frame (arg 0) in
-    let offset = as_int frame (arg 1) in
-    bind_result (I (Dma_library.stage_literal (lib t) word ~offset));
-    flush_after ()
-  | "accel.sendDim" ->
-    let extent = Accel.send_dim_extent o in
-    let offset = as_int frame (arg 1) in
-    bind_result (I (Dma_library.stage_literal (lib t) extent ~offset));
-    flush_after ()
-  | "accel.sendIdx" ->
-    let idx = as_int frame (arg 0) in
-    let offset = as_int frame (arg 1) in
-    bind_result (I (Dma_library.stage_literal (lib t) idx ~offset));
-    flush_after ()
-  | "accel.send" ->
-    let view = as_view frame (arg 0) in
-    let offset = as_int frame (arg 1) in
-    bind_result
-      (I (Dma_library.copy_to_dma_region_with (lib t) t.copy_strategy view ~offset));
-    flush_after ()
-  | "accel.recv" ->
-    let view = as_view frame (arg 0) in
-    let accumulate = Accel.recv_mode_of o = Accel.Accumulate in
-    Dma_library.flush_send (lib t);
-    let n = Memref_view.num_elements view in
-    Dma_engine.start_recv (Dma_library.engine (lib t)) ~len_words:n;
-    let data = Dma_engine.wait_recv (Dma_library.engine (lib t)) in
-    Dma_library.copy_from_data_with (lib t) t.copy_strategy view ~accumulate data;
-    bind_result (I 0)
-  | "accel.start_send" -> bind_result (T (Dma_library.start_send (lib t)))
-  | "accel.start_recv" ->
-    let view = as_view frame (arg 0) in
-    let accumulate = Accel.recv_mode_of o = Accel.Accumulate in
-    bind_result
-      (T (Dma_library.start_recv (lib t) ~strategy:t.copy_strategy view ~accumulate))
-  | "accel.wait" -> Dma_library.wait (lib t) (as_token frame (arg 0))
-  | other -> error "unsupported accel op %s" other
+  (match Runtime_abi.of_accel_op o.name with
+  | Some entry -> exec_entry t frame o (at_accel_level t entry)
+  | None -> (
+    match o.name with
+    | "accel.sendDim" ->
+      let word = Accel.send_dim_extent o in
+      let offset = as_int frame (arg o 1) in
+      bind_result frame o (I (Dma_library.stage_literal (lib t) word ~offset))
+    | "accel.recv" ->
+      let len_words = Memref_view.num_elements (as_view frame (arg o 0)) in
+      exec_entry t frame o Flush_send;
+      Dma_engine.start_recv (Dma_library.engine (lib t)) ~len_words;
+      exec_entry t frame o Wait_recv;
+      let accumulate = Accel.recv_mode_of o = Accel.Accumulate in
+      exec_entry t frame o (at_accel_level t (Copy_from { accumulate; spec = false }))
+    | other -> error "unsupported accel op %s" other));
+  if Accel.is_flush o then exec_entry t frame o Flush_send
 
 (* ------------------------------------------------------------------ *)
 (* Core execution                                                      *)
@@ -302,15 +239,18 @@ let rec exec_op t frame (o : Ir.op) =
       | Some (Attribute.Str s) -> s
       | _ -> error "func.call without callee"
     in
-    if List.mem callee Runtime_abi.all then runtime_call t frame o callee
-    else
+    match Runtime_abi.of_name callee with
+    | Some entry ->
+      Metrics.incr "interp.runtime_calls" ~labels:[ ("callee", callee) ];
+      exec_entry t frame o entry
+    | None -> (
       match Hashtbl.find_opt t.funcs callee with
       | Some f ->
         Soc.call_overhead t.soc;
         let args = List.map (lookup frame) o.operands in
         let results = exec_func t f args in
         List.iter2 (bind frame) o.results results
-      | None -> error "call to undefined function %s" callee)
+      | None -> error "call to undefined function %s" callee))
   | "func.return" -> ()
   | name when Accel.is_accel o -> (ignore name; accel_op t frame o)
   | "linalg.generic" ->

@@ -4,15 +4,19 @@
     interpreted operation charges the CPU cost model (arithmetic,
     branches, cache accesses, loop overhead).
 
-    Two levels of the lowering are executable:
-    - the [accel] dialect (ops dispatch straight onto {!Dma_library});
-    - the runtime-call level ([func.call]s to the {!Runtime_abi}
-      symbols, as produced by [Lower_accel_to_runtime]), where the
-      ["_spec"] callees select the specialised copies chosen at compile
-      time.
+    Two levels of the lowering are executable, through one executor:
+    each {!Runtime_abi} entry has a single implementation on
+    {!Dma_library}. At the runtime-call level ([func.call]s as produced
+    by [Lower_accel_to_runtime]) a callee resolves to its entry with
+    {!Runtime_abi.of_name}, and the ["_spec"] twins select the
+    specialised copies chosen at compile time. At the [accel]-dialect
+    level each pass-through op runs as its {!Runtime_abi.of_accel_op}
+    entry, and [sendDim]/[recv] as the entries they lower to.
 
-    Both levels must produce identical results and DMA traffic — an
-    invariant the test suite checks.
+    Both levels produce identical results and identical counters apart
+    from [cycles] and [instructions] — the accel level does not pay for
+    the constants and index casts the lowering adds — an invariant the
+    test suite checks.
 
     Multiple accelerators are supported: each [dma_init] (distinguished
     by its engine id, as in the paper's [dma_init_config]) creates or
@@ -30,9 +34,10 @@ exception Runtime_error of string
 type t
 
 val create : ?copy_strategy:Dma_library.strategy -> Soc.t -> Ir.op -> t
-(** [create soc module_op]. [copy_strategy] selects the host-side copy
-    implementation used when interpreting at the [accel]-dialect level
-    (the runtime-call level encodes the choice in callee names).
+(** [create soc module_op]. At the [accel]-dialect level,
+    [copy_strategy = Specialized] runs the copies as their ["_spec"]
+    twins, standing in for the [Copy_specialization] pass; the
+    runtime-call level encodes the choice in callee names.
     Default: [Generic]. *)
 
 val invoke : t -> string -> value list -> value list

@@ -56,12 +56,10 @@ let mismatch what attr =
 
 let get_int = function Int i -> i | a -> mismatch "int" a
 let get_str = function Str s -> s | a -> mismatch "string" a
-let get_bool = function Bool b -> b | a -> mismatch "bool" a
 let get_ints = function Ints l -> l | a -> mismatch "dense ints" a
 let get_strs = function Strs l -> l | a -> mismatch "strings" a
 let get_affine = function Affine m -> m | a -> mismatch "affine_map" a
 let get_opcode_map = function Opcode_map m -> m | a -> mismatch "opcode_map" a
 let get_opcode_flow = function Opcode_flow f -> f | a -> mismatch "opcode_flow" a
 let get_dict = function Dict d -> d | a -> mismatch "dict" a
-let get_type = function Type_attr ty -> ty | a -> mismatch "type" a
 let get_array = function Array l -> l | a -> mismatch "array" a

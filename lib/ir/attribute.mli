@@ -31,12 +31,10 @@ val equal : t -> t -> bool
 
 val get_int : t -> int
 val get_str : t -> string
-val get_bool : t -> bool
 val get_ints : t -> int list
 val get_strs : t -> string list
 val get_affine : t -> Affine_map.t
 val get_opcode_map : t -> Opcode.map
 val get_opcode_flow : t -> Opcode.flow
 val get_dict : t -> (string * t) list
-val get_type : t -> Ty.t
 val get_array : t -> t list

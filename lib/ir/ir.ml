@@ -18,8 +18,6 @@ let fresh_value vty =
   incr counter;
   { vid = !counter; vty }
 
-let value_counter () = !counter
-
 let op ?(operands = []) ?(results = []) ?(attrs = []) ?(regions = []) name =
   { name; operands; results; attrs; regions }
 

@@ -26,9 +26,6 @@ and region = block list
 val fresh_value : Ty.t -> value
 (** Allocate a value with a fresh id. *)
 
-val value_counter : unit -> int
-(** Current high-water mark of allocated value ids (for diagnostics). *)
-
 val op :
   ?operands:value list ->
   ?results:value list ->

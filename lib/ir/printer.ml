@@ -19,14 +19,6 @@ let name_of st (v : Ir.value) =
     Hashtbl.add st.names v.vid n;
     n
 
-let value_name table (v : Ir.value) =
-  match Hashtbl.find_opt table v.vid with
-  | Some n -> n
-  | None ->
-    let n = Printf.sprintf "%%v%d" v.vid in
-    Hashtbl.add table v.vid n;
-    n
-
 let pad st = Buffer.add_string st.buf (String.make (st.indent * 2) ' ')
 let add st s = Buffer.add_string st.buf s
 let addf st fmt = Printf.ksprintf (add st) fmt

@@ -15,7 +15,3 @@ val to_pretty : Ir.op -> string
 (** Print with per-dialect sugar ([func.func], [scf.for],
     [arith.constant], [memref.*], [accel.*], [linalg.generic] traits). *)
 
-val value_name : (int, string) Hashtbl.t -> Ir.value -> string
-(** Shared value-naming helper (used by error messages): returns the
-    [%N] name assigned to the value in this table, assigning the next
-    number if absent. *)

@@ -115,5 +115,3 @@ let verify_structured root =
 
 let verify root = Result.map_error error_to_string (verify_structured root)
 
-let verify_exn root =
-  match verify root with Ok () -> () | Error msg -> failwith ("IR verification failed: " ^ msg)

@@ -25,5 +25,3 @@ val verify_structured : Ir.op -> (unit, error) result
 val verify : Ir.op -> (unit, string) result
 (** As {!verify_structured}, flattened with {!error_to_string}. *)
 
-val verify_exn : Ir.op -> unit
-(** Raises [Failure] with the verification error. *)

@@ -43,7 +43,6 @@ let reset t =
   t.order <- []
 
 let set_ambient t labels = t.amb <- canon labels
-let ambient t = t.amb
 
 let kind_name = function Counter _ -> "counter" | Gauge _ -> "gauge" | Histogram _ -> "histogram"
 

@@ -47,8 +47,6 @@ val set_ambient : t -> labels -> unit
 (** Replace the ambient labels merged into every subsequent record
     operation. Explicit per-record labels win on key collision. *)
 
-val ambient : t -> labels
-
 (** {1 Recording}
 
     All recording operations are no-ops on a disabled registry. A name

@@ -186,9 +186,7 @@ let generic_copy_in t view ~accumulate data =
       if accumulate then begin
         let old = Soc.cached_read soc view.Memref_view.buf li in
         Soc.fpu soc 1;
-        Soc.cached_write soc view.Memref_view.buf li (old +. v);
-        (* the write hits the line just loaded *)
-        soc.Soc.counters.cycles <- soc.Soc.counters.cycles -. 0.0
+        Soc.cached_write soc view.Memref_view.buf li (old +. v)
       end
       else Soc.cached_write soc view.Memref_view.buf li v;
       incr i)
@@ -249,13 +247,6 @@ let copy_from_data_with t strategy view ~accumulate data =
 
 let manual_strategy view =
   if can_specialize view && Memref_view.contiguous_run view >= 4 then Specialized else Bare
-
-let recv_into t view ~accumulate =
-  flush_send t;
-  let n = Memref_view.num_elements view in
-  Dma_engine.start_recv t.engine ~len_words:n;
-  let data = Dma_engine.wait_recv t.engine in
-  copy_from_data_with t t.strategy view ~accumulate data
 
 let send_reset t =
   let offset = stage_literal t Isa.reset ~offset:0 in

@@ -11,9 +11,9 @@
       an opcode's actions into a single transfer);
     - {!flush_send}: [dma_start_send] + [dma_wait_send_completion] over
       everything staged;
-    - {!recv_into}: flush any staged words, then
-      [dma_start_recv] + wait and copy the accelerator's output back
-      into a memref, optionally accumulating.
+    - {!copy_from_data_with}: after [dma_start_recv] + wait on the
+      engine, copy the accelerator's output back into a memref,
+      optionally accumulating.
 
     Two host-side copy implementations are provided, selected by
     {!strategy}: the {e generic} rank-N element-wise copy (loads the
@@ -79,7 +79,7 @@ val copy_to_dma_region_with :
 val copy_from_data_with :
   t -> strategy -> Memref_view.t -> accumulate:bool -> float array -> unit
 (** Copy already-received words into a view with an explicit strategy
-    (the granular half of {!recv_into}). *)
+    ([+=] when [accumulate]). *)
 
 val flush_send : t -> unit
 (** Transmit everything staged since the last flush (no-op when nothing
@@ -91,11 +91,6 @@ val skip_resident : t -> words:int -> what:string -> unit
     residency check (two ALU ops and a branch), bumps the
     [runtime.dma_words_skipped] metric and leaves a marker on the DMA
     trace track via {!Dma_engine.note_skipped}. No DMA words move. *)
-
-val recv_into : t -> Memref_view.t -> accumulate:bool -> unit
-(** Flush staged words, receive [num_elements] words from the
-    accelerator and copy them into the view ([+=] when
-    [accumulate]). *)
 
 val send_reset : t -> unit
 (** Stage and flush the reset opcode ({!Isa.reset}) — the common

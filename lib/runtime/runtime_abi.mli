@@ -1,33 +1,50 @@
-(** Symbol names of the DMA runtime library as seen from generated IR.
+(** The DMA runtime library's entry points as seen from generated IR.
 
-    [Lower_accel_to_runtime] emits [func.call]s to these names; the
-    interpreter dispatches them onto {!Dma_library}. Keeping the table
-    here gives both sides a single source of truth. *)
+    [Lower_accel_to_runtime] emits [func.call]s to their {!name}s,
+    [Copy_specialization] rewrites generic copies to their {!specialize}d
+    twins, and the interpreter resolves a callee with {!of_name} and runs
+    the entry on {!Dma_library}. The interpreter executes the
+    pass-through [accel] ops ({!of_accel_op}) as the very same entries,
+    so each entry's semantics has exactly one implementation. *)
 
-val dma_init : string  (* (id, inAddr, inSize, outAddr, outSize) -> () *)
-val dma_free : string  (* () -> () *)
-val stage_literal : string  (* (word i32, offset i32) -> i32 *)
-val copy_to_dma_region : string  (* (memref, offset i32) -> i32 *)
-val dma_flush_send : string  (* () -> (): start_send + wait over staged words *)
-val dma_start_recv : string  (* (len i32) -> () *)
-val dma_wait_recv : string  (* () -> () *)
+type t =
+  | Dma_init  (** [(id, inAddr, inSize, outAddr, outSize) -> ()] *)
+  | Dma_free  (** [() -> ()] *)
+  | Stage_literal  (** [(word i32, offset i32) -> i32] *)
+  | Copy_to of { spec : bool }  (** [(memref, offset i32) -> i32] *)
+  | Flush_send  (** [() -> ()]: start_send + wait over the staged words *)
+  | Start_recv  (** [(len i32) -> ()] *)
+  | Wait_recv  (** [() -> ()]: holds the words for the next [Copy_from] *)
+  | Start_send_async  (** [() -> !accel.token] *)
+  | Start_recv_async of { spec : bool }
+      (** [(memref) -> !accel.token]; a [mode] attr on the call says
+          whether the wait stores or accumulates the data *)
+  | Wait  (** [(!accel.token) -> ()] *)
+  | Copy_from of { accumulate : bool; spec : bool }
+      (** [(memref, offset i32) -> i32] *)
+(** [Start_send_async], [Start_recv_async] and [Wait] are the
+    non-blocking halves the double-buffering pass emits. [spec] selects
+    the strided-copy specialisation of Sec. IV-B (memcpy of contiguous
+    runs), chosen by [Copy_specialization] when the memref layout has a
+    unit innermost stride. *)
 
-(* Non-blocking halves (the double-buffering pass's output): start a
-   background transfer and return an !accel.token; dma_wait consumes
-   it. The recv variant carries the destination memref (and a [mode]
-   attr on the call) so the wait can land the data. *)
-val dma_start_send_async : string  (* () -> !accel.token *)
-val dma_start_recv_async : string  (* (memref) -> !accel.token *)
-val dma_start_recv_async_spec : string  (* specialised wait-time copy *)
-val dma_wait : string  (* (!accel.token) -> () *)
-val copy_from_dma_region : string  (* (memref, offset i32) -> i32, store mode *)
-val copy_from_dma_region_accumulate : string  (* accumulate mode *)
+val all : t list
+(** Every entry, once. *)
 
-(* "_spec" variants: the strided-copy specialisation of Sec. IV-B,
-   selected by the Copy_specialization pass when the memref layout has a
-   unit innermost stride. *)
-val copy_to_dma_region_spec : string
-val copy_from_dma_region_spec : string
-val copy_from_dma_region_accumulate_spec : string
+val name : t -> string
+(** The callee symbol, e.g. ["copy_from_dma_region_accumulate_spec"]. *)
 
-val all : string list
+val of_name : string -> t option
+(** Inverse of {!name}; [None] for any other symbol. *)
+
+val specialize : t -> t option
+(** The ["_spec"] twin of a generic copy or async-recv entry; [None] for
+    every other entry, including the twins themselves. *)
+
+val of_accel_op : string -> t option
+(** The entry an [accel] op runs as when it is a plain pass-through —
+    [accel.dma_init], [accel.dma_free], [accel.sendLiteral],
+    [accel.sendIdx], [accel.send], [accel.start_send],
+    [accel.start_recv] and [accel.wait] — keyed by op name. A staging
+    op's [flush] marker adds a [Flush_send] after it. [accel.sendDim]
+    and [accel.recv] expand into several entries and map to [None]. *)

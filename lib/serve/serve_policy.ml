@@ -6,11 +6,6 @@ let all = [ Fifo; Sjf; Batch ]
 
 let to_string = function Fifo -> "fifo" | Sjf -> "sjf" | Batch -> "batch"
 
-let describe = function
-  | Fifo -> "dispatch in strict arrival order"
-  | Sjf -> "shortest predicted job first (cost-model estimate)"
-  | Batch -> "coalesce same-model requests into one batched kernel"
-
 let of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "fifo" -> Ok Fifo

@@ -25,9 +25,6 @@ val all : t list
 val to_string : t -> string
 (** ["fifo"], ["sjf"], ["batch"] — the CLI names. *)
 
-val describe : t -> string
-(** One-line description for listings. *)
-
 val of_string : string -> (t, string) result
 (** Case-insensitive parse of a CLI name; [Error] lists the valid
     policies. *)

@@ -14,11 +14,6 @@ let alloc t ~label n =
   t.next <- base + (n * 4);
   { base; data = Array.make n 0.0; label }
 
-let alloc_init t ~label contents =
-  let buf = alloc t ~label (Array.length contents) in
-  Array.blit contents 0 buf.data 0 (Array.length contents);
-  buf
-
 let addr_of buf i =
   if i < 0 || i >= Array.length buf.data then
     invalid_arg

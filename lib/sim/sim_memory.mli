@@ -19,9 +19,6 @@ val create : unit -> t
 val alloc : t -> label:string -> int -> buffer
 (** Allocate [n] f32 elements, 64-byte aligned, zero-initialised. *)
 
-val alloc_init : t -> label:string -> float array -> buffer
-(** Allocate and copy the given contents. *)
-
 val addr_of : buffer -> int -> int
 (** Byte address of element [i] (bounds-checked). *)
 

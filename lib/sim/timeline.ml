@@ -24,7 +24,6 @@ let add_agent t ~name =
   t.agents <- a :: t.agents;
   a
 
-let agent_name a = a.name
 let busy_until a = a.busy_until
 
 let schedule t a ?dep ~not_before ~duration ~label () =

@@ -65,8 +65,6 @@ val add_agent : t -> name:string -> agent
     display/trace identities; they need not be unique, but the
     simulator uses one agent per DMA channel and per device. *)
 
-val agent_name : agent -> string
-
 val schedule :
   t ->
   agent ->

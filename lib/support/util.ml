@@ -21,8 +21,6 @@ let range n = List.init n (fun i -> i)
 
 let product = List.fold_left ( * ) 1
 
-let transpose_assoc l k = List.assoc_opt k l
-
 let list_index p l =
   let rec go i = function
     | [] -> None
@@ -64,3 +62,10 @@ let mean = function
 let fmax_list = function
   | [] -> invalid_arg "Util.fmax_list: empty list"
   | x :: rest -> List.fold_left max x rest
+
+let splitmix64_gamma = 0x9E3779B97F4A7C15L
+
+let splitmix64_mix z =
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  Int64.logxor z (Int64.shift_right_logical z 31)

@@ -24,9 +24,6 @@ val range : int -> int list
 val product : int list -> int
 (** Product of a list of integers; [1] on the empty list. *)
 
-val transpose_assoc : ('a * 'b) list -> 'a -> 'b option
-(** Association-list lookup that does not raise. *)
-
 val list_index : ('a -> bool) -> 'a list -> int option
 (** Index of the first element satisfying the predicate. *)
 
@@ -50,3 +47,12 @@ val mean : float list -> float
 
 val fmax_list : float list -> float
 (** Maximum of a non-empty float list. Raises [Invalid_argument] on []. *)
+
+val splitmix64_gamma : int64
+(** The splitmix64 state increment (the 64-bit golden ratio). *)
+
+val splitmix64_mix : int64 -> int64
+(** The splitmix64 output mixer: one draw of a stream is
+    [splitmix64_mix state] after adding {!splitmix64_gamma} to
+    [state]. Shared by the fuzzer's PRNG and the tuner's tie-break
+    stream. *)

@@ -1,12 +1,3 @@
-let spec_callee = function
-  | name when name = Runtime_abi.copy_to_dma_region -> Some Runtime_abi.copy_to_dma_region_spec
-  | name when name = Runtime_abi.copy_from_dma_region -> Some Runtime_abi.copy_from_dma_region_spec
-  | name when name = Runtime_abi.copy_from_dma_region_accumulate ->
-    Some Runtime_abi.copy_from_dma_region_accumulate_spec
-  | name when name = Runtime_abi.dma_start_recv_async ->
-    Some Runtime_abi.dma_start_recv_async_spec
-  | _ -> None
-
 let unit_innermost_stride (v : Ir.value) =
   match v.vty with
   | Ty.Memref m -> (
@@ -17,10 +8,10 @@ let rewrite (o : Ir.op) =
   if o.name <> "func.call" then o
   else
     match (Ir.attr o "callee", o.operands) with
-    | Some (Attribute.Str callee), (memref :: _ as operands) -> (
-      match spec_callee callee with
-      | Some specialised when unit_innermost_stride memref ->
-        ignore operands;
+    | Some (Attribute.Str callee), memref :: _ -> (
+      match Option.bind (Runtime_abi.of_name callee) Runtime_abi.specialize with
+      | Some twin when unit_innermost_stride memref ->
+        let specialised = Runtime_abi.name twin in
         Remarks.emit ~kind:Remarks.Applied ~pass:"copy-specialization"
           ~name:"specialize-copy" ~loc:o.name
           ~args:[ ("callee", Remarks.Str specialised) ]

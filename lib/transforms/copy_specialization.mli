@@ -1,8 +1,9 @@
 (** The MemRef-to-DMA-buffer copy specialisation of Sec. IV-B.
 
     Rewrites runtime copy calls ([@copy_to_dma_region],
-    [@copy_from_dma_region], [@copy_from_dma_region_accumulate]) to
-    their ["_spec"] variants when the memref operand's layout has a
+    [@copy_from_dma_region], [@copy_from_dma_region_accumulate],
+    [@dma_start_recv_async]) to their ["_spec"] twins
+    ({!Runtime_abi.specialize}) when the memref operand's layout has a
     unit innermost stride, i.e. when elements along the last dimension
     are physically adjacent and the copy can be implemented with
     vectorised [memcpy] runs instead of the recursive element-wise

@@ -1,87 +1,47 @@
 (* Emit a call whose result values REUSE the accel op's result values,
    so later uses of the offset chain stay valid without substitution. *)
-let call_with_results b ~callee ~results operands =
+let call b ?(results = []) ?(attrs = []) entry operands =
   Builder.emit b
-    (Ir.op "func.call" ~operands ~results ~attrs:[ ("callee", Attribute.Str callee) ])
+    (Ir.op "func.call" ~operands ~results
+       ~attrs:(("callee", Attribute.Str (Runtime_abi.name entry)) :: attrs))
 
-let call b ~callee operands =
-  ignore (Func.call b ~callee operands)
+(* What a runtime call keeps of its accel op's attrs: dma_init's
+   double_buffer marker, and start_recv's mode (the wait side needs it
+   to pick store vs accumulate when landing the data). *)
+let forwarded_attrs (o : Ir.op) =
+  List.filter
+    (function "double_buffer", Attribute.Bool true | "mode", _ -> true | _ -> false)
+    o.attrs
 
 let expand b (o : Ir.op) =
-  let flush_after () =
-    if Accel.is_flush o then call b ~callee:Runtime_abi.dma_flush_send []
-  in
-  match o.name with
-  | "accel.dma_init" ->
-    let call_op =
-      Ir.op "func.call" ~operands:o.operands
-        ~attrs:
-          (("callee", Attribute.Str Runtime_abi.dma_init)
-          ::
-          (match Ir.attr o "double_buffer" with
-          | Some (Attribute.Bool true) -> [ ("double_buffer", Attribute.Bool true) ]
-          | Some _ | None -> []))
+  (match Runtime_abi.of_accel_op o.name with
+  | Some entry ->
+    (* Index payloads are staged as i32 instruction words. *)
+    let operands =
+      match (entry, o.operands) with
+      | Runtime_abi.Stage_literal, [ word; offset ] when Ty.equal word.Ir.vty Ty.index ->
+        [ Arith.index_cast b word; offset ]
+      | _, operands -> operands
     in
-    Builder.emit b call_op
-  | "accel.dma_free" -> call b ~callee:Runtime_abi.dma_free []
-  | "accel.sendLiteral" ->
-    call_with_results b ~callee:Runtime_abi.stage_literal ~results:o.results o.operands;
-    flush_after ()
-  | "accel.sendDim" ->
-    let extent = Accel.send_dim_extent o in
-    let word = Arith.constant_i32 b extent in
-    let offset =
-      match o.operands with
-      | [ _src; offset ] -> offset
-      | _ -> failwith "lower-accel: malformed accel.sendDim"
-    in
-    call_with_results b ~callee:Runtime_abi.stage_literal ~results:o.results
-      [ word; offset ];
-    flush_after ()
-  | "accel.sendIdx" ->
-    let idx, offset =
-      match o.operands with
-      | [ idx; offset ] -> (idx, offset)
-      | _ -> failwith "lower-accel: malformed accel.sendIdx"
-    in
-    let word = if Ty.equal idx.Ir.vty Ty.index then Arith.index_cast b idx else idx in
-    call_with_results b ~callee:Runtime_abi.stage_literal ~results:o.results
-      [ word; offset ];
-    flush_after ()
-  | "accel.send" ->
-    call_with_results b ~callee:Runtime_abi.copy_to_dma_region ~results:o.results
-      o.operands;
-    flush_after ()
-  | "accel.recv" ->
-    let tile, offset =
-      match o.operands with
-      | [ tile; offset ] -> (tile, offset)
-      | _ -> failwith "lower-accel: malformed accel.recv"
-    in
-    call b ~callee:Runtime_abi.dma_flush_send [];
-    let n = Ty.num_elements (Ty.memref_of tile.Ir.vty) in
-    let len = Arith.constant_i32 b n in
-    call b ~callee:Runtime_abi.dma_start_recv [ len ];
-    call b ~callee:Runtime_abi.dma_wait_recv [];
-    let callee =
-      match Accel.recv_mode_of o with
-      | Accel.Accumulate -> Runtime_abi.copy_from_dma_region_accumulate
-      | Accel.Store -> Runtime_abi.copy_from_dma_region
-    in
-    call_with_results b ~callee ~results:o.results [ tile; offset ]
-  | "accel.start_send" ->
-    call_with_results b ~callee:Runtime_abi.dma_start_send_async ~results:o.results []
-  | "accel.start_recv" ->
-    (* Forward the mode attr on the call: the wait side needs it to
-       pick store vs accumulate when landing the data. *)
-    Builder.emit b
-      (Ir.op "func.call" ~operands:o.operands ~results:o.results
-         ~attrs:
-           (("callee", Attribute.Str Runtime_abi.dma_start_recv_async)
-           ::
-           (match Ir.attr o "mode" with Some m -> [ ("mode", m) ] | None -> [])))
-  | "accel.wait" -> call b ~callee:Runtime_abi.dma_wait o.operands
-  | other -> failwith (Printf.sprintf "lower-accel: unexpected accel op %s" other)
+    call b ~results:o.results ~attrs:(forwarded_attrs o) entry operands
+  | None -> (
+    match (o.name, o.operands) with
+    | "accel.sendDim", [ _src; offset ] ->
+      let word = Arith.constant_i32 b (Accel.send_dim_extent o) in
+      call b ~results:o.results Runtime_abi.Stage_literal [ word; offset ]
+    | "accel.recv", [ tile; offset ] ->
+      call b Runtime_abi.Flush_send [];
+      let len = Arith.constant_i32 b (Ty.num_elements (Ty.memref_of tile.Ir.vty)) in
+      call b Runtime_abi.Start_recv [ len ];
+      call b Runtime_abi.Wait_recv [];
+      let accumulate = Accel.recv_mode_of o = Accel.Accumulate in
+      call b ~results:o.results
+        (Runtime_abi.Copy_from { accumulate; spec = false })
+        [ tile; offset ]
+    | ("accel.sendDim" | "accel.recv"), _ ->
+      failwith (Printf.sprintf "lower-accel: malformed %s" o.name)
+    | other, _ -> failwith (Printf.sprintf "lower-accel: unexpected accel op %s" other)));
+  if Accel.is_flush o then call b Runtime_abi.Flush_send []
 
 let rec rewrite_op b (o : Ir.op) =
   if Accel.is_accel o then expand b o

@@ -12,22 +12,12 @@ let of_string ?(seed = 0) ?budget = function
   | other ->
     Error (Printf.sprintf "unknown strategy %S (valid strategies: grid, greedy)" other)
 
-(* splitmix64: the deterministic tie-break stream. Same algorithm as
-   the fuzzer's Fuzz_rng, inlined to keep the tuner's dependency
-   surface to the libraries it actually simulates with. *)
-let splitmix64 state =
-  let open Int64 in
-  let z = add state 0x9E3779B97F4A7C15L in
-  let z' = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z'' = mul (logxor z' (shift_right_logical z' 27)) 0x94D049BB133111EBL in
-  (logxor z'' (shift_right_logical z'' 31), z)
-
-(* A per-index perturbation in [0, 1): equal-predict candidates sort in
-   a seed-dependent but reproducible order. *)
+(* A per-index perturbation in [0, 1) drawn from a splitmix64 stream:
+   equal-predict candidates sort in a seed-dependent but reproducible
+   order. *)
 let jitter ~seed i =
-  let v, _ =
-    splitmix64 (Int64.add (Int64.of_int ((seed * 0x10001) + 1)) (Int64.of_int (i * 2)))
-  in
+  let state = Int64.add (Int64.of_int ((seed * 0x10001) + 1)) (Int64.of_int (i * 2)) in
+  let v = Util.splitmix64_mix (Int64.add state Util.splitmix64_gamma) in
   Int64.to_float (Int64.shift_right_logical v 11) /. 9007199254740992.0
 
 let run strategy ~n ~predict ~neighbors ~eval =

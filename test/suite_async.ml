@@ -181,8 +181,8 @@ let test_double_buffer_pipelines_and_wins () =
         o.Ir.name = "func.call" && Ir.attr o "callee" = Some (Attribute.Str name))
       ir
   in
-  "start_send calls present" => (calls Runtime_abi.dma_start_send_async > 0);
-  "wait calls present" => (calls Runtime_abi.dma_wait > 0);
+  "start_send calls present" => (calls Runtime_abi.(name Start_send_async) > 0);
+  "wait calls present" => (calls Runtime_abi.(name Wait) > 0);
   (* byte-identical outputs *)
   "identical outputs" => (out_b = out_d);
   (* identical DMA traffic *)

@@ -99,7 +99,7 @@ let test_double_buffer_attribute_in_ir () =
     Ir.find_ops
       (fun o ->
         o.Ir.name = "func.call"
-        && Ir.attr o "callee" = Some (Attribute.Str Runtime_abi.dma_init))
+        && Ir.attr o "callee" = Some (Attribute.Str (Runtime_abi.name Dma_init)))
       ir
   in
   match init_calls with

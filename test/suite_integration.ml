@@ -31,7 +31,7 @@ let test_two_kernels_one_init () =
         o.Ir.name = "func.call" && Ir.attr o "callee" = Some (Attribute.Str name))
       compiled
   in
-  Alcotest.(check int) "one dma_init" 1 (calls Runtime_abi.dma_init);
+  Alcotest.(check int) "one dma_init" 1 (calls Runtime_abi.(name Dma_init));
   (* run it: both outputs must be correct *)
   let alloc label rows cols =
     let buf = Sim_memory.alloc bench.Axi4mlir.soc.Soc.memory ~label (rows * cols) in

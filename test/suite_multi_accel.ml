@@ -55,7 +55,7 @@ let test_two_accelerators () =
     (Ir.count_ops
        (fun o ->
          o.Ir.name = "func.call"
-         && Ir.attr o "callee" = Some (Attribute.Str Runtime_abi.dma_init))
+         && Ir.attr o "callee" = Some (Attribute.Str (Runtime_abi.name Dma_init)))
        compiled);
   Alcotest.(check int) "no linalg left" 0 (Ir.count_ops Linalg.is_generic compiled);
   (* allocate operands and run *)

@@ -152,6 +152,61 @@ let prop_copy_strategies_agree =
       in
       run Dma_library.Generic = run Dma_library.Specialized)
 
+(* The runtime ABI's callee symbols are what generated IR, goldens and
+   the printed examples name: pin them literally. *)
+let test_abi_names_pinned () =
+  Alcotest.(check (list string))
+    "callee symbols"
+    [
+      "dma_init";
+      "dma_free";
+      "stage_literal";
+      "copy_to_dma_region";
+      "dma_flush_send";
+      "dma_start_recv";
+      "dma_wait_recv";
+      "dma_start_send_async";
+      "dma_start_recv_async";
+      "dma_start_recv_async_spec";
+      "dma_wait";
+      "copy_from_dma_region";
+      "copy_from_dma_region_accumulate";
+      "copy_to_dma_region_spec";
+      "copy_from_dma_region_spec";
+      "copy_from_dma_region_accumulate_spec";
+    ]
+    (List.map Runtime_abi.name Runtime_abi.all)
+
+let test_abi_of_name_inverts_name () =
+  List.iter
+    (fun e ->
+      Alcotest.(check bool)
+        (Runtime_abi.name e ^ " round-trips") true
+        (Runtime_abi.of_name (Runtime_abi.name e) = Some e))
+    Runtime_abi.all;
+  let names = List.map Runtime_abi.name Runtime_abi.all in
+  Alcotest.(check int) "names distinct" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  List.iter
+    (fun s -> Alcotest.(check bool) (s ^ " unknown") true (Runtime_abi.of_name s = None))
+    [ ""; "matmul"; "dma_init_spec"; "copy_to_dma_region_accumulate"; "DMA_INIT" ]
+
+let test_abi_specialize_twins () =
+  let pairs =
+    List.filter_map
+      (fun e -> Option.map (fun s -> Runtime_abi.(name e, name s)) (Runtime_abi.specialize e))
+      Runtime_abi.all
+  in
+  Alcotest.(check (list (pair string string)))
+    "exactly the generic copies and the async recv"
+    [
+      ("copy_to_dma_region", "copy_to_dma_region_spec");
+      ("dma_start_recv_async", "dma_start_recv_async_spec");
+      ("copy_from_dma_region", "copy_from_dma_region_spec");
+      ("copy_from_dma_region_accumulate", "copy_from_dma_region_accumulate_spec");
+    ]
+    pairs
+
 let tests =
   [
     Alcotest.test_case "view basics" `Quick test_view_basics;
@@ -165,4 +220,7 @@ let tests =
     Alcotest.test_case "runs of one do not benefit" `Quick test_run_of_one_degrades;
     Alcotest.test_case "recv accumulate/store" `Quick test_recv_accumulate;
     QCheck_alcotest.to_alcotest prop_copy_strategies_agree;
+    Alcotest.test_case "abi: callee symbols pinned" `Quick test_abi_names_pinned;
+    Alcotest.test_case "abi: of_name inverts name" `Quick test_abi_of_name_inverts_name;
+    Alcotest.test_case "abi: specialize twins" `Quick test_abi_specialize_twins;
   ]

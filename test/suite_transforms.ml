@@ -383,9 +383,10 @@ let test_runtime_lowering_callees () =
          (Ir.find_ops (fun _ -> true) m))
   in
   let plain = callees modul in
-  Alcotest.(check bool) "generic copies" true (List.mem Runtime_abi.copy_to_dma_region plain);
+  Alcotest.(check bool) "generic copies" true
+    (List.mem Runtime_abi.(name (Copy_to { spec = false })) plain);
   Alcotest.(check bool) "no specialised copies" false
-    (List.mem Runtime_abi.copy_to_dma_region_spec plain);
+    (List.mem Runtime_abi.(name (Copy_to { spec = true })) plain);
   let with_spec =
     Axi4mlir.compile_matmul bench
       ~options:{ Axi4mlir.default_codegen with cpu_tiling = false }
@@ -393,9 +394,9 @@ let test_runtime_lowering_callees () =
   in
   let spec = callees with_spec in
   Alcotest.(check bool) "specialised copies present" true
-    (List.mem Runtime_abi.copy_to_dma_region_spec spec);
+    (List.mem Runtime_abi.(name (Copy_to { spec = true })) spec);
   Alcotest.(check bool) "unit-stride tiles all specialised" false
-    (List.mem Runtime_abi.copy_to_dma_region spec)
+    (List.mem Runtime_abi.(name (Copy_to { spec = false })) spec)
 
 let test_cpu_tiling_adds_loops () =
   let accel = Presets.matmul ~version:Accel_matmul.V3 ~size:16 ~flow:"Ns" () in
