@@ -34,6 +34,15 @@ let of_json_result json =
   let* cpu_name = Json.field_opt "name" Json.string path json in
   let* frequency_mhz = Json.field "frequency_mhz" Json.float path json in
   let* caches = Json.field "caches" (Json.list geometry_of_json) path json in
+  (* the cost model prices L1, L2 and DRAM only *)
+  let* () =
+    match caches with
+    | [ _ ] | [ _; _ ] -> Ok ()
+    | _ ->
+      Json.error (path ^ ".caches")
+        (Printf.sprintf "must list 1 or 2 levels (L1, then L2), found %d"
+           (List.length caches))
+  in
   Ok { cpu_name = Option.value cpu_name ~default:"cpu"; frequency_mhz; caches }
 
 let to_json t =

@@ -14,9 +14,10 @@ val pynq_z2 : t
 
 val of_json_result : Json.t -> (t, string) result
 (** Parse the ["cpu"] object. Malformed input, including a cache
-    geometry {!Cache.check_geometry} rejects, yields [Error] with a
-    field-qualified message ("cpu.caches[0].assoc: must be
-    positive"). *)
+    geometry {!Cache.check_geometry} rejects or a [caches] list that is
+    not 1 or 2 levels long ({!Cost_model} prices L1, L2 and DRAM only),
+    yields [Error] with a field-qualified message ("cpu.caches[0].assoc:
+    must be positive"). *)
 
 val to_json : t -> Json.t
 

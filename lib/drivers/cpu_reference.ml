@@ -2,8 +2,11 @@
    Lower_linalg_to_loops output; test/test_cross_checks.ml pins this):
    - entering a loop evaluates its three bound constants: alu 3;
    - each iteration: Soc.loop_iteration;
-   - innermost body: one memref_scalar_access per operand element read,
-     fpu for the multiply-add, one descriptor store (access + set). *)
+   - innermost body: one charge_memref_access per operand element read,
+     fpu for the multiply-add, one descriptor store (access + set).
+   Element values are read from and written to [buf.Sim_memory.data]
+   here, after the charge: a float passed to or returned from another
+   module is boxed. *)
 
 let extent view d = List.nth view.Memref_view.shape d
 let stride view d = List.nth view.Memref_view.strides d
@@ -16,6 +19,7 @@ let matmul soc ~a ~b ~c =
   let b0 = stride b 0 and b1 = stride b 1 in
   let c0 = stride c 0 and c1 = stride c 1 in
   let abuf = a.Memref_view.buf and bbuf = b.Memref_view.buf and cbuf = c.Memref_view.buf in
+  let ad = abuf.Sim_memory.data and bd = bbuf.Sim_memory.data and cd = cbuf.Sim_memory.data in
   let aoff = a.Memref_view.offset
   and boff = b.Memref_view.offset
   and coff = c.Memref_view.offset in
@@ -28,13 +32,14 @@ let matmul soc ~a ~b ~c =
       Soc.alu soc 3;
       for l = 0 to k - 1 do
         Soc.loop_iteration soc;
-        let av = Soc.memref_scalar_access soc abuf (aoff + (i * a0) + (l * a1)) in
-        let bv = Soc.memref_scalar_access soc bbuf (boff + (l * b0) + (j * b1)) in
+        let ai = aoff + (i * a0) + (l * a1) and bi = boff + (l * b0) + (j * b1) in
         let ci = coff + (i * c0) + (j * c1) in
-        let cv = Soc.memref_scalar_access soc cbuf ci in
+        Soc.charge_memref_access soc abuf ai;
+        Soc.charge_memref_access soc bbuf bi;
+        Soc.charge_memref_access soc cbuf ci;
         Soc.fpu soc 2;
-        ignore (Soc.memref_scalar_access soc cbuf ci);
-        Sim_memory.set cbuf ci (cv +. (av *. bv))
+        Soc.charge_memref_access soc cbuf ci;
+        cd.(ci) <- cd.(ci) +. (ad.(ai) *. bd.(bi))
       done
     done
   done
@@ -81,6 +86,7 @@ let matmul_optimized_exact soc ~a ~b ~c =
   let b0 = stride b 0 and b1 = stride b 1 in
   let c0 = stride c 0 and c1 = stride c 1 in
   let abuf = a.Memref_view.buf and bbuf = b.Memref_view.buf and cbuf = c.Memref_view.buf in
+  let ad = abuf.Sim_memory.data and bd = bbuf.Sim_memory.data and cd = cbuf.Sim_memory.data in
   let aoff = a.Memref_view.offset
   and boff = b.Memref_view.offset
   and coff = c.Memref_view.offset in
@@ -94,20 +100,20 @@ let matmul_optimized_exact soc ~a ~b ~c =
       let acc = ref 0.0 in
       for l = 0 to k - 1 do
         (* unrolled by 4: loop overhead and the A access amortise *)
+        let ai = aoff + (i * a0) + (l * a1) and bi = boff + (l * b0) + (j * b1) in
         if l land 3 = 0 then begin
           Soc.loop_iteration soc;
-          ignore (Soc.cached_read soc abuf (aoff + (i * a0) + (l * a1)))
+          Soc.charge_access soc (Sim_memory.addr_of abuf ai)
         end;
-        let av = Sim_memory.get abuf (aoff + (i * a0) + (l * a1)) in
-        let bv = Soc.cached_read soc bbuf (boff + (l * b0) + (j * b1)) in
+        Soc.charge_access soc (Sim_memory.addr_of bbuf bi);
         (* dependent VFP fmac: ~4 cycles *)
         Soc.fpu soc 2;
-        acc := !acc +. (av *. bv)
+        acc := !acc +. (ad.(ai) *. bd.(bi))
       done;
       let ci = coff + (i * c0) + (j * c1) in
-      let cv = Soc.cached_read soc cbuf ci in
-      ignore (Soc.cached_read soc cbuf ci);
-      Sim_memory.set cbuf ci (cv +. !acc)
+      Soc.charge_access soc (Sim_memory.addr_of cbuf ci);
+      Soc.charge_access soc (Sim_memory.addr_of cbuf ci);
+      cd.(ci) <- cd.(ci) +. !acc
     done
   done
 
@@ -123,11 +129,20 @@ let conv2d ?(stride = 1) soc ~input ~filter ~output =
   let oh = extent output 2 and ow = extent output 3 in
   if extent filter 1 <> ic || extent output 0 <> n || extent output 1 <> oc then
     invalid_arg "Cpu_reference.conv2d: shape mismatch";
-  let idx view coords =
-    List.fold_left2
-      (fun acc i s -> acc + (i * s))
-      view.Memref_view.offset coords view.Memref_view.strides
+  let strides4 view =
+    match view.Memref_view.strides with
+    | [ s0; s1; s2; s3 ] -> (view.Memref_view.offset, s0, s1, s2, s3)
+    | _ -> invalid_arg "Cpu_reference.conv2d: operands must be rank 4"
   in
+  let ioff, i0, i1, i2, i3 = strides4 input in
+  let foff, f0, f1, f2, f3 = strides4 filter in
+  let ooff, o0, o1, o2, o3 = strides4 output in
+  let ibuf = input.Memref_view.buf
+  and fbuf = filter.Memref_view.buf
+  and obuf = output.Memref_view.buf in
+  let id = ibuf.Sim_memory.data
+  and fd = fbuf.Sim_memory.data
+  and od = obuf.Sim_memory.data in
   Soc.alu soc 3;
   for bb = 0 to n - 1 do
     Soc.loop_iteration soc;
@@ -141,6 +156,7 @@ let conv2d ?(stride = 1) soc ~input ~filter ~output =
         for x = 0 to ow - 1 do
           Soc.loop_iteration soc;
           Soc.alu soc 3;
+          let oi = ooff + (bb * o0) + (f * o1) + (y * o2) + (x * o3) in
           for cc = 0 to ic - 1 do
             Soc.loop_iteration soc;
             Soc.alu soc 3;
@@ -153,19 +169,17 @@ let conv2d ?(stride = 1) soc ~input ~filter ~output =
                 ignore iw;
                 (* the lowered IR computes oh+fh and ow+fw with addi *)
                 Soc.alu soc 2;
-                let iv =
-                  Soc.memref_scalar_access soc input.Memref_view.buf
-                    (idx input [ bb; cc; (stride * y) + dy; (stride * x) + dx ])
+                let ii =
+                  ioff + (bb * i0) + (cc * i1) + (((stride * y) + dy) * i2)
+                  + (((stride * x) + dx) * i3)
                 in
-                let wv =
-                  Soc.memref_scalar_access soc filter.Memref_view.buf
-                    (idx filter [ f; cc; dy; dx ])
-                in
-                let oi = idx output [ bb; f; y; x ] in
-                let ov = Soc.memref_scalar_access soc output.Memref_view.buf oi in
+                let fi = foff + (f * f0) + (cc * f1) + (dy * f2) + (dx * f3) in
+                Soc.charge_memref_access soc ibuf ii;
+                Soc.charge_memref_access soc fbuf fi;
+                Soc.charge_memref_access soc obuf oi;
                 Soc.fpu soc 2;
-                ignore (Soc.memref_scalar_access soc output.Memref_view.buf oi);
-                Sim_memory.set output.Memref_view.buf oi (ov +. (iv *. wv))
+                Soc.charge_memref_access soc obuf oi;
+                od.(oi) <- od.(oi) +. (id.(ii) *. fd.(fi))
               done
             done
           done

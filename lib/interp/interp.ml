@@ -207,15 +207,15 @@ let rec exec_op t frame (o : Ir.op) =
     let view = as_view frame (List.hd o.operands) in
     let indices = List.map (as_int frame) (List.tl o.operands) in
     let li = Memref_view.linear_index view indices in
-    let v = Soc.memref_scalar_access t.soc view.Memref_view.buf li in
-    bind frame (Ir.result o) (F v)
+    Soc.charge_memref_access t.soc view.Memref_view.buf li;
+    bind frame (Ir.result o) (F view.Memref_view.buf.Sim_memory.data.(li))
   | "memref.store" -> (
     match o.operands with
     | value :: dst :: indices ->
       let view = as_view frame dst in
       let li = Memref_view.linear_index view (List.map (as_int frame) indices) in
-      ignore (Soc.memref_scalar_access t.soc view.Memref_view.buf li);
-      Sim_memory.set view.Memref_view.buf li (as_float frame value)
+      Soc.charge_memref_access t.soc view.Memref_view.buf li;
+      view.Memref_view.buf.Sim_memory.data.(li) <- as_float frame value
     | _ -> error "malformed memref.store")
   | "scf.for" -> (
     match o.operands with

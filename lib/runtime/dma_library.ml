@@ -44,12 +44,17 @@ let engine t = t.engine
 let stage_literal t literal ~offset =
   Soc.alu t.soc 1;
   Soc.uncached_store_words t.soc 1;
-  Dma_engine.stage t.engine ~offset (Axi_word.Inst literal);
+  Dma_engine.stage_inst t.engine ~offset literal;
   offset + 1
 
 (* ------------------------------------------------------------------ *)
 (* Host-side copies                                                    *)
 (* ------------------------------------------------------------------ *)
+
+(* Every copy charges through int-only Soc calls and moves elements
+   between [buf.Sim_memory.data] and the DMA region itself, so no float
+   crosses a module boundary (where it would be boxed). The charge
+   sequence is the one the element-wise model defines. *)
 
 (* Generic rank-N element-wise copy: mirrors the recursive MemRef copy
    the paper describes (Sec. IV-B) — per element it reloads size/stride
@@ -58,15 +63,16 @@ let stage_literal t literal ~offset =
 let generic_copy_out t view ~offset =
   let soc = t.soc in
   let cost = soc.Soc.cost in
+  let buf = view.Memref_view.buf in
   Soc.call_overhead soc;
   let off = ref offset in
   Memref_view.iter_linear view (fun li ->
       Soc.charge_l1_hits soc (int_of_float cost.Cost_model.memref_metadata_accesses);
       Soc.alu soc (int_of_float cost.Cost_model.elementwise_element_overhead_cycles);
       Soc.branch soc 1;
-      let v = Soc.cached_read soc view.Memref_view.buf li in
+      Soc.charge_access soc (Sim_memory.addr_of buf li);
       Soc.uncached_store_words soc 1;
-      Dma_engine.stage t.engine ~offset:!off (Axi_word.Data v);
+      Dma_engine.stage_elt t.engine ~offset:!off buf.Sim_memory.data li;
       incr off);
   !off
 
@@ -75,62 +81,66 @@ let generic_copy_out t view ~offset =
 let specialized_copy_out t view ~offset =
   let soc = t.soc in
   let cost = soc.Soc.cost in
-  let run = Memref_view.contiguous_run view in
+  let buf = view.Memref_view.buf in
   let chunk_elems = cost.Cost_model.vector_chunk_bytes / 4 in
   Soc.call_overhead soc;
   let off = ref offset in
-  let run_pos = ref 0 in
-  Memref_view.iter_linear view (fun li ->
-      if !run_pos = 0 then begin
-        (* Start of a run: one memcpy call covering [run] elements. *)
-        soc.Soc.counters.cycles <-
-          soc.Soc.counters.cycles +. cost.Cost_model.memcpy_row_setup_cycles;
-        soc.Soc.counters.instructions <- soc.Soc.counters.instructions +. 6.0;
-        Soc.branch soc 1;
-        Soc.vector_read_range soc view.Memref_view.buf li run;
-        Soc.branch soc (Util.ceil_div run (chunk_elems * 4));
-        Soc.uncached_store_words soc run
-      end;
-      let v = Sim_memory.get view.Memref_view.buf li in
-      Dma_engine.stage t.engine ~offset:!off (Axi_word.Data v);
-      incr off;
-      run_pos := (!run_pos + 1) mod run);
+  Memref_view.iter_runs view (fun li run ->
+      (* one memcpy call covering the run *)
+      soc.Soc.counters.cycles <-
+        soc.Soc.counters.cycles +. cost.Cost_model.memcpy_row_setup_cycles;
+      soc.Soc.counters.instructions <- soc.Soc.counters.instructions +. 6.0;
+      Soc.branch soc 1;
+      Soc.vector_read_range soc buf li run;
+      Soc.branch soc (Util.ceil_div run (chunk_elems * 4));
+      Soc.uncached_store_words soc run;
+      Dma_engine.stage_run t.engine ~offset:!off buf.Sim_memory.data li run;
+      off := !off + run);
   !off
 
 (* Bare strided loop over a C array: pointer bump + load + store, one
    branch per element; no descriptor traffic, no memcpy call setup. *)
 let bare_copy_out t view ~offset =
   let soc = t.soc in
+  let buf = view.Memref_view.buf in
   Soc.call_overhead soc;
   let off = ref offset in
   Memref_view.iter_linear view (fun li ->
       Soc.alu soc 2;
       Soc.branch soc 1;
-      let v = Soc.cached_read soc view.Memref_view.buf li in
+      Soc.charge_access soc (Sim_memory.addr_of buf li);
       Soc.uncached_store_words soc 1;
-      Dma_engine.stage t.engine ~offset:!off (Axi_word.Data v);
+      Dma_engine.stage_elt t.engine ~offset:!off buf.Sim_memory.data li;
       incr off);
   !off
 
+(* One received element into the view: a cached store, or a cached
+   load, an add and a cached store when accumulating. *)
+let store_received soc buf li ~accumulate data i =
+  let addr = Sim_memory.addr_of buf li in
+  let d = buf.Sim_memory.data in
+  Soc.charge_access soc addr;
+  if accumulate then begin
+    Soc.fpu soc 1;
+    Soc.charge_access soc addr;
+    d.(li) <- d.(li) +. data.(i)
+  end
+  else d.(li) <- data.(i)
+
 let bare_copy_in t view ~accumulate data =
   let soc = t.soc in
+  let buf = view.Memref_view.buf in
   Soc.call_overhead soc;
   let i = ref 0 in
   Memref_view.iter_linear view (fun li ->
       Soc.alu soc 2;
       Soc.branch soc 1;
       Soc.uncached_load_words soc 1;
-      let v = data.(!i) in
-      if accumulate then begin
-        let old = Soc.cached_read soc view.Memref_view.buf li in
-        Soc.fpu soc 1;
-        Soc.cached_write soc view.Memref_view.buf li (old +. v)
-      end
-      else Soc.cached_write soc view.Memref_view.buf li v;
+      store_received soc buf li ~accumulate data !i;
       incr i)
 
-let can_specialize view =
-  match List.rev view.Memref_view.strides with last :: _ -> last = 1 | [] -> true
+let rec innermost_unit = function [] -> true | [ s ] -> s = 1 | _ :: rest -> innermost_unit rest
+let can_specialize view = innermost_unit view.Memref_view.strides
 
 let copy_to_dma_region_with t strategy view ~offset =
   Trace.with_span t.soc.Soc.tracer ~cat:"copy_to_accel"
@@ -175,6 +185,7 @@ let skip_resident t ~words ~what =
 let generic_copy_in t view ~accumulate data =
   let soc = t.soc in
   let cost = soc.Soc.cost in
+  let buf = view.Memref_view.buf in
   Soc.call_overhead soc;
   let i = ref 0 in
   Memref_view.iter_linear view (fun li ->
@@ -182,46 +193,39 @@ let generic_copy_in t view ~accumulate data =
       Soc.alu soc (int_of_float cost.Cost_model.elementwise_element_overhead_cycles);
       Soc.branch soc 1;
       Soc.uncached_load_words soc 1;
-      let v = data.(!i) in
-      if accumulate then begin
-        let old = Soc.cached_read soc view.Memref_view.buf li in
-        Soc.fpu soc 1;
-        Soc.cached_write soc view.Memref_view.buf li (old +. v)
-      end
-      else Soc.cached_write soc view.Memref_view.buf li v;
+      store_received soc buf li ~accumulate data !i;
       incr i)
 
 let specialized_copy_in t view ~accumulate data =
   let soc = t.soc in
   let cost = soc.Soc.cost in
-  let run = Memref_view.contiguous_run view in
+  let buf = view.Memref_view.buf in
+  let d = buf.Sim_memory.data in
   let chunk_elems = cost.Cost_model.vector_chunk_bytes / 4 in
   Soc.call_overhead soc;
   let i = ref 0 in
-  let run_pos = ref 0 in
-  Memref_view.iter_linear view (fun li ->
-      if !run_pos = 0 then begin
+  Memref_view.iter_runs view (fun li run ->
+      soc.Soc.counters.cycles <-
+        soc.Soc.counters.cycles +. cost.Cost_model.memcpy_row_setup_cycles;
+      soc.Soc.counters.instructions <- soc.Soc.counters.instructions +. 6.0;
+      Soc.branch soc 1;
+      Soc.uncached_load_words soc run;
+      if accumulate then begin
+        Soc.vector_read_range soc buf li run;
+        (* vectorised adds: 4 lanes per FPU op *)
+        let vadds = Util.ceil_div run chunk_elems in
         soc.Soc.counters.cycles <-
-          soc.Soc.counters.cycles +. cost.Cost_model.memcpy_row_setup_cycles;
-        soc.Soc.counters.instructions <- soc.Soc.counters.instructions +. 6.0;
-        Soc.branch soc 1;
-        Soc.uncached_load_words soc run;
-        if accumulate then begin
-          Soc.vector_read_range soc view.Memref_view.buf li run;
-          (* vectorised adds: 4 lanes per FPU op *)
-          let vadds = Util.ceil_div run chunk_elems in
-          soc.Soc.counters.cycles <-
-            soc.Soc.counters.cycles +. float_of_int vadds *. cost.Cost_model.fpu_cycles;
-          soc.Soc.counters.flops <- soc.Soc.counters.flops +. float_of_int run
-        end;
-        Soc.vector_write_range soc view.Memref_view.buf li run;
-        Soc.branch soc (Util.ceil_div run (chunk_elems * 4))
+          soc.Soc.counters.cycles +. float_of_int vadds *. cost.Cost_model.fpu_cycles;
+        soc.Soc.counters.flops <- soc.Soc.counters.flops +. float_of_int run
       end;
-      let v = data.(!i) in
-      let v = if accumulate then Sim_memory.get view.Memref_view.buf li +. v else v in
-      Sim_memory.set view.Memref_view.buf li v;
-      incr i;
-      run_pos := (!run_pos + 1) mod run)
+      Soc.vector_write_range soc buf li run;
+      Soc.branch soc (Util.ceil_div run (chunk_elems * 4));
+      if accumulate then
+        for j = 0 to run - 1 do
+          d.(li + j) <- d.(li + j) +. data.(!i + j)
+        done
+      else Array.blit data !i d li run;
+      i := !i + run)
 
 let copy_from_data_with t strategy view ~accumulate data =
   Trace.with_span t.soc.Soc.tracer ~cat:"copy_from_accel"

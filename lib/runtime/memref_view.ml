@@ -59,37 +59,38 @@ let linear_index t idxs =
 let get t idxs = Sim_memory.get t.buf (linear_index t idxs)
 let set t idxs v = Sim_memory.set t.buf (linear_index t idxs) v
 
-let iter_linear t f =
-  let shape = Array.of_list t.shape in
-  let strides = Array.of_list t.strides in
-  let r = Array.length shape in
-  if r = 0 then f t.offset
-  else begin
-    let rec go dim base =
-      if dim = r - 1 then
-        for i = 0 to shape.(dim) - 1 do
-          f (base + (i * strides.(dim)))
-        done
-      else
-        for i = 0 to shape.(dim) - 1 do
-          go (dim + 1) (base + (i * strides.(dim)))
-        done
-    in
-    if num_elements t > 0 then go 0 t.offset
-  end
-
-let contiguous_run t =
-  let shape = Array.of_list t.shape in
-  let strides = Array.of_list t.strides in
+(* The view splits into leading dims and trailing "run" dims whose
+   elements are physically adjacent: [run_split] returns the first run
+   dim and the run length. An innermost stride other than 1 leaves no
+   run dims, so every element is a run of 1. *)
+let run_split shape strides =
   let r = Array.length shape in
   let rec go dim run =
-    if dim < 0 then run
-    else if strides.(dim) = run then go (dim - 1) (run * shape.(dim))
-    else run
+    if dim >= 0 && strides.(dim) = run then go (dim - 1) (run * shape.(dim))
+    else (dim + 1, run)
   in
-  if r = 0 then 1
-  else if strides.(r - 1) <> 1 then 1
-  else go (r - 1) 1
+  if r = 0 || strides.(r - 1) <> 1 then (r, 1) else go (r - 1) 1
+
+let iter_runs t f =
+  let shape = Array.of_list t.shape in
+  let strides = Array.of_list t.strides in
+  let first_run_dim, run = run_split shape strides in
+  let rec go dim base =
+    if dim = first_run_dim then f base run
+    else
+      for i = 0 to shape.(dim) - 1 do
+        go (dim + 1) (base + (i * strides.(dim)))
+      done
+  in
+  if num_elements t > 0 then go 0 t.offset
+
+let iter_linear t f =
+  iter_runs t (fun base run ->
+      for i = base to base + run - 1 do
+        f i
+      done)
+
+let contiguous_run t = snd (run_split (Array.of_list t.shape) (Array.of_list t.strides))
 
 let to_array t =
   let out = Array.make (num_elements t) 0.0 in

@@ -32,6 +32,13 @@ val iter_linear : t -> (int -> unit) -> unit
 (** Visit the buffer element index of every view element in row-major
     logical order. *)
 
+val iter_runs : t -> (int -> int -> unit) -> unit
+(** [iter_runs t f] calls [f start len] for each maximal contiguous run
+    (see {!contiguous_run}) in row-major logical order: the run's
+    elements are buffer indices [start .. start+len-1]. Every run has
+    length [contiguous_run t]; {!iter_linear} visits the same indices
+    one by one. *)
+
 val contiguous_run : t -> int
 (** Length of the maximal contiguous run of elements at the end of the
     dimension list: the number of logical elements that are physically

@@ -14,8 +14,8 @@ type state = {
   mutable act_c : int;
   mutable act_h : int;
   mutable act_w : int;
-  pending : float Queue.t;  (** computed but not yet released *)
-  out : float Queue.t;
+  pending : Accel_device.Fifo.t;  (** computed but not yet released *)
+  out : Accel_device.Fifo.t;
 }
 
 let slice_len st = st.ic * st.fhw * st.fhw
@@ -29,8 +29,8 @@ let reset st =
   st.act_c <- 0;
   st.act_h <- 0;
   st.act_w <- 0;
-  Queue.clear st.pending;
-  Queue.clear st.out
+  Accel_device.Fifo.clear st.pending;
+  Accel_device.Fifo.clear st.out
 
 let create ?(ops_per_cycle = default_ops_per_cycle) ?(tracer = Trace.noop)
     ?(capacity_elems = buffer_capacity_elems) ?(act_capacity = act_capacity_elems) () =
@@ -45,8 +45,8 @@ let create ?(ops_per_cycle = default_ops_per_cycle) ?(tracer = Trace.noop)
       act_c = 0;
       act_h = 0;
       act_w = 0;
-      pending = Queue.create ();
-      out = Queue.create ();
+      pending = Accel_device.Fifo.create ();
+      out = Accel_device.Fifo.create ();
     }
   in
   let check_config () =
@@ -79,7 +79,7 @@ let create ?(ops_per_cycle = default_ops_per_cycle) ?(tracer = Trace.noop)
     for i = 0 to n - 1 do
       acc := !acc +. (st.w.(i) *. st.patch.(i))
     done;
-    Queue.push !acc st.pending;
+    Accel_device.Fifo.push st.pending !acc;
     let c = 2.0 *. float_of_int n /. ops_per_cycle in
     Trace.instant tracer ~cat:"accel" ~track:Trace.accel_track
       ~args:
@@ -92,28 +92,21 @@ let create ?(ops_per_cycle = default_ops_per_cycle) ?(tracer = Trace.noop)
       "cv_patch";
     c
   in
-  let consume words =
+  let who = "conv accelerator" in
+  let consume win =
     let cycles = ref 0.0 in
-    let pos = ref 0 in
-    let next () =
-      if !pos >= Array.length words then failwith "conv accelerator: truncated transaction";
-      let w = words.(!pos) in
-      incr pos;
-      w
-    in
+    let next_inst () = Axi_word.next_inst ~who win in
     let read_payload dst n =
       check_config ();
-      for i = 0 to n - 1 do
-        dst.(i) <- Axi_word.expect_data (next ())
-      done
+      Axi_word.read_data ~who win dst n
     in
-    while !pos < Array.length words do
-      let code = Axi_word.expect_inst (next ()) in
+    while not (Axi_word.at_end win) do
+      let code = next_inst () in
       if code = Isa.reset then reset_all ()
-      else if code = Isa.cv_set_fhw then st.fhw <- Axi_word.expect_inst (next ())
-      else if code = Isa.cv_set_ic then st.ic <- Axi_word.expect_inst (next ())
+      else if code = Isa.cv_set_fhw then st.fhw <- next_inst ()
+      else if code = Isa.cv_set_ic then st.ic <- next_inst ()
       else if code = Isa.cv_set_stride then begin
-        let s = Axi_word.expect_inst (next ()) in
+        let s = next_inst () in
         if s <= 0 then failwith "conv accelerator: stride must be positive";
         st.stride <- s
       end
@@ -125,8 +118,8 @@ let create ?(ops_per_cycle = default_ops_per_cycle) ?(tracer = Trace.noop)
       end
       else if code = Isa.cv_patch_resident then begin
         check_config ();
-        let y = Axi_word.expect_inst (next ()) in
-        let x = Axi_word.expect_inst (next ()) in
+        let y = next_inst () in
+        let x = next_inst () in
         if st.act_c = 0 then
           failwith "conv accelerator: cv_patch_resident with no resident image";
         if st.act_c <> st.ic then
@@ -152,11 +145,11 @@ let create ?(ops_per_cycle = default_ops_per_cycle) ?(tracer = Trace.noop)
         done;
         cycles := !cycles +. compute_patch ~src:"resident"
       end
-      else if code = Isa.cv_drain then Queue.transfer st.pending st.out
+      else if code = Isa.cv_drain then Accel_device.Fifo.transfer st.pending st.out
       else if code = Isa.cv_accept then begin
-        let c = Axi_word.expect_inst (next ()) in
-        let h = Axi_word.expect_inst (next ()) in
-        let w = Axi_word.expect_inst (next ()) in
+        let c = next_inst () in
+        let h = next_inst () in
+        let w = next_inst () in
         let n = c * h * w in
         if c <= 0 || h <= 0 || w <= 0 then
           failwith "conv accelerator: cv_accept dimensions must be positive";
@@ -165,15 +158,13 @@ let create ?(ops_per_cycle = default_ops_per_cycle) ?(tracer = Trace.noop)
             (Printf.sprintf
                "conv accelerator: image %dx%dx%d exceeds activation capacity %d" c h w
                act_capacity);
-        if Queue.length st.pending <> n then
+        if Accel_device.Fifo.length st.pending <> n then
           failwith
             (Printf.sprintf
                "conv accelerator: cv_accept expects exactly %d pending elements, %d \
                 queued"
-               n (Queue.length st.pending));
-        for i = 0 to n - 1 do
-          st.act.(i) <- Queue.pop st.pending
-        done;
+               n (Accel_device.Fifo.length st.pending));
+        Accel_device.Fifo.pop_into st.pending st.act 0 n;
         st.act_c <- c;
         st.act_h <- h;
         st.act_w <- w;
@@ -185,17 +176,17 @@ let create ?(ops_per_cycle = default_ops_per_cycle) ?(tracer = Trace.noop)
     !cycles
   in
   let drain n =
-    if Queue.length st.out < n then
+    if Accel_device.Fifo.length st.out < n then
       failwith
         (Printf.sprintf "conv accelerator: host requested %d output words, %d available" n
-           (Queue.length st.out));
-    Array.init n (fun _ -> Queue.pop st.out)
+           (Accel_device.Fifo.length st.out));
+    Accel_device.Fifo.pop_array st.out n
   in
   {
     Accel_device.device_name = "conv2d";
     consume;
     drain;
-    available = (fun () -> Queue.length st.out);
+    available = (fun () -> Accel_device.Fifo.length st.out);
     reset_device = reset_all;
     regions = [ w_region; act_region ];
   }

@@ -100,9 +100,63 @@ let region_replace r ~tag ~words =
     | Ok (off, _) -> Ok (off, evicted)
     | Error _ as e -> e)
 
+(* A sliding buffer: pops advance [head]; a push that would run off
+   the end first moves the live elements back to index 0, growing the
+   buffer only when they do not fit. *)
+module Fifo = struct
+  type t = { mutable buf : float array; mutable head : int; mutable len : int }
+
+  let create () = { buf = Array.make 256 0.0; head = 0; len = 0 }
+  let length f = f.len
+
+  let clear f =
+    f.head <- 0;
+    f.len <- 0
+
+  let reserve f n =
+    if f.head + f.len + n > Array.length f.buf then begin
+      let dst =
+        if f.len + n <= Array.length f.buf then f.buf
+        else Array.make (Int.max (2 * Array.length f.buf) (f.len + n)) 0.0
+      in
+      Array.blit f.buf f.head dst 0 f.len;
+      f.buf <- dst;
+      f.head <- 0
+    end
+
+  let push f v =
+    reserve f 1;
+    f.buf.(f.head + f.len) <- v;
+    f.len <- f.len + 1
+
+  let push_array f src pos n =
+    reserve f n;
+    Array.blit src pos f.buf (f.head + f.len) n;
+    f.len <- f.len + n
+
+  let advance f n =
+    f.len <- f.len - n;
+    f.head <- (if f.len = 0 then 0 else f.head + n)
+
+  let pop_into f dst pos n =
+    if n > f.len then invalid_arg "Accel_device.Fifo.pop_into: not enough elements";
+    Array.blit f.buf f.head dst pos n;
+    advance f n
+
+  let pop_array f n =
+    if n > f.len then invalid_arg "Accel_device.Fifo.pop_array: not enough elements";
+    let out = Array.sub f.buf f.head n in
+    advance f n;
+    out
+
+  let transfer src dst =
+    push_array dst src.buf src.head src.len;
+    clear src
+end
+
 type t = {
   device_name : string;
-  consume : Axi_word.t array -> float;
+  consume : Axi_word.window -> float;
   drain : int -> float array;
   available : unit -> int;
   reset_device : unit -> unit;

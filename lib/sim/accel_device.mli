@@ -2,6 +2,12 @@
     plus the buffer-residency model the whole-model graph scheduler
     plans against.
 
+    A device decodes each inbound transaction from an
+    {!Axi_word.window} over the engine's live input region, never a
+    copy, and must not keep the window past {!t.consume}. Its output
+    goes through an unboxed {!Fifo} that [drain] takes from with one
+    blit.
+
     {1 Residency regions}
 
     A {!region} is the host-visible contract of one on-chip buffer: a
@@ -65,16 +71,51 @@ val region_replace : region -> tag:string -> words:int -> (int * string list, st
 val region_invalidate : region -> tag:string -> unit
 val region_clear : region -> unit
 
+(** {1 Output FIFOs} *)
+
+(** An unboxed float FIFO: the devices' computed-but-unreleased and
+    output queues. Elements move in and out by blits; a push or pop
+    allocates nothing once the buffer has grown to the working size
+    (only {!pop_array}'s result is fresh). *)
+module Fifo : sig
+  type t
+
+  val create : unit -> t
+  val length : t -> int
+  val clear : t -> unit
+
+  val push : t -> float -> unit
+
+  val push_array : t -> float array -> int -> int -> unit
+  (** [push_array f src pos n] appends [src.(pos .. pos+n-1)]. *)
+
+  val pop_into : t -> float array -> int -> int -> unit
+  (** [pop_into f dst pos n] removes the [n] oldest elements into
+      [dst.(pos .. pos+n-1)]. Raises [Invalid_argument] when fewer are
+      queued. *)
+
+  val pop_array : t -> int -> float array
+  (** Remove the [n] oldest elements as a fresh array. Raises
+      [Invalid_argument] when fewer are queued. *)
+
+  val transfer : t -> t -> unit
+  (** [transfer src dst] appends all of [src] to [dst] and empties
+      [src]. *)
+end
+
 (** {1 The device interface} *)
 
 type t = {
   device_name : string;
-  consume : Axi_word.t array -> float;
+  consume : Axi_word.window -> float;
       (** Process one inbound transaction; returns accelerator cycles
           spent on any compute the transaction triggered. Raises
-          [Failure] on words the device's ISA cannot decode. *)
+          [Failure] on words the device's ISA cannot decode. The
+          window is over the DMA engine's live input region and is
+          valid only during this call: decode from it, never keep
+          it. *)
   drain : int -> float array;
-      (** Remove [n] elements from the output queue. Raises [Failure]
+      (** Remove [n] elements from the output FIFO. Raises [Failure]
           when fewer are available (host/driver protocol bug). *)
   available : unit -> int;  (** queued output elements *)
   reset_device : unit -> unit;

@@ -33,7 +33,7 @@ type state = {
   a : float array;
   b : float array;
   c : float array;
-  out : float Queue.t;
+  out : Accel_device.Fifo.t;
 }
 
 let fail_op st code =
@@ -63,7 +63,7 @@ let reset st =
   Array.fill st.a 0 (Array.length st.a) 0.0;
   Array.fill st.b 0 (Array.length st.b) 0.0;
   Array.fill st.c 0 (Array.length st.c) 0.0;
-  Queue.clear st.out
+  Accel_device.Fifo.clear st.out
 
 let note_compute tracer st cycles =
   Trace.instant tracer ~cat:"accel" ~track:Trace.accel_track
@@ -90,9 +90,7 @@ let compute st =
   2.0 *. float_of_int (st.tm * st.tn * st.tk) /. ops_per_cycle_for_size st.size
 
 let drain_c st =
-  for i = 0 to (st.tm * st.tn) - 1 do
-    Queue.push st.c.(i) st.out
-  done;
+  Accel_device.Fifo.push_array st.out st.c 0 (st.tm * st.tn);
   clear_c st
 
 let create ?(tracer = Trace.noop) ~version ~size () =
@@ -108,46 +106,35 @@ let create ?(tracer = Trace.noop) ~version ~size () =
       a = Array.make capacity 0.0;
       b = Array.make capacity 0.0;
       c = Array.make capacity 0.0;
-      out = Queue.create ();
+      out = Accel_device.Fifo.create ();
     }
   in
-  let consume words =
+  let who = Printf.sprintf "%s_%d accelerator" (version_to_string version) size in
+  let consume win =
     let cycles = ref 0.0 in
     let run_compute () =
       let c = compute st in
       note_compute tracer st c;
       cycles := !cycles +. c
     in
-    let pos = ref 0 in
-    let next () =
-      if !pos >= Array.length words then
-        failwith
-          (Printf.sprintf "%s_%d accelerator: truncated transaction"
-             (version_to_string version) size);
-      let w = words.(!pos) in
-      incr pos;
-      w
-    in
     let read_payload dst n =
       check_dims st;
-      for i = 0 to n - 1 do
-        dst.(i) <- Axi_word.expect_data (next ())
-      done
+      Axi_word.read_data ~who win dst n
     in
-    let read_dim () = Axi_word.expect_inst (next ()) in
-    while !pos < Array.length words do
-      let code = Axi_word.expect_inst (next ()) in
+    let next_inst () = Axi_word.next_inst ~who win in
+    while not (Axi_word.at_end win) do
+      let code = next_inst () in
       if code = Isa.reset then reset st
       else if code = Isa.mm_set_tm && version = V4 then begin
-        st.tm <- read_dim ();
+        st.tm <- next_inst ();
         check_dims st
       end
       else if code = Isa.mm_set_tn && version = V4 then begin
-        st.tn <- read_dim ();
+        st.tn <- next_inst ();
         check_dims st
       end
       else if code = Isa.mm_set_tk && version = V4 then begin
-        st.tk <- read_dim ();
+        st.tk <- next_inst ();
         check_dims st
       end
       else if code = Isa.mm_fused && version = V1 then begin
@@ -177,17 +164,17 @@ let create ?(tracer = Trace.noop) ~version ~size () =
     !cycles
   in
   let drain n =
-    if Queue.length st.out < n then
+    if Accel_device.Fifo.length st.out < n then
       failwith
         (Printf.sprintf "%s_%d accelerator: host requested %d output words, %d available"
-           (version_to_string version) size n (Queue.length st.out));
-    Array.init n (fun _ -> Queue.pop st.out)
+           (version_to_string version) size n (Accel_device.Fifo.length st.out));
+    Accel_device.Fifo.pop_array st.out n
   in
   {
     Accel_device.device_name = Printf.sprintf "%s_%d" (version_to_string version) size;
     consume;
     drain;
-    available = (fun () -> Queue.length st.out);
+    available = (fun () -> Accel_device.Fifo.length st.out);
     reset_device = (fun () -> reset st);
     (* every tile load overwrites the previous tile by construction, so
        there is no host-managed residency to model *)

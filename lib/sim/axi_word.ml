@@ -1,13 +1,65 @@
 type t = Inst of int | Data of float
 
-let to_string = function
-  | Inst i -> Printf.sprintf "inst:0x%X" i
-  | Data f -> Printf.sprintf "data:%g" f
+let data_tag = '\000'
+let inst_tag = '\001'
 
-let expect_inst = function
-  | Inst i -> i
-  | Data f -> failwith (Printf.sprintf "AXI stream desync: expected instruction, got data %g" f)
+type stream = { data : float array; tags : Bytes.t }
 
-let expect_data = function
-  | Data f -> f
-  | Inst i -> failwith (Printf.sprintf "AXI stream desync: expected data, got instruction 0x%X" i)
+let create_stream n = { data = Array.make n 0.0; tags = Bytes.make n inst_tag }
+let length s = Array.length s.data
+
+let set_inst s i n =
+  s.data.(i) <- float_of_int n;
+  Bytes.set s.tags i inst_tag
+
+let set_elt s i src j =
+  s.data.(i) <- src.(j);
+  Bytes.set s.tags i data_tag
+
+let blit_data s i src j n =
+  Array.blit src j s.data i n;
+  Bytes.fill s.tags i n data_tag
+
+let set s i = function
+  | Inst n -> set_inst s i n
+  | Data f ->
+    s.data.(i) <- f;
+    Bytes.set s.tags i data_tag
+
+type window = { stream : stream; mutable pos : int; stop : int }
+
+let window s ~pos ~len = { stream = s; pos; stop = pos + len }
+
+let of_words words =
+  let s = create_stream (Array.length words) in
+  Array.iteri (set s) words;
+  window s ~pos:0 ~len:(Array.length words)
+
+let at_end w = w.pos >= w.stop
+
+let truncated who = failwith (who ^ ": truncated transaction")
+
+let next_inst ~who w =
+  if w.pos >= w.stop then truncated who;
+  let v = w.stream.data.(w.pos) in
+  if Bytes.get w.stream.tags w.pos <> inst_tag then
+    failwith (Printf.sprintf "AXI stream desync: expected instruction, got data %g" v);
+  w.pos <- w.pos + 1;
+  int_of_float v
+
+(* Fails exactly where a word-by-word decode would have: on the first
+   instruction word inside the payload, else on running out of words.
+   The words before the failure are delivered first. *)
+let read_data ~who w dst n =
+  let avail = Int.min n (w.stop - w.pos) in
+  let ok = ref 0 in
+  while !ok < avail && Bytes.get w.stream.tags (w.pos + !ok) = data_tag do
+    incr ok
+  done;
+  Array.blit w.stream.data w.pos dst 0 !ok;
+  w.pos <- w.pos + !ok;
+  if !ok < avail then
+    failwith
+      (Printf.sprintf "AXI stream desync: expected data, got instruction 0x%X"
+         (int_of_float w.stream.data.(w.pos)));
+  if !ok < n then truncated who

@@ -11,7 +11,7 @@ type level = {
   mutable clock : int;
 }
 
-type t = { levels : level list }
+type t = { levels : level array }
 
 let max_size_bytes = 64 * 1024 * 1024
 
@@ -52,11 +52,9 @@ let make_level geom =
     clock = 0;
   }
 
-let create geoms = { levels = List.map make_level geoms }
+let create geoms = { levels = Array.of_list (List.map make_level geoms) }
 
-let geometries t = List.map (fun l -> l.geom) t.levels
-
-type access_result = { level_hit : int; lookups : int }
+let levels t = Array.length t.levels
 
 (* Probe one level: returns true on hit; installs the line and updates
    LRU either way. *)
@@ -85,29 +83,30 @@ let probe level addr =
     false
   end
 
+(* A loop, not a local recursive function: the closure would be
+   allocated on every access. *)
 let access t addr =
-  let rec go levels n =
-    match levels with
-    | [] -> { level_hit = n; lookups = n - 1 }
-    | level :: rest -> if probe level addr then { level_hit = n; lookups = n } else go rest (n + 1)
-  in
-  go t.levels 1
+  let levels = t.levels in
+  let i = ref 0 in
+  while !i < Array.length levels && not (probe levels.(!i) addr) do
+    incr i
+  done;
+  !i + 1
 
 let access_range t ~addr ~bytes ~touched =
   if bytes > 0 then begin
     let line_bytes =
-      match t.levels with [] -> 64 | level :: _ -> level.geom.line_bytes
+      if Array.length t.levels = 0 then 64 else t.levels.(0).geom.line_bytes
     in
     let first = addr / line_bytes in
     let last = (addr + bytes - 1) / line_bytes in
     for line = first to last do
-      let r = access t (line * line_bytes) in
-      touched r.level_hit
+      touched (access t (line * line_bytes))
     done
   end
 
 let flush t =
-  List.iter
+  Array.iter
     (fun level ->
       Array.fill level.tags 0 (Array.length level.tags) (-1);
       Array.fill level.ages 0 (Array.length level.ages) 0;
@@ -115,9 +114,9 @@ let flush t =
     t.levels
 
 let resident t ~level addr =
-  match List.nth_opt t.levels (level - 1) with
-  | None -> false
-  | Some l ->
+  if level < 1 || level > Array.length t.levels then false
+  else
+    let l = t.levels.(level - 1) in
     let line = addr / l.geom.line_bytes in
     let set = line mod l.n_sets in
     let tag = line / l.n_sets in

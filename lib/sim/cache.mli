@@ -31,15 +31,13 @@ val create : geometry list -> t
 (** Hierarchy ordered from L1 outward. The list may be empty (all
     accesses become DRAM accesses). *)
 
-val geometries : t -> geometry list
+val levels : t -> int
+(** Number of cache levels. *)
 
-type access_result = {
-  level_hit : int;  (** 1-based level that hit; [levels + 1] means DRAM *)
-  lookups : int;  (** number of cache levels probed *)
-}
-
-val access : t -> int -> access_result
-(** Look up a byte address, updating LRU state and filling on miss. *)
+val access : t -> int -> int
+(** Look up a byte address, updating LRU state and filling on miss.
+    Returns the 1-based level that hit; [levels t + 1] means DRAM.
+    Allocates nothing. *)
 
 val access_range : t -> addr:int -> bytes:int -> touched:(int -> unit) -> unit
 (** Probe every line overlapped by [addr, addr+bytes); calls [touched]

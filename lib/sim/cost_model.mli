@@ -23,8 +23,12 @@ type t = {
   branch_cycles : float;  (** predicted branch *)
   loop_overhead_cycles : float;  (** per-iteration cmp+inc+branch beyond the counted branch *)
   l1_hit_cycles : float;
-  l2_hit_cycles : float;  (** additional cycles on an L1 miss that hits L2 *)
-  dram_cycles : float;  (** additional cycles on an L2 miss *)
+  l2_hit_cycles : float;
+      (** additional cycles on an L1 miss, paid only when there is an
+          L2 *)
+  dram_cycles : float;
+      (** additional cycles when the last cache level misses. The model
+          prices at most two cache levels. *)
   uncached_store_cycles : float;
       (** store to the uncached DMA region (write-combined) per word *)
   uncached_load_cycles : float;  (** load from the uncached DMA region per word *)

@@ -21,7 +21,7 @@ type t = {
   timeline : Timeline.t;
   dma_agent : Timeline.agent;
   accel_agent : Timeline.agent;
-  in_region : Axi_word.t array;
+  in_region : Axi_word.stream;
   out_capacity : int;
   mutable high_water : int;  (* staged words since last send *)
   mutable batch_lo : int;  (* lowest staged offset since last send *)
@@ -55,7 +55,7 @@ let create ~cost ~counters ?tracer ?timeline ?(dma_id = 0) ~device ~in_capacity_
     timeline;
     dma_agent = Timeline.add_agent timeline ~name:(Printf.sprintf "dma%d" dma_id);
     accel_agent = Timeline.add_agent timeline ~name:device.Accel_device.device_name;
-    in_region = Array.make in_capacity_words (Axi_word.Inst 0);
+    in_region = Axi_word.create_stream in_capacity_words;
     out_capacity = out_capacity_words;
     high_water = 0;
     batch_lo = max_int;
@@ -80,7 +80,7 @@ let mark t ?dep ~start ~finish label =
   Timeline.mark t.timeline ?dep ~agent:"host" ~start ~finish ~label ()
 
 let device t = t.dev
-let in_capacity_words t = Array.length t.in_region
+let in_capacity_words t = Axi_word.length t.in_region
 
 (* Registry mirrors of the perf-counter bumps below. The metric totals
    must stay exactly equal to the corresponding Perf_counters fields
@@ -105,14 +105,46 @@ let note_skipped t ~words ~what =
     ~args:[ ("words", Trace.Int words); ("what", Trace.Str what) ]
     "residency_skip"
 
-let stage t ~offset word =
-  if offset < 0 || offset >= Array.length t.in_region then
-    failwith
-      (Printf.sprintf "DMA input region overflow: offset %d, capacity %d" offset
-         (Array.length t.in_region));
-  t.in_region.(offset) <- word;
-  if offset + 1 > t.high_water then t.high_water <- offset + 1;
+(* Staging charges nothing: the runtime library accounts for the
+   host-side copy. Apart from [stage], which tests use, no entry point
+   takes a float, so none allocates. *)
+let overflow t offset =
+  failwith
+    (Printf.sprintf "DMA input region overflow: offset %d, capacity %d" offset
+       (Axi_word.length t.in_region))
+
+let check_word t offset =
+  if offset < 0 || offset >= Axi_word.length t.in_region then overflow t offset
+
+let note_staged t ~offset ~len =
+  if offset + len > t.high_water then t.high_water <- offset + len;
   if offset < t.batch_lo then t.batch_lo <- offset
+
+let stage t ~offset word =
+  check_word t offset;
+  Axi_word.set t.in_region offset word;
+  note_staged t ~offset ~len:1
+
+let stage_inst t ~offset literal =
+  check_word t offset;
+  Axi_word.set_inst t.in_region offset literal;
+  note_staged t ~offset ~len:1
+
+let stage_elt t ~offset src i =
+  check_word t offset;
+  Axi_word.set_elt t.in_region offset src i;
+  note_staged t ~offset ~len:1
+
+(* A run overflows at the first offset word-by-word staging would have
+   rejected. *)
+let stage_run t ~offset src pos len =
+  if len > 0 then begin
+    let capacity = Axi_word.length t.in_region in
+    if offset < 0 then overflow t offset;
+    if offset + len > capacity then overflow t (Int.max offset capacity);
+    Axi_word.blit_data t.in_region offset src pos len;
+    note_staged t ~offset ~len
+  end
 
 let staged_high_water t = t.high_water
 
@@ -127,7 +159,7 @@ let note_accel_busy t ~accel_cycles ~start ~until =
 
 let start_send t ~offset ~len_words =
   if t.pending_send <> None then failwith "DMA engine: send already in flight";
-  if offset < 0 || offset + len_words > Array.length t.in_region then
+  if offset < 0 || offset + len_words > Axi_word.length t.in_region then
     failwith "DMA engine: send range exceeds input region";
   Trace.begin_span t.tracer ~cat:"dma_send"
     ~args:[ ("len_words", Trace.Int len_words) ]
@@ -157,8 +189,9 @@ let wait_send t =
     t.counters.dma_words_sent <- t.counters.dma_words_sent +. float_of_int len;
     m_words_sent len;
     Metrics.observe "sim.dma_send_len_words" (float_of_int len);
-    let words = Array.sub t.in_region offset len in
-    let accel_cycles = t.dev.Accel_device.consume words in
+    let accel_cycles =
+      t.dev.Accel_device.consume (Axi_word.window t.in_region ~pos:offset ~len)
+    in
     t.counters.accel_busy_cycles <- t.counters.accel_busy_cycles +. accel_cycles;
     m_accel_busy accel_cycles;
     (* The device starts processing when the stream arrives and runs
@@ -202,8 +235,9 @@ let send_staged_async t =
     Metrics.observe "sim.dma_send_len_words" (float_of_int len);
     let transfer = float_of_int len *. Cost_model.cpu_cycles_per_word t.cost in
     t.send_done_at <- t.counters.cycles +. transfer;
-    let words = Array.sub t.in_region 0 len in
-    let accel_cycles = t.dev.Accel_device.consume words in
+    let accel_cycles =
+      t.dev.Accel_device.consume (Axi_word.window t.in_region ~pos:0 ~len)
+    in
     t.counters.accel_busy_cycles <- t.counters.accel_busy_cycles +. accel_cycles;
     m_accel_busy accel_cycles;
     (* the device starts once the stream has fully arrived *)
@@ -311,8 +345,7 @@ let start_send_token t =
       ~duration:transfer ~label:"send" ()
   in
   let tseq = Timeline.last_seq t.timeline in
-  let words = Array.sub t.in_region lo len in
-  let accel_cycles = t.dev.Accel_device.consume words in
+  let accel_cycles = t.dev.Accel_device.consume (Axi_word.window t.in_region ~pos:lo ~len) in
   t.counters.accel_busy_cycles <- t.counters.accel_busy_cycles +. accel_cycles;
   m_accel_busy accel_cycles;
   if accel_cycles > 0.0 then begin

@@ -5,7 +5,13 @@
     (uncached, as the paper's [mmap]ed buffers). The host stages words
     into the input region, then [start_send]/[wait_send] stream a range
     to the device; [start_recv]/[wait_recv] collect device output into
-    the output region. Timing:
+    the output region.
+
+    The input region is an unboxed {!Axi_word.stream}: data words are
+    staged by value ({!stage_elt}) or by the contiguous run
+    ({!stage_run}), never as boxed {!Axi_word.t}s, and a send hands the
+    device an {!Axi_word.window} over the staged range instead of a
+    copy. Timing:
 
     - starting a transfer costs {!Cost_model.t.dma_program_cycles};
     - each waited transfer costs one word per
@@ -43,8 +49,20 @@ val in_capacity_words : t -> int
 val stage : t -> offset:int -> Axi_word.t -> unit
 (** Write one word into the input region at a word offset. No host cost
     is charged here — the runtime library accounts for the host-side
-    copy according to the copy strategy in use. Raises [Failure] on
-    overflow of the input region. *)
+    copy according to the copy strategy in use. Raises [Failure]
+    ["DMA input region overflow: offset N, capacity C"] on an offset
+    outside the region. *)
+
+val stage_inst : t -> offset:int -> int -> unit
+(** Stage one instruction word. *)
+
+val stage_elt : t -> offset:int -> float array -> int -> unit
+(** [stage_elt t ~offset src i] stages [src.(i)] as one data word. *)
+
+val stage_run : t -> offset:int -> float array -> int -> int -> unit
+(** [stage_run t ~offset src pos len] stages [src.(pos .. pos+len-1)]
+    at [offset ..] with one blit. On overflow, [N] in the message is
+    the first offset word-by-word staging would have rejected. *)
 
 val staged_high_water : t -> int
 (** Highest staged offset + 1 since the last send (the batch length). *)

@@ -8,9 +8,10 @@
     - [cycles]: CPU clock cycles of the host, including time spent
       blocked on DMA transfers and accelerator completion.
     - [cache_references]: lookups made anywhere in the cache subsystem
-      (L1 accesses plus the L2 accesses caused by L1 misses). A scalar
-      load/store counts one L1 access; a 16-byte vectorised chunk counts
-      one (the paper's Sec. IV-B NEON-register argument).
+      (L1 accesses plus the L2 accesses caused by L1 misses; the
+      hierarchy has at most these two levels). A scalar load/store
+      counts one L1 access; a 16-byte vectorised chunk counts one (the
+      paper's Sec. IV-B NEON-register argument).
     - [branches]: executed branch instructions (loop back-edges,
       per-element copy-loop branches, call/return pairs).
     - [instructions]: rough retired-instruction count (for IPC-style

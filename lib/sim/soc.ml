@@ -130,32 +130,26 @@ let engine_track_names t =
       ])
     (List.sort compare t.engines)
 
-(* Charge one cache access at the given byte address. *)
+(* Charge one cache access at the given byte address. An L2 lookup is
+   charged only when there is an L2, and DRAM exactly when the last
+   level missed. *)
 let charge_access t addr =
-  let result = Cache.access t.cache addr in
-  let levels = List.length (Cache.geometries t.cache) in
+  let level_hit = Cache.access t.cache addr in
+  let levels = Cache.levels t.cache in
   let c = t.counters in
   c.l1_accesses <- c.l1_accesses +. 1.0;
-  if result.Cache.level_hit >= 2 then begin
+  if level_hit >= 2 then begin
     c.l1_misses <- c.l1_misses +. 1.0;
     if levels >= 2 then c.l2_accesses <- c.l2_accesses +. 1.0
   end;
-  if result.Cache.level_hit >= 3 then c.l2_misses <- c.l2_misses +. 1.0;
+  if level_hit >= 3 then c.l2_misses <- c.l2_misses +. 1.0;
   let cycles =
     t.cost.l1_hit_cycles
-    +. (if result.Cache.level_hit >= 2 then t.cost.l2_hit_cycles else 0.0)
-    +. if result.Cache.level_hit >= 3 then t.cost.dram_cycles else 0.0
+    +. (if level_hit >= 2 && levels >= 2 then t.cost.l2_hit_cycles else 0.0)
+    +. if level_hit = levels + 1 then t.cost.dram_cycles else 0.0
   in
   c.cycles <- c.cycles +. cycles;
   c.instructions <- c.instructions +. 1.0
-
-let cached_read t buf i =
-  charge_access t (Sim_memory.addr_of buf i);
-  Sim_memory.get buf i
-
-let cached_write t buf i v =
-  charge_access t (Sim_memory.addr_of buf i);
-  Sim_memory.set buf i v
 
 let vector_range t buf i n =
   if n > 0 then begin
@@ -171,13 +165,12 @@ let vector_range t buf i n =
 let vector_read_range = vector_range
 let vector_write_range = vector_range
 
-let memref_scalar_access t buf i =
+let charge_memref_access t buf i =
   let c = t.counters in
   c.l1_accesses <- c.l1_accesses +. 2.0;
   c.cycles <- c.cycles +. (2.0 *. t.cost.l1_hit_cycles) +. t.cost.alu_cycles;
   c.instructions <- c.instructions +. 3.0;
-  charge_access t (Sim_memory.addr_of buf i);
-  Sim_memory.get buf i
+  charge_access t (Sim_memory.addr_of buf i)
 
 let charge_l1_hits t n =
   let c = t.counters in

@@ -82,13 +82,17 @@ val engine_track_names : t -> (int * string) list
 (** Chrome-trace [tid -> name] labels for each attached engine's DMA
     channel and accelerator tracks (for {!Chrome_trace.write_file}). *)
 
-(** {1 Host event costing} *)
+(** {1 Host event costing}
 
-val cached_read : t -> Sim_memory.buffer -> int -> float
-(** Scalar f32 load: one cache reference plus hit/miss cycles; returns
-    the value. *)
+    Every entry point takes and returns ints: with separately compiled
+    modules a [float] crossing a module boundary is boxed, so callers
+    charge here and read or write [buf.Sim_memory.data] themselves. *)
 
-val cached_write : t -> Sim_memory.buffer -> int -> float -> unit
+val charge_access : t -> int -> unit
+(** One scalar f32 access at a byte address: one cache reference plus
+    the hit/miss cycles. An L1 lookup is always paid, an L2 lookup only
+    on an L1 miss in a hierarchy that has an L2, and DRAM only when the
+    last level misses. Allocates nothing. *)
 
 val vector_read_range : t -> Sim_memory.buffer -> int -> int -> unit
 (** Charge a vectorised (memcpy-style) read of [n] contiguous elements
@@ -99,14 +103,13 @@ val vector_read_range : t -> Sim_memory.buffer -> int -> int -> unit
 
 val vector_write_range : t -> Sim_memory.buffer -> int -> int -> unit
 
-val memref_scalar_access : t -> Sim_memory.buffer -> int -> float
+val charge_memref_access : t -> Sim_memory.buffer -> int -> unit
 (** A scalar element access through a memref descriptor, as the
     straightforward linalg-to-loops lowering performs it: two
     descriptor-field loads (assumed L1-resident), one address ALU op,
-    and the cached data access. Returns the loaded value; pair with
-    {!Sim_memory.set} for stores (same cost either direction). Used by
-    both the IR interpreter and the native CPU reference so the two
-    charge identically. *)
+    and the cached data access at the element index. Loads and stores
+    cost the same. Used by both the IR interpreter and the native CPU
+    reference so the two charge identically. *)
 
 val charge_l1_hits : t -> int -> unit
 (** [n] cache accesses that are assumed to hit L1 (e.g. the memref

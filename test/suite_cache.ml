@@ -11,11 +11,11 @@ let test_geometry_validation () =
 let test_hit_after_fill () =
   let c = Cache.create [ tiny ] in
   let r1 = Cache.access c 0 in
-  Alcotest.(check int) "first is miss" 2 r1.Cache.level_hit;
+  Alcotest.(check int) "first is miss" 2 r1;
   let r2 = Cache.access c 4 in
-  Alcotest.(check int) "same line hits" 1 r2.Cache.level_hit;
+  Alcotest.(check int) "same line hits" 1 r2;
   let r3 = Cache.access c 32 in
-  Alcotest.(check int) "next line misses" 2 r3.Cache.level_hit
+  Alcotest.(check int) "next line misses" 2 r3
 
 let test_lru_eviction () =
   let c = Cache.create [ tiny ] in
@@ -34,14 +34,14 @@ let test_two_levels_inclusive () =
   let l2 = { Cache.size_bytes = 1024; line_bytes = 32; assoc = 4 } in
   let c = Cache.create [ tiny; l2 ] in
   let r1 = Cache.access c 0 in
-  Alcotest.(check int) "cold miss goes to DRAM" 3 r1.Cache.level_hit;
+  Alcotest.(check int) "cold miss goes to DRAM" 3 r1;
   (* thrash L1 set 0 so line 0 is evicted from L1 but stays in L2 *)
   ignore (Cache.access c 128);
   ignore (Cache.access c 256);
   Alcotest.(check bool) "line 0 gone from L1" false (Cache.resident c ~level:1 0);
   Alcotest.(check bool) "line 0 still in L2" true (Cache.resident c ~level:2 0);
   let r2 = Cache.access c 0 in
-  Alcotest.(check int) "L2 hit" 2 r2.Cache.level_hit
+  Alcotest.(check int) "L2 hit" 2 r2
 
 let test_flush () =
   let c = Cache.create [ tiny ] in
@@ -49,7 +49,7 @@ let test_flush () =
   Cache.flush c;
   Alcotest.(check bool) "flushed" false (Cache.resident c ~level:1 0);
   let r = Cache.access c 0 in
-  Alcotest.(check int) "miss after flush" 2 r.Cache.level_hit
+  Alcotest.(check int) "miss after flush" 2 r
 
 let test_access_range () =
   let c = Cache.create [ tiny ] in
@@ -66,7 +66,7 @@ let test_access_range () =
 let test_empty_hierarchy () =
   let c = Cache.create [] in
   let r = Cache.access c 1234 in
-  Alcotest.(check int) "straight to memory" 1 r.Cache.level_hit
+  Alcotest.(check int) "straight to memory" 1 r
 
 (* Property: a working set smaller than one way-capacity never misses
    after the first pass (no conflict misses for sequential lines within
@@ -84,7 +84,7 @@ let prop_small_working_set =
       let all_hit = ref true in
       for i = 0 to lines - 1 do
         let r = Cache.access c (i * 32) in
-        if r.Cache.level_hit <> 1 then all_hit := false
+        if r <> 1 then all_hit := false
       done;
       !all_hit)
 
@@ -119,7 +119,7 @@ let prop_matches_reference_model =
       let reference = Reference.create geom in
       List.for_all
         (fun addr ->
-          let hit = (Cache.access cache addr).Cache.level_hit = 1 in
+          let hit = Cache.access cache addr = 1 in
           let ref_hit = Reference.access reference addr in
           hit = ref_hit)
         addresses)

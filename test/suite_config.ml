@@ -47,7 +47,7 @@ let test_config_json_roundtrip () =
 
 let test_config_json_errors () =
   let bad_flow =
-    {|{"cpu": {"name": "x", "frequency_mhz": 650, "caches": []},
+    {|{"cpu": {"name": "x", "frequency_mhz": 650, "caches": [{"size_kb": 32, "assoc": 4}]},
        "accelerator": {"name": "a", "engine": "v3", "size": 4, "operation": "matmul",
         "data_type": "f32", "dims": [4,4,4], "buffer_elems": 16,
         "frequency_mhz": 200, "ops_per_cycle": 10,
@@ -61,7 +61,7 @@ let test_config_json_errors () =
   (match Config_parser.parse_string_result bad_flow with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "undefined selected flow accepted");
-  let bad_engine = {|{"cpu": {"frequency_mhz": 650, "caches": []}, "accelerator": {"name": "a", "engine": "v9"}}|} in
+  let bad_engine = {|{"cpu": {"frequency_mhz": 650, "caches": [{"size_kb": 32, "assoc": 4}]}, "accelerator": {"name": "a", "engine": "v9"}}|} in
   match Config_parser.parse_string_result bad_engine with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown engine accepted"

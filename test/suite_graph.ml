@@ -110,10 +110,11 @@ let test_region_replace_single_tenant () =
 
 let inst i = Axi_word.Inst i
 let data f = Axi_word.Data f
+let consume (dev : Accel_device.t) words = dev.Accel_device.consume (Axi_word.of_words words)
 
 let configure dev ~fhw ~ic =
   ignore
-    (dev.Accel_device.consume
+    (consume dev
        [| inst Isa.reset; inst Isa.cv_set_fhw; inst fhw; inst Isa.cv_set_ic; inst ic |])
 
 let test_device_weights_capacity () =
@@ -121,10 +122,10 @@ let test_device_weights_capacity () =
   let dev = Accel_conv.create ~capacity_elems:16 () in
   configure dev ~fhw:1 ~ic:16;
   let weights = Array.init 16 (fun i -> data (float_of_int (i + 1))) in
-  ignore (dev.Accel_device.consume (Array.append [| inst Isa.cv_load_w |] weights));
+  ignore (consume dev (Array.append [| inst Isa.cv_load_w |] weights));
   let patch = Array.make 16 (data 1.0) in
-  ignore (dev.Accel_device.consume (Array.append [| inst Isa.cv_patch |] patch));
-  ignore (dev.Accel_device.consume [| inst Isa.cv_drain |]);
+  ignore (consume dev (Array.append [| inst Isa.cv_patch |] patch));
+  ignore (consume dev [| inst Isa.cv_drain |]);
   let out = dev.Accel_device.drain 1 in
   Alcotest.(check (float 1e-9)) "exactly-full slice computes" 136.0 out.(0);
   (* one element over capacity: the load is rejected, not truncated *)
@@ -133,30 +134,30 @@ let test_device_weights_capacity () =
   Alcotest.check_raises "oversize slice fails loudly"
     (Failure "conv accelerator: slice iC=17 fHW=1 exceeds capacity 16") (fun () ->
       ignore
-        (dev.Accel_device.consume
+        (consume dev
            (Array.append [| inst Isa.cv_load_w |] (Array.make 17 (data 0.0)))))
 
 let test_device_accept_exact_count () =
   let dev = Accel_conv.create () in
   configure dev ~fhw:1 ~ic:1;
-  ignore (dev.Accel_device.consume [| inst Isa.cv_load_w; data 2.0 |]);
+  ignore (consume dev [| inst Isa.cv_load_w; data 2.0 |]);
   List.iter
-    (fun v -> ignore (dev.Accel_device.consume [| inst Isa.cv_patch; data v |]))
+    (fun v -> ignore (consume dev [| inst Isa.cv_patch; data v |]))
     [ 3.0; 5.0; 7.0 ];
   (* 3 pending elements; accepting a 1x2x2 image (4) must fail *)
   Alcotest.check_raises "accept checks the pending count"
     (Failure "conv accelerator: cv_accept expects exactly 4 pending elements, 3 queued")
     (fun () ->
       ignore
-        (dev.Accel_device.consume
+        (consume dev
            [| inst Isa.cv_accept; inst 1; inst 2; inst 2 |]));
   (* accepting exactly 1x1x3 moves them into the resident image... *)
   ignore
-    (dev.Accel_device.consume [| inst Isa.cv_accept; inst 1; inst 1; inst 3 |]);
+    (consume dev [| inst Isa.cv_accept; inst 1; inst 1; inst 3 |]);
   check_int "accept consumes the queue" 0 (dev.Accel_device.available ());
   (* ...and a resident patch reads it back through the same MAC path *)
   ignore
-    (dev.Accel_device.consume
+    (consume dev
        [| inst Isa.cv_patch_resident; inst 0; inst 1; inst Isa.cv_drain |]);
   let out = dev.Accel_device.drain 1 in
   Alcotest.(check (float 1e-9)) "resident patch = w * accepted element" 20.0 out.(0)
@@ -164,11 +165,11 @@ let test_device_accept_exact_count () =
 let test_device_resident_patch_requires_image () =
   let dev = Accel_conv.create () in
   configure dev ~fhw:1 ~ic:1;
-  ignore (dev.Accel_device.consume [| inst Isa.cv_load_w; data 1.0 |]);
+  ignore (consume dev [| inst Isa.cv_load_w; data 1.0 |]);
   Alcotest.check_raises "no image, no resident patch"
     (Failure "conv accelerator: cv_patch_resident with no resident image") (fun () ->
       ignore
-        (dev.Accel_device.consume [| inst Isa.cv_patch_resident; inst 0; inst 0 |]))
+        (consume dev [| inst Isa.cv_patch_resident; inst 0; inst 0 |]))
 
 (* ------------------------------------------------------------------ *)
 (* Graph IR validation and builders                                   *)

@@ -246,10 +246,11 @@ let test_config_parser_structured_errors () =
     "missing \"cpu\" section";
   expect_error "missing accelerator section"
     (Config_parser.parse_string_result
-       "{\"cpu\": {\"frequency_mhz\": 650.0, \"caches\": []}}")
+       "{\"cpu\": {\"frequency_mhz\": 650.0, \"caches\": [{\"size_kb\": 32, \"assoc\": 4}]}}")
     "missing \"accelerator\" section";
   expect_error "cpu field error"
-    (Config_parser.parse_string_result "{\"cpu\": {\"caches\": []}, \"accelerator\": {}}")
+    (Config_parser.parse_string_result
+       "{\"cpu\": {\"caches\": [{\"size_kb\": 32, \"assoc\": 4}]}, \"accelerator\": {}}")
     "cpu.frequency_mhz: missing field";
   expect_error "unreadable file"
     (Config_parser.parse_file_result "/nonexistent/config.json")
@@ -308,6 +309,26 @@ let test_cache_geometry_errors () =
       (* ... while the same level at the default 32-byte line stays legal *)
       ({|{"size_kb": 65536, "assoc": 8}|}, "Ok");
       ({|{"size_kb": 32, "assoc": 4}|}, "Ok");
+    ]
+
+(* The cost model prices L1, L2 and DRAM: any other depth is a field
+   error, not a silently mis-costed hierarchy. *)
+let test_cache_level_count () =
+  let decode caches =
+    error_of
+      (Host_config.of_json_result
+         (Json.of_string (Printf.sprintf {|{"frequency_mhz": 650, "caches": [%s]}|} caches)))
+  in
+  let level = {|{"size_kb": 32, "assoc": 4}|} in
+  let levels n = String.concat ", " (List.init n (fun _ -> level)) in
+  List.iter
+    (fun (n, expected) ->
+      Alcotest.(check string) (Printf.sprintf "%d levels" n) expected (decode (levels n)))
+    [
+      (0, "cpu.caches: must list 1 or 2 levels (L1, then L2), found 0");
+      (1, "Ok");
+      (2, "Ok");
+      (3, "cpu.caches: must list 1 or 2 levels (L1, then L2), found 3");
     ]
 
 let test_fuzz_case_structured_errors () =
@@ -541,6 +562,7 @@ let tests =
     Alcotest.test_case "config parser: non-object document" `Quick test_config_non_object;
     Alcotest.test_case "host config: cache geometry errors" `Quick
       test_cache_geometry_errors;
+    Alcotest.test_case "host config: one or two cache levels" `Quick test_cache_level_count;
     Alcotest.test_case "fuzz case: structured parse errors" `Quick
       test_fuzz_case_structured_errors;
     Alcotest.test_case "preset lookup: structured errors" `Quick

@@ -30,7 +30,8 @@ let test_counters_arith () =
   Alcotest.(check (float 1e-9)) "task clock" (300.0 /. 650000.0)
     (Perf_counters.task_clock_ms a ~cpu_freq_mhz:650.0)
 
-(* Drive a MatMul device directly with word streams. *)
+(* Drive a device directly with word streams. *)
+let consume (dev : Accel_device.t) words = dev.Accel_device.consume (Axi_word.of_words words)
 let tile_words data = Array.map (fun v -> Axi_word.Data v) data
 
 let concat = Array.concat
@@ -41,7 +42,7 @@ let test_matmul_device_v3 () =
   let b = [| 5.0; 6.0; 7.0; 8.0 |] in
   let expected = Gold.matmul ~m:2 ~n:2 ~k:2 a b in
   let cycles =
-    dev.Accel_device.consume
+    consume dev
       (concat
          [
            [| Axi_word.Inst Isa.reset |];
@@ -61,19 +62,19 @@ let test_matmul_device_accumulates () =
   let a = [| 1.0; 0.0; 0.0; 1.0 |] in
   (* identity *)
   let b = [| 1.0; 2.0; 3.0; 4.0 |] in
-  ignore (dev.Accel_device.consume [| Axi_word.Inst Isa.reset |]);
-  ignore (dev.Accel_device.consume (concat [ [| Axi_word.Inst Isa.mm_load_a |]; tile_words a ]));
-  ignore (dev.Accel_device.consume (concat [ [| Axi_word.Inst Isa.mm_load_b |]; tile_words b ]));
-  ignore (dev.Accel_device.consume [| Axi_word.Inst Isa.mm_compute |]);
-  ignore (dev.Accel_device.consume [| Axi_word.Inst Isa.mm_compute |]);
-  ignore (dev.Accel_device.consume [| Axi_word.Inst Isa.mm_drain |]);
+  ignore (consume dev [| Axi_word.Inst Isa.reset |]);
+  ignore (consume dev (concat [ [| Axi_word.Inst Isa.mm_load_a |]; tile_words a ]));
+  ignore (consume dev (concat [ [| Axi_word.Inst Isa.mm_load_b |]; tile_words b ]));
+  ignore (consume dev [| Axi_word.Inst Isa.mm_compute |]);
+  ignore (consume dev [| Axi_word.Inst Isa.mm_compute |]);
+  ignore (consume dev [| Axi_word.Inst Isa.mm_drain |]);
   let out = dev.Accel_device.drain 4 in
   (* two computes accumulate: C = 2 * B *)
   Alcotest.(check (float 1e-9)) "accumulated" 0.0
     (Gold.max_abs_diff (Array.map (fun v -> 2.0 *. v) b) out);
   (* drain cleared the accumulator *)
-  ignore (dev.Accel_device.consume [| Axi_word.Inst Isa.mm_compute |]);
-  ignore (dev.Accel_device.consume [| Axi_word.Inst Isa.mm_drain |]);
+  ignore (consume dev [| Axi_word.Inst Isa.mm_compute |]);
+  ignore (consume dev [| Axi_word.Inst Isa.mm_drain |]);
   let out2 = dev.Accel_device.drain 4 in
   Alcotest.(check (float 1e-9)) "cleared after drain" 0.0 (Gold.max_abs_diff b out2)
 
@@ -81,20 +82,20 @@ let test_matmul_device_v1_fused () =
   let dev = Accel_matmul.create ~version:Accel_matmul.V1 ~size:2 () in
   let a = [| 1.0; 2.0; 3.0; 4.0 |] and b = [| 1.0; 0.0; 0.0; 1.0 |] in
   ignore
-    (dev.Accel_device.consume
+    (consume dev
        (concat [ [| Axi_word.Inst Isa.mm_fused |]; tile_words a; tile_words b ]));
   let out = dev.Accel_device.drain 4 in
   Alcotest.(check (float 1e-9)) "fused result" 0.0 (Gold.max_abs_diff a out)
 
 let test_matmul_device_version_gating () =
   let dev = Accel_matmul.create ~version:Accel_matmul.V1 ~size:2 () in
-  (match dev.Accel_device.consume [| Axi_word.Inst Isa.mm_load_a |] with
+  (match consume dev [| Axi_word.Inst Isa.mm_load_a |] with
   | exception Failure msg ->
     Alcotest.(check bool) "names the op" true
       (String.length msg > 0)
   | _ -> Alcotest.fail "v1 accepted a split load");
   let v3 = Accel_matmul.create ~version:Accel_matmul.V3 ~size:2 () in
-  (match v3.Accel_device.consume [| Axi_word.Inst Isa.mm_set_tm; Axi_word.Inst 4 |] with
+  (match consume v3 [| Axi_word.Inst Isa.mm_set_tm; Axi_word.Inst 4 |] with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "v3 accepted tile configuration")
 
@@ -105,28 +106,28 @@ let test_matmul_device_v4_flex () =
   let b = Array.init (k * n) (fun i -> float_of_int (i mod 5)) in
   let expected = Gold.matmul ~m ~n ~k a b in
   ignore
-    (dev.Accel_device.consume
+    (consume dev
        [|
          Axi_word.Inst Isa.reset;
          Axi_word.Inst Isa.mm_set_tm; Axi_word.Inst m;
          Axi_word.Inst Isa.mm_set_tn; Axi_word.Inst n;
          Axi_word.Inst Isa.mm_set_tk; Axi_word.Inst k;
        |]);
-  ignore (dev.Accel_device.consume (concat [ [| Axi_word.Inst Isa.mm_load_a |]; tile_words a ]));
-  ignore (dev.Accel_device.consume (concat [ [| Axi_word.Inst Isa.mm_load_b |]; tile_words b ]));
-  ignore (dev.Accel_device.consume [| Axi_word.Inst Isa.mm_compute; Axi_word.Inst Isa.mm_drain |]);
+  ignore (consume dev (concat [ [| Axi_word.Inst Isa.mm_load_a |]; tile_words a ]));
+  ignore (consume dev (concat [ [| Axi_word.Inst Isa.mm_load_b |]; tile_words b ]));
+  ignore (consume dev [| Axi_word.Inst Isa.mm_compute; Axi_word.Inst Isa.mm_drain |]);
   let out = dev.Accel_device.drain (m * n) in
   Alcotest.(check (float 1e-9)) "flex result" 0.0 (Gold.max_abs_diff expected out);
   (* non-multiple-of-granularity dims are rejected *)
   match
-    dev.Accel_device.consume [| Axi_word.Inst Isa.mm_set_tm; Axi_word.Inst 3 |]
+    consume dev [| Axi_word.Inst Isa.mm_set_tm; Axi_word.Inst 3 |]
   with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "odd tile accepted"
 
 let test_matmul_device_protocol_errors () =
   let dev = Accel_matmul.create ~version:Accel_matmul.V3 ~size:2 () in
-  (match dev.Accel_device.consume [| Axi_word.Inst Isa.mm_load_a; Axi_word.Data 1.0 |] with
+  (match consume dev [| Axi_word.Inst Isa.mm_load_a; Axi_word.Data 1.0 |] with
   | exception Failure _ -> () (* truncated payload *)
   | _ -> Alcotest.fail "truncated payload accepted");
   let dev2 = Accel_matmul.create ~version:Accel_matmul.V3 ~size:2 () in
@@ -141,23 +142,23 @@ let test_conv_device () =
   let patch = Array.init (ic * fhw * fhw) (fun i -> float_of_int (i + 1)) in
   let expected = Array.fold_left ( +. ) 0.0 (Array.mapi (fun i v -> v *. patch.(i)) w) in
   ignore
-    (dev.Accel_device.consume
+    (consume dev
        [|
          Axi_word.Inst Isa.reset;
          Axi_word.Inst Isa.cv_set_fhw; Axi_word.Inst fhw;
          Axi_word.Inst Isa.cv_set_ic; Axi_word.Inst ic;
        |]);
-  ignore (dev.Accel_device.consume (concat [ [| Axi_word.Inst Isa.cv_load_w |]; tile_words w ]));
-  ignore (dev.Accel_device.consume (concat [ [| Axi_word.Inst Isa.cv_patch |]; tile_words patch ]));
+  ignore (consume dev (concat [ [| Axi_word.Inst Isa.cv_load_w |]; tile_words w ]));
+  ignore (consume dev (concat [ [| Axi_word.Inst Isa.cv_patch |]; tile_words patch ]));
   Alcotest.(check int) "pending until drained" 0 (dev.Accel_device.available ());
-  ignore (dev.Accel_device.consume [| Axi_word.Inst Isa.cv_drain |]);
+  ignore (consume dev [| Axi_word.Inst Isa.cv_drain |]);
   Alcotest.(check int) "released" 1 (dev.Accel_device.available ());
   let out = dev.Accel_device.drain 1 in
   Alcotest.(check (float 1e-9)) "inner product" expected out.(0)
 
 let test_conv_device_requires_config () =
   let dev = Accel_conv.create () in
-  match dev.Accel_device.consume [| Axi_word.Inst Isa.cv_load_w |] with
+  match consume dev [| Axi_word.Inst Isa.cv_load_w |] with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "unconfigured weight load accepted"
 
@@ -228,10 +229,10 @@ let test_soc_event_costs () =
   Soc.branch soc 2;
   Alcotest.(check (float 0.0)) "branches" 2.0 c.Perf_counters.branches;
   let buf = Sim_memory.alloc soc.Soc.memory ~label:"x" 64 in
-  let v = Soc.cached_read soc buf 0 in
-  Alcotest.(check (float 0.0)) "fresh buffer zero" 0.0 v;
+  Soc.charge_access soc (Sim_memory.addr_of buf 0);
+  Alcotest.(check (float 0.0)) "fresh buffer zero" 0.0 buf.Sim_memory.data.(0);
   Alcotest.(check (float 0.0)) "one access one miss" 1.0 c.Perf_counters.l1_misses;
-  ignore (Soc.cached_read soc buf 1);
+  Soc.charge_access soc (Sim_memory.addr_of buf 1);
   Alcotest.(check (float 0.0)) "second is hit" 1.0 c.Perf_counters.l1_misses;
   Alcotest.(check (float 0.0)) "refs = l1 + l2" (Perf_counters.cache_references c)
     (c.Perf_counters.l1_accesses +. c.Perf_counters.l2_accesses)
@@ -287,7 +288,7 @@ let capacity_lines g = g.Cache.size_bytes / g.Cache.line_bytes
 let sweep_misses cache g n_lines =
   let misses = ref 0 in
   for line = 0 to n_lines - 1 do
-    if (Cache.access cache (line * g.Cache.line_bytes)).Cache.level_hit > 1 then
+    if Cache.access cache (line * g.Cache.line_bytes) > 1 then
       incr misses
   done;
   !misses
@@ -306,7 +307,7 @@ let prop_warm_footprint_all_hits =
       ignore (sweep_misses cache small_l1 n_lines);
       List.for_all
         (fun a ->
-          (Cache.access cache (a mod n_lines * small_l1.Cache.line_bytes)).Cache.level_hit
+          Cache.access cache (a mod n_lines * small_l1.Cache.line_bytes)
           = 1)
         accesses)
 

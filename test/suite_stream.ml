@@ -1,0 +1,363 @@
+(* The simulator's data path: what the runtime copies stage into the DMA
+   input region, how devices decode it, the messages its failures
+   carry, and the allocation the hot path is allowed. *)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation guards                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words allocated by [f ()], net of what measuring an empty
+   call allocates. Allocation is deterministic for a fixed binary. *)
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let net_minor_words f = minor_words_of f -. minor_words_of ignore
+
+let test_cache_access_allocates_nothing () =
+  let cache = Cache.create [ Cache.cortex_a9_l1; Cache.cortex_a9_l2 ] in
+  let words =
+    net_minor_words (fun () ->
+        for i = 0 to 99_999 do
+          ignore (Cache.access cache (i * 36))
+        done)
+  in
+  Alcotest.(check (float 0.0)) "1e5 Cache.access calls" 0.0 words
+
+let test_charge_access_allocates_nothing () =
+  let soc = Soc.create () in
+  let words =
+    net_minor_words (fun () ->
+        for i = 0 to 99_999 do
+          Soc.charge_access soc (0x1000_0000 + (i * 36))
+        done)
+  in
+  Alcotest.(check (float 0.0)) "1e5 Soc.charge_access calls" 0.0 words
+
+(* Stage [mm_set_tm tm; mm_set_tk 64; mm_load_a <tm*64 words>] with one
+   stage_run and send it to a v4_16 engine: returns the net minor words
+   of staging plus the send. *)
+let send_payload_words engine ~tm =
+  let payload = Array.init (tm * 64) float_of_int in
+  let stage_and_send () =
+    Dma_engine.stage_inst engine ~offset:0 Isa.mm_set_tm;
+    Dma_engine.stage_inst engine ~offset:1 tm;
+    Dma_engine.stage_inst engine ~offset:2 Isa.mm_set_tk;
+    Dma_engine.stage_inst engine ~offset:3 64;
+    Dma_engine.stage_inst engine ~offset:4 Isa.mm_load_a;
+    Dma_engine.stage_run engine ~offset:5 payload 0 (Array.length payload);
+    Dma_engine.send_staged engine
+  in
+  (* the first send of a shape registers its metrics *)
+  stage_and_send ();
+  net_minor_words stage_and_send
+
+let test_send_allocation_is_constant () =
+  let soc = Soc.create () in
+  let device = Accel_matmul.create ~version:Accel_matmul.V4 ~size:16 () in
+  let engine =
+    Soc.attach_engine soc ~dma_id:0 ~device ~in_capacity_words:8192 ~out_capacity_words:16
+  in
+  let small = send_payload_words engine ~tm:16 in
+  let large = send_payload_words engine ~tm:64 in
+  Alcotest.(check (float 0.0)) "a 4096-word payload allocates what a 1024-word one does"
+    small large;
+  Alcotest.(check bool)
+    (Printf.sprintf "O(1): %.0f words for a 4096-word payload" large)
+    true (large < 512.0)
+
+(* A ResNet-18 3x3 layer at 64 channels, cut to a 4x4 output: each patch
+   transaction carries 577 words, so allocating one word per staged or
+   received word would show several times over. *)
+let test_manual_conv_allocation_per_dma_word () =
+  let accel = Presets.conv () in
+  let bench = Axi4mlir.create accel in
+  let n, ic, ih, iw, oc, fh, fw = (1, 64, 6, 6, 2, 3, 3) in
+  let i, w, o = Axi4mlir.alloc_conv_operands bench ~n ~ic ~ih ~iw ~oc ~fh ~fw in
+  let soc = bench.Axi4mlir.soc in
+  let words =
+    net_minor_words (fun () ->
+        Manual_conv.run soc accel ~flow:"Rs" ~input:i ~filter:w ~output:o ())
+  in
+  let c = soc.Soc.counters in
+  let dma_words = c.Perf_counters.dma_words_sent +. c.Perf_counters.dma_words_received in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per DMA word (%.0f / %.0f)" (words /. dma_words) words
+       dma_words)
+    true
+    (words < dma_words)
+
+(* ------------------------------------------------------------------ *)
+(* What the copies stage                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A device that decodes every word as data and records it: a staged
+   instruction word fails the decode. *)
+let recording_device () =
+  let seen = ref [] in
+  let one = [| 0.0 |] in
+  let consume win =
+    while not (Axi_word.at_end win) do
+      Axi_word.read_data ~who:"recorder" win one 1;
+      seen := one.(0) :: !seen
+    done;
+    0.0
+  in
+  let device =
+    {
+      Accel_device.device_name = "recorder";
+      consume;
+      drain = (fun _ -> [||]);
+      available = (fun () -> 0);
+      reset_device = ignore;
+      regions = [];
+    }
+  in
+  (device, fun () -> Array.of_list (List.rev !seen))
+
+let recording_lib ~capacity strategy =
+  let soc = Soc.create () in
+  let device, recorded = recording_device () in
+  let engine =
+    Soc.attach_engine soc ~dma_id:0 ~device ~in_capacity_words:capacity
+      ~out_capacity_words:16
+  in
+  (soc, engine, Dma_library.init soc ~dma_id:0 ~strategy, recorded)
+
+(* A view of rank 1-4: per dimension an extent, a slice offset and a
+   size; the innermost dimension optionally steps by 2 through its
+   buffer. *)
+type view_spec = { dims : int list; step : int; slices : (int * int) list }
+
+let gen_spec =
+  QCheck.Gen.(
+    int_range 1 4 >>= fun rank ->
+    list_repeat rank (int_range 1 5) >>= fun dims ->
+    oneofl [ 1; 2 ] >>= fun step ->
+    flatten_l
+      (List.map
+         (fun d ->
+           int_range 0 (d - 1) >>= fun off ->
+           map (fun size -> (off, size)) (int_range 0 (d - off)))
+         dims)
+    >>= fun slices -> return { dims; step; slices })
+
+let print_spec s =
+  Printf.sprintf "dims=[%s] step=%d slices=[%s]"
+    (String.concat ";" (List.map string_of_int s.dims))
+    s.step
+    (String.concat ";" (List.map (fun (o, n) -> Printf.sprintf "%d+%d" o n) s.slices))
+
+let make_view mem spec =
+  let last = List.length spec.dims - 1 in
+  let scale_last f = List.mapi (fun i x -> if i = last then f x else x) in
+  let phys = scale_last (fun d -> d * spec.step) spec.dims in
+  let buf = Sim_memory.alloc mem ~label:"src" (List.fold_left ( * ) 1 phys) in
+  Array.iteri
+    (fun i _ -> buf.Sim_memory.data.(i) <- float_of_int (i + 1) *. 0.5)
+    buf.Sim_memory.data;
+  let base = Memref_view.of_buffer buf phys in
+  let strided =
+    {
+      base with
+      Memref_view.shape = spec.dims;
+      strides = scale_last (fun s -> s * spec.step) base.Memref_view.strides;
+    }
+  in
+  Memref_view.subview strided ~offsets:(List.map fst spec.slices)
+    ~sizes:(List.map snd spec.slices)
+
+(* Buffer indices of the view's elements in row-major order, from
+   [linear_index] alone. *)
+let reference_indices view =
+  let rec coords = function
+    | [] -> [ [] ]
+    | d :: rest ->
+      let tails = coords rest in
+      List.concat_map (fun i -> List.map (fun t -> i :: t) tails) (List.init d Fun.id)
+  in
+  List.map (Memref_view.linear_index view) (coords view.Memref_view.shape)
+
+let strategies = Dma_library.[ Generic; Specialized; Bare ]
+
+let prop_copies_stage_the_view =
+  QCheck.Test.make ~name:"every copy strategy stages exactly the view, as data" ~count:300
+    (QCheck.make ~print:print_spec gen_spec)
+    (fun spec ->
+      List.for_all
+        (fun strategy ->
+          let soc, engine, lib, recorded = recording_lib ~capacity:1024 strategy in
+          let view = make_view soc.Soc.memory spec in
+          let d = view.Memref_view.buf.Sim_memory.data in
+          let expected = List.map (fun li -> d.(li)) (reference_indices view) in
+          let next = Dma_library.copy_to_dma_region_with lib strategy view ~offset:0 in
+          Dma_engine.send_staged engine;
+          next = List.length expected
+          && Array.to_list (Memref_view.to_array view) = expected
+          && Array.to_list (recorded ()) = expected)
+        strategies)
+
+let prop_copies_in_write_the_view =
+  QCheck.Test.make ~name:"every copy strategy writes the view back, with and without +="
+    ~count:300
+    (QCheck.make ~print:print_spec gen_spec)
+    (fun spec ->
+      List.for_all
+        (fun (strategy, accumulate) ->
+          let soc, _engine, lib, _ = recording_lib ~capacity:16 strategy in
+          let view = make_view soc.Soc.memory spec in
+          let d = view.Memref_view.buf.Sim_memory.data in
+          let indices = reference_indices view in
+          let data =
+            Array.init (List.length indices) (fun i -> float_of_int ((i * 7) mod 11) -. 3.0)
+          in
+          let expected = Array.copy d in
+          List.iteri
+            (fun i li ->
+              expected.(li) <- (if accumulate then expected.(li) +. data.(i) else data.(i)))
+            indices;
+          Dma_library.copy_from_data_with lib strategy view ~accumulate data;
+          d = expected)
+        (List.concat_map (fun s -> [ (s, false); (s, true) ]) strategies))
+
+(* The output FIFO against Stdlib.Queue: pushes, bulk pushes and pops
+   of random sizes, through compaction and growth. *)
+let prop_fifo_is_a_queue =
+  QCheck.Test.make ~name:"Accel_device.Fifo behaves as a queue" ~count:300
+    QCheck.(list (pair (int_range 0 3) (int_range 0 700)))
+    (fun ops ->
+      let fifo = Accel_device.Fifo.create () and model = Queue.create () in
+      let fresh = ref 0.0 and ok = ref true in
+      let expect v = if v <> Queue.pop model then ok := false in
+      List.iter
+        (fun (op, n) ->
+          match op with
+          | 0 ->
+            fresh := !fresh +. 1.0;
+            Accel_device.Fifo.push fifo !fresh;
+            Queue.push !fresh model
+          | 1 ->
+            let src = Array.init (n + 3) (fun i -> !fresh +. float_of_int i) in
+            fresh := !fresh +. float_of_int (n + 3);
+            Accel_device.Fifo.push_array fifo src 3 n;
+            Array.iter (fun v -> Queue.push v model) (Array.sub src 3 n)
+          | 2 ->
+            let n = min n (Queue.length model) in
+            let dst = Array.make (n + 1) 0.0 in
+            Accel_device.Fifo.pop_into fifo dst 1 n;
+            Array.iter expect (Array.sub dst 1 n)
+          | _ ->
+            let n = min n (Queue.length model) in
+            Array.iter expect (Accel_device.Fifo.pop_array fifo n))
+        ops;
+      !ok && Accel_device.Fifo.length fifo = Queue.length model)
+
+(* ------------------------------------------------------------------ *)
+(* Messages that must stay byte-identical                              *)
+(* ------------------------------------------------------------------ *)
+
+let failure_of f =
+  match f () with exception Failure msg -> msg | _ -> "(no failure)"
+
+let consume (dev : Accel_device.t) words =
+  ignore (dev.Accel_device.consume (Axi_word.of_words words))
+
+let test_decode_messages () =
+  let check = Alcotest.(check string) in
+  let v3 () = Accel_matmul.create ~version:Accel_matmul.V3 ~size:2 () in
+  check "instruction expected, data found"
+    "AXI stream desync: expected instruction, got data 2.5"
+    (failure_of (fun () -> consume (v3 ()) [| Axi_word.Data 2.5 |]));
+  check "data expected, instruction found"
+    "AXI stream desync: expected data, got instruction 0x7"
+    (failure_of (fun () ->
+         consume (v3 ())
+           Axi_word.[| Inst Isa.mm_load_a; Data 1.0; Inst 7; Data 2.0; Data 3.0 |]));
+  let v4 () = Accel_matmul.create ~version:Accel_matmul.V4 ~size:16 () in
+  check "v4_16 payload truncated" "v4_16 accelerator: truncated transaction"
+    (failure_of (fun () -> consume (v4 ()) Axi_word.[| Inst Isa.mm_load_a; Data 1.0 |]));
+  check "v4_16 operand truncated" "v4_16 accelerator: truncated transaction"
+    (failure_of (fun () -> consume (v4 ()) Axi_word.[| Inst Isa.mm_set_tm |]));
+  let conv () =
+    let dev = Accel_conv.create () in
+    consume dev Axi_word.[| Inst Isa.cv_set_fhw; Inst 1; Inst Isa.cv_set_ic; Inst 2 |];
+    dev
+  in
+  check "conv payload truncated" "conv accelerator: truncated transaction"
+    (failure_of (fun () -> consume (conv ()) Axi_word.[| Inst Isa.cv_load_w; Data 1.0 |]));
+  check "conv operand truncated" "conv accelerator: truncated transaction"
+    (failure_of (fun () -> consume (conv ()) Axi_word.[| Inst Isa.cv_set_stride |]))
+
+let test_overflow_messages () =
+  let check = Alcotest.(check string) in
+  let src = Array.make 8 1.0 in
+  let _, engine, _, _ = recording_lib ~capacity:8 Dma_library.Generic in
+  let overflow at = Printf.sprintf "DMA input region overflow: offset %d, capacity 8" at in
+  check "stage" (overflow 8)
+    (failure_of (fun () -> Dma_engine.stage engine ~offset:8 (Axi_word.Inst 0)));
+  check "stage_inst" (overflow (-1))
+    (failure_of (fun () -> Dma_engine.stage_inst engine ~offset:(-1) 0));
+  check "stage_elt" (overflow 9)
+    (failure_of (fun () -> Dma_engine.stage_elt engine ~offset:9 src 0));
+  (* a run reports the first offset word-by-word staging would reject *)
+  check "run crossing the end" (overflow 8)
+    (failure_of (fun () -> Dma_engine.stage_run engine ~offset:5 src 0 6));
+  check "run past the end" (overflow 11)
+    (failure_of (fun () -> Dma_engine.stage_run engine ~offset:11 src 0 2));
+  check "run before the start" (overflow (-2))
+    (failure_of (fun () -> Dma_engine.stage_run engine ~offset:(-2) src 0 3));
+  List.iter
+    (fun strategy ->
+      let soc, _, lib, _ = recording_lib ~capacity:8 strategy in
+      let buf = Sim_memory.alloc soc.Soc.memory ~label:"tile" 6 in
+      let view = Memref_view.of_buffer buf [ 2; 3 ] in
+      check
+        ("library copy, " ^ Dma_library.strategy_to_string strategy)
+        (overflow 8)
+        (failure_of (fun () ->
+             ignore (Dma_library.copy_to_dma_region_with lib strategy view ~offset:5))))
+    strategies
+
+(* ------------------------------------------------------------------ *)
+(* Cache levels and their cost                                         *)
+(* ------------------------------------------------------------------ *)
+
+let cold_access_cycles geometries =
+  let soc = Soc.create ~cache_geometries:geometries () in
+  Soc.charge_access soc 0x1000_0000;
+  soc.Soc.counters.Perf_counters.cycles
+
+let test_cache_level_costs () =
+  let check = Alcotest.(check (float 0.0)) in
+  check "one level: L1 lookup + DRAM" 61.0 (cold_access_cycles [ Cache.cortex_a9_l1 ]);
+  check "two levels: L1 + L2 lookups + DRAM" 69.0
+    (cold_access_cycles [ Cache.cortex_a9_l1; Cache.cortex_a9_l2 ]);
+  (* warm: an L2 hit pays no DRAM *)
+  let soc = Soc.create () in
+  let l1_set_stride = Cache.cortex_a9_l1.Cache.size_bytes / 4 in
+  List.iter
+    (fun k -> Soc.charge_access soc (0x1000_0000 + (k * l1_set_stride)))
+    [ 0; 1; 2; 3; 4 ];
+  let before = soc.Soc.counters.Perf_counters.cycles in
+  Soc.charge_access soc 0x1000_0000;
+  check "L2 hit" 9.0 (soc.Soc.counters.Perf_counters.cycles -. before)
+
+let tests =
+  [
+    Alcotest.test_case "alloc: Cache.access allocates nothing" `Quick
+      test_cache_access_allocates_nothing;
+    Alcotest.test_case "alloc: Soc.charge_access allocates nothing" `Quick
+      test_charge_access_allocates_nothing;
+    Alcotest.test_case "alloc: staging and sending is O(1) in the payload" `Quick
+      test_send_allocation_is_constant;
+    Alcotest.test_case "alloc: manual conv under one word per DMA word" `Quick
+      test_manual_conv_allocation_per_dma_word;
+    QCheck_alcotest.to_alcotest prop_copies_stage_the_view;
+    QCheck_alcotest.to_alcotest prop_copies_in_write_the_view;
+    QCheck_alcotest.to_alcotest prop_fifo_is_a_queue;
+    Alcotest.test_case "messages: decode desync and truncation" `Quick test_decode_messages;
+    Alcotest.test_case "messages: input region overflow" `Quick test_overflow_messages;
+    Alcotest.test_case "cost: L2 only if present, DRAM on last-level miss" `Quick
+      test_cache_level_costs;
+  ]

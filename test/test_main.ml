@@ -10,6 +10,7 @@ let () =
       ("parser", Suite_parser.tests);
       ("cache", Suite_cache.tests);
       ("sim", Suite_sim.tests);
+      ("stream", Suite_stream.tests);
       ("obs", Suite_obs.tests);
       ("critpath", Suite_critpath.tests);
       ("metrics", Suite_metrics.tests);
