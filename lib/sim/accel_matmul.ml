@@ -76,15 +76,17 @@ let note_compute tracer st cycles =
       ]
     "mm_compute"
 
-(* One tile MAC pass: C += A x B. Returns accelerator cycles. *)
+(* One tile MAC pass: C += A x B. Returns accelerator cycles. m-k-n
+   order; each C element still adds its products in k order. *)
 let compute st =
+  let tn = st.tn and tk = st.tk and a = st.a and b = st.b and c = st.c in
   for m = 0 to st.tm - 1 do
-    for n = 0 to st.tn - 1 do
-      let acc = ref st.c.((m * st.tn) + n) in
-      for k = 0 to st.tk - 1 do
-        acc := !acc +. (st.a.((m * st.tk) + k) *. st.b.((k * st.tn) + n))
-      done;
-      st.c.((m * st.tn) + n) <- !acc
+    let a_row = m * tk and c_row = m * tn in
+    for k = 0 to tk - 1 do
+      let a_mk = a.(a_row + k) and b_row = k * tn in
+      for n = 0 to tn - 1 do
+        c.(c_row + n) <- c.(c_row + n) +. (a_mk *. b.(b_row + n))
+      done
     done
   done;
   2.0 *. float_of_int (st.tm * st.tn * st.tk) /. ops_per_cycle_for_size st.size

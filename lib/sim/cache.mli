@@ -3,7 +3,16 @@
     Drives the [cache_references]/miss counters and the memory-access
     component of the cycle model. Levels are inclusive; a fill installs
     the line in every level. Write misses allocate (write-allocate,
-    write-back; write-back traffic is not modelled). *)
+    write-back; write-back traffic is not modelled).
+
+    Each set is a segment of line numbers kept most recently used
+    first: a hit moves its line to the front, a miss shifts the
+    segment back one slot and installs the line at the front, so the
+    victim is always the last slot. That is exact LRU, and invalid
+    slots (which only a miss fills) are used before any line is
+    evicted. Because every geometry field is a power of two, a line,
+    its set and its segment are found by shift and mask, without a
+    division. *)
 
 type geometry = { size_bytes : int; line_bytes : int; assoc : int }
 (** One cache level. [size_bytes] must be a multiple of
@@ -35,9 +44,9 @@ val levels : t -> int
 (** Number of cache levels. *)
 
 val access : t -> int -> int
-(** Look up a byte address, updating LRU state and filling on miss.
-    Returns the 1-based level that hit; [levels t + 1] means DRAM.
-    Allocates nothing. *)
+(** Look up a non-negative byte address, updating LRU state and
+    filling on miss. Returns the 1-based level that hit; [levels t + 1]
+    means DRAM. Allocates nothing. *)
 
 val access_range : t -> addr:int -> bytes:int -> touched:(int -> unit) -> unit
 (** Probe every line overlapped by [addr, addr+bytes); calls [touched]

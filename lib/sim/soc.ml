@@ -3,20 +3,36 @@ type t = {
   cache : Cache.t;
   counters : Perf_counters.t;
   cost : Cost_model.t;
+  access_cycles : float array;
   tracer : Trace.t;
   timeline : Timeline.t;
   mutable engines : (int * Dma_engine.t) list;
   mutable host_serial : float option;
 }
 
+(* The cycle cost of an access that hit at level [h] is entry [h - 1];
+   the last entry, [levels + 1], is DRAM. An L2 lookup is charged only
+   when there is an L2, and DRAM exactly when the last level missed. *)
+let access_cycles (cost : Cost_model.t) levels =
+  let table = Array.make (levels + 1) 0.0 in
+  for h = 1 to levels + 1 do
+    table.(h - 1) <-
+      cost.l1_hit_cycles
+      +. (if h >= 2 && levels >= 2 then cost.l2_hit_cycles else 0.0)
+      +. if h = levels + 1 then cost.dram_cycles else 0.0
+  done;
+  table
+
 let create ?(cost = Cost_model.default)
     ?(cache_geometries = [ Cache.cortex_a9_l1; Cache.cortex_a9_l2 ])
     ?(tracer = Trace.create ()) () =
+  let cache = Cache.create cache_geometries in
   {
     memory = Sim_memory.create ();
-    cache = Cache.create cache_geometries;
+    cache;
     counters = Perf_counters.create ();
     cost;
+    access_cycles = access_cycles cost (Cache.levels cache);
     tracer;
     timeline = Timeline.create ();
     engines = [];
@@ -130,25 +146,19 @@ let engine_track_names t =
       ])
     (List.sort compare t.engines)
 
-(* Charge one cache access at the given byte address. An L2 lookup is
-   charged only when there is an L2, and DRAM exactly when the last
-   level missed. *)
+(* Charge one cache access at the given byte address. [access_cycles]
+   has an entry per level plus DRAM: three or more mean there is an L2. *)
 let charge_access t addr =
   let level_hit = Cache.access t.cache addr in
-  let levels = Cache.levels t.cache in
+  let cycles = t.access_cycles in
   let c = t.counters in
   c.l1_accesses <- c.l1_accesses +. 1.0;
   if level_hit >= 2 then begin
     c.l1_misses <- c.l1_misses +. 1.0;
-    if levels >= 2 then c.l2_accesses <- c.l2_accesses +. 1.0
+    if Array.length cycles >= 3 then c.l2_accesses <- c.l2_accesses +. 1.0
   end;
   if level_hit >= 3 then c.l2_misses <- c.l2_misses +. 1.0;
-  let cycles =
-    t.cost.l1_hit_cycles
-    +. (if level_hit >= 2 && levels >= 2 then t.cost.l2_hit_cycles else 0.0)
-    +. if level_hit = levels + 1 then t.cost.dram_cycles else 0.0
-  in
-  c.cycles <- c.cycles +. cycles;
+  c.cycles <- c.cycles +. cycles.(level_hit - 1);
   c.instructions <- c.instructions +. 1.0
 
 let vector_range t buf i n =

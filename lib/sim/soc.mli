@@ -11,6 +11,10 @@ type t = {
   cache : Cache.t;
   counters : Perf_counters.t;
   cost : Cost_model.t;
+  access_cycles : float array;
+      (** the cycle cost of an access that hit at 1-based level [h] is
+          entry [h - 1]; the last entry is DRAM. Computed once by
+          {!create} from [cost] and the cache depth. *)
   tracer : Trace.t;  (** disabled unless {!enable_tracing} was called *)
   timeline : Timeline.t;
       (** per-agent clocks for asynchronous DMA/accelerator activity;

@@ -88,41 +88,102 @@ let prop_small_working_set =
       done;
       !all_hit)
 
-(* An independent reference model of one set-associative LRU level:
-   per-set most-recently-used-first association lists. The production
-   implementation (packed arrays + timestamps) must agree with it on
-   every access of a random address stream. *)
+(* An independent reference model of a set-associative LRU hierarchy:
+   per level, per-set most-recently-used-first lists of tags, found by
+   division rather than shifts. The production implementation must
+   agree with it on every access of a random address stream. *)
 module Reference = struct
-  type t = { geom : Cache.geometry; n_sets : int; sets : int list array }
+  type level = { geom : Cache.geometry; n_sets : int; sets : int list array }
 
-  let create geom =
+  let create_level geom =
     let n_sets = geom.Cache.size_bytes / (geom.Cache.line_bytes * geom.Cache.assoc) in
     { geom; n_sets; sets = Array.make n_sets [] }
 
-  let access t addr =
-    let line = addr / t.geom.Cache.line_bytes in
-    let set = line mod t.n_sets in
-    let tag = line / t.n_sets in
-    let current = t.sets.(set) in
+  let locate l addr =
+    let line = addr / l.geom.Cache.line_bytes in
+    (line mod l.n_sets, line / l.n_sets)
+
+  (* Probe one level: hit or miss, the line ends up most recently used. *)
+  let probe l addr =
+    let set, tag = locate l addr in
+    let current = l.sets.(set) in
     let hit = List.mem tag current in
     let without = List.filter (fun x -> x <> tag) current in
-    t.sets.(set) <- Util.list_take t.geom.Cache.assoc (tag :: without);
+    l.sets.(set) <- Util.list_take l.geom.Cache.assoc (tag :: without);
     hit
+
+  let mem l addr =
+    let set, tag = locate l addr in
+    List.mem tag l.sets.(set)
+
+  let flush l = Array.fill l.sets 0 l.n_sets []
+
+  (* Levels are probed outward until one hits, as [Cache.access] does. *)
+  let access levels addr =
+    let rec go i = function
+      | [] -> i
+      | l :: rest -> if probe l addr then i else go (i + 1) rest
+    in
+    go 1 levels
 end
 
+(* One level: lines of 16-64 bytes, 1-16 ways, up to 512 KiB. *)
+let gen_geometry =
+  let open QCheck.Gen in
+  let* line_log = int_range 4 6 in
+  let* assoc_log = int_range 0 4 in
+  let* size_log = int_range (line_log + assoc_log) 19 in
+  return
+    { Cache.size_bytes = 1 lsl size_log; line_bytes = 1 lsl line_log; assoc = 1 lsl assoc_log }
+
+(* One or two levels, and addresses within a span of 2^8..2^21 bytes,
+   so streams range from mostly hits to all misses; a flush falls
+   somewhere in the stream. *)
+let gen_hierarchy_case =
+  let open QCheck.Gen in
+  let* geoms = list_size (int_range 1 2) gen_geometry in
+  let* span_log = int_range 8 21 in
+  let* addresses = list_size (int_range 50 400) (int_bound ((1 lsl span_log) - 1)) in
+  let* flush_at = int_bound (List.length addresses - 1) in
+  return (geoms, addresses, flush_at)
+
+let print_hierarchy_case (geoms, addresses, flush_at) =
+  Printf.sprintf "levels [%s], flush at %d, addresses [%s]"
+    (String.concat "; "
+       (List.map
+          (fun g ->
+            Printf.sprintf "%d/%d/%d" g.Cache.size_bytes g.Cache.line_bytes g.Cache.assoc)
+          geoms))
+    flush_at
+    (String.concat "; " (List.map string_of_int addresses))
+
+(* Every access's hit level, and residency of the accessed and the
+   previous address at every level, before and after a flush. *)
 let prop_matches_reference_model =
-  QCheck.Test.make ~name:"cache agrees with a reference LRU model" ~count:50
-    QCheck.(list_of_size Gen.(50 -- 300) (int_range 0 4095))
-    (fun addresses ->
-      let geom = { Cache.size_bytes = 512; line_bytes = 32; assoc = 2 } in
-      let cache = Cache.create [ geom ] in
-      let reference = Reference.create geom in
+  QCheck.Test.make ~name:"cache agrees with a reference LRU model" ~count:150
+    (QCheck.make ~print:print_hierarchy_case gen_hierarchy_case)
+    (fun (geoms, addresses, flush_at) ->
+      let cache = Cache.create geoms in
+      let reference = List.map Reference.create_level geoms in
+      let resident_agrees addr =
+        List.for_all
+          (fun (level, l) -> Cache.resident cache ~level addr = Reference.mem l addr)
+          (List.mapi (fun i l -> (i + 1, l)) reference)
+      in
+      let previous = ref 0 in
       List.for_all
-        (fun addr ->
-          let hit = Cache.access cache addr = 1 in
-          let ref_hit = Reference.access reference addr in
-          hit = ref_hit)
-        addresses)
+        (fun (i, addr) ->
+          if i = flush_at then begin
+            Cache.flush cache;
+            List.iter Reference.flush reference
+          end;
+          let agrees =
+            Cache.access cache addr = Reference.access reference addr
+            && resident_agrees addr && resident_agrees !previous
+          in
+          previous := addr;
+          agrees)
+        (List.mapi (fun i addr -> (i, addr)) addresses))
 
 let tests =
   [

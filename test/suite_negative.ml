@@ -287,6 +287,8 @@ let test_cache_geometry_errors () =
     (fun (cache, expected) -> Alcotest.(check string) cache expected (decode cache))
     [
       ({|{"size_kb": 32, "assoc": 0}|}, "cpu.caches[0].assoc: must be positive");
+      ({|{"size_kb": 32, "assoc": 3}|}, "cpu.caches[0].assoc: must be a power of two");
+      ({|{"size_kb": 48, "assoc": 6}|}, "cpu.caches[0].assoc: must be a power of two");
       ( {|{"size_kb": 32, "line_bytes": 0, "assoc": 4}|},
         "cpu.caches[0].line_bytes: must be a power of two" );
       ({|{"size_kb": 48, "assoc": 4}|}, "cpu.caches[0].size_kb: must be a power of two");
@@ -302,7 +304,7 @@ let test_cache_geometry_errors () =
       (* line_bytes * assoc would overflow to zero *)
       ( {|{"size_kb": 32, "line_bytes": 2147483648, "assoc": 4294967296}|},
         "cpu.caches[0].size_kb: must be a multiple of line_bytes * assoc" );
-      (* 64 MiB of 1-byte lines would allocate two 64M-entry arrays *)
+      (* 64 MiB of 1-byte lines would allocate a 64M-entry array *)
       ( {|{"size_kb": 65536, "line_bytes": 1, "assoc": 8}|},
         "cpu.caches[0].line_bytes: must be at least 32 for this size (the 2097152-line \
          ceiling)" );

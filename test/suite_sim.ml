@@ -125,6 +125,83 @@ let test_matmul_device_v4_flex () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "odd tile accepted"
 
+(* The MAC kernels loop m-k-n but must keep the dot-product form's
+   bits: each output adds its products to its previous value in k
+   order. Operands from [Gold.fill_deterministic] are multiples of
+   2^-15, whose sums are exact in any order, so these are not: a
+   reassociated sum would change low bits. *)
+let dot_product_acc ~m ~n ~k a b c =
+  for i = 0 to m - 1 do
+    for j = 0 to n - 1 do
+      let acc = ref c.((i * n) + j) in
+      for l = 0 to k - 1 do
+        acc := !acc +. (a.((i * k) + l) *. b.((l * n) + j))
+      done;
+      c.((i * n) + j) <- !acc
+    done
+  done
+
+let non_dyadic ~salt len = Array.init len (fun i -> sin (float_of_int ((7 * i) + salt)) /. 3.0)
+
+let check_bits what expected actual =
+  Alcotest.(check (array int64)) what
+    (Array.map Int64.bits_of_float expected)
+    (Array.map Int64.bits_of_float actual)
+
+(* (size, tm, tn, tk): non-square tiles, and tk = 1 *)
+let mac_shapes =
+  [ (1, 1, 1, 1); (1, 3, 5, 7); (1, 5, 3, 1); (1, 16, 4, 1); (2, 4, 6, 2); (4, 8, 12, 16) ]
+
+let test_gold_mac_order () =
+  List.iter
+    (fun (_, m, n, k) ->
+      let a = non_dyadic ~salt:1 (m * k) and b = non_dyadic ~salt:2 (k * n) in
+      let c = non_dyadic ~salt:3 (m * n) in
+      let expected = Array.copy c in
+      dot_product_acc ~m ~n ~k a b expected;
+      Gold.matmul_acc ~m ~n ~k a b c;
+      check_bits (Printf.sprintf "Gold.matmul_acc %dx%dx%d" m n k) expected c)
+    mac_shapes
+
+(* Two tiles of A against one B, so the second compute accumulates onto
+   a non-dyadic C; the words go through a staged stream window, as the
+   DMA engine delivers them. *)
+let test_v4_mac_order () =
+  List.iter
+    (fun (size, tm, tn, tk) ->
+      let a1 = non_dyadic ~salt:4 (tm * tk) and a2 = non_dyadic ~salt:5 (tm * tk) in
+      let b = non_dyadic ~salt:6 (tk * tn) in
+      let expected = Array.make (tm * tn) 0.0 in
+      dot_product_acc ~m:tm ~n:tn ~k:tk a1 b expected;
+      dot_product_acc ~m:tm ~n:tn ~k:tk a2 b expected;
+      let stream = Axi_word.create_stream (13 + (2 * tm * tk) + (tk * tn)) in
+      let pos = ref 0 in
+      let inst v =
+        Axi_word.set_inst stream !pos v;
+        incr pos
+      in
+      let data src =
+        Axi_word.blit_data stream !pos src 0 (Array.length src);
+        pos := !pos + Array.length src
+      in
+      List.iter inst
+        [ Isa.reset; Isa.mm_set_tm; tm; Isa.mm_set_tn; tn; Isa.mm_set_tk; tk; Isa.mm_load_b ];
+      data b;
+      inst Isa.mm_load_a;
+      data a1;
+      inst Isa.mm_compute;
+      inst Isa.mm_load_a;
+      data a2;
+      inst Isa.mm_compute;
+      inst Isa.mm_drain;
+      let dev = Accel_matmul.create ~version:Accel_matmul.V4 ~size () in
+      ignore (dev.Accel_device.consume (Axi_word.window stream ~pos:0 ~len:!pos));
+      check_bits
+        (Printf.sprintf "v4_%d %dx%dx%d" size tm tn tk)
+        expected
+        (dev.Accel_device.drain (tm * tn)))
+    mac_shapes
+
 let test_matmul_device_protocol_errors () =
   let dev = Accel_matmul.create ~version:Accel_matmul.V3 ~size:2 () in
   (match consume dev [| Axi_word.Inst Isa.mm_load_a; Axi_word.Data 1.0 |] with
@@ -331,6 +408,8 @@ let tests =
     Alcotest.test_case "version gating" `Quick test_matmul_device_version_gating;
     Alcotest.test_case "v4 flexible tiles" `Quick test_matmul_device_v4_flex;
     Alcotest.test_case "device protocol errors" `Quick test_matmul_device_protocol_errors;
+    Alcotest.test_case "Gold MAC order keeps the bits" `Quick test_gold_mac_order;
+    Alcotest.test_case "v4 MAC order keeps the bits" `Quick test_v4_mac_order;
     Alcotest.test_case "conv device" `Quick test_conv_device;
     Alcotest.test_case "conv requires configuration" `Quick test_conv_device_requires_config;
     Alcotest.test_case "dma staging" `Quick test_dma_engine_staging;
