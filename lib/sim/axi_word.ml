@@ -8,12 +8,6 @@ type stream = { data : float array; tags : Bytes.t }
 let create_stream n = { data = Array.make n 0.0; tags = Bytes.make n inst_tag }
 let length s = Array.length s.data
 
-let extend s n =
-  let t = create_stream n in
-  Array.blit s.data 0 t.data 0 (length s);
-  Bytes.blit s.tags 0 t.tags 0 (length s);
-  t
-
 let set_inst s i n =
   s.data.(i) <- float_of_int n;
   Bytes.set s.tags i inst_tag

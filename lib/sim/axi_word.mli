@@ -29,10 +29,6 @@ val create_stream : int -> stream
 
 val length : stream -> int
 
-val extend : stream -> int -> stream
-(** [extend s n] is a fresh stream of [n >= length s] words: [s]'s
-    words, then instruction words of value 0, as in {!create_stream}. *)
-
 val set : stream -> int -> t -> unit
 (** Store one word at an index. *)
 

@@ -21,8 +21,7 @@ type t = {
   timeline : Timeline.t;
   dma_agent : Timeline.agent;
   accel_agent : Timeline.agent;
-  mutable in_region : Axi_word.stream;  (* the prefix allocated so far: [reserve] *)
-  in_capacity : int;
+  in_region : Axi_word.stream;
   out_capacity : int;
   mutable high_water : int;  (* staged words since last send *)
   mutable batch_lo : int;  (* lowest staged offset since last send *)
@@ -56,8 +55,7 @@ let create ~cost ~counters ?tracer ?timeline ?(dma_id = 0) ~device ~in_capacity_
     timeline;
     dma_agent = Timeline.add_agent timeline ~name:(Printf.sprintf "dma%d" dma_id);
     accel_agent = Timeline.add_agent timeline ~name:device.Accel_device.device_name;
-    in_region = Axi_word.create_stream (Int.min in_capacity_words 4096);
-    in_capacity = in_capacity_words;
+    in_region = Axi_word.create_stream in_capacity_words;
     out_capacity = out_capacity_words;
     high_water = 0;
     batch_lo = max_int;
@@ -82,18 +80,7 @@ let mark t ?dep ~start ~finish label =
   Timeline.mark t.timeline ?dep ~agent:"host" ~start ~finish ~label ()
 
 let device t = t.dev
-let in_capacity_words t = t.in_capacity
-
-(* The input region is allocated as far as it has been staged into,
-   doubling up to its capacity, so a run that stages a few tiles does
-   not allocate and zero the whole region. A word never staged reads as
-   instruction 0 either way. The first 4096 words hold a v4 tile and
-   are allocated outside the minor heap. *)
-let reserve t words =
-  let len = Axi_word.length t.in_region in
-  if words > len then
-    t.in_region <-
-      Axi_word.extend t.in_region (Int.min t.in_capacity (Int.max words (2 * len)))
+let in_capacity_words t = Axi_word.length t.in_region
 
 (* Registry mirrors of the perf-counter bumps below. The metric totals
    must stay exactly equal to the corresponding Perf_counters fields
@@ -124,13 +111,10 @@ let note_skipped t ~words ~what =
 let overflow t offset =
   failwith
     (Printf.sprintf "DMA input region overflow: offset %d, capacity %d" offset
-       t.in_capacity)
+       (Axi_word.length t.in_region))
 
 let check_word t offset =
-  if offset < 0 || offset >= Axi_word.length t.in_region then begin
-    if offset < 0 || offset >= t.in_capacity then overflow t offset;
-    reserve t (offset + 1)
-  end
+  if offset < 0 || offset >= Axi_word.length t.in_region then overflow t offset
 
 let note_staged t ~offset ~len =
   if offset + len > t.high_water then t.high_water <- offset + len;
@@ -155,9 +139,9 @@ let stage_elt t ~offset src i =
    rejected. *)
 let stage_run t ~offset src pos len =
   if len > 0 then begin
+    let capacity = Axi_word.length t.in_region in
     if offset < 0 then overflow t offset;
-    if offset + len > t.in_capacity then overflow t (Int.max offset t.in_capacity);
-    reserve t (offset + len);
+    if offset + len > capacity then overflow t (Int.max offset capacity);
     Axi_word.blit_data t.in_region offset src pos len;
     note_staged t ~offset ~len
   end
@@ -175,9 +159,8 @@ let note_accel_busy t ~accel_cycles ~start ~until =
 
 let start_send t ~offset ~len_words =
   if t.pending_send <> None then failwith "DMA engine: send already in flight";
-  if offset < 0 || offset + len_words > t.in_capacity then
+  if offset < 0 || offset + len_words > Axi_word.length t.in_region then
     failwith "DMA engine: send range exceeds input region";
-  reserve t (offset + len_words);
   Trace.begin_span t.tracer ~cat:"dma_send"
     ~args:[ ("len_words", Trace.Int len_words) ]
     "program_send";

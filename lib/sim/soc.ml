@@ -146,19 +146,17 @@ let engine_track_names t =
       ])
     (List.sort compare t.engines)
 
-(* Charge one cache access at the given byte address. [access_cycles]
-   has an entry per level plus DRAM: three or more mean there is an L2. *)
+(* Charge one cache access at the given byte address. *)
 let charge_access t addr =
   let level_hit = Cache.access t.cache addr in
-  let cycles = t.access_cycles in
   let c = t.counters in
   c.l1_accesses <- c.l1_accesses +. 1.0;
   if level_hit >= 2 then begin
     c.l1_misses <- c.l1_misses +. 1.0;
-    if Array.length cycles >= 3 then c.l2_accesses <- c.l2_accesses +. 1.0
+    if Cache.levels t.cache >= 2 then c.l2_accesses <- c.l2_accesses +. 1.0
   end;
   if level_hit >= 3 then c.l2_misses <- c.l2_misses +. 1.0;
-  c.cycles <- c.cycles +. cycles.(level_hit - 1);
+  c.cycles <- c.cycles +. t.access_cycles.(level_hit - 1);
   c.instructions <- c.instructions +. 1.0
 
 let vector_range t buf i n =

@@ -14,7 +14,8 @@ type t = {
   access_cycles : float array;
       (** the cycle cost of an access that hit at 1-based level [h] is
           entry [h - 1]; the last entry is DRAM. Computed once by
-          {!create} from [cost] and the cache depth. *)
+          {!create} from [cost] and the cache depth; callers must not
+          change it. *)
   tracer : Trace.t;  (** disabled unless {!enable_tracing} was called *)
   timeline : Timeline.t;
       (** per-agent clocks for asynchronous DMA/accelerator activity;
