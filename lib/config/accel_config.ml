@@ -95,19 +95,24 @@ let validate t =
     else Error (Printf.sprintf "undefined init opcodes: %s" (String.concat ", " missing))
   in
   let* () =
-    match t.engine with
-    | Matmul_engine (version, size) ->
-      let cap = Accel_matmul.buffer_capacity_elems version ~size in
-      if t.buffer_capacity_elems <= cap then Ok ()
-      else
-        Error
-          (Printf.sprintf "buffer_capacity_elems %d exceeds the %s_%d engine's %d"
-             t.buffer_capacity_elems
-             (Accel_matmul.version_to_string version)
-             size cap)
-    | Conv_engine ->
-      if t.buffer_capacity_elems <= Accel_conv.buffer_capacity_elems then Ok ()
-      else Error "buffer_capacity_elems exceeds the conv engine's capacity"
+    (* both size the device model: a non-positive (or NaN) one must
+       not reach it *)
+    if t.buffer_capacity_elems <= 0 then Error "buffer_elems: must be positive"
+    else if not (t.ops_per_cycle > 0.0) then Error "ops_per_cycle: must be positive"
+    else
+      match t.engine with
+      | Matmul_engine (version, size) ->
+        let cap = Accel_matmul.buffer_capacity_elems version ~size in
+        if t.buffer_capacity_elems <= cap then Ok ()
+        else
+          Error
+            (Printf.sprintf "buffer_capacity_elems %d exceeds the %s_%d engine's %d"
+               t.buffer_capacity_elems
+               (Accel_matmul.version_to_string version)
+               size cap)
+      | Conv_engine ->
+        if t.buffer_capacity_elems <= Accel_conv.buffer_capacity_elems then Ok ()
+        else Error "buffer_capacity_elems exceeds the conv engine's capacity"
   in
   let region field bytes =
     if bytes <= 0 then Error (Printf.sprintf "dma.%s: must be positive" field)

@@ -172,16 +172,14 @@ let run ?(batch = 1) ~residency (g : Graph_ir.t) =
       let ensure_slice f =
         match w_region with
         | None -> send_tile Isa.cv_load_w (w_slice f)
-        | Some r -> (
+        | Some r ->
           let tag = Printf.sprintf "w%d/f%d" weights_id f in
-          match Accel_device.region_lookup r ~tag with
-          | Some _ -> skip nd.nd_id ~words:(slice + 1) ~what:"weights"
-          | None ->
-            (* the engine holds one slice: single-tenant replacement *)
-            (match Accel_device.region_replace r ~tag ~words:slice with
-            | Ok _ -> ()
-            | Error _ -> ());
-            send_tile Isa.cv_load_w (w_slice f))
+          if Accel_device.region_holds r ~tag then
+            skip nd.nd_id ~words:(slice + 1) ~what:"weights"
+          else begin
+            ignore (Accel_device.region_replace r ~tag ~words:slice);
+            send_tile Isa.cv_load_w (w_slice f)
+          end
       in
       if d.dc_stationary then
         (* filter-major across the batch: each slice crosses once *)
@@ -201,7 +199,7 @@ let run ?(batch = 1) ~residency (g : Graph_ir.t) =
               let in_tag = Printf.sprintf "t%d#b%d" input_id b in
               let in_words = Graph_ir.words (Graph_ir.tensor g input_id) in
               match act_region with
-              | Some r when Accel_device.region_lookup r ~tag:in_tag <> None ->
+              | Some r when Accel_device.region_holds r ~tag:in_tag ->
                 skip nd.nd_id ~words:in_words ~what:"chain"
               | _ ->
                 failwith
@@ -227,7 +225,7 @@ let run ?(batch = 1) ~residency (g : Graph_ir.t) =
               match act_region with
               | Some r -> (
                 match Accel_device.region_replace r ~tag:out_tag ~words:out_words with
-                | Ok _ -> skip nd.nd_id ~words:out_words ~what:"chain-output"
+                | Ok () -> skip nd.nd_id ~words:out_words ~what:"chain-output"
                 | Error msg ->
                   failwith (Printf.sprintf "Graph_exec: %s: %s" nd.nd_name msg))
               | None ->

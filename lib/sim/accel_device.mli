@@ -11,64 +11,31 @@
     {1 Residency regions}
 
     A {!region} is the host-visible contract of one on-chip buffer: a
-    named capacity-accounted store of tagged tensors (a weight slice, a
-    resident activation image). The driver that programs the device is
-    responsible for keeping the region in sync with the loads it
-    issues — a {!region_lookup} hit means "the device already holds
-    this tensor, the transfer can be skipped"; an install that
-    overwrites an existing tag invalidates the old copy.
-
-    Allocation is a ring over the capacity: installs claim the next
-    contiguous range (wrapping to offset 0 when the tail is too
-    short) and evict every overlapped entry in installation order —
-    the deterministic eviction ordering the residency tests pin.
-    Devices whose hardware holds a single tensor at a time (the conv
-    engine's weight slice and activation image) use {!region_replace},
-    which displaces everything; the multi-entry ring is the general
-    model richer devices can adopt. *)
-
-type entry = {
-  en_tag : string;  (** tensor identity, e.g. ["w12/f3"] *)
-  en_words : int;
-  en_off : int;  (** word offset inside the region *)
-  en_seq : int;  (** installation order (monotonic) *)
-}
+    named, capacity-checked store that holds at most one tagged tensor
+    (a weight slice, a resident activation image). The driver that
+    programs the device keeps the region in sync with the loads it
+    issues: {!region_holds} means "the device already holds this
+    tensor, the transfer can be skipped", and {!region_replace} records
+    a new tenant, displacing the old one. *)
 
 type region = {
   rg_name : string;
   rg_capacity_words : int;
-  mutable rg_entries : entry list;
-  mutable rg_next_off : int;  (** ring bump pointer *)
-  mutable rg_seq : int;
-  mutable rg_hits : int;  (** lookup hits (skipped transfers) *)
-  mutable rg_misses : int;
-  mutable rg_evictions : int;
+  mutable rg_tag : string option;  (** the tenant, e.g. ["w12/f3"] *)
 }
 
 val make_region : name:string -> capacity_words:int -> region
-(** Raises [Invalid_argument] on a non-positive capacity. *)
+(** An empty region. Raises [Invalid_argument] on a non-positive
+    capacity. *)
 
-val region_used : region -> int
-(** Words currently resident. *)
+val region_holds : region -> tag:string -> bool
+(** Whether [tag] is the current tenant. *)
 
-val region_tags : region -> string list
-(** Resident tags in installation order. *)
+val region_replace : region -> tag:string -> words:int -> (unit, string) result
+(** Make [tag] the tenant. [Error] when [words] exceeds the capacity
+    (capacity-exactly-full succeeds); a rejected replace keeps the
+    current tenant. *)
 
-val region_lookup : region -> tag:string -> int option
-(** The tag's word offset when resident ([Some] counts a hit,
-    [None] a miss). *)
-
-val region_install : region -> tag:string -> words:int -> (int * string list, string) result
-(** Claim space for [tag]: returns its word offset and the evicted
-    tags in installation order. Re-installing a resident tag
-    invalidates the old copy first. [Error] when [words] exceeds the
-    region capacity (capacity-exactly-full succeeds). *)
-
-val region_replace : region -> tag:string -> words:int -> (int * string list, string) result
-(** Single-tenant install: evict everything, then install [tag] at
-    offset 0. Same capacity rule as {!region_install}. *)
-
-val region_invalidate : region -> tag:string -> unit
 val region_clear : region -> unit
 
 (** {1 Output FIFOs} *)

@@ -82,15 +82,6 @@ let mark t ?dep ~start ~finish label =
 let device t = t.dev
 let in_capacity_words t = Axi_word.length t.in_region
 
-(* Registry mirrors of the perf-counter bumps below. The metric totals
-   must stay exactly equal to the corresponding Perf_counters fields
-   over a measured run — the fuzz oracle asserts it — so every counter
-   update site pairs with one of these. *)
-let m_transaction () = Metrics.incr "sim.dma_transactions"
-let m_words_sent len = Metrics.incr "sim.dma_words_sent" ~by:(float_of_int len)
-let m_words_received len = Metrics.incr "sim.dma_words_received" ~by:(float_of_int len)
-let m_accel_busy cycles = Metrics.incr "sim.accel_busy_cycles" ~by:cycles
-
 (* A transfer the residency planner proved unnecessary: nothing is
    staged, no words move, no counters are charged — the saving is a
    genuinely absent transaction. This only leaves a marker on the DMA
@@ -148,14 +139,51 @@ let stage_run t ~offset src pos len =
 
 let staged_high_water t = t.high_water
 
-(* Record the device's busy window on the accelerator track: it starts
-   when the stream has arrived (or when the device frees up) and runs
-   concurrently with the host from then on. *)
-let note_accel_busy t ~accel_cycles ~start ~until =
+(* One charge per DMA event. Every transfer path, blocking, ping-pong
+   or token, charges through these four, and each counter bump pairs
+   with its registry mirror: the metric totals must stay exactly equal
+   to the corresponding Perf_counters fields over a measured run (the
+   fuzz oracle asserts it). *)
+
+(* The host programs the engine's registers for one transaction. *)
+let charge_program t ~label =
+  let t0 = t.counters.cycles in
+  t.counters.cycles <- t0 +. t.cost.dma_program_cycles;
+  mark t ~start:t0 ~finish:t.counters.cycles label;
+  t.counters.instructions <- t.counters.instructions +. 20.0;
+  t.counters.dma_transactions <- t.counters.dma_transactions +. 1.0;
+  Metrics.incr "sim.dma_transactions"
+
+let count_sent t len =
+  let words = float_of_int len in
+  t.counters.dma_words_sent <- t.counters.dma_words_sent +. words;
+  Metrics.incr "sim.dma_words_sent" ~by:words;
+  Metrics.observe "sim.dma_send_len_words" words
+
+let count_received t len =
+  let words = float_of_int len in
+  t.counters.dma_words_received <- t.counters.dma_words_received +. words;
+  Metrics.incr "sim.dma_words_received" ~by:words;
+  Metrics.observe "sim.dma_recv_len_words" words
+
+(* The device consumes the input-region words [pos, pos+len); returns
+   the accelerator cycles of the compute they trigger. *)
+let deliver t ~pos ~len =
+  let accel_cycles = t.dev.Accel_device.consume (Axi_word.window t.in_region ~pos ~len) in
+  t.counters.accel_busy_cycles <- t.counters.accel_busy_cycles +. accel_cycles;
+  Metrics.incr "sim.accel_busy_cycles" ~by:accel_cycles;
+  accel_cycles
+
+(* The device starts once the stream has arrived (or when it frees up)
+   and runs concurrently with the host from then on; its busy window
+   goes on the accelerator track. *)
+let run_device t ~arrival accel_cycles =
+  let start = Float.max arrival t.ready_at in
+  t.ready_at <- start +. Cost_model.accel_to_cpu_cycles t.cost accel_cycles;
   if accel_cycles > 0.0 then
     Trace.complete t.tracer ~cat:"accel_busy" ~track:Trace.accel_track
       ~args:[ ("accel_cycles", Trace.Num accel_cycles) ]
-      ~ts:start ~dur:(until -. start) t.dev.Accel_device.device_name
+      ~ts:start ~dur:(t.ready_at -. start) t.dev.Accel_device.device_name
 
 let start_send t ~offset ~len_words =
   if t.pending_send <> None then failwith "DMA engine: send already in flight";
@@ -164,12 +192,7 @@ let start_send t ~offset ~len_words =
   Trace.begin_span t.tracer ~cat:"dma_send"
     ~args:[ ("len_words", Trace.Int len_words) ]
     "program_send";
-  let t0 = t.counters.cycles in
-  t.counters.cycles <- t0 +. t.cost.dma_program_cycles;
-  mark t ~start:t0 ~finish:t.counters.cycles "program_send";
-  t.counters.instructions <- t.counters.instructions +. 20.0;
-  t.counters.dma_transactions <- t.counters.dma_transactions +. 1.0;
-  m_transaction ();
+  charge_program t ~label:"program_send";
   Trace.end_span t.tracer;
   t.pending_send <- Some (offset, len_words)
 
@@ -186,19 +209,9 @@ let wait_send t =
     t.counters.cycles <- t0 +. transfer +. t.cost.dma_wait_cycles;
     mark t ~start:t0 ~finish:(t0 +. transfer) "host_send";
     mark t ~start:(t0 +. transfer) ~finish:t.counters.cycles "dma_poll";
-    t.counters.dma_words_sent <- t.counters.dma_words_sent +. float_of_int len;
-    m_words_sent len;
-    Metrics.observe "sim.dma_send_len_words" (float_of_int len);
-    let accel_cycles =
-      t.dev.Accel_device.consume (Axi_word.window t.in_region ~pos:offset ~len)
-    in
-    t.counters.accel_busy_cycles <- t.counters.accel_busy_cycles +. accel_cycles;
-    m_accel_busy accel_cycles;
-    (* The device starts processing when the stream arrives and runs
-       concurrently with the host from then on. *)
-    let start = Float.max t.counters.cycles t.ready_at in
-    t.ready_at <- start +. Cost_model.accel_to_cpu_cycles t.cost accel_cycles;
-    note_accel_busy t ~accel_cycles ~start ~until:t.ready_at;
+    count_sent t len;
+    let accel_cycles = deliver t ~pos:offset ~len in
+    run_device t ~arrival:t.counters.cycles accel_cycles;
     Trace.end_span t.tracer
 
 let send_staged t =
@@ -210,6 +223,7 @@ let send_staged t =
   t.high_water <- 0;
   t.batch_lo <- max_int
 
+(* Stall the host until any in-flight ping-pong send completes. *)
 let sync_sends t =
   if t.send_done_at > t.counters.cycles then begin
     mark t ~start:t.counters.cycles ~finish:t.send_done_at "send_sync";
@@ -224,26 +238,12 @@ let send_staged_async t =
       "send_async";
     (* only two buffer halves: wait out any transfer still in flight *)
     sync_sends t;
-    let t0 = t.counters.cycles in
-    t.counters.cycles <- t0 +. t.cost.dma_program_cycles;
-    mark t ~start:t0 ~finish:t.counters.cycles "program_send";
-    t.counters.instructions <- t.counters.instructions +. 20.0;
-    t.counters.dma_transactions <- t.counters.dma_transactions +. 1.0;
-    t.counters.dma_words_sent <- t.counters.dma_words_sent +. float_of_int len;
-    m_transaction ();
-    m_words_sent len;
-    Metrics.observe "sim.dma_send_len_words" (float_of_int len);
+    charge_program t ~label:"program_send";
+    count_sent t len;
     let transfer = float_of_int len *. Cost_model.cpu_cycles_per_word t.cost in
     t.send_done_at <- t.counters.cycles +. transfer;
-    let accel_cycles =
-      t.dev.Accel_device.consume (Axi_word.window t.in_region ~pos:0 ~len)
-    in
-    t.counters.accel_busy_cycles <- t.counters.accel_busy_cycles +. accel_cycles;
-    m_accel_busy accel_cycles;
-    (* the device starts once the stream has fully arrived *)
-    let start = Float.max t.send_done_at t.ready_at in
-    t.ready_at <- start +. Cost_model.accel_to_cpu_cycles t.cost accel_cycles;
-    note_accel_busy t ~accel_cycles ~start ~until:t.ready_at;
+    let accel_cycles = deliver t ~pos:0 ~len in
+    run_device t ~arrival:t.send_done_at accel_cycles;
     Trace.end_span t.tracer
   end;
   t.high_water <- 0;
@@ -255,12 +255,7 @@ let start_recv t ~len_words =
   Trace.begin_span t.tracer ~cat:"dma_recv"
     ~args:[ ("len_words", Trace.Int len_words) ]
     "program_recv";
-  let t0 = t.counters.cycles in
-  t.counters.cycles <- t0 +. t.cost.dma_program_cycles;
-  mark t ~start:t0 ~finish:t.counters.cycles "program_recv";
-  t.counters.instructions <- t.counters.instructions +. 20.0;
-  t.counters.dma_transactions <- t.counters.dma_transactions +. 1.0;
-  m_transaction ();
+  charge_program t ~label:"program_recv";
   Trace.end_span t.tracer;
   t.pending_recv <- Some len_words
 
@@ -292,9 +287,7 @@ let wait_recv t =
     t.counters.cycles <- t0 +. transfer +. t.cost.dma_wait_cycles;
     mark t ~start:t0 ~finish:(t0 +. transfer) "host_recv";
     mark t ~start:(t0 +. transfer) ~finish:t.counters.cycles "dma_poll";
-    t.counters.dma_words_received <- t.counters.dma_words_received +. float_of_int len;
-    m_words_received len;
-    Metrics.observe "sim.dma_recv_len_words" (float_of_int len);
+    count_received t len;
     let data = t.dev.Accel_device.drain len in
     Trace.end_span t.tracer;
     data
@@ -316,14 +309,6 @@ let register_flight t fl =
   Hashtbl.replace t.flights tok fl;
   tok
 
-let charge_program t ~label =
-  let t0 = t.counters.cycles in
-  t.counters.cycles <- t0 +. t.cost.dma_program_cycles;
-  mark t ~start:t0 ~finish:t.counters.cycles label;
-  t.counters.instructions <- t.counters.instructions +. 20.0;
-  t.counters.dma_transactions <- t.counters.dma_transactions +. 1.0;
-  m_transaction ()
-
 let start_send_token t =
   let lo = if t.batch_lo = max_int then 0 else t.batch_lo in
   let len = max 0 (t.high_water - lo) in
@@ -335,9 +320,7 @@ let start_send_token t =
       then failwith "DMA engine: staged batch overlaps a send still in flight")
     t.flights;
   charge_program t ~label:"program_send";
-  t.counters.dma_words_sent <- t.counters.dma_words_sent +. float_of_int len;
-  m_words_sent len;
-  Metrics.observe "sim.dma_send_len_words" (float_of_int len);
+  count_sent t len;
   let transfer = float_of_int len *. Cost_model.cpu_cycles_per_word t.cost in
   let tstart = Float.max t.counters.cycles (Timeline.busy_until t.dma_agent) in
   let tfinish =
@@ -345,9 +328,7 @@ let start_send_token t =
       ~duration:transfer ~label:"send" ()
   in
   let tseq = Timeline.last_seq t.timeline in
-  let accel_cycles = t.dev.Accel_device.consume (Axi_word.window t.in_region ~pos:lo ~len) in
-  t.counters.accel_busy_cycles <- t.counters.accel_busy_cycles +. accel_cycles;
-  m_accel_busy accel_cycles;
+  let accel_cycles = deliver t ~pos:lo ~len in
   if accel_cycles > 0.0 then begin
     let not_before = Float.max tfinish t.ready_at in
     let astart = Float.max not_before (Timeline.busy_until t.accel_agent) in
@@ -390,9 +371,7 @@ let start_send_token t =
 let start_recv_token t ~len_words =
   if len_words > t.out_capacity then failwith "DMA engine: recv exceeds output region";
   charge_program t ~label:"program_recv";
-  t.counters.dma_words_received <- t.counters.dma_words_received +. float_of_int len_words;
-  m_words_received len_words;
-  Metrics.observe "sim.dma_recv_len_words" (float_of_int len_words);
+  count_received t len_words;
   (* The batch this receive drains is the oldest undrained compute. *)
   let completion, dep =
     if Queue.is_empty t.completions then (t.ready_at, t.last_compute_seq)

@@ -17,7 +17,15 @@
     - each waited transfer costs one word per
       [bus_words_per_cpu_cycle] plus [dma_wait_cycles];
     - device compute overlaps host execution: its completion time is
-      tracked and [wait_recv] stalls the host clock until then. *)
+      tracked and [wait_recv] stalls the host clock until then.
+
+    Accounting is one charge per DMA event, whatever the path
+    (blocking, ping-pong or token): programming a transaction, the
+    words sent, the words received, and the device's compute on
+    delivered words each update their {!Perf_counters} fields and
+    [sim.*] metric mirrors in exactly one place, so the paths' totals
+    agree by construction. Only the timing around the charges differs
+    between paths. *)
 
 type t
 
@@ -93,9 +101,6 @@ val send_staged_async : t -> unit
     next tile in the other half of the (ping-pong) input region. If a
     previous asynchronous transfer is still in flight, the host first
     stalls until it completes (there are only two buffer halves). *)
-
-val sync_sends : t -> unit
-(** Stall the host until any in-flight asynchronous send completes. *)
 
 val start_recv : t -> len_words:int -> unit
 val wait_recv : t -> float array

@@ -1,10 +1,10 @@
-(* Whole-model graph IR + buffer residency: the region model's ring
-   eviction and capacity accounting, the conv engine's residency ISA
-   edge cases, graph validation, the residency scheduler's decisions
-   and remarks, executor bit-identity with strict DMA-word reduction,
-   the serving oracle's memo table, the pinned conv cycles-per-MAC
-   proxy, the QCheck graph-fuzz oracle and the axi4mlir-graph-v1
-   golden artifact. *)
+(* Whole-model graph IR + buffer residency: the region model's
+   single-tenant replacement and capacity check, the conv engine's
+   residency ISA edge cases, graph validation, the residency
+   scheduler's decisions and remarks, executor bit-identity with
+   strict DMA-word reduction, the serving oracle's memo table, the
+   pinned conv cycles-per-MAC proxy, the QCheck graph-fuzz oracle and
+   the axi4mlir-graph-v1 golden artifact. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -22,87 +22,32 @@ let contains ~affix s =
   n = 0 || go 0
 
 (* ------------------------------------------------------------------ *)
-(* Residency regions: ring allocation, capacity, invalidation         *)
+(* Residency regions: one tenant, capacity                            *)
 (* ------------------------------------------------------------------ *)
-
-let test_region_ring_eviction () =
-  let r = Accel_device.make_region ~name:"ring" ~capacity_words:100 in
-  let off, ev = ok (Accel_device.region_install r ~tag:"A" ~words:40) in
-  check_int "A at offset 0" 0 off;
-  check_int "A evicts nothing" 0 (List.length ev);
-  let off, ev = ok (Accel_device.region_install r ~tag:"B" ~words:40) in
-  check_int "B at offset 40" 40 off;
-  check_int "B evicts nothing" 0 (List.length ev);
-  (* tail is 20 words; C needs 30 -> wraps to 0 and displaces A *)
-  let off, ev = ok (Accel_device.region_install r ~tag:"C" ~words:30) in
-  check_int "C wraps to offset 0" 0 off;
-  Alcotest.(check (list string)) "C evicts exactly A" [ "A" ] ev;
-  (* D claims [30,70), overlapping B at [40,80) *)
-  let off, ev = ok (Accel_device.region_install r ~tag:"D" ~words:40) in
-  check_int "D at offset 30" 30 off;
-  Alcotest.(check (list string)) "D evicts exactly B" [ "B" ] ev;
-  Alcotest.(check (list string)) "survivors in installation order" [ "C"; "D" ]
-    (Accel_device.region_tags r);
-  check_int "eviction counter" 2 r.Accel_device.rg_evictions;
-  check_int "words resident" 70 (Accel_device.region_used r)
 
 let test_region_capacity_exactly_full () =
   let r = Accel_device.make_region ~name:"w" ~capacity_words:64 in
   (* words = capacity succeeds; capacity + 1 is a structured error *)
-  let off, ev = ok (Accel_device.region_install r ~tag:"full" ~words:64) in
-  check_int "full slice at offset 0" 0 off;
-  check_int "nothing evicted" 0 (List.length ev);
-  check_int "region is exactly full" 64 (Accel_device.region_used r);
-  let msg = err (Accel_device.region_install r ~tag:"huge" ~words:65) in
+  ok (Accel_device.region_replace r ~tag:"full" ~words:64);
+  check_bool "full tenant resident" true (Accel_device.region_holds r ~tag:"full");
+  let msg = err (Accel_device.region_replace r ~tag:"huge" ~words:65) in
   check_bool "oversize error names the capacity" true
     (contains ~affix:"capacity is 64" msg);
-  check_bool "non-positive install is an error" true
-    (Result.is_error (Accel_device.region_install r ~tag:"empty" ~words:0));
-  (* the full region stays intact after the rejected installs *)
-  Alcotest.(check (list string)) "rejects leave residents alone" [ "full" ]
-    (Accel_device.region_tags r);
-  (* a second full-capacity tenant evicts the first *)
-  let _, ev = ok (Accel_device.region_install r ~tag:"next" ~words:64) in
-  Alcotest.(check (list string)) "full tenant displaced" [ "full" ] ev
-
-let test_region_overwrite_invalidates () =
-  let r = Accel_device.make_region ~name:"w" ~capacity_words:64 in
-  let off0, _ = ok (Accel_device.region_install r ~tag:"x" ~words:10) in
-  check_int "first copy at 0" 0 off0;
-  (* Re-installing the same tag invalidates the old copy: exactly one
-     resident entry remains and the lookup resolves to the new offset. *)
-  let off1, ev = ok (Accel_device.region_install r ~tag:"x" ~words:10) in
-  check_int "overwrite is not an eviction" 0 (List.length ev);
-  check_int "new copy at the bump pointer" 10 off1;
-  check_int "exactly one copy resident" 10 (Accel_device.region_used r);
-  (match Accel_device.region_lookup r ~tag:"x" with
-  | Some off -> check_int "lookup sees the new copy" 10 off
-  | None -> Alcotest.fail "overwritten tag must stay resident");
-  Accel_device.region_invalidate r ~tag:"x";
-  check_bool "invalidate removes the tag" true
-    (Accel_device.region_lookup r ~tag:"x" = None)
-
-let test_region_hit_miss_counters () =
-  let r = Accel_device.make_region ~name:"w" ~capacity_words:64 in
-  ignore (ok (Accel_device.region_install r ~tag:"a" ~words:8));
-  ignore (Accel_device.region_lookup r ~tag:"a");
-  ignore (Accel_device.region_lookup r ~tag:"a");
-  ignore (Accel_device.region_lookup r ~tag:"b");
-  check_int "hits" 2 r.Accel_device.rg_hits;
-  check_int "misses" 1 r.Accel_device.rg_misses
+  check_bool "the rejected replace keeps the tenant" true
+    (Accel_device.region_holds r ~tag:"full");
+  check_bool "the rejected tag is not resident" false
+    (Accel_device.region_holds r ~tag:"huge")
 
 let test_region_replace_single_tenant () =
   let r = Accel_device.make_region ~name:"act" ~capacity_words:100 in
-  ignore (ok (Accel_device.region_install r ~tag:"A" ~words:30));
-  ignore (ok (Accel_device.region_install r ~tag:"B" ~words:30));
-  let off, ev = ok (Accel_device.region_replace r ~tag:"Z" ~words:90) in
-  check_int "single tenant lands at 0" 0 off;
-  Alcotest.(check (list string)) "replace displaces everything in order"
-    [ "A"; "B" ] ev;
-  Alcotest.(check (list string)) "sole resident" [ "Z" ]
-    (Accel_device.region_tags r);
-  check_bool "replace enforces capacity too" true
-    (Result.is_error (Accel_device.region_replace r ~tag:"W" ~words:101))
+  check_bool "a fresh region is empty" false (Accel_device.region_holds r ~tag:"A");
+  ok (Accel_device.region_replace r ~tag:"A" ~words:30);
+  ok (Accel_device.region_replace r ~tag:"Z" ~words:90);
+  check_bool "replace displaces the old tenant" false
+    (Accel_device.region_holds r ~tag:"A");
+  check_bool "sole tenant" true (Accel_device.region_holds r ~tag:"Z");
+  Accel_device.region_clear r;
+  check_bool "clear empties the region" false (Accel_device.region_holds r ~tag:"Z")
 
 (* ------------------------------------------------------------------ *)
 (* Conv engine residency ISA edge cases                               *)
@@ -524,12 +469,8 @@ let test_golden_graph_artifact () =
 
 let tests =
   [
-    Alcotest.test_case "region: ring eviction ordering" `Quick test_region_ring_eviction;
     Alcotest.test_case "region: capacity exactly full" `Quick
       test_region_capacity_exactly_full;
-    Alcotest.test_case "region: overwrite invalidates the old copy" `Quick
-      test_region_overwrite_invalidates;
-    Alcotest.test_case "region: hit/miss counters" `Quick test_region_hit_miss_counters;
     Alcotest.test_case "region: single-tenant replace" `Quick
       test_region_replace_single_tenant;
     Alcotest.test_case "device: weight slice capacity-exactly-full" `Quick

@@ -219,6 +219,22 @@ let test_accel_config_structured_errors () =
   (match with_size Accel_config.max_engine_size with
   | Ok _ -> ()
   | Error msg -> Alcotest.fail ("an engine at the ceiling is legal: " ^ msg));
+  (* the buffer capacity and throughput size the device model: a
+     non-positive one is a field error, not a crash or an infinite
+     cycle count *)
+  let with_field key v =
+    Accel_config.of_json_result (with_key key v (valid_accel_json ()))
+  in
+  List.iter
+    (fun (what, key, v) ->
+      expect_error what (with_field key v) (key ^ ": must be positive"))
+    [
+      ("zero buffer", "buffer_elems", Json.Int 0);
+      ("negative buffer", "buffer_elems", Json.Int (-5));
+      ("zero throughput", "ops_per_cycle", Json.Float 0.0);
+      ("negative throughput", "ops_per_cycle", Json.Float (-1.0));
+      ("NaN throughput", "ops_per_cycle", Json.Float Float.nan);
+    ];
   (* DMA regions are sized from the file: a huge one is refused before
      anything allocates it *)
   let with_dma field bytes =

@@ -298,6 +298,178 @@ let test_dma_overlap_timing () =
   Alcotest.(check (float 0.0)) "words received counted" 4.0
     soc.Soc.counters.Perf_counters.dma_words_received
 
+(* Pins the engine's accounting on every transfer path: the blocking
+   pair, two ping-pong flushes (the second stalls on the first), a
+   token send waited in flight, one waited after it drained, and a
+   token receive. After each path it compares every counter's bits,
+   the timeline events the path added, and the registry mirrors of the
+   counters against values recorded from the reference engine. *)
+let test_dma_accounting_pin () =
+  Metrics.enable Metrics.default;
+  Metrics.reset Metrics.default;
+  Fun.protect ~finally:(fun () -> Metrics.disable Metrics.default) @@ fun () ->
+  let soc, engine = make_soc_with_v3 () in
+  let ones = Array.make 4 1.0 in
+  let stage_tile () =
+    Dma_engine.stage_inst engine ~offset:0 Isa.mm_load_a;
+    Dma_engine.stage_run engine ~offset:1 ones 0 4;
+    Dma_engine.stage_inst engine ~offset:5 Isa.mm_load_b;
+    Dma_engine.stage_run engine ~offset:6 ones 0 4;
+    Dma_engine.stage_inst engine ~offset:10 Isa.mm_compute;
+    Dma_engine.stage_inst engine ~offset:11 Isa.mm_drain
+  in
+  let bits x = Printf.sprintf "%Lx" (Int64.bits_of_float x) in
+  let seen = ref (-1) in
+  let snapshot () =
+    let counters =
+      List.map (fun (k, v) -> k ^ "=" ^ bits v) (Perf_counters.fields soc.Soc.counters)
+    in
+    let events =
+      List.filter_map
+        (fun e ->
+          let open Timeline in
+          if e.ev_seq <= !seen then None
+          else
+            Some
+              (Printf.sprintf "%s %s %s %s dep=%s%s" e.ev_agent e.ev_label (bits e.ev_start)
+                 (bits e.ev_finish)
+                 (match e.ev_dep with Some d -> string_of_int d | None -> "-")
+                 (if e.ev_mark then " mark" else "")))
+        (Timeline.events soc.Soc.timeline)
+    in
+    seen := Timeline.last_seq soc.Soc.timeline;
+    counters @ events
+  in
+  (* the registry mirrors must equal their counters to the bit *)
+  let check_mirrors () =
+    let c = soc.Soc.counters in
+    List.iter
+      (fun (name, v) ->
+        Alcotest.(check string) name (bits v) (bits (Metrics.total name)))
+      [
+        ("sim.dma_transactions", c.Perf_counters.dma_transactions);
+        ("sim.dma_words_sent", c.Perf_counters.dma_words_sent);
+        ("sim.dma_words_received", c.Perf_counters.dma_words_received);
+        ("sim.accel_busy_cycles", c.Perf_counters.accel_busy_cycles);
+      ]
+  in
+  let pin name expected =
+    Alcotest.(check (list string)) name expected (snapshot ());
+    check_mirrors ()
+  in
+  stage_tile ();
+  Dma_engine.send_staged engine;
+  Dma_engine.start_recv engine ~len_words:4;
+  ignore (Dma_engine.wait_recv engine);
+  pin "blocking send and receive"
+    [
+      "cycles=40b3d80000000000";
+      "instructions=4044000000000000";
+      "branches=0";
+      "l1_accesses=0";
+      "l1_misses=0";
+      "l2_accesses=0";
+      "l2_misses=0";
+      "dma_transactions=4000000000000000";
+      "dma_words_sent=4028000000000000";
+      "dma_words_received=4010000000000000";
+      "accel_busy_cycles=4022492492492492";
+      "flops=0";
+      "host program_send 0 409c200000000000 dep=- mark";
+      "host host_send 409c200000000000 409d100000000000 dep=- mark";
+      "host dma_poll 409d100000000000 40a4000000000000 dep=- mark";
+      "host program_recv 40a4000000000000 40b1080000000000 dep=- mark";
+      "host host_recv 40b1080000000000 40b11c0000000000 dep=- mark";
+      "host dma_poll 40b11c0000000000 40b3d80000000000 dep=- mark";
+    ];
+  stage_tile ();
+  Dma_engine.send_staged_async engine;
+  stage_tile ();
+  Dma_engine.send_staged_async engine;
+  pin "ping-pong flushes"
+    [
+      "cycles=40c1120000000000";
+      "instructions=4054000000000000";
+      "branches=0";
+      "l1_accesses=0";
+      "l1_misses=0";
+      "l2_accesses=0";
+      "l2_misses=0";
+      "dma_transactions=4010000000000000";
+      "dma_words_sent=4042000000000000";
+      "dma_words_received=4010000000000000";
+      "accel_busy_cycles=403b6db6db6db6db";
+      "flops=0";
+      "host program_send 40b3d80000000000 40bae00000000000 dep=- mark";
+      "host send_sync 40bae00000000000 40bb1c0000000000 dep=- mark";
+      "host program_send 40bb1c0000000000 40c1120000000000 dep=- mark";
+    ];
+  stage_tile ();
+  ignore (Dma_engine.wait_token engine (Dma_engine.start_send_token engine));
+  pin "token send waited in flight"
+    [
+      "cycles=40c6120000000000";
+      "instructions=405a000000000000";
+      "branches=0";
+      "l1_accesses=0";
+      "l1_misses=0";
+      "l2_accesses=0";
+      "l2_misses=0";
+      "dma_transactions=4014000000000000";
+      "dma_words_sent=4048000000000000";
+      "dma_words_received=4010000000000000";
+      "accel_busy_cycles=4042492492492492";
+      "flops=0";
+      "host program_send 40c1120000000000 40c4960000000000 dep=- mark";
+      "dma0 send 40c4960000000000 40c4b40000000000 dep=-";
+      "host token_stall 40c4960000000000 40c4b40000000000 dep=10 mark";
+      "v3_2 compute 40c4b40000000000 40c4c2db6db6db6e dep=10";
+      "host dma_poll 40c4b40000000000 40c6120000000000 dep=- mark";
+    ];
+  stage_tile ();
+  let tok = Dma_engine.start_send_token engine in
+  Soc.alu soc 100_000;
+  ignore (Dma_engine.wait_token engine tok);
+  pin "token send waited after it drained"
+    [
+      "cycles=40fb9fe000000000";
+      "instructions=40f8720000000000";
+      "branches=0";
+      "l1_accesses=0";
+      "l1_misses=0";
+      "l2_accesses=0";
+      "l2_misses=0";
+      "dma_transactions=4018000000000000";
+      "dma_words_sent=404e000000000000";
+      "dma_words_received=4010000000000000";
+      "accel_busy_cycles=4046db6db6db6db6";
+      "flops=0";
+      "host program_send 40c6120000000000 40c9960000000000 dep=- mark";
+      "dma0 send 40c9960000000000 40c9b40000000000 dep=-";
+      "v3_2 compute 40c9b40000000000 40c9c2db6db6db6e dep=15";
+      "host status_check 40fb9cc000000000 40fb9fe000000000 dep=- mark";
+    ];
+  ignore (Dma_engine.wait_token engine (Dma_engine.start_recv_token engine ~len_words:4));
+  pin "token receive"
+    [
+      "cycles=40fc3d6000000000";
+      "instructions=40f8738000000000";
+      "branches=0";
+      "l1_accesses=0";
+      "l1_misses=0";
+      "l2_accesses=0";
+      "l2_misses=0";
+      "dma_transactions=401c000000000000";
+      "dma_words_sent=404e000000000000";
+      "dma_words_received=4020000000000000";
+      "accel_busy_cycles=4046db6db6db6db6";
+      "flops=0";
+      "host program_recv 40fb9fe000000000 40fc106000000000 dep=- mark";
+      "dma0 recv 40fc106000000000 40fc11a000000000 dep=11";
+      "host token_stall 40fc106000000000 40fc11a000000000 dep=19 mark";
+      "host dma_poll 40fc11a000000000 40fc3d6000000000 dep=- mark";
+    ]
+
 let test_soc_event_costs () =
   let soc = Soc.create () in
   let c = soc.Soc.counters in
@@ -415,6 +587,8 @@ let tests =
     Alcotest.test_case "dma staging" `Quick test_dma_engine_staging;
     Alcotest.test_case "dma protocol errors" `Quick test_dma_engine_protocol;
     Alcotest.test_case "dma/device overlap" `Quick test_dma_overlap_timing;
+    Alcotest.test_case "dma accounting on every transfer path" `Quick
+      test_dma_accounting_pin;
     Alcotest.test_case "soc event costs" `Quick test_soc_event_costs;
     Alcotest.test_case "soc reset preserves memory" `Quick test_soc_reset_run_state;
     QCheck_alcotest.to_alcotest prop_lru_eviction_order;
