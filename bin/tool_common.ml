@@ -90,16 +90,21 @@ let finish ~remarks ~metrics =
     Printf.eprintf "metrics      : %s\n" path
 
 (* Run [body], dumping remarks/metrics on both the success and the
-   failure path; a [Failure] becomes a cmdliner error (non-zero exit). *)
+   failure path; a [Failure], or a pass that breaks verification (e.g.
+   on hostile input IR), becomes a one-line cmdliner error (exit 124). *)
 let with_observability ~remarks ~metrics body =
   setup ~remarks ~metrics;
+  let fail msg =
+    finish ~remarks ~metrics;
+    `Error (false, msg)
+  in
   match body () with
   | result ->
     finish ~remarks ~metrics;
     result
-  | exception Failure msg ->
-    finish ~remarks ~metrics;
-    `Error (false, msg)
+  | exception Failure msg -> fail msg
+  | exception Pass.Pass_failure { pass; failing_op; message } ->
+    fail (Printf.sprintf "pass %s failed on %s: %s" pass failing_op message)
 
 (* Shared rendering for the `--list-*` introspection flags
    (axi4mlir-opt --list-passes, axi4mlir-tune --list-space): a title

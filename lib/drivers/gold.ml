@@ -1,17 +1,7 @@
-(* i-l-j order; each C element still adds its products in l order, so
-   the bits are those of the dot-product form. *)
 let matmul_acc ~m ~n ~k a b c =
   if Array.length a <> m * k || Array.length b <> k * n || Array.length c <> m * n then
     invalid_arg "Gold.matmul: shape mismatch";
-  for i = 0 to m - 1 do
-    let a_row = i * k and c_row = i * n in
-    for l = 0 to k - 1 do
-      let a_il = a.(a_row + l) and b_row = l * n in
-      for j = 0 to n - 1 do
-        c.(c_row + j) <- c.(c_row + j) +. (a_il *. b.(b_row + j))
-      done
-    done
-  done
+  Mac.matmul_acc ~m ~n ~k a b c
 
 let matmul ~m ~n ~k a b =
   let c = Array.make (m * n) 0.0 in

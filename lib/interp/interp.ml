@@ -10,7 +10,9 @@ type t = {
   funcs : (string, Ir.op) Hashtbl.t;
   libs : (int, Dma_library.t) Hashtbl.t;  (* one DMA library per engine id *)
   mutable current_lib : int option;  (* engine of the kernel being driven *)
-  mutable received : float array option;  (* dma_wait_recv's words, for copy_from *)
+  mutable received : float array option;
+      (* dma_wait_recv's words, for copy_from: the engine's own array,
+         valid until its next receive, so copy_from consumes it *)
 }
 
 let create ?(copy_strategy = Dma_library.Generic) soc module_op =
@@ -241,7 +243,8 @@ let rec exec_op t frame (o : Ir.op) =
     in
     match Runtime_abi.of_name callee with
     | Some entry ->
-      Metrics.incr "interp.runtime_calls" ~labels:[ ("callee", callee) ];
+      if Metrics.enabled Metrics.default then
+        Metrics.incr "interp.runtime_calls" ~labels:[ ("callee", callee) ];
       exec_entry t frame o entry
     | None -> (
       match Hashtbl.find_opt t.funcs callee with
@@ -264,10 +267,13 @@ and exec_func t (f : Ir.op) args =
       (List.length block.bargs) (List.length args);
   let frame = { env = Hashtbl.create 64 } in
   List.iter2 (bind frame) block.bargs args;
-  Trace.with_span t.soc.Soc.tracer ~cat:"interp"
-    ~args:[ ("n_ops", Trace.Int (List.length block.body)) ]
-    ("func " ^ Func.name_of f)
-    (fun () -> List.iter (exec_op t frame) block.body);
+  let tracer = t.soc.Soc.tracer in
+  if Trace.enabled tracer then
+    Trace.with_span tracer ~cat:"interp"
+      ~args:[ ("n_ops", Trace.Int (List.length block.body)) ]
+      ("func " ^ Func.name_of f)
+      (fun () -> List.iter (exec_op t frame) block.body)
+  else List.iter (exec_op t frame) block.body;
   match List.rev block.body with
   | last :: _ when last.Ir.name = "func.return" -> List.map (lookup frame) last.operands
   | _ -> []
@@ -275,7 +281,8 @@ and exec_func t (f : Ir.op) args =
 let invoke t name args =
   match Hashtbl.find_opt t.funcs name with
   | Some f ->
-    Metrics.incr "interp.invocations" ~labels:[ ("func", name) ];
+    if Metrics.enabled Metrics.default then
+      Metrics.incr "interp.invocations" ~labels:[ ("func", name) ];
     exec_func t f args
   | None -> error "no function named %s" name
 

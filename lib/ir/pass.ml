@@ -24,56 +24,75 @@ let () =
 
 let count_all = Ir.count_ops (fun _ -> true)
 
+(* After each pass: the optional dump, then the optional verification,
+   which raises [Pass_failure] naming the pass. *)
+let check options pass ir =
+  if options.dump_each then
+    Printf.eprintf "// ----- IR after %s -----\n%s\n" pass.pass_name
+      (Printer.to_generic ir);
+  if options.verify_each then begin
+    match Verifier.verify_structured ir with
+    | Ok () -> ()
+    | Error { Verifier.failing_op; reason } ->
+      if not options.dump_each then
+        (* dump_each already printed this module above *)
+        Printf.eprintf "// ----- IR after failing pass %s -----\n%s\n"
+          pass.pass_name (Printer.to_generic ir);
+      raise (Pass_failure { pass = pass.pass_name; failing_op; message = reason })
+  end
+
 let run_pipeline ?(options = default_options) ?stats ?(tracer = Trace.noop) passes root
     =
-  let record st =
-    match stats with None -> () | Some acc -> acc := !acc @ [ st ]
-  in
-  (* Passes see the IR unchanged between them, so each pass's op count
-     after is the next one's count before: one walk per pass. *)
-  List.fold_left
-    (fun (ir, ops_before) pass ->
-      let t0 = Sys.time () in
-      let ir = pass.run ir in
-      let seconds = Sys.time () -. t0 in
-      let ops_after = count_all ir in
-      Metrics.incr "compiler.pass_runs" ~labels:[ ("pass", pass.pass_name) ];
-      Metrics.observe "compiler.pass_us"
-        ~labels:[ ("pass", pass.pass_name) ]
-        (seconds *. 1e6);
-      Metrics.observe "compiler.pass_ops_after"
-        ~labels:[ ("pass", pass.pass_name) ]
-        (float_of_int ops_after);
-      (* Compile-side events live on their own track with real
-         (process-time) microsecond stamps — the simulated clock has not
-         started yet. *)
-      Trace.complete tracer ~cat:"pass" ~track:Trace.compile_track
-        ~args:
-          [ ("ops_before", Trace.Int ops_before); ("ops_after", Trace.Int ops_after) ]
-        ~ts:(t0 *. 1e6) ~dur:(seconds *. 1e6) pass.pass_name;
-      record
-        {
-          st_pass = pass.pass_name;
-          st_seconds = seconds;
-          st_ops_before = ops_before;
-          st_ops_after = ops_after;
-        };
-      if options.dump_each then
-        Printf.eprintf "// ----- IR after %s -----\n%s\n" pass.pass_name
-          (Printer.to_generic ir);
-      if options.verify_each then begin
-        match Verifier.verify_structured ir with
-        | Ok () -> ()
-        | Error { Verifier.failing_op; reason } ->
-          if not options.dump_each then
-            (* dump_each already printed this module above *)
-            Printf.eprintf "// ----- IR after failing pass %s -----\n%s\n"
-              pass.pass_name (Printer.to_generic ir);
-          raise (Pass_failure { pass = pass.pass_name; failing_op; message = reason })
-      end;
-      (ir, ops_after))
-    (root, count_all root) passes
-  |> fst
+  let traced = Trace.enabled tracer and metered = Metrics.enabled Metrics.default in
+  if stats = None && not (traced || metered) then
+    (* Nothing listens: no clock reads, op counts, metric labels or
+       trace arguments. *)
+    List.fold_left
+      (fun ir pass ->
+        let ir = pass.run ir in
+        check options pass ir;
+        ir)
+      root passes
+  else
+    (* Passes see the IR unchanged between them, so each pass's op count
+       after is the next one's count before: one walk per pass. *)
+    List.fold_left
+      (fun (ir, ops_before) pass ->
+        let t0 = Sys.time () in
+        let ir = pass.run ir in
+        let seconds = Sys.time () -. t0 in
+        let ops_after = count_all ir in
+        if metered then begin
+          let labels = [ ("pass", pass.pass_name) ] in
+          Metrics.incr "compiler.pass_runs" ~labels;
+          Metrics.observe "compiler.pass_us" ~labels (seconds *. 1e6);
+          Metrics.observe "compiler.pass_ops_after" ~labels (float_of_int ops_after)
+        end;
+        (* Compile-side events live on their own track with real
+           (process-time) microsecond stamps — the simulated clock has
+           not started yet. *)
+        if traced then
+          Trace.complete tracer ~cat:"pass" ~track:Trace.compile_track
+            ~args:
+              [ ("ops_before", Trace.Int ops_before); ("ops_after", Trace.Int ops_after) ]
+            ~ts:(t0 *. 1e6) ~dur:(seconds *. 1e6) pass.pass_name;
+        Option.iter
+          (fun acc ->
+            acc :=
+              !acc
+              @ [
+                  {
+                    st_pass = pass.pass_name;
+                    st_seconds = seconds;
+                    st_ops_before = ops_before;
+                    st_ops_after = ops_after;
+                  };
+                ])
+          stats;
+        check options pass ir;
+        (ir, ops_after))
+      (root, count_all root) passes
+    |> fst
 
 let report_stats stats =
   let buf = Buffer.create 512 in

@@ -19,18 +19,23 @@ let strategy_to_string = function
   | Specialized -> "specialized"
   | Bare -> "bare"
 
+(* Every trace and metric call below that would build arguments or a
+   closure first asks whether anything listens, so with tracing and
+   metrics off the library allocates nothing for them. *)
 let init ?(double_buffer = false) soc ~dma_id ~strategy =
   let engine = Soc.engine soc dma_id in
-  Trace.begin_span soc.Soc.tracer ~cat:"init"
-    ~args:
-      [
-        ("dma_id", Trace.Int dma_id);
-        ("strategy", Trace.Str (strategy_to_string strategy));
-        ("double_buffer", Trace.Bool double_buffer);
-      ]
-    "dma_init";
-  Metrics.incr "runtime.dma_inits"
-    ~labels:[ ("strategy", strategy_to_string strategy) ];
+  if Trace.enabled soc.Soc.tracer then
+    Trace.begin_span soc.Soc.tracer ~cat:"init"
+      ~args:
+        [
+          ("dma_id", Trace.Int dma_id);
+          ("strategy", Trace.Str (strategy_to_string strategy));
+          ("double_buffer", Trace.Bool double_buffer);
+        ]
+      "dma_init";
+  if Metrics.enabled Metrics.default then
+    Metrics.incr "runtime.dma_inits"
+      ~labels:[ ("strategy", strategy_to_string strategy) ];
   soc.Soc.counters.cycles <- soc.Soc.counters.cycles +. init_cycles;
   Trace.end_span soc.Soc.tracer;
   { soc; engine; strategy; double_buffer }
@@ -142,26 +147,35 @@ let bare_copy_in t view ~accumulate data =
 let rec innermost_unit = function [] -> true | [ s ] -> s = 1 | _ :: rest -> innermost_unit rest
 let can_specialize view = innermost_unit view.Memref_view.strides
 
+let note_copy ~dir strategy view =
+  if Metrics.enabled Metrics.default then begin
+    let labels = [ ("dir", dir); ("strategy", strategy_to_string strategy) ] in
+    Metrics.incr "runtime.copies" ~labels;
+    Metrics.observe "runtime.copy_words" ~labels
+      (float_of_int (Memref_view.num_elements view))
+  end
+
+let copy_out t strategy view ~offset =
+  note_copy ~dir:"to_accel" strategy view;
+  match strategy with
+  | Generic -> generic_copy_out t view ~offset
+  | Bare -> bare_copy_out t view ~offset
+  | Specialized ->
+    if can_specialize view then specialized_copy_out t view ~offset
+    else generic_copy_out t view ~offset
+
 let copy_to_dma_region_with t strategy view ~offset =
-  Trace.with_span t.soc.Soc.tracer ~cat:"copy_to_accel"
-    ~args:
-      [
-        ("words", Trace.Int (Memref_view.num_elements view));
-        ("strategy", Trace.Str (strategy_to_string strategy));
-      ]
-    "copy_to_dma_region"
-    (fun () ->
-      let labels = [ ("strategy", strategy_to_string strategy) ] in
-      Metrics.incr "runtime.copies" ~labels:(("dir", "to_accel") :: labels);
-      Metrics.observe "runtime.copy_words"
-        ~labels:(("dir", "to_accel") :: labels)
-        (float_of_int (Memref_view.num_elements view));
-      match strategy with
-      | Generic -> generic_copy_out t view ~offset
-      | Bare -> bare_copy_out t view ~offset
-      | Specialized ->
-        if can_specialize view then specialized_copy_out t view ~offset
-        else generic_copy_out t view ~offset)
+  let tracer = t.soc.Soc.tracer in
+  if Trace.enabled tracer then
+    Trace.with_span tracer ~cat:"copy_to_accel"
+      ~args:
+        [
+          ("words", Trace.Int (Memref_view.num_elements view));
+          ("strategy", Trace.Str (strategy_to_string strategy));
+        ]
+      "copy_to_dma_region"
+      (fun () -> copy_out t strategy view ~offset)
+  else copy_out t strategy view ~offset
 
 let copy_to_dma_region t view ~offset = copy_to_dma_region_with t t.strategy view ~offset
 
@@ -175,9 +189,10 @@ let flush_send t =
 let skip_resident t ~words ~what =
   Soc.alu t.soc 2;
   Soc.branch t.soc 1;
-  Metrics.incr "runtime.dma_words_skipped"
-    ~by:(float_of_int words)
-    ~labels:[ ("what", what) ];
+  if Metrics.enabled Metrics.default then
+    Metrics.incr "runtime.dma_words_skipped"
+      ~by:(float_of_int words)
+      ~labels:[ ("what", what) ];
   Dma_engine.note_skipped t.engine ~words ~what
 
 (* Copies from the DMA output region back into a memref. [data] holds
@@ -227,27 +242,28 @@ let specialized_copy_in t view ~accumulate data =
       else Array.blit data !i d li run;
       i := !i + run)
 
+let copy_in t strategy view ~accumulate data =
+  note_copy ~dir:"from_accel" strategy view;
+  match strategy with
+  | Generic -> generic_copy_in t view ~accumulate data
+  | Bare -> bare_copy_in t view ~accumulate data
+  | Specialized ->
+    if can_specialize view then specialized_copy_in t view ~accumulate data
+    else generic_copy_in t view ~accumulate data
+
 let copy_from_data_with t strategy view ~accumulate data =
-  Trace.with_span t.soc.Soc.tracer ~cat:"copy_from_accel"
-    ~args:
-      [
-        ("words", Trace.Int (Memref_view.num_elements view));
-        ("strategy", Trace.Str (strategy_to_string strategy));
-        ("accumulate", Trace.Bool accumulate);
-      ]
-    "copy_from_data"
-    (fun () ->
-      let labels = [ ("strategy", strategy_to_string strategy) ] in
-      Metrics.incr "runtime.copies" ~labels:(("dir", "from_accel") :: labels);
-      Metrics.observe "runtime.copy_words"
-        ~labels:(("dir", "from_accel") :: labels)
-        (float_of_int (Memref_view.num_elements view));
-      match strategy with
-      | Generic -> generic_copy_in t view ~accumulate data
-      | Bare -> bare_copy_in t view ~accumulate data
-      | Specialized ->
-        if can_specialize view then specialized_copy_in t view ~accumulate data
-        else generic_copy_in t view ~accumulate data)
+  let tracer = t.soc.Soc.tracer in
+  if Trace.enabled tracer then
+    Trace.with_span tracer ~cat:"copy_from_accel"
+      ~args:
+        [
+          ("words", Trace.Int (Memref_view.num_elements view));
+          ("strategy", Trace.Str (strategy_to_string strategy));
+          ("accumulate", Trace.Bool accumulate);
+        ]
+      "copy_from_data"
+      (fun () -> copy_in t strategy view ~accumulate data)
+  else copy_in t strategy view ~accumulate data
 
 let manual_strategy view =
   if can_specialize view && Memref_view.contiguous_run view >= 4 then Specialized else Bare

@@ -128,10 +128,10 @@ let run ?telemetry ?service_at ?predict_at ~service ~predict p
     let predict_for idx =
       match predict_at with None -> predict | Some f -> f ~accel:idx
     in
-    (* Zero-cost when disabled: one match on an immediate per hook site,
-       exactly the Trace/Metrics discipline. Recording never feeds back
-       into scheduling decisions. *)
-    let tel f = match telemetry with None -> () | Some tlm -> f tlm in
+    (* Zero-cost when disabled: each hook site is one match on the
+       option, with no closure built, exactly the Trace/Metrics
+       discipline. Recording never feeds back into scheduling
+       decisions. *)
     let tl = Timeline.create () in
     let agents =
       Array.init p.sp_accels (fun i ->
@@ -160,7 +160,9 @@ let run ?telemetry ?service_at ?predict_at ~service ~predict p
         match !arrivals with
         | (a : Serve_request.t) :: rest when a.Serve_request.rq_arrival <= now ->
           arrivals := rest;
-          tel (fun tlm -> Serve_telemetry.on_arrival tlm ~at:a.rq_arrival);
+          (match telemetry with
+          | Some tlm -> Serve_telemetry.on_arrival tlm ~at:a.rq_arrival
+          | None -> ());
           let admitted =
             match p.sp_queue_cap with
             | None -> true
@@ -171,7 +173,9 @@ let run ?telemetry ?service_at ?predict_at ~service ~predict p
             rejected :=
               { rj_id = a.rq_id; rj_model = a.rq_model; rj_arrival = a.rq_arrival }
               :: !rejected;
-            tel (fun tlm -> Serve_telemetry.on_reject tlm ~at:a.rq_arrival)
+            match telemetry with
+            | Some tlm -> Serve_telemetry.on_reject tlm ~at:a.rq_arrival
+            | None -> ()
           end;
           go ()
         | _ -> ()
@@ -251,16 +255,18 @@ let run ?telemetry ?service_at ?predict_at ~service ~predict p
                 }
                 :: !completed)
             batch;
-          tel (fun tlm ->
-              (* queue depth after removal, in-flight including the
-                 batch just scheduled (its finish is in the future) *)
-              Serve_telemetry.on_dispatch tlm ~at:!now ~accel:idx ~start ~finish
-                ~queue:(List.length !queue) ~in_flight:(in_flight_at !now);
-              List.iter
-                (fun (r : Serve_request.t) ->
-                  Serve_telemetry.on_complete tlm ~finish
-                    ~latency:(finish -. r.Serve_request.rq_arrival))
-                batch)
+          match telemetry with
+          | Some tlm ->
+            (* queue depth after removal, in-flight including the
+               batch just scheduled (its finish is in the future) *)
+            Serve_telemetry.on_dispatch tlm ~at:!now ~accel:idx ~start ~finish
+              ~queue:(List.length !queue) ~in_flight:(in_flight_at !now);
+            List.iter
+              (fun (r : Serve_request.t) ->
+                Serve_telemetry.on_complete tlm ~finish
+                  ~latency:(finish -. r.Serve_request.rq_arrival))
+              batch
+          | None -> ()
         end
       done
     with

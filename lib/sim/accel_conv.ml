@@ -81,15 +81,16 @@ let create ?(ops_per_cycle = default_ops_per_cycle) ?(tracer = Trace.noop)
     done;
     Accel_device.Fifo.push st.pending !acc;
     let c = 2.0 *. float_of_int n /. ops_per_cycle in
-    Trace.instant tracer ~cat:"accel" ~track:Trace.accel_track
-      ~args:
-        [
-          ("ic", Trace.Int st.ic);
-          ("fhw", Trace.Int st.fhw);
-          ("src", Trace.Str src);
-          ("accel_cycles", Trace.Num c);
-        ]
-      "cv_patch";
+    if Trace.enabled tracer then
+      Trace.instant tracer ~cat:"accel" ~track:Trace.accel_track
+        ~args:
+          [
+            ("ic", Trace.Int st.ic);
+            ("fhw", Trace.Int st.fhw);
+            ("src", Trace.Str src);
+            ("accel_cycles", Trace.Num c);
+          ]
+        "cv_patch";
     c
   in
   let who = "conv accelerator" in
@@ -175,18 +176,5 @@ let create ?(ops_per_cycle = default_ops_per_cycle) ?(tracer = Trace.noop)
     done;
     !cycles
   in
-  let drain n =
-    if Accel_device.Fifo.length st.out < n then
-      failwith
-        (Printf.sprintf "conv accelerator: host requested %d output words, %d available" n
-           (Accel_device.Fifo.length st.out));
-    Accel_device.Fifo.pop_array st.out n
-  in
-  {
-    Accel_device.device_name = "conv2d";
-    consume;
-    drain;
-    available = (fun () -> Accel_device.Fifo.length st.out);
-    reset_device = reset_all;
-    regions = [ w_region; act_region ];
-  }
+  Accel_device.of_fifo ~name:"conv2d" ~who ~consume ~reset_device:reset_all
+    ~regions:[ w_region; act_region ] st.out

@@ -84,9 +84,33 @@ type t = {
   device_name : string;
   consume : Axi_word.window -> float;
   drain : int -> float array;
+  drain_into : float array -> int -> unit;
   available : unit -> int;
   reset_device : unit -> unit;
   regions : region list;
 }
+
+let of_fifo ~name ~who ~consume ~reset_device ~regions out =
+  let check n =
+    if Fifo.length out < n then
+      failwith
+        (Printf.sprintf "%s: host requested %d output words, %d available" who n
+           (Fifo.length out))
+  in
+  {
+    device_name = name;
+    consume;
+    drain =
+      (fun n ->
+        check n;
+        Fifo.pop_array out n);
+    drain_into =
+      (fun dst n ->
+        check n;
+        Fifo.pop_into out dst 0 n);
+    available = (fun () -> Fifo.length out);
+    reset_device;
+    regions;
+  }
 
 let find_region t name = List.find_opt (fun r -> r.rg_name = name) t.regions

@@ -82,8 +82,14 @@ type t = {
           valid only during this call: decode from it, never keep
           it. *)
   drain : int -> float array;
-      (** Remove [n] elements from the output FIFO. Raises [Failure]
-          when fewer are available (host/driver protocol bug). *)
+      (** Remove [n] elements from the output FIFO as a fresh array.
+          Raises [Failure] when fewer are available (host/driver
+          protocol bug). *)
+  drain_into : float array -> int -> unit;
+      (** [drain_into dst n] is [drain n] into [dst.(0 .. n-1)] instead
+          of a fresh array. [dst] belongs to the caller (the DMA
+          engine's blocking-receive region): the device writes it only
+          during this call and keeps no reference to it. *)
   available : unit -> int;  (** queued output elements *)
   reset_device : unit -> unit;
   regions : region list;
@@ -91,5 +97,17 @@ type t = {
           buffer reuse (the matmul engines: every tile load overwrites
           the previous one by construction). *)
 }
+
+val of_fifo :
+  name:string ->
+  who:string ->
+  consume:(Axi_word.window -> float) ->
+  reset_device:(unit -> unit) ->
+  regions:region list ->
+  Fifo.t ->
+  t
+(** A device whose output is the FIFO [out]: [drain], [drain_into] and
+    [available] read it, and a drain of more than is queued raises
+    [Failure "<who>: host requested N output words, M available"]. *)
 
 val find_region : t -> string -> region option

@@ -41,10 +41,12 @@ let fail_op st code =
     (Printf.sprintf "%s_%d accelerator: unsupported instruction %s"
        (version_to_string st.version) st.size (Isa.name code))
 
+(* [a * b > capacity] for a positive [b], compared as a quotient so a
+   huge dim cannot wrap the product back under the capacity. *)
+let exceeds st a b = b > 0 && a > st.capacity / b
+
 let check_dims st =
-  if st.tm * st.tk > st.capacity || st.tk * st.tn > st.capacity
-     || st.tm * st.tn > st.capacity
-  then
+  if exceeds st st.tm st.tk || exceeds st st.tk st.tn || exceeds st st.tm st.tn then
     failwith
       (Printf.sprintf "%s_%d accelerator: tile %dx%dx%d exceeds buffer capacity %d"
          (version_to_string st.version) st.size st.tm st.tn st.tk st.capacity);
@@ -76,19 +78,9 @@ let note_compute tracer st cycles =
       ]
     "mm_compute"
 
-(* One tile MAC pass: C += A x B. Returns accelerator cycles. m-k-n
-   order; each C element still adds its products in k order. *)
+(* One tile MAC pass: C += A x B. Returns accelerator cycles. *)
 let compute st =
-  let tn = st.tn and tk = st.tk and a = st.a and b = st.b and c = st.c in
-  for m = 0 to st.tm - 1 do
-    let a_row = m * tk and c_row = m * tn in
-    for k = 0 to tk - 1 do
-      let a_mk = a.(a_row + k) and b_row = k * tn in
-      for n = 0 to tn - 1 do
-        c.(c_row + n) <- c.(c_row + n) +. (a_mk *. b.(b_row + n))
-      done
-    done
-  done;
+  Mac.matmul_acc ~m:st.tm ~n:st.tn ~k:st.tk st.a st.b st.c;
   2.0 *. float_of_int (st.tm * st.tn * st.tk) /. ops_per_cycle_for_size st.size
 
 let drain_c st =
@@ -116,7 +108,7 @@ let create ?(tracer = Trace.noop) ~version ~size () =
     let cycles = ref 0.0 in
     let run_compute () =
       let c = compute st in
-      note_compute tracer st c;
+      if Trace.enabled tracer then note_compute tracer st c;
       cycles := !cycles +. c
     in
     let read_payload dst n =
@@ -165,20 +157,10 @@ let create ?(tracer = Trace.noop) ~version ~size () =
     done;
     !cycles
   in
-  let drain n =
-    if Accel_device.Fifo.length st.out < n then
-      failwith
-        (Printf.sprintf "%s_%d accelerator: host requested %d output words, %d available"
-           (version_to_string version) size n (Accel_device.Fifo.length st.out));
-    Accel_device.Fifo.pop_array st.out n
-  in
-  {
-    Accel_device.device_name = Printf.sprintf "%s_%d" (version_to_string version) size;
-    consume;
-    drain;
-    available = (fun () -> Accel_device.Fifo.length st.out);
-    reset_device = (fun () -> reset st);
-    (* every tile load overwrites the previous tile by construction, so
-       there is no host-managed residency to model *)
-    regions = [];
-  }
+  (* every tile load overwrites the previous tile by construction, so
+     there is no host-managed residency to model *)
+  Accel_device.of_fifo
+    ~name:(Printf.sprintf "%s_%d" (version_to_string version) size)
+    ~who ~consume
+    ~reset_device:(fun () -> reset st)
+    ~regions:[] st.out

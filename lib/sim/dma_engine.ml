@@ -40,6 +40,9 @@ type t = {
   mutable last_compute_seq : int option;
       (* timeline seq of the most recent device compute event, for dep
          edges on receives that drain [ready_at] directly *)
+  mutable recv_buf : float array;
+      (* the blocking receives' output region: exactly the last
+         receive's length, re-made only when that length changes *)
 }
 
 let create ~cost ~counters ?tracer ?timeline ?(dma_id = 0) ~device ~in_capacity_words
@@ -67,6 +70,7 @@ let create ~cost ~counters ?tracer ?timeline ?(dma_id = 0) ~device ~in_capacity_
     next_token = 0;
     completions = Queue.create ();
     last_compute_seq = None;
+    recv_buf = [||];
   }
 
 (* Host-clock marks: annotate what an interval of the serial counter
@@ -88,13 +92,15 @@ let in_capacity_words t = Axi_word.length t.in_region
    channel's trace track (and a metric) so the timeline shows *why*
    the words are missing. *)
 let note_skipped t ~words ~what =
-  Metrics.incr "sim.dma_words_skipped"
-    ~by:(float_of_int words)
-    ~labels:[ ("what", what) ];
-  Trace.instant t.tracer ~cat:"residency"
-    ~track:(Trace.dma_channel_track t.dma_id)
-    ~args:[ ("words", Trace.Int words); ("what", Trace.Str what) ]
-    "residency_skip"
+  if Metrics.enabled Metrics.default then
+    Metrics.incr "sim.dma_words_skipped"
+      ~by:(float_of_int words)
+      ~labels:[ ("what", what) ];
+  if Trace.enabled t.tracer then
+    Trace.instant t.tracer ~cat:"residency"
+      ~track:(Trace.dma_channel_track t.dma_id)
+      ~args:[ ("words", Trace.Int words); ("what", Trace.Str what) ]
+      "residency_skip"
 
 (* Staging charges nothing: the runtime library accounts for the
    host-side copy. Apart from [stage], which tests use, no entry point
@@ -157,21 +163,26 @@ let charge_program t ~label =
 let count_sent t len =
   let words = float_of_int len in
   t.counters.dma_words_sent <- t.counters.dma_words_sent +. words;
-  Metrics.incr "sim.dma_words_sent" ~by:words;
-  Metrics.observe "sim.dma_send_len_words" words
+  if Metrics.enabled Metrics.default then begin
+    Metrics.incr "sim.dma_words_sent" ~by:words;
+    Metrics.observe "sim.dma_send_len_words" words
+  end
 
 let count_received t len =
   let words = float_of_int len in
   t.counters.dma_words_received <- t.counters.dma_words_received +. words;
-  Metrics.incr "sim.dma_words_received" ~by:words;
-  Metrics.observe "sim.dma_recv_len_words" words
+  if Metrics.enabled Metrics.default then begin
+    Metrics.incr "sim.dma_words_received" ~by:words;
+    Metrics.observe "sim.dma_recv_len_words" words
+  end
 
 (* The device consumes the input-region words [pos, pos+len); returns
    the accelerator cycles of the compute they trigger. *)
 let deliver t ~pos ~len =
   let accel_cycles = t.dev.Accel_device.consume (Axi_word.window t.in_region ~pos ~len) in
   t.counters.accel_busy_cycles <- t.counters.accel_busy_cycles +. accel_cycles;
-  Metrics.incr "sim.accel_busy_cycles" ~by:accel_cycles;
+  if Metrics.enabled Metrics.default then
+    Metrics.incr "sim.accel_busy_cycles" ~by:accel_cycles;
   accel_cycles
 
 (* The device starts once the stream has arrived (or when it frees up)
@@ -180,18 +191,23 @@ let deliver t ~pos ~len =
 let run_device t ~arrival accel_cycles =
   let start = Float.max arrival t.ready_at in
   t.ready_at <- start +. Cost_model.accel_to_cpu_cycles t.cost accel_cycles;
-  if accel_cycles > 0.0 then
+  if accel_cycles > 0.0 && Trace.enabled t.tracer then
     Trace.complete t.tracer ~cat:"accel_busy" ~track:Trace.accel_track
       ~args:[ ("accel_cycles", Trace.Num accel_cycles) ]
       ~ts:start ~dur:(t.ready_at -. start) t.dev.Accel_device.device_name
+
+(* The blocking transfers' host spans. Like every trace and metric call
+   on this path that would build arguments, it is skipped outright when
+   nothing listens, so a disabled run allocates nothing for it. *)
+let begin_len_span t ~cat name len =
+  if Trace.enabled t.tracer then
+    Trace.begin_span t.tracer ~cat ~args:[ ("len_words", Trace.Int len) ] name
 
 let start_send t ~offset ~len_words =
   if t.pending_send <> None then failwith "DMA engine: send already in flight";
   if offset < 0 || offset + len_words > Axi_word.length t.in_region then
     failwith "DMA engine: send range exceeds input region";
-  Trace.begin_span t.tracer ~cat:"dma_send"
-    ~args:[ ("len_words", Trace.Int len_words) ]
-    "program_send";
+  begin_len_span t ~cat:"dma_send" "program_send" len_words;
   charge_program t ~label:"program_send";
   Trace.end_span t.tracer;
   t.pending_send <- Some (offset, len_words)
@@ -201,9 +217,7 @@ let wait_send t =
   | None -> failwith "DMA engine: wait_send without a pending send"
   | Some (offset, len) ->
     t.pending_send <- None;
-    Trace.begin_span t.tracer ~cat:"dma_send"
-      ~args:[ ("len_words", Trace.Int len) ]
-      "wait_send";
+    begin_len_span t ~cat:"dma_send" "wait_send" len;
     let transfer = float_of_int len *. Cost_model.cpu_cycles_per_word t.cost in
     let t0 = t.counters.cycles in
     t.counters.cycles <- t0 +. transfer +. t.cost.dma_wait_cycles;
@@ -233,9 +247,10 @@ let sync_sends t =
 let send_staged_async t =
   let len = t.high_water in
   if len > 0 then begin
-    Trace.begin_span t.tracer ~cat:"dma_send"
-      ~args:[ ("len_words", Trace.Int len); ("async", Trace.Bool true) ]
-      "send_async";
+    if Trace.enabled t.tracer then
+      Trace.begin_span t.tracer ~cat:"dma_send"
+        ~args:[ ("len_words", Trace.Int len); ("async", Trace.Bool true) ]
+        "send_async";
     (* only two buffer halves: wait out any transfer still in flight *)
     sync_sends t;
     charge_program t ~label:"program_send";
@@ -252,9 +267,7 @@ let send_staged_async t =
 let start_recv t ~len_words =
   if t.pending_recv <> None then failwith "DMA engine: recv already in flight";
   if len_words > t.out_capacity then failwith "DMA engine: recv exceeds output region";
-  Trace.begin_span t.tracer ~cat:"dma_recv"
-    ~args:[ ("len_words", Trace.Int len_words) ]
-    "program_recv";
+  begin_len_span t ~cat:"dma_recv" "program_recv" len_words;
   charge_program t ~label:"program_recv";
   Trace.end_span t.tracer;
   t.pending_recv <- Some len_words
@@ -264,9 +277,7 @@ let wait_recv t =
   | None -> failwith "DMA engine: wait_recv without a pending recv"
   | Some len ->
     t.pending_recv <- None;
-    Trace.begin_span t.tracer ~cat:"dma_recv"
-      ~args:[ ("len_words", Trace.Int len) ]
-      "wait_recv";
+    begin_len_span t ~cat:"dma_recv" "wait_recv" len;
     (* A blocking receive stalls to [ready_at], which dominates every
        queued completion, so it consumes the whole FIFO; pure-blocking
        runs are untouched — the queue is empty there. *)
@@ -288,9 +299,10 @@ let wait_recv t =
     mark t ~start:t0 ~finish:(t0 +. transfer) "host_recv";
     mark t ~start:(t0 +. transfer) ~finish:t.counters.cycles "dma_poll";
     count_received t len;
-    let data = t.dev.Accel_device.drain len in
+    if Array.length t.recv_buf <> len then t.recv_buf <- Array.create_float len;
+    t.dev.Accel_device.drain_into t.recv_buf len;
     Trace.end_span t.tracer;
-    data
+    t.recv_buf
 
 (* ------------------------------------------------------------------ *)
 (* Non-blocking (token) transfers                                      *)
@@ -308,6 +320,19 @@ let register_flight t fl =
   t.next_token <- tok + 1;
   Hashtbl.replace t.flights tok fl;
   tok
+
+(* A token transfer's window on its channel track and the origin of
+   its flow arrow. Callers test [Trace.enabled] first, so the floats are
+   not boxed for a disabled tracer. *)
+let note_async t ~name ~len ~tok ~tstart ~transfer ~flow =
+  Trace.complete t.tracer ~cat:"dma_async"
+    ~track:(Trace.dma_channel_track t.dma_id)
+    ~args:[ ("len_words", Trace.Int len); ("token", Trace.Int tok) ]
+    ~ts:tstart ~dur:transfer name;
+  Trace.flow_start t.tracer
+    ~track:(Trace.dma_channel_track t.dma_id)
+    ~ts:(tstart +. (transfer /. 2.0))
+    ~id:flow "dma_token"
 
 let start_send_token t =
   let lo = if t.batch_lo = max_int then 0 else t.batch_lo in
@@ -341,7 +366,8 @@ let start_send_token t =
     t.ready_at <- afinish;
     t.last_compute_seq <- Some cseq;
     Queue.push (afinish, cseq) t.completions;
-    Trace.complete t.tracer ~cat:"accel_busy"
+    if Trace.enabled t.tracer then
+      Trace.complete t.tracer ~cat:"accel_busy"
       ~track:(Trace.accel_device_track t.dma_id)
       ~args:[ ("accel_cycles", Trace.Num accel_cycles) ]
       ~ts:astart ~dur:(afinish -. astart) t.dev.Accel_device.device_name
@@ -358,14 +384,8 @@ let start_send_token t =
         fl_flow = flow;
       }
   in
-  Trace.complete t.tracer ~cat:"dma_async"
-    ~track:(Trace.dma_channel_track t.dma_id)
-    ~args:[ ("len_words", Trace.Int len); ("token", Trace.Int tok) ]
-    ~ts:tstart ~dur:transfer "async_send";
-  Trace.flow_start t.tracer
-    ~track:(Trace.dma_channel_track t.dma_id)
-    ~ts:(tstart +. (transfer /. 2.0))
-    ~id:flow "dma_token";
+  if Trace.enabled t.tracer then
+    note_async t ~name:"async_send" ~len ~tok ~tstart ~transfer ~flow;
   tok
 
 let start_recv_token t ~len_words =
@@ -387,6 +407,7 @@ let start_recv_token t ~len_words =
       ~label:"recv" ()
   in
   let tseq = Timeline.last_seq t.timeline in
+  (* several receives can be in flight, so each keeps its own words *)
   let data = t.dev.Accel_device.drain len_words in
   let flow = Trace.fresh_flow_id t.tracer in
   let tok =
@@ -400,14 +421,8 @@ let start_recv_token t ~len_words =
         fl_flow = flow;
       }
   in
-  Trace.complete t.tracer ~cat:"dma_async"
-    ~track:(Trace.dma_channel_track t.dma_id)
-    ~args:[ ("len_words", Trace.Int len_words); ("token", Trace.Int tok) ]
-    ~ts:tstart ~dur:transfer "async_recv";
-  Trace.flow_start t.tracer
-    ~track:(Trace.dma_channel_track t.dma_id)
-    ~ts:(tstart +. (transfer /. 2.0))
-    ~id:flow "dma_token";
+  if Trace.enabled t.tracer then
+    note_async t ~name:"async_recv" ~len:len_words ~tok ~tstart ~transfer ~flow;
   tok
 
 let wait_token t tok =
@@ -433,10 +448,10 @@ let wait_token t tok =
       mark t ~start:now ~finish:t.counters.cycles "status_check";
       t.counters.instructions <- t.counters.instructions +. 4.0
     end;
-    Trace.flow_finish t.tracer ~track:Trace.host_track ~id:fl.fl_flow "dma_token";
-    Trace.instant t.tracer ~cat:"dma_async"
-      ~args:[ ("token", Trace.Int tok) ]
-      "wait";
+    if Trace.enabled t.tracer then begin
+      Trace.flow_finish t.tracer ~track:Trace.host_track ~id:fl.fl_flow "dma_token";
+      Trace.instant t.tracer ~cat:"dma_async" ~args:[ ("token", Trace.Int tok) ] "wait"
+    end;
     fl.fl_data
 
 let outstanding_tokens t =

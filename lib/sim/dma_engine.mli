@@ -105,7 +105,13 @@ val send_staged_async : t -> unit
 val start_recv : t -> len_words:int -> unit
 val wait_recv : t -> float array
 (** Stall until the device has produced the requested words, stream
-    them into the output region, and return them. *)
+    them into the output region, and return that region.
+
+    Ownership: the array belongs to the engine, as the paper's one
+    mmap'd output buffer does to the runtime. It holds exactly the
+    requested words, is valid until this engine's next [wait_recv],
+    and is then overwritten (or replaced, when the length changes).
+    Copy out of it before the next receive; never keep it. *)
 
 val reset_device : t -> unit
 
@@ -134,7 +140,8 @@ val start_recv_token : t -> len_words:int -> token
 
 val wait_token : t -> token -> float array
 (** Synchronise the host with a transfer. Returns the received words
-    for recv tokens ([[||]] for sends). The engine keeps only
+    for recv tokens ([[||]] for sends): a fresh array per receive,
+    since several can be in flight, which the caller may keep. The engine keeps only
     outstanding transfers, so waiting forgets the token: a later wait
     on it raises [Failure] ("already waited"), as does a wait on a
     token the engine never issued ("unknown token"). *)

@@ -202,6 +202,49 @@ let test_v4_mac_order () =
         (dev.Accel_device.drain (tm * tn)))
     mac_shapes
 
+(* The kernel both MAC users share, against the naive triple loop over
+   whole arrays that may run past the operands' prefixes: shapes 0-40
+   (zero dims, n mod 4 <> 0), non-dyadic operands, a few slack
+   elements that must stay untouched. *)
+let prop_mac_kernel_bits =
+  QCheck.Test.make ~name:"Mac.matmul_acc has the dot-product bits" ~count:200
+    QCheck.(
+      quad (int_range 0 40) (int_range 0 40) (int_range 0 40) (pair (int_range 0 3) small_nat))
+    (fun (m, n, k, (slack, salt)) ->
+      let a = non_dyadic ~salt ((m * k) + slack)
+      and b = non_dyadic ~salt:(salt + 1) ((k * n) + slack)
+      and c = non_dyadic ~salt:(salt + 2) ((m * n) + slack) in
+      let expected = Array.copy c in
+      dot_product_acc ~m ~n ~k a b expected;
+      Mac.matmul_acc ~m ~n ~k a b c;
+      Array.map Int64.bits_of_float c = Array.map Int64.bits_of_float expected)
+
+let test_mac_preconditions () =
+  let rejects what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s: accepted" what
+  in
+  let arr n = Array.make n 0.0 in
+  let mac ~m ~n ~k la lb lc () = Mac.matmul_acc ~m ~n ~k (arr la) (arr lb) (arr lc) in
+  rejects "short a" (mac ~m:2 ~n:3 ~k:4 7 12 6);
+  rejects "short b" (mac ~m:2 ~n:3 ~k:4 8 11 6);
+  rejects "short c" (mac ~m:2 ~n:3 ~k:4 8 12 5);
+  rejects "negative m" (mac ~m:(-1) ~n:3 ~k:4 8 12 6);
+  rejects "negative n" (mac ~m:2 ~n:(-3) ~k:4 8 12 6);
+  rejects "negative k" (mac ~m:2 ~n:3 ~k:(-4) 8 12 6);
+  (* m * k wraps to 0 in 63-bit ints *)
+  rejects "m = 2^59, k = 16" (mac ~m:(1 lsl 59) ~n:1 ~k:16 16 16 16);
+  mac ~m:2 ~n:3 ~k:4 8 12 6 ()
+
+(* A tile dim whose products with the others wrap past 2^63 must fail
+   the capacity check, not reach the MAC loop. *)
+let test_matmul_tile_product_overflow () =
+  let dev = Accel_matmul.create ~version:Accel_matmul.V4 ~size:16 () in
+  Alcotest.check_raises "wrapping tile product"
+    (Failure "v4_16 accelerator: tile 576460752303423488x16x16 exceeds buffer capacity 4096")
+    (fun () -> ignore (consume dev [| Axi_word.Inst Isa.mm_set_tm; Axi_word.Inst (1 lsl 59) |]))
+
 let test_matmul_device_protocol_errors () =
   let dev = Accel_matmul.create ~version:Accel_matmul.V3 ~size:2 () in
   (match consume dev [| Axi_word.Inst Isa.mm_load_a; Axi_word.Data 1.0 |] with
@@ -470,6 +513,76 @@ let test_dma_accounting_pin () =
       "host dma_poll 40fc11a000000000 40fc3d6000000000 dep=- mark";
     ]
 
+(* One blocking v4_16 tile round trip through the runtime library, as
+   generated code drives it: specialised copies of A and B into the DMA
+   region, a flush, a receive and an accumulating copy back. *)
+let round_trip_rig () =
+  let soc = Soc.create () in
+  ignore (Accel_config.attach soc (Presets.matmul ~version:Accel_matmul.V4 ~size:16 ()));
+  let lib = Dma_library.init soc ~dma_id:0 ~strategy:Dma_library.Specialized in
+  let tile label =
+    let buf = Sim_memory.alloc soc.Soc.memory ~label 256 in
+    Gold.fill_deterministic buf.Sim_memory.data;
+    Memref_view.of_buffer buf [ 16; 16 ]
+  in
+  let a = tile "a" and b = tile "b" and c = tile "c" in
+  let round_trip () =
+    let off = Dma_library.stage_literal lib Isa.mm_load_a ~offset:0 in
+    let off = Dma_library.copy_to_dma_region lib a ~offset:off in
+    let off = Dma_library.stage_literal lib Isa.mm_load_b ~offset:off in
+    let off = Dma_library.copy_to_dma_region lib b ~offset:off in
+    let off = Dma_library.stage_literal lib Isa.mm_compute ~offset:off in
+    ignore (Dma_library.stage_literal lib Isa.mm_drain ~offset:off);
+    Dma_library.flush_send lib;
+    let engine = Dma_library.engine lib in
+    Dma_engine.start_recv engine ~len_words:256;
+    Dma_library.copy_from_data_with lib Dma_library.Specialized c ~accumulate:true
+      (Dma_engine.wait_recv engine)
+  in
+  (soc, round_trip)
+
+(* With tracing and metrics off, a warm round trip allocates only the
+   simulation's own bookkeeping: no trace arguments, metric labels,
+   span closures or received-words array. Measured at 217 words per
+   warm round trip (native code, OCaml 5.1.1 without flambda), against
+   716 before those were skipped. The budget of 250 leaves room for
+   compiler drift, not for per-word or per-event garbage to come back;
+   a compiler change may need it re-measured. *)
+let test_round_trip_allocation () =
+  Alcotest.(check bool) "metrics off" false (Metrics.enabled Metrics.default);
+  let _soc, round_trip = round_trip_rig () in
+  (* warm: the timeline's logs grow to their working size *)
+  for _ = 1 to 100 do
+    round_trip ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    round_trip ()
+  done;
+  let per_trip = (Gc.minor_words () -. before) /. 100.0 in
+  if per_trip > 250.0 then
+    Alcotest.failf "%.1f minor words per round trip, budget 250" per_trip
+
+(* The same round trip traced: the guards skip nothing a recording
+   sink should see. *)
+let test_round_trip_traced () =
+  let soc, round_trip = round_trip_rig () in
+  let tracer = Soc.enable_tracing soc in
+  round_trip ();
+  let named kind =
+    List.filter_map
+      (fun (e : Trace.event) -> if e.ev_kind = kind then Some e.ev_name else None)
+      (Trace.events tracer)
+  in
+  Alcotest.(check (list string)) "spans"
+    [
+      "copy_to_dma_region"; "copy_to_dma_region"; "program_send"; "wait_send"; "program_recv";
+      "wait_recv"; "accel_stall"; "copy_from_data";
+    ]
+    (named Trace.Begin);
+  Alcotest.(check (list string)) "instants" [ "mm_compute" ] (named Trace.Instant);
+  Alcotest.(check int) "balanced" 0 (Trace.open_spans tracer)
+
 let test_soc_event_costs () =
   let soc = Soc.create () in
   let c = soc.Soc.counters in
@@ -580,6 +693,9 @@ let tests =
     Alcotest.test_case "version gating" `Quick test_matmul_device_version_gating;
     Alcotest.test_case "v4 flexible tiles" `Quick test_matmul_device_v4_flex;
     Alcotest.test_case "device protocol errors" `Quick test_matmul_device_protocol_errors;
+    Alcotest.test_case "tile product overflow" `Quick test_matmul_tile_product_overflow;
+    QCheck_alcotest.to_alcotest prop_mac_kernel_bits;
+    Alcotest.test_case "MAC kernel preconditions" `Quick test_mac_preconditions;
     Alcotest.test_case "Gold MAC order keeps the bits" `Quick test_gold_mac_order;
     Alcotest.test_case "v4 MAC order keeps the bits" `Quick test_v4_mac_order;
     Alcotest.test_case "conv device" `Quick test_conv_device;
@@ -589,6 +705,8 @@ let tests =
     Alcotest.test_case "dma/device overlap" `Quick test_dma_overlap_timing;
     Alcotest.test_case "dma accounting on every transfer path" `Quick
       test_dma_accounting_pin;
+    Alcotest.test_case "round trip allocation budget" `Quick test_round_trip_allocation;
+    Alcotest.test_case "traced round trip records its events" `Quick test_round_trip_traced;
     Alcotest.test_case "soc event costs" `Quick test_soc_event_costs;
     Alcotest.test_case "soc reset preserves memory" `Quick test_soc_reset_run_state;
     QCheck_alcotest.to_alcotest prop_lru_eviction_order;

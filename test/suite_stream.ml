@@ -109,6 +109,7 @@ let recording_device () =
       Accel_device.device_name = "recorder";
       consume;
       drain = (fun _ -> [||]);
+      drain_into = (fun _ _ -> ());
       available = (fun () -> 0);
       reset_device = ignore;
       regions = [];
