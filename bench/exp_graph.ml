@@ -1,6 +1,6 @@
 (* Whole-model graphs: buffer residency vs the per-kernel baseline on
    a full ResNet-18 forward pass (every layer, dataflow edges and all —
-   not the row-sampled per-layer proxies of fig16).
+   not the tuner's row-sampled per-layer proxies).
 
    Two regimes, both verified bit-identical to the per-kernel baseline
    on every graph output:

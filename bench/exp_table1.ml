@@ -18,6 +18,13 @@ let run () =
       List.iter
         (fun size ->
           let config = Presets.matmul ~version ~size () in
+          Report.record_custom_point ~kind:"preset" ~dims:[ size ]
+            ~config:(Benchdiff.config_hash (Accel_config.to_json config))
+            [
+              ("ops_per_cycle", config.Accel_config.ops_per_cycle);
+              ( "buffer_capacity_elems",
+                float_of_int config.Accel_config.buffer_capacity_elems );
+            ];
           Tabulate.add_row t
             [
               Printf.sprintf "%s_size" (Report.version_name version);

@@ -126,8 +126,9 @@ let run () =
       greedy_best.Tune_report.bs_cycles grid_best.Tune_report.bs_cycles;
 
   (* -------------------- ResNet-18 conv layer ----------------------- *)
-  (* row-sampled layer proxy (the Fig. 16 sampling); quick mode takes
-     the cheap first layer (ic=3) at one output row *)
+  (* row-sampled layer proxy (the layer's first output rows at full
+     width); quick mode takes the cheap first layer (ic=3) at one
+     output row *)
   let rows = if !Report.quick then 1 else 2 in
   let layer_label = if !Report.quick then "resnet18/224_3_7_64_2" else "resnet18/56_64_3_64_1" in
   let layer =

@@ -154,11 +154,10 @@ let matmul_dims ~(a : Memref_view.t) ~(c : Memref_view.t) =
   | [ m; k ], [ _; n ] -> [ m; n; k ]
   | _ -> []
 
-(* CPU-only execution of a square matmul, sampled for large sizes. *)
+(* CPU-only execution of a matmul, simulated exactly. *)
 let cpu_matmul_counters (bench : Axi4mlir.t) ~a ~b ~c =
   set_context "cpu_matmul" (matmul_dims ~a ~c);
-  measure bench (fun () ->
-      Cpu_reference.matmul_sampled bench.Axi4mlir.soc ~a ~b ~c ~sample_rows:8)
+  measure bench (fun () -> Cpu_reference.matmul bench.Axi4mlir.soc ~a ~b ~c)
 
 let generated_matmul_counters (bench : Axi4mlir.t) ?(options = Axi4mlir.default_codegen)
     ~m ~n ~k ~a ~b ~c () =

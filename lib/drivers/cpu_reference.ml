@@ -71,8 +71,6 @@ let sampled exact soc ~a ~b ~c ~sample_rows =
     Memref_view.fill_from c c_data
   end
 
-let matmul_sampled soc ~a ~b ~c ~sample_rows = sampled matmul soc ~a ~b ~c ~sample_rows
-
 (* -O3-style scalar VFP matmul: C[i][j] accumulates in a register, the
    inner loop is unrolled by four, addresses are strength-reduced.
    Per MAC: one cached B access, a quarter of an A access (register

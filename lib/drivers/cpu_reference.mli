@@ -10,19 +10,6 @@ val matmul :
   Soc.t -> a:Memref_view.t -> b:Memref_view.t -> c:Memref_view.t -> unit
 (** [C += A x B], canonical (m, n, k) loop order, full cost charging. *)
 
-val matmul_sampled :
-  Soc.t ->
-  a:Memref_view.t ->
-  b:Memref_view.t ->
-  c:Memref_view.t ->
-  sample_rows:int ->
-  unit
-(** Functional result computed in full (without cost charging); the
-    cost of the [m] loop is measured on [sample_rows] representative
-    rows after warm-up and scaled — row iterations are homogeneous, so
-    this keeps large problems (TinyBERT layers) tractable. Falls back
-    to the exact path when [m <= sample_rows * 2]. *)
-
 val matmul_optimized :
   Soc.t ->
   a:Memref_view.t ->
@@ -36,8 +23,10 @@ val matmul_optimized :
     in registers, 4x-unrolled inner loop, no per-access descriptor
     traffic), costing roughly 6-9 cycles per multiply-accumulate
     depending on cache behaviour — about 3-4x faster than the naive
-    {!matmul} lowering. [sample_rows] enables the same row-sampled
-    costing as {!matmul_sampled}. *)
+    {!matmul} lowering. [sample_rows] costs the [m] loop on that many
+    rows after two warm-up rows and scales the counters to the rest
+    (the functional result is still computed in full); it falls back to
+    the exact path when [m <= sample_rows * 2]. *)
 
 val conv2d :
   ?stride:int ->

@@ -23,7 +23,8 @@
     kernel and stationary-operand transfers are amortised.
 
     Whole-model names expand through {!Tune_workload}: ["resnet18"] is
-    the row-sampled convolution proxy list (the Fig. 16 sampling) and
+    the row-sampled convolution proxy list (each layer's first output
+    rows at full width) and
     ["tinybert"] the distinct padded MatMul shape classes — one kernel
     per shape class, the Fig. 17 class-sampling, so a "model" here is
     the per-class representative work, not the full multiplied layer

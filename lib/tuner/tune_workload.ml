@@ -21,9 +21,9 @@ let macs = function
     let oh = Gold.conv_out ih ~fhw ~stride and ow = Gold.conv_out iw ~fhw ~stride in
     oc * oh * ow * ic * fhw * fhw
 
-(* Row-sampled layer proxies (the Fig. 16 sampling): [rows] output rows
-   at full output width. Per-row work is homogeneous, so config
-   rankings transfer to the full layer. *)
+(* Row-sampled layer proxies: each layer cut down to its first [rows]
+   output rows at full output width. Per-row work is homogeneous, so
+   config rankings transfer to the full layer. *)
 let resnet18_layers ?(rows = 2) () =
   List.map
     (fun (l : Resnet18.layer) ->

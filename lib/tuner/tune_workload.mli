@@ -27,9 +27,9 @@ val macs : t -> int
 
 val resnet18_layers : ?rows:int -> unit -> named list
 (** The eleven ResNet-18 convolution layers as row-sampled proxies
-    (default [rows = 2] output rows at full output width, the Fig. 16
-    sampling): per-row work is homogeneous, so the config ranking on
-    the proxy matches the full layer while tuning stays interactive. *)
+    (default [rows = 2] output rows at full output width): per-row work
+    is homogeneous, so the config ranking on the proxy matches the full
+    layer while tuning stays interactive. *)
 
 val tinybert_layers : ?batch:int -> ?seq:int -> unit -> named list
 (** The distinct TinyBERT MatMul shapes (default batch 1, seq 128),

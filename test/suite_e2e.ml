@@ -191,12 +191,13 @@ let test_cpu_sampled_close_to_exact () =
   let a, b, c = Axi4mlir.alloc_matmul_operands bench ~m ~n ~k in
   let gold = Gold.matmul ~m ~n ~k (Memref_view.to_array a) (Memref_view.to_array b) in
   let exact =
-    Axi4mlir.measure bench (fun () -> Cpu_reference.matmul bench.Axi4mlir.soc ~a ~b ~c)
+    Axi4mlir.measure bench (fun () ->
+        Cpu_reference.matmul_optimized bench.Axi4mlir.soc ~a ~b ~c ())
   in
   zero c;
   let sampled =
     Axi4mlir.measure bench (fun () ->
-        Cpu_reference.matmul_sampled bench.Axi4mlir.soc ~a ~b ~c ~sample_rows:8)
+        Cpu_reference.matmul_optimized bench.Axi4mlir.soc ~a ~b ~c ~sample_rows:8 ())
   in
   check_result "sampled result exact" gold c;
   let ratio = sampled.Perf_counters.cycles /. exact.Perf_counters.cycles in
