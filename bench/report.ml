@@ -90,24 +90,29 @@ let end_experiment () =
       Json.write_file ~indent:2 mpath (Metrics.to_json ())
     end
 
-(* One critpath artifact per experiment: the perf doctor's diagnosis of
-   the first measured run whose timeline recorded anything (a pure-CPU
-   baseline has no event DAG to walk). An analysis failure is a broken
-   attribution invariant, so it fails the harness rather than silently
-   skipping the artifact. *)
+(* The perf doctor's diagnosis of each experiment's first measured run
+   whose timeline recorded anything (a pure-CPU baseline has no event
+   DAG to walk). It runs under --json or --trace: an analysis failure is
+   a broken attribution invariant, so it fails the harness rather than
+   silently skipping the run. Only --trace writes the <exp>.critpath.json
+   artifact, next to the experiment's Chrome trace: a whole-run critical
+   path can run to tens of MB. *)
 let record_critpath (bench : Axi4mlir.t) =
-  match !json_dir with
-  | Some dir when not (Hashtbl.mem doctored !current_experiment) -> (
+  if (!json_dir <> None || !trace_dir <> None) && not (Hashtbl.mem doctored !current_experiment)
+  then begin
     let input = Soc.critpath_input bench.Axi4mlir.soc in
     if input.Critpath.in_intervals <> [] then
       match Doctor.diagnose input with
       | Error msg -> failwith (Printf.sprintf "%s: perf doctor: %s" !current_experiment msg)
       | Ok dg ->
         Hashtbl.add doctored !current_experiment ();
-        let path = Filename.concat dir (!current_experiment ^ ".critpath.json") in
-        Doctor.write_json dg ~path;
-        Printf.printf "  [critpath: %s (%s-bound)]\n" path (Doctor.binding_resource dg))
-  | _ -> ()
+        Option.iter
+          (fun dir ->
+            let path = Filename.concat dir (!current_experiment ^ ".critpath.json") in
+            Doctor.write_json dg ~path;
+            Printf.printf "  [critpath: %s (%s-bound)]\n" path (Doctor.binding_resource dg))
+          !trace_dir
+  end
 
 let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')

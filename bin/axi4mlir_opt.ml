@@ -32,14 +32,6 @@ let parse_input path =
   | exception Parser_ir.Parse_error msg ->
     failwith (Printf.sprintf "%s: %s" (if path = "-" then "<stdin>" else path) msg)
 
-let parse_ints ~flag text =
-  match List.map int_of_string (String.split_on_char ',' text) with
-  | ints -> ints
-  | exception Failure _ ->
-    failwith (Printf.sprintf "--%s: expected comma-separated integers (got %S)" flag text)
-
-let parse_tiles = Option.map (parse_ints ~flag:"tiles")
-
 let run_tool config_path input emit_matmul emit_conv flow tiles no_cpu_tiling no_copy_spec
     coalesce double_buffer accel_only cpu_only pretty list_passes remarks metrics_out =
   if list_passes then begin
@@ -54,11 +46,11 @@ let run_tool config_path input emit_matmul emit_conv flow tiles no_cpu_tiling no
     match (emit_matmul, emit_conv, input) with
     | Some _, Some _, _ -> failwith "--emit-matmul and --emit-conv are exclusive"
     | Some dims, None, _ -> (
-      match parse_ints ~flag:"emit-matmul" dims with
+      match Tool_common.parse_ints ~flag:"emit-matmul" dims with
       | [ m; n; k ] -> Axi4mlir.build_matmul_module ~m ~n ~k ()
       | _ -> failwith "--emit-matmul expects M,N,K")
     | None, Some dims, _ -> (
-      match parse_ints ~flag:"emit-conv" dims with
+      match Tool_common.parse_ints ~flag:"emit-conv" dims with
       | [ ic; ihw; oc; fhw ] ->
         Axi4mlir.build_conv_module ~n:1 ~ic ~ih:ihw ~iw:ihw ~oc ~fh:fhw ~fw:fhw ()
       | _ -> failwith "--emit-conv expects IC,IHW,OC,FHW")
@@ -83,7 +75,7 @@ let run_tool config_path input emit_matmul emit_conv flow tiles no_cpu_tiling no
       let options =
         {
           Axi4mlir.flow;
-          tiles = parse_tiles tiles;
+          tiles = Option.map (Tool_common.parse_ints ~flag:"tiles") tiles;
           cpu_tiling = not no_cpu_tiling;
           copy_specialization = not no_copy_spec;
           coalesce_transfers = coalesce;

@@ -95,12 +95,11 @@ let run_tool config_path matmul conv flow tiles coalesce double_buffer cpu_only
     ignore (Axi4mlir.enable_tracing bench)
   end;
   let stats = Some stats and tracer = Some compile_tracer in
-  let parse_ints text = List.map int_of_string (String.split_on_char ',' text) in
   let options =
     {
       Axi4mlir.default_codegen with
       flow;
-      tiles = Option.map parse_ints tiles;
+      tiles = Option.map (Tool_common.parse_ints ~flag:"tiles") tiles;
       coalesce_transfers = coalesce;
       double_buffer;
     }
@@ -108,7 +107,7 @@ let run_tool config_path matmul conv flow tiles coalesce double_buffer cpu_only
   let counters, diff =
     match (matmul, conv) with
     | Some dims, None -> (
-      match parse_ints dims with
+      match Tool_common.parse_ints ~flag:"matmul" dims with
       | [ m; n; k ] ->
         let a, b, c = Axi4mlir.alloc_matmul_operands bench ~m ~n ~k in
         let gold =
@@ -134,7 +133,7 @@ let run_tool config_path matmul conv flow tiles coalesce double_buffer cpu_only
         (counters, Gold.max_abs_diff gold (Memref_view.to_array c))
       | _ -> failwith "--matmul expects M,N,K")
     | None, Some dims -> (
-      match parse_ints dims with
+      match Tool_common.parse_ints ~flag:"conv" dims with
       | [ ic; ihw; oc; fhw ] ->
         let i, w, o =
           Axi4mlir.alloc_conv_operands bench ~n:1 ~ic ~ih:ihw ~iw:ihw ~oc ~fh:fhw ~fw:fhw

@@ -106,6 +106,14 @@ let with_observability ~remarks ~metrics body =
   | exception Pass.Pass_failure { pass; failing_op; message } ->
     fail (Printf.sprintf "pass %s failed on %s: %s" pass failing_op message)
 
+(* A comma-separated integer flag value ("16,16,16"); a malformed one
+   fails naming the flag. *)
+let parse_ints ~flag text =
+  match List.map int_of_string (String.split_on_char ',' text) with
+  | ints -> ints
+  | exception Failure _ ->
+    failwith (Printf.sprintf "--%s: expected comma-separated integers (got %S)" flag text)
+
 (* Shared rendering for the `--list-*` introspection flags
    (axi4mlir-opt --list-passes, axi4mlir-tune --list-space): a title
    followed by an aligned name/description column pair. *)

@@ -13,41 +13,64 @@ type t =
   | Opcode_map of Opcode.map
   | Opcode_flow of Opcode.flow
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let float_literal f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.6e" f
   else Printf.sprintf "%.17g" f
 
-let rec to_string = function
-  | Unit -> "unit"
-  | Bool b -> string_of_bool b
-  | Int i -> string_of_int i
-  | Float f -> float_literal f
-  | Str s -> Printf.sprintf "\"%s\"" (escape s)
-  | Type_attr ty -> Printf.sprintf "type(%s)" (Ty.to_string ty)
-  | Ints l -> Printf.sprintf "dense<[%s]>" (String.concat ", " (List.map string_of_int l))
+(* Nested attributes are written into one buffer, so printing is
+   linear in the attribute's size at any depth. *)
+let rec add_to_buffer buf attr =
+  let add = Buffer.add_string buf in
+  let items l add_item =
+    List.iteri
+      (fun i x ->
+        if i > 0 then add ", ";
+        add_item x)
+      l
+  in
+  match attr with
+  | Unit -> add "unit"
+  | Bool b -> add (string_of_bool b)
+  | Int i -> add (string_of_int i)
+  | Float f -> add (float_literal f)
+  | Str s ->
+    add "\"";
+    String.iter
+      (function
+        | '"' -> add "\\\""
+        | '\\' -> add "\\\\"
+        | '\n' -> add "\\n"
+        | c -> Buffer.add_char buf c)
+      s;
+    add "\""
+  | Type_attr ty -> add ("type(" ^ Ty.to_string ty ^ ")")
+  | Ints l ->
+    add "dense<[";
+    items l (fun i -> add (string_of_int i));
+    add "]>"
   | Strs l ->
-    Printf.sprintf "[%s]"
-      (String.concat ", " (List.map (fun s -> Printf.sprintf "#%s" s) l))
-  | Array l -> Printf.sprintf "[%s]" (String.concat ", " (List.map to_string l))
+    add "[";
+    items l (fun s -> add ("#" ^ s));
+    add "]"
+  | Array l ->
+    add "[";
+    items l (add_to_buffer buf);
+    add "]"
   | Dict members ->
-    Printf.sprintf "{%s}"
-      (String.concat ", "
-         (List.map (fun (k, v) -> Printf.sprintf "%s = %s" k (to_string v)) members))
-  | Affine m -> Affine_map.to_string m
-  | Opcode_map m -> Opcode.map_to_string m
-  | Opcode_flow f -> Opcode.flow_to_string f
+    add "{";
+    items members (fun (k, v) ->
+        add k;
+        add " = ";
+        add_to_buffer buf v);
+    add "}"
+  | Affine m -> add (Affine_map.to_string m)
+  | Opcode_map m -> add (Opcode.map_to_string m)
+  | Opcode_flow f -> add (Opcode.flow_to_string f)
+
+let to_string attr =
+  let buf = Buffer.create 64 in
+  add_to_buffer buf attr;
+  Buffer.contents buf
 
 let equal a b = a = b
 

@@ -22,6 +22,10 @@ type t =
 val to_string : t -> string
 (** MLIR-flavoured rendering, round-trippable by the IR parser. *)
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** [to_string], appended to a buffer; linear in the attribute's size
+    at any nesting depth. *)
+
 val equal : t -> t -> bool
 
 (** {1 Typed projections}

@@ -11,206 +11,88 @@ type map = entry list
 type flow_elem = Op of string | Scope of flow_elem list
 type flow = flow_elem list
 
-exception Syntax_error of string
+exception Syntax_error = Scanner.Error
 
 (* ------------------------------------------------------------------ *)
-(* Lexing helpers shared by both parsers                               *)
+(* Parsing: Figs. 7 and 8 on a Scanner cursor, standalone or in place  *)
+(* inside the textual IR                                               *)
 (* ------------------------------------------------------------------ *)
 
-type scanner = { src : string; mutable pos : int }
-
-let fail fmt = Printf.ksprintf (fun s -> raise (Syntax_error s)) fmt
-
-let peek sc = if sc.pos < String.length sc.src then Some sc.src.[sc.pos] else None
-
-let advance sc = sc.pos <- sc.pos + 1
-
-let rec skip_ws sc =
-  match peek sc with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    advance sc;
-    skip_ws sc
-  | Some _ | None -> ()
-
-let expect sc c =
-  skip_ws sc;
-  match peek sc with
-  | Some c' when c' = c -> advance sc
-  | Some c' -> fail "expected '%c' at offset %d, found '%c'" c sc.pos c'
-  | None -> fail "expected '%c', found end of input" c
-
-let accept sc c =
-  skip_ws sc;
-  match peek sc with
-  | Some c' when c' = c ->
-    advance sc;
-    true
-  | Some _ | None -> false
+module S = Scanner
 
 let is_id_char = function
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
   | _ -> false
 
-let scan_id sc =
-  skip_ws sc;
-  let start = sc.pos in
-  let rec go () =
-    match peek sc with
-    | Some c when is_id_char c ->
-      advance sc;
-      go ()
-    | Some _ | None -> ()
-  in
-  go ();
-  if sc.pos = start then fail "expected identifier at offset %d" start;
-  String.sub sc.src start (sc.pos - start)
-
-let scan_int sc =
-  skip_ws sc;
-  let start = sc.pos in
-  let negative = accept sc '-' in
-  let digits_start = sc.pos in
-  let hex =
-    match (peek sc, sc.pos + 1 < String.length sc.src) with
-    | Some '0', true when sc.src.[sc.pos + 1] = 'x' || sc.src.[sc.pos + 1] = 'X' ->
-      advance sc;
-      advance sc;
-      true
-    | _ -> false
-  in
-  let is_digit c =
-    if hex then
-      (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
-    else c >= '0' && c <= '9'
-  in
-  let rec go () =
-    match peek sc with
-    | Some c when is_digit c ->
-      advance sc;
-      go ()
-    | Some _ | None -> ()
-  in
-  go ();
-  if sc.pos = digits_start || (hex && sc.pos = digits_start + 2) then
-    fail "expected integer at offset %d" start;
-  let text = String.sub sc.src digits_start (sc.pos - digits_start) in
-  let v =
-    match int_of_string_opt text with
-    | Some v -> v
-    | None -> fail "invalid integer literal %s" text
-  in
-  if negative then -v else v
-
-let at_end sc =
-  skip_ws sc;
-  sc.pos >= String.length sc.src
-
-(* Strip an optional `keyword<` ... `>` wrapper around the payload. *)
-let strip_wrapper keyword src =
-  let trimmed = String.trim src in
-  let prefix = keyword ^ "<" in
-  if String.length trimmed >= String.length prefix
-     && String.sub trimmed 0 (String.length prefix) = prefix
-  then
-    if trimmed.[String.length trimmed - 1] = '>' then
-      String.sub trimmed (String.length prefix)
-        (String.length trimmed - String.length prefix - 1)
-    else fail "missing closing '>' on %s<...>" keyword
-  else trimmed
-
-(* ------------------------------------------------------------------ *)
-(* opcode_map parsing (Fig. 7)                                         *)
-(* ------------------------------------------------------------------ *)
-
 let parse_action sc =
-  let name = scan_id sc in
-  expect sc '(';
+  let name = S.scan_id sc is_id_char in
+  S.expect sc '(';
   let action =
     match name with
-    | "send" ->
-      let n = scan_int sc in
-      Send n
-    | "send_literal" ->
-      let v = scan_int sc in
-      Send_literal v
-    | "send_dim" ->
-      let n = scan_int sc in
-      expect sc ',';
-      let d = scan_int sc in
-      Send_dim (n, d)
-    | "send_idx" ->
-      let n = scan_int sc in
-      expect sc ',';
-      let d = scan_int sc in
-      Send_idx (n, d)
-    | "recv" ->
-      let n = scan_int sc in
-      Recv n
-    | other -> fail "unknown action '%s'" other
+    | "send" -> Send (S.scan_int sc)
+    | "send_literal" -> Send_literal (S.scan_int sc)
+    | "send_dim" | "send_idx" ->
+      let n = S.scan_int sc in
+      S.expect sc ',';
+      let d = S.scan_int sc in
+      if name = "send_dim" then Send_dim (n, d) else Send_idx (n, d)
+    | "recv" -> Recv (S.scan_int sc)
+    | other -> S.fail sc "unknown action '%s'" other
   in
-  expect sc ')';
+  S.expect sc ')';
   action
 
 let parse_entry sc =
-  let key = scan_id sc in
-  expect sc '=';
-  expect sc '[';
-  let rec actions acc =
-    let a = parse_action sc in
-    if accept sc ',' then actions (a :: acc) else List.rev (a :: acc)
-  in
-  let acts =
-    if accept sc ']' then []
-    else begin
-      let l = actions [] in
-      expect sc ']';
-      l
-    end
-  in
-  { key; actions = acts }
+  let key = S.scan_id sc is_id_char in
+  S.expect sc '=';
+  S.expect sc '[';
+  { key; actions = S.sep_list sc ~sep:',' ~close:']' parse_action }
 
-let parse_map src =
-  let payload = strip_wrapper "opcode_map" src in
-  let sc = { src = payload; pos = 0 } in
-  if at_end sc then []
-  else begin
-    let rec entries acc =
-      let e = parse_entry sc in
-      if accept sc ',' then entries (e :: acc) else List.rev (e :: acc)
-    in
-    let result = entries [] in
-    if not (at_end sc) then fail "trailing content in opcode_map at offset %d" sc.pos;
-    result
-  end
+let scan_map sc = S.plain sc (fun sc -> S.sep_list sc ~sep:',' ~close:'>' parse_entry)
 
-(* ------------------------------------------------------------------ *)
-(* opcode_flow parsing (Fig. 8)                                        *)
-(* ------------------------------------------------------------------ *)
+(* Flow elements up to [close]: ')' ends a scope, '>' a wrapped flow,
+   and a bare flow runs to the end of the text. *)
+let rec flow_elems sc ~close acc =
+  S.skip_ws sc;
+  match S.peek sc with
+  | _ when S.at_end sc ->
+    if close = None then List.rev acc else S.fail sc "unbalanced '(' in opcode_flow"
+  | '(' ->
+    S.advance sc;
+    S.enter sc;
+    let inner = flow_elems sc ~close:(Some ')') [] in
+    S.leave sc;
+    flow_elems sc ~close (Scope inner :: acc)
+  | c when Some c = close ->
+    S.advance sc;
+    List.rev acc
+  | ')' -> S.fail sc "unbalanced ')' in opcode_flow"
+  | c when is_id_char c -> flow_elems sc ~close (Op (S.scan_id sc is_id_char) :: acc)
+  | c -> S.fail sc "unexpected '%c' in opcode_flow" c
 
-let parse_flow src =
-  let payload = strip_wrapper "opcode_flow" src in
-  let sc = { src = payload; pos = 0 } in
-  let rec parse_elems stop_at_paren acc =
-    skip_ws sc;
-    match peek sc with
-    | None ->
-      if stop_at_paren then fail "unbalanced '(' in opcode_flow" else List.rev acc
-    | Some ')' ->
-      if stop_at_paren then begin
-        advance sc;
-        List.rev acc
-      end
-      else fail "unbalanced ')' in opcode_flow at offset %d" sc.pos
-    | Some '(' ->
-      advance sc;
-      let inner = parse_elems true [] in
-      parse_elems stop_at_paren (Scope inner :: acc)
-    | Some c when is_id_char c ->
-      let id = scan_id sc in
-      parse_elems stop_at_paren (Op id :: acc)
-    | Some c -> fail "unexpected '%c' in opcode_flow at offset %d" c sc.pos
-  in
-  parse_elems false []
+let scan_flow sc = S.plain sc (fun sc -> flow_elems sc ~close:(Some '>') [])
+
+(* Standalone text: the [keyword<...>] wrapper is optional, and blanks
+   around the text are trimmed. *)
+let parse_text keyword ~wrapped ~bare src =
+  let sc = S.create ~comments:false (String.trim src) in
+  let v = if S.accept_string sc (keyword ^ "<") then wrapped sc else bare sc in
+  S.finish sc;
+  v
+
+let parse_map =
+  parse_text "opcode_map" ~wrapped:scan_map ~bare:(fun sc ->
+      S.skip_ws sc;
+      if S.at_end sc then []
+      else
+        let rec entries acc =
+          let e = parse_entry sc in
+          if S.accept sc ',' then entries (e :: acc) else List.rev (e :: acc)
+        in
+        entries [])
+
+let parse_flow = parse_text "opcode_flow" ~wrapped:scan_flow ~bare:(fun sc ->
+    flow_elems sc ~close:None [])
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

@@ -38,6 +38,8 @@ type flow = flow_elem list
 (** {1 Parsing and printing} *)
 
 exception Syntax_error of string
+(** The {!Scanner.Error} every hand-written parser raises:
+    ["line L, column C: ..."]. *)
 
 val parse_map : string -> map
 (** Parse the Fig. 7 concrete syntax, e.g.
@@ -48,6 +50,13 @@ val parse_map : string -> map
 val parse_flow : string -> flow
 (** Parse the Fig. 8 concrete syntax, e.g. ["opcode_flow<(sA (sB cC rC))>"].
     The wrapper is optional. Raises {!Syntax_error}. *)
+
+val scan_map : Scanner.t -> map
+(** Parse a map's payload in place, from just after its ['<'] through
+    its ['>'] (the textual IR's [opcode_map<...>] attribute). *)
+
+val scan_flow : Scanner.t -> flow
+(** As {!scan_map}, for a flow. *)
 
 val map_to_string : map -> string
 (** Round-trippable rendering including the [opcode_map<...>] wrapper.

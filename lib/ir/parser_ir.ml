@@ -1,219 +1,69 @@
-exception Parse_error of string
+exception Parse_error = Scanner.Error
 
-type state = {
-  src : string;
-  mutable pos : int;
-  values : (string, Ir.value) Hashtbl.t;  (* %N -> value *)
-}
-
-let location st =
-  let line = ref 1 and col = ref 1 in
-  for i = 0 to min (st.pos - 1) (String.length st.src - 1) do
-    if st.src.[i] = '\n' then begin
-      incr line;
-      col := 1
-    end
-    else incr col
-  done;
-  (!line, !col)
-
-let fail st fmt =
-  let line, col = location st in
-  Printf.ksprintf (fun s -> raise (Parse_error (Printf.sprintf "line %d, column %d: %s" line col s))) fmt
-
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
-
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
-
-let advance st = st.pos <- st.pos + 1
-
-let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    advance st;
-    skip_ws st
-  | Some '/' when peek2 st = Some '/' ->
-    (* //-style comment to end of line *)
-    let rec to_eol () =
-      match peek st with
-      | Some '\n' | None -> ()
-      | Some _ ->
-        advance st;
-        to_eol ()
-    in
-    to_eol ();
-    skip_ws st
-  | Some _ | None -> ()
-
-let expect st c =
-  skip_ws st;
-  match peek st with
-  | Some c' when c' = c -> advance st
-  | Some c' -> fail st "expected '%c', found '%c'" c c'
-  | None -> fail st "expected '%c', found end of input" c
-
-let accept st c =
-  skip_ws st;
-  match peek st with
-  | Some c' when c' = c ->
-    advance st;
-    true
-  | Some _ | None -> false
-
-let accept_string st s =
-  skip_ws st;
-  let n = String.length s in
-  if st.pos + n <= String.length st.src && String.sub st.src st.pos n = s then begin
-    st.pos <- st.pos + n;
-    true
-  end
-  else false
-
-let expect_string st s = if not (accept_string st s) then fail st "expected '%s'" s
+module S = Scanner
 
 let is_id_char = function
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' -> true
   | _ -> false
 
-let scan_id st =
-  skip_ws st;
-  let start = st.pos in
-  let rec go () =
-    match peek st with
-    | Some c when is_id_char c ->
-      advance st;
-      go ()
-    | Some _ | None -> ()
-  in
-  go ();
-  if st.pos = start then fail st "expected identifier";
-  String.sub st.src start (st.pos - start)
-
-(* Peek an identifier without consuming it. *)
-let peek_id st =
-  skip_ws st;
-  let saved = st.pos in
-  let rec go () =
-    match peek st with
-    | Some c when is_id_char c ->
-      advance st;
-      go ()
-    | Some _ | None -> ()
-  in
-  go ();
-  let id = String.sub st.src saved (st.pos - saved) in
-  st.pos <- saved;
-  if id = "" then None else Some id
-
-let scan_int st =
-  skip_ws st;
-  let start = st.pos in
-  if accept st '-' then ();
-  let digits_start = st.pos in
-  let hex =
-    match (peek st, peek2 st) with
-    | Some '0', Some ('x' | 'X') ->
-      advance st;
-      advance st;
-      true
-    | _ -> false
-  in
-  let is_digit c =
-    if hex then
-      (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
-    else c >= '0' && c <= '9'
-  in
-  let rec go () =
-    match peek st with
-    | Some c when is_digit c ->
-      advance st;
-      go ()
-    | Some _ | None -> ()
-  in
-  go ();
-  if st.pos = digits_start then fail st "expected integer";
-  match int_of_string_opt (String.sub st.src start (st.pos - start)) with
-  | Some v -> v
-  | None -> fail st "invalid integer literal"
-
 (* Scan a number that may be a float; returns either Int or Float attr. *)
-let scan_number st =
-  skip_ws st;
-  let start = st.pos in
-  if accept st '-' then ();
-  let hex =
-    match (peek st, peek2 st) with
-    | Some '0', Some ('x' | 'X') ->
-      advance st;
-      advance st;
-      true
-    | _ -> false
-  in
-  let rec digits () =
-    match peek st with
-    | Some ('0' .. '9') ->
-      advance st;
-      digits ()
-    | Some ('a' .. 'f' | 'A' .. 'F') when hex ->
-      advance st;
-      digits ()
-    | Some _ | None -> ()
-  in
-  digits ();
+let scan_number sc =
+  S.skip_ws sc;
+  let start = S.pos sc in
+  if S.accept sc '-' then ();
+  let hex = S.peek sc = '0' && (S.peek_at sc 1 = 'x' || S.peek_at sc 1 = 'X') in
+  if hex then begin
+    S.advance sc;
+    S.advance sc
+  end;
+  S.skip_while sc (if hex then S.is_hex_digit else S.is_digit);
   let is_float = ref false in
   if not hex then begin
-    (match peek st with
-    | Some '.' ->
+    if S.peek sc = '.' then begin
       is_float := true;
-      advance st;
-      digits ()
-    | Some _ | None -> ());
-    match peek st with
-    | Some ('e' | 'E') -> (
-      (* Only treat e/E as an exponent when followed by digits or a sign. *)
-      match peek2 st with
-      | Some ('0' .. '9' | '+' | '-') ->
-        is_float := true;
-        advance st;
-        (match peek st with
-        | Some ('+' | '-') -> advance st
-        | Some _ | None -> ());
-        digits ()
-      | Some _ | None -> ())
-    | Some _ | None -> ()
+      S.advance sc;
+      S.skip_while sc S.is_digit
+    end;
+    (* Only treat e/E as an exponent when followed by digits or a sign. *)
+    match (S.peek sc, S.peek_at sc 1) with
+    | ('e' | 'E'), ('0' .. '9' | '+' | '-') ->
+      is_float := true;
+      S.advance sc;
+      if S.peek sc = '+' || S.peek sc = '-' then S.advance sc;
+      S.skip_while sc S.is_digit
+    | _ -> ()
   end;
-  let text = String.sub st.src start (st.pos - start) in
+  let text = S.text_from sc start in
   if !is_float then
     match float_of_string_opt text with
     | Some f -> Attribute.Float f
-    | None -> fail st "invalid float literal %s" text
+    | None -> S.fail sc "invalid float literal %s" text
   else
     match int_of_string_opt text with
     | Some i -> Attribute.Int i
-    | None -> fail st "invalid integer literal %s" text
+    | None -> S.fail sc "invalid integer literal %s" text
 
-let scan_string st =
-  expect st '"';
+let scan_string sc =
+  S.expect sc '"';
   let buf = Buffer.create 16 in
   let rec go () =
-    match peek st with
-    | None -> fail st "unterminated string"
-    | Some '"' ->
-      advance st;
+    match S.peek sc with
+    | _ when S.at_end sc -> S.fail sc "unterminated string"
+    | '"' ->
+      S.advance sc;
       Buffer.contents buf
-    | Some '\\' ->
-      advance st;
-      (match peek st with
-      | Some '"' -> Buffer.add_char buf '"'
-      | Some '\\' -> Buffer.add_char buf '\\'
-      | Some 'n' -> Buffer.add_char buf '\n'
-      | Some c -> fail st "invalid escape \\%c" c
-      | None -> fail st "unterminated escape");
-      advance st;
+    | '\\' ->
+      S.advance sc;
+      (match S.peek sc with
+      | _ when S.at_end sc -> S.fail sc "unterminated escape"
+      | '"' -> Buffer.add_char buf '"'
+      | '\\' -> Buffer.add_char buf '\\'
+      | 'n' -> Buffer.add_char buf '\n'
+      | c -> S.fail sc "invalid escape \\%c" c);
+      S.advance sc;
       go ()
-    | Some c ->
-      advance st;
+    | c ->
+      S.advance sc;
       Buffer.add_char buf c;
       go ()
   in
@@ -223,440 +73,264 @@ let scan_string st =
 (* Types                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let rec parse_ty st =
-  skip_ws st;
-  if accept st '(' then begin
+let rec parse_ty sc =
+  S.skip_ws sc;
+  if S.accept sc '(' then begin
     (* function type: (tys) -> (tys) *)
-    let args = parse_ty_list st ')' in
-    expect_string st "->";
-    expect st '(';
-    let results = parse_ty_list st ')' in
-    Ty.Func (args, results)
+    let args = parse_ty_list sc in
+    S.expect_string sc "->";
+    S.expect sc '(';
+    Ty.Func (args, parse_ty_list sc)
   end
-  else if accept st '!' then begin
+  else if S.accept sc '!' then begin
     (* dialect type: the only one we model is !accel.token *)
-    let name = scan_id st in
-    if name = "accel.token" then Ty.Token
-    else fail st "unknown dialect type !%s" name
+    let name = S.scan_id sc is_id_char in
+    if name = "accel.token" then Ty.Token else S.fail sc "unknown dialect type !%s" name
   end
   else begin
-    match peek_id st with
-    | Some "memref" ->
-      let _ = scan_id st in
-      expect st '<';
-      (* dims: INT 'x' ... then dtype *)
-      let rec dims acc =
-        skip_ws st;
-        match peek st with
-        | Some ('0' .. '9') ->
-          let d = scan_int st in
-          (match peek st with
-          | Some 'x' ->
-            advance st;
-            dims (d :: acc)
-          | _ -> fail st "expected 'x' after memref dimension")
-        | Some _ | None -> List.rev acc
-      in
-      let shape = dims [] in
-      let dtype_name = scan_id st in
-      let elem =
-        match Ty.dtype_of_string dtype_name with
-        | Some d -> d
-        | None -> fail st "unknown element type %s" dtype_name
-      in
-      let layout =
-        if accept st ',' then begin
-          expect_string st "strided";
-          expect st '<';
-          expect st '[';
-          let strides = parse_int_list st ']' in
-          expect st ',';
-          expect_string st "offset";
-          expect st ':';
-          let offset = if accept st '?' then Ty.dynamic_offset else scan_int st in
-          expect st '>';
-          Some (strides, offset)
-        end
-        else None
-      in
-      expect st '>';
-      (match layout with
-      | None -> Ty.memref shape elem
-      | Some (strides, offset) -> Ty.memref ~offset ~strides shape elem)
-    | Some name -> (
-      let _ = scan_id st in
+    let start = S.pos sc in
+    S.skip_while sc is_id_char;
+    match S.text_from sc start with
+    | "" -> S.fail sc "expected a type"
+    | "memref" -> parse_memref sc
+    | name -> (
       match Ty.dtype_of_string name with
       | Some d -> Ty.Scalar d
-      | None -> fail st "unknown type %s" name)
-    | None -> fail st "expected a type"
+      | None -> S.fail sc "unknown type %s" name)
   end
 
-and parse_ty_list st close =
-  skip_ws st;
-  if accept st close then []
-  else begin
-    let rec go acc =
-      let ty = parse_ty st in
-      if accept st ',' then go (ty :: acc)
-      else begin
-        expect st close;
-        List.rev (ty :: acc)
-      end
-    in
-    go []
-  end
+and parse_ty_list sc = S.sep_list sc ~sep:',' ~close:')' parse_ty
 
-and parse_int_list st close =
-  skip_ws st;
-  if accept st close then []
-  else begin
-    let rec go acc =
-      let v = scan_int st in
-      if accept st ',' then go (v :: acc)
-      else begin
-        expect st close;
-        List.rev (v :: acc)
-      end
-    in
-    go []
-  end
+(* After "memref": <DxDx...dtype[, strided<[S, ...], offset: O|?>]> *)
+and parse_memref sc =
+  S.expect sc '<';
+  let rec dims acc =
+    S.skip_ws sc;
+    if S.is_digit (S.peek sc) then begin
+      let d = S.scan_int sc in
+      if S.peek sc <> 'x' then S.fail sc "expected 'x' after memref dimension";
+      S.advance sc;
+      dims (d :: acc)
+    end
+    else List.rev acc
+  in
+  let shape = dims [] in
+  let dtype_name = S.scan_id sc is_id_char in
+  let elem =
+    match Ty.dtype_of_string dtype_name with
+    | Some d -> d
+    | None -> S.fail sc "unknown element type %s" dtype_name
+  in
+  let layout =
+    if S.accept sc ',' then begin
+      S.expect_string sc "strided";
+      S.expect sc '<';
+      S.expect sc '[';
+      let strides = parse_int_list sc in
+      if List.length strides <> List.length shape then
+        S.fail sc "%d strides for a rank-%d memref" (List.length strides) (List.length shape);
+      S.expect sc ',';
+      S.expect_string sc "offset";
+      S.expect sc ':';
+      let offset = if S.accept sc '?' then Ty.dynamic_offset else S.scan_int sc in
+      S.expect sc '>';
+      Some (strides, offset)
+    end
+    else None
+  in
+  S.expect sc '>';
+  match layout with
+  | None -> Ty.memref shape elem
+  | Some (strides, offset) -> Ty.memref ~offset ~strides shape elem
+
+and parse_int_list sc = S.sep_list sc ~sep:',' ~close:']' S.scan_int
 
 (* ------------------------------------------------------------------ *)
 (* Affine maps                                                         *)
 (* ------------------------------------------------------------------ *)
 
 (* affine_map<(d0, d1) -> (d0 * 2 + 1, d1)>; dim names are positional. *)
-let parse_affine_map st =
-  expect st '<';
-  expect st '(';
-  let rec dim_names acc =
-    skip_ws st;
-    if accept st ')' then List.rev acc
-    else begin
-      let name = scan_id st in
-      if accept st ',' then dim_names (name :: acc)
-      else begin
-        expect st ')';
-        List.rev (name :: acc)
-      end
-    end
-  in
-  let names = dim_names [] in
-  let n_dims = List.length names in
+let parse_affine_map sc =
+  S.expect sc '<';
+  S.expect sc '(';
+  let names = S.sep_list sc ~sep:',' ~close:')' (fun sc -> S.scan_id sc is_id_char) in
   let dim_index name = Util.list_index (fun n -> n = name) names in
-  expect_string st "->";
-  expect st '(';
+  S.expect_string sc "->";
+  S.expect sc '(';
   (* expr := term (('+') term)* ; term := factor (('*') factor)* ;
      factor := INT | ID | '(' expr ')' *)
-  let rec parse_expr () =
-    let lhs = parse_term () in
-    let rec go lhs = if accept st '+' then go (Affine_map.Add (lhs, parse_term ())) else lhs in
-    go lhs
-  and parse_term () =
-    let lhs = parse_factor () in
-    let rec go lhs = if accept st '*' then go (Affine_map.Mul (lhs, parse_factor ())) else lhs in
-    go lhs
-  and parse_factor () =
-    skip_ws st;
-    match peek st with
-    | Some '(' ->
-      advance st;
-      let e = parse_expr () in
-      expect st ')';
+  let rec parse_expr sc =
+    let rec go lhs = if S.accept sc '+' then go (Affine_map.Add (lhs, parse_term sc)) else lhs in
+    go (parse_term sc)
+  and parse_term sc =
+    let rec go lhs = if S.accept sc '*' then go (Affine_map.Mul (lhs, parse_factor sc)) else lhs in
+    go (parse_factor sc)
+  and parse_factor sc =
+    S.skip_ws sc;
+    match S.peek sc with
+    | _ when S.at_end sc -> S.fail sc "expected affine expression"
+    | '(' ->
+      S.advance sc;
+      S.enter sc;
+      let e = parse_expr sc in
+      S.expect sc ')';
+      S.leave sc;
       e
-    | Some ('0' .. '9' | '-') -> Affine_map.Cst (scan_int st)
-    | Some _ -> (
-      let id = scan_id st in
+    | '0' .. '9' | '-' -> Affine_map.Cst (S.scan_int sc)
+    | _ -> (
+      let id = S.scan_id sc is_id_char in
       match dim_index id with
       | Some i -> Affine_map.Dim i
-      | None -> fail st "unknown affine dimension %s" id)
-    | None -> fail st "expected affine expression"
+      | None -> S.fail sc "unknown affine dimension %s" id)
   in
-  let rec exprs acc =
-    skip_ws st;
-    if accept st ')' then List.rev acc
-    else begin
-      let e = parse_expr () in
-      if accept st ',' then exprs (e :: acc)
-      else begin
-        expect st ')';
-        List.rev (e :: acc)
-      end
-    end
-  in
-  let results = exprs [] in
-  expect st '>';
-  Affine_map.make ~n_dims results
-
-(* Raw scan from after '<' to the matching '>' for opcode_map/flow whose
-   payloads never contain '<' or '>'. *)
-let scan_angle_payload st =
-  expect st '<';
-  let start = st.pos in
-  let rec go () =
-    match peek st with
-    | Some '>' ->
-      let payload = String.sub st.src start (st.pos - start) in
-      advance st;
-      payload
-    | Some _ ->
-      advance st;
-      go ()
-    | None -> fail st "unterminated '<...>'"
-  in
-  go ()
+  let results = S.sep_list sc ~sep:',' ~close:')' parse_expr in
+  S.expect sc '>';
+  Affine_map.make ~n_dims:(List.length names) results
 
 (* ------------------------------------------------------------------ *)
 (* Attributes                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let rec parse_attr st =
-  skip_ws st;
-  match peek st with
-  | Some '"' -> Attribute.Str (scan_string st)
-  | Some ('0' .. '9' | '-') -> scan_number st
-  | Some '[' ->
-    advance st;
-    skip_ws st;
-    if accept st ']' then Attribute.Array []
-    else if peek st = Some '#' then begin
+let rec parse_attr sc =
+  S.skip_ws sc;
+  match S.peek sc with
+  | _ when S.at_end sc -> S.fail sc "expected an attribute"
+  | '"' -> Attribute.Str (scan_string sc)
+  | '0' .. '9' | '-' -> scan_number sc
+  | '[' ->
+    S.advance sc;
+    S.skip_ws sc;
+    if S.peek sc = '#' then
       (* iterator-type style string list: [#parallel, #reduction] *)
-      let rec go acc =
-        expect st '#';
-        let id = scan_id st in
-        if accept st ',' then go (id :: acc)
-        else begin
-          expect st ']';
-          List.rev (id :: acc)
-        end
-      in
-      Attribute.Strs (go [])
-    end
-    else begin
-      let rec go acc =
-        let a = parse_attr st in
-        if accept st ',' then go (a :: acc)
-        else begin
-          expect st ']';
-          List.rev (a :: acc)
-        end
-      in
-      Attribute.Array (go [])
-    end
-  | Some '{' ->
-    advance st;
-    skip_ws st;
-    if accept st '}' then Attribute.Dict []
-    else begin
-      let rec go acc =
-        let key = scan_id st in
-        expect st '=';
-        let v = parse_attr st in
-        if accept st ',' then go ((key, v) :: acc)
-        else begin
-          expect st '}';
-          List.rev ((key, v) :: acc)
-        end
-      in
-      Attribute.Dict (go [])
-    end
-  | Some _ -> (
-    let id = scan_id st in
-    match id with
+      Attribute.Strs
+        (S.sep_list sc ~sep:',' ~close:']' (fun sc ->
+             S.expect sc '#';
+             S.scan_id sc is_id_char))
+    else Attribute.Array (S.sep_list sc ~sep:',' ~close:']' parse_attr)
+  | '{' ->
+    S.advance sc;
+    Attribute.Dict (parse_dict sc)
+  | _ -> (
+    match S.scan_id sc is_id_char with
     | "unit" -> Attribute.Unit
     | "true" -> Attribute.Bool true
     | "false" -> Attribute.Bool false
     | "type" ->
-      expect st '(';
-      let ty = parse_ty st in
-      expect st ')';
+      S.expect sc '(';
+      let ty = parse_ty sc in
+      S.expect sc ')';
       Attribute.Type_attr ty
     | "dense" ->
-      expect st '<';
-      expect st '[';
-      let ints = parse_int_list st ']' in
-      expect st '>';
+      S.expect sc '<';
+      S.expect sc '[';
+      let ints = parse_int_list sc in
+      S.expect sc '>';
       Attribute.Ints ints
-    | "affine_map" -> Attribute.Affine (parse_affine_map st)
+    | "affine_map" -> Attribute.Affine (parse_affine_map sc)
     | "opcode_map" ->
-      let payload = scan_angle_payload st in
-      (try Attribute.Opcode_map (Opcode.parse_map payload)
-       with Opcode.Syntax_error msg -> fail st "in opcode_map: %s" msg)
+      S.expect sc '<';
+      Attribute.Opcode_map (Opcode.scan_map sc)
     | "opcode_flow" ->
-      let payload = scan_angle_payload st in
-      (try Attribute.Opcode_flow (Opcode.parse_flow payload)
-       with Opcode.Syntax_error msg -> fail st "in opcode_flow: %s" msg)
-    | other -> fail st "unknown attribute '%s'" other)
-  | None -> fail st "expected an attribute"
+      S.expect sc '<';
+      Attribute.Opcode_flow (Opcode.scan_flow sc)
+    | other -> S.fail sc "unknown attribute '%s'" other)
+
+(* After '{': key = attr, ... } — an attribute dictionary, and an op's
+   attributes. *)
+and parse_dict sc =
+  S.sep_list sc ~sep:',' ~close:'}' (fun sc ->
+      let key = S.scan_id sc is_id_char in
+      S.expect sc '=';
+      (key, parse_attr sc))
 
 (* ------------------------------------------------------------------ *)
 (* Values and operations                                               *)
 (* ------------------------------------------------------------------ *)
 
-let scan_value_name st =
-  expect st '%';
-  let start = st.pos in
-  let rec go () =
-    match peek st with
-    | Some c when is_id_char c ->
-      advance st;
-      go ()
-    | Some _ | None -> ()
-  in
-  go ();
-  if st.pos = start then fail st "expected value name after %%";
-  "%" ^ String.sub st.src start (st.pos - start)
+let scan_value_name sc =
+  S.expect sc '%';
+  let start = S.pos sc in
+  S.skip_while sc is_id_char;
+  if S.pos sc = start then S.fail sc "expected value name after %%";
+  S.text_from sc (start - 1) (* with its '%' *)
 
-let lookup_value st name =
-  match Hashtbl.find_opt st.values name with
+let lookup_value sc values name =
+  match Hashtbl.find_opt values name with
   | Some v -> v
-  | None -> fail st "use of undefined value %s" name
+  | None -> S.fail sc "use of undefined value %s" name
 
-let bind_value st name ty =
-  if Hashtbl.mem st.values name then fail st "redefinition of value %s" name;
+let bind_value sc values name ty =
+  if Hashtbl.mem values name then S.fail sc "redefinition of value %s" name;
   let v = Ir.fresh_value ty in
-  Hashtbl.add st.values name v;
+  Hashtbl.add values name v;
   v
 
-let rec parse_op st : Ir.op =
-  skip_ws st;
-  (* results *)
+(* [values] maps each %N in scope to its fresh SSA value. *)
+let rec parse_op values sc : Ir.op =
+  S.skip_ws sc;
   let result_names =
-    if peek st = Some '%' then begin
-      let rec go acc =
-        let name = scan_value_name st in
-        if accept st ',' then go (name :: acc) else List.rev (name :: acc)
-      in
-      let names = go [] in
-      expect st '=';
-      names
-    end
-    else []
+    if S.peek sc = '%' then S.sep_list sc ~sep:',' ~close:'=' scan_value_name else []
   in
-  let op_name = scan_string st in
-  expect st '(';
-  let operand_names =
-    if accept st ')' then []
-    else begin
-      let rec go acc =
-        let name = scan_value_name st in
-        if accept st ',' then go (name :: acc)
-        else begin
-          expect st ')';
-          List.rev (name :: acc)
-        end
-      in
-      go []
-    end
-  in
-  (* optional regions *)
+  let op_name = scan_string sc in
+  S.expect sc '(';
+  let operand_names = S.sep_list sc ~sep:',' ~close:')' scan_value_name in
   let regions =
-    skip_ws st;
-    if peek st = Some '(' then begin
-      advance st;
-      let rec go acc =
-        let r = parse_region st in
-        if accept st ',' then go (r :: acc)
-        else begin
-          expect st ')';
-          List.rev (r :: acc)
-        end
-      in
-      go []
-    end
+    if S.accept sc '(' then
+      match S.sep_list sc ~sep:',' ~close:')' (parse_region values) with
+      | [] -> S.fail sc "expected a region"
+      | regions -> regions
     else []
   in
-  (* optional attrs *)
-  let attrs =
-    skip_ws st;
-    if peek st = Some '{' then begin
-      advance st;
-      skip_ws st;
-      if accept st '}' then []
-      else begin
-        let rec go acc =
-          let key = scan_id st in
-          expect st '=';
-          let v = parse_attr st in
-          if accept st ',' then go ((key, v) :: acc)
-          else begin
-            expect st '}';
-            List.rev ((key, v) :: acc)
-          end
-        in
-        go []
-      end
-    end
-    else []
-  in
-  expect st ':';
-  expect st '(';
-  let operand_tys = parse_ty_list st ')' in
-  expect_string st "->";
-  expect st '(';
-  let result_tys = parse_ty_list st ')' in
+  let attrs = if S.accept sc '{' then parse_dict sc else [] in
+  S.expect sc ':';
+  S.expect sc '(';
+  let operand_tys = parse_ty_list sc in
+  S.expect_string sc "->";
+  S.expect sc '(';
+  let result_tys = parse_ty_list sc in
   if List.length operand_tys <> List.length operand_names then
-    fail st "op %s: %d operands but %d operand types" op_name (List.length operand_names)
+    S.fail sc "op %s: %d operands but %d operand types" op_name (List.length operand_names)
       (List.length operand_tys);
   if List.length result_tys <> List.length result_names then
-    fail st "op %s: %d results but %d result types" op_name (List.length result_names)
+    S.fail sc "op %s: %d results but %d result types" op_name (List.length result_names)
       (List.length result_tys);
-  let operands = List.map (lookup_value st) operand_names in
+  let operands = List.map (lookup_value sc values) operand_names in
   List.iter2
     (fun (v : Ir.value) ty ->
       if not (Ty.equal v.vty ty) then
-        fail st "op %s: operand type mismatch: %s vs %s" op_name (Ty.to_string v.vty)
+        S.fail sc "op %s: operand type mismatch: %s vs %s" op_name (Ty.to_string v.vty)
           (Ty.to_string ty))
     operands operand_tys;
-  let results = List.map2 (fun name ty -> bind_value st name ty) result_names result_tys in
+  let results = List.map2 (bind_value sc values) result_names result_tys in
   Ir.op op_name ~operands ~results ~attrs ~regions
 
-and parse_region st : Ir.region =
-  expect st '{';
-  (* optional single block header: ^bb(%0: ty, ...): *)
-  skip_ws st;
+(* { [^bb(%0: ty, ...):] op* } — one block. *)
+and parse_region values sc : Ir.region =
+  S.expect sc '{';
   let args =
-    if peek st = Some '^' then begin
-      advance st;
-      let _label = scan_id st in
-      expect st '(';
-      let rec go acc =
-        skip_ws st;
-        if accept st ')' then List.rev acc
-        else begin
-          let name = scan_value_name st in
-          expect st ':';
-          let ty = parse_ty st in
-          let v = bind_value st name ty in
-          if accept st ',' then go (v :: acc)
-          else begin
-            expect st ')';
-            List.rev (v :: acc)
-          end
-        end
+    if S.accept sc '^' then begin
+      let _label = S.scan_id sc is_id_char in
+      S.expect sc '(';
+      let args =
+        S.sep_list sc ~sep:',' ~close:')' (fun sc ->
+            let name = scan_value_name sc in
+            S.expect sc ':';
+            bind_value sc values name (parse_ty sc))
       in
-      let args = go [] in
-      expect st ':';
+      S.expect sc ':';
       args
     end
     else []
   in
-  let rec ops acc =
-    skip_ws st;
-    if accept st '}' then List.rev acc else ops (parse_op st :: acc)
-  in
-  let body = ops [] in
-  [ Ir.block ~args body ]
+  let rec ops acc = if S.accept sc '}' then List.rev acc else ops (parse_op values sc :: acc) in
+  [ Ir.block ~args (ops []) ]
 
-let with_state src f =
-  let st = { src; pos = 0; values = Hashtbl.create 64 } in
-  let result = f st in
-  skip_ws st;
-  (match peek st with
-  | Some c -> fail st "trailing content starting with '%c'" c
-  | None -> ());
+let parse parse_item src =
+  let sc = S.create ~comments:true src in
+  let result = parse_item sc in
+  S.finish sc;
   result
 
-let parse_op src = with_state src parse_op
-let parse_type src = with_state src parse_ty
-let parse_attribute src = with_state src parse_attr
+let parse_op src = parse (parse_op (Hashtbl.create 64)) src
+let parse_type src = parse parse_ty src
+let parse_attribute src = parse parse_attr src

@@ -25,6 +25,13 @@ let addf st fmt = Printf.ksprintf (add st) fmt
 
 let type_list tys = String.concat ", " (List.map Ty.to_string tys)
 
+(* " {k = v, ...}", or nothing for an op without attributes. *)
+let add_attrs st (o : Ir.op) =
+  if o.attrs <> [] then begin
+    add st " ";
+    Attribute.add_to_buffer st.buf (Attribute.Dict o.attrs)
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Generic form                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -47,14 +54,7 @@ let rec generic_op st (o : Ir.op) =
         generic_region st r)
       regions;
     add st ")");
-  (match o.attrs with
-  | [] -> ()
-  | attrs ->
-    add st " {";
-    add st
-      (String.concat ", "
-         (List.map (fun (k, v) -> Printf.sprintf "%s = %s" k (Attribute.to_string v)) attrs));
-    add st "}");
+  add_attrs st o;
   addf st " : (%s) -> (%s)"
     (type_list (List.map (fun (v : Ir.value) -> v.vty) o.operands))
     (type_list (List.map (fun (v : Ir.value) -> v.vty) o.results));
@@ -220,15 +220,8 @@ let rec pretty_op st (o : Ir.op) =
     (match o.results with
     | [] -> ()
     | results -> addf st "%s = " (String.concat ", " (List.map (name_of st) results)));
-    addf st "%s" name;
-    (match o.attrs with
-    | [] -> ()
-    | attrs ->
-      add st " {";
-      add st
-        (String.concat ", "
-           (List.map (fun (k, v) -> Printf.sprintf "%s = %s" k (Attribute.to_string v)) attrs));
-      add st "}");
+    add st name;
+    add_attrs st o;
     addf st "(%s) : %s -> %s\n"
       (String.concat ", " (List.map (name_of st) o.operands))
       (type_list (List.map (fun (v : Ir.value) -> v.vty) o.operands))

@@ -7,57 +7,27 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-exception Parse_error of string
+exception Parse_error = Scanner.Error
 exception Type_error of string
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type state = { src : string; mutable pos : int; mutable line : int; mutable col : int }
+module S = Scanner
 
-let error st msg =
-  raise (Parse_error (Printf.sprintf "line %d, column %d: %s" st.line st.col msg))
-
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
-
-let advance st =
-  (match peek st with
-  | Some '\n' ->
-    st.line <- st.line + 1;
-    st.col <- 1
-  | Some _ -> st.col <- st.col + 1
-  | None -> ());
-  st.pos <- st.pos + 1
-
-let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    advance st;
-    skip_ws st
-  | Some _ | None -> ()
-
-let expect st c =
-  match peek st with
-  | Some c' when c' = c -> advance st
-  | Some c' -> error st (Printf.sprintf "expected %c, found %c" c c')
-  | None -> error st (Printf.sprintf "expected %c, found end of input" c)
-
-let expect_keyword st kw =
-  String.iter (fun c -> expect st c) kw
-
-let parse_hex4 st =
+let parse_hex4 sc =
   let value = ref 0 in
   for _ = 1 to 4 do
     let digit =
-      match peek st with
-      | Some c when c >= '0' && c <= '9' -> Char.code c - Char.code '0'
-      | Some c when c >= 'a' && c <= 'f' -> Char.code c - Char.code 'a' + 10
-      | Some c when c >= 'A' && c <= 'F' -> Char.code c - Char.code 'A' + 10
-      | Some c -> error st (Printf.sprintf "invalid hex digit %c" c)
-      | None -> error st "unterminated \\u escape"
+      match S.peek sc with
+      | _ when S.at_end sc -> S.fail sc "unterminated \\u escape"
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+      | c -> S.fail sc "invalid hex digit %c" c
     in
-    advance st;
+    S.advance sc;
     value := (!value * 16) + digit
   done;
   !value
@@ -81,167 +51,116 @@ let buffer_add_codepoint buf cp =
     Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
   end
 
-let parse_string st =
-  expect st '"';
+let parse_escape sc buf =
+  match S.peek sc with
+  | _ when S.at_end sc -> S.fail sc "unterminated escape"
+  | 'u' ->
+    S.advance sc;
+    let cp = parse_hex4 sc in
+    (* Combine surrogate pairs when present. *)
+    if cp >= 0xD800 && cp <= 0xDBFF then begin
+      if not (S.peek sc = '\\' && S.peek_at sc 1 = 'u') then
+        S.fail sc "expected a \\u low surrogate";
+      S.advance sc;
+      S.advance sc;
+      let low = parse_hex4 sc in
+      if low < 0xDC00 || low > 0xDFFF then S.fail sc "invalid surrogate pair";
+      buffer_add_codepoint buf (0x10000 + ((cp - 0xD800) lsl 10) + (low - 0xDC00))
+    end
+    else buffer_add_codepoint buf cp
+  | c ->
+    Buffer.add_char buf
+      (match c with
+      | '"' | '\\' | '/' -> c
+      | 'b' -> '\b'
+      | 'f' -> '\012'
+      | 'n' -> '\n'
+      | 'r' -> '\r'
+      | 't' -> '\t'
+      | c -> S.fail sc "invalid escape \\%c" c);
+    S.advance sc
+
+let parse_string sc =
+  S.expect sc '"';
   let buf = Buffer.create 16 in
   let rec go () =
-    match peek st with
-    | None -> error st "unterminated string"
-    | Some '"' ->
-      advance st;
+    match S.peek sc with
+    | _ when S.at_end sc -> S.fail sc "unterminated string"
+    | '"' ->
+      S.advance sc;
       Buffer.contents buf
-    | Some '\\' ->
-      advance st;
-      (match peek st with
-      | Some '"' -> Buffer.add_char buf '"'; advance st
-      | Some '\\' -> Buffer.add_char buf '\\'; advance st
-      | Some '/' -> Buffer.add_char buf '/'; advance st
-      | Some 'b' -> Buffer.add_char buf '\b'; advance st
-      | Some 'f' -> Buffer.add_char buf '\012'; advance st
-      | Some 'n' -> Buffer.add_char buf '\n'; advance st
-      | Some 'r' -> Buffer.add_char buf '\r'; advance st
-      | Some 't' -> Buffer.add_char buf '\t'; advance st
-      | Some 'u' ->
-        advance st;
-        let cp = parse_hex4 st in
-        (* Combine surrogate pairs when present. *)
-        if cp >= 0xD800 && cp <= 0xDBFF then begin
-          expect st '\\';
-          expect st 'u';
-          let low = parse_hex4 st in
-          if low < 0xDC00 || low > 0xDFFF then error st "invalid surrogate pair";
-          let combined = 0x10000 + ((cp - 0xD800) lsl 10) + (low - 0xDC00) in
-          buffer_add_codepoint buf combined
-        end
-        else buffer_add_codepoint buf cp
-      | Some c -> error st (Printf.sprintf "invalid escape \\%c" c)
-      | None -> error st "unterminated escape");
+    | '\\' ->
+      S.advance sc;
+      parse_escape sc buf;
       go ()
-    | Some c ->
-      advance st;
+    | c ->
+      S.advance sc;
       Buffer.add_char buf c;
       go ()
   in
   go ()
 
-let parse_number st =
-  let start = st.pos in
+let parse_number sc =
+  let start = S.pos sc in
   let is_float = ref false in
-  let consume_digits () =
-    let rec go () =
-      match peek st with
-      | Some c when c >= '0' && c <= '9' ->
-        advance st;
-        go ()
-      | Some _ | None -> ()
-    in
-    go ()
-  in
-  (match peek st with Some '-' -> advance st | Some _ | None -> ());
-  consume_digits ();
-  (match peek st with
-  | Some '.' ->
+  if S.peek sc = '-' then S.advance sc;
+  S.skip_while sc S.is_digit;
+  if S.peek sc = '.' then begin
     is_float := true;
-    advance st;
-    consume_digits ()
-  | Some _ | None -> ());
-  (match peek st with
-  | Some ('e' | 'E') ->
+    S.advance sc;
+    S.skip_while sc S.is_digit
+  end;
+  if S.peek sc = 'e' || S.peek sc = 'E' then begin
     is_float := true;
-    advance st;
-    (match peek st with Some ('+' | '-') -> advance st | Some _ | None -> ());
-    consume_digits ()
-  | Some _ | None -> ());
-  let text = String.sub st.src start (st.pos - start) in
-  if !is_float then
+    S.advance sc;
+    if S.peek sc = '+' || S.peek sc = '-' then S.advance sc;
+    S.skip_while sc S.is_digit
+  end;
+  let text = S.text_from sc start in
+  let float () =
     match float_of_string_opt text with
     | Some f -> Float f
-    | None -> error st (Printf.sprintf "invalid number %s" text)
+    | None -> S.fail sc "invalid number %s" text
+  in
+  if !is_float then float ()
   else
     match int_of_string_opt text with
     | Some i -> Int i
-    | None -> (
-      (* Fall back to float for integers exceeding native int range. *)
-      match float_of_string_opt text with
-      | Some f -> Float f
-      | None -> error st (Printf.sprintf "invalid number %s" text))
+    (* Fall back to float for integers exceeding native int range. *)
+    | None -> float ()
 
-let rec parse_value st =
-  skip_ws st;
-  match peek st with
-  | Some '{' -> parse_obj st
-  | Some '[' -> parse_list st
-  | Some '"' -> String (parse_string st)
-  | Some 't' ->
-    expect_keyword st "true";
+let rec parse_value sc =
+  S.skip_ws sc;
+  match S.peek sc with
+  | _ when S.at_end sc -> S.fail sc "unexpected end of input"
+  | '{' ->
+    S.advance sc;
+    Obj (S.sep_list sc ~sep:',' ~close:'}' parse_member)
+  | '[' ->
+    S.advance sc;
+    List (S.sep_list sc ~sep:',' ~close:']' parse_value)
+  | '"' -> String (parse_string sc)
+  | 't' ->
+    S.expect_string sc "true";
     Bool true
-  | Some 'f' ->
-    expect_keyword st "false";
+  | 'f' ->
+    S.expect_string sc "false";
     Bool false
-  | Some 'n' ->
-    expect_keyword st "null";
+  | 'n' ->
+    S.expect_string sc "null";
     Null
-  | Some ('-' | '0' .. '9') -> parse_number st
-  | Some c -> error st (Printf.sprintf "unexpected character %c" c)
-  | None -> error st "unexpected end of input"
+  | '-' | '0' .. '9' -> parse_number sc
+  | c -> S.fail sc "unexpected character %c" c
 
-and parse_obj st =
-  expect st '{';
-  skip_ws st;
-  match peek st with
-  | Some '}' ->
-    advance st;
-    Obj []
-  | _ ->
-    let rec members acc =
-      skip_ws st;
-      let key = parse_string st in
-      skip_ws st;
-      expect st ':';
-      let value = parse_value st in
-      skip_ws st;
-      match peek st with
-      | Some ',' ->
-        advance st;
-        members ((key, value) :: acc)
-      | Some '}' ->
-        advance st;
-        Obj (List.rev ((key, value) :: acc))
-      | Some c -> error st (Printf.sprintf "expected , or } in object, found %c" c)
-      | None -> error st "unterminated object"
-    in
-    members []
-
-and parse_list st =
-  expect st '[';
-  skip_ws st;
-  match peek st with
-  | Some ']' ->
-    advance st;
-    List []
-  | _ ->
-    let rec elements acc =
-      let value = parse_value st in
-      skip_ws st;
-      match peek st with
-      | Some ',' ->
-        advance st;
-        elements (value :: acc)
-      | Some ']' ->
-        advance st;
-        List (List.rev (value :: acc))
-      | Some c -> error st (Printf.sprintf "expected , or ] in array, found %c" c)
-      | None -> error st "unterminated array"
-    in
-    elements []
+and parse_member sc =
+  let key = parse_string sc in
+  S.expect sc ':';
+  (key, parse_value sc)
 
 let of_string src =
-  let st = { src; pos = 0; line = 1; col = 1 } in
-  let v = parse_value st in
-  skip_ws st;
-  (match peek st with
-  | Some c -> error st (Printf.sprintf "trailing content starting with %c" c)
-  | None -> ());
+  let sc = S.create ~comments:false src in
+  let v = parse_value sc in
+  S.finish sc;
   v
 
 (* ------------------------------------------------------------------ *)

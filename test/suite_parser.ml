@@ -115,7 +115,24 @@ let test_parse_errors () =
   (* redefinition *)
   expect_error "\"op\"() : (f32) -> ()";
   (* operand/type count mismatch *)
-  expect_error "\"op\" : () -> ()" (* missing parens *)
+  expect_error "\"op\" : () -> ()";
+  (* missing parens *)
+  (* a stride list shorter than the shape, which Ty.memref rejects *)
+  match Parser_ir.parse_type "memref<4x4xf32, strided<[1], offset: 0>>" with
+  | exception Parser_ir.Parse_error _ -> ()
+  | _ -> Alcotest.fail "a stride list shorter than the shape was accepted"
+
+(* Trait payloads are parsed in place: a bad opcode flow reports the
+   IR text's line and column. *)
+let test_trait_payload_position () =
+  let src =
+    "\"builtin.module\"() ({\n  \"t.op\"() {f = opcode_flow<(sA sB>} : () -> ()\n}) : () -> ()"
+  in
+  match Parser_ir.parse_op src with
+  | exception Parser_ir.Parse_error msg ->
+    Alcotest.(check string) "position in the IR file"
+      "line 2, column 35: unexpected '>' in opcode_flow" msg
+  | _ -> Alcotest.fail "unbalanced opcode flow accepted"
 
 let test_parse_comments () =
   let m = Parser_ir.parse_op "// header comment\n\"builtin.module\"() ({\n// inner\n}) : () -> ()" in
@@ -197,6 +214,155 @@ let test_golden_cpu_loops () =
   check_golden "cpu loop nest" ~golden:"matmul_cpu_loops.mlir"
     (Axi4mlir.compile_cpu (Axi4mlir.build_matmul_module ~m:16 ~n:16 ~k:16 ()))
 
+(* ------------------------------------------------------------------ *)
+(* Hostile input: nesting, depth cap and mutations                     *)
+(* ------------------------------------------------------------------ *)
+
+let repeat n s = String.concat "" (List.init n (fun _ -> s))
+let nested depth = repeat depth "[" ^ "1" ^ repeat depth "]"
+
+let rec nested_attr depth =
+  if depth = 0 then Attribute.Int 1 else Attribute.Array [ nested_attr (depth - 1) ]
+
+let test_deep_attribute_roundtrip () =
+  let text = nested Scanner.max_depth in
+  Alcotest.(check string) "parse then print" text
+    (Attribute.to_string (Parser_ir.parse_attribute text));
+  (* printing is linear: 20k levels print in milliseconds *)
+  Alcotest.(check string) "print 20k levels" (nested 20_000)
+    (Attribute.to_string (nested_attr 20_000))
+
+let contains hay needle =
+  let n = String.length needle in
+  let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+let depth_message = Printf.sprintf "limit of %d levels" Scanner.max_depth
+
+let expect_depth_error name parse text =
+  match parse text with
+  | exception Scanner.Error msg ->
+    if not (contains msg depth_message) then Alcotest.failf "%s: %s" name msg
+  | _ -> Alcotest.failf "%s: %d levels accepted" name (Scanner.max_depth + 1)
+
+let test_depth_cap () =
+  let over = Scanner.max_depth + 1 in
+  let region_nest depth =
+    let buf = Buffer.create (depth * 40) in
+    for _ = 1 to depth do
+      Buffer.add_string buf "\"t.op\"() ({\n"
+    done;
+    for _ = 1 to depth do
+      Buffer.add_string buf "}) : () -> ()\n"
+    done;
+    Buffer.contents buf
+  in
+  ignore (Parser_ir.parse_op (region_nest Scanner.max_depth));
+  expect_depth_error "regions" Parser_ir.parse_op (region_nest over);
+  expect_depth_error "attribute" Parser_ir.parse_attribute (nested over);
+  expect_depth_error "function type" Parser_ir.parse_type
+    (repeat over "(" ^ repeat over ") -> ()");
+  expect_depth_error "affine expression" Parser_ir.parse_attribute
+    ("affine_map<(d0) -> (" ^ repeat over "(" ^ "d0" ^ repeat over ")" ^ ")>");
+  expect_depth_error "json array" Json.of_string (nested over);
+  expect_depth_error "json object" Json.of_string (repeat over "{\"a\": " ^ "1" ^ repeat over "}");
+  expect_depth_error "opcode flow" Opcode.parse_flow (repeat over "(" ^ "sA" ^ repeat over ")")
+
+(* Mutations of every committed textual input: each parser returns a
+   value or raises its own error — never Invalid_argument, Not_found,
+   Failure or Stack_overflow. *)
+
+let read_text path = In_channel.with_open_bin path In_channel.input_all
+
+let files dir ext =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.filter (fun f -> Filename.check_suffix f ext)
+  |> List.map (fun f -> read_text (Filename.concat dir f))
+
+let quietly parse text = match parse text with _ -> () | exception Scanner.Error _ -> ()
+
+let mutation_corpus =
+  lazy
+    (let ir = quietly Parser_ir.parse_op and json = quietly Json.of_string in
+     let presets = List.map (fun name -> Result.get_ok (Presets.find_by_name name)) Presets.names in
+     let texts f = List.sort_uniq compare (List.concat_map f presets) in
+     let maps = texts (fun a -> [ Opcode.map_to_string a.Accel_config.opcode_map ]) in
+     let flows =
+       texts (fun a -> List.map (fun (_, f) -> Opcode.flow_to_string f) a.Accel_config.opcode_flows)
+     in
+     let with_parser parse = List.map (fun text -> (parse, text)) in
+     Array.of_list
+       (with_parser ir (files "golden" ".mlir")
+       @ with_parser json (files "../examples/configs" ".json")
+       @ with_parser (quietly Opcode.parse_map) maps
+       @ with_parser (quietly Opcode.parse_flow) flows))
+
+(* The index of the first [c] at or after [i], if any. *)
+let rec find_from text i c =
+  if i >= String.length text then None
+  else if text.[i] = c then Some i
+  else find_from text (i + 1) c
+
+(* The end of the first member of the container opening at [i]: the
+   next ',' or closer outside nested brackets and strings. *)
+let member_end text i =
+  let rec go j depth in_string =
+    if j >= String.length text then j
+    else
+      match text.[j] with
+      | '\\' when in_string -> go (j + 2) depth in_string
+      | '"' -> go (j + 1) depth (not in_string)
+      | _ when in_string -> go (j + 1) depth in_string
+      | '(' | '[' | '{' -> go (j + 1) (depth + 1) in_string
+      | (')' | ']' | '}') when depth > 0 -> go (j + 1) (depth - 1) in_string
+      | ',' | ')' | ']' | '}' -> j
+      | _ -> go (j + 1) depth in_string
+  in
+  go (i + 1) 0 false
+
+let mutate text ~kind ~pos ~byte ~size =
+  let n = String.length text in
+  let pos = if n = 0 then 0 else pos mod n in
+  let insert_at i s = String.sub text 0 i ^ s ^ String.sub text i (n - i) in
+  match kind with
+  | 0 -> String.sub text 0 pos
+  | 1 -> String.mapi (fun i c -> if i = pos then Char.chr byte else c) text
+  | 2 ->
+    (* deep nesting, raw at [pos] or as the first element of the next array *)
+    let o, c = [| ('[', ']'); ('(', ')'); ('{', '}') |].(byte mod 3) in
+    let nest = String.make size o ^ String.make size c in
+    if byte land 4 = 0 then insert_at pos nest
+    else (
+      match find_from text pos '[' with
+      | Some i -> insert_at (i + 1) (String.make size '[' ^ String.make size ']' ^ ", ")
+      | None -> insert_at pos nest)
+  | 3 ->
+    (* a huge integer literal *)
+    let rec first_digit i = if i = n || Scanner.is_digit text.[i] then i else first_digit (i + 1) in
+    insert_at (first_digit pos) (String.make 25 '9')
+  | _ -> (
+    (* duplicate the first key of the next dictionary or object *)
+    match find_from text pos '{' with
+    | None -> text
+    | Some i ->
+      let e = member_end text i in
+      insert_at (i + 1) (String.sub text (i + 1) (e - i - 1) ^ ", "))
+
+let prop_mutated_inputs_never_raise =
+  QCheck.Test.make ~name:"mutated IR, configs and opcodes raise only parse errors" ~count:3000
+    QCheck.(
+      make
+        Gen.(
+          tup5 (int_bound 1000) (int_bound 4) (int_bound 1_000_000) (int_bound 255)
+            (int_range 1 (4 * Scanner.max_depth))))
+    (fun (which, kind, pos, byte, size) ->
+      let corpus = Lazy.force mutation_corpus in
+      let parse, text = corpus.(which mod Array.length corpus) in
+      let text = mutate text ~kind ~pos ~byte ~size in
+      match parse text with
+      | () -> true
+      | exception e -> QCheck.Test.fail_reportf "%s on %S" (Printexc.to_string e) text)
+
 let tests =
   [
     Alcotest.test_case "parse types" `Quick test_parse_type;
@@ -210,10 +376,15 @@ let tests =
     Alcotest.test_case "roundtrip: annotated trait" `Quick test_annotated_trait_roundtrip;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "comments" `Quick test_parse_comments;
+    Alcotest.test_case "trait payload errors carry the IR position" `Quick
+      test_trait_payload_position;
     Alcotest.test_case "golden: v3/Cs matmul" `Quick test_golden_v3_matmul;
     Alcotest.test_case "golden: v4 tiled matmul" `Quick test_golden_v4_tiled_matmul;
     Alcotest.test_case "golden: conv2d" `Quick test_golden_conv;
     Alcotest.test_case "golden: accel level" `Quick test_golden_accel_level;
     Alcotest.test_case "golden: cpu loops" `Quick test_golden_cpu_loops;
     QCheck_alcotest.to_alcotest prop_whitespace_insensitive;
+    Alcotest.test_case "deep attribute round trip" `Quick test_deep_attribute_roundtrip;
+    Alcotest.test_case "nesting depth cap" `Quick test_depth_cap;
+    QCheck_alcotest.to_alcotest prop_mutated_inputs_never_raise;
   ]

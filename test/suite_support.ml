@@ -1,4 +1,4 @@
-(* Tests for lib/support: Util and Tabulate. *)
+(* Tests for lib/support: Util, Tabulate and Scanner. *)
 
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -71,6 +71,41 @@ let test_formats () =
   Alcotest.(check string) "x" "1.23x" (Tabulate.fmt_x 1.234);
   Alcotest.(check string) "pct" "56.0%" (Tabulate.fmt_pct 0.56)
 
+let scanner_error f =
+  match f () with
+  | _ -> Alcotest.fail "expected Scanner.Error"
+  | exception Scanner.Error msg -> msg
+
+let test_scanner () =
+  let sc = Scanner.create ~comments:true "  // note\n foo.bar, -0x1F 42 \000" in
+  Alcotest.(check string) "id after comment" "foo.bar"
+    (Scanner.scan_id sc (fun c -> c = '.' || (c >= 'a' && c <= 'z')));
+  checkb "accept ','" true (Scanner.accept sc ',');
+  check "hex with sign" (-31) (Scanner.scan_int sc);
+  checkb "accept_string" true (Scanner.accept_string sc "42");
+  Scanner.skip_ws sc;
+  (* a NUL byte is content, not the end of input *)
+  checkb "NUL is not the end" false (Scanner.at_end sc);
+  Alcotest.(check char) "peek NUL" '\000' (Scanner.peek sc);
+  Scanner.advance sc;
+  checkb "end by position" true (Scanner.at_end sc);
+  (* comments are a property of the grammar *)
+  let plain = Scanner.create ~comments:false "// x" in
+  Scanner.skip_ws plain;
+  Alcotest.(check char) "no comments in plain text" '/' (Scanner.peek plain);
+  let list = Scanner.create ~comments:false "1, 2 ,3]" in
+  Alcotest.(check (list int)) "sep_list" [ 1; 2; 3 ]
+    (Scanner.sep_list list ~sep:',' ~close:']' Scanner.scan_int);
+  Alcotest.(check string) "error position"
+    "line 2, column 3: integer literal 99999999999999999999 does not fit an int"
+    (scanner_error (fun () ->
+         Scanner.scan_int (Scanner.create ~comments:false "\n  99999999999999999999")));
+  Alcotest.(check string) "trailing separator"
+    "line 1, column 4: expected identifier"
+    (scanner_error (fun () ->
+         Scanner.sep_list (Scanner.create ~comments:false "a, )") ~sep:',' ~close:')' (fun sc ->
+             Scanner.scan_id sc (fun c -> c = 'a'))))
+
 let tests =
   [
     Alcotest.test_case "round_up" `Quick test_round_up;
@@ -82,4 +117,5 @@ let tests =
     Alcotest.test_case "statistics" `Quick test_stats;
     Alcotest.test_case "tabulate rendering" `Quick test_tabulate;
     Alcotest.test_case "number formats" `Quick test_formats;
+    Alcotest.test_case "scanner: tokens, ends and positions" `Quick test_scanner;
   ]
