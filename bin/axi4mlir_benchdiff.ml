@@ -68,7 +68,7 @@ let check ~baselines ~fresh exps =
           Printf.printf "%s: baseline and fresh run disagree on --quick\n" exp;
           failed := true
         end;
-        let verdict = Benchdiff.compare_docs ~baseline ~fresh:fresh_doc () in
+        let verdict = Benchdiff.compare_docs ~baseline ~fresh:fresh_doc in
         print_string (Benchdiff.render_verdict verdict);
         if not (Benchdiff.ok verdict) then failed := true
       | _ -> ())

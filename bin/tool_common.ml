@@ -90,8 +90,9 @@ let finish ~remarks ~metrics =
     Printf.eprintf "metrics      : %s\n" path
 
 (* Run [body], dumping remarks/metrics on both the success and the
-   failure path; a [Failure], or a pass that breaks verification (e.g.
-   on hostile input IR), becomes a one-line cmdliner error (exit 124). *)
+   failure path; a [Failure], an op the accelerator cannot take, or a
+   pass that breaks verification (e.g. on hostile input IR) becomes a
+   one-line cmdliner error (exit 124). *)
 let with_observability ~remarks ~metrics body =
   setup ~remarks ~metrics;
   let fail msg =
@@ -102,7 +103,7 @@ let with_observability ~remarks ~metrics body =
   | result ->
     finish ~remarks ~metrics;
     result
-  | exception Failure msg -> fail msg
+  | exception (Failure msg | Match_annotate.Rejected msg) -> fail msg
   | exception Pass.Pass_failure { pass; failing_op; message } ->
     fail (Printf.sprintf "pass %s failed on %s: %s" pass failing_op message)
 
@@ -129,8 +130,9 @@ let print_listing ~title items =
 let registered_passes () =
   let accel = Presets.matmul ~version:Accel_matmul.V4 ~size:16 () in
   let pipeline =
-    Pipeline.make ~accel ~host:Host_config.pynq_z2 ~copy_specialization:true
-      ~coalesce_transfers:true ~to_runtime_calls:true ()
+    Pipeline.make ~accel ~host:Host_config.pynq_z2
+      ~options:{ Codegen_options.default with coalesce_transfers = true }
+      ()
   in
   let dedup items =
     List.rev

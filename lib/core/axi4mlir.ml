@@ -65,7 +65,7 @@ let build_conv_module ?(stride = 1) ~n ~ic ~ih ~iw ~oc ~fh ~fw () =
   in
   Ir.module_op [ f ]
 
-type codegen_options = {
+type codegen_options = Codegen_options.t = {
   flow : string option;
   tiles : int list option;
   cpu_tiling : bool;
@@ -75,34 +75,10 @@ type codegen_options = {
   to_runtime_calls : bool;
 }
 
-let default_codegen =
-  {
-    flow = None;
-    tiles = None;
-    cpu_tiling = true;
-    copy_specialization = true;
-    coalesce_transfers = false;
-    double_buffer = false;
-    to_runtime_calls = true;
-  }
-
-let pipeline_of t options =
-  let match_options =
-    {
-      Match_annotate.flow = options.flow;
-      tile_override = options.tiles;
-      cpu_tiling = options.cpu_tiling;
-      double_buffer = options.double_buffer;
-      on_skip = Some (fun reason -> failwith ("AXI4MLIR: cannot offload: " ^ reason));
-    }
-  in
-  Pipeline.make ~accel:t.accel ~host:t.host ~options:match_options
-    ~copy_specialization:options.copy_specialization
-    ~coalesce_transfers:options.coalesce_transfers
-    ~to_runtime_calls:options.to_runtime_calls ()
+let default_codegen = Codegen_options.default
 
 let compile t ?(options = default_codegen) ?stats ?tracer m =
-  Pipeline.run ?stats ?tracer (pipeline_of t options) m
+  Pipeline.run ?stats ?tracer (Pipeline.make ~accel:t.accel ~host:t.host ~options ()) m
 
 let compile_matmul t ?(options = default_codegen) ~m ~n ~k () =
   compile t ~options (build_matmul_module ~m ~n ~k ())

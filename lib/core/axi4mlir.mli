@@ -75,7 +75,7 @@ val build_conv_module :
 
 (** {1 Compilation} *)
 
-type codegen_options = {
+type codegen_options = Codegen_options.t = {
   flow : string option;  (** override the config's selected flow *)
   tiles : int list option;  (** flexible-engine tile override *)
   cpu_tiling : bool;
@@ -84,8 +84,11 @@ type codegen_options = {
   double_buffer : bool;  (** Sec. V: ping-pong asynchronous input transfers *)
   to_runtime_calls : bool;
 }
+(** The pipeline's compile knobs, {!Codegen_options.t} under its facade
+    name. *)
 
 val default_codegen : codegen_options
+(** {!Codegen_options.default}. *)
 
 val compile :
   t ->
@@ -95,9 +98,10 @@ val compile :
   Ir.op ->
   Ir.op
 (** Run the AXI4MLIR pipeline on a module. Raises
-    {!Pass.Pass_failure} if a pass breaks verification. [stats]
-    collects per-pass timing/op-count records; [tracer] receives
-    compile-track events (see {!Pass.run_pipeline}). *)
+    {!Match_annotate.Rejected} if an op the accelerator matches cannot
+    be offloaded, and {!Pass.Pass_failure} if a pass breaks
+    verification. [stats] collects per-pass timing/op-count records;
+    [tracer] receives compile-track events (see {!Pass.run_pipeline}). *)
 
 val compile_matmul : t -> ?options:codegen_options -> m:int -> n:int -> k:int -> unit -> Ir.op
 

@@ -116,5 +116,5 @@ let check c =
            "seed %d (batch %d): residency moved %.0f DMA words, baseline %.0f"
            c.gc_seed c.gc_batch rw bw)
     else Ok ()
-  | exception Failure msg ->
+  | exception (Failure msg | Match_annotate.Rejected msg) ->
     Error (Printf.sprintf "seed %d (batch %d): crash: %s" c.gc_seed c.gc_batch msg)

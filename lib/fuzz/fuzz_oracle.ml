@@ -212,18 +212,20 @@ let run_cpu_lowered host accel case ops =
       let counters = run_module bench case m views in
       (Memref_view.to_array (output_view views), counters, m))
 
+(* The case's flow is already the config's selected flow. *)
 let accel_pipeline host accel (case : Fuzz_case.t) =
-  let options =
-    {
-      Match_annotate.flow = None;
-      tile_override = case.tiles;
-      cpu_tiling = case.cpu_tiling;
-      double_buffer = case.double_buffer;
-      on_skip = Some Pipeline.reject;
-    }
-  in
-  Pipeline.make ~accel ~host ~options ~copy_specialization:case.copy_specialization
-    ~coalesce_transfers:case.coalesce_transfers ~to_runtime_calls:case.to_runtime_calls ()
+  Pipeline.make ~accel ~host
+    ~options:
+      {
+        Codegen_options.flow = None;
+        tiles = case.tiles;
+        cpu_tiling = case.cpu_tiling;
+        copy_specialization = case.copy_specialization;
+        coalesce_transfers = case.coalesce_transfers;
+        double_buffer = case.double_buffer;
+        to_runtime_calls = case.to_runtime_calls;
+      }
+    ()
 
 (* The metrics registry mirrors the DMA engine's perf-counter bumps
    (see Dma_engine); over a measured run the totals must agree exactly,

@@ -41,7 +41,9 @@ type result = {
 
 val run : ?batch:int -> residency:bool -> Graph_ir.t -> result
 (** Execute the graph (default batch 1). Raises [Failure] on invalid
-    graphs, mixed-engine graphs, or a plan/executor desync. *)
+    graphs, mixed-engine graphs, or a plan/executor desync, and
+    {!Match_annotate.Rejected} for a matmul node the engine cannot
+    take. *)
 
 val result_dma_words : result -> float
 (** Total DMA words moved (sent + received). *)

@@ -21,17 +21,10 @@ let float_literal f =
    linear in the attribute's size at any depth. *)
 let rec add_to_buffer buf attr =
   let add = Buffer.add_string buf in
-  let items l add_item =
-    List.iteri
-      (fun i x ->
-        if i > 0 then add ", ";
-        add_item x)
-      l
-  in
   match attr with
   | Unit -> add "unit"
   | Bool b -> add (string_of_bool b)
-  | Int i -> add (string_of_int i)
+  | Int i -> Util.add_int buf i
   | Float f -> add (float_literal f)
   | Str s ->
     add "\"";
@@ -43,25 +36,34 @@ let rec add_to_buffer buf attr =
         | c -> Buffer.add_char buf c)
       s;
     add "\""
-  | Type_attr ty -> add ("type(" ^ Ty.to_string ty ^ ")")
+  | Type_attr ty ->
+    add "type(";
+    Ty.add_to_buffer buf ty;
+    add ")"
   | Ints l ->
     add "dense<[";
-    items l (fun i -> add (string_of_int i));
+    Util.add_list buf Util.add_int l;
     add "]>"
   | Strs l ->
     add "[";
-    items l (fun s -> add ("#" ^ s));
+    Util.add_list buf
+      (fun buf s ->
+        Buffer.add_char buf '#';
+        Buffer.add_string buf s)
+      l;
     add "]"
   | Array l ->
     add "[";
-    items l (add_to_buffer buf);
+    Util.add_list buf add_to_buffer l;
     add "]"
   | Dict members ->
     add "{";
-    items members (fun (k, v) ->
-        add k;
-        add " = ";
-        add_to_buffer buf v);
+    Util.add_list buf
+      (fun buf (k, v) ->
+        Buffer.add_string buf k;
+        Buffer.add_string buf " = ";
+        add_to_buffer buf v)
+      members;
     add "}"
   | Affine m -> add (Affine_map.to_string m)
   | Opcode_map m -> add (Opcode.map_to_string m)

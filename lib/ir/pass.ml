@@ -2,10 +2,6 @@ type t = { pass_name : string; run : Ir.op -> Ir.op }
 
 let make pass_name run = { pass_name; run }
 
-type options = { verify_each : bool; dump_each : bool }
-
-let default_options = { verify_each = true; dump_each = false }
-
 type pass_stat = {
   st_pass : string;
   st_seconds : float;
@@ -24,25 +20,14 @@ let () =
 
 let count_all = Ir.count_ops (fun _ -> true)
 
-(* After each pass: the optional dump, then the optional verification,
-   which raises [Pass_failure] naming the pass. *)
-let check options pass ir =
-  if options.dump_each then
-    Printf.eprintf "// ----- IR after %s -----\n%s\n" pass.pass_name
-      (Printer.to_generic ir);
-  if options.verify_each then begin
-    match Verifier.verify_structured ir with
-    | Ok () -> ()
-    | Error { Verifier.failing_op; reason } ->
-      if not options.dump_each then
-        (* dump_each already printed this module above *)
-        Printf.eprintf "// ----- IR after failing pass %s -----\n%s\n"
-          pass.pass_name (Printer.to_generic ir);
-      raise (Pass_failure { pass = pass.pass_name; failing_op; message = reason })
-  end
+(* Verification after every pass, naming the pass that broke it. *)
+let check pass ir =
+  match Verifier.verify_structured ir with
+  | Ok () -> ()
+  | Error { Verifier.failing_op; reason } ->
+    raise (Pass_failure { pass = pass.pass_name; failing_op; message = reason })
 
-let run_pipeline ?(options = default_options) ?stats ?(tracer = Trace.noop) passes root
-    =
+let run_pipeline ?stats ?(tracer = Trace.noop) passes root =
   let traced = Trace.enabled tracer and metered = Metrics.enabled Metrics.default in
   if stats = None && not (traced || metered) then
     (* Nothing listens: no clock reads, op counts, metric labels or
@@ -50,7 +35,7 @@ let run_pipeline ?(options = default_options) ?stats ?(tracer = Trace.noop) pass
     List.fold_left
       (fun ir pass ->
         let ir = pass.run ir in
-        check options pass ir;
+        check pass ir;
         ir)
       root passes
   else
@@ -89,7 +74,7 @@ let run_pipeline ?(options = default_options) ?stats ?(tracer = Trace.noop) pass
                   };
                 ])
           stats;
-        check options pass ir;
+        check pass ir;
         (ir, ops_after))
       (root, count_all root) passes
     |> fst

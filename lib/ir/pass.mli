@@ -1,19 +1,11 @@
-(** Pass manager: named module-to-module transformations with optional
-    inter-pass verification, IR dumping, per-pass timing and trace
-    emission, mirroring MLIR's [PassManager] (and its [-mlir-timing]
+(** Pass manager: named module-to-module transformations with
+    verification after every pass, per-pass timing and trace emission,
+    mirroring MLIR's [PassManager] (and its [-mlir-timing]
     instrumentation). *)
 
 type t = { pass_name : string; run : Ir.op -> Ir.op }
 
 val make : string -> (Ir.op -> Ir.op) -> t
-
-type options = {
-  verify_each : bool;  (** run {!Verifier.verify_structured} after every pass *)
-  dump_each : bool;  (** print generic IR after every pass to stderr *)
-}
-
-val default_options : options
-(** [verify_each = true], [dump_each = false]. *)
 
 type pass_stat = {
   st_pass : string;  (** pass name *)
@@ -25,12 +17,12 @@ type pass_stat = {
 exception
   Pass_failure of { pass : string; failing_op : string; message : string }
 (** Raised when post-pass verification fails: the pass that produced the
-    invalid IR, the op the verifier rejected, and the reason. The module
-    as left by the failing pass is dumped to stderr. *)
+    invalid IR, the op the verifier rejected, and the reason. Nothing is
+    printed; the CLIs turn it into one error line. *)
 
-val run_pipeline :
-  ?options:options -> ?stats:pass_stat list ref -> ?tracer:Trace.t -> t list -> Ir.op -> Ir.op
-(** Fold the module through [passes]. When [stats] is given, one
+val run_pipeline : ?stats:pass_stat list ref -> ?tracer:Trace.t -> t list -> Ir.op -> Ir.op
+(** Fold the module through [passes], running
+    {!Verifier.verify_structured} after each. When [stats] is given, one
     {!pass_stat} is appended per pass (in execution order). When
     [tracer] is given, each pass emits a complete event on
     {!Trace.compile_track}, stamped with {e process-time} microseconds

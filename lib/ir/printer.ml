@@ -1,29 +1,62 @@
 (* Printing state: a buffer, an indentation level, and a table assigning
-   sequential %N names to value ids in order of first appearance. *)
+   sequential %N numbers to value ids in order of first appearance.
+   Everything is written straight into the buffer. *)
 
 type state = {
   buf : Buffer.t;
-  names : (int, string) Hashtbl.t;
+  names : (int, int) Hashtbl.t;
   mutable next : int;
   mutable indent : int;
 }
 
 let make_state () = { buf = Buffer.create 1024; names = Hashtbl.create 64; next = 0; indent = 0 }
 
-let name_of st (v : Ir.value) =
-  match Hashtbl.find_opt st.names v.vid with
-  | Some n -> n
-  | None ->
-    let n = Printf.sprintf "%%%d" st.next in
-    st.next <- st.next + 1;
-    Hashtbl.add st.names v.vid n;
-    n
-
-let pad st = Buffer.add_string st.buf (String.make (st.indent * 2) ' ')
 let add st s = Buffer.add_string st.buf s
-let addf st fmt = Printf.ksprintf (add st) fmt
 
-let type_list tys = String.concat ", " (List.map Ty.to_string tys)
+let add_name st (v : Ir.value) =
+  let n =
+    if Hashtbl.mem st.names v.vid then Hashtbl.find st.names v.vid
+    else begin
+      let n = st.next in
+      st.next <- n + 1;
+      Hashtbl.add st.names v.vid n;
+      n
+    end
+  in
+  Buffer.add_char st.buf '%';
+  Util.add_int st.buf n
+
+let pad st =
+  for _ = 1 to st.indent do
+    add st "  "
+  done
+
+(* [item]s separated by ", ". *)
+let rec add_list st item = function
+  | [] -> ()
+  | [ x ] -> item st x
+  | x :: rest ->
+    item st x;
+    add st ", ";
+    add_list st item rest
+
+let add_names st values = add_list st add_name values
+
+(* "%r0, %r1 = ", or nothing for an op without results. *)
+let add_results st (o : Ir.op) =
+  if o.results <> [] then begin
+    add_names st o.results;
+    add st " = "
+  end
+
+let add_value_type st (v : Ir.value) = Ty.add_to_buffer st.buf v.vty
+let add_value_types st values = add_list st add_value_type values
+
+(* "%N: type" *)
+let add_typed_name st (v : Ir.value) =
+  add_name st v;
+  add st ": ";
+  add_value_type st v
 
 (* " {k = v, ...}", or nothing for an op without attributes. *)
 let add_attrs st (o : Ir.op) =
@@ -38,27 +71,23 @@ let add_attrs st (o : Ir.op) =
 
 let rec generic_op st (o : Ir.op) =
   pad st;
-  (match o.results with
-  | [] -> ()
-  | results ->
-    add st (String.concat ", " (List.map (name_of st) results));
-    add st " = ");
-  addf st "\"%s\"(%s)" o.name (String.concat ", " (List.map (name_of st) o.operands));
-  (match o.regions with
-  | [] -> ()
-  | regions ->
+  add_results st o;
+  add st "\"";
+  add st o.name;
+  add st "\"(";
+  add_names st o.operands;
+  add st ")";
+  if o.regions <> [] then begin
     add st " (";
-    List.iteri
-      (fun i r ->
-        if i > 0 then add st ", ";
-        generic_region st r)
-      regions;
-    add st ")");
+    add_list st generic_region o.regions;
+    add st ")"
+  end;
   add_attrs st o;
-  addf st " : (%s) -> (%s)"
-    (type_list (List.map (fun (v : Ir.value) -> v.vty) o.operands))
-    (type_list (List.map (fun (v : Ir.value) -> v.vty) o.results));
-  add st "\n"
+  add st " : (";
+  add_value_types st o.operands;
+  add st ") -> (";
+  add_value_types st o.results;
+  add st ")\n"
 
 and generic_region st (r : Ir.region) =
   add st "{\n";
@@ -69,15 +98,12 @@ and generic_region st (r : Ir.region) =
   add st "}"
 
 and generic_block st (b : Ir.block) =
-  (match b.bargs with
-  | [] -> ()
-  | args ->
+  if b.bargs <> [] then begin
     pad st;
-    addf st "^bb(%s):\n"
-      (String.concat ", "
-         (List.map
-            (fun (v : Ir.value) -> Printf.sprintf "%s: %s" (name_of st v) (Ty.to_string v.vty))
-            args)));
+    add st "^bb(";
+    add_list st add_typed_name b.bargs;
+    add st "):\n"
+  end;
   List.iter (generic_op st) b.body
 
 let to_generic operation =
@@ -89,55 +115,58 @@ let to_generic operation =
 (* Pretty form                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let attr_string (o : Ir.op) key =
-  match Ir.attr o key with Some a -> Attribute.to_string a | None -> "?"
+(* The pretty form is not on any hot path: it formats with
+   [Printf.bprintf] into the same buffer, through these [%a] printers. *)
+let pf st fmt = Printf.bprintf st.buf fmt
+let name st _ v = add_name st v
+let names st _ vs = add_names st vs
+let typed_names st _ vs = add_list st add_typed_name vs
+let vtype buf (v : Ir.value) = Ty.add_to_buffer buf v.vty
+let vtypes st _ vs = add_value_types st vs
+
+let attr (o : Ir.op) buf key =
+  match Ir.attr o key with
+  | Some a -> Attribute.add_to_buffer buf a
+  | None -> Buffer.add_char buf '?'
+
+let strip_quotes s =
+  if String.length s >= 2 && s.[0] = '"' && s.[String.length s - 1] = '"' then
+    String.sub s 1 (String.length s - 2)
+  else s
 
 let rec pretty_op st (o : Ir.op) =
   match o.name with
   | "builtin.module" ->
     pad st;
     add st "module {\n";
-    st.indent <- st.indent + 1;
-    List.iter (pretty_op st) (Ir.single_block o).body;
-    st.indent <- st.indent - 1;
-    pad st;
-    add st "}\n"
+    pretty_body st (Ir.single_block o)
   | "func.func" ->
     let block = Ir.single_block o in
     let sym = match Ir.attr o "sym_name" with Some (Str s) -> s | _ -> "?" in
     pad st;
-    addf st "func.func @%s(%s)" sym
-      (String.concat ", "
-         (List.map
-            (fun (v : Ir.value) -> Printf.sprintf "%s: %s" (name_of st v) (Ty.to_string v.vty))
-            block.bargs));
+    pf st "func.func @%s(%a)" sym (typed_names st) block.bargs;
     (match Ir.attr o "function_type" with
     | Some (Type_attr (Ty.Func (_, results))) when results <> [] ->
-      addf st " -> (%s)" (type_list results)
+      pf st " -> (%a)" (fun buf -> Util.add_list buf Ty.add_to_buffer) results
     | _ -> ());
     add st " {\n";
-    st.indent <- st.indent + 1;
-    List.iter (pretty_op st) block.body;
-    st.indent <- st.indent - 1;
-    pad st;
-    add st "}\n"
+    pretty_body st block
   | "func.return" ->
     pad st;
     if o.operands = [] then add st "return\n"
-    else addf st "return %s\n" (String.concat ", " (List.map (name_of st) o.operands))
+    else pf st "return %a\n" (names st) o.operands
   | "func.call" ->
     pad st;
-    (match o.results with
-    | [] -> ()
-    | results -> addf st "%s = " (String.concat ", " (List.map (name_of st) results)));
-    addf st "func.call @%s(%s)\n" (attr_string o "callee" |> strip_quotes)
-      (String.concat ", " (List.map (name_of st) o.operands))
+    add_results st o;
+    pf st "func.call @%s(%a)\n"
+      (match Ir.attr o "callee" with
+      | Some a -> strip_quotes (Attribute.to_string a)
+      | None -> "?")
+      (names st) o.operands
   | "arith.constant" ->
     pad st;
-    addf st "%s = arith.constant %s : %s\n"
-      (name_of st (Ir.result o))
-      (attr_string o "value")
-      (Ty.to_string (Ir.result o).vty)
+    add_results st o;
+    pf st "arith.constant %a : %a\n" (attr o) "value" vtype (Ir.result o)
   | "scf.for" ->
     let block = Ir.single_block o in
     let iv =
@@ -151,50 +180,39 @@ let rec pretty_op st (o : Ir.op) =
       | _ -> invalid_arg "scf.for: expected three operands"
     in
     pad st;
-    addf st "scf.for %s = %s to %s step %s {\n" (name_of st iv) (name_of st lb)
-      (name_of st ub) (name_of st step);
-    st.indent <- st.indent + 1;
-    List.iter (pretty_op st) block.body;
-    st.indent <- st.indent - 1;
-    pad st;
-    add st "}\n"
+    pf st "scf.for %a = %a to %a step %a {\n" (name st) iv (name st) lb (name st) ub
+      (name st) step;
+    pretty_body st block
   | "scf.yield" when o.operands = [] -> ()
   | "memref.subview" ->
     pad st;
-    let source = match o.operands with s :: _ -> name_of st s | [] -> "?" in
-    addf st "%s = memref.subview %s[%s] [%s] [1, ...] : %s\n"
-      (name_of st (Ir.result o))
-      source
-      (attr_string o "static_offsets")
-      (attr_string o "static_sizes")
-      (Ty.to_string (Ir.result o).vty)
-  | "memref.load" ->
+    add_results st o;
+    add st "memref.subview ";
+    (match o.operands with s :: _ -> add_name st s | [] -> add st "?");
+    pf st "[%a] [%a] [1, ...] : %a\n" (attr o) "static_offsets" (attr o) "static_sizes"
+      vtype (Ir.result o)
+  | "memref.load" -> (
     pad st;
-    (match o.operands with
+    match o.operands with
     | m :: indices ->
-      addf st "%s = memref.load %s[%s] : %s\n"
-        (name_of st (Ir.result o))
-        (name_of st m)
-        (String.concat ", " (List.map (name_of st) indices))
-        (Ty.to_string m.vty)
+      add_results st o;
+      pf st "memref.load %a[%a] : %a\n" (name st) m (names st) indices vtype m
     | [] -> add st "memref.load ?\n")
-  | "memref.store" ->
+  | "memref.store" -> (
     pad st;
-    (match o.operands with
+    match o.operands with
     | v :: m :: indices ->
-      addf st "memref.store %s, %s[%s] : %s\n" (name_of st v) (name_of st m)
-        (String.concat ", " (List.map (name_of st) indices))
-        (Ty.to_string m.vty)
+      pf st "memref.store %a, %a[%a] : %a\n" (name st) v (name st) m (names st) indices
+        vtype m
     | _ -> add st "memref.store ?\n")
   | "memref.alloc" ->
     pad st;
-    addf st "%s = memref.alloc() : %s\n"
-      (name_of st (Ir.result o))
-      (Ty.to_string (Ir.result o).vty)
-  | "memref.dealloc" ->
+    add_results st o;
+    pf st "memref.alloc() : %a\n" vtype (Ir.result o)
+  | "memref.dealloc" -> (
     pad st;
-    (match o.operands with
-    | [ m ] -> addf st "memref.dealloc %s : %s\n" (name_of st m) (Ty.to_string m.vty)
+    match o.operands with
+    | [ m ] -> pf st "memref.dealloc %a : %a\n" (name st) m vtype m
     | _ -> add st "memref.dealloc ?\n")
   | "linalg.generic" ->
     pad st;
@@ -203,45 +221,36 @@ let rec pretty_op st (o : Ir.op) =
     List.iter
       (fun (k, v) ->
         pad st;
-        addf st "%s = %s\n" k (Attribute.to_string v))
+        pf st "%s = %a\n" k Attribute.add_to_buffer v)
       o.attrs;
     st.indent <- st.indent - 1;
     pad st;
-    addf st "} ins/outs(%s)" (String.concat ", " (List.map (name_of st) o.operands));
+    pf st "} ins/outs(%a)" (names st) o.operands;
     (match o.regions with
     | [] -> add st "\n"
     | [ r ] ->
       add st " ";
-      pretty_kernel st r;
+      generic_region st r;
       add st "\n"
     | _ -> add st " <multiple regions>\n")
-  | name when String.length name >= 6 && String.sub name 0 6 = "accel." ->
+  | op_name when String.starts_with ~prefix:"accel." op_name ->
     pad st;
-    (match o.results with
-    | [] -> ()
-    | results -> addf st "%s = " (String.concat ", " (List.map (name_of st) results)));
-    add st name;
+    add_results st o;
+    add st op_name;
     add_attrs st o;
-    addf st "(%s) : %s -> %s\n"
-      (String.concat ", " (List.map (name_of st) o.operands))
-      (type_list (List.map (fun (v : Ir.value) -> v.vty) o.operands))
-      (type_list (List.map (fun (v : Ir.value) -> v.vty) o.results))
+    pf st "(%a) : %a -> %a\n" (names st) o.operands (vtypes st) o.operands (vtypes st)
+      o.results
   | _ ->
     (* Fallback: generic form for unknown ops. *)
     generic_op st o
 
-and pretty_kernel st (r : Ir.region) =
-  add st "{\n";
+(* The block's ops one level in, then the closing brace. *)
+and pretty_body st (b : Ir.block) =
   st.indent <- st.indent + 1;
-  List.iter (generic_block st) r;
+  List.iter (pretty_op st) b.body;
   st.indent <- st.indent - 1;
   pad st;
-  add st "}"
-
-and strip_quotes s =
-  if String.length s >= 2 && s.[0] = '"' && s.[String.length s - 1] = '"' then
-    String.sub s 1 (String.length s - 2)
-  else s
+  add st "}\n"
 
 let to_pretty operation =
   let st = make_state () in

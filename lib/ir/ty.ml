@@ -95,21 +95,35 @@ let dtype_of_string = function
   | "index" -> Some Index
   | _ -> None
 
-let rec to_string = function
-  | Scalar d -> dtype_to_string d
+let rec add_to_buffer buf = function
+  | Scalar d -> Buffer.add_string buf (dtype_to_string d)
   | Memref m ->
-    let dims = String.concat "" (List.map (fun d -> string_of_int d ^ "x") m.shape) in
-    let layout =
-      if is_identity_layout m then ""
-      else
-        Printf.sprintf ", strided<[%s], offset: %s>"
-          (String.concat ", " (List.map string_of_int m.strides))
-          (if m.offset = min_int then "?" else string_of_int m.offset)
-    in
-    Printf.sprintf "memref<%s%s%s>" dims (dtype_to_string m.elem) layout
+    Buffer.add_string buf "memref<";
+    List.iter
+      (fun d ->
+        Util.add_int buf d;
+        Buffer.add_char buf 'x')
+      m.shape;
+    Buffer.add_string buf (dtype_to_string m.elem);
+    if not (is_identity_layout m) then begin
+      Buffer.add_string buf ", strided<[";
+      Util.add_list buf Util.add_int m.strides;
+      Buffer.add_string buf "], offset: ";
+      if m.offset = min_int then Buffer.add_char buf '?' else Util.add_int buf m.offset;
+      Buffer.add_char buf '>'
+    end;
+    Buffer.add_char buf '>'
   | Func (args, results) ->
-    let list l = String.concat ", " (List.map to_string l) in
-    Printf.sprintf "(%s) -> (%s)" (list args) (list results)
-  | Token -> "!accel.token"
+    Buffer.add_char buf '(';
+    Util.add_list buf add_to_buffer args;
+    Buffer.add_string buf ") -> (";
+    Util.add_list buf add_to_buffer results;
+    Buffer.add_char buf ')'
+  | Token -> Buffer.add_string buf "!accel.token"
+
+let to_string t =
+  let buf = Buffer.create 32 in
+  add_to_buffer buf t;
+  Buffer.contents buf
 
 let equal a b = a = b

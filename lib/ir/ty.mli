@@ -75,5 +75,8 @@ val to_string : t -> string
 (** MLIR-like rendering, e.g.
     [memref<4x4xf32, strided<[80, 1], offset: 42>>]. *)
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append {!to_string}'s text. *)
+
 val equal : t -> t -> bool
 val dtype_of_string : string -> dtype option

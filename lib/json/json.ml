@@ -319,11 +319,22 @@ let assoc decode path = function
     go [] members
   | _ -> error path "expected a JSON object"
 
+(* The members from the first one named [name] on. *)
+let rec from_member name = function
+  | [] -> []
+  | (key, _) :: rest as members ->
+    if String.equal key name then members else from_member name rest
+
 let field_opt name decode path = function
   | Obj members -> (
-    match List.assoc_opt name members with
-    | None | Some Null -> Ok None
-    | Some v -> Result.map Option.some (decode (path ^ "." ^ name) v))
+    match from_member name members with
+    | [] -> Ok None
+    | (_, v) :: rest -> (
+      if List.mem_assoc name rest then error (path ^ "." ^ name) "duplicate field"
+      else
+        match v with
+        | Null -> Ok None
+        | v -> Result.map Option.some (decode (path ^ "." ^ name) v)))
   | _ -> error path "expected a JSON object"
 
 let field name decode path json =

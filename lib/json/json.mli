@@ -85,11 +85,13 @@ val assoc : 'a decoder -> (string * 'a) list decoder
 val field : string -> 'a decoder -> 'a decoder
 (** [field name dec path obj] decodes member [name] of [obj] at
     [PATH.name]. An absent or [null] member is
-    ["PATH.name: missing field"]; a non-object [obj] is
+    ["PATH.name: missing field"]; a member that appears twice is
+    ["PATH.name: duplicate field"]; a non-object [obj] is
     ["PATH: expected a JSON object"]. *)
 
 val field_opt : string -> 'a decoder -> 'a option decoder
-(** As {!field}, but an absent or [null] member is [Ok None]. *)
+(** As {!field}, but an absent or [null] member is [Ok None]. A
+    duplicate member is still an error. *)
 
 val schema : string -> unit decoder
 (** [schema tag] checks the object's required ["schema"] member:

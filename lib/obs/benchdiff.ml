@@ -138,7 +138,7 @@ type verdict = {
   v_extra : string list;
 }
 
-let compare_docs ?(tolerances = tolerances) ~baseline ~fresh () =
+let compare_docs ~baseline ~fresh =
   let compared = ref 0 in
   let regressions = ref [] and improvements = ref [] in
   let fresh_by_id = List.map (fun p -> (p.pt_id, p)) fresh.doc_points in

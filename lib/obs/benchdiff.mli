@@ -102,10 +102,10 @@ type verdict = {
   v_extra : string list;  (** fresh point ids absent from the baseline *)
 }
 
-val compare_docs :
-  ?tolerances:(string * (float * direction)) list -> baseline:doc -> fresh:doc -> unit -> verdict
-(** Point ids are matched exactly; a missing or extra point is a gate
-    failure (re-bless after intentionally changing an experiment). *)
+val compare_docs : baseline:doc -> fresh:doc -> verdict
+(** Compare under {!tolerances}. Point ids are matched exactly; a
+    missing or extra point is a gate failure (re-bless after
+    intentionally changing an experiment). *)
 
 val ok : verdict -> bool
 (** No regressions, no missing points, no extra points. Improvements

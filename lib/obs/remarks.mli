@@ -11,7 +11,7 @@
       the k-loop, saved N words per iteration");
     - {!Missed}: an optimisation was applicable in principle but could
       not fire, with the blocking reason ("tile 33 does not divide
-      extent 128; op left on the CPU path");
+      extent 128; op not offloaded");
     - {!Analysis}: neutral facts a tuner wants ("operand footprint
       1.5 MiB exceeds the 512 KiB LLC; CPU-tiling the i-loop").
 

@@ -150,9 +150,12 @@ type eval = {
 let burn_of ~budget ~total ~bad =
   if total = 0 then 0.0 else float_of_int bad /. float_of_int total /. budget
 
-let evaluate ?(fire = 2.0) ?(resolve = 1.0) spec (data : window_data array) =
+(* Alert thresholds on the burn rate; [resolve <= fire]. *)
+let fire = 2.0
+let resolve = 1.0
+
+let evaluate spec (data : window_data array) =
   let b = budget spec in
-  let resolve = Float.min resolve fire in
   let n = Array.length data in
   let state = ref Budget_ok in
   let transitions = ref [] in

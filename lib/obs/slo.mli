@@ -101,10 +101,9 @@ type eval = {
   sv_final : state;
 }
 
-val evaluate : ?fire:float -> ?resolve:float -> spec -> window_data array -> eval
+val evaluate : spec -> window_data array -> eval
 (** Evaluate the objective over per-window counts (index = telemetry
-    window index). Defaults: [fire = 2.0], [resolve = 1.0]; [resolve]
-    is clamped to at most [fire]. *)
+    window index), with [fire = 2.0] and [resolve = 1.0]. *)
 
 val met : eval -> bool
 (** No alert ever fired and the run-level budget was not exhausted

@@ -7,7 +7,6 @@
 type t = {
   oc_models : (string * Tune_workload.named list) list;
   oc_graphs : (string * Graph_ir.t) list;
-  oc_graph_residency : bool;
   oc_fingerprints : (Accel_config.t, string) Hashtbl.t;
       (** engine -> fingerprint, so a lookup hashes no config JSON *)
   oc_memo : (string, float * float) Hashtbl.t;
@@ -42,11 +41,10 @@ let engine_or_default = function
   | Some engine -> engine
   | None -> Lazy.force default_engine
 
-let create ?(graphs = []) ?(graph_residency = true) models =
+let create ?(graphs = []) models =
   {
     oc_models = models;
     oc_graphs = graphs;
-    oc_graph_residency = graph_residency;
     oc_fingerprints = Hashtbl.create 4;
     oc_memo = Hashtbl.create 16;
     oc_hits = 0;
@@ -136,19 +134,17 @@ let measure_layer engine (named : Tune_workload.named) ~batch =
     failwith
       (Printf.sprintf "serving oracle: %s (batch %d): runtime: %s"
          (Tune_workload.to_string w) batch msg)
-  | exception Failure msg ->
+  | exception (Failure msg | Match_annotate.Rejected msg) ->
     failwith
       (Printf.sprintf "serving oracle: %s (batch %d): %s" (Tune_workload.to_string w)
          batch msg)
 
-let graph_key t g ~batch =
-  Printf.sprintf "graph:%s|residency=%b@%d" g.Graph_ir.g_name t.oc_graph_residency
-    batch
+let graph_key g ~batch = Printf.sprintf "graph:%s@%d" g.Graph_ir.g_name batch
 
-let measure_graph t g ~batch =
-  match Graph_exec.run ~batch ~residency:t.oc_graph_residency g with
+let measure_graph g ~batch =
+  match Graph_exec.run ~batch ~residency:true g with
   | r -> counter_parts r.Graph_exec.rs_counters
-  | exception Failure msg ->
+  | exception (Failure msg | Match_annotate.Rejected msg) ->
     failwith
       (Printf.sprintf "serving oracle: graph %s (batch %d): %s" g.Graph_ir.g_name
          batch msg)
@@ -159,7 +155,7 @@ let service_parts ?engine t model ~batch =
   if batch < 1 then
     failwith (Printf.sprintf "serving oracle: batch must be >= 1 (got %d)" batch);
   match List.assoc_opt model t.oc_graphs with
-  | Some g -> memoised t (graph_key t g ~batch) (fun () -> measure_graph t g ~batch)
+  | Some g -> memoised t (graph_key g ~batch) (fun () -> measure_graph g ~batch)
   | None ->
     let layers = layers t model in
     let engine = engine_or_default engine in

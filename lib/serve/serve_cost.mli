@@ -49,20 +49,15 @@ val default_matmul_accel : unit -> Accel_config.t
     flexible v4_16 preset — the configuration every pre-platform
     serving run used. *)
 
-val create :
-  ?graphs:(string * Graph_ir.t) list ->
-  ?graph_residency:bool ->
-  (string * Tune_workload.named list) list ->
-  t
+val create : ?graphs:(string * Graph_ir.t) list -> (string * Tune_workload.named list) list -> t
 (** An oracle over the given models, with an empty memo table. The
     conv engine is not configurable: every instance carries the same
     Sec. IV-D sidecar.
 
     [graphs] adds {e whole-model} entries: a request for such a model
     costs a full {!Graph_exec} forward pass (every layer, dataflow
-    edges and all) rather than a per-shape-class layer sum —
-    [graph_residency] (default true) selects the residency-planned
-    execution. Graph names shadow nothing: they are looked up before
+    edges and all, with residency planning) rather than a
+    per-shape-class layer sum. Graph names shadow nothing: they are looked up before
     the layer-list models. Graph costs do not depend on the matmul
     engine, so their memo keys carry none. *)
 

@@ -89,8 +89,7 @@ let slo_data t (spec : Slo.spec) =
     Array.init (Array.length offered) (fun i ->
         { Slo.wd_total = offered.(i); wd_bad = rejected.(i) })
 
-let evaluate ?fire ?resolve t specs =
-  List.map (fun spec -> Slo.evaluate ?fire ?resolve spec (slo_data t spec)) specs
+let evaluate t specs = List.map (fun spec -> Slo.evaluate spec (slo_data t spec)) specs
 
 (* ------------------------------------------------------------------ *)
 (* Export                                                              *)

@@ -94,7 +94,7 @@ val slo_data : t -> Slo.spec -> Slo.window_data array
     availability objectives read [arrivals]/[rejections] (bad =
     rejected). *)
 
-val evaluate : ?fire:float -> ?resolve:float -> t -> Slo.spec list -> Slo.eval list
+val evaluate : t -> Slo.spec list -> Slo.eval list
 (** {!Slo.evaluate} over {!slo_data} for each spec. *)
 
 (** {1 Export} *)

@@ -33,7 +33,7 @@ let reset st =
   Accel_device.Fifo.clear st.out
 
 let create ?(ops_per_cycle = default_ops_per_cycle) ?(tracer = Trace.noop)
-    ?(capacity_elems = buffer_capacity_elems) ?(act_capacity = act_capacity_elems) () =
+    ?(capacity_elems = buffer_capacity_elems) () =
   let st =
     {
       fhw = 0;
@@ -41,7 +41,7 @@ let create ?(ops_per_cycle = default_ops_per_cycle) ?(tracer = Trace.noop)
       stride = 1;
       w = Array.make capacity_elems 0.0;
       patch = Array.make capacity_elems 0.0;
-      act = Array.make act_capacity 0.0;
+      act = Array.make act_capacity_elems 0.0;
       act_c = 0;
       act_h = 0;
       act_w = 0;
@@ -62,7 +62,7 @@ let create ?(ops_per_cycle = default_ops_per_cycle) ?(tracer = Trace.noop)
     Accel_device.make_region ~name:"weights" ~capacity_words:capacity_elems
   in
   let act_region =
-    Accel_device.make_region ~name:"activations" ~capacity_words:act_capacity
+    Accel_device.make_region ~name:"activations" ~capacity_words:act_capacity_elems
   in
   let reset_all () =
     reset st;
@@ -154,11 +154,11 @@ let create ?(ops_per_cycle = default_ops_per_cycle) ?(tracer = Trace.noop)
         let n = c * h * w in
         if c <= 0 || h <= 0 || w <= 0 then
           failwith "conv accelerator: cv_accept dimensions must be positive";
-        if n > act_capacity then
+        if n > act_capacity_elems then
           failwith
             (Printf.sprintf
                "conv accelerator: image %dx%dx%d exceeds activation capacity %d" c h w
-               act_capacity);
+               act_capacity_elems);
         if Accel_device.Fifo.length st.pending <> n then
           failwith
             (Printf.sprintf

@@ -21,7 +21,7 @@
 
     The device exposes two {!Accel_device.region}s — ["weights"]
     (capacity [capacity_elems]) and ["activations"] (capacity
-    [act_capacity]) — the host-visible residency contract drivers
+    {!act_capacity_elems}) — the host-visible residency contract drivers
     update as they issue loads and accepts. *)
 
 val default_ops_per_cycle : float
@@ -34,18 +34,13 @@ val buffer_capacity_elems : int
     4608). *)
 
 val act_capacity_elems : int
-(** Default resident activation image capacity (16384 f32 elements, a
-    64 KiB feature-map SRAM). *)
+(** Resident activation image capacity (16384 f32 elements, a 64 KiB
+    feature-map SRAM). *)
 
 val create :
-  ?ops_per_cycle:float ->
-  ?tracer:Trace.t ->
-  ?capacity_elems:int ->
-  ?act_capacity:int ->
-  unit ->
-  Accel_device.t
+  ?ops_per_cycle:float -> ?tracer:Trace.t -> ?capacity_elems:int -> unit -> Accel_device.t
 (** [tracer] (default {!Trace.noop}) receives an instant event on
     {!Trace.accel_track} per computed patch (inner product), tagged
-    with its source (["stream"] or ["resident"]). [capacity_elems] /
-    [act_capacity] override the buffer sizes (the residency tests pin
+    with its source (["stream"] or ["resident"]). [capacity_elems]
+    overrides the weight/patch buffer size (the residency tests pin
     capacity-exactly-full behaviour on small buffers). *)

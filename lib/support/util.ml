@@ -39,6 +39,25 @@ let rec list_drop n l =
 
 let string_of_list ?(sep = ", ") f l = String.concat sep (List.map f l)
 
+let rec add_list buf add_item = function
+  | [] -> ()
+  | [ x ] -> add_item buf x
+  | x :: rest ->
+    add_item buf x;
+    Buffer.add_string buf ", ";
+    add_list buf add_item rest
+
+let rec add_int buf n =
+  if n = min_int then Buffer.add_string buf (string_of_int n)
+  else if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_int buf (-n)
+  end
+  else begin
+    if n >= 10 then add_int buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+  end
+
 let rec permutations = function
   | [] -> [ [] ]
   | l ->

@@ -36,6 +36,12 @@ val list_drop : int -> 'a list -> 'a list
 val string_of_list : ?sep:string -> ('a -> string) -> 'a list -> string
 (** Render a list with a separator (default [", "]). *)
 
+val add_list : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
+(** Append the items separated by [", "]. *)
+
+val add_int : Buffer.t -> int -> unit
+(** Append [string_of_int n] without allocating the string. *)
+
 val permutations : 'a list -> 'a list list
 (** All permutations of a (short) list. *)
 

@@ -1,19 +1,4 @@
-type options = {
-  flow : string option;
-  tile_override : int list option;
-  cpu_tiling : bool;
-  double_buffer : bool;
-  on_skip : (string -> unit) option;
-}
-
-let default_options =
-  {
-    flow = None;
-    tile_override = None;
-    cpu_tiling = true;
-    double_buffer = false;
-    on_skip = None;
-  }
+exception Rejected of string
 
 let ( let* ) r f = Result.bind r f
 
@@ -78,11 +63,11 @@ let emit_success_remarks ~(accel : Accel_config.t) ~maps ~ranges ~accel_dim ~flo
         "added a cache-blocking CPU tiling level above the accelerator tiles"
   end
 
-let annotate_op ~(accel : Accel_config.t) ~host ~options op =
+let annotate_op ~(accel : Accel_config.t) ~host ~(options : Codegen_options.t) op =
   let maps = Linalg.indexing_maps op in
   let ranges = Linalg.loop_ranges op in
   let* accel_dim =
-    Tiling.resolve_accel_dims accel ~maps ~ranges ?tile_override:options.tile_override ()
+    Tiling.resolve_accel_dims accel ~maps ~ranges ?tile_override:options.tiles ()
   in
   let flow_name =
     match options.flow with Some f -> f | None -> accel.selected_flow
@@ -140,7 +125,7 @@ let annotate_op ~(accel : Accel_config.t) ~host ~options op =
   emit_success_remarks ~accel ~maps ~ranges ~accel_dim ~flow ~flow_name ~cpu_tile op;
   Ok (Trait.attach op trait)
 
-let pass ~accel ~host ?(options = default_options) () =
+let pass ~accel ~host ?(options = Codegen_options.default) () =
   let rewrite op =
     if
       Matcher.matches_kind accel.Accel_config.op_kind op
@@ -149,17 +134,17 @@ let pass ~accel ~host ?(options = default_options) () =
       match annotate_op ~accel ~host ~options op with
       | Ok annotated -> annotated
       | Error reason ->
-        (* Remark first: [on_skip] may raise, and the Missed remark is
-           how the user learns why the op stayed on the CPU path. *)
+        (* Remark first: with [--remarks] it is how the user learns why
+           compilation stopped. *)
         Remarks.emit ~kind:Remarks.Missed ~pass:pass_name ~name:"not-offloaded"
           ~loc:op.Ir.name
           ~args:[ ("accel", Remarks.Str accel.Accel_config.accel_name) ]
-          (Printf.sprintf "op left on the CPU path: %s" reason);
-        (match options.on_skip with
-        | Some f -> f (Printf.sprintf "%s: %s" accel.Accel_config.accel_name reason)
-        | None -> ());
-        op
+          (Printf.sprintf "op not offloaded: %s" reason);
+        raise
+          (Rejected
+             (Printf.sprintf "AXI4MLIR: cannot offload: %s: %s"
+                accel.Accel_config.accel_name reason))
     end
     else op
   in
-  Pass.make "match-and-annotate" (fun m -> Ir.map_nested rewrite m)
+  Pass.make pass_name (fun m -> Ir.map_nested rewrite m)

@@ -4,28 +4,26 @@
     loop permutation, the opcode map/flow, and the cache-level host
     tiles).
 
-    Operations that structurally match but cannot be mapped (extent not
-    divisible by the tile, operand tile exceeding the accelerator
-    buffers, flow deeper than the loop nest) are left un-annotated and
-    reported through [on_skip]. *)
+    An operation that structurally matches but cannot be mapped (extent
+    not divisible by the tile, operand tile exceeding the accelerator
+    buffers, flow deeper than the loop nest) gets a Missed remark, and
+    the pass raises {!Rejected}. *)
 
-type options = {
-  flow : string option;  (** override the config's selected flow *)
-  tile_override : int list option;  (** flexible-engine tile choice *)
-  cpu_tiling : bool;  (** enable the cache-hierarchy tiling level *)
-  double_buffer : bool;  (** request ping-pong input transfers (Sec. V) *)
-  on_skip : (string -> unit) option;  (** called with the skip reason *)
-}
-
-val default_options : options
-(** No overrides, [cpu_tiling = true], skips ignored. *)
+exception Rejected of string
+(** The one "cannot offload" outcome:
+    ["AXI4MLIR: cannot offload: ACCEL: REASON"]. {!Pipeline.run_result}
+    returns it as [Error]; the tuner, the serving oracle and the CLIs
+    catch it. *)
 
 val annotate_op :
   accel:Accel_config.t ->
   host:Host_config.t ->
-  options:options ->
+  options:Codegen_options.t ->
   Ir.op ->
   (Ir.op, string) result
 (** Annotate one matching generic op (exposed for tests). *)
 
-val pass : accel:Accel_config.t -> host:Host_config.t -> ?options:options -> unit -> Pass.t
+val pass :
+  accel:Accel_config.t -> host:Host_config.t -> ?options:Codegen_options.t -> unit -> Pass.t
+(** Reads [flow], [tiles], [cpu_tiling] and [double_buffer] of
+    [options] (default {!Codegen_options.default}). *)

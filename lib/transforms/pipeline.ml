@@ -1,60 +1,43 @@
-type t = {
-  accel : Accel_config.t;
-  host : Host_config.t;
-  options : Match_annotate.options;
-  copy_specialization : bool;
-  coalesce_transfers : bool;
-  to_runtime_calls : bool;
-}
+type t = { accel : Accel_config.t; host : Host_config.t; options : Codegen_options.t }
 
-let make ~accel ~host ?(options = Match_annotate.default_options)
-    ?(copy_specialization = true) ?(coalesce_transfers = false)
-    ?(to_runtime_calls = true) () =
-  { accel; host; options; copy_specialization; coalesce_transfers; to_runtime_calls }
+let make ~accel ~host ?(options = Codegen_options.default) () = { accel; host; options }
 
 let passes t =
-  [ Match_annotate.pass ~accel:t.accel ~host:t.host ~options:t.options (); Accel_codegen.pass ]
-  @ (if t.coalesce_transfers then [ Coalesce_transfers.pass ] else [])
+  let o = t.options in
+  [ Match_annotate.pass ~accel:t.accel ~host:t.host ~options:o (); Accel_codegen.pass ]
+  @ (if o.coalesce_transfers then [ Coalesce_transfers.pass ] else [])
   (* Self-gating on the dma_init double_buffer attribute: identity
      otherwise. Runs after coalescing so merged chains pipeline whole. *)
   @ [ Double_buffer.pass ]
-  @ (if t.to_runtime_calls then [ Lower_accel_to_runtime.pass ] else [])
-  @ (if t.copy_specialization && t.to_runtime_calls then [ Copy_specialization.pass ] else [])
+  @ (if o.to_runtime_calls then [ Lower_accel_to_runtime.pass ] else [])
+  @ (if o.copy_specialization && o.to_runtime_calls then [ Copy_specialization.pass ]
+     else [])
   @ [ Canonicalize.pass ]
 
-let run ?pass_options ?stats ?tracer t m =
+let run ?stats ?tracer t m =
   Dialects.register_all ();
+  let o = t.options in
   Remarks.emit ~kind:Remarks.Analysis ~pass:"pipeline" ~name:"config" ~loc:"module"
     ~args:
       [
         ("accel", Remarks.Str t.accel.Accel_config.accel_name);
         ( "flow",
           Remarks.Str
-            (match t.options.Match_annotate.flow with
-            | Some f -> f
-            | None -> t.accel.Accel_config.selected_flow) );
-        ("copy_specialization", Remarks.Bool t.copy_specialization);
-        ("coalesce_transfers", Remarks.Bool t.coalesce_transfers);
-        ("double_buffer", Remarks.Bool t.options.Match_annotate.double_buffer);
+            (match o.flow with Some f -> f | None -> t.accel.Accel_config.selected_flow) );
+        ("copy_specialization", Remarks.Bool o.copy_specialization);
+        ("coalesce_transfers", Remarks.Bool o.coalesce_transfers);
+        ("double_buffer", Remarks.Bool o.double_buffer);
       ]
     (Printf.sprintf "lowering for accelerator %s" t.accel.Accel_config.accel_name);
-  Pass.run_pipeline ?options:pass_options ?stats ?tracer (passes t) m
+  Pass.run_pipeline ?stats ?tracer (passes t) m
 
-(* Structured rejection: an [on_skip] callback that raises [Rejected]
-   turns "this op cannot be offloaded" into a classifiable outcome
-   instead of an anonymous [Failure]. The differential fuzzer relies on
-   this to tell a clean rejection apart from a mis-execution. *)
-exception Rejected of string
-
-let reject reason = raise (Rejected reason)
-
-let run_result ?pass_options ?stats ?tracer t m =
-  match run ?pass_options ?stats ?tracer t m with
+let run_result ?stats ?tracer t m =
+  match run ?stats ?tracer t m with
   | compiled -> Ok compiled
-  | exception Rejected reason -> Error reason
+  | exception Match_annotate.Rejected reason -> Error reason
 
 let cpu_passes = [ Lower_linalg_to_loops.pass ]
 
-let run_cpu ?pass_options ?stats ?tracer m =
+let run_cpu ?stats ?tracer m =
   Dialects.register_all ();
-  Pass.run_pipeline ?options:pass_options ?stats ?tracer cpu_passes m
+  Pass.run_pipeline ?stats ?tracer cpu_passes m

@@ -1,69 +1,36 @@
 (** Assembled pass pipelines mirroring the AXI4MLIR compiler flow
     (Fig. 4). *)
 
-type t = {
-  accel : Accel_config.t;
-  host : Host_config.t;
-  options : Match_annotate.options;
-  copy_specialization : bool;
-      (** apply the Sec. IV-B strided-copy optimisation (Fig. 12b);
-          disabling it reproduces the bottlenecked Fig. 12a codegen *)
-  coalesce_transfers : bool;
-      (** apply the Sec. V transfer-coalescing extension: merge
-          back-to-back send chains into single DMA transactions *)
-  to_runtime_calls : bool;
-      (** lower the [accel] dialect all the way to runtime library
-          calls; when false, compilation stops at the accel dialect
-          (useful for inspecting Fig. 6b-style IR) *)
-}
+type t = { accel : Accel_config.t; host : Host_config.t; options : Codegen_options.t }
 
 val make :
-  accel:Accel_config.t ->
-  host:Host_config.t ->
-  ?options:Match_annotate.options ->
-  ?copy_specialization:bool ->
-  ?coalesce_transfers:bool ->
-  ?to_runtime_calls:bool ->
-  unit ->
-  t
+  accel:Accel_config.t -> host:Host_config.t -> ?options:Codegen_options.t -> unit -> t
+(** [options] defaults to {!Codegen_options.default}. *)
 
 val passes : t -> Pass.t list
+(** Match-and-annotate and accel codegen, then coalescing (when
+    [coalesce_transfers]), double buffering (self-gating on the trait),
+    the runtime-call lowering (when [to_runtime_calls]), copy
+    specialisation (when both [copy_specialization] and
+    [to_runtime_calls]) and canonicalisation. *)
 
-val run :
-  ?pass_options:Pass.options ->
-  ?stats:Pass.pass_stat list ref ->
-  ?tracer:Trace.t ->
-  t ->
-  Ir.op ->
-  Ir.op
+val run : ?stats:Pass.pass_stat list ref -> ?tracer:Trace.t -> t -> Ir.op -> Ir.op
 (** Run on a module. Registers all dialect verifiers first. [stats] and
     [tracer] are forwarded to {!Pass.run_pipeline} for per-pass timing
-    and compile-track trace events. *)
-
-exception Rejected of string
-(** Raised by {!reject} to signal a structured "cannot offload". *)
-
-val reject : string -> unit
-(** For use as [Match_annotate.options.on_skip]: raising {!Rejected}
-    lets {!run_result} report the reason as a classifiable [Error]
-    instead of an anonymous failure — the differential fuzzer depends
-    on this to tell clean rejections apart from mis-executions. *)
+    and compile-track trace events. An op the accelerator cannot take
+    raises {!Match_annotate.Rejected}. *)
 
 val run_result :
-  ?pass_options:Pass.options ->
   ?stats:Pass.pass_stat list ref ->
   ?tracer:Trace.t ->
   t ->
   Ir.op ->
   (Ir.op, string) result
-(** As {!run}, but catches {!Rejected} (other exceptions propagate). *)
+(** As {!run}, with {!Match_annotate.Rejected} as [Error] (other
+    exceptions propagate). The differential fuzzer relies on this to
+    tell a clean rejection apart from a mis-execution. *)
 
 val cpu_passes : Pass.t list
 (** The CPU-only reference pipeline: [linalg.generic] -> loops. *)
 
-val run_cpu :
-  ?pass_options:Pass.options ->
-  ?stats:Pass.pass_stat list ref ->
-  ?tracer:Trace.t ->
-  Ir.op ->
-  Ir.op
+val run_cpu : ?stats:Pass.pass_stat list ref -> ?tracer:Trace.t -> Ir.op -> Ir.op

@@ -54,13 +54,12 @@ let run_candidate ?host workload candidate =
            },
            bench ))
 
-(* The pipeline signals "cannot offload" with Failure (the facade's
-   on_skip) and pass breakage with Pass_failure / Rejected; all are
-   ordinary negative outcomes for a tuner. *)
+(* "Cannot offload" (Rejected), pass breakage (Pass_failure) and a
+   failed run are all ordinary negative outcomes for a tuner. *)
 let protect f =
   match f () with
   | result -> result
-  | exception Failure msg -> Error msg
+  | exception (Failure msg | Match_annotate.Rejected msg) -> Error msg
   | exception Pass.Pass_failure { pass; failing_op = _; message } ->
     Error (Printf.sprintf "%s: %s" pass message)
   | exception Interp.Runtime_error msg -> Error ("runtime: " ^ msg)

@@ -38,8 +38,8 @@ val prepare :
     that runs the compiled kernel once; time it with
     {!Axi4mlir.measure}. [batch] scales the leading dimension: matmul
     [m -> batch * m] (the weights [B] shared across the batch), conv
-    [n = batch] images. Raises as the pipeline does ([Failure] for
-    "cannot offload", {!Pass.Pass_failure}). *)
+    [n = batch] images. Raises as the pipeline does
+    ({!Match_annotate.Rejected}, {!Pass.Pass_failure}). *)
 
 val evaluate :
   ?host:Host_config.t ->

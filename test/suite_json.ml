@@ -105,6 +105,12 @@ let test_decoders () =
   Alcotest.(check bool) "optional: absent and null" true
     (Json.field_opt "b" Json.int "o" o = Ok None
     && Json.field_opt "n" Json.int "o" o = Ok None);
+  let dup = parse {|{"size": 16, "a": 1, "size": 4}|} in
+  check_result "duplicate field" (Error "o.size: duplicate field")
+    (Json.field "size" Json.int "o" dup);
+  check_result "optional duplicate field" (Error "o.size: duplicate field")
+    (Json.field_opt "size" Json.int "o" dup);
+  check_result "other fields of a duplicating object" (Ok 1) (Json.field "a" Json.int "o" dup);
   check_result "lifted Failure" (Error "p: boom") (Json.lift (fun _ -> failwith "boom") "p" o);
   check_result "schema" (Error {|d.schema: expected "x-v1", got "x-v0"|})
     (Json.schema "x-v1" "d" (Json.Obj [ ("schema", Json.String "x-v0") ]))

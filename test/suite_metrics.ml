@@ -155,16 +155,19 @@ let test_remarks_applied_and_missed () =
     (List.exists (fun r -> r.Remarks.r_name = "hoist-transfer") (Remarks.all ()));
   let rendered = Remarks.render_all () in
   Alcotest.(check bool) "renders as YAML docs" true (contains rendered "--- !Applied");
-  (* a non-dividing tile override on the flexible engine: the op stays
-     on the CPU path and the Missed remark names the offending tile and
+  (* a non-dividing tile override on the flexible engine: the pass
+     rejects the op and the Missed remark names the offending tile and
      extent *)
   Remarks.clear ();
   let accel = Presets.matmul ~version:Accel_matmul.V4 ~size:16 () in
-  let options =
-    { Match_annotate.default_options with tile_override = Some [ 32; 16; 16 ] }
-  in
+  let options = { Codegen_options.default with tiles = Some [ 32; 16; 16 ] } in
   let pass = Match_annotate.pass ~accel ~host ~options () in
-  ignore (pass.Pass.run m);
+  let run_rejected () =
+    match pass.Pass.run m with
+    | exception Match_annotate.Rejected _ -> ()
+    | _ -> Alcotest.fail "non-dividing tile override annotated"
+  in
+  run_rejected ();
   Alcotest.(check bool) "missed remark emitted" true (Remarks.count Remarks.Missed >= 1);
   let missed =
     List.find (fun r -> r.Remarks.r_kind = Remarks.Missed) (Remarks.all ())
@@ -175,7 +178,7 @@ let test_remarks_applied_and_missed () =
     (contains missed.Remarks.r_message "tile 32 does not divide extent 48");
   Remarks.disable ();
   Remarks.clear ();
-  ignore (pass.Pass.run m);
+  run_rejected ();
   Alcotest.(check int) "disabled collector records nothing" 0
     (List.length (Remarks.all ()))
 
@@ -197,12 +200,11 @@ let doc points = { Benchdiff.doc_experiment = "t"; doc_quick = true; doc_points 
 let test_benchdiff_gate_fires () =
   let baseline = doc [ point "t/001" 1000.0 ~metrics:[ ("dma_words", 100.0) ] ] in
   Alcotest.(check bool) "identical docs pass" true
-    (Benchdiff.ok (Benchdiff.compare_docs ~baseline ~fresh:baseline ()));
+    (Benchdiff.ok (Benchdiff.compare_docs ~baseline ~fresh:baseline));
   (* 10% more cycles is far outside the 2% tolerance *)
   let v =
     Benchdiff.compare_docs ~baseline
       ~fresh:(doc [ point "t/001" 1100.0 ~metrics:[ ("dma_words", 100.0) ] ])
-      ()
   in
   Alcotest.(check bool) "cycle regression fails the gate" false (Benchdiff.ok v);
   Alcotest.(check int) "exactly one regression" 1 (List.length v.Benchdiff.v_regressions);
@@ -212,7 +214,6 @@ let test_benchdiff_gate_fires () =
   let v =
     Benchdiff.compare_docs ~baseline
       ~fresh:(doc [ point "t/001" 900.0 ~metrics:[ ("dma_words", 100.0) ] ])
-      ()
   in
   Alcotest.(check bool) "improvement passes" true (Benchdiff.ok v);
   Alcotest.(check int) "improvement reported" 1 (List.length v.Benchdiff.v_improvements);
@@ -220,14 +221,12 @@ let test_benchdiff_gate_fires () =
   let v =
     Benchdiff.compare_docs ~baseline
       ~fresh:(doc [ point "t/001" 1000.0 ~metrics:[ ("dma_words", 99.0) ] ])
-      ()
   in
   Alcotest.(check bool) "exact-metric drift fails" false (Benchdiff.ok v);
   (* a renamed point is missing + extra, both failures *)
   let v =
     Benchdiff.compare_docs ~baseline
       ~fresh:(doc [ point "t/002" 1000.0 ~metrics:[ ("dma_words", 100.0) ] ])
-      ()
   in
   Alcotest.(check bool) "missing point fails" false (Benchdiff.ok v);
   Alcotest.(check (list string)) "missing id listed" [ "t/001" ] v.Benchdiff.v_missing;

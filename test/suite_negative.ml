@@ -116,12 +116,12 @@ let test_wrong_engine_opcodes_rejected () =
   | () -> Alcotest.fail "mismatched micro-ISA accepted"
 
 let test_facade_reports_unoffloadable () =
-  (* the facade surfaces the skip reason instead of silently running on
-     the CPU *)
+  (* the facade surfaces the rejection reason instead of silently
+     running on the CPU *)
   let accel = Presets.matmul ~version:Accel_matmul.V3 ~size:16 () in
   let bench = Axi4mlir.create accel in
   match Axi4mlir.compile_matmul bench ~m:10 ~n:10 ~k:10 () with
-  | exception Failure msg ->
+  | exception Match_annotate.Rejected msg ->
     Alcotest.(check bool) "reason included" true (String.length msg > 0)
   | _ -> Alcotest.fail "non-divisible problem silently accepted"
 

@@ -69,7 +69,12 @@ let test_tabulate () =
 let test_formats () =
   Alcotest.(check string) "ms" "1.235" (Tabulate.fmt_ms 1.2349);
   Alcotest.(check string) "x" "1.23x" (Tabulate.fmt_x 1.234);
-  Alcotest.(check string) "pct" "56.0%" (Tabulate.fmt_pct 0.56)
+  Alcotest.(check string) "pct" "56.0%" (Tabulate.fmt_pct 0.56);
+  let buf = Buffer.create 64 in
+  Util.add_list buf Util.add_int [ 0; 7; 10; -45; max_int; min_int ];
+  Alcotest.(check string) "add_int as string_of_int"
+    (String.concat ", " (List.map string_of_int [ 0; 7; 10; -45; max_int; min_int ]))
+    (Buffer.contents buf)
 
 let scanner_error f =
   match f () with

@@ -230,7 +230,7 @@ let test_cpu_tiles () =
 
 let annotate ?(flow = None) ?(size = 4) ?(m = 8) ?(n = 8) ?(k = 8) () =
   let accel = Presets.matmul ~version:Accel_matmul.V3 ~size () in
-  let options = { Match_annotate.default_options with flow } in
+  let options = { Codegen_options.default with flow } in
   let _, g = matmul_generic ~m ~n ~k () in
   Match_annotate.annotate_op ~accel ~host ~options g
 
@@ -255,19 +255,16 @@ let test_match_annotate () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "non-divisible problem annotated"
 
-let test_match_annotate_skip_callback () =
+let test_match_annotate_rejection () =
   let accel = Presets.matmul ~version:Accel_matmul.V3 ~size:16 () in
-  let skipped = ref [] in
-  let options =
-    { Match_annotate.default_options with on_skip = Some (fun r -> skipped := r :: !skipped) }
-  in
   let modul = Axi4mlir.build_matmul_module ~m:8 ~n:8 ~k:8 () in
-  let result =
-    Pass.run_pipeline [ Match_annotate.pass ~accel ~host ~options () ] modul
-  in
-  Alcotest.(check int) "skip reported" 1 (List.length !skipped);
-  Alcotest.(check int) "not annotated" 0
-    (Ir.count_ops (fun o -> Ir.has_attr o "opcode_flow") result)
+  match Pass.run_pipeline [ Match_annotate.pass ~accel ~host () ] modul with
+  | exception Match_annotate.Rejected reason ->
+    Alcotest.(check string) "rejection reported"
+      "AXI4MLIR: cannot offload: v3_16: problem extent is smaller than the \
+       accelerator tile"
+      reason
+  | _ -> Alcotest.fail "8x8x8 annotated for a 16x16x16 engine"
 
 (* Structure of generated code: for the As flow, the A-send must sit one
    loop above the B-send. *)
@@ -451,7 +448,7 @@ let tests =
     Alcotest.test_case "derive permutation (conv)" `Quick test_derive_permutation_conv;
     Alcotest.test_case "cpu tile choice" `Quick test_cpu_tiles;
     Alcotest.test_case "match-and-annotate" `Quick test_match_annotate;
-    Alcotest.test_case "annotate skip callback" `Quick test_match_annotate_skip_callback;
+    Alcotest.test_case "annotate rejection" `Quick test_match_annotate_rejection;
     Alcotest.test_case "codegen hoists stationary sends" `Quick test_codegen_hoists_stationary;
     Alcotest.test_case "codegen Ns places everything innermost" `Quick test_codegen_ns_same_depth;
     Alcotest.test_case "codegen Cs receives outside k" `Quick test_codegen_cs_recv_outside_k;
