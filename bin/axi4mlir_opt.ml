@@ -45,15 +45,12 @@ let run_tool config_path input emit_matmul emit_conv flow tiles no_cpu_tiling no
   let modul =
     match (emit_matmul, emit_conv, input) with
     | Some _, Some _, _ -> failwith "--emit-matmul and --emit-conv are exclusive"
-    | Some dims, None, _ -> (
-      match Tool_common.parse_ints ~flag:"emit-matmul" dims with
-      | [ m; n; k ] -> Axi4mlir.build_matmul_module ~m ~n ~k ()
-      | _ -> failwith "--emit-matmul expects M,N,K")
-    | None, Some dims, _ -> (
-      match Tool_common.parse_ints ~flag:"emit-conv" dims with
-      | [ ic; ihw; oc; fhw ] ->
-        Axi4mlir.build_conv_module ~n:1 ~ic ~ih:ihw ~iw:ihw ~oc ~fh:fhw ~fw:fhw ()
-      | _ -> failwith "--emit-conv expects IC,IHW,OC,FHW")
+    | Some dims, None, _ ->
+      let m, n, k = Tool_common.matmul_dims ~flag:"emit-matmul" dims in
+      Axi4mlir.build_matmul_module ~m ~n ~k ()
+    | None, Some dims, _ ->
+      let ic, ihw, oc, fhw = Tool_common.conv_dims ~flag:"emit-conv" dims in
+      Axi4mlir.build_conv_module ~n:1 ~ic ~ih:ihw ~iw:ihw ~oc ~fh:fhw ~fw:fhw ()
     | None, None, Some path -> parse_input path
     | None, None, None ->
       failwith "provide an input file (or '-'), --emit-matmul or --emit-conv"

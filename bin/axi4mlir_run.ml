@@ -72,7 +72,8 @@ let run_tool config_path matmul conv flow tiles coalesce double_buffer cpu_only
   | Some model ->
     if matmul <> None || conv <> None then
       failwith "--graph cannot be combined with --matmul/--conv";
-    if batch < 1 then failwith "--batch must be >= 1";
+    let batch = Tool_common.positive ~flag:"batch" batch
+    and width = Tool_common.positive ~flag:"width" width in
     run_graph_mode ~model ~residency ~batch ~width ~graph_json
   | None ->
   if residency then failwith "--residency requires --graph";
@@ -106,53 +107,49 @@ let run_tool config_path matmul conv flow tiles coalesce double_buffer cpu_only
   in
   let counters, diff =
     match (matmul, conv) with
-    | Some dims, None -> (
-      match Tool_common.parse_ints ~flag:"matmul" dims with
-      | [ m; n; k ] ->
-        let a, b, c = Axi4mlir.alloc_matmul_operands bench ~m ~n ~k in
-        let gold =
-          Gold.matmul ~m ~n ~k (Memref_view.to_array a) (Memref_view.to_array b)
-        in
-        let counters =
-          if cpu_only then begin
-            let ir =
-              Axi4mlir.compile_cpu ?stats ?tracer
-                (Axi4mlir.build_matmul_module ~m ~n ~k ())
-            in
-            Axi4mlir.measure bench (fun () -> Axi4mlir.run_matmul bench ir ~a ~b ~c)
-          end
-          else begin
-            let ir =
-              Axi4mlir.compile bench ~options ?stats ?tracer
-                (Axi4mlir.build_matmul_module ~m ~n ~k ())
-            in
-            Axi4mlir.measure bench (fun () ->
-                Axi4mlir.run_matmul bench ~options ir ~a ~b ~c)
-          end
-        in
-        (counters, Gold.max_abs_diff gold (Memref_view.to_array c))
-      | _ -> failwith "--matmul expects M,N,K")
-    | None, Some dims -> (
-      match Tool_common.parse_ints ~flag:"conv" dims with
-      | [ ic; ihw; oc; fhw ] ->
-        let i, w, o =
-          Axi4mlir.alloc_conv_operands bench ~n:1 ~ic ~ih:ihw ~iw:ihw ~oc ~fh:fhw ~fw:fhw
-        in
-        let gold =
-          Gold.conv2d ~n:1 ~ic ~ih:ihw ~iw:ihw ~oc ~fh:fhw ~fw:fhw
-            (Memref_view.to_array i) (Memref_view.to_array w)
-        in
-        let ir = Axi4mlir.build_conv_module ~n:1 ~ic ~ih:ihw ~iw:ihw ~oc ~fh:fhw ~fw:fhw () in
-        let compiled =
-          if cpu_only then Axi4mlir.compile_cpu ?stats ?tracer ir
-          else Axi4mlir.compile bench ~options ?stats ?tracer ir
-        in
-        let counters =
+    | Some dims, None ->
+      let m, n, k = Tool_common.matmul_dims ~flag:"matmul" dims in
+      let a, b, c = Axi4mlir.alloc_matmul_operands bench ~m ~n ~k in
+      let gold =
+        Gold.matmul ~m ~n ~k (Memref_view.to_array a) (Memref_view.to_array b)
+      in
+      let counters =
+        if cpu_only then begin
+          let ir =
+            Axi4mlir.compile_cpu ?stats ?tracer
+              (Axi4mlir.build_matmul_module ~m ~n ~k ())
+          in
+          Axi4mlir.measure bench (fun () -> Axi4mlir.run_matmul bench ir ~a ~b ~c)
+        end
+        else begin
+          let ir =
+            Axi4mlir.compile bench ~options ?stats ?tracer
+              (Axi4mlir.build_matmul_module ~m ~n ~k ())
+          in
           Axi4mlir.measure bench (fun () ->
-              Axi4mlir.run_conv bench ~options compiled ~i ~w ~o)
-        in
-        (counters, Gold.max_abs_diff gold (Memref_view.to_array o))
-      | _ -> failwith "--conv expects IC,IHW,OC,FHW")
+              Axi4mlir.run_matmul bench ~options ir ~a ~b ~c)
+        end
+      in
+      (counters, Gold.max_abs_diff gold (Memref_view.to_array c))
+    | None, Some dims ->
+      let ic, ihw, oc, fhw = Tool_common.conv_dims ~flag:"conv" dims in
+      let i, w, o =
+        Axi4mlir.alloc_conv_operands bench ~n:1 ~ic ~ih:ihw ~iw:ihw ~oc ~fh:fhw ~fw:fhw
+      in
+      let gold =
+        Gold.conv2d ~n:1 ~ic ~ih:ihw ~iw:ihw ~oc ~fh:fhw ~fw:fhw
+          (Memref_view.to_array i) (Memref_view.to_array w)
+      in
+      let ir = Axi4mlir.build_conv_module ~n:1 ~ic ~ih:ihw ~iw:ihw ~oc ~fh:fhw ~fw:fhw () in
+      let compiled =
+        if cpu_only then Axi4mlir.compile_cpu ?stats ?tracer ir
+        else Axi4mlir.compile bench ~options ?stats ?tracer ir
+      in
+      let counters =
+        Axi4mlir.measure bench (fun () ->
+            Axi4mlir.run_conv bench ~options compiled ~i ~w ~o)
+      in
+      (counters, Gold.max_abs_diff gold (Memref_view.to_array o))
     | _ -> failwith "exactly one of --matmul or --conv is required"
   in
   Printf.printf "task clock   : %.3f ms\n" (Axi4mlir.task_clock_ms bench counters);

@@ -38,8 +38,8 @@ let run_tool workloads graph platform_file rps accels policy_name requests seed
   in
   if not (rps > 0.0) then
     failwith (Printf.sprintf "--rps must be positive (got %g)" rps);
-  if requests < 1 then
-    failwith (Printf.sprintf "--requests must be >= 1 (got %d)" requests);
+  let requests = Tool_common.positive ~flag:"requests" requests
+  and seq = Tool_common.positive ~flag:"seq" seq in
   (match window with
   | Some w when not (w > 0.0) ->
     failwith (Printf.sprintf "--window must be a positive cycle count (got %g)" w)

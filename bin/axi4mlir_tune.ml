@@ -42,8 +42,7 @@ let run_platform_search ~workload_spec ~space_name ~strategy_name ~seed ~budget
         "--platform-search needs --workload (the request mix every candidate \
          platform serves)"
   in
-  if requests < 1 then
-    failwith (Printf.sprintf "--requests must be >= 1 (got %d)" requests);
+  let requests = Tool_common.positive ~flag:"requests" requests in
   if not (rps > 0.0) then failwith (Printf.sprintf "--rps must be positive (got %g)" rps);
   let pspace = fail_on_error (platform_space_of_name space_name) in
   let strategy = fail_on_error (Tune_strategy.of_string ~seed ?budget strategy_name) in

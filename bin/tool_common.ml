@@ -105,7 +105,11 @@ let with_observability ~remarks ~metrics body =
     result
   | exception (Failure msg | Match_annotate.Rejected msg) -> fail msg
   | exception Pass.Pass_failure { pass; failing_op; message } ->
-    fail (Printf.sprintf "pass %s failed on %s: %s" pass failing_op message)
+    let what =
+      if pass = Pass.input then "input module failed verification"
+      else Printf.sprintf "pass %s failed" pass
+    in
+    fail (Printf.sprintf "%s on %s: %s" what failing_op message)
 
 (* A comma-separated integer flag value ("16,16,16"); a malformed one
    fails naming the flag. *)
@@ -114,6 +118,36 @@ let parse_ints ~flag text =
   | ints -> ints
   | exception Failure _ ->
     failwith (Printf.sprintf "--%s: expected comma-separated integers (got %S)" flag text)
+
+(* Counts and extents given on the command line are checked here, once,
+   so that an out-of-range value fails naming its flag instead of
+   tripping an assertion or an [Invalid_argument] in a layer below. *)
+let positive ~flag n =
+  if n < 1 then failwith (Printf.sprintf "--%s must be >= 1 (got %d)" flag n);
+  n
+
+let check_extents ~flag text dims =
+  if List.exists (fun d -> d < 1) dims then
+    failwith (Printf.sprintf "--%s: every extent must be >= 1 (got %s)" flag text)
+
+let matmul_dims ~flag text =
+  match parse_ints ~flag text with
+  | [ m; n; k ] as dims ->
+    check_extents ~flag text dims;
+    (m, n, k)
+  | _ -> failwith (Printf.sprintf "--%s expects M,N,K" flag)
+
+(* IC,IHW,OC,FHW of a square, unit-stride convolution. *)
+let conv_dims ~flag text =
+  match parse_ints ~flag text with
+  | [ ic; ihw; oc; fhw ] as dims ->
+    check_extents ~flag text dims;
+    if fhw > ihw then
+      failwith
+        (Printf.sprintf "--%s: filter size FHW = %d exceeds input size IHW = %d" flag fhw
+           ihw);
+    (ic, ihw, oc, fhw)
+  | _ -> failwith (Printf.sprintf "--%s expects IC,IHW,OC,FHW" flag)
 
 (* Shared rendering for the `--list-*` introspection flags
    (axi4mlir-opt --list-passes, axi4mlir-tune --list-space): a title

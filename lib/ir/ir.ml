@@ -62,11 +62,23 @@ let single_block operation =
       (Printf.sprintf "op %s: expected a single region, found %d" operation.name
          (List.length regions))
 
-let rec walk f operation =
-  f operation;
-  List.iter (fun r -> List.iter (walk_block f) r) operation.regions
+(* Explicit recursion: no closure or list per op. *)
+let rec fold f acc operation = fold_regions f (f acc operation) operation.regions
 
-and walk_block f b = List.iter (walk f) b.body
+and fold_regions f acc = function
+  | [] -> acc
+  | blocks :: rest -> fold_regions f (fold_blocks f acc blocks) rest
+
+and fold_blocks f acc = function
+  | [] -> acc
+  | b :: rest -> fold_blocks f (fold_body f acc b.body) rest
+
+and fold_body f acc = function
+  | [] -> acc
+  | o :: rest -> fold_body f (fold f acc o) rest
+
+let walk f operation = fold (fun () o -> f o) () operation
+let walk_block f b = fold_body (fun () o -> f o) () b.body
 
 let rec map_nested f operation =
   let regions =
@@ -78,11 +90,9 @@ let rec map_nested f operation =
   f { operation with regions }
 
 let find_ops p operation =
-  let acc = ref [] in
-  walk (fun o -> if p o then acc := o :: !acc) operation;
-  List.rev !acc
+  List.rev (fold (fun acc o -> if p o then o :: acc else acc) [] operation)
 
-let count_ops p operation = List.length (find_ops p operation)
+let count_ops p operation = fold (fun n o -> if p o then n + 1 else n) 0 operation
 
 let module_name = "builtin.module"
 

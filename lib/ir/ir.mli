@@ -64,6 +64,10 @@ val single_region_block : region -> block
 
 (** {1 Traversal} *)
 
+val fold : ('a -> op -> 'a) -> 'a -> op -> 'a
+(** Pre-order fold over an op and every op nested in its regions. The
+    traversal itself allocates nothing. *)
+
 val walk : (op -> unit) -> op -> unit
 (** Pre-order visit of an op and every op nested in its regions. *)
 

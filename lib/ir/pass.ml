@@ -20,14 +20,18 @@ let () =
 
 let count_all = Ir.count_ops (fun _ -> true)
 
-(* Verification after every pass, naming the pass that broke it. *)
-let check pass ir =
+let input = "input"
+
+(* Verification of the input and after every pass, naming the pass that
+   broke it. *)
+let check pass_name ir =
   match Verifier.verify_structured ir with
   | Ok () -> ()
   | Error { Verifier.failing_op; reason } ->
-    raise (Pass_failure { pass = pass.pass_name; failing_op; message = reason })
+    raise (Pass_failure { pass = pass_name; failing_op; message = reason })
 
 let run_pipeline ?stats ?(tracer = Trace.noop) passes root =
+  check input root;
   let traced = Trace.enabled tracer and metered = Metrics.enabled Metrics.default in
   if stats = None && not (traced || metered) then
     (* Nothing listens: no clock reads, op counts, metric labels or
@@ -35,7 +39,7 @@ let run_pipeline ?stats ?(tracer = Trace.noop) passes root =
     List.fold_left
       (fun ir pass ->
         let ir = pass.run ir in
-        check pass ir;
+        check pass.pass_name ir;
         ir)
       root passes
   else
@@ -74,7 +78,7 @@ let run_pipeline ?stats ?(tracer = Trace.noop) passes root =
                   };
                 ])
           stats;
-        check pass ir;
+        check pass.pass_name ir;
         (ir, ops_after))
       (root, count_all root) passes
     |> fst

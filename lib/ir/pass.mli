@@ -1,5 +1,5 @@
 (** Pass manager: named module-to-module transformations with
-    verification after every pass, per-pass timing and trace emission,
+    verification of the input and after every pass, per-pass timing and trace emission,
     mirroring MLIR's [PassManager] (and its [-mlir-timing]
     instrumentation). *)
 
@@ -16,13 +16,18 @@ type pass_stat = {
 
 exception
   Pass_failure of { pass : string; failing_op : string; message : string }
-(** Raised when post-pass verification fails: the pass that produced the
-    invalid IR, the op the verifier rejected, and the reason. Nothing is
+(** Raised when verification fails: the pass that produced the invalid
+    IR (or {!input} when the module given to {!run_pipeline} is already
+    invalid), the op the verifier rejected, and the reason. Nothing is
     printed; the CLIs turn it into one error line. *)
+
+val input : string
+(** The [pass] of a {!Pass_failure} raised on the pipeline's input,
+    before any pass ran. *)
 
 val run_pipeline : ?stats:pass_stat list ref -> ?tracer:Trace.t -> t list -> Ir.op -> Ir.op
 (** Fold the module through [passes], running
-    {!Verifier.verify_structured} after each. When [stats] is given, one
+    {!Verifier.verify_structured} on the input and after each pass. When [stats] is given, one
     {!pass_stat} is appended per pass (in execution order). When
     [tracer] is given, each pass emits a complete event on
     {!Trace.compile_track}, stamped with {e process-time} microseconds

@@ -1,8 +1,22 @@
 (** IR verification.
 
-    Structural SSA checks (definitions dominate uses, unique
-    definitions) plus a registry of per-operation verifiers that dialect
-    libraries populate for their ops. *)
+    One pre-order walk checks, at each op: its operands against the
+    values visible there, then its registered per-op verifier (dialect
+    libraries populate the registry), then its regions; its results
+    become visible after it.
+
+    Definitions are scoped by block. A block's arguments and the
+    results of the ops in its body are visible in the rest of the block
+    and in the regions nested there, and nowhere else: a loop body's
+    value read after the loop, or another function's value, is a use of
+    an undefined value. Every value id is defined once in the whole
+    module, even across blocks whose scopes have ended. Each
+    [!accel.token] result is consumed exactly once, counted when its
+    scope ends.
+
+    A valid module is verified without allocating, beyond what the
+    per-op verifiers allocate. The scratch table is per domain and sized
+    by the module's value count. *)
 
 type error = {
   failing_op : string;  (** name of the op the check failed on *)
@@ -17,10 +31,12 @@ val register_op_verifier : string -> (Ir.op -> (unit, string) result) -> unit
     previous verifier (used by tests). *)
 
 val verify_structured : Ir.op -> (unit, error) result
-(** Verify an op tree: SSA structure first, then every registered
-    per-op verifier (pre-order). Reports the failing op separately from
-    the reason, so callers (e.g. {!Pass.run_pipeline}) can attach the
-    offending op to their own diagnostics. *)
+(** Verify an op tree. Reports the first SSA error in walk order, else
+    a token error, else the first per-op verifier error in pre-order (a
+    per-op verifier raising [Invalid_argument] counts as its error).
+    Reports the failing op separately from the reason, so callers (e.g.
+    {!Pass.run_pipeline}) can attach the offending op to their own
+    diagnostics. Not reentrant: a per-op verifier must not call it. *)
 
 val verify : Ir.op -> (unit, string) result
 (** As {!verify_structured}, flattened with {!error_to_string}. *)

@@ -313,8 +313,10 @@ let assoc decode path = function
     let rec go acc = function
       | [] -> Ok (List.rev acc)
       | (key, item) :: rest ->
-        let* v = decode (path ^ "." ^ key) item in
-        go ((key, v) :: acc) rest
+        if List.mem_assoc key rest then error (path ^ "." ^ key) "duplicate field"
+        else
+          let* v = decode (path ^ "." ^ key) item in
+          go ((key, v) :: acc) rest
     in
     go [] members
   | _ -> error path "expected a JSON object"

@@ -80,7 +80,8 @@ val list : 'a decoder -> 'a list decoder
 
 val assoc : 'a decoder -> (string * 'a) list decoder
 (** An object's members in document order; member [k] is decoded at
-    [PATH.k]. *)
+    [PATH.k]. A key that appears twice is ["PATH.k: duplicate field"],
+    as in {!field}. *)
 
 val field : string -> 'a decoder -> 'a decoder
 (** [field name dec path obj] decodes member [name] of [obj] at

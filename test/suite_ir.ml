@@ -103,6 +103,99 @@ let test_verifier_rejects_double_def () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "double definition accepted"
 
+(* Definitions are scoped by block: a value defined in a loop body or
+   in another function is not visible where it is used. *)
+
+let expect_error name ~op ~reason m =
+  match Verifier.verify_structured m with
+  | Error e ->
+    Alcotest.(check string) (name ^ ": failing op") op e.Verifier.failing_op;
+    Alcotest.(check string) (name ^ ": reason") reason e.Verifier.reason
+  | Ok () -> Alcotest.fail (name ^ ": accepted")
+
+let test_verifier_rejects_loop_escape () =
+  let escaped = ref None in
+  let mem = Ty.memref [ 4; 4 ] Ty.F32 in
+  let f =
+    Func.func_op ~name:"escape" ~args:[ mem; mem ] (fun b args ->
+        match args with
+        | [ src; dst ] ->
+          let c0 = Arith.constant_index b 0 in
+          let c4 = Arith.constant_index b 4 in
+          let c1 = Arith.constant_index b 1 in
+          Scf.for_ b ~lb:c0 ~ub:c4 ~step:c1 (fun b iv ->
+              escaped := Some (Memref_d.load b src [ iv; iv ]));
+          Memref_d.store b (Option.get !escaped) dst [ c0; c0 ];
+          Func.return_op b []
+        | _ -> assert false)
+  in
+  expect_error "loop escape" ~op:"memref.store"
+    ~reason:(Printf.sprintf "use of undefined value %%v%d" (Option.get !escaped).Ir.vid)
+    (Ir.module_op [ f ])
+
+let test_verifier_rejects_cross_function_use () =
+  let leaked = ref None in
+  let f =
+    Func.func_op ~name:"f" ~args:[] (fun b _ ->
+        leaked := Some (Arith.constant_index b 7);
+        Func.return_op b [])
+  in
+  let v = Option.get !leaked in
+  let g =
+    Func.func_op ~name:"g" ~args:[] (fun b _ ->
+        ignore (Arith.addi b v v);
+        Func.return_op b [])
+  in
+  expect_error "cross-function use" ~op:"arith.addi"
+    ~reason:(Printf.sprintf "use of undefined value %%v%d" v.Ir.vid)
+    (Ir.module_op [ f; g ])
+
+(* An ended scope still remembers its definitions: one value id defined
+   in two sibling blocks is a double definition. *)
+let test_verifier_rejects_sibling_redefinition () =
+  let v = Ir.fresh_value Ty.index in
+  let def = Ir.op "arith.constant" ~results:[ v ] ~attrs:[ ("value", Attribute.Int 0) ] in
+  let f =
+    Func.func_op ~name:"siblings" ~args:[] (fun b _ ->
+        Builder.emit b
+          (Ir.op "test.two_blocks" ~regions:[ [ Ir.block [ def ]; Ir.block [ def ] ] ]);
+        Func.return_op b [])
+  in
+  expect_error "sibling blocks" ~op:"arith.constant"
+    ~reason:(Printf.sprintf "value %%v%d defined twice" v.Ir.vid)
+    (Ir.module_op [ f ])
+
+(* Verification and op counting run between every pair of passes; on a
+   valid module they allocate next to nothing. Measured on a parsed
+   golden module, after one warm-up call. *)
+let golden_module =
+  lazy
+    (Parser_ir.parse_op
+       (In_channel.with_open_bin "golden/matmul_v3_16_cs.mlir" In_channel.input_all))
+
+let words_per_call f =
+  ignore (Sys.opaque_identity (f ()));
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. w0) /. 100.0
+
+let test_verifier_allocation () =
+  let m = Lazy.force golden_module in
+  Alcotest.(check bool) "golden module verifies" true (Verifier.verify_structured m = Ok ());
+  let words = words_per_call (fun () -> Verifier.verify_structured m) in
+  Alcotest.(check bool)
+    (Printf.sprintf "verify_structured: %.0f words per call (at most 300)" words)
+    true (words <= 300.0)
+
+let test_count_ops_allocation () =
+  let m = Lazy.force golden_module in
+  let words = words_per_call (fun () -> Ir.count_ops (fun _ -> true) m) in
+  Alcotest.(check bool)
+    (Printf.sprintf "count_ops: %.0f words per call (at most 16)" words)
+    true (words <= 16.0)
+
 let test_dialect_verifiers () =
   (* a func without terminating return *)
   let v = Ir.fresh_value Ty.index in
@@ -224,6 +317,14 @@ let tests =
     Alcotest.test_case "verifier accepts valid IR" `Quick test_verifier_accepts_valid;
     Alcotest.test_case "verifier rejects undefined use" `Quick test_verifier_rejects_undefined_use;
     Alcotest.test_case "verifier rejects double definition" `Quick test_verifier_rejects_double_def;
+    Alcotest.test_case "verifier rejects a loop-body value used after the loop" `Quick
+      test_verifier_rejects_loop_escape;
+    Alcotest.test_case "verifier rejects a value used in another function" `Quick
+      test_verifier_rejects_cross_function_use;
+    Alcotest.test_case "verifier rejects a value defined in two sibling blocks" `Quick
+      test_verifier_rejects_sibling_redefinition;
+    Alcotest.test_case "verifier allocates next to nothing" `Quick test_verifier_allocation;
+    Alcotest.test_case "count_ops allocates nothing" `Quick test_count_ops_allocation;
     Alcotest.test_case "dialect verifiers" `Quick test_dialect_verifiers;
     Alcotest.test_case "linalg matmul construction" `Quick test_linalg_construction;
     Alcotest.test_case "linalg conv construction" `Quick test_conv_construction;

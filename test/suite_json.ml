@@ -115,6 +115,16 @@ let test_decoders () =
   check_result "schema" (Error {|d.schema: expected "x-v1", got "x-v0"|})
     (Json.schema "x-v1" "d" (Json.Obj [ ("schema", Json.String "x-v0") ]))
 
+(* An object decoded as a whole rejects a repeated key, as a single
+   field does: no member silently shadows another. *)
+let test_assoc_duplicate () =
+  let flows = parse {|{"Ns": 1, "Cs": 2, "As": 3, "Cs": 4}|} in
+  check_result "duplicate member" (Error "o.Cs: duplicate field")
+    (Json.assoc Json.int "o" flows);
+  Alcotest.(check (result (list (pair string int)) string))
+    "distinct members" (Ok [ ("Ns", 1); ("Cs", 2) ])
+    (Json.assoc Json.int "o" (parse {|{"Ns": 1, "Cs": 2}|}))
+
 (* Every reader answers each kind of malformed input with an [Error]
    rooted at its own path. *)
 
@@ -295,6 +305,7 @@ let tests =
     Alcotest.test_case "type errors" `Quick test_type_errors;
     Alcotest.test_case "large integer fallback" `Quick test_large_int_fallback;
     Alcotest.test_case "decoders: paths and errors" `Quick test_decoders;
+    Alcotest.test_case "decoders: assoc rejects a duplicated key" `Quick test_assoc_duplicate;
     Alcotest.test_case "decoders: every reader's errors" `Quick test_reader_errors;
     QCheck_alcotest.to_alcotest prop_mutated_documents_never_raise;
   ]
