@@ -85,6 +85,7 @@ let run_tool workload_spec space_name strategy_name seed budget preset cache_pat
     requests rps =
   Tool_common.with_observability ~remarks ~metrics:metrics_out @@ fun () ->
   let fail_on_error = function Ok v -> v | Error msg -> failwith msg in
+  let budget = Option.map (Tool_common.positive ~flag:"budget") budget in
   if platform_search then
     run_platform_search ~workload_spec ~space_name ~strategy_name ~seed ~budget
       ~area_budget ~platform_out ~requests ~rps

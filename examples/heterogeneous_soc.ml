@@ -31,7 +31,7 @@ let () =
   let ohw = ihw - fhw + 1 in
   let m, n, k = (oc * ohw, 16, ohw) in
   let f =
-    Func.func_op ~name:"cnn_block"
+    Func.func_op (Ir.context ()) ~name:"cnn_block"
       ~args:
         [
           Ty.memref [ 1; ic; ihw; ihw ] Ty.F32;

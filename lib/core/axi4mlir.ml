@@ -41,7 +41,7 @@ let build_matmul_module ~m ~n ~k () =
   let b_ty = Ty.memref [ k; n ] Ty.F32 in
   let c_ty = Ty.memref [ m; n ] Ty.F32 in
   let f =
-    Func.func_op ~name:matmul_func_name ~args:[ a_ty; b_ty; c_ty ] (fun b args ->
+    Func.func_op (Ir.context ()) ~name:matmul_func_name ~args:[ a_ty; b_ty; c_ty ] (fun b args ->
         match args with
         | [ a; bv; c ] ->
           ignore (Linalg.matmul b ~a ~b:bv ~c);
@@ -56,7 +56,7 @@ let build_conv_module ?(stride = 1) ~n ~ic ~ih ~iw ~oc ~fh ~fw () =
   let w_ty = Ty.memref [ oc; ic; fh; fw ] Ty.F32 in
   let o_ty = Ty.memref [ n; oc; oh; ow ] Ty.F32 in
   let f =
-    Func.func_op ~name:conv_func_name ~args:[ i_ty; w_ty; o_ty ] (fun b args ->
+    Func.func_op (Ir.context ()) ~name:conv_func_name ~args:[ i_ty; w_ty; o_ty ] (fun b args ->
         match args with
         | [ input; filter; output ] ->
           ignore (Linalg.conv_2d_nchw_fchw ~stride b ~input ~filter ~output);

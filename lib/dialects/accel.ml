@@ -35,16 +35,16 @@ let dma_init b ~dma_id ~input_address ~input_buffer_size ~output_address
 
 let dma_free b = Builder.emit b (Ir.op dma_free_name)
 
-let offset_result () = Ir.fresh_value Ty.i32
+let offset_result b = Builder.fresh b Ty.i32
 
 let send_literal ?(flush = false) b ~literal ~offset =
   Builder.emit_result b
     (Ir.op send_literal_name ~operands:[ literal; offset ]
-       ~results:[ offset_result () ] ~attrs:(flush_attr flush))
+       ~results:[ offset_result b ] ~attrs:(flush_attr flush))
 
 let send ?(flush = true) b ~src ~offset =
   Builder.emit_result b
-    (Ir.op send_name ~operands:[ src; offset ] ~results:[ offset_result () ]
+    (Ir.op send_name ~operands:[ src; offset ] ~results:[ offset_result b ]
        ~attrs:(flush_attr flush))
 
 let send_dim ?(flush = false) ?static_extent b ~src ~dim ~offset =
@@ -54,12 +54,12 @@ let send_dim ?(flush = false) ?static_extent b ~src ~dim ~offset =
     | Some e -> [ ("static_extent", Attribute.Int e) ]
   in
   Builder.emit_result b
-    (Ir.op send_dim_name ~operands:[ src; offset ] ~results:[ offset_result () ]
+    (Ir.op send_dim_name ~operands:[ src; offset ] ~results:[ offset_result b ]
        ~attrs:((("dim", Attribute.Int dim) :: extent_attr) @ flush_attr flush))
 
 let send_idx ?(flush = false) b ~idx ~offset =
   Builder.emit_result b
-    (Ir.op send_idx_name ~operands:[ idx; offset ] ~results:[ offset_result () ]
+    (Ir.op send_idx_name ~operands:[ idx; offset ] ~results:[ offset_result b ]
        ~attrs:(flush_attr flush))
 
 type recv_mode = Store | Accumulate
@@ -68,7 +68,7 @@ let mode_string = function Store -> "store" | Accumulate -> "accumulate"
 
 let recv b ~mode ~dst ~offset =
   Builder.emit_result b
-    (Ir.op recv_name ~operands:[ dst; offset ] ~results:[ offset_result () ]
+    (Ir.op recv_name ~operands:[ dst; offset ] ~results:[ offset_result b ]
        ~attrs:[ ("mode", Attribute.Str (mode_string mode)) ])
 
 (* Non-blocking halves: [start_send] flushes everything staged since
@@ -76,12 +76,12 @@ let recv b ~mode ~dst ~offset =
    background receive into [dst]; both return an [!accel.token] that a
    later [wait] consumes (exactly once — the verifier enforces it). *)
 let start_send b =
-  Builder.emit_result b (Ir.op start_send_name ~results:[ Ir.fresh_value Ty.token ])
+  Builder.emit_result b (Ir.op start_send_name ~results:[ Builder.fresh b Ty.token ])
 
 let start_recv b ~mode ~dst =
   Builder.emit_result b
     (Ir.op start_recv_name ~operands:[ dst ]
-       ~results:[ Ir.fresh_value Ty.token ]
+       ~results:[ Builder.fresh b Ty.token ]
        ~attrs:[ ("mode", Attribute.Str (mode_string mode)) ])
 
 let wait b ~token = Builder.emit b (Ir.op wait_name ~operands:[ token ])

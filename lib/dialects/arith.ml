@@ -1,6 +1,6 @@
 let constant b attr ty =
   Builder.emit_result b
-    (Ir.op "arith.constant" ~results:[ Ir.fresh_value ty ] ~attrs:[ ("value", attr) ])
+    (Ir.op "arith.constant" ~results:[ Builder.fresh b ty ] ~attrs:[ ("value", attr) ])
 
 let constant_index b n = constant b (Attribute.Int n) Ty.index
 let constant_i32 b n = constant b (Attribute.Int n) Ty.i32
@@ -12,7 +12,7 @@ let binop name b lhs rhs =
       (Printf.sprintf "%s: operand types differ (%s vs %s)" name
          (Ty.to_string lhs.Ir.vty) (Ty.to_string rhs.Ir.vty));
   Builder.emit_result b
-    (Ir.op name ~operands:[ lhs; rhs ] ~results:[ Ir.fresh_value lhs.Ir.vty ])
+    (Ir.op name ~operands:[ lhs; rhs ] ~results:[ Builder.fresh b lhs.Ir.vty ])
 
 let addi b = binop "arith.addi" b
 let subi b = binop "arith.subi" b
@@ -27,7 +27,7 @@ let index_cast b v =
     else invalid_arg "arith.index_cast: operand must be index or i32"
   in
   Builder.emit_result b
-    (Ir.op "arith.index_cast" ~operands:[ v ] ~results:[ Ir.fresh_value target ])
+    (Ir.op "arith.index_cast" ~operands:[ v ] ~results:[ Builder.fresh b target ])
 
 let const_value (o : Ir.op) =
   if o.name <> "arith.constant" then invalid_arg "Arith.const_value: not a constant";

@@ -2,9 +2,9 @@ let func_name = "func.func"
 let return_name = "func.return"
 let call_name = "func.call"
 
-let func_op ~name ~args ?(results = []) build_body =
-  let arg_values = List.map Ir.fresh_value args in
-  let b = Builder.create () in
+let func_op ctx ~name ~args ?(results = []) build_body =
+  let arg_values = List.map (Ir.fresh_value ctx) args in
+  let b = Builder.create ctx in
   build_body b arg_values;
   let body = Builder.finish b in
   Ir.op func_name
@@ -18,7 +18,7 @@ let func_op ~name ~args ?(results = []) build_body =
 let return_op b values = Builder.emit b (Ir.op return_name ~operands:values)
 
 let call b ~callee ?(results = []) operands =
-  let result_values = List.map Ir.fresh_value results in
+  let result_values = List.map (Builder.fresh b) results in
   Builder.emit b
     (Ir.op call_name ~operands ~results:result_values
        ~attrs:[ ("callee", Attribute.Str callee) ]);

@@ -1,14 +1,16 @@
 (** The [func] dialect: functions, calls and returns. *)
 
 val func_op :
+  Ir.ctx ->
   name:string ->
   args:Ty.t list ->
   ?results:Ty.t list ->
   (Builder.t -> Ir.value list -> unit) ->
   Ir.op
-(** Build a [func.func]. The callback receives a fresh builder and the
-    block-argument values; it must emit a terminating {!return_op}
-    itself (the verifier checks this). *)
+(** Build a [func.func] whose values are minted from the context of the
+    module being built. The callback receives a fresh builder on that
+    context and the block-argument values; it must emit a terminating
+    {!return_op} itself (the verifier checks this). *)
 
 val return_op : Builder.t -> Ir.value list -> unit
 (** Emit [func.return]. *)

@@ -6,14 +6,14 @@ let reduction = "reduction"
 
 let yield b values = Builder.emit b (Ir.op yield_name ~operands:values)
 
-let elem_value (v : Ir.value) = Ir.fresh_value (Ty.Scalar (Ty.memref_of v.vty).elem)
+let elem_value b (v : Ir.value) = Builder.fresh b (Ty.Scalar (Ty.memref_of v.vty).elem)
 
 let generic b ~indexing_maps ~iterator_types ~inputs ~outputs ?op_kind kernel =
   let operands = inputs @ outputs in
   if List.length indexing_maps <> List.length operands then
     invalid_arg "Linalg.generic: one indexing map per operand is required";
-  let block_args = List.map elem_value operands in
-  let kb = Builder.create () in
+  let block_args = List.map (elem_value b) operands in
+  let kb = Builder.create (Builder.ctx b) in
   kernel kb block_args;
   let body = Builder.finish kb in
   let attrs =

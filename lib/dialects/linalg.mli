@@ -24,11 +24,12 @@ val generic :
   ?op_kind:string ->
   (Builder.t -> Ir.value list -> unit) ->
   Ir.op
-(** Build and emit a [linalg.generic]. The kernel callback receives one
-    scalar block argument per operand (inputs then outputs) and must end
-    by calling {!yield}. Returns the emitted op. [op_kind] is a
-    convenience label recording the named op this generic was derived
-    from (["matmul"], ["conv_2d_nchw_fchw"]). *)
+(** Build and emit a [linalg.generic]. The kernel callback receives a
+    builder on [b]'s context and one scalar block argument per operand
+    (inputs then outputs), and must end by calling {!yield}. Returns
+    the emitted op. [op_kind] is a convenience label recording the
+    named op this generic was derived from (["matmul"],
+    ["conv_2d_nchw_fchw"]). *)
 
 val yield : Builder.t -> Ir.value list -> unit
 

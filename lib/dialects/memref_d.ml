@@ -3,7 +3,7 @@ let alloc b ty =
   | Ty.Memref m when Ty.is_identity_layout m -> ()
   | Ty.Memref _ -> invalid_arg "Memref_d.alloc: layout must be identity"
   | Ty.Scalar _ | Ty.Func _ | Ty.Token -> invalid_arg "Memref_d.alloc: not a memref type");
-  Builder.emit_result b (Ir.op "memref.alloc" ~results:[ Ir.fresh_value ty ])
+  Builder.emit_result b (Ir.op "memref.alloc" ~results:[ Builder.fresh b ty ])
 
 let subview b src ~offsets ~sizes =
   let m = Ty.memref_of src.Ir.vty in
@@ -13,7 +13,7 @@ let subview b src ~offsets ~sizes =
   Builder.emit_result b
     (Ir.op "memref.subview"
        ~operands:(src :: offsets)
-       ~results:[ Ir.fresh_value result_ty ]
+       ~results:[ Builder.fresh b result_ty ]
        ~attrs:
          [
            ("static_sizes", Attribute.Ints sizes);
@@ -25,7 +25,7 @@ let load b src indices =
   if List.length indices <> Ty.rank m then invalid_arg "Memref_d.load: index rank mismatch";
   Builder.emit_result b
     (Ir.op "memref.load" ~operands:(src :: indices)
-       ~results:[ Ir.fresh_value (Ty.Scalar m.elem) ])
+       ~results:[ Builder.fresh b (Ty.Scalar m.elem) ])
 
 let store b value dst indices =
   let m = Ty.memref_of dst.Ir.vty in

@@ -2,7 +2,7 @@ let for_name = "scf.for"
 let yield_name = "scf.yield"
 
 let for_ b ~lb ~ub ~step build_body =
-  let iv = Ir.fresh_value Ty.index in
+  let iv = Builder.fresh b Ty.index in
   let body =
     Builder.nest b (fun () ->
         build_body b iv;

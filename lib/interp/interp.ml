@@ -7,7 +7,7 @@ let error fmt = Printf.ksprintf (fun s -> raise (Runtime_error s)) fmt
 type t = {
   soc : Soc.t;
   copy_strategy : Dma_library.strategy;
-  funcs : (string, Ir.op) Hashtbl.t;
+  funcs : (string, Ir.op * int) Hashtbl.t;  (* each with its [Ir.vid_bound] *)
   libs : (int, Dma_library.t) Hashtbl.t;  (* one DMA library per engine id *)
   mutable current_lib : int option;  (* engine of the kernel being driven *)
   mutable received : float array option;
@@ -18,7 +18,8 @@ type t = {
 let create ?(copy_strategy = Dma_library.Generic) soc module_op =
   let funcs = Hashtbl.create 8 in
   List.iter
-    (fun (o : Ir.op) -> if Func.is_func o then Hashtbl.replace funcs (Func.name_of o) o)
+    (fun (o : Ir.op) ->
+      if Func.is_func o then Hashtbl.replace funcs (Func.name_of o) (o, Ir.vid_bound o))
     (Ir.module_body module_op);
   { soc; copy_strategy; funcs; libs = Hashtbl.create 4; current_lib = None; received = None }
 
@@ -42,14 +43,18 @@ let init_lib t ~double_buffer ~dma_id =
 (* Environment                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type frame = { env : (int, value) Hashtbl.t }
+(* A frame holds a function's values, indexed by vid and sized by its
+   [Ir.vid_bound]. An empty slot holds [unbound], told apart by physical
+   equality: it is built here at run time and never bound. *)
+let unbound = F (Sys.opaque_identity Float.nan)
 
-let bind frame (v : Ir.value) rtv = Hashtbl.replace frame.env v.vid rtv
+let bind frame (v : Ir.value) rtv = frame.(v.vid) <- rtv
 
 let lookup frame (v : Ir.value) =
-  match Hashtbl.find_opt frame.env v.vid with
-  | Some rtv -> rtv
-  | None -> error "use of unbound value %%v%d (of type %s)" v.vid (Ty.to_string v.vty)
+  let rtv = frame.(v.vid) in
+  if rtv == unbound then
+    error "use of unbound value %%v%d (of type %s)" v.vid (Ty.to_string v.vty);
+  rtv
 
 let as_int frame v =
   match lookup frame v with
@@ -260,12 +265,12 @@ let rec exec_op t frame (o : Ir.op) =
     error "linalg.generic reached the interpreter: run a lowering pipeline first"
   | other -> error "unsupported operation %s" other
 
-and exec_func t (f : Ir.op) args =
+and exec_func t ((f : Ir.op), bound) args =
   let block = Func.body_of f in
   if List.length block.bargs <> List.length args then
     error "function %s expects %d arguments, got %d" (Func.name_of f)
       (List.length block.bargs) (List.length args);
-  let frame = { env = Hashtbl.create 64 } in
+  let frame = Array.make bound unbound in
   List.iter2 (bind frame) block.bargs args;
   let tracer = t.soc.Soc.tracer in
   if Trace.enabled tracer then

@@ -1,6 +1,8 @@
-type t = { mutable stack : Ir.op list ref list }
+type t = { ctx : Ir.ctx; mutable stack : Ir.op list ref list }
 
-let create () = { stack = [ ref [] ] }
+let create ctx = { ctx; stack = [ ref [] ] }
+let ctx b = b.ctx
+let fresh b ty = Ir.fresh_value b.ctx ty
 
 let top b =
   match b.stack with

@@ -1,11 +1,15 @@
 (** An imperative op-list builder, the analogue of MLIR's [OpBuilder].
 
     Dialect constructor functions take a builder and append ops to the
-    current insertion point; nested regions are built with {!nest}. *)
+    current insertion point; nested regions are built with {!nest}.
+    A builder carries the {!Ir.ctx} of the module being built, and
+    dialect constructors mint their values with {!fresh}. *)
 
 type t
 
-val create : unit -> t
+val create : Ir.ctx -> t
+val ctx : t -> Ir.ctx
+val fresh : t -> Ty.t -> Ir.value
 
 val emit : t -> Ir.op -> unit
 (** Append an op at the current insertion point. *)

@@ -12,17 +12,19 @@ and block = { bargs : value list; body : op list }
 
 and region = block list
 
-let counter = ref 0
+type ctx = { mutable next : int }
 
-let fresh_value vty =
-  incr counter;
-  { vid = !counter; vty }
+let context () = { next = 0 }
+
+let fresh_value ctx vty =
+  let vid = ctx.next in
+  ctx.next <- vid + 1;
+  { vid; vty }
 
 let op ?(operands = []) ?(results = []) ?(attrs = []) ?(regions = []) name =
   { name; operands; results; attrs; regions }
 
 let block ?(args = []) body = { bargs = args; body }
-let region blocks = blocks
 
 let attr operation key = List.assoc_opt key operation.attrs
 
@@ -78,7 +80,6 @@ and fold_body f acc = function
   | o :: rest -> fold_body f (fold f acc o) rest
 
 let walk f operation = fold (fun () o -> f o) () operation
-let walk_block f b = fold_body (fun () o -> f o) () b.body
 
 let rec map_nested f operation =
   let regions =
@@ -93,6 +94,14 @@ let find_ops p operation =
   List.rev (fold (fun acc o -> if p o then o :: acc else acc) [] operation)
 
 let count_ops p operation = fold (fun n o -> if p o then n + 1 else n) 0 operation
+
+(* No closure here captures a variable: [vid_bound] allocates nothing. *)
+let rec max_vid m = function [] -> m | v :: rest -> max_vid (Int.max m v.vid) rest
+let max_bargs m r = List.fold_left (fun m b -> max_vid m b.bargs) m r
+let max_op m o = List.fold_left max_bargs (max_vid (max_vid m o.operands) o.results) o.regions
+let vid_bound operation = 1 + fold max_op (-1) operation
+
+let context_of operation = { next = vid_bound operation }
 
 let module_name = "builtin.module"
 

@@ -9,7 +9,8 @@
 
 type value = private { vid : int; vty : Ty.t }
 (** An SSA value. Identity is by [vid]; values are created only through
-    {!fresh_value} so ids are globally unique. *)
+    {!fresh_value}. An id is unique within the context that minted it,
+    so values of different modules must not be mixed. *)
 
 type op = {
   name : string;  (** dialect-qualified operation name *)
@@ -23,8 +24,16 @@ and block = { bargs : value list; body : op list }
 
 and region = block list
 
-val fresh_value : Ty.t -> value
-(** Allocate a value with a fresh id. *)
+type ctx
+(** Mints one module's value ids, densely and in order. *)
+
+val context : unit -> ctx
+(** Ids from 0, for a new module. *)
+
+val context_of : op -> ctx
+(** Ids from {!vid_bound} of the op, for a pass that adds values to it. *)
+
+val fresh_value : ctx -> Ty.t -> value
 
 val op :
   ?operands:value list ->
@@ -36,7 +45,6 @@ val op :
 (** Build an operation. *)
 
 val block : ?args:value list -> op list -> block
-val region : block list -> region
 
 (** {1 Attribute access} *)
 
@@ -59,9 +67,6 @@ val single_block : op -> block
 (** The single block of the op's single region. Raises
     [Invalid_argument] otherwise. *)
 
-val single_region_block : region -> block
-(** The single block of a region. *)
-
 (** {1 Traversal} *)
 
 val fold : ('a -> op -> 'a) -> 'a -> op -> 'a
@@ -71,8 +76,6 @@ val fold : ('a -> op -> 'a) -> 'a -> op -> 'a
 val walk : (op -> unit) -> op -> unit
 (** Pre-order visit of an op and every op nested in its regions. *)
 
-val walk_block : (op -> unit) -> block -> unit
-
 val map_nested : (op -> op) -> op -> op
 (** Rebuild an op bottom-up: nested ops are transformed first, then the
     (region-updated) op itself is passed to the function. *)
@@ -81,6 +84,10 @@ val find_ops : (op -> bool) -> op -> op list
 (** All (nested) ops satisfying the predicate, in pre-order. *)
 
 val count_ops : (op -> bool) -> op -> int
+
+val vid_bound : op -> int
+(** 1 + the largest id defined or used in the op, so arrays indexed by
+    [vid] are sized by it. Allocates nothing. *)
 
 (** {1 Module and function helpers} *)
 

@@ -1,31 +1,26 @@
 exception Mismatch of string
 
 (* The bijection between the two sides' value ids, built as definitions
-   are encountered and checked at every use. *)
-type ctx = {
-  fwd : (int, int) Hashtbl.t;
-  bwd : (int, int) Hashtbl.t;
-}
+   are encountered and checked at every use: indexed by vid, sized by
+   [Ir.vid_bound], -1 for an id not yet bound. *)
+type ctx = { fwd : int array; bwd : int array }
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Mismatch s)) fmt
 
 let bind ctx (a : Ir.value) (b : Ir.value) =
   if not (Ty.equal a.vty b.vty) then
     fail "value types differ: %s vs %s" (Ty.to_string a.vty) (Ty.to_string b.vty);
-  (match Hashtbl.find_opt ctx.fwd a.vid with
-  | Some prior when prior <> b.vid -> fail "value %%v%d rebound inconsistently" a.vid
-  | Some _ | None -> ());
-  (match Hashtbl.find_opt ctx.bwd b.vid with
-  | Some prior when prior <> a.vid -> fail "value %%v%d matched twice" b.vid
-  | Some _ | None -> ());
-  Hashtbl.replace ctx.fwd a.vid b.vid;
-  Hashtbl.replace ctx.bwd b.vid a.vid
+  let prior = ctx.fwd.(a.vid) in
+  if prior >= 0 && prior <> b.vid then fail "value %%v%d rebound inconsistently" a.vid;
+  let prior = ctx.bwd.(b.vid) in
+  if prior >= 0 && prior <> a.vid then fail "value %%v%d matched twice" b.vid;
+  ctx.fwd.(a.vid) <- b.vid;
+  ctx.bwd.(b.vid) <- a.vid
 
 let check_use ctx (a : Ir.value) (b : Ir.value) =
-  match Hashtbl.find_opt ctx.fwd a.vid with
-  | Some expected when expected = b.vid -> ()
-  | Some _ -> fail "operand %%v%d maps to a different value" a.vid
-  | None -> fail "operand %%v%d used before definition on one side" a.vid
+  let expected = ctx.fwd.(a.vid) in
+  if expected < 0 then fail "operand %%v%d used before definition on one side" a.vid
+  else if expected <> b.vid then fail "operand %%v%d maps to a different value" a.vid
 
 let rec compare_op ctx (a : Ir.op) (b : Ir.op) =
   if a.name <> b.name then fail "op names differ: %s vs %s" a.name b.name;
@@ -64,7 +59,8 @@ and compare_region ctx opname (ra : Ir.region) (rb : Ir.region) =
     ra rb
 
 let diff_op a b =
-  let ctx = { fwd = Hashtbl.create 64; bwd = Hashtbl.create 64 } in
+  let bound op = Array.make (Ir.vid_bound op) (-1) in
+  let ctx = { fwd = bound a; bwd = bound b } in
   match compare_op ctx a b with () -> None | exception Mismatch msg -> Some msg
 
 let equal_op a b = diff_op a b = None

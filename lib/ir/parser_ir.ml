@@ -259,14 +259,14 @@ let lookup_value sc values name =
   | Some v -> v
   | None -> S.fail sc "use of undefined value %s" name
 
-let bind_value sc values name ty =
+let bind_value ctx sc values name ty =
   if Hashtbl.mem values name then S.fail sc "redefinition of value %s" name;
-  let v = Ir.fresh_value ty in
+  let v = Ir.fresh_value ctx ty in
   Hashtbl.add values name v;
   v
 
-(* [values] maps each %N in scope to its fresh SSA value. *)
-let rec parse_op values sc : Ir.op =
+(* [values] maps each %N in scope to its SSA value, minted from [ctx]. *)
+let rec parse_op ctx values sc : Ir.op =
   S.skip_ws sc;
   let result_names =
     if S.peek sc = '%' then S.sep_list sc ~sep:',' ~close:'=' scan_value_name else []
@@ -276,7 +276,7 @@ let rec parse_op values sc : Ir.op =
   let operand_names = S.sep_list sc ~sep:',' ~close:')' scan_value_name in
   let regions =
     if S.accept sc '(' then
-      match S.sep_list sc ~sep:',' ~close:')' (parse_region values) with
+      match S.sep_list sc ~sep:',' ~close:')' (parse_region ctx values) with
       | [] -> S.fail sc "expected a region"
       | regions -> regions
     else []
@@ -301,11 +301,11 @@ let rec parse_op values sc : Ir.op =
         S.fail sc "op %s: operand type mismatch: %s vs %s" op_name (Ty.to_string v.vty)
           (Ty.to_string ty))
     operands operand_tys;
-  let results = List.map2 (bind_value sc values) result_names result_tys in
+  let results = List.map2 (bind_value ctx sc values) result_names result_tys in
   Ir.op op_name ~operands ~results ~attrs ~regions
 
 (* { [^bb(%0: ty, ...):] op* } — one block. *)
-and parse_region values sc : Ir.region =
+and parse_region ctx values sc : Ir.region =
   S.expect sc '{';
   let args =
     if S.accept sc '^' then begin
@@ -315,14 +315,16 @@ and parse_region values sc : Ir.region =
         S.sep_list sc ~sep:',' ~close:')' (fun sc ->
             let name = scan_value_name sc in
             S.expect sc ':';
-            bind_value sc values name (parse_ty sc))
+            bind_value ctx sc values name (parse_ty sc))
       in
       S.expect sc ':';
       args
     end
     else []
   in
-  let rec ops acc = if S.accept sc '}' then List.rev acc else ops (parse_op values sc :: acc) in
+  let rec ops acc =
+    if S.accept sc '}' then List.rev acc else ops (parse_op ctx values sc :: acc)
+  in
   [ Ir.block ~args (ops []) ]
 
 let parse parse_item src =
@@ -331,6 +333,6 @@ let parse parse_item src =
   S.finish sc;
   result
 
-let parse_op src = parse (parse_op (Hashtbl.create 64)) src
+let parse_op src = parse (parse_op (Ir.context ()) (Hashtbl.create 64)) src
 let parse_type src = parse parse_ty src
 let parse_attribute src = parse parse_attr src

@@ -1,9 +1,9 @@
 (** Parser for the generic operation form produced by
     {!Printer.to_generic}.
 
-    Fresh SSA values are allocated for every value name encountered, so
-    a parsed module is structurally equal to — but shares no value ids
-    with — the module that was printed. The round-trip law is
+    Each parse mints its values from a fresh {!Ir.ctx}, one per value
+    name defined, so a parsed module is structurally equal to the
+    module that was printed but its ids are its own. The round-trip law is
     [to_generic (parse (to_generic m)) = to_generic m]. *)
 
 exception Parse_error of string

@@ -1,30 +1,27 @@
-(* Printing state: a buffer, an indentation level, and a table assigning
-   sequential %N numbers to value ids in order of first appearance.
+(* Printing state: a buffer, an indentation level, and the %N number of
+   each value id in order of first appearance (-1 until printed).
    Everything is written straight into the buffer. *)
 
 type state = {
   buf : Buffer.t;
-  names : (int, int) Hashtbl.t;
+  names : int array;
   mutable next : int;
   mutable indent : int;
 }
 
-let make_state () = { buf = Buffer.create 1024; names = Hashtbl.create 64; next = 0; indent = 0 }
+let make_state operation =
+  let names = Array.make (Ir.vid_bound operation) (-1) in
+  { buf = Buffer.create 1024; names; next = 0; indent = 0 }
 
 let add st s = Buffer.add_string st.buf s
 
 let add_name st (v : Ir.value) =
-  let n =
-    if Hashtbl.mem st.names v.vid then Hashtbl.find st.names v.vid
-    else begin
-      let n = st.next in
-      st.next <- n + 1;
-      Hashtbl.add st.names v.vid n;
-      n
-    end
-  in
+  if st.names.(v.vid) < 0 then begin
+    st.names.(v.vid) <- st.next;
+    st.next <- st.next + 1
+  end;
   Buffer.add_char st.buf '%';
-  Util.add_int st.buf n
+  Util.add_int st.buf st.names.(v.vid)
 
 let pad st =
   for _ = 1 to st.indent do
@@ -107,7 +104,7 @@ and generic_block st (b : Ir.block) =
   List.iter (generic_op st) b.body
 
 let to_generic operation =
-  let st = make_state () in
+  let st = make_state operation in
   generic_op st operation;
   Buffer.contents st.buf
 
@@ -253,6 +250,6 @@ and pretty_body st (b : Ir.block) =
   add st "}\n"
 
 let to_pretty operation =
-  let st = make_state () in
+  let st = make_state operation in
   pretty_op st operation;
   Buffer.contents st.buf

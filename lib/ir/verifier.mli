@@ -15,8 +15,8 @@
     scope ends.
 
     A valid module is verified without allocating, beyond what the
-    per-op verifiers allocate. The scratch table is per domain and sized
-    by the module's value count. *)
+    per-op verifiers allocate. The scratch marks are per domain, indexed
+    by value id and sized by {!Ir.vid_bound} of the root. *)
 
 type error = {
   failing_op : string;  (** name of the op the check failed on *)

@@ -216,9 +216,10 @@ let codegen_generic b ~emit_dma_init (op : Ir.op) =
 
 let pass =
   Pass.make "accel-codegen" (fun m ->
+      let ctx = Ir.context_of m in
       let dma_done = ref false in
       let rewrite_block (blk : Ir.block) =
-        let b = Builder.create () in
+        let b = Builder.create ctx in
         List.iter
           (fun (op : Ir.op) ->
             if Linalg.is_generic op && Ir.has_attr op "opcode_flow" then begin

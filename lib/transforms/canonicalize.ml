@@ -1,6 +1,6 @@
 let is_constant (o : Ir.op) = o.name = "arith.constant"
 
-let rewrite_func (f : Ir.op) =
+let rewrite_func ctx (f : Ir.op) =
   if not (Func.is_func f) then f
   else begin
     (* One canonical constant per (value attribute, result type). *)
@@ -15,7 +15,7 @@ let rewrite_func (f : Ir.op) =
             match Hashtbl.find_opt canonical key with
             | Some v -> v
             | None ->
-              let v = Ir.fresh_value r.Ir.vty in
+              let v = Ir.fresh_value ctx r.Ir.vty in
               Hashtbl.add canonical key v;
               v
           in
@@ -58,4 +58,5 @@ let rewrite_func (f : Ir.op) =
 
 let pass =
   Pass.make "canonicalize-constants" (fun m ->
-      Ir.with_module_body m (List.map rewrite_func (Ir.module_body m)))
+      let ctx = Ir.context_of m in
+      Ir.with_module_body m (List.map (rewrite_func ctx) (Ir.module_body m)))

@@ -108,7 +108,7 @@ let static_trip defs (for_op : Ir.op) =
 let max_unrolled_trip = 64
 
 (* Attempt to pipeline one innermost loop; [None] leaves it intact. *)
-let try_expand ~defs ~half_words (for_op : Ir.op) : Ir.op list option =
+let try_expand ~ctx ~defs ~half_words (for_op : Ir.op) : Ir.op list option =
   let block = Ir.single_block for_op in
   let iv = match block.Ir.bargs with [ v ] -> v | _ -> invalid_arg "scf.for: bad block" in
   let body =
@@ -193,7 +193,7 @@ let try_expand ~defs ~half_words (for_op : Ir.op) : Ir.op list option =
               is_first.(c.ch_first) <- true;
               is_last.(c.ch_last) <- true)
             chains;
-          let b = Builder.create () in
+          let b = Builder.create ctx in
           let tokens = Array.make total None in
           let fctr = ref 0 in
           let emit_wait g =
@@ -217,7 +217,7 @@ let try_expand ~defs ~half_words (for_op : Ir.op) : Ir.op list option =
             let results =
               List.map
                 (fun (v : Ir.value) ->
-                  let v' = Ir.fresh_value v.Ir.vty in
+                  let v' = Builder.fresh b v.Ir.vty in
                   Hashtbl.replace subst v.Ir.vid v';
                   v')
                 o.Ir.results
@@ -301,7 +301,7 @@ let has_db_attr (o : Ir.op) =
 let is_innermost_for (o : Ir.op) =
   o.Ir.name = Scf.for_name && Ir.count_ops (fun x -> x.Ir.name = Scf.for_name) o = 1
 
-let rewrite_func (f : Ir.op) =
+let rewrite_func ctx (f : Ir.op) =
   match Ir.find_ops has_db_attr f with
   | [] -> f
   | init :: _ ->
@@ -325,7 +325,7 @@ let rewrite_func (f : Ir.op) =
     else begin
       let rec rw (o : Ir.op) : Ir.op list =
         if is_innermost_for o then
-          match try_expand ~defs ~half_words o with Some ops -> ops | None -> [ o ]
+          match try_expand ~ctx ~defs ~half_words o with Some ops -> ops | None -> [ o ]
         else
           let regions =
             List.map
@@ -342,7 +342,8 @@ let rewrite_func (f : Ir.op) =
 
 let pass =
   Pass.make pass_name (fun m ->
+      let ctx = Ir.context_of m in
       Ir.with_module_body m
         (List.map
-           (fun (o : Ir.op) -> if Func.is_func o then rewrite_func o else o)
+           (fun (o : Ir.op) -> if Func.is_func o then rewrite_func ctx o else o)
            (Ir.module_body m)))

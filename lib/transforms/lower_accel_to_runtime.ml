@@ -47,22 +47,23 @@ let rec rewrite_op b (o : Ir.op) =
   if Accel.is_accel o then expand b o
   else begin
     let regions =
-      List.map (fun blocks -> List.map rewrite_block blocks) o.regions
+      List.map (fun blocks -> List.map (rewrite_block (Builder.ctx b)) blocks) o.regions
     in
     Builder.emit b { o with regions }
   end
 
-and rewrite_block (blk : Ir.block) =
-  let b = Builder.create () in
+and rewrite_block ctx (blk : Ir.block) =
+  let b = Builder.create ctx in
   List.iter (rewrite_op b) blk.body;
   { blk with body = Builder.finish b }
 
 let pass =
   Pass.make "lower-accel-to-runtime" (fun m ->
+      let ctx = Ir.context_of m in
       Ir.with_module_body m
         (List.map
            (fun (f : Ir.op) ->
              if Func.is_func f then
-               { f with regions = [ [ rewrite_block (Func.body_of f) ] ] }
+               { f with regions = [ [ rewrite_block ctx (Func.body_of f) ] ] }
              else f)
            (Ir.module_body m)))

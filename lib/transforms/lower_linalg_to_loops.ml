@@ -14,7 +14,7 @@ let lower_generic b (o : Ir.op) =
   let n_dims = Array.length ranges in
   let n_ins = Linalg.num_inputs o in
   let kernel = Ir.single_block o in
-  let ivs = Array.make n_dims (Ir.fresh_value Ty.index) in
+  let ivs = Array.make n_dims (Builder.fresh b Ty.index) in
   let rec loops d =
     if d = n_dims then body ()
     else
@@ -54,7 +54,7 @@ let lower_generic b (o : Ir.op) =
             kop.operands
         end
         else begin
-          let results = List.map (fun (r : Ir.value) -> Ir.fresh_value r.vty) kop.results in
+          let results = List.map (fun (r : Ir.value) -> Builder.fresh b r.vty) kop.results in
           List.iter2
             (fun (old_r : Ir.value) new_r -> Hashtbl.replace env old_r.vid new_r)
             kop.results results;
@@ -64,11 +64,11 @@ let lower_generic b (o : Ir.op) =
   in
   loops 0
 
-let rewrite_func (f : Ir.op) =
+let rewrite_func ctx (f : Ir.op) =
   if not (Func.is_func f) then f
   else begin
     let block = Func.body_of f in
-    let b = Builder.create () in
+    let b = Builder.create ctx in
     List.iter
       (fun (op : Ir.op) ->
         if Linalg.is_generic op then lower_generic b op else Builder.emit b op)
@@ -78,4 +78,5 @@ let rewrite_func (f : Ir.op) =
 
 let pass =
   Pass.make "lower-linalg-to-loops" (fun m ->
-      Ir.with_module_body m (List.map rewrite_func (Ir.module_body m)))
+      let ctx = Ir.context_of m in
+      Ir.with_module_body m (List.map (rewrite_func ctx) (Ir.module_body m)))

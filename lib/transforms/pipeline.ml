@@ -29,7 +29,13 @@ let run ?stats ?tracer t m =
         ("double_buffer", Remarks.Bool o.double_buffer);
       ]
     (Printf.sprintf "lowering for accelerator %s" t.accel.Accel_config.accel_name);
-  Pass.run_pipeline ?stats ?tracer (passes t) m
+  let compiled = Pass.run_pipeline ?stats ?tracer (passes t) m in
+  if Ir.count_ops Linalg.is_generic compiled > 0 then
+    raise
+      (Match_annotate.Rejected
+         (Printf.sprintf "AXI4MLIR: cannot offload: %s: no accelerator matches linalg.generic"
+            t.accel.Accel_config.accel_name));
+  compiled
 
 let run_result ?stats ?tracer t m =
   match run ?stats ?tracer t m with

@@ -17,8 +17,9 @@ val passes : t -> Pass.t list
 val run : ?stats:Pass.pass_stat list ref -> ?tracer:Trace.t -> t -> Ir.op -> Ir.op
 (** Run on a module. Registers all dialect verifiers first. [stats] and
     [tracer] are forwarded to {!Pass.run_pipeline} for per-pass timing
-    and compile-track trace events. An op the accelerator cannot take
-    raises {!Match_annotate.Rejected}. *)
+    and compile-track trace events. An op the accelerator cannot take,
+    or a [linalg.generic] it does not match, raises
+    {!Match_annotate.Rejected}. *)
 
 val run_result :
   ?stats:Pass.pass_stat list ref ->

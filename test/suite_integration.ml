@@ -10,7 +10,7 @@ let test_two_kernels_one_init () =
   let m1, n1, k1 = (8, 8, 8) and m2, n2, k2 = (12, 8, 4) in
   let tys dims = List.map (fun (a, b) -> Ty.memref [ a; b ] Ty.F32) dims in
   let f =
-    Func.func_op ~name:"two_matmuls"
+    Func.func_op (Ir.context ()) ~name:"two_matmuls"
       ~args:(tys [ (m1, k1); (k1, n1); (m1, n1); (m2, k2); (k2, n2); (m2, n2) ])
       (fun b args ->
         match args with

@@ -9,7 +9,7 @@ let run_module ?(args = []) soc modul name =
   Interp.invoke interp name args
 
 let simple_func name args ?(results = []) body =
-  Ir.module_op [ Func.func_op ~name ~args ~results body ]
+  Ir.module_op [ Func.func_op (Ir.context ()) ~name ~args ~results body ]
 
 let test_arith_ops () =
   let m =
@@ -100,14 +100,15 @@ let test_subview_load_store () =
   Alcotest.(check (float 1e-9)) "subview write" 6.0 (Sim_memory.get buf 11)
 
 let test_user_function_call () =
+  let ctx = Ir.context () in
   let callee =
-    Func.func_op ~name:"double" ~args:[ Ty.index ] ~results:[ Ty.index ] (fun b args ->
+    Func.func_op ctx ~name:"double" ~args:[ Ty.index ] ~results:[ Ty.index ] (fun b args ->
         match args with
         | [ x ] -> Func.return_op b [ Arith.addi b x x ]
         | _ -> assert false)
   in
   let caller =
-    Func.func_op ~name:"main" ~args:[] ~results:[ Ty.index ] (fun b _ ->
+    Func.func_op ctx ~name:"main" ~args:[] ~results:[ Ty.index ] (fun b _ ->
         let c = Arith.constant_index b 21 in
         match Func.call b ~callee:"double" ~results:[ Ty.index ] [ c ] with
         | [ r ] -> Func.return_op b [ r ]
@@ -175,6 +176,17 @@ let test_errors () =
   in
   expect_error (fun () -> run_module s weird "w")
 
+(* A value no op binds: the error names it, not an index error. *)
+let test_unbound_value () =
+  let m =
+    simple_func "u" [] ~results:[ Ty.index ] (fun b _ ->
+        Func.return_op b [ Builder.fresh b Ty.index ])
+  in
+  match run_module (soc ()) m "u" with
+  | _ -> Alcotest.fail "unbound value read"
+  | exception Interp.Runtime_error msg ->
+    Alcotest.(check string) "message" "use of unbound value %v0 (of type index)" msg
+
 let test_linalg_rejected () =
   let m = Axi4mlir.build_matmul_module ~m:4 ~n:4 ~k:4 () in
   let s = soc () in
@@ -204,6 +216,7 @@ let tests =
     Alcotest.test_case "user function calls" `Quick test_user_function_call;
     Alcotest.test_case "cost charging" `Quick test_cost_charging;
     Alcotest.test_case "runtime errors" `Quick test_errors;
+    Alcotest.test_case "use of an unbound value" `Quick test_unbound_value;
     Alcotest.test_case "linalg requires lowering" `Quick test_linalg_rejected;
     Alcotest.test_case "index cast" `Quick test_index_cast;
   ]

@@ -1,7 +1,7 @@
 (* Tests for the IR core, builder, verifier and dialect constructors. *)
 
 let build_simple_func () =
-  Func.func_op ~name:"f" ~args:[ Ty.index; Ty.index ] (fun b args ->
+  Func.func_op (Ir.context ()) ~name:"f" ~args:[ Ty.index; Ty.index ] (fun b args ->
       match args with
       | [ x; y ] ->
         let s = Arith.addi b x y in
@@ -17,7 +17,7 @@ let test_builder_order () =
     names
 
 let test_builder_nest () =
-  let b = Builder.create () in
+  let b = Builder.create (Ir.context ()) in
   let c0 = Arith.constant_index b 0 in
   let c4 = Arith.constant_index b 4 in
   let c1 = Arith.constant_index b 1 in
@@ -73,9 +73,10 @@ let test_verifier_accepts_valid () =
   | Error e -> Alcotest.fail e
 
 let test_verifier_rejects_undefined_use () =
-  let phantom = Ir.fresh_value Ty.index in
+  let ctx = Ir.context () in
+  let phantom = Ir.fresh_value ctx Ty.index in
   let f =
-    Func.func_op ~name:"bad" ~args:[ Ty.index ] (fun b args ->
+    Func.func_op ctx ~name:"bad" ~args:[ Ty.index ] (fun b args ->
         match args with
         | [ x ] ->
           ignore (Arith.addi b x phantom);
@@ -87,7 +88,7 @@ let test_verifier_rejects_undefined_use () =
   | Ok () -> Alcotest.fail "undefined use accepted"
 
 let test_verifier_rejects_double_def () =
-  let v = Ir.fresh_value Ty.index in
+  let v = Ir.fresh_value (Ir.context ()) Ty.index in
   let dup = Ir.op "arith.constant" ~results:[ v ] ~attrs:[ ("value", Attribute.Int 0) ] in
   let ret = Ir.op "func.return" in
   let f =
@@ -117,7 +118,7 @@ let test_verifier_rejects_loop_escape () =
   let escaped = ref None in
   let mem = Ty.memref [ 4; 4 ] Ty.F32 in
   let f =
-    Func.func_op ~name:"escape" ~args:[ mem; mem ] (fun b args ->
+    Func.func_op (Ir.context ()) ~name:"escape" ~args:[ mem; mem ] (fun b args ->
         match args with
         | [ src; dst ] ->
           let c0 = Arith.constant_index b 0 in
@@ -134,15 +135,16 @@ let test_verifier_rejects_loop_escape () =
     (Ir.module_op [ f ])
 
 let test_verifier_rejects_cross_function_use () =
+  let ctx = Ir.context () in
   let leaked = ref None in
   let f =
-    Func.func_op ~name:"f" ~args:[] (fun b _ ->
+    Func.func_op ctx ~name:"f" ~args:[] (fun b _ ->
         leaked := Some (Arith.constant_index b 7);
         Func.return_op b [])
   in
   let v = Option.get !leaked in
   let g =
-    Func.func_op ~name:"g" ~args:[] (fun b _ ->
+    Func.func_op ctx ~name:"g" ~args:[] (fun b _ ->
         ignore (Arith.addi b v v);
         Func.return_op b [])
   in
@@ -153,10 +155,11 @@ let test_verifier_rejects_cross_function_use () =
 (* An ended scope still remembers its definitions: one value id defined
    in two sibling blocks is a double definition. *)
 let test_verifier_rejects_sibling_redefinition () =
-  let v = Ir.fresh_value Ty.index in
+  let ctx = Ir.context () in
+  let v = Ir.fresh_value ctx Ty.index in
   let def = Ir.op "arith.constant" ~results:[ v ] ~attrs:[ ("value", Attribute.Int 0) ] in
   let f =
-    Func.func_op ~name:"siblings" ~args:[] (fun b _ ->
+    Func.func_op ctx ~name:"siblings" ~args:[] (fun b _ ->
         Builder.emit b
           (Ir.op "test.two_blocks" ~regions:[ [ Ir.block [ def ]; Ir.block [ def ] ] ]);
         Func.return_op b [])
@@ -164,6 +167,54 @@ let test_verifier_rejects_sibling_redefinition () =
   expect_error "sibling blocks" ~op:"arith.constant"
     ~reason:(Printf.sprintf "value %%v%d defined twice" v.Ir.vid)
     (Ir.module_op [ f ])
+
+(* Values of two contexts must not be mixed: both number from 0. *)
+let test_verifier_rejects_mixed_contexts () =
+  let const_func name =
+    Func.func_op (Ir.context ()) ~name ~args:[] (fun b _ ->
+        ignore (Arith.constant_index b 0);
+        Func.return_op b [])
+  in
+  expect_error "mixed contexts" ~op:"arith.constant" ~reason:"value %v0 defined twice"
+    (Ir.module_op [ const_func "f"; const_func "g" ])
+
+(* An operand minted past every id the module defines is an undefined
+   value, not an index error. *)
+let test_verifier_rejects_id_above_bound () =
+  let far = Ir.context () in
+  for _ = 1 to 999 do
+    ignore (Ir.fresh_value far Ty.index)
+  done;
+  let stray = Ir.fresh_value far Ty.index in
+  let f =
+    Func.func_op (Ir.context ()) ~name:"stray" ~args:[ Ty.index ] (fun b args ->
+        ignore (Arith.addi b (List.hd args) stray);
+        Func.return_op b [])
+  in
+  expect_error "id above the bound" ~op:"arith.addi" ~reason:"use of undefined value %v999"
+    (Ir.module_op [ f ])
+
+(* Ids are numbered per module from 0, so the same module built twice,
+   or in another domain, has the same ids. *)
+let defined_vids m =
+  let add acc vs = List.rev_append (List.map (fun (v : Ir.value) -> v.Ir.vid) vs) acc in
+  let add_block acc (b : Ir.block) = add acc b.bargs in
+  List.rev
+    (Ir.fold
+       (fun acc (o : Ir.op) ->
+         List.fold_left (List.fold_left add_block) (add acc o.results) o.regions)
+       [] m)
+
+let test_context_ids_per_module () =
+  let build () = Axi4mlir.build_matmul_module ~m:16 ~n:16 ~k:16 () in
+  let m = build () in
+  let vids = defined_vids m in
+  Alcotest.(check (list int)) "dense from 0" (List.init (List.length vids) Fun.id)
+    (List.sort compare vids);
+  Alcotest.(check int) "vid_bound" (List.length vids) (Ir.vid_bound m);
+  Alcotest.(check (list int)) "second build" vids (defined_vids (build ()));
+  Alcotest.(check (list int)) "built in another domain" vids
+    (Domain.join (Domain.spawn (fun () -> defined_vids (build ()))))
 
 (* Verification and op counting run between every pair of passes; on a
    valid module they allocate next to nothing. Measured on a parsed
@@ -198,7 +249,8 @@ let test_count_ops_allocation () =
 
 let test_dialect_verifiers () =
   (* a func without terminating return *)
-  let v = Ir.fresh_value Ty.index in
+  let ctx = Ir.context () in
+  let v = Ir.fresh_value ctx Ty.index in
   let c = Ir.op "arith.constant" ~results:[ v ] ~attrs:[ ("value", Attribute.Int 0) ] in
   let f =
     Ir.op "func.func"
@@ -215,7 +267,7 @@ let test_dialect_verifiers () =
       (String.length msg > 0)
   | Ok () -> Alcotest.fail "missing return accepted");
   (* arith.constant without value attribute *)
-  let bad_const = Ir.op "arith.constant" ~results:[ Ir.fresh_value Ty.index ] in
+  let bad_const = Ir.op "arith.constant" ~results:[ Ir.fresh_value ctx Ty.index ] in
   let ret = Ir.op "func.return" in
   let g =
     Ir.op "func.func"
@@ -231,7 +283,7 @@ let test_dialect_verifiers () =
   | Ok () -> Alcotest.fail "constant without value accepted"
 
 let test_linalg_construction () =
-  let b = Builder.create () in
+  let b = Builder.create (Ir.context ()) in
   let a = Memref_d.alloc b (Ty.memref [ 8; 4 ] Ty.F32) in
   let bv = Memref_d.alloc b (Ty.memref [ 4; 8 ] Ty.F32) in
   let c = Memref_d.alloc b (Ty.memref [ 8; 8 ] Ty.F32) in
@@ -244,7 +296,7 @@ let test_linalg_construction () =
     (Linalg.iterator_types g)
 
 let test_conv_construction () =
-  let b = Builder.create () in
+  let b = Builder.create (Ir.context ()) in
   let i = Memref_d.alloc b (Ty.memref [ 1; 3; 6; 6 ] Ty.F32) in
   let w = Memref_d.alloc b (Ty.memref [ 2; 3; 3; 3 ] Ty.F32) in
   let o = Memref_d.alloc b (Ty.memref [ 1; 2; 4; 4 ] Ty.F32) in
@@ -252,7 +304,7 @@ let test_conv_construction () =
   Alcotest.(check (list int)) "conv ranges" [ 1; 2; 4; 4; 3; 3; 3 ] (Linalg.loop_ranges g)
 
 let test_accel_constructors () =
-  let b = Builder.create () in
+  let b = Builder.create (Ir.context ()) in
   Accel.dma_init b ~dma_id:0 ~input_address:0x42 ~input_buffer_size:0xFF00
     ~output_address:0xFF42 ~output_buffer_size:0xFF00;
   let off0 = Arith.constant_i32 b 0 in
@@ -270,7 +322,7 @@ let test_accel_constructors () =
   Alcotest.(check bool) "recv mode" true (Accel.recv_mode_of recv_op = Accel.Accumulate)
 
 let test_send_dim_extent () =
-  let b = Builder.create () in
+  let b = Builder.create (Ir.context ()) in
   let tile = Memref_d.alloc b (Ty.memref [ 4; 16 ] Ty.F32) in
   let off = Arith.constant_i32 b 0 in
   let _ = Accel.send_dim b ~src:tile ~dim:1 ~offset:off in
@@ -323,6 +375,12 @@ let tests =
       test_verifier_rejects_cross_function_use;
     Alcotest.test_case "verifier rejects a value defined in two sibling blocks" `Quick
       test_verifier_rejects_sibling_redefinition;
+    Alcotest.test_case "verifier rejects values of two contexts" `Quick
+      test_verifier_rejects_mixed_contexts;
+    Alcotest.test_case "verifier rejects an id above the module's bound" `Quick
+      test_verifier_rejects_id_above_bound;
+    Alcotest.test_case "value ids numbered per module from 0" `Quick
+      test_context_ids_per_module;
     Alcotest.test_case "verifier allocates next to nothing" `Quick test_verifier_allocation;
     Alcotest.test_case "count_ops allocates nothing" `Quick test_count_ops_allocation;
     Alcotest.test_case "dialect verifiers" `Quick test_dialect_verifiers;

@@ -12,7 +12,7 @@ let conv_on_engine_1 () =
 let build_mixed_module ~m ~n ~k ~ic ~ihw ~oc ~fhw =
   let ohw = ihw - fhw + 1 in
   let f =
-    Func.func_op ~name:"mixed"
+    Func.func_op (Ir.context ()) ~name:"mixed"
       ~args:
         [
           Ty.memref [ m; k ] Ty.F32;

@@ -29,7 +29,7 @@ let test_codegen_rejects_deep_flow () =
     }
   in
   let annotated = Trait.attach g trait in
-  let b = Builder.create () in
+  let b = Builder.create (Ir.context ()) in
   match Accel_codegen.codegen_generic b ~emit_dma_init:true annotated with
   | exception Failure msg ->
     Alcotest.(check bool) "message mentions flow depth" true
@@ -441,7 +441,7 @@ let verify_only = Pass.make "verify-only" (fun m -> m)
 let token_module build =
   Dialects.register_all ();
   let f =
-    Func.func_op ~name:"tokens" ~args:[] (fun b _ ->
+    Func.func_op (Ir.context ()) ~name:"tokens" ~args:[] (fun b _ ->
         build b;
         Func.return_op b [])
   in
@@ -473,7 +473,7 @@ let test_wait_on_undefined_token_rejected () =
   (* a wait whose operand was never produced trips the SSA check, which
      runs before linearity and points at the wait itself *)
   expect_pass_failure "undefined token"
-    (token_module (fun b -> Accel.wait b ~token:(Ir.fresh_value Ty.token)))
+    (token_module (fun b -> Accel.wait b ~token:(Builder.fresh b Ty.token)))
     ~op:"accel.wait" ~fragment:"use of undefined value"
 
 (* ------------------------------------------------------------------ *)

@@ -33,7 +33,7 @@ let test_matcher_conv () =
 let test_matcher_rejects_wrong_kernel () =
   (* same maps/iterators but the kernel multiplies by the output: not a
      mul-add accumulation *)
-  let b = Builder.create () in
+  let b = Builder.create (Ir.context ()) in
   let a = Memref_d.alloc b (Ty.memref [ 4; 4 ] Ty.F32) in
   let bv = Memref_d.alloc b (Ty.memref [ 4; 4 ] Ty.F32) in
   let c = Memref_d.alloc b (Ty.memref [ 4; 4 ] Ty.F32) in
@@ -420,10 +420,11 @@ let test_pass_failure_reporting () =
   (* a pass that breaks SSA must be caught by inter-pass verification *)
   let broken =
     Pass.make "break-ssa" (fun m ->
+        let ctx = Ir.context_of m in
         Ir.map_nested
           (fun o ->
             if o.Ir.name = "arith.mulf" then
-              { o with Ir.operands = [ Ir.fresh_value Ty.f32; Ir.fresh_value Ty.f32 ] }
+              { o with Ir.operands = [ Ir.fresh_value ctx Ty.f32; Ir.fresh_value ctx Ty.f32 ] }
             else o)
           m)
   in
