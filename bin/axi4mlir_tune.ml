@@ -42,8 +42,6 @@ let run_platform_search ~workload_spec ~space_name ~strategy_name ~seed ~budget
         "--platform-search needs --workload (the request mix every candidate \
          platform serves)"
   in
-  let requests = Tool_common.positive ~flag:"requests" requests in
-  if not (rps > 0.0) then failwith (Printf.sprintf "--rps must be positive (got %g)" rps);
   let pspace = fail_on_error (platform_space_of_name space_name) in
   let strategy = fail_on_error (Tune_strategy.of_string ~seed ?budget strategy_name) in
   let models = fail_on_error (Serve_cost.models_of_specs [ spec ]) in
@@ -86,6 +84,10 @@ let run_tool workload_spec space_name strategy_name seed budget preset cache_pat
   Tool_common.with_observability ~remarks ~metrics:metrics_out @@ fun () ->
   let fail_on_error = function Ok v -> v | Error msg -> failwith msg in
   let budget = Option.map (Tool_common.positive ~flag:"budget") budget in
+  (* checked with or without --platform-search, the only mode that reads them *)
+  let requests = Tool_common.positive ~flag:"requests" requests in
+  if not (Float.is_finite rps && rps > 0.0) then
+    failwith (Printf.sprintf "--rps must be finite and positive (got %g)" rps);
   if platform_search then
     run_platform_search ~workload_spec ~space_name ~strategy_name ~seed ~budget
       ~area_budget ~platform_out ~requests ~rps

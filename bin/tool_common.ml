@@ -130,10 +130,32 @@ let check_extents ~flag text dims =
   if List.exists (fun d -> d < 1) dims then
     failwith (Printf.sprintf "--%s: every extent must be >= 1 (got %s)" flag text)
 
+(* The element count of an operand of these (positive) extents, or one
+   more than the simulated DDR holds when it does not fit: compared by
+   division, so no product overflows. *)
+let capacity_elements = Sim_memory.capacity_bytes / 4
+
+let rec saturated_elements = function
+  | [] -> 1
+  | d :: rest ->
+    let inner = saturated_elements rest in
+    if d > capacity_elements / inner then capacity_elements + 1 else d * inner
+
+(* A problem whose operands do not fit in the simulated DDR fails here,
+   before anything is built or allocated. *)
+let check_fits ~flag text operands =
+  let total = List.fold_left (fun acc o -> acc + saturated_elements o) 0 operands in
+  if total > capacity_elements then
+    failwith
+      (Printf.sprintf "--%s %s: the operands do not fit in the %d MiB of simulated DDR" flag
+         text
+         (Sim_memory.capacity_bytes / (1024 * 1024)))
+
 let matmul_dims ~flag text =
   match parse_ints ~flag text with
   | [ m; n; k ] as dims ->
     check_extents ~flag text dims;
+    check_fits ~flag text [ [ m; k ]; [ k; n ]; [ m; n ] ];
     (m, n, k)
   | _ -> failwith (Printf.sprintf "--%s expects M,N,K" flag)
 
@@ -146,6 +168,8 @@ let conv_dims ~flag text =
       failwith
         (Printf.sprintf "--%s: filter size FHW = %d exceeds input size IHW = %d" flag fhw
            ihw);
+    let ohw = ihw - fhw + 1 in
+    check_fits ~flag text [ [ ic; ihw; ihw ]; [ oc; ic; fhw; fhw ]; [ oc; ohw; ohw ] ];
     (ic, ihw, oc, fhw)
   | _ -> failwith (Printf.sprintf "--%s expects IC,IHW,OC,FHW" flag)
 

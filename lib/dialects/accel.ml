@@ -87,15 +87,15 @@ let start_recv b ~mode ~dst =
 let wait b ~token = Builder.emit b (Ir.op wait_name ~operands:[ token ])
 
 let recv_mode_of (o : Ir.op) =
-  match Ir.attr o "mode" with
-  | Some (Attribute.Str "accumulate") -> Accumulate
-  | Some (Attribute.Str "store") | None -> Store
-  | Some a ->
+  match Ir.attr_or o "mode" (Attribute.Str "store") with
+  | Attribute.Str "accumulate" -> Accumulate
+  | Attribute.Str "store" -> Store
+  | a ->
     invalid_arg
       (Printf.sprintf "Accel.recv_mode_of: invalid mode %s" (Attribute.to_string a))
 
 let is_flush (o : Ir.op) =
-  match Ir.attr o "flush" with Some (Attribute.Bool b) -> b | _ -> false
+  match Ir.attr_or o "flush" Attribute.Unit with Attribute.Bool b -> b | _ -> false
 
 let is_accel (o : Ir.op) = List.mem o.name op_names
 
@@ -149,9 +149,9 @@ let registered =
 let register () = Lazy.force registered
 
 let send_dim_extent (o : Ir.op) =
-  match Ir.attr o "static_extent" with
-  | Some (Attribute.Int e) -> e
-  | Some _ | None -> (
+  match Ir.attr_or o "static_extent" Attribute.Unit with
+  | Attribute.Int e -> e
+  | _ -> (
     match o.operands with
     | src :: _ -> (
       let m = Ty.memref_of src.Ir.vty in

@@ -4,15 +4,20 @@ exception Runtime_error of string
 
 let error fmt = Printf.ksprintf (fun s -> raise (Runtime_error s)) fmt
 
+(* [received] holds no words. Told apart by physical equality: the
+   engine never returns it. *)
+let not_received = [| Float.nan |]
+
 type t = {
   soc : Soc.t;
   copy_strategy : Dma_library.strategy;
   funcs : (string, Ir.op * int) Hashtbl.t;  (* each with its [Ir.vid_bound] *)
   libs : (int, Dma_library.t) Hashtbl.t;  (* one DMA library per engine id *)
-  mutable current_lib : int option;  (* engine of the kernel being driven *)
-  mutable received : float array option;
+  mutable current_lib : Dma_library.t option;  (* of the kernel being driven *)
+  mutable received : float array;
       (* dma_wait_recv's words, for copy_from: the engine's own array,
-         valid until its next receive, so copy_from consumes it *)
+         valid until its next receive, so copy_from consumes it;
+         [not_received] when there are none *)
 }
 
 let create ?(copy_strategy = Dma_library.Generic) soc module_op =
@@ -21,23 +26,30 @@ let create ?(copy_strategy = Dma_library.Generic) soc module_op =
     (fun (o : Ir.op) ->
       if Func.is_func o then Hashtbl.replace funcs (Func.name_of o) (o, Ir.vid_bound o))
     (Ir.module_body module_op);
-  { soc; copy_strategy; funcs; libs = Hashtbl.create 4; current_lib = None; received = None }
+  {
+    soc;
+    copy_strategy;
+    funcs;
+    libs = Hashtbl.create 4;
+    current_lib = None;
+    received = not_received;
+  }
 
 let lib t =
-  match t.current_lib with
-  | Some id -> (
-    match Hashtbl.find_opt t.libs id with
-    | Some l -> l
-    | None -> error "internal: missing DMA library for engine %d" id)
-  | None -> error "DMA library used before dma_init"
+  match t.current_lib with Some l -> l | None -> error "DMA library used before dma_init"
 
 let init_lib t ~double_buffer ~dma_id =
   (* One initialisation per engine; a later dma_init for the same id
      (e.g. a second kernel on the same accelerator) just reselects it. *)
-  if not (Hashtbl.mem t.libs dma_id) then
-    Hashtbl.replace t.libs dma_id
-      (Dma_library.init ~double_buffer t.soc ~dma_id ~strategy:t.copy_strategy);
-  t.current_lib <- Some dma_id
+  let l =
+    match Hashtbl.find_opt t.libs dma_id with
+    | Some l -> l
+    | None ->
+      let l = Dma_library.init ~double_buffer t.soc ~dma_id ~strategy:t.copy_strategy in
+      Hashtbl.replace t.libs dma_id l;
+      l
+  in
+  t.current_lib <- Some l
 
 (* ------------------------------------------------------------------ *)
 (* Environment                                                         *)
@@ -117,7 +129,7 @@ let exec_entry t frame (o : Ir.op) (entry : Runtime_abi.t) =
   | Flush_send -> Dma_library.flush_send (lib t)
   | Start_recv ->
     Dma_engine.start_recv (Dma_library.engine (lib t)) ~len_words:(as_int frame (arg o 0))
-  | Wait_recv -> t.received <- Some (Dma_engine.wait_recv (Dma_library.engine (lib t)))
+  | Wait_recv -> t.received <- Dma_engine.wait_recv (Dma_library.engine (lib t))
   | Start_send_async -> bind_result frame o (T (Dma_library.start_send (lib t)))
   | Start_recv_async { spec } ->
     let view = as_view frame (arg o 0) in
@@ -125,14 +137,14 @@ let exec_entry t frame (o : Ir.op) (entry : Runtime_abi.t) =
     bind_result frame o
       (T (Dma_library.start_recv (lib t) ~strategy:(strategy_of spec) view ~accumulate))
   | Wait -> Dma_library.wait (lib t) (as_token frame (arg o 0))
-  | Copy_from { accumulate; spec } -> (
+  | Copy_from { accumulate; spec } ->
     let view = as_view frame (arg o 0) in
-    match t.received with
-    | Some data ->
-      Dma_library.copy_from_data_with (lib t) (strategy_of spec) view ~accumulate data;
-      t.received <- None;
-      bind_result frame o (I 0)
-    | None -> error "%s without a preceding dma_wait_recv" (Runtime_abi.name entry))
+    let data = t.received in
+    if data == not_received then
+      error "%s without a preceding dma_wait_recv" (Runtime_abi.name entry);
+    Dma_library.copy_from_data_with (lib t) (strategy_of spec) view ~accumulate data;
+    t.received <- not_received;
+    bind_result frame o (I 0)
 
 (* At the accel level the interpreter's strategy stands in for the
    Copy_specialization pass. *)
@@ -158,8 +170,12 @@ let accel_op t frame (o : Ir.op) =
       exec_entry t frame o Flush_send;
       Dma_engine.start_recv (Dma_library.engine (lib t)) ~len_words;
       exec_entry t frame o Wait_recv;
-      let accumulate = Accel.recv_mode_of o = Accel.Accumulate in
-      exec_entry t frame o (at_accel_level t (Copy_from { accumulate; spec = false }))
+      let copy_from =
+        match Accel.recv_mode_of o with
+        | Accel.Accumulate -> Runtime_abi.Copy_from { accumulate = true; spec = false }
+        | Accel.Store -> Runtime_abi.Copy_from { accumulate = false; spec = false }
+      in
+      exec_entry t frame o (at_accel_level t copy_from)
     | other -> error "unsupported accel op %s" other));
   if Accel.is_flush o then exec_entry t frame o Flush_send
 
@@ -204,23 +220,24 @@ let rec exec_op t frame (o : Ir.op) =
     Soc.alu t.soc 20;
     bind frame (Ir.result o) (M (Memref_view.of_buffer buf m.Ty.shape))
   | "memref.dealloc" -> Soc.alu t.soc 5
+  (* Offsets and indices are read from the operands as the view walks
+     its dims: no list is built. *)
   | "memref.subview" ->
     let src = as_view frame (List.hd o.operands) in
-    let offsets = List.map (as_int frame) (List.tl o.operands) in
     let sizes = Attribute.get_ints (Ir.attr_exn o "static_sizes") in
     Soc.alu t.soc (2 * List.length sizes);
-    bind frame (Ir.result o) (M (Memref_view.subview src ~offsets ~sizes))
+    bind frame (Ir.result o)
+      (M (Memref_view.subview_with src as_int frame (List.tl o.operands) ~sizes))
   | "memref.load" ->
     let view = as_view frame (List.hd o.operands) in
-    let indices = List.map (as_int frame) (List.tl o.operands) in
-    let li = Memref_view.linear_index view indices in
+    let li = Memref_view.linear_index_with view as_int frame (List.tl o.operands) in
     Soc.charge_memref_access t.soc view.Memref_view.buf li;
     bind frame (Ir.result o) (F view.Memref_view.buf.Sim_memory.data.(li))
   | "memref.store" -> (
     match o.operands with
     | value :: dst :: indices ->
       let view = as_view frame dst in
-      let li = Memref_view.linear_index view (List.map (as_int frame) indices) in
+      let li = Memref_view.linear_index_with view as_int frame indices in
       Soc.charge_memref_access t.soc view.Memref_view.buf li;
       view.Memref_view.buf.Sim_memory.data.(li) <- as_float frame value
     | _ -> error "malformed memref.store")
@@ -242,8 +259,8 @@ let rec exec_op t frame (o : Ir.op) =
   | "scf.yield" -> ()
   | "func.call" -> (
     let callee =
-      match Ir.attr o "callee" with
-      | Some (Attribute.Str s) -> s
+      match Ir.attr_or o "callee" Attribute.Unit with
+      | Attribute.Str s -> s
       | _ -> error "func.call without callee"
     in
     match Runtime_abi.of_name callee with

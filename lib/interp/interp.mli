@@ -21,7 +21,15 @@
     Multiple accelerators are supported: each [dma_init] (distinguished
     by its engine id, as in the paper's [dma_init_config]) creates or
     reselects the DMA library for that engine, so a module can drive,
-    say, a MatMul engine and a Conv2D engine in one function. *)
+    say, a MatMul engine and a Conv2D engine in one function.
+
+    Allocation: with tracing and metrics off, a runtime call, an accel
+    op and a [memref.subview]/[load]/[store] allocate nothing but the
+    {!value}s they bind — an [I] or [F] result, a subview's new view
+    record — plus what {!Dma_library} allocates for non-blocking
+    transfers (tokens, flights and the words a receive drains).
+    Operands, indices and attributes are read in place, never copied
+    into lists or options. *)
 
 type value =
   | I of int  (** index or i32 *)

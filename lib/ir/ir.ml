@@ -28,11 +28,16 @@ let block ?(args = []) body = { bargs = args; body }
 
 let attr operation key = List.assoc_opt key operation.attrs
 
+(* [List.assoc], not [attr]: the interpreter looks attributes up per
+   executed op, and an option would be allocated on every lookup. *)
 let attr_exn operation key =
-  match attr operation key with
-  | Some a -> a
-  | None ->
+  match List.assoc key operation.attrs with
+  | a -> a
+  | exception Not_found ->
     invalid_arg (Printf.sprintf "op %s: missing attribute '%s'" operation.name key)
+
+let attr_or operation key default =
+  match List.assoc key operation.attrs with a -> a | exception Not_found -> default
 
 let set_attr operation key value =
   { operation with attrs = (key, value) :: List.remove_assoc key operation.attrs }

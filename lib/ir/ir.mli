@@ -53,6 +53,12 @@ val attr_exn : op -> string -> Attribute.t
 (** Raises [Not_found_attr] (as [Invalid_argument]) with the op name and
     attribute key when missing. *)
 
+val attr_or : op -> string -> Attribute.t -> Attribute.t
+(** [attr_or o key default] is the attribute, or [default] when [o] has
+    none. Unlike {!attr} (whose option is allocated per lookup), neither
+    this nor {!attr_exn} allocates: they are what the interpreter uses
+    on every executed op. *)
+
 val set_attr : op -> string -> Attribute.t -> op
 val remove_attr : op -> string -> op
 val has_attr : op -> string -> bool

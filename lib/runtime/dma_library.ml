@@ -59,90 +59,61 @@ let stage_literal t literal ~offset =
 (* Every copy charges through int-only Soc calls and moves elements
    between [buf.Sim_memory.data] and the DMA region itself, so no float
    crosses a module boundary (where it would be boxed). The charge
-   sequence is the one the element-wise model defines. *)
+   sequence is the one the element-wise model defines.
+
+   Each copy is a {!Memref_view.fold_runs} walk with a closed run
+   function: the library and, for copies in, the received words are its
+   environment and the DMA offset or received-word index its
+   accumulator, so a copy allocates nothing. *)
 
 (* Generic rank-N element-wise copy: mirrors the recursive MemRef copy
    the paper describes (Sec. IV-B) — per element it reloads size/stride
    metadata, computes a strided address, loads the element through the
    cache and stores it to the uncached DMA region. *)
-let generic_copy_out t view ~offset =
+let generic_out_run t () view li run offset =
   let soc = t.soc in
   let cost = soc.Soc.cost in
   let buf = view.Memref_view.buf in
-  Soc.call_overhead soc;
-  let off = ref offset in
-  Memref_view.iter_linear view (fun li ->
-      Soc.charge_l1_hits soc (int_of_float cost.Cost_model.memref_metadata_accesses);
-      Soc.alu soc (int_of_float cost.Cost_model.elementwise_element_overhead_cycles);
-      Soc.branch soc 1;
-      Soc.charge_access soc (Sim_memory.addr_of buf li);
-      Soc.uncached_store_words soc 1;
-      Dma_engine.stage_elt t.engine ~offset:!off buf.Sim_memory.data li;
-      incr off);
-  !off
+  for i = li to li + run - 1 do
+    Soc.charge_l1_hits soc (int_of_float cost.Cost_model.memref_metadata_accesses);
+    Soc.alu soc (int_of_float cost.Cost_model.elementwise_element_overhead_cycles);
+    Soc.branch soc 1;
+    Soc.charge_access soc (Sim_memory.addr_of buf i);
+    Soc.uncached_store_words soc 1;
+    Dma_engine.stage_elt t.engine ~offset:(offset + i - li) buf.Sim_memory.data i
+  done;
+  offset + run
 
 (* Specialised copy: memcpy each maximal contiguous run with vectorised
    loads; requires unit innermost stride (checked by the caller). *)
-let specialized_copy_out t view ~offset =
+let specialized_out_run t () view li run offset =
   let soc = t.soc in
   let cost = soc.Soc.cost in
   let buf = view.Memref_view.buf in
   let chunk_elems = cost.Cost_model.vector_chunk_bytes / 4 in
-  Soc.call_overhead soc;
-  let off = ref offset in
-  Memref_view.iter_runs view (fun li run ->
-      (* one memcpy call covering the run *)
-      soc.Soc.counters.cycles <-
-        soc.Soc.counters.cycles +. cost.Cost_model.memcpy_row_setup_cycles;
-      soc.Soc.counters.instructions <- soc.Soc.counters.instructions +. 6.0;
-      Soc.branch soc 1;
-      Soc.vector_read_range soc buf li run;
-      Soc.branch soc (Util.ceil_div run (chunk_elems * 4));
-      Soc.uncached_store_words soc run;
-      Dma_engine.stage_run t.engine ~offset:!off buf.Sim_memory.data li run;
-      off := !off + run);
-  !off
+  (* one memcpy call covering the run *)
+  soc.Soc.counters.cycles <- soc.Soc.counters.cycles +. cost.Cost_model.memcpy_row_setup_cycles;
+  soc.Soc.counters.instructions <- soc.Soc.counters.instructions +. 6.0;
+  Soc.branch soc 1;
+  Soc.vector_read_range soc buf li run;
+  Soc.branch soc (Util.ceil_div run (chunk_elems * 4));
+  Soc.uncached_store_words soc run;
+  Dma_engine.stage_run t.engine ~offset buf.Sim_memory.data li run;
+  offset + run
 
 (* Bare strided loop over a C array: pointer bump + load + store, one
    branch per element; no descriptor traffic, no memcpy call setup. *)
-let bare_copy_out t view ~offset =
+let bare_out_run t () view li run offset =
   let soc = t.soc in
   let buf = view.Memref_view.buf in
-  Soc.call_overhead soc;
-  let off = ref offset in
-  Memref_view.iter_linear view (fun li ->
-      Soc.alu soc 2;
-      Soc.branch soc 1;
-      Soc.charge_access soc (Sim_memory.addr_of buf li);
-      Soc.uncached_store_words soc 1;
-      Dma_engine.stage_elt t.engine ~offset:!off buf.Sim_memory.data li;
-      incr off);
-  !off
-
-(* One received element into the view: a cached store, or a cached
-   load, an add and a cached store when accumulating. *)
-let store_received soc buf li ~accumulate data i =
-  let addr = Sim_memory.addr_of buf li in
-  let d = buf.Sim_memory.data in
-  Soc.charge_access soc addr;
-  if accumulate then begin
-    Soc.fpu soc 1;
-    Soc.charge_access soc addr;
-    d.(li) <- d.(li) +. data.(i)
-  end
-  else d.(li) <- data.(i)
-
-let bare_copy_in t view ~accumulate data =
-  let soc = t.soc in
-  let buf = view.Memref_view.buf in
-  Soc.call_overhead soc;
-  let i = ref 0 in
-  Memref_view.iter_linear view (fun li ->
-      Soc.alu soc 2;
-      Soc.branch soc 1;
-      Soc.uncached_load_words soc 1;
-      store_received soc buf li ~accumulate data !i;
-      incr i)
+  for i = li to li + run - 1 do
+    Soc.alu soc 2;
+    Soc.branch soc 1;
+    Soc.charge_access soc (Sim_memory.addr_of buf i);
+    Soc.uncached_store_words soc 1;
+    Dma_engine.stage_elt t.engine ~offset:(offset + i - li) buf.Sim_memory.data i
+  done;
+  offset + run
 
 let rec innermost_unit = function [] -> true | [ s ] -> s = 1 | _ :: rest -> innermost_unit rest
 let can_specialize view = innermost_unit view.Memref_view.strides
@@ -157,12 +128,14 @@ let note_copy ~dir strategy view =
 
 let copy_out t strategy view ~offset =
   note_copy ~dir:"to_accel" strategy view;
-  match strategy with
-  | Generic -> generic_copy_out t view ~offset
-  | Bare -> bare_copy_out t view ~offset
-  | Specialized ->
-    if can_specialize view then specialized_copy_out t view ~offset
-    else generic_copy_out t view ~offset
+  Soc.call_overhead t.soc;
+  let run =
+    match strategy with
+    | Generic -> generic_out_run
+    | Bare -> bare_out_run
+    | Specialized -> if can_specialize view then specialized_out_run else generic_out_run
+  in
+  Memref_view.fold_runs view run t () offset
 
 let copy_to_dma_region_with t strategy view ~offset =
   let tracer = t.soc.Soc.tracer in
@@ -196,60 +169,94 @@ let skip_resident t ~words ~what =
   Dma_engine.note_skipped t.engine ~words ~what
 
 (* Copies from the DMA output region back into a memref. [data] holds
-   the received words in row-major order. *)
-let generic_copy_in t view ~accumulate data =
+   the received words in row-major order; a run function's accumulator
+   is the index of the run's first word in it. *)
+
+(* One received element into the view: a cached store, or a cached
+   load, an add and a cached store when accumulating. *)
+let store_received soc buf li ~accumulate data i =
+  let addr = Sim_memory.addr_of buf li in
+  let d = buf.Sim_memory.data in
+  Soc.charge_access soc addr;
+  if accumulate then begin
+    Soc.fpu soc 1;
+    Soc.charge_access soc addr;
+    d.(li) <- d.(li) +. data.(i)
+  end
+  else d.(li) <- data.(i)
+
+let generic_in_run ~accumulate t data view li run i =
   let soc = t.soc in
   let cost = soc.Soc.cost in
   let buf = view.Memref_view.buf in
-  Soc.call_overhead soc;
-  let i = ref 0 in
-  Memref_view.iter_linear view (fun li ->
-      Soc.charge_l1_hits soc (int_of_float cost.Cost_model.memref_metadata_accesses);
-      Soc.alu soc (int_of_float cost.Cost_model.elementwise_element_overhead_cycles);
-      Soc.branch soc 1;
-      Soc.uncached_load_words soc 1;
-      store_received soc buf li ~accumulate data !i;
-      incr i)
+  for j = 0 to run - 1 do
+    Soc.charge_l1_hits soc (int_of_float cost.Cost_model.memref_metadata_accesses);
+    Soc.alu soc (int_of_float cost.Cost_model.elementwise_element_overhead_cycles);
+    Soc.branch soc 1;
+    Soc.uncached_load_words soc 1;
+    store_received soc buf (li + j) ~accumulate data (i + j)
+  done;
+  i + run
 
-let specialized_copy_in t view ~accumulate data =
+let specialized_in_run ~accumulate t data view li run i =
   let soc = t.soc in
   let cost = soc.Soc.cost in
   let buf = view.Memref_view.buf in
   let d = buf.Sim_memory.data in
   let chunk_elems = cost.Cost_model.vector_chunk_bytes / 4 in
-  Soc.call_overhead soc;
-  let i = ref 0 in
-  Memref_view.iter_runs view (fun li run ->
-      soc.Soc.counters.cycles <-
-        soc.Soc.counters.cycles +. cost.Cost_model.memcpy_row_setup_cycles;
-      soc.Soc.counters.instructions <- soc.Soc.counters.instructions +. 6.0;
-      Soc.branch soc 1;
-      Soc.uncached_load_words soc run;
-      if accumulate then begin
-        Soc.vector_read_range soc buf li run;
-        (* vectorised adds: 4 lanes per FPU op *)
-        let vadds = Util.ceil_div run chunk_elems in
-        soc.Soc.counters.cycles <-
-          soc.Soc.counters.cycles +. float_of_int vadds *. cost.Cost_model.fpu_cycles;
-        soc.Soc.counters.flops <- soc.Soc.counters.flops +. float_of_int run
-      end;
-      Soc.vector_write_range soc buf li run;
-      Soc.branch soc (Util.ceil_div run (chunk_elems * 4));
-      if accumulate then
-        for j = 0 to run - 1 do
-          d.(li + j) <- d.(li + j) +. data.(!i + j)
-        done
-      else Array.blit data !i d li run;
-      i := !i + run)
+  soc.Soc.counters.cycles <- soc.Soc.counters.cycles +. cost.Cost_model.memcpy_row_setup_cycles;
+  soc.Soc.counters.instructions <- soc.Soc.counters.instructions +. 6.0;
+  Soc.branch soc 1;
+  Soc.uncached_load_words soc run;
+  if accumulate then begin
+    Soc.vector_read_range soc buf li run;
+    (* vectorised adds: 4 lanes per FPU op *)
+    let vadds = Util.ceil_div run chunk_elems in
+    soc.Soc.counters.cycles <-
+      soc.Soc.counters.cycles +. (float_of_int vadds *. cost.Cost_model.fpu_cycles);
+    soc.Soc.counters.flops <- soc.Soc.counters.flops +. float_of_int run
+  end;
+  Soc.vector_write_range soc buf li run;
+  Soc.branch soc (Util.ceil_div run (chunk_elems * 4));
+  if accumulate then
+    for j = 0 to run - 1 do
+      d.(li + j) <- d.(li + j) +. data.(i + j)
+    done
+  else Array.blit data i d li run;
+  i + run
+
+let bare_in_run ~accumulate t data view li run i =
+  let soc = t.soc in
+  let buf = view.Memref_view.buf in
+  for j = 0 to run - 1 do
+    Soc.alu soc 2;
+    Soc.branch soc 1;
+    Soc.uncached_load_words soc 1;
+    store_received soc buf (li + j) ~accumulate data (i + j)
+  done;
+  i + run
+
+(* The run functions with [accumulate] applied, made once. *)
+let generic_store_run = generic_in_run ~accumulate:false
+let generic_add_run = generic_in_run ~accumulate:true
+let specialized_store_run = specialized_in_run ~accumulate:false
+let specialized_add_run = specialized_in_run ~accumulate:true
+let bare_store_run = bare_in_run ~accumulate:false
+let bare_add_run = bare_in_run ~accumulate:true
 
 let copy_in t strategy view ~accumulate data =
   note_copy ~dir:"from_accel" strategy view;
-  match strategy with
-  | Generic -> generic_copy_in t view ~accumulate data
-  | Bare -> bare_copy_in t view ~accumulate data
-  | Specialized ->
-    if can_specialize view then specialized_copy_in t view ~accumulate data
-    else generic_copy_in t view ~accumulate data
+  Soc.call_overhead t.soc;
+  let run =
+    match (strategy, accumulate) with
+    | Specialized, false when can_specialize view -> specialized_store_run
+    | Specialized, true when can_specialize view -> specialized_add_run
+    | (Generic | Specialized), false -> generic_store_run
+    | (Generic | Specialized), true -> generic_add_run
+    | Bare, false -> bare_store_run
+    | Bare, true -> bare_add_run
+  in
+  ignore (Memref_view.fold_runs view run t data 0)
 
 let copy_from_data_with t strategy view ~accumulate data =
   let tracer = t.soc.Soc.tracer in

@@ -23,7 +23,13 @@
     (one cache reference per 16-byte chunk). The specialised copy
     requires a unit innermost stride and degrades gracefully — runs of
     length 1 (e.g. 1x1 convolution patches) pay the per-run setup for
-    every element, reproducing the paper's fHW==1 slowdown. *)
+    every element, reproducing the paper's fHW==1 slowdown.
+
+    Allocation: with tracing and metrics off, staging, a copy in either
+    direction with any strategy, and a blocking flush allocate nothing:
+    each copy walks the view with {!Memref_view.fold_runs} and a closed
+    run function. A non-blocking transfer allocates its {!token}, the
+    engine's flight, and on receive the drained words. *)
 
 type strategy =
   | Generic  (** always element-wise through the memref descriptor *)

@@ -29,81 +29,106 @@ let of_buffer buf shape =
 let rank t = List.length t.shape
 let num_elements t = List.fold_left ( * ) 1 t.shape
 
-let subview t ~offsets ~sizes =
-  if List.length offsets <> rank t || List.length sizes <> rank t then
+(* Views keep their shape and strides as the lists the IR types use.
+   Every walk below is a closed recursive function over those lists, so
+   none allocates: no array, tuple or closure is built per call. *)
+
+let rec slice_offset offset env xs sizes shape strides acc =
+  match (xs, sizes, shape, strides) with
+  | x :: xs, size :: sizes, extent :: shape, stride :: strides ->
+    let off = offset env x in
+    if off < 0 || size < 0 || off + size > extent then
+      invalid_arg
+        (Printf.sprintf "Memref_view.subview: slice [%d, %d) exceeds extent %d" off
+           (off + size) extent);
+    slice_offset offset env xs sizes shape strides (acc + (off * stride))
+  | _ -> acc
+
+let subview_with t offset env xs ~sizes =
+  if List.compare_lengths xs t.shape <> 0 || List.compare_lengths sizes t.shape <> 0 then
     invalid_arg "Memref_view.subview: rank mismatch";
-  List.iter2
-    (fun (off, size) extent ->
-      if off < 0 || size < 0 || off + size > extent then
-        invalid_arg
-          (Printf.sprintf "Memref_view.subview: slice [%d, %d) exceeds extent %d" off
-             (off + size) extent))
-    (List.combine offsets sizes)
-    t.shape;
-  let offset =
-    List.fold_left2 (fun acc off stride -> acc + (off * stride)) t.offset offsets t.strides
-  in
-  { t with offset; shape = sizes }
+  { t with offset = slice_offset offset env xs sizes t.shape t.strides t.offset; shape = sizes }
 
-let linear_index t idxs =
-  if List.length idxs <> rank t then invalid_arg "Memref_view.linear_index: rank mismatch";
-  List.fold_left2
-    (fun acc (i, extent) stride ->
-      if i < 0 || i >= extent then
-        invalid_arg (Printf.sprintf "Memref_view.linear_index: index %d out of extent %d" i extent);
-      acc + (i * stride))
-    t.offset
-    (List.combine idxs t.shape)
-    t.strides
+let subview t ~offsets ~sizes = subview_with t (fun () off -> off) () offsets ~sizes
 
+let rec element_index index env xs shape strides acc =
+  match (xs, shape, strides) with
+  | x :: xs, extent :: shape, stride :: strides ->
+    let i = index env x in
+    if i < 0 || i >= extent then
+      invalid_arg
+        (Printf.sprintf "Memref_view.linear_index: index %d out of extent %d" i extent);
+    element_index index env xs shape strides (acc + (i * stride))
+  | _ -> acc
+
+let linear_index_with t index env xs =
+  if List.compare_lengths xs t.shape <> 0 then
+    invalid_arg "Memref_view.linear_index: rank mismatch";
+  element_index index env xs t.shape t.strides t.offset
+
+let linear_index t idxs = linear_index_with t (fun () i -> i) () idxs
 let get t idxs = Sim_memory.get t.buf (linear_index t idxs)
 let set t idxs v = Sim_memory.set t.buf (linear_index t idxs) v
 
 (* The view splits into leading dims and trailing "run" dims whose
-   elements are physically adjacent: [run_split] returns the first run
-   dim and the run length. An innermost stride other than 1 leaves no
-   run dims, so every element is a run of 1. *)
-let run_split shape strides =
-  let r = Array.length shape in
-  let rec go dim run =
-    if dim >= 0 && strides.(dim) = run then go (dim - 1) (run * shape.(dim))
-    else (dim + 1, run)
-  in
-  if r = 0 || strides.(r - 1) <> 1 then (r, 1) else go (r - 1) 1
+   elements are physically adjacent. [suffix_run] is the element count
+   of a dim suffix whose dims all belong to the run, -1 when one does
+   not: a dim belongs when its stride is the count of the dims inside
+   it, so an innermost stride other than 1 leaves no run dims and every
+   element is a run of 1. *)
+let rec suffix_run shape strides =
+  match (shape, strides) with
+  | extent :: shape, stride :: strides ->
+    let inner = suffix_run shape strides in
+    if inner >= 0 && stride = inner then inner * extent else -1
+  | _ -> 1
 
-let iter_runs t f =
-  let shape = Array.of_list t.shape in
-  let strides = Array.of_list t.strides in
-  let first_run_dim, run = run_split shape strides in
-  let rec go dim base =
-    if dim = first_run_dim then f base run
-    else
-      for i = 0 to shape.(dim) - 1 do
-        go (dim + 1) (base + (i * strides.(dim)))
-      done
-  in
-  if num_elements t > 0 then go 0 t.offset
+(* The number of leading dims, and the run below them. *)
+let rec leading_dims shape strides =
+  match (shape, strides) with
+  | _ :: shape', _ :: strides' when suffix_run shape strides < 0 ->
+    1 + leading_dims shape' strides'
+  | _ -> 0
 
-let iter_linear t f =
-  iter_runs t (fun base run ->
-      for i = base to base + run - 1 do
-        f i
-      done)
+let rec run_below lead shape strides =
+  match (shape, strides) with
+  | _ :: shape, _ :: strides when lead > 0 -> run_below (lead - 1) shape strides
+  | _ -> suffix_run shape strides
 
-let contiguous_run t = snd (run_split (Array.of_list t.shape) (Array.of_list t.strides))
+let contiguous_run t = run_below (leading_dims t.shape t.strides) t.shape t.strides
+
+let rec walk_runs f a b t lead shape strides base run acc =
+  if lead = 0 then f a b t base run acc
+  else
+    match (shape, strides) with
+    | extent :: shape, stride :: strides ->
+      let acc = ref acc in
+      for i = 0 to extent - 1 do
+        acc := walk_runs f a b t (lead - 1) shape strides (base + (i * stride)) run !acc
+      done;
+      !acc
+    | _ -> acc
+
+let fold_runs t f a b acc =
+  if num_elements t = 0 then acc
+  else
+    let lead = leading_dims t.shape t.strides in
+    walk_runs f a b t lead t.shape t.strides t.offset (run_below lead t.shape t.strides) acc
+
+let iter_runs t f = ignore (fold_runs t (fun f () _ start len () -> f start len) f () ())
 
 let to_array t =
   let out = Array.make (num_elements t) 0.0 in
   let i = ref 0 in
-  iter_linear t (fun li ->
-      out.(!i) <- Sim_memory.get t.buf li;
-      incr i);
+  iter_runs t (fun start len ->
+      Array.blit t.buf.Sim_memory.data start out !i len;
+      i := !i + len);
   out
 
 let fill_from t data =
   if Array.length data <> num_elements t then
     invalid_arg "Memref_view.fill_from: element count mismatch";
   let i = ref 0 in
-  iter_linear t (fun li ->
-      Sim_memory.set t.buf li data.(!i);
-      incr i)
+  iter_runs t (fun start len ->
+      Array.blit data !i t.buf.Sim_memory.data start len;
+      i := !i + len)

@@ -3,7 +3,16 @@
     and strides (in elements).
 
     Views are what the DMA library copies to/from, what manual drivers
-    slice, and what the interpreter binds IR memref values to. *)
+    slice, and what the interpreter binds IR memref values to.
+
+    Allocation: the shape and strides are the lists the IR types use,
+    and one representation only. Every walk over them — {!subview_with},
+    {!linear_index_with}, {!fold_runs}, {!contiguous_run} — is a closed
+    recursion that allocates nothing; a subview allocates only the new
+    view record. Callers on the hot path (the interpreter's view ops,
+    the runtime library's copies) pass closed functions and their
+    environments instead of closures, so a view op or a copy allocates
+    nothing per call beyond that record. *)
 
 type t = {
   buf : Sim_memory.buffer;
@@ -20,24 +29,41 @@ val rank : t -> int
 val num_elements : t -> int
 
 val subview : t -> offsets:int list -> sizes:int list -> t
-(** Slice with unit steps; strides are inherited. Bounds-checked. *)
+(** Slice with unit steps; strides are inherited and [sizes] becomes the
+    new shape as it is. Raises [Invalid_argument] on a rank mismatch or
+    a slice outside an extent. *)
+
+val subview_with : t -> ('env -> 'a -> int) -> 'env -> 'a list -> sizes:int list -> t
+(** [subview_with t offset env xs ~sizes] is
+    [subview t ~offsets:(List.map (offset env) xs) ~sizes] without
+    building the list: each offset is computed as the walk reaches its
+    dim, after the rank check. *)
 
 val linear_index : t -> int list -> int
-(** Buffer element index of a coordinate. *)
+(** Buffer element index of a coordinate. Raises [Invalid_argument] on
+    a rank mismatch or an index outside its extent. *)
+
+val linear_index_with : t -> ('env -> 'a -> int) -> 'env -> 'a list -> int
+(** [linear_index_with t index env xs] is
+    [linear_index t (List.map (index env) xs)] without building the
+    list. *)
 
 val get : t -> int list -> float
 val set : t -> int list -> float -> unit
 
-val iter_linear : t -> (int -> unit) -> unit
-(** Visit the buffer element index of every view element in row-major
-    logical order. *)
+val fold_runs : t -> ('a -> 'b -> t -> int -> int -> 'c -> 'c) -> 'a -> 'b -> 'c -> 'c
+(** [fold_runs t f a b acc] visits each maximal contiguous run (see
+    {!contiguous_run}) in row-major logical order, threading [acc]: a
+    run of buffer indices [start .. start+len-1] becomes
+    [acc <- f a b t start len acc], and the last [acc] is returned.
+    Every run has length [contiguous_run t]; an empty view has none.
+    With a closed [f] (one that captures nothing; [a] and [b] carry
+    what it needs) and an immediate [acc], the walk allocates nothing
+    at any rank. *)
 
 val iter_runs : t -> (int -> int -> unit) -> unit
-(** [iter_runs t f] calls [f start len] for each maximal contiguous run
-    (see {!contiguous_run}) in row-major logical order: the run's
-    elements are buffer indices [start .. start+len-1]. Every run has
-    length [contiguous_run t]; {!iter_linear} visits the same indices
-    one by one. *)
+(** [iter_runs t f] calls [f start len] for each run, as {!fold_runs}.
+    Allocates nothing beyond [f] itself. *)
 
 val contiguous_run : t -> int
 (** Length of the maximal contiguous run of elements at the end of the

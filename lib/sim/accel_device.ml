@@ -80,9 +80,11 @@ module Fifo = struct
     clear src
 end
 
+type meter = { mutable accel_cycles : float }
+
 type t = {
   device_name : string;
-  consume : Axi_word.window -> float;
+  consume : Axi_word.window -> meter -> unit;
   drain : int -> float array;
   drain_into : float array -> int -> unit;
   available : unit -> int;

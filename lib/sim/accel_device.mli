@@ -72,15 +72,20 @@ end
 
 (** {1 The device interface} *)
 
+type meter = { mutable accel_cycles : float }
+(** Where a device reports the accelerator cycles of a transaction. A
+    flat float record: a float returned from a closure would be boxed
+    on every transaction. *)
+
 type t = {
   device_name : string;
-  consume : Axi_word.window -> float;
-      (** Process one inbound transaction; returns accelerator cycles
-          spent on any compute the transaction triggered. Raises
-          [Failure] on words the device's ISA cannot decode. The
-          window is over the DMA engine's live input region and is
-          valid only during this call: decode from it, never keep
-          it. *)
+  consume : Axi_word.window -> meter -> unit;
+      (** Process one inbound transaction, adding the accelerator
+          cycles of any compute it triggers to [meter.accel_cycles] in
+          the order they are computed. Raises [Failure] on words the
+          device's ISA cannot decode. The window is over the DMA
+          engine's live input region and is valid only during this
+          call: decode from it, never keep it. Allocates nothing. *)
   drain : int -> float array;
       (** Remove [n] elements from the output FIFO as a fresh array.
           Raises [Failure] when fewer are available (host/driver
@@ -101,7 +106,7 @@ type t = {
 val of_fifo :
   name:string ->
   who:string ->
-  consume:(Axi_word.window -> float) ->
+  consume:(Axi_word.window -> meter -> unit) ->
   reset_device:(unit -> unit) ->
   regions:region list ->
   Fifo.t ->

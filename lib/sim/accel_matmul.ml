@@ -27,6 +27,9 @@ type state = {
   version : version;
   size : int;
   capacity : int;
+  ops_per_cycle : float;
+  who : string;  (* the device's name in decode errors *)
+  tracer : Trace.t;
   mutable tm : int;
   mutable tn : int;
   mutable tk : int;
@@ -45,13 +48,14 @@ let fail_op st code =
    huge dim cannot wrap the product back under the capacity. *)
 let exceeds st a b = b > 0 && a > st.capacity / b
 
+let multiple st d = d > 0 && d mod st.size = 0
+
 let check_dims st =
   if exceeds st st.tm st.tk || exceeds st st.tk st.tn || exceeds st st.tm st.tn then
     failwith
       (Printf.sprintf "%s_%d accelerator: tile %dx%dx%d exceeds buffer capacity %d"
          (version_to_string st.version) st.size st.tm st.tn st.tk st.capacity);
-  let ok d = d > 0 && d mod st.size = 0 in
-  if not (ok st.tm && ok st.tn && ok st.tk) then
+  if not (multiple st st.tm && multiple st st.tn && multiple st st.tk) then
     failwith
       (Printf.sprintf "%s_%d accelerator: tile dims %dx%dx%d must be positive multiples of %d"
          (version_to_string st.version) st.size st.tm st.tn st.tk st.size)
@@ -78,22 +82,79 @@ let note_compute tracer st cycles =
       ]
     "mm_compute"
 
-(* One tile MAC pass: C += A x B. Returns accelerator cycles. *)
-let compute st =
+(* One tile MAC pass: C += A x B. Returns accelerator cycles, inlined
+   so that they are not boxed. *)
+let[@inline] compute st =
   Mac.matmul_acc ~m:st.tm ~n:st.tn ~k:st.tk st.a st.b st.c;
-  2.0 *. float_of_int (st.tm * st.tn * st.tk) /. ops_per_cycle_for_size st.size
+  let cycles = 2.0 *. float_of_int (st.tm * st.tn * st.tk) /. st.ops_per_cycle in
+  if Trace.enabled st.tracer then note_compute st.tracer st cycles;
+  cycles
 
 let drain_c st =
   Accel_device.Fifo.push_array st.out st.c 0 (st.tm * st.tn);
   clear_c st
 
+let read_payload st win dst n =
+  check_dims st;
+  Axi_word.read_data ~who:st.who win dst n
+
+let next_inst st win = Axi_word.next_inst ~who:st.who win
+
+(* Decodes one transaction. A closed function that adds each compute's
+   cycles to the flat [meter], so decoding allocates nothing. *)
+let consume st win (meter : Accel_device.meter) =
+  let version = st.version in
+  while not (Axi_word.at_end win) do
+    let code = next_inst st win in
+    if code = Isa.reset then reset st
+    else if code = Isa.mm_set_tm && version = V4 then begin
+      st.tm <- next_inst st win;
+      check_dims st
+    end
+    else if code = Isa.mm_set_tn && version = V4 then begin
+      st.tn <- next_inst st win;
+      check_dims st
+    end
+    else if code = Isa.mm_set_tk && version = V4 then begin
+      st.tk <- next_inst st win;
+      check_dims st
+    end
+    else if code = Isa.mm_fused && version = V1 then begin
+      read_payload st win st.a (st.tm * st.tk);
+      read_payload st win st.b (st.tk * st.tn);
+      meter.accel_cycles <- meter.accel_cycles +. compute st;
+      drain_c st
+    end
+    else if code = Isa.mm_load_a && version <> V1 then
+      read_payload st win st.a (st.tm * st.tk)
+    else if code = Isa.mm_load_b && version <> V1 then
+      read_payload st win st.b (st.tk * st.tn)
+    else if code = Isa.mm_load_b_compute_drain && version = V2 then begin
+      read_payload st win st.b (st.tk * st.tn);
+      meter.accel_cycles <- meter.accel_cycles +. compute st;
+      drain_c st
+    end
+    else if code = Isa.mm_compute_drain && version = V2 then begin
+      meter.accel_cycles <- meter.accel_cycles +. compute st;
+      drain_c st
+    end
+    else if code = Isa.mm_compute && (version = V3 || version = V4) then
+      meter.accel_cycles <- meter.accel_cycles +. compute st
+    else if code = Isa.mm_drain && (version = V3 || version = V4) then drain_c st
+    else fail_op st code
+  done
+
 let create ?(tracer = Trace.noop) ~version ~size () =
   let capacity = buffer_capacity_elems version ~size in
+  let who = Printf.sprintf "%s_%d accelerator" (version_to_string version) size in
   let st =
     {
       version;
       size;
       capacity;
+      ops_per_cycle = ops_per_cycle_for_size size;
+      who;
+      tracer;
       tm = size;
       tn = size;
       tk = size;
@@ -103,64 +164,10 @@ let create ?(tracer = Trace.noop) ~version ~size () =
       out = Accel_device.Fifo.create ();
     }
   in
-  let who = Printf.sprintf "%s_%d accelerator" (version_to_string version) size in
-  let consume win =
-    let cycles = ref 0.0 in
-    let run_compute () =
-      let c = compute st in
-      if Trace.enabled tracer then note_compute tracer st c;
-      cycles := !cycles +. c
-    in
-    let read_payload dst n =
-      check_dims st;
-      Axi_word.read_data ~who win dst n
-    in
-    let next_inst () = Axi_word.next_inst ~who win in
-    while not (Axi_word.at_end win) do
-      let code = next_inst () in
-      if code = Isa.reset then reset st
-      else if code = Isa.mm_set_tm && version = V4 then begin
-        st.tm <- next_inst ();
-        check_dims st
-      end
-      else if code = Isa.mm_set_tn && version = V4 then begin
-        st.tn <- next_inst ();
-        check_dims st
-      end
-      else if code = Isa.mm_set_tk && version = V4 then begin
-        st.tk <- next_inst ();
-        check_dims st
-      end
-      else if code = Isa.mm_fused && version = V1 then begin
-        read_payload st.a (st.tm * st.tk);
-        read_payload st.b (st.tk * st.tn);
-        run_compute ();
-        drain_c st
-      end
-      else if code = Isa.mm_load_a && version <> V1 then
-        read_payload st.a (st.tm * st.tk)
-      else if code = Isa.mm_load_b && version <> V1 then
-        read_payload st.b (st.tk * st.tn)
-      else if code = Isa.mm_load_b_compute_drain && version = V2 then begin
-        read_payload st.b (st.tk * st.tn);
-        run_compute ();
-        drain_c st
-      end
-      else if code = Isa.mm_compute_drain && version = V2 then begin
-        run_compute ();
-        drain_c st
-      end
-      else if code = Isa.mm_compute && (version = V3 || version = V4) then
-        run_compute ()
-      else if code = Isa.mm_drain && (version = V3 || version = V4) then drain_c st
-      else fail_op st code
-    done;
-    !cycles
-  in
   (* every tile load overwrites the previous tile by construction, so
      there is no host-managed residency to model *)
   Accel_device.of_fifo
     ~name:(Printf.sprintf "%s_%d" (version_to_string version) size)
-    ~who ~consume
+    ~who ~consume:(consume st)
     ~reset_device:(fun () -> reset st)
     ~regions:[] st.out

@@ -26,9 +26,13 @@ let set s i = function
     s.data.(i) <- f;
     Bytes.set s.tags i data_tag
 
-type window = { stream : stream; mutable pos : int; stop : int }
+type window = { stream : stream; mutable pos : int; mutable stop : int }
 
 let window s ~pos ~len = { stream = s; pos; stop = pos + len }
+
+let move_window w ~pos ~len =
+  w.pos <- pos;
+  w.stop <- pos + len
 
 let of_words words =
   let s = create_stream (Array.length words) in

@@ -14,7 +14,8 @@
     A device decodes a transaction through a {!window} over the live
     stream, never a copy. The window is only valid during the
     [Accel_device.t.consume] call it is passed to: the engine restages
-    the region afterwards, so a device must not keep it. *)
+    the region afterwards and moves the same window to its next
+    transaction, so a device must not keep it. *)
 
 type t =
   | Inst of int  (** an opcode literal, dimension, or index word *)
@@ -48,6 +49,11 @@ type window
 (** A read cursor over [\[pos, pos + len)] of a stream. *)
 
 val window : stream -> pos:int -> len:int -> window
+
+val move_window : window -> pos:int -> len:int -> unit
+(** Point a window at [\[pos, pos + len)] of its stream again, as
+    after [window]: an engine keeps one window over its input region
+    and moves it for each transaction instead of making a new one. *)
 
 val of_words : t array -> window
 (** A window over a fresh stream holding exactly these words (tests and

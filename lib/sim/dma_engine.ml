@@ -1,15 +1,39 @@
 type token = int
 
-(* A token-tracked asynchronous transfer. [fl_window] is the staged
-   word range in the input region (sends only) — used to detect staging
-   into a half that is still streaming out. *)
+(* A token-tracked asynchronous transfer. [\[fl_lo, fl_hi)] is the
+   staged word range in the input region (sends only) — used to detect
+   staging into a half that is still streaming out. *)
 type flight = {
+  fl_token : token;
   fl_dir : [ `Send | `Recv ];
-  fl_window : int * int;
+  fl_lo : int;
+  fl_hi : int;
   fl_finish : float;  (* transfer completion, CPU cycles *)
   fl_data : float array;  (* drained output (recv tokens) *)
   fl_seq : int;  (* timeline seq of the transfer event (dep edges) *)
   fl_flow : int;  (* trace flow-arrow id, unique per recording sink *)
+}
+
+(* What an empty slot of the flight table holds. *)
+let no_flight =
+  {
+    fl_token = -1;
+    fl_dir = `Recv;
+    fl_lo = 0;
+    fl_hi = 0;
+    fl_finish = 0.0;
+    fl_data = [||];
+    fl_seq = -1;
+    fl_flow = 0;
+  }
+
+(* The engine's clocks, in CPU cycles. A flat float record: a mutable
+   float field of a mixed record points to a box that every write
+   re-makes. *)
+type clocks = {
+  mutable ready_at : float;  (* time at which device output is ready *)
+  mutable send_done_at : float;  (* completion time of an async send *)
+  per_word : float;  (* [Cost_model.cpu_cycles_per_word], computed once *)
 }
 
 type t = {
@@ -22,24 +46,29 @@ type t = {
   dma_agent : Timeline.agent;
   accel_agent : Timeline.agent;
   in_region : Axi_word.stream;
+  window : Axi_word.window;  (* over [in_region], moved per transaction *)
   out_capacity : int;
+  clock : clocks;
+  meter : Accel_device.meter;  (* the device's cycles for one transaction *)
+  span : Timeline.span;  (* the interval of the next host mark *)
   mutable high_water : int;  (* staged words since last send *)
   mutable batch_lo : int;  (* lowest staged offset since last send *)
-  mutable ready_at : float;  (* CPU-cycle time at which device output is ready *)
-  mutable pending_send : (int * int) option;  (* offset, len *)
-  mutable pending_recv : int option;  (* len *)
-  mutable send_done_at : float;  (* completion time of an async send *)
-  flights : (token, flight) Hashtbl.t;
-      (* outstanding transfers only: [wait_token] removes its flight, so
-         a token below [next_token] that is absent was already waited *)
+  mutable send_offset : int;  (* of the pending blocking send *)
+  mutable send_len : int;  (* of the pending blocking send; -1: none *)
+  mutable recv_len : int;  (* of the pending blocking receive; -1: none *)
+  mutable flights : flight array;
+  mutable in_flight : int;
+      (* the outstanding transfers are [flights.(0 .. in_flight - 1)],
+         in no order; [wait_token] removes its flight, so a token below
+         [next_token] that is absent was already waited *)
   mutable next_token : int;
   completions : (float * int) Queue.t;
       (* per-batch device (completion time, compute event seq) pairs,
          pushed in consume order by token sends and popped by (token or
          blocking) receives *)
-  mutable last_compute_seq : int option;
-      (* timeline seq of the most recent device compute event, for dep
-         edges on receives that drain [ready_at] directly *)
+  mutable last_compute_seq : int;
+      (* timeline seq of the most recent device compute event (-1:
+         none), for dep edges on receives that drain [ready_at] directly *)
   mutable recv_buf : float array;
       (* the blocking receives' output region: exactly the last
          receive's length, re-made only when that length changes *)
@@ -49,6 +78,7 @@ let create ~cost ~counters ?tracer ?timeline ?(dma_id = 0) ~device ~in_capacity_
     ~out_capacity_words () =
   let tracer = match tracer with Some t -> t | None -> Trace.noop in
   let timeline = match timeline with Some tl -> tl | None -> Timeline.create () in
+  let in_region = Axi_word.create_stream in_capacity_words in
   {
     cost;
     counters;
@@ -58,18 +88,23 @@ let create ~cost ~counters ?tracer ?timeline ?(dma_id = 0) ~device ~in_capacity_
     timeline;
     dma_agent = Timeline.add_agent timeline ~name:(Printf.sprintf "dma%d" dma_id);
     accel_agent = Timeline.add_agent timeline ~name:device.Accel_device.device_name;
-    in_region = Axi_word.create_stream in_capacity_words;
+    in_region;
+    window = Axi_word.window in_region ~pos:0 ~len:0;
     out_capacity = out_capacity_words;
+    clock =
+      { ready_at = 0.0; send_done_at = 0.0; per_word = Cost_model.cpu_cycles_per_word cost };
+    meter = { Accel_device.accel_cycles = 0.0 };
+    span = Timeline.span ();
     high_water = 0;
     batch_lo = max_int;
-    ready_at = 0.0;
-    pending_send = None;
-    pending_recv = None;
-    send_done_at = 0.0;
-    flights = Hashtbl.create 16;
+    send_offset = 0;
+    send_len = -1;
+    recv_len = -1;
+    flights = [||];
+    in_flight = 0;
     next_token = 0;
     completions = Queue.create ();
-    last_compute_seq = None;
+    last_compute_seq = -1;
     recv_buf = [||];
   }
 
@@ -79,9 +114,12 @@ let create ~cost ~counters ?tracer ?timeline ?(dma_id = 0) ~device ~in_capacity_
    makespan ignores marks). Every charge to [t.counters.cycles] below
    that is not plain host compute pairs with exactly one mark whose
    boundaries reuse the very floats the charge computed, so the
-   analyzer's exact-contiguity invariant holds. *)
-let mark t ?dep ~start ~finish label =
-  Timeline.mark t.timeline ?dep ~agent:"host" ~start ~finish ~label ()
+   analyzer's exact-contiguity invariant holds. Inlined, so the floats
+   go straight into the span and are never boxed. *)
+let[@inline] mark t ?dep ~start ~finish label =
+  t.span.span_start <- start;
+  t.span.span_finish <- finish;
+  Timeline.mark t.timeline ?dep ~agent:"host" ~label t.span
 
 let device t = t.dev
 let in_capacity_words t = Axi_word.length t.in_region
@@ -178,23 +216,31 @@ let count_received t len =
 
 (* The device consumes the input-region words [pos, pos+len); returns
    the accelerator cycles of the compute they trigger. *)
-let deliver t ~pos ~len =
-  let accel_cycles = t.dev.Accel_device.consume (Axi_word.window t.in_region ~pos ~len) in
+let[@inline] deliver t ~pos ~len =
+  Axi_word.move_window t.window ~pos ~len;
+  t.meter.accel_cycles <- 0.0;
+  t.dev.Accel_device.consume t.window t.meter;
+  let accel_cycles = t.meter.accel_cycles in
   t.counters.accel_busy_cycles <- t.counters.accel_busy_cycles +. accel_cycles;
   if Metrics.enabled Metrics.default then
     Metrics.incr "sim.accel_busy_cycles" ~by:accel_cycles;
   accel_cycles
 
+(* [Cost_model.accel_to_cpu_cycles], written out: a float passed to or
+   returned from another module is boxed. *)
+let[@inline] to_cpu_cycles t accel_cycles =
+  accel_cycles *. t.cost.cpu_freq_mhz /. t.cost.accel_freq_mhz
+
 (* The device starts once the stream has arrived (or when it frees up)
    and runs concurrently with the host from then on; its busy window
    goes on the accelerator track. *)
-let run_device t ~arrival accel_cycles =
-  let start = Float.max arrival t.ready_at in
-  t.ready_at <- start +. Cost_model.accel_to_cpu_cycles t.cost accel_cycles;
+let[@inline] run_device t ~arrival accel_cycles =
+  let start = Float.max arrival t.clock.ready_at in
+  t.clock.ready_at <- start +. to_cpu_cycles t accel_cycles;
   if accel_cycles > 0.0 && Trace.enabled t.tracer then
     Trace.complete t.tracer ~cat:"accel_busy" ~track:Trace.accel_track
       ~args:[ ("accel_cycles", Trace.Num accel_cycles) ]
-      ~ts:start ~dur:(t.ready_at -. start) t.dev.Accel_device.device_name
+      ~ts:start ~dur:(t.clock.ready_at -. start) t.dev.Accel_device.device_name
 
 (* The blocking transfers' host spans. Like every trace and metric call
    on this path that would build arguments, it is skipped outright when
@@ -204,29 +250,29 @@ let begin_len_span t ~cat name len =
     Trace.begin_span t.tracer ~cat ~args:[ ("len_words", Trace.Int len) ] name
 
 let start_send t ~offset ~len_words =
-  if t.pending_send <> None then failwith "DMA engine: send already in flight";
-  if offset < 0 || offset + len_words > Axi_word.length t.in_region then
+  if t.send_len >= 0 then failwith "DMA engine: send already in flight";
+  if offset < 0 || len_words < 0 || offset + len_words > Axi_word.length t.in_region then
     failwith "DMA engine: send range exceeds input region";
   begin_len_span t ~cat:"dma_send" "program_send" len_words;
   charge_program t ~label:"program_send";
   Trace.end_span t.tracer;
-  t.pending_send <- Some (offset, len_words)
+  t.send_offset <- offset;
+  t.send_len <- len_words
 
 let wait_send t =
-  match t.pending_send with
-  | None -> failwith "DMA engine: wait_send without a pending send"
-  | Some (offset, len) ->
-    t.pending_send <- None;
-    begin_len_span t ~cat:"dma_send" "wait_send" len;
-    let transfer = float_of_int len *. Cost_model.cpu_cycles_per_word t.cost in
-    let t0 = t.counters.cycles in
-    t.counters.cycles <- t0 +. transfer +. t.cost.dma_wait_cycles;
-    mark t ~start:t0 ~finish:(t0 +. transfer) "host_send";
-    mark t ~start:(t0 +. transfer) ~finish:t.counters.cycles "dma_poll";
-    count_sent t len;
-    let accel_cycles = deliver t ~pos:offset ~len in
-    run_device t ~arrival:t.counters.cycles accel_cycles;
-    Trace.end_span t.tracer
+  let len = t.send_len in
+  if len < 0 then failwith "DMA engine: wait_send without a pending send";
+  t.send_len <- -1;
+  begin_len_span t ~cat:"dma_send" "wait_send" len;
+  let transfer = float_of_int len *. t.clock.per_word in
+  let t0 = t.counters.cycles in
+  t.counters.cycles <- t0 +. transfer +. t.cost.dma_wait_cycles;
+  mark t ~start:t0 ~finish:(t0 +. transfer) "host_send";
+  mark t ~start:(t0 +. transfer) ~finish:t.counters.cycles "dma_poll";
+  count_sent t len;
+  let accel_cycles = deliver t ~pos:t.send_offset ~len in
+  run_device t ~arrival:t.counters.cycles accel_cycles;
+  Trace.end_span t.tracer
 
 let send_staged t =
   let len = t.high_water in
@@ -239,9 +285,9 @@ let send_staged t =
 
 (* Stall the host until any in-flight ping-pong send completes. *)
 let sync_sends t =
-  if t.send_done_at > t.counters.cycles then begin
-    mark t ~start:t.counters.cycles ~finish:t.send_done_at "send_sync";
-    t.counters.cycles <- t.send_done_at
+  if t.clock.send_done_at > t.counters.cycles then begin
+    mark t ~start:t.counters.cycles ~finish:t.clock.send_done_at "send_sync";
+    t.counters.cycles <- t.clock.send_done_at
   end
 
 let send_staged_async t =
@@ -255,54 +301,54 @@ let send_staged_async t =
     sync_sends t;
     charge_program t ~label:"program_send";
     count_sent t len;
-    let transfer = float_of_int len *. Cost_model.cpu_cycles_per_word t.cost in
-    t.send_done_at <- t.counters.cycles +. transfer;
+    let transfer = float_of_int len *. t.clock.per_word in
+    t.clock.send_done_at <- t.counters.cycles +. transfer;
     let accel_cycles = deliver t ~pos:0 ~len in
-    run_device t ~arrival:t.send_done_at accel_cycles;
+    run_device t ~arrival:t.clock.send_done_at accel_cycles;
     Trace.end_span t.tracer
   end;
   t.high_water <- 0;
   t.batch_lo <- max_int
 
 let start_recv t ~len_words =
-  if t.pending_recv <> None then failwith "DMA engine: recv already in flight";
+  if t.recv_len >= 0 then failwith "DMA engine: recv already in flight";
+  if len_words < 0 then failwith "DMA engine: negative recv length";
   if len_words > t.out_capacity then failwith "DMA engine: recv exceeds output region";
   begin_len_span t ~cat:"dma_recv" "program_recv" len_words;
   charge_program t ~label:"program_recv";
   Trace.end_span t.tracer;
-  t.pending_recv <- Some len_words
+  t.recv_len <- len_words
 
 let wait_recv t =
-  match t.pending_recv with
-  | None -> failwith "DMA engine: wait_recv without a pending recv"
-  | Some len ->
-    t.pending_recv <- None;
-    begin_len_span t ~cat:"dma_recv" "wait_recv" len;
-    (* A blocking receive stalls to [ready_at], which dominates every
-       queued completion, so it consumes the whole FIFO; pure-blocking
-       runs are untouched — the queue is empty there. *)
-    Queue.clear t.completions;
-    (* Receives observe completed sends. *)
-    sync_sends t;
-    (* Stall until the device has finished computing its queued work;
-       this is the host's visible wait for the accelerator, so it gets
-       its own phase. *)
-    Trace.begin_span t.tracer ~cat:"accel_wait" "accel_stall";
-    if t.ready_at > t.counters.cycles then begin
-      mark t ~start:t.counters.cycles ~finish:t.ready_at "accel_stall";
-      t.counters.cycles <- t.ready_at
-    end;
-    Trace.end_span t.tracer;
-    let transfer = float_of_int len *. Cost_model.cpu_cycles_per_word t.cost in
-    let t0 = t.counters.cycles in
-    t.counters.cycles <- t0 +. transfer +. t.cost.dma_wait_cycles;
-    mark t ~start:t0 ~finish:(t0 +. transfer) "host_recv";
-    mark t ~start:(t0 +. transfer) ~finish:t.counters.cycles "dma_poll";
-    count_received t len;
-    if Array.length t.recv_buf <> len then t.recv_buf <- Array.create_float len;
-    t.dev.Accel_device.drain_into t.recv_buf len;
-    Trace.end_span t.tracer;
-    t.recv_buf
+  let len = t.recv_len in
+  if len < 0 then failwith "DMA engine: wait_recv without a pending recv";
+  t.recv_len <- -1;
+  begin_len_span t ~cat:"dma_recv" "wait_recv" len;
+  (* A blocking receive stalls to [ready_at], which dominates every
+     queued completion, so it consumes the whole FIFO; pure-blocking
+     runs are untouched — the queue is empty there. *)
+  Queue.clear t.completions;
+  (* Receives observe completed sends. *)
+  sync_sends t;
+  (* Stall until the device has finished computing its queued work;
+     this is the host's visible wait for the accelerator, so it gets
+     its own phase. *)
+  Trace.begin_span t.tracer ~cat:"accel_wait" "accel_stall";
+  if t.clock.ready_at > t.counters.cycles then begin
+    mark t ~start:t.counters.cycles ~finish:t.clock.ready_at "accel_stall";
+    t.counters.cycles <- t.clock.ready_at
+  end;
+  Trace.end_span t.tracer;
+  let transfer = float_of_int len *. t.clock.per_word in
+  let t0 = t.counters.cycles in
+  t.counters.cycles <- t0 +. transfer +. t.cost.dma_wait_cycles;
+  mark t ~start:t0 ~finish:(t0 +. transfer) "host_recv";
+  mark t ~start:(t0 +. transfer) ~finish:t.counters.cycles "dma_poll";
+  count_received t len;
+  if Array.length t.recv_buf <> len then t.recv_buf <- Array.create_float len;
+  t.dev.Accel_device.drain_into t.recv_buf len;
+  Trace.end_span t.tracer;
+  t.recv_buf
 
 (* ------------------------------------------------------------------ *)
 (* Non-blocking (token) transfers                                      *)
@@ -313,13 +359,36 @@ let wait_recv t =
    [dma_wait_cycles] poll loop a blocking wait pays. *)
 let status_check_cycles = 50.0
 
-let ranges_overlap (a_lo, a_hi) (b_lo, b_hi) = a_lo < b_hi && b_lo < a_hi
-
-let register_flight t fl =
+let next_token t =
   let tok = t.next_token in
   t.next_token <- tok + 1;
-  Hashtbl.replace t.flights tok fl;
   tok
+
+let register_flight t fl =
+  if t.in_flight = Array.length t.flights then begin
+    let grown = Array.make (Int.max 4 (2 * t.in_flight)) no_flight in
+    Array.blit t.flights 0 grown 0 t.in_flight;
+    t.flights <- grown
+  end;
+  t.flights.(t.in_flight) <- fl;
+  t.in_flight <- t.in_flight + 1
+
+(* Loops rather than closures over the table, so that neither the
+   overlap check nor the lookup allocates. *)
+let overlaps_send t ~lo ~hi =
+  let overlap = ref false in
+  for i = 0 to t.in_flight - 1 do
+    let fl = t.flights.(i) in
+    if fl.fl_dir = `Send && fl.fl_lo < hi && lo < fl.fl_hi then overlap := true
+  done;
+  !overlap
+
+let flight_index t tok =
+  let at = ref (-1) in
+  for i = 0 to t.in_flight - 1 do
+    if t.flights.(i).fl_token = tok then at := i
+  done;
+  !at
 
 (* A token transfer's window on its channel track and the origin of
    its flow arrow. Callers test [Trace.enabled] first, so the floats are
@@ -339,14 +408,11 @@ let start_send_token t =
   let len = max 0 (t.high_water - lo) in
   t.high_water <- 0;
   t.batch_lo <- max_int;
-  Hashtbl.iter
-    (fun _ fl ->
-      if fl.fl_dir = `Send && ranges_overlap fl.fl_window (lo, lo + len)
-      then failwith "DMA engine: staged batch overlaps a send still in flight")
-    t.flights;
+  if overlaps_send t ~lo ~hi:(lo + len) then
+    failwith "DMA engine: staged batch overlaps a send still in flight";
   charge_program t ~label:"program_send";
   count_sent t len;
-  let transfer = float_of_int len *. Cost_model.cpu_cycles_per_word t.cost in
+  let transfer = float_of_int len *. t.clock.per_word in
   let tstart = Float.max t.counters.cycles (Timeline.busy_until t.dma_agent) in
   let tfinish =
     Timeline.schedule t.timeline t.dma_agent ~not_before:t.counters.cycles
@@ -355,16 +421,16 @@ let start_send_token t =
   let tseq = Timeline.last_seq t.timeline in
   let accel_cycles = deliver t ~pos:lo ~len in
   if accel_cycles > 0.0 then begin
-    let not_before = Float.max tfinish t.ready_at in
+    let not_before = Float.max tfinish t.clock.ready_at in
     let astart = Float.max not_before (Timeline.busy_until t.accel_agent) in
     let afinish =
       Timeline.schedule t.timeline t.accel_agent ~dep:tseq ~not_before
-        ~duration:(Cost_model.accel_to_cpu_cycles t.cost accel_cycles)
+        ~duration:(to_cpu_cycles t accel_cycles)
         ~label:"compute" ()
     in
     let cseq = Timeline.last_seq t.timeline in
-    t.ready_at <- afinish;
-    t.last_compute_seq <- Some cseq;
+    t.clock.ready_at <- afinish;
+    t.last_compute_seq <- cseq;
     Queue.push (afinish, cseq) t.completions;
     if Trace.enabled t.tracer then
       Trace.complete t.tracer ~cat:"accel_busy"
@@ -373,17 +439,18 @@ let start_send_token t =
       ~ts:astart ~dur:(afinish -. astart) t.dev.Accel_device.device_name
   end;
   let flow = Trace.fresh_flow_id t.tracer in
-  let tok =
-    register_flight t
-      {
-        fl_dir = `Send;
-        fl_window = (lo, lo + len);
-        fl_finish = tfinish;
-        fl_data = [||];
-        fl_seq = tseq;
-        fl_flow = flow;
-      }
-  in
+  let tok = next_token t in
+  register_flight t
+    {
+      fl_token = tok;
+      fl_dir = `Send;
+      fl_lo = lo;
+      fl_hi = lo + len;
+      fl_finish = tfinish;
+      fl_data = [||];
+      fl_seq = tseq;
+      fl_flow = flow;
+    };
   if Trace.enabled t.tracer then
     note_async t ~name:"async_send" ~len ~tok ~tstart ~transfer ~flow;
   tok
@@ -394,12 +461,13 @@ let start_recv_token t ~len_words =
   count_received t len_words;
   (* The batch this receive drains is the oldest undrained compute. *)
   let completion, dep =
-    if Queue.is_empty t.completions then (t.ready_at, t.last_compute_seq)
+    if Queue.is_empty t.completions then
+      (t.clock.ready_at, if t.last_compute_seq < 0 then None else Some t.last_compute_seq)
     else
       let finish, cseq = Queue.pop t.completions in
       (finish, Some cseq)
   in
-  let transfer = float_of_int len_words *. Cost_model.cpu_cycles_per_word t.cost in
+  let transfer = float_of_int len_words *. t.clock.per_word in
   let not_before = Float.max t.counters.cycles completion in
   let tstart = Float.max not_before (Timeline.busy_until t.dma_agent) in
   let tfinish =
@@ -410,62 +478,68 @@ let start_recv_token t ~len_words =
   (* several receives can be in flight, so each keeps its own words *)
   let data = t.dev.Accel_device.drain len_words in
   let flow = Trace.fresh_flow_id t.tracer in
-  let tok =
-    register_flight t
-      {
-        fl_dir = `Recv;
-        fl_window = (0, 0);
-        fl_finish = tfinish;
-        fl_data = data;
-        fl_seq = tseq;
-        fl_flow = flow;
-      }
-  in
+  let tok = next_token t in
+  register_flight t
+    {
+      fl_token = tok;
+      fl_dir = `Recv;
+      fl_lo = 0;
+      fl_hi = 0;
+      fl_finish = tfinish;
+      fl_data = data;
+      fl_seq = tseq;
+      fl_flow = flow;
+    };
   if Trace.enabled t.tracer then
     note_async t ~name:"async_recv" ~len:len_words ~tok ~tstart ~transfer ~flow;
   tok
 
 let wait_token t tok =
-  match Hashtbl.find_opt t.flights tok with
-  | None when 0 <= tok && tok < t.next_token ->
-    failwith "DMA engine: token already waited"
-  | None -> failwith "DMA engine: wait on an unknown token"
-  | Some fl ->
-    Hashtbl.remove t.flights tok;
-    let now = t.counters.cycles in
-    if fl.fl_finish > now then begin
-      (* Transfer still in flight: stall to completion and pay the full
-         poll, exactly as a blocking wait would. The stall mark carries
-         a dep edge to the transfer it shadows, so the critical-path
-         walk jumps through it into the agent chain. *)
-      t.counters.cycles <- fl.fl_finish +. t.cost.dma_wait_cycles;
-      mark t ~dep:fl.fl_seq ~start:now ~finish:fl.fl_finish "token_stall";
-      mark t ~start:fl.fl_finish ~finish:t.counters.cycles "dma_poll";
-      t.counters.instructions <- t.counters.instructions +. 4.0
-    end
-    else begin
-      t.counters.cycles <- now +. status_check_cycles;
-      mark t ~start:now ~finish:t.counters.cycles "status_check";
-      t.counters.instructions <- t.counters.instructions +. 4.0
-    end;
-    if Trace.enabled t.tracer then begin
-      Trace.flow_finish t.tracer ~track:Trace.host_track ~id:fl.fl_flow "dma_token";
-      Trace.instant t.tracer ~cat:"dma_async" ~args:[ ("token", Trace.Int tok) ] "wait"
-    end;
-    fl.fl_data
+  let i = flight_index t tok in
+  if i < 0 then
+    failwith
+      (if 0 <= tok && tok < t.next_token then "DMA engine: token already waited"
+       else "DMA engine: wait on an unknown token");
+  let fl = t.flights.(i) in
+  let last = t.in_flight - 1 in
+  t.flights.(i) <- t.flights.(last);
+  t.flights.(last) <- no_flight;
+  t.in_flight <- last;
+  let now = t.counters.cycles in
+  if fl.fl_finish > now then begin
+    (* Transfer still in flight: stall to completion and pay the full
+       poll, exactly as a blocking wait would. The stall mark carries
+       a dep edge to the transfer it shadows, so the critical-path
+       walk jumps through it into the agent chain. *)
+    t.counters.cycles <- fl.fl_finish +. t.cost.dma_wait_cycles;
+    mark t ~dep:fl.fl_seq ~start:now ~finish:fl.fl_finish "token_stall";
+    mark t ~start:fl.fl_finish ~finish:t.counters.cycles "dma_poll";
+    t.counters.instructions <- t.counters.instructions +. 4.0
+  end
+  else begin
+    t.counters.cycles <- now +. status_check_cycles;
+    mark t ~start:now ~finish:t.counters.cycles "status_check";
+    t.counters.instructions <- t.counters.instructions +. 4.0
+  end;
+  if Trace.enabled t.tracer then begin
+    Trace.flow_finish t.tracer ~track:Trace.host_track ~id:fl.fl_flow "dma_token";
+    Trace.instant t.tracer ~cat:"dma_async" ~args:[ ("token", Trace.Int tok) ] "wait"
+  end;
+  fl.fl_data
 
 let outstanding_tokens t =
-  Hashtbl.fold (fun tok _ acc -> tok :: acc) t.flights [] |> List.sort compare
+  List.sort compare (List.init t.in_flight (fun i -> t.flights.(i).fl_token))
 
 let reset_device t =
   t.dev.Accel_device.reset_device ();
   t.high_water <- 0;
   t.batch_lo <- max_int;
-  t.ready_at <- 0.0;
-  t.pending_send <- None;
-  t.pending_recv <- None;
-  t.send_done_at <- 0.0;
-  Hashtbl.reset t.flights;
+  t.clock.ready_at <- 0.0;
+  t.clock.send_done_at <- 0.0;
+  t.send_len <- -1;
+  t.recv_len <- -1;
+  Array.fill t.flights 0 t.in_flight no_flight;
+  t.in_flight <- 0;
   t.next_token <- 0;
   Queue.clear t.completions;
-  t.last_compute_seq <- None
+  t.last_compute_seq <- -1

@@ -25,7 +25,17 @@
     delivered words each update their {!Perf_counters} fields and
     [sim.*] metric mirrors in exactly one place, so the paths' totals
     agree by construction. Only the timing around the charges differs
-    between paths. *)
+    between paths.
+
+    Allocation: with tracing and metrics off, staging, a blocking or
+    ping-pong transaction and a blocking receive allocate nothing. The
+    engine's clocks and the device's cycles are flat float records, the
+    device decodes through one window the engine moves per transaction,
+    and the host marks go to the timeline through a flat
+    {!Timeline.span}. What does allocate: a token transfer's flight and
+    its timeline bookkeeping, the words a token receive drains (a fresh
+    array, see {!wait_token}), the blocking receive region when its
+    length changes, and the timeline's log when it grows. *)
 
 type t
 

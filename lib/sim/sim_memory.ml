@@ -5,12 +5,19 @@ type t = { mutable next : int }
 (* Keep ordinary buffers well away from address 0 so they can never be
    confused with the DMA apertures, which Dma_engine places below. *)
 let heap_base = 0x1000_0000
+let capacity_bytes = 512 * 1024 * 1024
 
 let create () = { next = heap_base }
 
 let alloc t ~label n =
   if n < 0 then invalid_arg "Sim_memory.alloc: negative size";
   let base = Util.round_up t.next ~multiple:64 in
+  (* compared in elements, so that a huge [n] cannot overflow *)
+  if n > (heap_base + capacity_bytes - base) / 4 then
+    failwith
+      (Printf.sprintf "Sim_memory.alloc: %s of %d elements exceeds the %d MiB of simulated DDR"
+         label n
+         (capacity_bytes / (1024 * 1024)));
   t.next <- base + (n * 4);
   { base; data = Array.make n 0.0; label }
 

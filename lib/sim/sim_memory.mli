@@ -14,10 +14,16 @@ type buffer = {
 
 type t
 
+val capacity_bytes : int
+(** The simulated DDR: 512 MiB, the PYNQ-Z2's. *)
+
 val create : unit -> t
 
 val alloc : t -> label:string -> int -> buffer
-(** Allocate [n] f32 elements, 64-byte aligned, zero-initialised. *)
+(** Allocate [n] f32 elements, 64-byte aligned, zero-initialised.
+    Raises [Failure] naming {!capacity_bytes} when the buffers
+    allocated so far and this one do not fit in it, and
+    [Invalid_argument] on a negative [n]. *)
 
 val addr_of : buffer -> int -> int
 (** Byte address of element [i] (bounds-checked). *)

@@ -59,7 +59,7 @@ let append t ?dep ~mark ~agent ~label () =
   t.next_seq <- i + 1;
   i
 
-let set_times t i ~start ~finish ~not_before =
+let[@inline] set_times t i ~start ~finish ~not_before =
   t.times.(3 * i) <- start;
   t.times.((3 * i) + 1) <- finish;
   t.times.((3 * i) + 2) <- not_before
@@ -71,8 +71,14 @@ let schedule t a ?dep ~not_before ~duration ~label () =
   set_times t (append t ?dep ~mark:false ~agent:a.name ~label ()) ~start ~finish ~not_before;
   finish
 
-let mark t ?dep ~agent ~start ~finish ~label () =
-  set_times t (append t ?dep ~mark:true ~agent ~label ()) ~start ~finish ~not_before:start
+type span = { mutable span_start : float; mutable span_finish : float }
+
+let span () = { span_start = 0.0; span_finish = 0.0 }
+
+let mark t ?dep ~agent ~label span =
+  set_times t
+    (append t ?dep ~mark:true ~agent ~label ())
+    ~start:span.span_start ~finish:span.span_finish ~not_before:span.span_start
 
 let last_seq t = t.next_seq - 1
 

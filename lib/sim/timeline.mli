@@ -79,19 +79,22 @@ val schedule :
     logs an event; returns the finish time. [dep] names the upstream
     event whose completion [not_before] encodes, when there is one. *)
 
-val mark :
-  t ->
-  ?dep:int ->
-  agent:string ->
-  start:float ->
-  finish:float ->
-  label:string ->
-  unit ->
-  unit
-(** Record a host-clock annotation covering [[start, finish]] of the
-    serial counter. No agent clock moves and the makespan is
+type span = { mutable span_start : float; mutable span_finish : float }
+(** An interval of the serial counter, in CPU cycles. A flat float
+    record, so writing its fields allocates nothing. *)
+
+val span : unit -> span
+(** A span over [[0, 0]]. *)
+
+val mark : t -> ?dep:int -> agent:string -> label:string -> span -> unit
+(** Record a host-clock annotation covering [[span_start, span_finish]]
+    of the serial counter. No agent clock moves and the makespan is
     unchanged — blocking runs stay bit-identical. [agent] is a display
-    identity (the DMA engine passes ["host"]). *)
+    identity (the DMA engine passes ["host"]). The interval comes in a
+    caller-owned {!span} rather than as two float arguments, which
+    would be boxed on every call across the module boundary: a mark
+    without [dep] allocates nothing, except when the log grows. The
+    span is read during the call and not kept. *)
 
 val last_seq : t -> int
 (** Sequence number of the most recently recorded event ([-1] when the

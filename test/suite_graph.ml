@@ -55,7 +55,11 @@ let test_region_replace_single_tenant () =
 
 let inst i = Axi_word.Inst i
 let data f = Axi_word.Data f
-let consume (dev : Accel_device.t) words = dev.Accel_device.consume (Axi_word.of_words words)
+(* One transaction; returns the accelerator cycles it triggered. *)
+let consume (dev : Accel_device.t) words =
+  let meter = { Accel_device.accel_cycles = 0.0 } in
+  dev.Accel_device.consume (Axi_word.of_words words) meter;
+  meter.Accel_device.accel_cycles
 
 let configure dev ~fhw ~ic =
   ignore

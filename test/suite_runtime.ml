@@ -22,7 +22,10 @@ let test_subview_and_iter () =
   let sub = Memref_view.subview view ~offsets:[ 2; 4 ] ~sizes:[ 2; 3 ] in
   Alcotest.(check (float 0.0)) "sub origin" 20.0 (Memref_view.get sub [ 0; 0 ]);
   let visited = ref [] in
-  Memref_view.iter_linear sub (fun li -> visited := li :: !visited);
+  Memref_view.iter_runs sub (fun start len ->
+      for li = start to start + len - 1 do
+        visited := li :: !visited
+      done);
   Alcotest.(check (list int)) "row-major order" [ 20; 21; 22; 28; 29; 30 ]
     (List.rev !visited);
   Alcotest.(check (list (float 0.0))) "to_array"

@@ -31,7 +31,11 @@ let test_counters_arith () =
     (Perf_counters.task_clock_ms a ~cpu_freq_mhz:650.0)
 
 (* Drive a device directly with word streams. *)
-let consume (dev : Accel_device.t) words = dev.Accel_device.consume (Axi_word.of_words words)
+(* One transaction; returns the accelerator cycles it triggered. *)
+let consume (dev : Accel_device.t) words =
+  let meter = { Accel_device.accel_cycles = 0.0 } in
+  dev.Accel_device.consume (Axi_word.of_words words) meter;
+  meter.Accel_device.accel_cycles
 let tile_words data = Array.map (fun v -> Axi_word.Data v) data
 
 let concat = Array.concat
@@ -195,7 +199,9 @@ let test_v4_mac_order () =
       inst Isa.mm_compute;
       inst Isa.mm_drain;
       let dev = Accel_matmul.create ~version:Accel_matmul.V4 ~size () in
-      ignore (dev.Accel_device.consume (Axi_word.window stream ~pos:0 ~len:!pos));
+      dev.Accel_device.consume
+        (Axi_word.window stream ~pos:0 ~len:!pos)
+        { Accel_device.accel_cycles = 0.0 };
       check_bits
         (Printf.sprintf "v4_%d %dx%dx%d" size tm tn tk)
         expected

@@ -88,6 +88,59 @@ let test_manual_conv_allocation_per_dma_word () =
     true
     (words < dma_words)
 
+(* Minor words per DMA transaction over a second measured run of a
+   64x64x64 matmul on a 16-lane engine, with tracing and metrics off:
+   the first run makes what is made once (the engine's receive region,
+   the timeline's log). The bounds are the measured values: the whole
+   path from the interpreter down to the device model allocates only
+   interpreter values and, on the token path, tokens and flights. *)
+let matmul_words_per_transaction ~version ~flow options =
+  let was_enabled = Metrics.enabled Metrics.default in
+  Metrics.disable Metrics.default;
+  let accel = Presets.matmul ~version ~size:16 ~flow () in
+  let bench = Axi4mlir.create accel in
+  let m, n, k = (64, 64, 64) in
+  let a, b, c = Axi4mlir.alloc_matmul_operands bench ~m ~n ~k in
+  let ir = Axi4mlir.compile_matmul bench ~options ~m ~n ~k () in
+  let run () =
+    ignore (Axi4mlir.measure bench (fun () -> Axi4mlir.run_matmul bench ~options ir ~a ~b ~c))
+  in
+  run ();
+  let words = net_minor_words run in
+  if was_enabled then Metrics.enable Metrics.default;
+  let transactions = bench.Axi4mlir.soc.Soc.counters.Perf_counters.dma_transactions in
+  (words /. transactions, words, transactions)
+
+let check_words_per_transaction what ~bound (per, words, transactions) =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.1f words per DMA transaction (%.0f / %.0f), bound %.0f" what per
+       words transactions bound)
+    true (per <= bound)
+
+let test_blocking_matmul_words_per_transaction () =
+  matmul_words_per_transaction ~version:Accel_matmul.V3 ~flow:"Cs" Axi4mlir.default_codegen
+  |> check_words_per_transaction "v3_16 Cs" ~bound:12.0
+
+let test_double_buffered_matmul_words_per_transaction () =
+  matmul_words_per_transaction ~version:Accel_matmul.V4 ~flow:"Ns"
+    { Axi4mlir.default_codegen with double_buffer = true }
+  |> check_words_per_transaction "v4_16 Ns double_buffer" ~bound:86.0
+
+(* A rank-4 strided view, walked with a closure made beforehand. *)
+let test_iter_runs_allocates_nothing () =
+  let mem = Sim_memory.create () in
+  let buf = Sim_memory.alloc mem ~label:"x" (2 * 8 * 6 * 6) in
+  let view =
+    Memref_view.subview
+      (Memref_view.of_buffer buf [ 2; 8; 6; 6 ])
+      ~offsets:[ 1; 0; 1; 1 ] ~sizes:[ 1; 8; 3; 3 ]
+  in
+  let elements = ref 0 in
+  let f _ len = elements := !elements + len in
+  let words = net_minor_words (fun () -> Memref_view.iter_runs view f) in
+  Alcotest.(check int) "elements visited" 72 !elements;
+  Alcotest.(check (float 0.0)) "words per iter_runs call" 0.0 words
+
 (* ------------------------------------------------------------------ *)
 (* What the copies stage                                               *)
 (* ------------------------------------------------------------------ *)
@@ -97,12 +150,11 @@ let test_manual_conv_allocation_per_dma_word () =
 let recording_device () =
   let seen = ref [] in
   let one = [| 0.0 |] in
-  let consume win =
+  let consume win _ =
     while not (Axi_word.at_end win) do
       Axi_word.read_data ~who:"recorder" win one 1;
       seen := one.(0) :: !seen
-    done;
-    0.0
+    done
   in
   let device =
     {
@@ -262,7 +314,7 @@ let failure_of f =
   match f () with exception Failure msg -> msg | _ -> "(no failure)"
 
 let consume (dev : Accel_device.t) words =
-  ignore (dev.Accel_device.consume (Axi_word.of_words words))
+  dev.Accel_device.consume (Axi_word.of_words words) { Accel_device.accel_cycles = 0.0 }
 
 let test_decode_messages () =
   let check = Alcotest.(check string) in
@@ -354,6 +406,12 @@ let tests =
       test_send_allocation_is_constant;
     Alcotest.test_case "alloc: manual conv under one word per DMA word" `Quick
       test_manual_conv_allocation_per_dma_word;
+    Alcotest.test_case "alloc: blocking matmul words per DMA transaction" `Quick
+      test_blocking_matmul_words_per_transaction;
+    Alcotest.test_case "alloc: double-buffered matmul words per DMA transaction" `Quick
+      test_double_buffered_matmul_words_per_transaction;
+    Alcotest.test_case "alloc: Memref_view.iter_runs allocates nothing" `Quick
+      test_iter_runs_allocates_nothing;
     QCheck_alcotest.to_alcotest prop_copies_stage_the_view;
     QCheck_alcotest.to_alcotest prop_copies_in_write_the_view;
     QCheck_alcotest.to_alcotest prop_fifo_is_a_queue;
