@@ -15,11 +15,7 @@ let send_tile lib lit view =
 let recv_tile lib ~accumulate view =
   Soc.alu (Dma_library.soc lib) 6;
   ignore (Dma_library.stage_literal lib Isa.cv_drain ~offset:0);
-  Dma_library.flush_send lib;
-  let count = Memref_view.num_elements view in
-  Dma_engine.start_recv (Dma_library.engine lib) ~len_words:count;
-  let data = Dma_engine.wait_recv (Dma_library.engine lib) in
-  Dma_library.copy_from_data_with lib (Dma_library.manual_strategy view) view ~accumulate data
+  Dma_library.recv_into lib (Dma_library.manual_strategy view) view ~accumulate
 
 let loop soc count body =
   for i = 0 to count - 1 do

@@ -19,11 +19,7 @@ let send_inst lib lit =
 let recv_tile lib lit view =
   Soc.alu (Dma_library.soc lib) 4;
   ignore (Dma_library.stage_literal lib lit ~offset:0);
-  Dma_library.flush_send lib;
-  let n = Memref_view.num_elements view in
-  Dma_engine.start_recv (Dma_library.engine lib) ~len_words:n;
-  let data = Dma_engine.wait_recv (Dma_library.engine lib) in
-  Dma_library.copy_from_data_with lib (Dma_library.manual_strategy view) view ~accumulate:true data
+  Dma_library.recv_into lib (Dma_library.manual_strategy view) view ~accumulate:true
 
 (* v1's single fused instruction: A and B batched into one transfer. *)
 let send_fused_recv lib ~a_tile ~b_tile ~c_tile =
@@ -33,25 +29,12 @@ let send_fused_recv lib ~a_tile ~b_tile ~c_tile =
     Dma_library.copy_to_dma_region_with lib (Dma_library.manual_strategy a_tile) a_tile ~offset
   in
   ignore (Dma_library.copy_to_dma_region_with lib (Dma_library.manual_strategy b_tile) b_tile ~offset);
-  Dma_library.flush_send lib;
-  let n = Memref_view.num_elements c_tile in
-  Dma_engine.start_recv (Dma_library.engine lib) ~len_words:n;
-  let data = Dma_engine.wait_recv (Dma_library.engine lib) in
-  Dma_library.copy_from_data_with lib (Dma_library.manual_strategy c_tile) c_tile ~accumulate:true data
-
-let loop soc count body =
-  for i = 0 to count - 1 do
-    Soc.loop_iteration soc;
-    body i
-  done
+  Dma_library.recv_into lib (Dma_library.manual_strategy c_tile) c_tile ~accumulate:true
 
 let send_v4_config lib { tm; tn; tk } =
-  List.iter
-    (fun (code, value) ->
-      let offset = Dma_library.stage_literal lib code ~offset:0 in
-      ignore (Dma_library.stage_literal lib value ~offset);
-      Dma_library.flush_send lib)
-    [ (Isa.mm_set_tm, tm); (Isa.mm_set_tn, tn); (Isa.mm_set_tk, tk) ]
+  Manual_conv.send_two lib Isa.mm_set_tm tm;
+  Manual_conv.send_two lib Isa.mm_set_tn tn;
+  Manual_conv.send_two lib Isa.mm_set_tk tk
 
 let run soc (config : Accel_config.t) ~flow ?tiles ~a ~b ~c () =
   let version, size =
@@ -81,6 +64,7 @@ let run soc (config : Accel_config.t) ~flow ?tiles ~a ~b ~c () =
   if m mod tm <> 0 || n mod tn <> 0 || k mod tk <> 0 then
     failwith "Manual_matmul: problem dims must be divisible by the tile sizes";
   let lib = Dma_library.init soc ~dma_id:config.dma.dma_id ~strategy:Dma_library.Specialized in
+  let loop = Manual_conv.loop soc in
   send_inst lib Isa.reset;
   if version = Accel_matmul.V4 then send_v4_config lib { tm; tn; tk };
   let a_tile i l = sub2 a (i * tm) (l * tk) tm tk in
@@ -94,60 +78,60 @@ let run soc (config : Accel_config.t) ~flow ?tiles ~a ~b ~c () =
   in
   (match (version, flow) with
   | Accel_matmul.V1, _ ->
-    loop soc mt (fun i ->
-        loop soc nt (fun j ->
-            loop soc kt (fun l ->
+    loop mt (fun i ->
+        loop nt (fun j ->
+            loop kt (fun l ->
                 send_fused_recv lib ~a_tile:(a_tile i l) ~b_tile:(b_tile l j)
                   ~c_tile:(c_tile i j))))
   | Accel_matmul.V2, "Ns" ->
-    loop soc mt (fun i ->
-        loop soc nt (fun j ->
-            loop soc kt (fun l ->
+    loop mt (fun i ->
+        loop nt (fun j ->
+            loop kt (fun l ->
                 send_tile lib Isa.mm_load_a (a_tile i l);
                 send_tile lib Isa.mm_load_b (b_tile l j);
                 recv_tile lib Isa.mm_compute_drain (c_tile i j))))
   | Accel_matmul.V2, "As" ->
-    loop soc mt (fun i ->
-        loop soc kt (fun l ->
+    loop mt (fun i ->
+        loop kt (fun l ->
             send_tile lib Isa.mm_load_a (a_tile i l);
-            loop soc nt (fun j ->
+            loop nt (fun j ->
                 send_tile lib Isa.mm_load_b (b_tile l j);
                 recv_tile lib Isa.mm_compute_drain (c_tile i j))))
   | Accel_matmul.V2, "Bs" ->
-    loop soc kt (fun l ->
-        loop soc nt (fun j ->
+    loop kt (fun l ->
+        loop nt (fun j ->
             send_tile lib Isa.mm_load_b (b_tile l j);
-            loop soc mt (fun i ->
+            loop mt (fun i ->
                 send_tile lib Isa.mm_load_a (a_tile i l);
                 recv_tile lib Isa.mm_compute_drain (c_tile i j))))
   | (Accel_matmul.V3 | Accel_matmul.V4), "Ns" ->
-    loop soc mt (fun i ->
-        loop soc nt (fun j ->
-            loop soc kt (fun l ->
+    loop mt (fun i ->
+        loop nt (fun j ->
+            loop kt (fun l ->
                 send_tile lib Isa.mm_load_a (a_tile i l);
                 send_tile lib Isa.mm_load_b (b_tile l j);
                 send_inst lib compute_lit;
                 recv_tile lib drain_lit (c_tile i j))))
   | (Accel_matmul.V3 | Accel_matmul.V4), "As" ->
-    loop soc mt (fun i ->
-        loop soc kt (fun l ->
+    loop mt (fun i ->
+        loop kt (fun l ->
             send_tile lib Isa.mm_load_a (a_tile i l);
-            loop soc nt (fun j ->
+            loop nt (fun j ->
                 send_tile lib Isa.mm_load_b (b_tile l j);
                 send_inst lib compute_lit;
                 recv_tile lib drain_lit (c_tile i j))))
   | (Accel_matmul.V3 | Accel_matmul.V4), "Bs" ->
-    loop soc kt (fun l ->
-        loop soc nt (fun j ->
+    loop kt (fun l ->
+        loop nt (fun j ->
             send_tile lib Isa.mm_load_b (b_tile l j);
-            loop soc mt (fun i ->
+            loop mt (fun i ->
                 send_tile lib Isa.mm_load_a (a_tile i l);
                 send_inst lib compute_lit;
                 recv_tile lib drain_lit (c_tile i j))))
   | (Accel_matmul.V3 | Accel_matmul.V4), "Cs" ->
-    loop soc mt (fun i ->
-        loop soc nt (fun j ->
-            loop soc kt (fun l ->
+    loop mt (fun i ->
+        loop nt (fun j ->
+            loop kt (fun l ->
                 send_tile lib Isa.mm_load_a (a_tile i l);
                 send_tile lib Isa.mm_load_b (b_tile l j);
                 send_inst lib compute_lit);

@@ -166,16 +166,11 @@ let accel_op t frame (o : Ir.op) =
       let offset = as_int frame (arg o 1) in
       bind_result frame o (I (Dma_library.stage_literal (lib t) word ~offset))
     | "accel.recv" ->
-      let len_words = Memref_view.num_elements (as_view frame (arg o 0)) in
-      exec_entry t frame o Flush_send;
-      Dma_engine.start_recv (Dma_library.engine (lib t)) ~len_words;
-      exec_entry t frame o Wait_recv;
-      let copy_from =
-        match Accel.recv_mode_of o with
-        | Accel.Accumulate -> Runtime_abi.Copy_from { accumulate = true; spec = false }
-        | Accel.Store -> Runtime_abi.Copy_from { accumulate = false; spec = false }
-      in
-      exec_entry t frame o (at_accel_level t copy_from)
+      let view = as_view frame (arg o 0) in
+      let strategy = strategy_of (t.copy_strategy = Dma_library.Specialized) in
+      let accumulate = Accel.recv_mode_of o = Accel.Accumulate in
+      Dma_library.recv_into (lib t) strategy view ~accumulate;
+      bind_result frame o (I 0)
     | other -> error "unsupported accel op %s" other));
   if Accel.is_flush o then exec_entry t frame o Flush_send
 

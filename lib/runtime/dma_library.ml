@@ -150,8 +150,6 @@ let copy_to_dma_region_with t strategy view ~offset =
       (fun () -> copy_out t strategy view ~offset)
   else copy_out t strategy view ~offset
 
-let copy_to_dma_region t view ~offset = copy_to_dma_region_with t t.strategy view ~offset
-
 let flush_send t =
   if t.double_buffer then Dma_engine.send_staged_async t.engine
   else Dma_engine.send_staged t.engine
@@ -272,6 +270,11 @@ let copy_from_data_with t strategy view ~accumulate data =
       (fun () -> copy_in t strategy view ~accumulate data)
   else copy_in t strategy view ~accumulate data
 
+let recv_into t strategy view ~accumulate =
+  flush_send t;
+  Dma_engine.start_recv t.engine ~len_words:(Memref_view.num_elements view);
+  copy_from_data_with t strategy view ~accumulate (Dma_engine.wait_recv t.engine)
+
 let manual_strategy view =
   if can_specialize view && Memref_view.contiguous_run view >= 4 then Specialized else Bare
 
@@ -297,7 +300,7 @@ let start_send t =
   Soc.call_overhead t.soc;
   Send_token (Dma_engine.start_send_token t.engine)
 
-let start_recv t ?(strategy = t.strategy) view ~accumulate =
+let start_recv t ~strategy view ~accumulate =
   Soc.call_overhead t.soc;
   let n = Memref_view.num_elements view in
   let tok = Dma_engine.start_recv_token t.engine ~len_words:n in

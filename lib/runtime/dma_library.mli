@@ -5,15 +5,15 @@
 
     - {!init}/{!free}: one-time DMA engine setup ([mmap]ing the
       memory-mapped input/output regions);
-    - {!stage_literal}/{!copy_to_dma_region}: stage opcode words and
+    - {!stage_literal}/{!copy_to_dma_region_with}: stage opcode words and
       memref tiles into the input region at a word offset, returning
       the next free offset (the offset chaining of Fig. 6b that batches
       an opcode's actions into a single transfer);
     - {!flush_send}: [dma_start_send] + [dma_wait_send_completion] over
       everything staged;
-    - {!copy_from_data_with}: after [dma_start_recv] + wait on the
-      engine, copy the accelerator's output back into a memref,
-      optionally accumulating.
+    - {!recv_into}: the blocking receive — flush, [dma_start_recv] +
+      [dma_wait_recv] on the engine, then {!copy_from_data_with} the
+      accelerator's output back into a memref, optionally accumulating.
 
     Two host-side copy implementations are provided, selected by
     {!strategy}: the {e generic} rank-N element-wise copy (loads the
@@ -26,10 +26,11 @@
     every element, reproducing the paper's fHW==1 slowdown.
 
     Allocation: with tracing and metrics off, staging, a copy in either
-    direction with any strategy, and a blocking flush allocate nothing:
-    each copy walks the view with {!Memref_view.fold_runs} and a closed
-    run function. A non-blocking transfer allocates its {!token}, the
-    engine's flight, and on receive the drained words. *)
+    direction with any strategy, a blocking flush and a blocking
+    receive allocate nothing: each copy walks the view with
+    {!Memref_view.fold_runs} and a closed run function. A non-blocking
+    transfer allocates its {!token}, the engine's flight, and on
+    receive the drained words. *)
 
 type strategy =
   | Generic  (** always element-wise through the memref descriptor *)
@@ -70,17 +71,14 @@ val engine : t -> Dma_engine.t
 val stage_literal : t -> int -> offset:int -> int
 (** Stage one instruction word; returns [offset + 1]. *)
 
-val copy_to_dma_region : t -> Memref_view.t -> offset:int -> int
-(** Stage a tile's elements (row-major); returns the next offset. *)
-
 val can_specialize : Memref_view.t -> bool
 (** Whether the view's innermost stride is 1 (the specialisation
     precondition the Copy_specialization pass checks). *)
 
 val copy_to_dma_region_with :
   t -> strategy -> Memref_view.t -> offset:int -> int
-(** As {!copy_to_dma_region} with an explicit per-call strategy (used
-    by the interpreter to honour the callee chosen at compile time). *)
+(** Stage a tile's elements (row-major) with the given strategy;
+    returns the next offset. *)
 
 val copy_from_data_with :
   t -> strategy -> Memref_view.t -> accumulate:bool -> float array -> unit
@@ -90,6 +88,14 @@ val copy_from_data_with :
 val flush_send : t -> unit
 (** Transmit everything staged since the last flush (no-op when nothing
     is staged). *)
+
+val recv_into : t -> strategy -> Memref_view.t -> accumulate:bool -> unit
+(** The one blocking receive of the manual drivers and the
+    interpreter's [accel.recv]: {!flush_send} (the staged request
+    opcode), then [Dma_engine.start_recv] of the view's element count,
+    [Dma_engine.wait_recv], and {!copy_from_data_with} into the view.
+    The runtime-call level issues the same four steps as separate
+    calls. *)
 
 val skip_resident : t -> words:int -> what:string -> unit
 (** Account for a transfer the residency planner elided because the
@@ -115,10 +121,10 @@ val start_send : t -> token
 (** Flush everything staged since the last flush as one background
     transfer. *)
 
-val start_recv : t -> ?strategy:strategy -> Memref_view.t -> accumulate:bool -> token
+val start_recv : t -> strategy:strategy -> Memref_view.t -> accumulate:bool -> token
 (** Program a background receive of [num_elements view] words. The
     host-side copy into [view] happens at {!wait} time, with
-    [strategy] (default: the library's). *)
+    [strategy]. *)
 
 val wait : t -> token -> unit
 (** Synchronise with the transfer; for recv tokens, also copy the

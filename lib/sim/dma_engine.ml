@@ -249,6 +249,16 @@ let begin_len_span t ~cat name len =
   if Trace.enabled t.tracer then
     Trace.begin_span t.tracer ~cat ~args:[ ("len_words", Trace.Int len) ] name
 
+(* A blocking transfer's host time, in either direction: the host waits
+   out the stream of [len] words, then pays one status poll, and each
+   interval gets its own mark. *)
+let[@inline] charge_blocking t ~label len =
+  let transfer = float_of_int len *. t.clock.per_word in
+  let t0 = t.counters.cycles in
+  t.counters.cycles <- t0 +. transfer +. t.cost.dma_wait_cycles;
+  mark t ~start:t0 ~finish:(t0 +. transfer) label;
+  mark t ~start:(t0 +. transfer) ~finish:t.counters.cycles "dma_poll"
+
 let start_send t ~offset ~len_words =
   if t.send_len >= 0 then failwith "DMA engine: send already in flight";
   if offset < 0 || len_words < 0 || offset + len_words > Axi_word.length t.in_region then
@@ -264,11 +274,7 @@ let wait_send t =
   if len < 0 then failwith "DMA engine: wait_send without a pending send";
   t.send_len <- -1;
   begin_len_span t ~cat:"dma_send" "wait_send" len;
-  let transfer = float_of_int len *. t.clock.per_word in
-  let t0 = t.counters.cycles in
-  t.counters.cycles <- t0 +. transfer +. t.cost.dma_wait_cycles;
-  mark t ~start:t0 ~finish:(t0 +. transfer) "host_send";
-  mark t ~start:(t0 +. transfer) ~finish:t.counters.cycles "dma_poll";
+  charge_blocking t ~label:"host_send" len;
   count_sent t len;
   let accel_cycles = deliver t ~pos:t.send_offset ~len in
   run_device t ~arrival:t.counters.cycles accel_cycles;
@@ -339,11 +345,7 @@ let wait_recv t =
     t.counters.cycles <- t.clock.ready_at
   end;
   Trace.end_span t.tracer;
-  let transfer = float_of_int len *. t.clock.per_word in
-  let t0 = t.counters.cycles in
-  t.counters.cycles <- t0 +. transfer +. t.cost.dma_wait_cycles;
-  mark t ~start:t0 ~finish:(t0 +. transfer) "host_recv";
-  mark t ~start:(t0 +. transfer) ~finish:t.counters.cycles "dma_poll";
+  charge_blocking t ~label:"host_recv" len;
   count_received t len;
   if Array.length t.recv_buf <> len then t.recv_buf <- Array.create_float len;
   t.dev.Accel_device.drain_into t.recv_buf len;

@@ -113,6 +113,10 @@ val send_staged_async : t -> unit
     stalls until it completes (there are only two buffer halves). *)
 
 val start_recv : t -> len_words:int -> unit
+(** Program a blocking receive of [len_words]. Raises [Failure] when a
+    receive is already programmed, on a negative length, or when the
+    length exceeds the output region. *)
+
 val wait_recv : t -> float array
 (** Stall until the device has produced the requested words, stream
     them into the output region, and return that region.
@@ -121,7 +125,8 @@ val wait_recv : t -> float array
     mmap'd output buffer does to the runtime. It holds exactly the
     requested words, is valid until this engine's next [wait_recv],
     and is then overwritten (or replaced, when the length changes).
-    Copy out of it before the next receive; never keep it. *)
+    Copy out of it before the next receive; never keep it. Raises
+    [Failure] when no receive is programmed. *)
 
 val reset_device : t -> unit
 

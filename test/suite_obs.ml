@@ -371,6 +371,86 @@ let test_tracing_does_not_perturb_counters () =
       Alcotest.(check (float 0.0)) ("identical " ^ name) v_off v_on)
     (Perf_counters.fields off) (Perf_counters.fields on)
 
+(* ------------------------------------------------------------------ *)
+(* Golden simulated-time trace                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Every simulated-time event of three traced runs, one JSON object per
+   line: the v3_16 Cs 16^3 blocking run at the runtime-call level and
+   at the accel level (the interpreter's own [accel.recv]), and a v4_16
+   Ns 32^3 double-buffered run (ping-pong sends, token receives).
+   Compile-track events are stamped with host time and stay out. Any
+   diff means a transfer path moved a span, a mark or a counter. On a
+   mismatch the fresh rendering is written to
+   [trace_transfers.fresh.json] in the test's build directory; copy it
+   over the golden after an intentional change. *)
+let golden_trace_runs () =
+  let run config ~options ~m =
+    let host, accel =
+      Result.get_ok
+        (Config_parser.parse_file_result
+           (Filename.concat (Filename.concat ".." "examples/configs") config))
+    in
+    let bench = Axi4mlir.create ~host accel in
+    let a, b, c = Axi4mlir.alloc_matmul_operands bench ~m ~n:m ~k:m in
+    let ir = Axi4mlir.compile_matmul bench ~options ~m ~n:m ~k:m () in
+    let tracer = Axi4mlir.enable_tracing bench in
+    ignore (Axi4mlir.measure bench (fun () -> Axi4mlir.run_matmul bench ~options ir ~a ~b ~c));
+    List.filter (fun e -> e.Trace.ev_track <> Trace.compile_track) (Trace.events tracer)
+  in
+  let default = Axi4mlir.default_codegen in
+  [
+    ("v3_16_cs blocking", run "v3_16_cs.json" ~options:default ~m:16);
+    ( "v3_16_cs blocking, accel level",
+      run "v3_16_cs.json" ~options:{ default with to_runtime_calls = false } ~m:16 );
+    ( "v4_16 Ns double-buffered",
+      run "v4_16.json" ~options:{ default with flow = Some "Ns"; double_buffer = true } ~m:32 );
+  ]
+
+let event_json run (e : Trace.event) =
+  let kind, extra =
+    match e.ev_kind with
+    | Trace.Begin -> ("B", [])
+    | Trace.End -> ("E", [])
+    | Trace.Instant -> ("i", [])
+    | Trace.Complete dur -> ("X", [ ("dur", Json.Float dur) ])
+    | Trace.Counter v -> ("C", [ ("value", Json.Float v) ])
+    | Trace.Flow_start id -> ("s", [ ("id", Json.Int id) ])
+    | Trace.Flow_finish id -> ("f", [ ("id", Json.Int id) ])
+  in
+  let arg = function
+    | Trace.Str s -> Json.String s
+    | Trace.Num f -> Json.Float f
+    | Trace.Int n -> Json.Int n
+    | Trace.Bool b -> Json.Bool b
+  in
+  Json.to_string
+    (Json.Obj
+       ([
+          ("run", Json.String run);
+          ("name", Json.String e.ev_name);
+          ("cat", Json.String e.ev_cat);
+          ("ph", Json.String kind);
+          ("track", Json.Int e.ev_track);
+          ("ts", Json.Float e.ev_ts);
+        ]
+       @ extra
+       @ [ ("args", Json.Obj (List.map (fun (k, v) -> (k, arg v)) e.ev_args)) ]))
+
+let test_golden_trace () =
+  let lines =
+    List.concat_map (fun (run, events) -> List.map (event_json run) events) (golden_trace_runs ())
+  in
+  let fresh = "[\n" ^ String.concat ",\n" lines ^ "\n]\n" in
+  let golden =
+    In_channel.with_open_bin (Filename.concat "golden" "trace_transfers.json") In_channel.input_all
+  in
+  if fresh <> golden then begin
+    Out_channel.with_open_bin "trace_transfers.fresh.json" (fun oc ->
+        Out_channel.output_string oc fresh);
+    Alcotest.(check string) "trace matches golden/trace_transfers.json" golden fresh
+  end
+
 let tests =
   [
     Alcotest.test_case "counter fields/JSON round-trip" `Quick test_counter_fields_roundtrip;
@@ -391,4 +471,6 @@ let tests =
     Alcotest.test_case "pass stats and compile events" `Quick test_pass_stats;
     Alcotest.test_case "tracing does not perturb counters" `Quick
       test_tracing_does_not_perturb_counters;
+    Alcotest.test_case "golden: simulated-time trace of the transfer paths" `Quick
+      test_golden_trace;
   ]

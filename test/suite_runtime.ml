@@ -67,16 +67,16 @@ let test_copy_out_offsets () =
   let view = Memref_view.of_buffer buf [ 4; 4 ] in
   let off = Dma_library.stage_literal lib 0x22 ~offset:0 in
   Alcotest.(check int) "literal advances by one" 1 off;
-  let off = Dma_library.copy_to_dma_region lib view ~offset:off in
+  let off = Dma_library.copy_to_dma_region_with lib Dma_library.Generic view ~offset:off in
   Alcotest.(check int) "copy advances by elements" 17 off;
   Alcotest.(check int) "staged high water" 17
     (staged_data (Dma_library.engine lib) (Dma_engine.staged_high_water (Dma_library.engine lib)))
 
 let copy_cycles ?(warm = false) strategy view =
   let soc, lib = make_lib strategy in
-  if warm then ignore (Dma_library.copy_to_dma_region lib view ~offset:0);
+  if warm then ignore (Dma_library.copy_to_dma_region_with lib strategy view ~offset:0);
   let before = soc.Soc.counters.Perf_counters.cycles in
-  ignore (Dma_library.copy_to_dma_region lib view ~offset:0);
+  ignore (Dma_library.copy_to_dma_region_with lib strategy view ~offset:0);
   soc.Soc.counters.Perf_counters.cycles -. before
 
 let test_specialized_cheaper_on_contiguous () =
@@ -150,7 +150,7 @@ let prop_copy_strategies_agree =
         Gold.fill_deterministic buf.Sim_memory.data;
         let view = Memref_view.of_buffer buf [ 10; 10 ] in
         let sub = Memref_view.subview view ~offsets:[ oi; oj ] ~sizes:[ rows; cols ] in
-        ignore (Dma_library.copy_to_dma_region lib sub ~offset:0);
+        ignore (Dma_library.copy_to_dma_region_with lib strategy sub ~offset:0);
         Memref_view.to_array sub
       in
       run Dma_library.Generic = run Dma_library.Specialized)

@@ -309,18 +309,29 @@ let test_dma_engine_staging () =
 
 let test_dma_engine_protocol () =
   let _soc, engine = make_soc_with_v3 () in
-  (match Dma_engine.wait_send engine with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "wait without start accepted");
+  let raises msg f = Alcotest.check_raises msg (Failure ("DMA engine: " ^ msg)) f in
+  raises "wait_send without a pending send" (fun () -> Dma_engine.wait_send engine);
   Dma_engine.stage engine ~offset:0 (Axi_word.Inst Isa.reset);
   Dma_engine.start_send engine ~offset:0 ~len_words:1;
-  (match Dma_engine.start_send engine ~offset:0 ~len_words:1 with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "double start accepted");
+  raises "send already in flight" (fun () ->
+      Dma_engine.start_send engine ~offset:0 ~len_words:1);
   Dma_engine.wait_send engine;
-  match Dma_engine.stage engine ~offset:1_000_000 (Axi_word.Inst 0) with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "region overflow accepted"
+  raises "wait_recv without a pending recv" (fun () -> ignore (Dma_engine.wait_recv engine));
+  raises "negative recv length" (fun () -> Dma_engine.start_recv engine ~len_words:(-1));
+  raises "recv exceeds output region" (fun () ->
+      Dma_engine.start_recv engine ~len_words:max_int);
+  raises "recv exceeds output region" (fun () ->
+      ignore (Dma_engine.start_recv_token engine ~len_words:max_int));
+  Dma_engine.start_recv engine ~len_words:0;
+  raises "recv already in flight" (fun () -> Dma_engine.start_recv engine ~len_words:0);
+  Alcotest.(check int) "the pending receive completes" 0
+    (Array.length (Dma_engine.wait_recv engine));
+  raises "wait_recv without a pending recv" (fun () -> ignore (Dma_engine.wait_recv engine));
+  Alcotest.check_raises "region overflow"
+    (Failure
+       (Printf.sprintf "DMA input region overflow: offset 1000000, capacity %d"
+          (Dma_engine.in_capacity_words engine)))
+    (fun () -> Dma_engine.stage engine ~offset:1_000_000 (Axi_word.Inst 0))
 
 let test_dma_overlap_timing () =
   (* the device computes while the host continues; wait_recv stalls the
@@ -519,13 +530,22 @@ let test_dma_accounting_pin () =
       "host dma_poll 40fc11a000000000 40fc3d6000000000 dep=- mark";
     ]
 
+(* The blocking receive as generated runtime code spells it: four
+   calls, the sequence {!Dma_library.recv_into} folds. *)
+let recv_in_four_calls lib strategy view ~accumulate =
+  let engine = Dma_library.engine lib in
+  Dma_library.flush_send lib;
+  Dma_engine.start_recv engine ~len_words:(Memref_view.num_elements view);
+  Dma_library.copy_from_data_with lib strategy view ~accumulate (Dma_engine.wait_recv engine)
+
 (* One blocking v4_16 tile round trip through the runtime library, as
-   generated code drives it: specialised copies of A and B into the DMA
-   region, a flush, a receive and an accumulating copy back. *)
-let round_trip_rig () =
+   generated code drives it: copies of A and B into the DMA region, a
+   flush, a receive and a copy back into C, all with [strategy]. *)
+let round_trip_rig ?(strategy = Dma_library.Specialized) ?(accumulate = true)
+    ?(recv = recv_in_four_calls) () =
   let soc = Soc.create () in
   ignore (Accel_config.attach soc (Presets.matmul ~version:Accel_matmul.V4 ~size:16 ()));
-  let lib = Dma_library.init soc ~dma_id:0 ~strategy:Dma_library.Specialized in
+  let lib = Dma_library.init soc ~dma_id:0 ~strategy in
   let tile label =
     let buf = Sim_memory.alloc soc.Soc.memory ~label 256 in
     Gold.fill_deterministic buf.Sim_memory.data;
@@ -534,18 +554,42 @@ let round_trip_rig () =
   let a = tile "a" and b = tile "b" and c = tile "c" in
   let round_trip () =
     let off = Dma_library.stage_literal lib Isa.mm_load_a ~offset:0 in
-    let off = Dma_library.copy_to_dma_region lib a ~offset:off in
+    let off = Dma_library.copy_to_dma_region_with lib strategy a ~offset:off in
     let off = Dma_library.stage_literal lib Isa.mm_load_b ~offset:off in
-    let off = Dma_library.copy_to_dma_region lib b ~offset:off in
+    let off = Dma_library.copy_to_dma_region_with lib strategy b ~offset:off in
     let off = Dma_library.stage_literal lib Isa.mm_compute ~offset:off in
     ignore (Dma_library.stage_literal lib Isa.mm_drain ~offset:off);
-    Dma_library.flush_send lib;
-    let engine = Dma_library.engine lib in
-    Dma_engine.start_recv engine ~len_words:256;
-    Dma_library.copy_from_data_with lib Dma_library.Specialized c ~accumulate:true
-      (Dma_engine.wait_recv engine)
+    recv lib strategy c ~accumulate
   in
-  (soc, round_trip)
+  (soc, c, round_trip)
+
+(* [Dma_library.recv_into] against the four calls it folds, for every
+   strategy with and without accumulation: the same output bytes, the
+   same bits in every counter and the same timeline events. *)
+let test_recv_into_parity () =
+  let bits x = Printf.sprintf "%Lx" (Int64.bits_of_float x) in
+  let run strategy accumulate recv =
+    let soc, c, round_trip = round_trip_rig ~strategy ~accumulate ~recv () in
+    round_trip ();
+    round_trip ();
+    List.map (fun (k, v) -> k ^ "=" ^ bits v) (Perf_counters.fields soc.Soc.counters)
+    @ List.map
+        (fun (e : Timeline.event) ->
+          String.concat " " [ e.ev_agent; e.ev_label; bits e.ev_start; bits e.ev_finish ])
+        (Timeline.events soc.Soc.timeline)
+    @ Array.to_list (Array.map bits c.Memref_view.buf.Sim_memory.data)
+  in
+  List.iter
+    (fun strategy ->
+      List.iter
+        (fun accumulate ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s, accumulate %b" (Dma_library.strategy_to_string strategy)
+               accumulate)
+            (run strategy accumulate recv_in_four_calls)
+            (run strategy accumulate Dma_library.recv_into))
+        [ false; true ])
+    [ Dma_library.Generic; Dma_library.Specialized; Dma_library.Bare ]
 
 (* With tracing and metrics off, a warm round trip allocates only the
    simulation's own bookkeeping: no trace arguments, metric labels,
@@ -556,7 +600,7 @@ let round_trip_rig () =
    a compiler change may need it re-measured. *)
 let test_round_trip_allocation () =
   Alcotest.(check bool) "metrics off" false (Metrics.enabled Metrics.default);
-  let _soc, round_trip = round_trip_rig () in
+  let _soc, _c, round_trip = round_trip_rig () in
   (* warm: the timeline's logs grow to their working size *)
   for _ = 1 to 100 do
     round_trip ()
@@ -572,7 +616,7 @@ let test_round_trip_allocation () =
 (* The same round trip traced: the guards skip nothing a recording
    sink should see. *)
 let test_round_trip_traced () =
-  let soc, round_trip = round_trip_rig () in
+  let soc, _c, round_trip = round_trip_rig () in
   let tracer = Soc.enable_tracing soc in
   round_trip ();
   let named kind =
@@ -711,6 +755,7 @@ let tests =
     Alcotest.test_case "dma/device overlap" `Quick test_dma_overlap_timing;
     Alcotest.test_case "dma accounting on every transfer path" `Quick
       test_dma_accounting_pin;
+    Alcotest.test_case "recv_into matches the four-call receive" `Quick test_recv_into_parity;
     Alcotest.test_case "round trip allocation budget" `Quick test_round_trip_allocation;
     Alcotest.test_case "traced round trip records its events" `Quick test_round_trip_traced;
     Alcotest.test_case "soc event costs" `Quick test_soc_event_costs;
