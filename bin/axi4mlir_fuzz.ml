@@ -51,6 +51,12 @@ let run_tool seed count only replay_path do_shrink corpus verbose =
       | Some path -> (
         match Fuzz_corpus.load_result path with
         | Error msg -> Error msg
+        | Ok ([], first :: rest) ->
+          (* a corpus of which no line parses replays nothing: that is
+             a corrupted file, not a passing one *)
+          Error
+            (Printf.sprintf "%s: no corpus line parses (%d skipped; first: %s)" path
+               (1 + List.length rest) first)
         | Ok (cases, parse_errors) ->
           List.iter (fun e -> Printf.eprintf "warning: skipping %s\n%!" e) parse_errors;
           Printf.printf "replaying %d corpus case(s) from %s\n%!" (List.length cases)

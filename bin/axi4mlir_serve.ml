@@ -39,6 +39,7 @@ let run_tool workloads graph platform_file rps accels policy_name requests seed
   if not (rps > 0.0) then
     failwith (Printf.sprintf "--rps must be positive (got %g)" rps);
   let requests = Tool_common.positive ~flag:"requests" requests
+  and rows = Tool_common.positive ~flag:"rows" rows
   and seq = Tool_common.positive ~flag:"seq" seq in
   (match window with
   | Some w when not (w > 0.0) ->

@@ -80,6 +80,10 @@ let resolve_accel_dims (config : Accel_config.t) ~maps ~ranges ?tile_override ()
         Error "tile_override is only valid for flexible accelerators"
       else if List.length override_tiles <> n then
         Error "tile_override arity mismatch"
+      else if List.exists (fun t -> t < 1) override_tiles then
+        Error
+          (Printf.sprintf "tile sizes must be >= 1 (tiles: %s)"
+             (Util.string_of_list string_of_int override_tiles))
       else
         Ok
           (List.map2

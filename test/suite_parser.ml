@@ -122,6 +122,119 @@ let test_parse_errors () =
   | exception Parser_ir.Parse_error _ -> ()
   | _ -> Alcotest.fail "a stride list shorter than the shape was accepted"
 
+(* Every error message, byte for byte with its position: the checks run
+   in a fixed order (arities, then operand lookup, then operand types,
+   then result binding) at the cursor after the op's types. *)
+let in_module body = "\"builtin.module\"() ({\n" ^ body ^ "}) : () -> ()"
+
+let error_cases =
+  [
+    ( "undefined value",
+      `Op (in_module "  \"a.use\"(%0) : (f32) -> ()\n"),
+      "line 2, column 28: use of undefined value %0" );
+    ( "undefined named value",
+      `Op
+        (in_module
+           "  %x = \"a.def\"() : () -> (f32)\n  \"a.use\"(%x, %y) : (f32, f32) -> ()\n"),
+      "line 3, column 37: use of undefined value %y" );
+    ( "redefinition",
+      `Op (in_module "  %0 = \"a.def\"() : () -> (f32)\n  %0 = \"a.def\"() : () -> (f32)\n"),
+      "line 3, column 31: redefinition of value %0" );
+    ( "redefined block argument",
+      `Op (in_module "  \"a.r\"() ({\n  ^bb(%a: index, %a: index):\n  }) : () -> ()\n"),
+      "line 3, column 27: redefinition of value %a" );
+    ( "operand arity",
+      `Op (in_module "  \"a.op\"() : (f32) -> ()\n"),
+      "line 2, column 25: op a.op: 0 operands but 1 operand types" );
+    ( "result arity",
+      `Op (in_module "  %0, %1 = \"a.op\"() : () -> (f32)\n"),
+      "line 2, column 34: op a.op: 2 results but 1 result types" );
+    ( "operand type mismatch",
+      `Op (in_module "  %0 = \"a.def\"() : () -> (f32)\n  \"a.use\"(%0) : (i32) -> ()\n"),
+      "line 3, column 28: op a.use: operand type mismatch: f32 vs i32" );
+    ( "memref operand type mismatch",
+      `Op
+        (in_module
+           "  %0 = \"a.def\"() : () -> (memref<4x4xf32>)\n\
+           \  \"a.use\"(%0) : (memref<4x8xf32>) -> ()\n"),
+      "line 3, column 40: op a.use: operand type mismatch: memref<4x4xf32> vs memref<4x8xf32>" );
+    ( "unknown type",
+      `Op (in_module "  %0 = \"a.def\"() : () -> (f33)\n"),
+      "line 2, column 30: unknown type f33" );
+    ( "missing type",
+      `Op (in_module "  %0 = \"a.def\"() : () -> (,)\n"),
+      "line 2, column 27: expected a type" );
+    ( "unknown dialect type",
+      `Op (in_module "  %0 = \"a.def\"() : () -> (!accel.tok)\n"),
+      "line 2, column 37: unknown dialect type !accel.tok" );
+    ("unknown element type", `Ty "memref<4x4xf33>", "line 1, column 15: unknown element type f33");
+    ("memref dimension without x", `Ty "memref<4x4>", "line 1, column 11: expected 'x' after memref dimension");
+    ( "too few strides",
+      `Ty "memref<4x4xf32, strided<[1], offset: 0>>",
+      "line 1, column 28: 1 strides for a rank-2 memref" );
+    ( "too many strides",
+      `Ty "memref<4xf32, strided<[4, 1, 1], offset: ?>>",
+      "line 1, column 32: 3 strides for a rank-1 memref" );
+    ( "memref dimension that does not fit",
+      `Ty "memref<99999999999999999999x4xf32>",
+      "line 1, column 8: integer literal 99999999999999999999 does not fit an int" );
+    ( "unknown attribute",
+      `Op (in_module "  \"a.op\"() {k = bogus} : () -> ()\n"),
+      "line 2, column 22: unknown attribute 'bogus'" );
+    ("unterminated string", `Op "\"a.op", "line 1, column 6: unterminated string");
+    ("unterminated escape", `Op "\"a.op\\", "line 1, column 7: unterminated escape");
+    ( "invalid escape",
+      `Op (in_module "  \"a.op\"() {k = \"x\\qy\"} : () -> ()\n"),
+      "line 2, column 20: invalid escape \\q" );
+    ( "integer attribute that does not fit",
+      `Op (in_module "  \"a.op\"() {k = 99999999999999999999} : () -> ()\n"),
+      "line 2, column 37: invalid integer literal 99999999999999999999" );
+    ( "hex attribute that does not fit",
+      `Attr "0x7FFFFFFFFFFFFFFFF",
+      "line 1, column 20: invalid integer literal 0x7FFFFFFFFFFFFFFFF" );
+    ( "hex prefix without digits",
+      `Op (in_module "  %0 = \"arith.constant\"() {value = 0x} : () -> (index)\n"),
+      "line 2, column 38: invalid integer literal 0x" );
+    ( "dense integer that does not fit",
+      `Attr "dense<[1, 99999999999999999999]>",
+      "line 1, column 11: integer literal 99999999999999999999 does not fit an int" );
+    ("float without exponent digits", `Attr "1.5e+", "line 1, column 6: invalid float literal 1.5e+");
+    ( "value name without a name",
+      `Op (in_module "  % = \"a.op\"() : () -> ()\n"),
+      "line 2, column 4: expected value name after %" );
+    ( "empty region list",
+      `Op (in_module "  \"a.op\"() () : () -> ()\n"),
+      "line 2, column 14: expected a region" );
+    ("missing attribute", `Attr "", "line 1, column 1: expected an attribute");
+    ("unknown affine dimension", `Attr "affine_map<(d0) -> (d1)>", "line 1, column 23: unknown affine dimension d1");
+    ("truncated affine map", `Attr "affine_map<(d0) -> (", "line 1, column 21: expected affine expression");
+    ("trailing content", `Op (in_module "" ^ " x"), "line 2, column 15: trailing content starting with 'x'");
+    ("op without operand list", `Op "\"op\" : () -> ()", "line 1, column 6: expected '(', found ':'");
+    ("function type without arrow", `Op (in_module "  \"a.op\"() : () (f32)\n"), "line 2, column 17: expected '->'");
+    ( "attribute depth cap",
+      `Attr (String.make 257 '[' ^ "1" ^ String.make 257 ']'),
+      "line 1, column 258: nesting deeper than the limit of 256 levels" );
+    ( "function type depth cap",
+      `Ty (String.make 257 '(' ^ String.concat "" (List.init 257 (fun _ -> ") -> ()"))),
+      "line 1, column 258: nesting deeper than the limit of 256 levels" );
+    ( "region depth cap",
+      `Op (String.concat "" (List.init 257 (fun _ -> "\"t.op\"() ({\n"))),
+      "line 257, column 8: nesting deeper than the limit of 256 levels" );
+  ]
+
+let test_error_messages () =
+  List.iter
+    (fun (name, input, expected) ->
+      match
+        match input with
+        | `Op text -> ignore (Parser_ir.parse_op text)
+        | `Ty text -> ignore (Parser_ir.parse_type text)
+        | `Attr text -> ignore (Parser_ir.parse_attribute text)
+      with
+      | () -> Alcotest.failf "%s: accepted" name
+      | exception Parser_ir.Parse_error msg -> Alcotest.(check string) name expected msg)
+    error_cases
+
 (* Trait payloads are parsed in place: a bad opcode flow reports the
    IR text's line and column. *)
 let test_trait_payload_position () =
@@ -375,6 +488,7 @@ let tests =
     Alcotest.test_case "roundtrip: cpu lowering" `Quick test_roundtrip_cpu_level;
     Alcotest.test_case "roundtrip: annotated trait" `Quick test_annotated_trait_roundtrip;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "parse error messages, byte for byte" `Quick test_error_messages;
     Alcotest.test_case "comments" `Quick test_parse_comments;
     Alcotest.test_case "trait payload errors carry the IR position" `Quick
       test_trait_payload_position;

@@ -157,6 +157,15 @@ let test_tiling_edge_cases () =
   expect_error "extent not a tile multiple"
     (Tiling.resolve_accel_dims v4 ~maps:matmul_maps ~ranges:[ 10; 8; 8 ] ())
     "divide the problem extents";
+  (* a zero or negative tile is an error, not a division by zero *)
+  expect_error "zero tiles"
+    (Tiling.resolve_accel_dims v4 ~maps:matmul_maps ~ranges:[ 8; 8; 8 ]
+       ~tile_override:[ 0; 0; 0 ] ())
+    "tile sizes must be >= 1 (tiles: 0, 0, 0)";
+  expect_error "negative tile"
+    (Tiling.resolve_accel_dims v4 ~maps:matmul_maps ~ranges:[ 8; 8; 8 ]
+       ~tile_override:[ 4; -4; 4 ] ())
+    "tile sizes must be >= 1";
   (* arity mismatches stay structured errors too *)
   expect_error "override arity"
     (Tiling.resolve_accel_dims v4 ~maps:matmul_maps ~ranges:[ 8; 8; 8 ]
