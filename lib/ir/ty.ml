@@ -18,6 +18,15 @@ let i64 = Scalar I64
 let index = Scalar Index
 let token = Token
 
+let scalar = function
+  | F32 -> f32
+  | F64 -> f64
+  | I1 -> i1
+  | I8 -> i8
+  | I32 -> i32
+  | I64 -> i64
+  | Index -> index
+
 let dtype_size_bytes = function
   | F32 | I32 -> 4
   | F64 | I64 | Index -> 8
@@ -126,4 +135,4 @@ let to_string t =
   add_to_buffer buf t;
   Buffer.contents buf
 
-let equal a b = a = b
+let equal a b = a == b || a = b

@@ -33,6 +33,9 @@ val index : t
 val token : t
 (** [!accel.token], see {!Token}. *)
 
+val scalar : dtype -> t
+(** The shared [Scalar d]: one of the values above. *)
+
 val dtype_size_bytes : dtype -> int
 (** Storage size of one element. [Index] is modelled as 8 bytes. *)
 

@@ -86,17 +86,20 @@ let skip_while t pred =
     advance t
   done
 
-let scan_id t is_id =
+let skip_id t is_id =
   skip_ws t;
   let start = t.pos in
   skip_while t is_id;
   if t.pos = start then fail t "expected identifier";
-  text_from t start
+  start
+
+let scan_id t is_id = text_from t (skip_id t is_id)
 
 let is_digit c = c >= '0' && c <= '9'
 let is_hex_digit c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 
-let scan_int t =
+(* Skip an integer literal; its start. *)
+let skip_int t =
   skip_ws t;
   let start = t.pos in
   if peek t = '-' then advance t;
@@ -105,12 +108,59 @@ let scan_int t =
   let digits = t.pos in
   skip_while t (if hex then is_hex_digit else is_digit);
   if t.pos = digits then fail t "expected integer";
-  match int_of_string_opt (text_from t start) with
-  | Some v -> v
-  | None ->
-    let text = text_from t start in
-    t.pos <- start;
-    fail t "integer literal %s does not fit an int" text
+  start
+
+let too_big t start =
+  let text = text_from t start in
+  t.pos <- start;
+  fail t "integer literal %s does not fit an int" text
+
+let scan_int t =
+  let start = skip_int t in
+  match int_of_string_opt (text_from t start) with Some v -> v | None -> too_big t start
+
+let digit_value c =
+  match c with
+  | '0' .. '9' -> Char.code c - 48
+  | 'a' .. 'f' -> Char.code c - 87
+  | 'A' .. 'F' -> Char.code c - 55
+  | _ -> raise Exit
+
+(* Hexadecimal reads as an unsigned 63-bit pattern, as [int_of_string]
+   does: the accumulator may not use the top four bits before a shift. *)
+let rec hex_from src i stop acc =
+  if i = stop then acc
+  else
+    let d = digit_value (String.unsafe_get src i) in
+    if acc lsr 59 <> 0 then raise Exit;
+    hex_from src (i + 1) stop ((acc lsl 4) lor d)
+
+(* Decimal accumulates minus the magnitude, so that [min_int] fits. *)
+let rec dec_from src i stop acc =
+  if i = stop then acc
+  else
+    let d = digit_value (String.unsafe_get src i) in
+    if d > 9 || acc < min_int / 10 || acc * 10 < min_int + d then raise Exit;
+    dec_from src (i + 1) stop ((acc * 10) - d)
+
+let int_from t start =
+  let src = t.src and stop = t.pos in
+  let neg = start < stop && String.unsafe_get src start = '-' in
+  let i = if neg then start + 1 else start in
+  if i + 2 < stop && src.[i] = '0' && (src.[i + 1] = 'x' || src.[i + 1] = 'X') then
+    let v = hex_from src (i + 2) stop 0 in
+    if neg then -v else v
+  else if i = stop then raise Exit
+  else
+    let v = dec_from src i stop 0 in
+    if neg then v else if v = min_int then raise Exit else -v
+
+let read_int t =
+  let start = skip_int t in
+  match int_from t start with v -> v | exception Exit -> too_big t start
+
+let depth t = t.depth
+let seek t pos = t.pos <- pos
 
 let enter t =
   t.depth <- t.depth + 1;

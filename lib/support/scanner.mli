@@ -93,6 +93,29 @@ val scan_int : t -> int
     decimal or [0x]/[0X] hexadecimal. A literal that does not fit an
     OCaml [int] fails at its first character. *)
 
+(** {1 Spans}
+
+    The same tokens, read in place: each returns where its text starts,
+    and the cursor is where it ends. None of them allocates unless it
+    fails. *)
+
+val skip_id : t -> (char -> bool) -> int
+(** {!scan_id} without building its text. *)
+
+val read_int : t -> int
+(** {!scan_int} without building its text. *)
+
+val int_from : t -> int -> int
+(** [int_from t start] reads the source from [start] up to the cursor
+    with [int_of_string]'s rules for an optional [-] and decimal or
+    [0x] digits: decimal in [\[min_int, max_int\]], hexadecimal as any
+    63-bit pattern. Raises [Exit] when the text is not such a literal
+    or does not fit. *)
+
+val seek : t -> int -> unit
+(** Move the cursor to a position, for a parser that skips text it
+    has read before. *)
+
 (** {1 Structure} *)
 
 val sep_list : t -> sep:char -> close:char -> (t -> 'a) -> 'a list
@@ -104,6 +127,9 @@ val enter : t -> unit
 (** Open one level of nesting; fails past {!max_depth}. *)
 
 val leave : t -> unit
+
+val depth : t -> int
+(** The levels open now. *)
 
 val finish : t -> unit
 (** Skip trailing blanks and fail unless the whole text was consumed. *)

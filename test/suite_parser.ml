@@ -127,6 +127,15 @@ let test_parse_errors () =
    then result binding) at the cursor after the op's types. *)
 let in_module body = "\"builtin.module\"() ({\n" ^ body ^ "}) : () -> ()"
 
+(* A type text parsed at the top, then again inside [depth] regions. *)
+let type_at_depth depth =
+  let op = "\"a.op\"() {t = type((memref<4xf32, strided<[1], offset: 0>>) -> ())} : () -> ()\n" in
+  in_module
+    (op
+    ^ String.concat "" (List.init depth (fun _ -> "\"t.op\"() ({\n"))
+    ^ op
+    ^ String.concat "" (List.init depth (fun _ -> "}) : () -> ()\n")))
+
 let error_cases =
   [
     ( "undefined value",
@@ -217,12 +226,16 @@ let error_cases =
     ( "function type depth cap",
       `Ty (String.make 257 '(' ^ String.concat "" (List.init 257 (fun _ -> ") -> ()"))),
       "line 1, column 258: nesting deeper than the limit of 256 levels" );
+    ( "a type seen before, nested past the depth cap",
+      `Op (type_at_depth 253),
+      "line 256, column 44: nesting deeper than the limit of 256 levels" );
     ( "region depth cap",
       `Op (String.concat "" (List.init 257 (fun _ -> "\"t.op\"() ({\n"))),
       "line 257, column 8: nesting deeper than the limit of 256 levels" );
   ]
 
 let test_error_messages () =
+  ignore (Parser_ir.parse_op (type_at_depth 252));
   List.iter
     (fun (name, input, expected) ->
       match
@@ -326,6 +339,73 @@ let test_golden_accel_level () =
 let test_golden_cpu_loops () =
   check_golden "cpu loop nest" ~golden:"matmul_cpu_loops.mlir"
     (Axi4mlir.compile_cpu (Axi4mlir.build_matmul_module ~m:16 ~n:16 ~k:16 ()))
+
+(* Every committed golden prints back byte for byte after a parse. *)
+let golden_files () =
+  Sys.readdir "golden" |> Array.to_list |> List.sort compare
+  |> List.filter (fun f -> Filename.check_suffix f ".mlir")
+
+let test_golden_reprint () =
+  Alcotest.(check int) "five goldens" 5 (List.length (golden_files ()));
+  List.iter
+    (fun f ->
+      let text = read_file (Filename.concat "golden" f) in
+      Alcotest.(check string) f text (Printer.to_generic (Parser_ir.parse_op text)))
+    (golden_files ())
+
+let words_per_call f =
+  ignore (Sys.opaque_identity (f ()));
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. w0) /. 100.0
+
+(* A parse allocates the module it returns and little else. *)
+let test_parse_allocation () =
+  let text = read_file "golden/matmul_v3_16_cs.mlir" in
+  let words = words_per_call (fun () -> Parser_ir.parse_op text) in
+  Alcotest.(check bool)
+    (Printf.sprintf "parse_op: %.0f words per call (at most 2500)" words)
+    true (words <= 2500.0)
+
+(* One type per distinct type text: every value whose type prints the
+   same holds the same physical type, and scalars are Ty's own. *)
+let test_shared_types () =
+  let m = Parser_ir.parse_op (read_file "golden/matmul_v3_16_cs.mlir") in
+  let values =
+    Ir.fold
+      (fun acc (o : Ir.op) ->
+        let args =
+          List.concat_map (List.concat_map (fun (b : Ir.block) -> b.bargs)) o.regions
+        in
+        args @ o.results @ acc)
+      [] m
+  in
+  let by_text = Hashtbl.create 8 in
+  List.iter
+    (fun (v : Ir.value) ->
+      let text = Ty.to_string v.vty in
+      match Hashtbl.find_opt by_text text with
+      | None -> Hashtbl.add by_text text (v.vty, 1)
+      | Some (first, n) ->
+        Alcotest.(check bool) (text ^ " shared") true (first == v.vty);
+        Hashtbl.replace by_text text (first, n + 1))
+    values;
+  let count text = match Hashtbl.find_opt by_text text with Some (_, n) -> n | None -> 0 in
+  Alcotest.(check bool) "a strided memref type occurs twice" true
+    (count "memref<16x16xf32, strided<[64, 1], offset: ?>>" >= 2);
+  Alcotest.(check bool) "index is Ty.index" true (fst (Hashtbl.find by_text "index") == Ty.index);
+  Alcotest.(check bool) "i32 is Ty.i32" true (fst (Hashtbl.find by_text "i32") == Ty.i32);
+  (* the same text in a function type and in a value's type *)
+  List.iter
+    (fun f ->
+      match Ir.attr f "function_type" with
+      | Some (Attribute.Type_attr (Ty.Func (arg :: _, _))) ->
+        Alcotest.(check bool) "function argument type shared" true
+          (arg == fst (Hashtbl.find by_text (Ty.to_string arg)))
+      | _ -> Alcotest.fail "func.func without a function type")
+    (Ir.module_body m)
 
 (* ------------------------------------------------------------------ *)
 (* Hostile input: nesting, depth cap and mutations                     *)
@@ -497,6 +577,9 @@ let tests =
     Alcotest.test_case "golden: conv2d" `Quick test_golden_conv;
     Alcotest.test_case "golden: accel level" `Quick test_golden_accel_level;
     Alcotest.test_case "golden: cpu loops" `Quick test_golden_cpu_loops;
+    Alcotest.test_case "golden: every file prints back after a parse" `Quick test_golden_reprint;
+    Alcotest.test_case "parse allocation: words per parse_op" `Quick test_parse_allocation;
+    Alcotest.test_case "parse shares one type per distinct text" `Quick test_shared_types;
     QCheck_alcotest.to_alcotest prop_whitespace_insensitive;
     Alcotest.test_case "deep attribute round trip" `Quick test_deep_attribute_roundtrip;
     Alcotest.test_case "nesting depth cap" `Quick test_depth_cap;

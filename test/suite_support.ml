@@ -111,6 +111,72 @@ let test_scanner () =
          Scanner.sep_list (Scanner.create ~comments:false "a, )") ~sep:',' ~close:')' (fun sc ->
              Scanner.scan_id sc (fun c -> c = 'a'))))
 
+(* The in-place integer reader agrees with scan_int, which builds the
+   literal's text and asks int_of_string, on every edge of the range. *)
+let test_read_int () =
+  let via f text =
+    match f (Scanner.create ~comments:false text) with
+    | v -> Ok v
+    | exception Scanner.Error msg -> Error msg
+  in
+  List.iter
+    (fun text ->
+      Alcotest.(check (result int string)) text (via Scanner.scan_int text)
+        (via Scanner.read_int text))
+    [
+      "0"; "-0"; "42"; "007"; "-31"; string_of_int max_int; string_of_int min_int;
+      "4611686018427387904"; "-4611686018427387905"; "99999999999999999999"; "0x1F";
+      "-0x1F"; "0X7fffffffffffffff"; "0x7FFFFFFFFFFFFFFF"; "0x8000000000000000";
+      "0x4000000000000000"; "-0x4000000000000000"; "0x0000000000000000001"; "0x"; "-"; "x";
+    ]
+
+let prop_read_int =
+  QCheck.Test.make ~name:"read_int reads what scan_int reads" ~count:500
+    QCheck.(pair int bool)
+    (fun (n, hex) ->
+      let text = if hex then Printf.sprintf "0x%x" n else string_of_int n in
+      Scanner.read_int (Scanner.create ~comments:false text)
+      = Scanner.scan_int (Scanner.create ~comments:false text))
+
+let prop_span_hash =
+  QCheck.Test.make ~name:"span hash is Hashtbl.hash of the span's text" ~count:500
+    QCheck.(triple string small_nat small_nat)
+    (fun (src, a, b) ->
+      let n = String.length src in
+      let start = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - start = 0 then 0 else b mod (n - start + 1) in
+      Span_table.hash src start len = Hashtbl.hash (String.sub src start len))
+
+let test_span_table () =
+  (* 2,000 names "%0" .. "%1999" one after another *)
+  let names = List.init 2000 (fun i -> "%" ^ string_of_int i) in
+  let src = String.concat "" names in
+  let _, spans =
+    List.fold_left
+      (fun (start, acc) name -> (start + String.length name, (start, String.length name) :: acc))
+      (0, []) names
+  in
+  let spans = List.rev spans in
+  let t = Span_table.create src in
+  Alcotest.(check int) "absent from an empty table" (-1) (Span_table.find t 0 2);
+  List.iteri
+    (fun e (start, len) ->
+      Alcotest.(check int) "absent before it is added" (-1) (Span_table.find t start len);
+      Alcotest.(check int) "add returns the data" e (Span_table.add t start len e))
+    spans;
+  List.iteri
+    (fun e (start, len) ->
+      Alcotest.(check int) "found after every resize" e
+        (Span_table.get t (Span_table.find t start len)))
+    spans;
+  (* a key is its bytes, not its position *)
+  let n = String.length src in
+  let t2 = Span_table.create (src ^ "%1999%20000") in
+  ignore (Span_table.add t2 (n - 5) 5 "first");
+  Alcotest.(check string) "same bytes elsewhere" "first"
+    (Span_table.get t2 (Span_table.find t2 n 5));
+  Alcotest.(check int) "a prefix is another key" (-1) (Span_table.find t2 n 4)
+
 let tests =
   [
     Alcotest.test_case "round_up" `Quick test_round_up;
@@ -123,4 +189,8 @@ let tests =
     Alcotest.test_case "tabulate rendering" `Quick test_tabulate;
     Alcotest.test_case "number formats" `Quick test_formats;
     Alcotest.test_case "scanner: tokens, ends and positions" `Quick test_scanner;
+    Alcotest.test_case "scanner: read_int edges" `Quick test_read_int;
+    QCheck_alcotest.to_alcotest prop_read_int;
+    QCheck_alcotest.to_alcotest prop_span_hash;
+    Alcotest.test_case "span table: add, find, resize" `Quick test_span_table;
   ]
