@@ -13,7 +13,7 @@
     repeated name is usually found without hashing it; a miss there
     costs one comparison more than the chain walk.
 
-    An empty table has allocated nothing. Entries are numbered from 0
+    Until its first entry a table holds no arrays. Entries are numbered from 0
     in the order they were added. *)
 
 type 'a t
