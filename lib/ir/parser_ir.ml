@@ -6,14 +6,8 @@ let is_id_char = function
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' -> true
   | _ -> false
 
-let rec same_bytes src i s j =
-  j = String.length s || (String.unsafe_get src (i + j) = s.[j] && same_bytes src i s (j + 1))
-
 (* Whether the span [start, start + len) of [src] reads [s]. *)
-let span_is src start len s =
-  len = String.length s && start + len <= String.length src && same_bytes src start s 0
-
-module Spans = Span_table
+let span_is src start len s = len = String.length s && S.same_bytes src start s 0 len
 
 (* ------------------------------------------------------------------ *)
 (* Parser state                                                        *)
@@ -26,9 +20,9 @@ type p = {
   sc : S.t;
   src : string;
   ctx : Ir.ctx;
-  values : Ir.value Spans.t;  (* %name, with its '%' *)
-  strings : string Spans.t;  (* op names, attribute keys and plain string attributes *)
-  types : Ty.t Spans.t;  (* memref and function type texts *)
+  values : Ir.value Span_table.t;  (* %name, with its '%' *)
+  strings : string Span_table.t;  (* op names, attribute keys and plain string attributes *)
+  types : Ty.t Span_table.t;  (* memref and function type texts *)
   mutable names : int array;  (* start, length per pending %name *)
   mutable n_names : int;
   mutable tys : Ty.t array;  (* pending operand and result types *)
@@ -40,9 +34,9 @@ let state src =
     sc = S.create ~comments:true src;
     src;
     ctx = Ir.context ();
-    values = Spans.create src;
-    strings = Spans.create src;
-    types = Spans.create src;
+    values = Span_table.create src;
+    strings = Span_table.create src;
+    types = Span_table.create src;
     names = [||];
     n_names = 0;
     tys = [||];
@@ -50,9 +44,9 @@ let state src =
   }
 
 let intern p start len =
-  match Spans.find p.strings start len with
-  | -1 -> Spans.add p.strings start len (String.sub p.src start len)
-  | e -> Spans.get p.strings e
+  match Span_table.find p.strings start len with
+  | -1 -> Span_table.add p.strings start len (String.sub p.src start len)
+  | e -> Span_table.get p.strings e
 
 (* ------------------------------------------------------------------ *)
 (* Tokens and lists                                                    *)
@@ -244,18 +238,18 @@ and shared p start parse =
   let stop = type_end p.src start in
   match
     if stop > start && S.depth p.sc + (stop - start) <= S.max_depth then
-      Spans.find p.types start (stop - start)
+      Span_table.find p.types start (stop - start)
     else -1
   with
   | -1 -> (
     let ty = parse p in
     let len = S.pos p.sc - start in
-    match Spans.find p.types start len with
-    | -1 -> Spans.add p.types start len ty
-    | e -> Spans.get p.types e)
+    match Span_table.find p.types start len with
+    | -1 -> Span_table.add p.types start len ty
+    | e -> Span_table.get p.types e)
   | e ->
     S.seek p.sc stop;
-    Spans.get p.types e
+    Span_table.get p.types e
 
 (* (tys) -> (tys) *)
 and parse_func p =
@@ -437,14 +431,14 @@ let scan_value_name p =
 let name_text p start len = String.sub p.src start len
 
 let lookup_value p start len =
-  match Spans.find p.values start len with
+  match Span_table.find p.values start len with
   | -1 -> S.fail p.sc "use of undefined value %s" (name_text p start len)
-  | e -> Spans.get p.values e
+  | e -> Span_table.get p.values e
 
 let bind_value p start len ty =
-  if Spans.find p.values start len >= 0 then
+  if Span_table.find p.values start len >= 0 then
     S.fail p.sc "redefinition of value %s" (name_text p start len);
-  Spans.add p.values start len (Ir.fresh_value p.ctx ty)
+  Span_table.add p.values start len (Ir.fresh_value p.ctx ty)
 
 (* [a], or a copy twice as long once [need] slots do not fit. *)
 let room a need fill =

@@ -16,15 +16,25 @@
       [!accel.token] is {!Ty.token};
     - one string per distinct op name, attribute key and escape-free
       string attribute (a callee name, a symbol), shared the same way;
-    - a few hundred words of per-parse tables and stacks: the tables map
-      spans of the source (start, length) to values, strings and types,
-      and the stacks hold an op's value names and types until its
-      checks run.
+    - per-parse tables and stacks. The tables map spans of the source
+      (start, length) to values, strings and types: about four words
+      per distinct name, string or type text and a bucket head each,
+      doubled as they fill. The stacks hold the value names and types
+      of the ops open at one point until their checks run, so they grow
+      with the operand and result counts along one nesting path.
     A [%name] is looked up by its span, and an integer is read in place:
     the text of a name, a number or a type is built only for an error
-    message. [test/suite_parser.ml] bounds a parse of
-    [test/golden/matmul_v3_16_cs.mlir] at 2,500 words; it takes about
-    1,900 for a module of about 1,200.
+    message.
+
+    Past 256 words (about 64 distinct names) a table's arrays are
+    allocated directly in the major heap, which [Gc.minor_words], and
+    so hostbench's [alloc_mwords], does not count.
+    [test/suite_parser.ml] bounds a parse of
+    [test/golden/matmul_v3_16_cs.mlir] at 2,500 minor words (it takes
+    about 1,800 for a module of about 1,200), and a parse of a module
+    of 4,000 values, 2,000 type texts and 2,000 strings, major-heap
+    words included, at twice the module's size (it takes about 1.6
+    times).
 
     The span tables hash and chain as [Hashtbl] does ({!Span_table}),
     so hostile names flood them no more than a [Hashtbl] of strings. *)

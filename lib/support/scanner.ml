@@ -68,12 +68,19 @@ let expect t c =
     if at_end t then fail t "expected '%c', found end of input" c
     else fail t "expected '%c', found '%c'" c (peek t)
 
-let rec matches_at src pos s i =
-  i = String.length s || (src.[pos + i] = s.[i] && matches_at src pos s (i + 1))
+let rec same_from a i b j len =
+  len = 0
+  || (String.unsafe_get a i = String.unsafe_get b j && same_from a (i + 1) b (j + 1) (len - 1))
+
+let same_bytes a i b j len =
+  i >= 0 && j >= 0 && len >= 0
+  && i + len <= String.length a
+  && j + len <= String.length b
+  && same_from a i b j len
 
 let accept_string t s =
   skip_ws t;
-  if t.pos + String.length s <= t.len && matches_at t.src t.pos s 0 then begin
+  if same_bytes t.src t.pos s 0 (String.length s) then begin
     t.pos <- t.pos + String.length s;
     true
   end

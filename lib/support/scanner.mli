@@ -112,6 +112,11 @@ val int_from : t -> int -> int
     63-bit pattern. Raises [Exit] when the text is not such a literal
     or does not fit. *)
 
+val same_bytes : string -> int -> string -> int -> int -> bool
+(** [same_bytes a i b j len]: whether the [len] bytes of [a] from [i]
+    are those of [b] from [j]; false when either span runs past its
+    text. With [b] a keyword and [j = 0], whether a span reads it. *)
+
 val seek : t -> int -> unit
 (** Move the cursor to a position, for a parser that skips text it
     has read before. *)

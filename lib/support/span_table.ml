@@ -4,10 +4,9 @@ type 'a t = {
   mutable keys : int array;  (* per entry: start, length, 1 + next entry or 0 *)
   mutable data : 'a array;
   mutable count : int;
-  mutable recent : int array;  (* per slot: 1 + the entry last found there, or 0 *)
 }
 
-let create src = { src; heads = [||]; keys = [||]; data = [||]; count = 0; recent = [||] }
+let create src = { src; heads = [||]; keys = [||]; data = [||]; count = 0 }
 
 (* caml_hash's MurmurHash3 steps, on 32-bit words held in an int *)
 let rotl32 x n = ((x lsl n) lor (x lsr (32 - n))) land 0xFFFF_FFFF
@@ -39,11 +38,8 @@ let hash src start len =
   let h = (h * 0xc2b2ae35) land 0xFFFF_FFFF in
   (h lxor (h lsr 16)) land 0x3FFF_FFFF
 
-let rec same src i j len =
-  len = 0
-  || (String.unsafe_get src i = String.unsafe_get src j && same src (i + 1) (j + 1) (len - 1))
-
-let matches t e start len = t.keys.((3 * e) + 1) = len && same t.src t.keys.(3 * e) start len
+let matches t e start len =
+  t.keys.((3 * e) + 1) = len && Scanner.same_bytes t.src t.keys.(3 * e) t.src start len
 
 let rec walk t start len link =
   if link = 0 then -1
@@ -52,24 +48,9 @@ let rec walk t start len link =
     if matches t e start len then e
     else walk t start len t.keys.((3 * e) + 2)
 
-(* A span's slot among the recently found keys, from its length and
-   three of its bytes: much cheaper than [hash]. *)
-let slot src start len =
-  if len = 0 then 0
-  else
-    ((len * 0x3B) + byte src start 4 + byte src (start + (len / 2)) 2 + byte src (start + len - 1) 0)
-    land 31
-
 let find t start len =
   if t.count = 0 then -1
-  else
-    let k = slot t.src start len in
-    let r = t.recent.(k) - 1 in
-    if r >= 0 && matches t r start len then r
-    else
-      let e = walk t start len t.heads.(hash t.src start len land (Array.length t.heads - 1)) in
-      if e >= 0 then t.recent.(k) <- e + 1;
-      e
+  else walk t start len t.heads.(hash t.src start len land (Array.length t.heads - 1))
 
 let get t e = t.data.(e)
 
@@ -85,8 +66,7 @@ let add t start len x =
   if e = 0 then begin
     t.heads <- Array.make initial 0;
     t.keys <- Array.make (3 * initial) 0;
-    t.data <- Array.make initial x;
-    t.recent <- Array.make 32 0
+    t.data <- Array.make initial x
   end
   else if e = Array.length t.data then begin
     let keys = Array.make (6 * e) 0 and data = Array.make (2 * e) x in
@@ -99,7 +79,6 @@ let add t start len x =
   t.keys.((3 * e) + 1) <- len;
   t.data.(e) <- x;
   t.count <- e + 1;
-  t.recent.(slot t.src start len) <- e + 1;
   if t.count > 2 * Array.length t.heads then begin
     t.heads <- Array.make (2 * Array.length t.heads) 0;
     for i = 0 to e do

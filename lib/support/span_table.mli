@@ -7,11 +7,7 @@
     [Hashtbl.hash] of its text, a new entry heads its bucket's chain,
     and the buckets double once they hold two entries each on average.
     A set of hostile names that floods this table floods a [Hashtbl]
-    keyed by the same names, and the other way round. In front of the
-    buckets, 32 slots remember the entry last found under each of a
-    cheap function of a span's length and three of its bytes, so a
-    repeated name is usually found without hashing it; a miss there
-    costs one comparison more than the chain walk.
+    keyed by the same names, and the other way round.
 
     Until its first entry a table holds no arrays. Entries are numbered from 0
     in the order they were added. *)
