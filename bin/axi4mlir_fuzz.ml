@@ -62,9 +62,12 @@ let run_tool seed count only replay_path do_shrink corpus verbose =
           Printf.printf "replaying %d corpus case(s) from %s\n%!" (List.length cases)
             path;
           Ok (Fuzz_driver.replay ~shrink_failures:do_shrink ~on_case cases))
-      | None ->
-        Printf.printf "fuzzing: seed %d, %d case(s)\n%!" seed count;
-        Ok (Fuzz_driver.campaign ?only ~shrink_failures:do_shrink ~on_case ~seed ~count ())
+      | None -> (
+        match Tool_common.positive ~flag:"count" count with
+        | exception Failure msg -> Error msg
+        | count ->
+          Printf.printf "fuzzing: seed %d, %d case(s)\n%!" seed count;
+          Ok (Fuzz_driver.campaign ?only ~shrink_failures:do_shrink ~on_case ~seed ~count ()))
     in
     match report with
     | Error msg -> `Error (false, msg)

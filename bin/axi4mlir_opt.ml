@@ -41,7 +41,6 @@ let run_tool config_path input emit_matmul emit_conv flow tiles no_cpu_tiling no
   end
   else
   Tool_common.with_observability ~remarks ~metrics:metrics_out @@ fun () ->
-  Dialects.register_all ();
   let modul =
     match (emit_matmul, emit_conv, input) with
     | Some _, Some _, _ -> failwith "--emit-matmul and --emit-conv are exclusive"

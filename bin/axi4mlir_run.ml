@@ -67,7 +67,6 @@ let run_tool config_path matmul conv flow tiles coalesce double_buffer cpu_only
     trace_out timing remarks metrics_out doctor critical_path graph residency batch
     width graph_json =
   Tool_common.with_observability ~remarks ~metrics:metrics_out @@ fun () ->
-  Dialects.register_all ();
   match graph with
   | Some model ->
     if matmul <> None || conv <> None then

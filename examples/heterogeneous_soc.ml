@@ -11,7 +11,6 @@
      dune exec examples/heterogeneous_soc.exe *)
 
 let () =
-  Dialects.register_all ();
   let host = Host_config.pynq_z2 in
   let matmul_accel = Presets.matmul ~version:Accel_matmul.V3 ~size:16 ~flow:"Cs" () in
   let conv_accel =

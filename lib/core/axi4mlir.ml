@@ -6,7 +6,6 @@ type t = {
 }
 
 let create ?(host = Host_config.pynq_z2) accel =
-  Dialects.register_all ();
   let soc = Soc.create ~cache_geometries:host.Host_config.caches () in
   let engine = Accel_config.attach soc accel in
   { soc; host; accel; engine }

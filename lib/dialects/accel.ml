@@ -134,20 +134,6 @@ let verify_wait (o : Ir.op) =
   | [ tok ], [] when is_token tok -> Ok ()
   | _ -> Error "wait consumes exactly one !accel.token and returns nothing"
 
-let registered =
-  lazy
-    (Verifier.register_op_verifier dma_init_name verify_dma_init;
-     Verifier.register_op_verifier send_name (verify_offset_chain ~data:true);
-     Verifier.register_op_verifier recv_name (verify_offset_chain ~data:true);
-     Verifier.register_op_verifier send_literal_name (verify_offset_chain ~data:false);
-     Verifier.register_op_verifier send_dim_name (verify_offset_chain ~data:true);
-     Verifier.register_op_verifier send_idx_name (verify_offset_chain ~data:false);
-     Verifier.register_op_verifier start_send_name verify_start_send;
-     Verifier.register_op_verifier start_recv_name verify_start_recv;
-     Verifier.register_op_verifier wait_name verify_wait)
-
-let register () = Lazy.force registered
-
 let send_dim_extent (o : Ir.op) =
   match Ir.attr_or o "static_extent" Attribute.Unit with
   | Attribute.Int e -> e

@@ -91,4 +91,14 @@ val start_send_name : string
 val start_recv_name : string
 val wait_name : string
 
-val register : unit -> unit
+(** {1 Verification} The per-op checks {!Verifier} reaches by op name. *)
+
+val verify_dma_init : Ir.op -> (unit, string) result
+
+val verify_offset_chain : data:bool -> Ir.op -> (unit, string) result
+(** [send], [sendDim] and [recv] ([data]) stage a memref; [sendLiteral]
+    and [sendIdx] an [i32] or [index]. *)
+
+val verify_start_send : Ir.op -> (unit, string) result
+val verify_start_recv : Ir.op -> (unit, string) result
+val verify_wait : Ir.op -> (unit, string) result

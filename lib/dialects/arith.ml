@@ -45,12 +45,3 @@ let verify_binop (o : Ir.op) =
     if Ty.equal a.Ir.vty b.Ir.vty && Ty.equal a.Ir.vty r.Ir.vty then Ok ()
     else Error "operand and result types must all match"
   | _ -> Error "binary op requires two operands and one result"
-
-let registered =
-  lazy
-    (Verifier.register_op_verifier "arith.constant" verify_constant;
-     List.iter
-       (fun name -> Verifier.register_op_verifier name verify_binop)
-       [ "arith.addi"; "arith.subi"; "arith.muli"; "arith.addf"; "arith.mulf" ])
-
-let register () = Lazy.force registered

@@ -18,4 +18,9 @@ val index_cast : Builder.t -> Ir.value -> Ir.value
 val const_value : Ir.op -> Attribute.t
 (** The [value] attribute of an [arith.constant]. *)
 
-val register : unit -> unit
+(** {1 Verification} The per-op checks {!Verifier} reaches by op name. *)
+
+val verify_constant : Ir.op -> (unit, string) result
+
+val verify_binop : Ir.op -> (unit, string) result
+(** [arith.addi], [subi], [muli], [addf] and [mulf]. *)

@@ -1,7 +1,1 @@
-let register_all () =
-  Func.register ();
-  Arith.register ();
-  Memref_d.register ();
-  Scf.register ();
-  Linalg.register ();
-  Accel.register ()
+let register_all () = ()

@@ -1,6 +1,7 @@
 (** Umbrella for the dialect libraries. *)
 
 val register_all : unit -> unit
-(** Register the verifiers of every dialect ([func], [arith], [memref],
-    [scf], [linalg], [accel]). Idempotent; call before running
-    {!Verifier.verify} or a pass pipeline. *)
+(** Does nothing. Every dialect's per-op checks are reached through
+    {!Verifier}'s static dispatch, so there is nothing to register; this
+    stays only for callers written before that, and new code should not
+    call it. *)

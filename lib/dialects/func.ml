@@ -62,10 +62,3 @@ let verify_call (o : Ir.op) =
   match Ir.attr o "callee" with
   | Some (Str _) -> Ok ()
   | Some _ | None -> Error "missing or non-string callee attribute"
-
-let registered =
-  lazy
-    (Verifier.register_op_verifier func_name verify_func;
-     Verifier.register_op_verifier call_name verify_call)
-
-let register () = Lazy.force registered

@@ -30,5 +30,7 @@ val find_func : Ir.op -> string -> Ir.op option
 
 val is_func : Ir.op -> bool
 
-val register : unit -> unit
-(** Ensure this dialect's verifiers are registered (idempotent). *)
+(** {1 Verification} The per-op checks {!Verifier} reaches by op name. *)
+
+val verify_func : Ir.op -> (unit, string) result
+val verify_call : Ir.op -> (unit, string) result

@@ -172,6 +172,3 @@ let verify_generic (o : Ir.op) =
       end
     end
   | _ -> Error "missing indexing_maps, iterator_types or ins attribute"
-
-let registered = lazy (Verifier.register_op_verifier generic_name verify_generic)
-let register () = Lazy.force registered

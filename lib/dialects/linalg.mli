@@ -69,4 +69,5 @@ val loop_ranges : Ir.op -> int list
     dimension cannot be inferred (never happens for maps built from
     projections of plain dims appearing at least once). *)
 
-val register : unit -> unit
+val verify_generic : Ir.op -> (unit, string) result
+(** The [linalg.generic] check {!Verifier} dispatches to. *)

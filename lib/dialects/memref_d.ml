@@ -90,12 +90,3 @@ let verify_alloc (o : Ir.op) =
     | Ty.Memref _ -> Error "alloc result must have identity layout"
     | _ -> Error "alloc result must be a memref")
   | _ -> Error "alloc must have exactly one result"
-
-let registered =
-  lazy
-    (Verifier.register_op_verifier "memref.subview" verify_subview;
-     Verifier.register_op_verifier "memref.load" verify_load;
-     Verifier.register_op_verifier "memref.store" verify_store;
-     Verifier.register_op_verifier "memref.alloc" verify_alloc)
-
-let register () = Lazy.force registered

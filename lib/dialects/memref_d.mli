@@ -20,4 +20,9 @@ val store : Builder.t -> Ir.value -> Ir.value -> Ir.value list -> unit
 val dim_size : Ir.value -> int -> int
 (** Static extent of dimension [d] of a memref-typed value. *)
 
-val register : unit -> unit
+(** {1 Verification} The per-op checks {!Verifier} reaches by op name. *)
+
+val verify_alloc : Ir.op -> (unit, string) result
+val verify_subview : Ir.op -> (unit, string) result
+val verify_load : Ir.op -> (unit, string) result
+val verify_store : Ir.op -> (unit, string) result

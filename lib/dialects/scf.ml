@@ -48,6 +48,3 @@ let verify_for (o : Ir.op) =
       | _ -> Error "loop body must have exactly one block argument"
     end
   | _ -> Error "scf.for requires exactly lb, ub and step operands"
-
-let registered = lazy (Verifier.register_op_verifier for_name verify_for)
-let register () = Lazy.force registered

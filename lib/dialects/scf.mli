@@ -27,4 +27,5 @@ val induction_var : Ir.op -> Ir.value
 val loop_body : Ir.op -> Ir.op list
 (** Body ops of an [scf.for], excluding the terminating [scf.yield]. *)
 
-val register : unit -> unit
+val verify_for : Ir.op -> (unit, string) result
+(** The [scf.for] check {!Verifier} dispatches to. *)

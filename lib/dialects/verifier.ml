@@ -2,9 +2,28 @@ type error = { failing_op : string; reason : string }
 
 let error_to_string e = Printf.sprintf "op %s: %s" e.failing_op e.reason
 
-let registry : (string, Ir.op -> (unit, string) result) Hashtbl.t = Hashtbl.create 64
-
-let register_op_verifier name f = Hashtbl.replace registry name f
+(* Every dialect's per-op check, chosen by the op name; a name no
+   dialect checks passes. *)
+let verify_op (o : Ir.op) =
+  match o.name with
+  | "func.func" -> Func.verify_func o
+  | "func.call" -> Func.verify_call o
+  | "arith.constant" -> Arith.verify_constant o
+  | "arith.addi" | "arith.subi" | "arith.muli" | "arith.addf" | "arith.mulf" ->
+    Arith.verify_binop o
+  | "memref.alloc" -> Memref_d.verify_alloc o
+  | "memref.subview" -> Memref_d.verify_subview o
+  | "memref.load" -> Memref_d.verify_load o
+  | "memref.store" -> Memref_d.verify_store o
+  | "scf.for" -> Scf.verify_for o
+  | "linalg.generic" -> Linalg.verify_generic o
+  | "accel.dma_init" -> Accel.verify_dma_init o
+  | "accel.send" | "accel.sendDim" | "accel.recv" -> Accel.verify_offset_chain ~data:true o
+  | "accel.sendLiteral" | "accel.sendIdx" -> Accel.verify_offset_chain ~data:false o
+  | "accel.start_send" -> Accel.verify_start_send o
+  | "accel.start_recv" -> Accel.verify_start_recv o
+  | "accel.wait" -> Accel.verify_wait o
+  | _ -> Ok ()
 
 (* Per-domain scratch for one verification: a mark per value id, and
    a stack of the ids defined in the blocks still open. Ids are dense
@@ -117,12 +136,9 @@ let pop t base =
    class: a later one could not be the error reported. *)
 let run_op_verifier t (o : Ir.op) =
   if t.error == None then
-    match Hashtbl.find registry o.name with
-    | exception Not_found -> ()
-    | f -> (
-      match f o with
-      | Ok () -> ()
-      | Error reason | (exception Invalid_argument reason) -> fail t per_op o.name reason)
+    match verify_op o with
+    | Ok () -> ()
+    | Error reason | (exception Invalid_argument reason) -> fail t per_op o.name reason
 
 (* Operands are checked against the values visible before the op; its
    regions see every enclosing definition; its results become visible

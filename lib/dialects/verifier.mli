@@ -1,9 +1,11 @@
 (** IR verification.
 
     One pre-order walk checks, at each op: its operands against the
-    values visible there, then its registered per-op verifier (dialect
-    libraries populate the registry), then its regions; its results
-    become visible after it.
+    values visible there, then the per-op check of its dialect
+    ([func], [arith], [memref], [scf], [linalg] or [accel], chosen by
+    one static match on the op name; an op of any other name has none),
+    then its regions; its results become visible after it. The answer
+    depends on the module alone: there is nothing to register first.
 
     Definitions are scoped by block. A block's arguments and the
     results of the ops in its body are visible in the rest of the block
@@ -25,10 +27,6 @@ type error = {
 
 val error_to_string : error -> string
 (** ["op %s: %s"] — the historical flat message format. *)
-
-val register_op_verifier : string -> (Ir.op -> (unit, string) result) -> unit
-(** Register a verifier for an op name. Registering twice replaces the
-    previous verifier (used by tests). *)
 
 val verify_structured : Ir.op -> (unit, error) result
 (** Verify an op tree. Reports the first SSA error in walk order, else

@@ -1,21 +1,31 @@
-(* The conv engine's host protocol, one DMA transfer per opcode. *)
+(* The manual drivers' host protocol, one DMA transfer per opcode: an
+   opcode word alone, with one operand word, or with a tile. A tile
+   transfer charges [alu] host ops for its address arithmetic. *)
+
+let send_inst lib lit =
+  ignore (Dma_library.stage_literal lib lit ~offset:0);
+  Dma_library.flush_send lib
 
 let send_two lib a b =
   let offset = Dma_library.stage_literal lib a ~offset:0 in
   ignore (Dma_library.stage_literal lib b ~offset);
   Dma_library.flush_send lib
 
-let send_tile lib lit view =
-  Soc.alu (Dma_library.soc lib) 6;
+let send_tile_with lib ~alu lit view =
+  Soc.alu (Dma_library.soc lib) alu;
   let offset = Dma_library.stage_literal lib lit ~offset:0 in
   ignore
     (Dma_library.copy_to_dma_region_with lib (Dma_library.manual_strategy view) view ~offset);
   Dma_library.flush_send lib
 
-let recv_tile lib ~accumulate view =
-  Soc.alu (Dma_library.soc lib) 6;
-  ignore (Dma_library.stage_literal lib Isa.cv_drain ~offset:0);
+let recv_tile_with lib ~alu lit ~accumulate view =
+  Soc.alu (Dma_library.soc lib) alu;
+  ignore (Dma_library.stage_literal lib lit ~offset:0);
   Dma_library.recv_into lib (Dma_library.manual_strategy view) view ~accumulate
+
+(* The conv driver charges six host ops per tile and drains with [cv_drain]. *)
+let send_tile lib lit view = send_tile_with lib ~alu:6 lit view
+let recv_tile lib ~accumulate view = recv_tile_with lib ~alu:6 Isa.cv_drain ~accumulate view
 
 let loop soc count body =
   for i = 0 to count - 1 do
@@ -40,7 +50,7 @@ let run soc (config : Accel_config.t) ?(flow = "Ws") ?(stride = 1) ~input ~filte
   let send_tile = send_tile lib and recv_tile = recv_tile lib ~accumulate:true in
   let loop = loop soc in
   (* reset + configuration *)
-  Dma_library.send_reset lib;
+  send_inst lib Isa.reset;
   send_two lib Isa.cv_set_fhw fh;
   send_two lib Isa.cv_set_ic ic;
   let w_slice f =

@@ -19,18 +19,29 @@ val run :
 
 (** {1 Protocol helpers}
 
-    The conv engine's host protocol, shared with the whole-model
-    executor ([Graph_exec]). Each opcode is one DMA transfer; tile
-    copies use {!Dma_library.manual_strategy}. *)
+    The manual drivers' host protocol, shared with the matmul driver
+    and the whole-model executor ([Graph_exec]). Each opcode is one DMA
+    transfer; tile copies use {!Dma_library.manual_strategy}. A tile
+    transfer first charges [alu] host ops for its address arithmetic. *)
+
+val send_inst : Dma_library.t -> int -> unit
+(** Stage an opcode word alone, then flush. *)
 
 val send_two : Dma_library.t -> int -> int -> unit
 (** Stage an opcode and its operand word, then flush. *)
 
-val send_tile : Dma_library.t -> int -> Memref_view.t -> unit
+val send_tile_with : Dma_library.t -> alu:int -> int -> Memref_view.t -> unit
 (** Stage an opcode and a tile, then flush. *)
 
+val recv_tile_with :
+  Dma_library.t -> alu:int -> int -> accumulate:bool -> Memref_view.t -> unit
+(** Stage the request opcode, then drain the engine into a view ([+=]
+    when [accumulate]). *)
+
+val send_tile : Dma_library.t -> int -> Memref_view.t -> unit
 val recv_tile : Dma_library.t -> accumulate:bool -> Memref_view.t -> unit
-(** Drain the engine into a view ([+=] when [accumulate]). *)
+(** The conv driver's forms: [alu] is 6 (the matmul driver's is 4), and
+    a receive requests {!Isa.cv_drain}. *)
 
 val loop : Soc.t -> int -> (int -> unit) -> unit
 (** [for i = 0 to count - 1], charging one loop iteration each. *)

@@ -6,20 +6,8 @@ let sub2 view i j si sj = Memref_view.subview view ~offsets:[ i; j ] ~sizes:[ si
    and one DMA transfer per opcode — the "fewest transfer calls"
    property of the hand-written baselines. *)
 
-let send_tile lib lit view =
-  Soc.alu (Dma_library.soc lib) 4;
-  let offset = Dma_library.stage_literal lib lit ~offset:0 in
-  ignore (Dma_library.copy_to_dma_region_with lib (Dma_library.manual_strategy view) view ~offset);
-  Dma_library.flush_send lib
-
-let send_inst lib lit =
-  ignore (Dma_library.stage_literal lib lit ~offset:0);
-  Dma_library.flush_send lib
-
-let recv_tile lib lit view =
-  Soc.alu (Dma_library.soc lib) 4;
-  ignore (Dma_library.stage_literal lib lit ~offset:0);
-  Dma_library.recv_into lib (Dma_library.manual_strategy view) view ~accumulate:true
+let send_tile lib lit view = Manual_conv.send_tile_with lib ~alu:4 lit view
+let recv_tile lib lit view = Manual_conv.recv_tile_with lib ~alu:4 lit ~accumulate:true view
 
 (* v1's single fused instruction: A and B batched into one transfer. *)
 let send_fused_recv lib ~a_tile ~b_tile ~c_tile =
@@ -65,7 +53,7 @@ let run soc (config : Accel_config.t) ~flow ?tiles ~a ~b ~c () =
     failwith "Manual_matmul: problem dims must be divisible by the tile sizes";
   let lib = Dma_library.init soc ~dma_id:config.dma.dma_id ~strategy:Dma_library.Specialized in
   let loop = Manual_conv.loop soc in
-  send_inst lib Isa.reset;
+  Manual_conv.send_inst lib Isa.reset;
   if version = Accel_matmul.V4 then send_v4_config lib { tm; tn; tk };
   let a_tile i l = sub2 a (i * tm) (l * tk) tm tk in
   let b_tile l j = sub2 b (l * tk) (j * tn) tk tn in
@@ -110,7 +98,7 @@ let run soc (config : Accel_config.t) ~flow ?tiles ~a ~b ~c () =
             loop kt (fun l ->
                 send_tile lib Isa.mm_load_a (a_tile i l);
                 send_tile lib Isa.mm_load_b (b_tile l j);
-                send_inst lib compute_lit;
+                Manual_conv.send_inst lib compute_lit;
                 recv_tile lib drain_lit (c_tile i j))))
   | (Accel_matmul.V3 | Accel_matmul.V4), "As" ->
     loop mt (fun i ->
@@ -118,7 +106,7 @@ let run soc (config : Accel_config.t) ~flow ?tiles ~a ~b ~c () =
             send_tile lib Isa.mm_load_a (a_tile i l);
             loop nt (fun j ->
                 send_tile lib Isa.mm_load_b (b_tile l j);
-                send_inst lib compute_lit;
+                Manual_conv.send_inst lib compute_lit;
                 recv_tile lib drain_lit (c_tile i j))))
   | (Accel_matmul.V3 | Accel_matmul.V4), "Bs" ->
     loop kt (fun l ->
@@ -126,7 +114,7 @@ let run soc (config : Accel_config.t) ~flow ?tiles ~a ~b ~c () =
             send_tile lib Isa.mm_load_b (b_tile l j);
             loop mt (fun i ->
                 send_tile lib Isa.mm_load_a (a_tile i l);
-                send_inst lib compute_lit;
+                Manual_conv.send_inst lib compute_lit;
                 recv_tile lib drain_lit (c_tile i j))))
   | (Accel_matmul.V3 | Accel_matmul.V4), "Cs" ->
     loop mt (fun i ->
@@ -134,7 +122,7 @@ let run soc (config : Accel_config.t) ~flow ?tiles ~a ~b ~c () =
             loop kt (fun l ->
                 send_tile lib Isa.mm_load_a (a_tile i l);
                 send_tile lib Isa.mm_load_b (b_tile l j);
-                send_inst lib compute_lit);
+                Manual_conv.send_inst lib compute_lit);
             recv_tile lib drain_lit (c_tile i j)))
   | _, other -> failwith (Printf.sprintf "Manual_matmul: unsupported flow %s" other));
   ignore drain_lit;

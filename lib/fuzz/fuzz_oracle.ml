@@ -368,7 +368,6 @@ let roundtrip ~stage m =
   match Fuzz_roundtrip.check ~stage m with Ok () -> [] | Error msg -> [ Roundtrip msg ]
 
 let run (case : Fuzz_case.t) =
-  Dialects.register_all ();
   match config_of_case case with
   | Error reason -> Rejected ("configuration: " ^ reason)
   | Ok (host, accel) -> (

@@ -150,7 +150,7 @@ let run ?(batch = 1) ~residency (g : Graph_ir.t) =
     in
     if not residency then begin
       (* per-kernel: fresh engine state, every transfer explicit *)
-      Dma_library.send_reset (the_lib ());
+      Manual_conv.send_inst (the_lib ()) Isa.reset;
       send_two Isa.cv_set_fhw dims.cd_fhw;
       send_two Isa.cv_set_ic dims.cd_ic;
       List.iter
@@ -329,7 +329,7 @@ let run ?(batch = 1) ~residency (g : Graph_ir.t) =
     Axi4mlir.measure bench (fun () ->
         if residency then begin
           (match kind with
-          | `Conv -> Dma_library.send_reset (the_lib ())
+          | `Conv -> Manual_conv.send_inst (the_lib ()) Isa.reset
           | `Matmul -> ());
           (* node-major: a node sees the whole batch before the next *)
           let all = List.init batch (fun b -> b) in

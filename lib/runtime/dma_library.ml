@@ -278,11 +278,6 @@ let recv_into t strategy view ~accumulate =
 let manual_strategy view =
   if can_specialize view && Memref_view.contiguous_run view >= 4 then Specialized else Bare
 
-let send_reset t =
-  let offset = stage_literal t Isa.reset ~offset:0 in
-  ignore offset;
-  flush_send t
-
 (* ------------------------------------------------------------------ *)
 (* Non-blocking transfers                                              *)
 (* ------------------------------------------------------------------ *)

@@ -104,10 +104,6 @@ val skip_resident : t -> words:int -> what:string -> unit
     [runtime.dma_words_skipped] metric and leaves a marker on the DMA
     trace track via {!Dma_engine.note_skipped}. No DMA words move. *)
 
-val send_reset : t -> unit
-(** Stage and flush the reset opcode ({!Isa.reset}) — the common
-    [init_opcodes] flow. *)
-
 (** {1 Non-blocking transfers}
 
     The library-level faces of [accel.start_send] / [accel.start_recv]

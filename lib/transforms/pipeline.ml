@@ -15,7 +15,6 @@ let passes t =
   @ [ Canonicalize.pass ]
 
 let run ?stats ?tracer t m =
-  Dialects.register_all ();
   let o = t.options in
   Remarks.emit ~kind:Remarks.Analysis ~pass:"pipeline" ~name:"config" ~loc:"module"
     ~args:
@@ -45,5 +44,4 @@ let run_result ?stats ?tracer t m =
 let cpu_passes = [ Lower_linalg_to_loops.pass ]
 
 let run_cpu ?stats ?tracer m =
-  Dialects.register_all ();
   Pass.run_pipeline ?stats ?tracer cpu_passes m

@@ -33,7 +33,6 @@ let build_mixed_module ~m ~n ~k ~ic ~ihw ~oc ~fhw =
   Ir.module_op [ f ]
 
 let test_two_accelerators () =
-  Dialects.register_all ();
   let host = Host_config.pynq_z2 in
   let matmul_accel = Presets.matmul ~version:Accel_matmul.V3 ~size:4 ~flow:"Cs" () in
   let conv_accel = conv_on_engine_1 () in

@@ -439,7 +439,6 @@ let test_workload_spec_structured_errors () =
 let verify_only = Pass.make "verify-only" (fun m -> m)
 
 let token_module build =
-  Dialects.register_all ();
   let f =
     Func.func_op (Ir.context ()) ~name:"tokens" ~args:[] (fun b _ ->
         build b;

@@ -1,5 +1,4 @@
 let () =
-  Dialects.register_all ();
   Alcotest.run "axi4mlir"
     [
       ("support", Suite_support.tests);
