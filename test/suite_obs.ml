@@ -398,13 +398,32 @@ let golden_trace_runs () =
     ignore (Axi4mlir.measure bench (fun () -> Axi4mlir.run_matmul bench ~options ir ~a ~b ~c));
     List.filter (fun e -> e.Trace.ev_track <> Trace.compile_track) (Trace.events tracer)
   in
+  (* The manual Rs conv driver picks its copy per view: its weight
+     slices and output rows of 4 are Specialized, its patches (runs of
+     fHW) and output rows of 3 are Bare. *)
+  let manual_conv ~ic ~ihw ~fhw =
+    let accel = Presets.conv ~flow:"Ws" () in
+    let bench = Axi4mlir.create accel in
+    let i, w, o =
+      Axi4mlir.alloc_conv_operands bench ~n:1 ~ic ~ih:ihw ~iw:ihw ~oc:1 ~fh:fhw ~fw:fhw
+    in
+    let tracer = Axi4mlir.enable_tracing bench in
+    ignore
+      (Axi4mlir.measure bench (fun () ->
+           Manual_conv.run bench.Axi4mlir.soc accel ~flow:"Rs" ~input:i ~filter:w ~output:o ()));
+    Trace.events tracer
+  in
   let default = Axi4mlir.default_codegen in
   [
     ("v3_16_cs blocking", run "v3_16_cs.json" ~options:default ~m:16);
+    ( "v3_16_cs blocking, generic copies",
+      run "v3_16_cs.json" ~options:{ default with copy_specialization = false } ~m:16 );
     ( "v3_16_cs blocking, accel level",
       run "v3_16_cs.json" ~options:{ default with to_runtime_calls = false } ~m:16 );
     ( "v4_16 Ns double-buffered",
       run "v4_16.json" ~options:{ default with flow = Some "Ns"; double_buffer = true } ~m:32 );
+    ("conv Rs manual, fHW=1", manual_conv ~ic:4 ~ihw:4 ~fhw:1);
+    ("conv Rs manual, fHW=3", manual_conv ~ic:2 ~ihw:5 ~fhw:3);
   ]
 
 let event_json run (e : Trace.event) =

@@ -141,6 +141,86 @@ let test_iter_runs_allocates_nothing () =
   Alcotest.(check int) "elements visited" 72 !elements;
   Alcotest.(check (float 0.0)) "words per iter_runs call" 0.0 words
 
+(* Every copy, in each strategy and direction, on a strided rank-4 view
+   (runs of 3 under two leading dims) and on one with an innermost
+   stride of 2 (runs of 1). *)
+let test_copies_allocate_nothing () =
+  let was_enabled = Metrics.enabled Metrics.default in
+  Metrics.disable Metrics.default;
+  let soc = Soc.create () in
+  let device = Accel_conv.create () in
+  ignore (Soc.attach_engine soc ~dma_id:0 ~device ~in_capacity_words:512 ~out_capacity_words:16);
+  let buf = Sim_memory.alloc soc.Soc.memory ~label:"x" (2 * 8 * 6 * 12) in
+  let whole = Memref_view.of_buffer buf [ 2; 8; 6; 12 ] in
+  let runs3 = Memref_view.subview whole ~offsets:[ 1; 0; 1; 1 ] ~sizes:[ 1; 8; 3; 3 ] in
+  let stepped =
+    Memref_view.subview
+      { whole with Memref_view.shape = [ 2; 8; 6; 6 ]; strides = [ 576; 72; 12; 2 ] }
+      ~offsets:[ 0; 1; 1; 1 ] ~sizes:[ 2; 4; 3; 3 ]
+  in
+  let data = Array.make 144 0.5 in
+  List.iter
+    (fun (what, view) ->
+      List.iter
+        (fun strategy ->
+          let lib = Dma_library.init soc ~dma_id:0 ~strategy in
+          let name dir =
+            Printf.sprintf "%s, %s, %s" what (Dma_library.strategy_to_string strategy) dir
+          in
+          let check dir f =
+            f ();
+            Alcotest.(check (float 0.0)) (name dir) 0.0 (net_minor_words f)
+          in
+          check "to DMA" (fun () ->
+              ignore (Dma_library.copy_to_dma_region_with lib strategy view ~offset:0));
+          check "from DMA, store" (fun () ->
+              Dma_library.copy_from_data_with lib strategy view ~accumulate:false data);
+          check "from DMA, accumulate" (fun () ->
+              Dma_library.copy_from_data_with lib strategy view ~accumulate:true data))
+        Dma_library.[ Generic; Specialized; Bare ])
+    [ ("runs of 3", runs3); ("innermost stride 2", stepped) ];
+  if was_enabled then Metrics.enable Metrics.default
+
+(* The exact minor words of one small conv layer through the manual Rs
+   driver and through the generated Os code (fHW=3, iC=8, a 5x6 input,
+   two output channels), measured on the second run of each. These pin
+   allocation identity: a change that only makes the simulator faster
+   must leave both numbers as they are. A compiler or OCaml runtime
+   change re-pins them; a speed change never does. *)
+let conv_run_minor_words ~manual =
+  let was_enabled = Metrics.enabled Metrics.default in
+  Metrics.disable Metrics.default;
+  let accel = Presets.conv ~flow:(if manual then "Ws" else "Os") () in
+  let bench = Axi4mlir.create accel in
+  let n, ic, ih, iw, oc, fh, fw = (1, 8, 5, 6, 2, 3, 3) in
+  let i, w, o = Axi4mlir.alloc_conv_operands bench ~n ~ic ~ih ~iw ~oc ~fh ~fw in
+  let run =
+    if manual then fun () ->
+      ignore
+        (Axi4mlir.measure bench (fun () ->
+             Manual_conv.run bench.Axi4mlir.soc accel ~flow:"Rs" ~input:i ~filter:w
+               ~output:o ()))
+    else begin
+      let compiled =
+        Axi4mlir.compile bench (Axi4mlir.build_conv_module ~n ~ic ~ih ~iw ~oc ~fh ~fw ())
+      in
+      fun () ->
+        ignore
+          (Axi4mlir.measure bench (fun () ->
+               Axi4mlir.run_func bench ~copy_strategy:Dma_library.Specialized compiled
+                 "conv_call"
+                 [ Interp.M i; Interp.M w; Interp.M o ]))
+    end
+  in
+  run ();
+  let words = net_minor_words run in
+  if was_enabled then Metrics.enable Metrics.default;
+  words
+
+let test_conv_minor_words_pinned () =
+  Alcotest.(check (float 0.0)) "manual Rs conv run" 1081.0 (conv_run_minor_words ~manual:true);
+  Alcotest.(check (float 0.0)) "generated Os conv run" 921.0 (conv_run_minor_words ~manual:false)
+
 (* ------------------------------------------------------------------ *)
 (* What the copies stage                                               *)
 (* ------------------------------------------------------------------ *)
@@ -307,6 +387,187 @@ let prop_fifo_is_a_queue =
       !ok && Accel_device.Fifo.length fifo = Queue.length model)
 
 (* ------------------------------------------------------------------ *)
+(* Copy-path parity: every observable effect of a copy, pinned         *)
+(* ------------------------------------------------------------------ *)
+
+(* A device that records every word of a transaction with its tag:
+   [(true, v)] for an instruction word, [(false, v)] for data. *)
+let tagging_device () =
+  let seen = ref [] in
+  let one = [| 0.0 |] in
+  let consume win _ =
+    while not (Axi_word.at_end win) do
+      match Axi_word.read_data ~who:"tagger" win one 1 with
+      | () -> seen := (false, one.(0)) :: !seen
+      | exception Failure _ ->
+        seen := (true, float_of_int (Axi_word.next_inst ~who:"tagger" win)) :: !seen
+    done
+  in
+  let device =
+    {
+      Accel_device.device_name = "tagger";
+      consume;
+      drain = (fun _ -> [||]);
+      drain_into = (fun _ _ -> ());
+      available = (fun () -> 0);
+      reset_device = ignore;
+      regions = [];
+    }
+  in
+  (device, fun () -> List.rev !seen)
+
+(* The parity views: buffer shape, slice offsets and sizes, and whether
+   the innermost dim steps by 2 through its buffer. Together they cover
+   rank 1-4, runs of 1, 3, 4, 7 and 16, a non-unit innermost stride and
+   an empty view. *)
+let parity_views =
+  [
+    ("r1 run16", [ 16 ], [ 0 ], [ 16 ], 1);
+    ("r2 run7", [ 8; 16 ], [ 1; 2 ], [ 3; 7 ], 1);
+    ("r2 whole run16", [ 4; 4 ], [ 0; 0 ], [ 4; 4 ], 1);
+    ("r3 run3", [ 4; 6; 6 ], [ 1; 1; 1 ], [ 2; 3; 3 ], 1);
+    ("r3 plane run16", [ 2; 4; 4 ], [ 1; 0; 0 ], [ 1; 4; 4 ], 1);
+    ("r4 run1", [ 2; 8; 6; 6 ], [ 1; 0; 1; 1 ], [ 1; 8; 1; 1 ], 1);
+    ("r4 run4", [ 2; 4; 6; 6 ], [ 0; 1; 2; 2 ], [ 2; 2; 4; 4 ], 1);
+    ("r4 run7", [ 1; 3; 9; 9 ], [ 0; 0; 1; 1 ], [ 1; 3; 7; 7 ], 1);
+    ("r2 stride2", [ 4; 8 ], [ 0; 1 ], [ 4; 3 ], 2);
+    ("r3 empty", [ 2; 3; 4 ], [ 0; 1; 0 ], [ 2; 0; 4 ], 1);
+  ]
+
+let parity_view mem (_, dims, offsets, sizes, step) =
+  let last = List.length dims - 1 in
+  let phys = List.mapi (fun i d -> if i = last then d * step else d) dims in
+  let buf = Sim_memory.alloc mem ~label:"parity" (List.fold_left ( * ) 1 phys) in
+  Array.iteri
+    (fun i _ -> buf.Sim_memory.data.(i) <- float_of_int ((i * 37) mod 101) *. 0.3)
+    buf.Sim_memory.data;
+  let base = Memref_view.of_buffer buf phys in
+  let strided =
+    {
+      base with
+      Memref_view.shape = dims;
+      strides =
+        List.mapi (fun i s -> if i = last then s * step else s) base.Memref_view.strides;
+    }
+  in
+  Memref_view.subview strided ~offsets ~sizes
+
+(* FNV-1a over 64-bit words. *)
+let fnv_words words =
+  List.fold_left
+    (fun h w ->
+      let h = ref h in
+      for b = 0 to 7 do
+        let byte = Int64.logand (Int64.shift_right_logical w (8 * b)) 0xffL in
+        h := Int64.mul (Int64.logxor !h byte) 0x100000001b3L
+      done;
+      !h)
+    0xcbf29ce484222325L words
+
+let float_bits = List.map Int64.bits_of_float
+
+(* Every per-element and per-run charge of this cost is off the dyadic
+   grid, with unrelated low-order bits, so adding a counter's charges in
+   another grouping (or as [n *. c]) rounds differently and shows in the
+   bits. *)
+let ragged_cost =
+  {
+    Cost_model.default with
+    alu_cycles = 1.0 /. 3.0;
+    fpu_cycles = Float.exp 1.0;
+    branch_cycles = Float.sqrt 0.5;
+    l1_hit_cycles = Float.sqrt 2.0;
+    l2_hit_cycles = Float.exp 2.0;
+    dram_cycles = 59.0 +. (1.0 /. 7.0);
+    uncached_store_cycles = Float.sqrt 3.0;
+    uncached_load_cycles = Float.pi;
+    memcpy_row_setup_cycles = 4.0 +. (1.0 /. 9.0);
+  }
+
+(* One parity line: run the copy twice (the second pass meets a warm
+   cache), zeroing the counters before each copy and reading them right
+   after it, so each copy's charges are rounded at their own magnitude
+   and not against the library's set-up or the sends. Print the
+   returned offsets, every counter's bits after each copy, and digests
+   of the staged words with their tags, of the destination buffer's
+   bytes, and of L1/L2 residency of every line the view touches. *)
+let parity_line spec (cost_name, cost) strategy dir =
+  let soc = Soc.create ~cost () in
+  let device, recorded = tagging_device () in
+  let engine =
+    Soc.attach_engine soc ~dma_id:0 ~device ~in_capacity_words:512 ~out_capacity_words:16
+  in
+  let lib = Dma_library.init soc ~dma_id:0 ~strategy in
+  let view = parity_view soc.Soc.memory spec in
+  let buf = view.Memref_view.buf in
+  let n = Memref_view.num_elements view in
+  let data = Array.init n (fun i -> float_of_int ((i * 13) mod 17) -. 5.25) in
+  let nexts = ref [] and counters = ref [] in
+  for _ = 1 to 2 do
+    Perf_counters.reset soc.Soc.counters;
+    (match dir with
+    | `To_dma ->
+      let offset = Dma_library.stage_literal lib Isa.cv_patch ~offset:0 in
+      nexts := Dma_library.copy_to_dma_region_with lib strategy view ~offset :: !nexts
+    | `Store -> Dma_library.copy_from_data_with lib strategy view ~accumulate:false data
+    | `Add -> Dma_library.copy_from_data_with lib strategy view ~accumulate:true data);
+    counters :=
+      String.concat ","
+        (List.map
+           (fun (_, v) -> Printf.sprintf "%Lx" (Int64.bits_of_float v))
+           (Perf_counters.fields soc.Soc.counters))
+      :: !counters;
+    if dir = `To_dma then Dma_engine.send_staged engine
+  done;
+  let staged =
+    List.concat_map
+      (fun (inst, v) -> [ (if inst then 1L else 0L); Int64.bits_of_float v ])
+      (recorded ())
+  in
+  let resident =
+    List.init (Array.length buf.Sim_memory.data) (fun i ->
+        let addr = Sim_memory.addr_of buf i in
+        let bit level = if Cache.resident soc.Soc.cache ~level addr then 1L else 0L in
+        Int64.logor (bit 1) (Int64.shift_left (bit 2) 1))
+  in
+  let name, _, _, _, _ = spec in
+  Printf.sprintf "%s %s %s %s next=%s counters=%s staged=%Lx dest=%Lx resident=%Lx" name
+    cost_name
+    (Dma_library.strategy_to_string strategy)
+    (match dir with `To_dma -> "to_dma" | `Store -> "store" | `Add -> "add")
+    (String.concat "," (List.rev_map string_of_int !nexts))
+    (String.concat ";" (List.rev !counters))
+    (fnv_words staged)
+    (fnv_words (float_bits (Array.to_list buf.Sim_memory.data)))
+    (fnv_words resident)
+
+let test_copy_parity_golden () =
+  let was_enabled = Metrics.enabled Metrics.default in
+  Metrics.disable Metrics.default;
+  let lines =
+    List.concat_map
+      (fun spec ->
+        List.concat_map
+          (fun cost ->
+            List.concat_map
+              (fun strategy ->
+                List.map (parity_line spec cost strategy) [ `To_dma; `Store; `Add ])
+              strategies)
+          [ ("default", Cost_model.default); ("ragged", ragged_cost) ])
+      parity_views
+  in
+  if was_enabled then Metrics.enable Metrics.default;
+  let fresh = String.concat "\n" lines ^ "\n" in
+  let golden =
+    In_channel.with_open_bin (Filename.concat "golden" "copy_parity.txt") In_channel.input_all
+  in
+  if fresh <> golden then begin
+    Out_channel.with_open_bin "copy_parity.fresh.txt" (fun oc ->
+        Out_channel.output_string oc fresh);
+    Alcotest.(check string) "copies match golden/copy_parity.txt" golden fresh
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Messages that must stay byte-identical                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -412,9 +673,15 @@ let tests =
       test_double_buffered_matmul_words_per_transaction;
     Alcotest.test_case "alloc: Memref_view.iter_runs allocates nothing" `Quick
       test_iter_runs_allocates_nothing;
+    Alcotest.test_case "alloc: every copy strategy and direction allocates nothing" `Quick
+      test_copies_allocate_nothing;
+    Alcotest.test_case "alloc: exact minor words of a small manual and generated conv run"
+      `Quick test_conv_minor_words_pinned;
     QCheck_alcotest.to_alcotest prop_copies_stage_the_view;
     QCheck_alcotest.to_alcotest prop_copies_in_write_the_view;
     QCheck_alcotest.to_alcotest prop_fifo_is_a_queue;
+    Alcotest.test_case "parity: every copy's counters, words, bytes and cache lines" `Quick
+      test_copy_parity_golden;
     Alcotest.test_case "messages: decode desync and truncation" `Quick test_decode_messages;
     Alcotest.test_case "messages: input region overflow" `Quick test_overflow_messages;
     Alcotest.test_case "cost: L2 only if present, DRAM on last-level miss" `Quick
