@@ -184,7 +184,7 @@ let of_json_result json =
   let* accel_dims = Json.field "dims" (Json.list Json.int) path json in
   let* flexible = Json.field_opt "flexible" Json.bool path json in
   let* buffer_capacity_elems = Json.field "buffer_elems" Json.int path json in
-  let* frequency_mhz = Json.field "frequency_mhz" Json.float path json in
+  let* frequency_mhz = Json.field "frequency_mhz" Json.positive_float path json in
   let* ops_per_cycle = Json.field "ops_per_cycle" Json.float path json in
   let* dma = Json.field "dma" dma_of_json path json in
   let* opcode_map = Json.field "opcode_map" (opcode_syntax Opcode.parse_map) path json in

@@ -32,7 +32,7 @@ let geometry_of_json path json =
 let of_json_result json =
   let path = "cpu" in
   let* cpu_name = Json.field_opt "name" Json.string path json in
-  let* frequency_mhz = Json.field "frequency_mhz" Json.float path json in
+  let* frequency_mhz = Json.field "frequency_mhz" Json.positive_float path json in
   let* caches = Json.field "caches" (Json.list geometry_of_json) path json in
   (* the cost model prices L1, L2 and DRAM only *)
   let* () =

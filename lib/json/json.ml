@@ -297,6 +297,10 @@ let bool = lift to_bool
 let string = lift to_str
 let value _path json = Ok json
 
+let positive_float path json =
+  Result.bind (float path json) (fun f ->
+      if Float.is_finite f && f > 0.0 then Ok f else error path "must be positive")
+
 let list decode path = function
   | List items ->
     let rec go acc i = function

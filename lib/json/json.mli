@@ -72,6 +72,10 @@ val bool : bool decoder
 val string : string decoder
 (** {!lift}ed {!to_int}, {!to_float}, {!to_bool} and {!to_str}. *)
 
+val positive_float : float decoder
+(** A finite float above 0, else ["PATH: must be positive"]: for
+    quantities a simulation divides by, such as a clock frequency. *)
+
 val value : t decoder
 (** Any value, unchanged. *)
 

@@ -25,10 +25,19 @@
     length 1 (e.g. 1x1 convolution patches) pay the per-run setup for
     every element, reproducing the paper's fHW==1 slowdown.
 
+    Cost: a copy charges per element, in the element-wise model's
+    order, but not through a call per charge: it walks the view a row
+    of runs at a time ({!Memref_view.fold_runs}), writes each charge of
+    {!Soc} out against the counters (so each counter field receives the
+    float additions a call per charge would make, in the same order,
+    and stays bit-identical), looks the cache up once per line rather
+    than per element ({!Cache.line_shift}), and stages each row with
+    one {!Dma_engine.stage_rows}.
+
     Allocation: with tracing and metrics off, staging, a copy in either
     direction with any strategy, a blocking flush and a blocking
     receive allocate nothing: each copy walks the view with
-    {!Memref_view.fold_runs} and a closed run function. A non-blocking
+    {!Memref_view.fold_runs} and a closed row function. A non-blocking
     transfer allocates its {!token}, the engine's flight, and on
     receive the drained words. *)
 
@@ -78,7 +87,11 @@ val can_specialize : Memref_view.t -> bool
 val copy_to_dma_region_with :
   t -> strategy -> Memref_view.t -> offset:int -> int
 (** Stage a tile's elements (row-major) with the given strategy;
-    returns the next offset. *)
+    returns the next offset. A tile that does not fit the input region
+    fails with {!Dma_engine.stage_run}'s overflow message and offset.
+    The counters then hold the charges of every element of the row
+    whose staging failed, and none of that row's words is staged; the
+    run has failed, and no caller reads either. *)
 
 val copy_from_data_with :
   t -> strategy -> Memref_view.t -> accumulate:bool -> float array -> unit

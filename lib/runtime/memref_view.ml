@@ -97,25 +97,45 @@ let rec run_below lead shape strides =
 
 let contiguous_run t = run_below (leading_dims t.shape t.strides) t.shape t.strides
 
-let rec walk_runs f a b t lead shape strides base run acc =
-  if lead = 0 then f a b t base run acc
-  else
-    match (shape, strides) with
-    | extent :: shape, stride :: strides ->
+(* The leading dims down to the innermost one whose extent is not 1:
+   the dims below it add nothing to a run's start, so that one is the
+   row dim, whose runs one call of the run function covers. *)
+let rec row_dims lead shape =
+  match shape with
+  | extent :: shape when lead > 0 ->
+    let inner = row_dims (lead - 1) shape in
+    if inner > 0 || extent <> 1 then inner + 1 else 0
+  | _ -> 0
+
+let rec walk_rows f a b t rows shape strides base run acc =
+  match (shape, strides) with
+  | extent :: shape, stride :: strides ->
+    if rows = 1 then f a b t base run extent stride acc
+    else begin
       let acc = ref acc in
       for i = 0 to extent - 1 do
-        acc := walk_runs f a b t (lead - 1) shape strides (base + (i * stride)) run !acc
+        acc := walk_rows f a b t (rows - 1) shape strides (base + (i * stride)) run !acc
       done;
       !acc
-    | _ -> acc
+    end
+  | _ -> acc
 
 let fold_runs t f a b acc =
   if num_elements t = 0 then acc
   else
     let lead = leading_dims t.shape t.strides in
-    walk_runs f a b t lead t.shape t.strides t.offset (run_below lead t.shape t.strides) acc
+    let run = run_below lead t.shape t.strides in
+    let rows = row_dims lead t.shape in
+    if rows = 0 then f a b t t.offset run 1 0 acc
+    else walk_rows f a b t rows t.shape t.strides t.offset run acc
 
-let iter_runs t f = ignore (fold_runs t (fun f () _ start len () -> f start len) f () ())
+let iter_runs t f =
+  fold_runs t
+    (fun f () _ start len count stride () ->
+      for k = 0 to count - 1 do
+        f (start + (k * stride)) len
+      done)
+    f () ()
 
 let to_array t =
   let out = Array.make (num_elements t) 0.0 in

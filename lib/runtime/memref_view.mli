@@ -51,15 +51,20 @@ val linear_index_with : t -> ('env -> 'a -> int) -> 'env -> 'a list -> int
 val get : t -> int list -> float
 val set : t -> int list -> float -> unit
 
-val fold_runs : t -> ('a -> 'b -> t -> int -> int -> 'c -> 'c) -> 'a -> 'b -> 'c -> 'c
+val fold_runs :
+  t -> ('a -> 'b -> t -> int -> int -> int -> int -> 'c -> 'c) -> 'a -> 'b -> 'c -> 'c
 (** [fold_runs t f a b acc] visits each maximal contiguous run (see
-    {!contiguous_run}) in row-major logical order, threading [acc]: a
-    run of buffer indices [start .. start+len-1] becomes
-    [acc <- f a b t start len acc], and the last [acc] is returned.
-    Every run has length [contiguous_run t]; an empty view has none.
-    With a closed [f] (one that captures nothing; [a] and [b] carry
-    what it needs) and an immediate [acc], the walk allocates nothing
-    at any rank. *)
+    {!contiguous_run}) in row-major logical order, a row of runs per
+    call, threading [acc]: [acc <- f a b t start len count stride acc]
+    stands for the [count] runs of buffer indices
+    [start + k*stride .. start + k*stride + len - 1], [k = 0 .. count-1],
+    in that order, and the last [acc] is returned. A row is the
+    innermost leading dim whose extent is not 1 (a fHW=1 conv patch
+    [1 x iC x 1 x 1] is one row of [iC] runs of 1); a view with no such
+    dim is one call with [count = 1]. Every run has length
+    [contiguous_run t]; an empty view has none. With a closed [f] (one
+    that captures nothing; [a] and [b] carry what it needs) and an
+    immediate [acc], the walk allocates nothing at any rank. *)
 
 val iter_runs : t -> (int -> int -> unit) -> unit
 (** [iter_runs t f] calls [f start len] for each run, as {!fold_runs}.

@@ -12,13 +12,19 @@ let set_inst s i n =
   s.data.(i) <- float_of_int n;
   Bytes.set s.tags i inst_tag
 
-let set_elt s i src j =
-  s.data.(i) <- src.(j);
-  Bytes.set s.tags i data_tag
-
-let blit_data s i src j n =
-  Array.blit src j s.data i n;
-  Bytes.fill s.tags i n data_tag
+(* Word by word: most runs a copy stages are 1-3 words long (conv
+   patches at fHW = 1 and 3), where a loop costs less than the two C
+   calls of [Array.blit] and [Bytes.fill]. From 5 words on the calls
+   cost less, but switching on the length did not move conv_layers. *)
+let gather_data s i src j ~len ~count ~stride =
+  let data = s.data and tags = s.tags in
+  for k = 0 to count - 1 do
+    let at = i + (k * len) and from = j + (k * stride) in
+    for m = 0 to len - 1 do
+      data.(at + m) <- src.(from + m);
+      Bytes.set tags (at + m) data_tag
+    done
+  done
 
 let set s i = function
   | Inst n -> set_inst s i n
@@ -53,11 +59,17 @@ let next_inst ~who w =
 
 (* Fails exactly where a word-by-word decode would have: on the first
    instruction word inside the payload, else on running out of words.
-   The words before the failure are delivered first. *)
+   The words before the failure are delivered first. The tags are
+   checked eight at a time while eight remain (a data tag is the zero
+   byte), then one at a time up to the first instruction word. *)
 let read_data ~who w dst n =
   let avail = Int.min n (w.stop - w.pos) in
+  let tags = w.stream.tags and pos = w.pos in
   let ok = ref 0 in
-  while !ok < avail && Bytes.get w.stream.tags (w.pos + !ok) = data_tag do
+  while !ok + 8 <= avail && Int64.equal (Bytes.get_int64_ne tags (pos + !ok)) 0L do
+    ok := !ok + 8
+  done;
+  while !ok < avail && Bytes.get tags (pos + !ok) = data_tag do
     incr ok
   done;
   Array.blit w.stream.data w.pos dst 0 !ok;

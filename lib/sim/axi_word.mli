@@ -36,12 +36,11 @@ val set : stream -> int -> t -> unit
 val set_inst : stream -> int -> int -> unit
 (** Store an instruction word. *)
 
-val set_elt : stream -> int -> float array -> int -> unit
-(** [set_elt s i src j] stores [src.(j)] as a data word at [i]. *)
-
-val blit_data : stream -> int -> float array -> int -> int -> unit
-(** [blit_data s i src j n] stores [src.(j .. j+n-1)] as data words at
-    [i .. i+n-1]. *)
+val gather_data :
+  stream -> int -> float array -> int -> len:int -> count:int -> stride:int -> unit
+(** [gather_data s i src j ~len ~count ~stride] stores [count] runs of
+    [len] words back to back as data words from [i]: the [k]-th run is
+    [src.(j + k*stride .. j + k*stride + len-1)]. *)
 
 (** {1 Windows} *)
 

@@ -59,8 +59,9 @@ let levels t = Array.length t
 
 (* Probe one level: returns true on hit. Either way the line moves to
    the front of its segment and the lines before it shift back a slot,
-   so a miss drops the last slot: the LRU line, or an invalid one. *)
-let probe level addr =
+   so a miss drops the last slot: the LRU line, or an invalid one.
+   Inlined into [access], its one caller. *)
+let[@inline] probe level addr =
   let lines = level.lines in
   let line = addr lsr level.line_shift in
   let base = (line land level.set_mask) lsl level.assoc_shift in
@@ -85,6 +86,8 @@ let access t addr =
     incr i
   done;
   !i + 1
+
+let line_shift t = if Array.length t = 0 then 0 else t.(0).line_shift
 
 let access_range t ~addr ~bytes ~touched =
   if bytes > 0 then begin

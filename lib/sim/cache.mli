@@ -48,6 +48,15 @@ val access : t -> int -> int
     filling on miss. Returns the 1-based level that hit; [levels t + 1]
     means DRAM. Allocates nothing. *)
 
+val line_shift : t -> int
+(** log2 of the L1 line size (0 without levels): addresses [a] and [b]
+    share an L1 line when [a lsr line_shift t = b lsr line_shift t].
+    Every {!access} leaves its line the most recently used of its L1
+    set, so the next access to that line, with no access in between,
+    hits L1 and changes nothing. A caller that made both accesses may
+    take that hit as level 1 without calling {!access}: this is how the
+    runtime copies charge a run per line. *)
+
 val access_range : t -> addr:int -> bytes:int -> touched:(int -> unit) -> unit
 (** Probe every line overlapped by [addr, addr+bytes); calls [touched]
     with each access's hit level (for cost accounting). *)

@@ -165,21 +165,19 @@ let stage_inst t ~offset literal =
   Axi_word.set_inst t.in_region offset literal;
   note_staged t ~offset ~len:1
 
-let stage_elt t ~offset src i =
-  check_word t offset;
-  Axi_word.set_elt t.in_region offset src i;
-  note_staged t ~offset ~len:1
-
-(* A run overflows at the first offset word-by-word staging would have
-   rejected. *)
-let stage_run t ~offset src pos len =
-  if len > 0 then begin
+(* Runs overflow at the first offset word-by-word staging would have
+   rejected, before any of their words is staged. *)
+let stage_rows t ~offset src pos ~len ~count ~stride =
+  let words = len * count in
+  if words > 0 then begin
     let capacity = Axi_word.length t.in_region in
     if offset < 0 then overflow t offset;
-    if offset + len > capacity then overflow t (Int.max offset capacity);
-    Axi_word.blit_data t.in_region offset src pos len;
-    note_staged t ~offset ~len
+    if offset + words > capacity then overflow t (Int.max offset capacity);
+    Axi_word.gather_data t.in_region offset src pos ~len ~count ~stride;
+    note_staged t ~offset ~len:words
   end
+
+let stage_run t ~offset src pos len = stage_rows t ~offset src pos ~len ~count:1 ~stride:0
 
 let staged_high_water t = t.high_water
 

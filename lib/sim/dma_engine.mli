@@ -8,8 +8,8 @@
     the output region.
 
     The input region is an unboxed {!Axi_word.stream}: data words are
-    staged by value ({!stage_elt}) or by the contiguous run
-    ({!stage_run}), never as boxed {!Axi_word.t}s, and a send hands the
+    staged by the contiguous run ({!stage_run}) or by a row of runs
+    ({!stage_rows}), never as boxed {!Axi_word.t}s, and a send hands the
     device an {!Axi_word.window} over the staged range instead of a
     copy. Timing:
 
@@ -74,13 +74,18 @@ val stage : t -> offset:int -> Axi_word.t -> unit
 val stage_inst : t -> offset:int -> int -> unit
 (** Stage one instruction word. *)
 
-val stage_elt : t -> offset:int -> float array -> int -> unit
-(** [stage_elt t ~offset src i] stages [src.(i)] as one data word. *)
-
 val stage_run : t -> offset:int -> float array -> int -> int -> unit
 (** [stage_run t ~offset src pos len] stages [src.(pos .. pos+len-1)]
-    at [offset ..] with one blit. On overflow, [N] in the message is
-    the first offset word-by-word staging would have rejected. *)
+    as data words at [offset ..]. On overflow nothing is staged, and
+    [N] in the message is the first offset word-by-word staging would
+    have rejected. *)
+
+val stage_rows :
+  t -> offset:int -> float array -> int -> len:int -> count:int -> stride:int -> unit
+(** [stage_rows t ~offset src pos ~len ~count ~stride] stages [count]
+    runs of [len] words back to back from [offset], the [k]-th run from
+    [src.(pos + k*stride ..)]: one call for a row of runs
+    ({!Memref_view.fold_runs}). Overflow is as for {!stage_run}. *)
 
 val staged_high_water : t -> int
 (** Highest staged offset + 1 since the last send (the batch length). *)

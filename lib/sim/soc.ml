@@ -147,7 +147,7 @@ let engine_track_names t =
     (List.sort compare t.engines)
 
 (* Charge one cache access at the given byte address. *)
-let charge_access t addr =
+let[@inline] charge_access t addr =
   let level_hit = Cache.access t.cache addr in
   let c = t.counters in
   c.l1_accesses <- c.l1_accesses +. 1.0;
@@ -159,20 +159,6 @@ let charge_access t addr =
   c.cycles <- c.cycles +. t.access_cycles.(level_hit - 1);
   c.instructions <- c.instructions +. 1.0
 
-let vector_range t buf i n =
-  if n > 0 then begin
-    let chunk_elems = t.cost.vector_chunk_bytes / 4 in
-    let chunks = Util.ceil_div n chunk_elems in
-    for c = 0 to chunks - 1 do
-      charge_access t (Sim_memory.addr_of buf (i + (c * chunk_elems)))
-    done;
-    (* one vector op per chunk beyond the access cost already charged *)
-    t.counters.instructions <- t.counters.instructions +. float_of_int chunks
-  end
-
-let vector_read_range = vector_range
-let vector_write_range = vector_range
-
 let charge_memref_access t buf i =
   let c = t.counters in
   c.l1_accesses <- c.l1_accesses +. 2.0;
@@ -180,22 +166,22 @@ let charge_memref_access t buf i =
   c.instructions <- c.instructions +. 3.0;
   charge_access t (Sim_memory.addr_of buf i)
 
-let charge_l1_hits t n =
+let[@inline] charge_l1_hits t n =
   let c = t.counters in
   c.l1_accesses <- c.l1_accesses +. float_of_int n;
   c.cycles <- c.cycles +. (float_of_int n *. t.cost.l1_hit_cycles);
   c.instructions <- c.instructions +. float_of_int n
 
-let alu t n =
+let[@inline] alu t n =
   t.counters.cycles <- t.counters.cycles +. (float_of_int n *. t.cost.alu_cycles);
   t.counters.instructions <- t.counters.instructions +. float_of_int n
 
-let fpu t n =
+let[@inline] fpu t n =
   t.counters.cycles <- t.counters.cycles +. (float_of_int n *. t.cost.fpu_cycles);
   t.counters.instructions <- t.counters.instructions +. float_of_int n;
   t.counters.flops <- t.counters.flops +. float_of_int n
 
-let branch t n =
+let[@inline] branch t n =
   t.counters.cycles <- t.counters.cycles +. (float_of_int n *. t.cost.branch_cycles);
   t.counters.branches <- t.counters.branches +. float_of_int n;
   t.counters.instructions <- t.counters.instructions +. float_of_int n
@@ -210,12 +196,8 @@ let call_overhead t =
   t.counters.instructions <- t.counters.instructions +. 2.0;
   branch t 2
 
-let uncached_store_words t n =
+let[@inline] uncached_store_words t n =
   t.counters.cycles <- t.counters.cycles +. (float_of_int n *. t.cost.uncached_store_cycles);
-  t.counters.instructions <- t.counters.instructions +. float_of_int n
-
-let uncached_load_words t n =
-  t.counters.cycles <- t.counters.cycles +. (float_of_int n *. t.cost.uncached_load_cycles);
   t.counters.instructions <- t.counters.instructions +. float_of_int n
 
 let now_ms t = Perf_counters.task_clock_ms t.counters ~cpu_freq_mhz:t.cost.cpu_freq_mhz

@@ -91,22 +91,23 @@ val engine_track_names : t -> (int * string) list
 
     Every entry point takes and returns ints: with separately compiled
     modules a [float] crossing a module boundary is boxed, so callers
-    charge here and read or write [buf.Sim_memory.data] themselves. *)
+    charge here and read or write [buf.Sim_memory.data] themselves.
+
+    The runtime copies ([Dma_library]) do not call these per element:
+    a call into this module per charge was most of what a copy cost.
+    They write the same charges out against {!t.counters}, element by
+    element in the element-wise model's order, so each counter field
+    receives exactly the float additions these functions would make
+    and stays bit-identical. A memcpy-style copy charges one cache
+    reference per {!Cost_model.t.vector_chunk_bytes} chunk; an access to
+    the L1 line the copy's previous access touched is charged as the L1
+    hit it is without a cache lookup ({!Cache.line_shift}). *)
 
 val charge_access : t -> int -> unit
 (** One scalar f32 access at a byte address: one cache reference plus
     the hit/miss cycles. An L1 lookup is always paid, an L2 lookup only
     on an L1 miss in a hierarchy that has an L2, and DRAM only when the
     last level misses. Allocates nothing. *)
-
-val vector_read_range : t -> Sim_memory.buffer -> int -> int -> unit
-(** Charge a vectorised (memcpy-style) read of [n] contiguous elements
-    starting at an element index: one cache reference and ~1 cycle per
-    {!Cost_model.t.vector_chunk_bytes} chunk, plus miss penalties. Does
-    not return data (the caller moves data separately — functional and
-    timing concerns are split). *)
-
-val vector_write_range : t -> Sim_memory.buffer -> int -> int -> unit
 
 val charge_memref_access : t -> Sim_memory.buffer -> int -> unit
 (** A scalar element access through a memref descriptor, as the
@@ -139,8 +140,6 @@ val call_overhead : t -> unit
 
 val uncached_store_words : t -> int -> unit
 (** Host stores into a DMA region ([n] 32-bit words). *)
-
-val uncached_load_words : t -> int -> unit
 
 val now_ms : t -> float
 (** Elapsed simulated time in milliseconds. *)

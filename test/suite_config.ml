@@ -66,6 +66,43 @@ let test_config_json_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown engine accepted"
 
+(* A clock frequency that is zero, negative or not finite is rejected
+   where the JSON is read, naming the field. *)
+let test_frequency_must_be_positive () =
+  let cpu f =
+    Host_config.of_json_result
+      (Json.of_string
+         (Printf.sprintf
+            {|{"frequency_mhz": %s,
+               "caches": [{"size_kb": 32, "line_bytes": 32, "assoc": 4}]}|}
+            f))
+  in
+  List.iter
+    (fun f ->
+      match cpu f with
+      | Error msg -> Alcotest.(check string) f "cpu.frequency_mhz: must be positive" msg
+      | Ok _ -> Alcotest.failf "cpu.frequency_mhz %s accepted" f)
+    [ "0.0"; "-650"; "1e999" ];
+  Alcotest.(check bool) "650 MHz accepted" true (Result.is_ok (cpu "650"));
+  let accel = Accel_config.to_json (Presets.conv ()) in
+  let with_frequency f =
+    match accel with
+    | Json.Obj kvs ->
+      Json.Obj
+        (List.map
+           (fun (k, v) -> if k = "frequency_mhz" then (k, Json.Float f) else (k, v))
+           kvs)
+    | other -> other
+  in
+  List.iter
+    (fun f ->
+      match Accel_config.of_json_result (with_frequency f) with
+      | Error msg ->
+        Alcotest.(check string)
+          (string_of_float f) "accel_config.frequency_mhz: must be positive" msg
+      | Ok _ -> Alcotest.failf "accelerator frequency_mhz %g accepted" f)
+    [ 0.0; -5.0; Float.nan ]
+
 let test_with_flow () =
   let config = Presets.matmul ~version:Accel_matmul.V3 ~size:8 () in
   let cs = Accel_config.with_flow config "Cs" in
@@ -136,6 +173,7 @@ let tests =
     Alcotest.test_case "Table I throughputs" `Quick test_table1_throughputs;
     Alcotest.test_case "config JSON roundtrip" `Quick test_config_json_roundtrip;
     Alcotest.test_case "config JSON errors" `Quick test_config_json_errors;
+    Alcotest.test_case "frequency must be positive" `Quick test_frequency_must_be_positive;
     Alcotest.test_case "with_flow" `Quick test_with_flow;
     Alcotest.test_case "trait attach/decode roundtrip" `Quick test_trait_roundtrip;
     Alcotest.test_case "trait validation" `Quick test_trait_validate;

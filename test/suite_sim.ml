@@ -185,7 +185,7 @@ let test_v4_mac_order () =
         incr pos
       in
       let data src =
-        Axi_word.blit_data stream !pos src 0 (Array.length src);
+        Axi_word.gather_data stream !pos src 0 ~len:(Array.length src) ~count:1 ~stride:0;
         pos := !pos + Array.length src
       in
       List.iter inst

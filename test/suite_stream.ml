@@ -603,6 +603,27 @@ let test_decode_messages () =
   check "conv operand truncated" "conv accelerator: truncated transaction"
     (failure_of (fun () -> consume (conv ()) Axi_word.[| Inst Isa.cv_set_stride |]))
 
+(* The tag check runs eight words at a time: a desync past the first
+   eight still fails on the first instruction word, after delivering
+   the words before it. *)
+let test_read_data_stops_at_instruction () =
+  let words =
+    Array.init 20 (fun i ->
+        if i = 13 then Axi_word.Inst 9 else Axi_word.Data (float_of_int i))
+  in
+  let dst = Array.make 20 (-1.0) in
+  Alcotest.(check string)
+    "desync message" "AXI stream desync: expected data, got instruction 0x9"
+    (failure_of (fun () -> Axi_word.read_data ~who:"t" (Axi_word.of_words words) dst 20));
+  Alcotest.(check (array (float 0.0)))
+    "the 13 words before it" (Array.init 13 float_of_int) (Array.sub dst 0 13);
+  Alcotest.(check (float 0.0)) "nothing after it" (-1.0) dst.(13);
+  Alcotest.(check string) "truncated after 16 data words" "t: truncated transaction"
+    (failure_of (fun () ->
+         Axi_word.read_data ~who:"t"
+           (Axi_word.of_words (Array.init 16 (fun i -> Axi_word.Data (float_of_int i))))
+           dst 17))
+
 let test_overflow_messages () =
   let check = Alcotest.(check string) in
   let src = Array.make 8 1.0 in
@@ -612,8 +633,9 @@ let test_overflow_messages () =
     (failure_of (fun () -> Dma_engine.stage engine ~offset:8 (Axi_word.Inst 0)));
   check "stage_inst" (overflow (-1))
     (failure_of (fun () -> Dma_engine.stage_inst engine ~offset:(-1) 0));
-  check "stage_elt" (overflow 9)
-    (failure_of (fun () -> Dma_engine.stage_elt engine ~offset:9 src 0));
+  check "rows crossing the end" (overflow 8)
+    (failure_of (fun () ->
+         Dma_engine.stage_rows engine ~offset:6 src 0 ~len:2 ~count:2 ~stride:3));
   (* a run reports the first offset word-by-word staging would reject *)
   check "run crossing the end" (overflow 8)
     (failure_of (fun () -> Dma_engine.stage_run engine ~offset:5 src 0 6));
@@ -683,6 +705,8 @@ let tests =
     Alcotest.test_case "parity: every copy's counters, words, bytes and cache lines" `Quick
       test_copy_parity_golden;
     Alcotest.test_case "messages: decode desync and truncation" `Quick test_decode_messages;
+    Alcotest.test_case "messages: desync found past the first eight tags" `Quick
+      test_read_data_stops_at_instruction;
     Alcotest.test_case "messages: input region overflow" `Quick test_overflow_messages;
     Alcotest.test_case "cost: L2 only if present, DRAM on last-level miss" `Quick
       test_cache_level_costs;
