@@ -181,6 +181,24 @@ let test_copies_allocate_nothing () =
     [ ("runs of 3", runs3); ("innermost stride 2", stepped) ];
   if was_enabled then Metrics.enable Metrics.default
 
+(* The CPU reference kernels on small strided problems: a boxed
+   accumulator or a per-MAC closure shows here. *)
+let test_cpu_reference_allocates_nothing () =
+  let soc = Soc.create () in
+  let view dims =
+    let buf = Sim_memory.alloc soc.Soc.memory ~label:"x" (List.fold_left ( * ) 1 dims) in
+    Memref_view.of_buffer buf dims
+  in
+  let slice dims offsets sizes = Memref_view.subview (view dims) ~offsets ~sizes in
+  let a = slice [ 9; 8 ] [ 1; 2 ] [ 7; 5 ] and b = view [ 5; 6 ] in
+  let c = slice [ 8; 7 ] [ 1; 1 ] [ 7; 6 ] in
+  let check name f =
+    f ();
+    Alcotest.(check (float 0.0)) name 0.0 (net_minor_words f)
+  in
+  check "matmul" (fun () -> Cpu_reference.matmul soc ~a ~b ~c);
+  check "matmul_optimized, exact" (fun () -> Cpu_reference.matmul_optimized soc ~a ~b ~c ())
+
 (* The exact minor words of one small conv layer through the manual Rs
    driver and through the generated Os code (fHW=3, iC=8, a 5x6 input,
    two output channels), measured on the second run of each. These pin
@@ -434,12 +452,12 @@ let parity_views =
     ("r3 empty", [ 2; 3; 4 ], [ 0; 1; 0 ], [ 2; 0; 4 ], 1);
   ]
 
-let parity_view mem (_, dims, offsets, sizes, step) =
+let parity_view ?(salt = 37) mem (_, dims, offsets, sizes, step) =
   let last = List.length dims - 1 in
   let phys = List.mapi (fun i d -> if i = last then d * step else d) dims in
   let buf = Sim_memory.alloc mem ~label:"parity" (List.fold_left ( * ) 1 phys) in
   Array.iteri
-    (fun i _ -> buf.Sim_memory.data.(i) <- float_of_int ((i * 37) mod 101) *. 0.3)
+    (fun i _ -> buf.Sim_memory.data.(i) <- float_of_int ((i * salt) mod 101) *. 0.3)
     buf.Sim_memory.data;
   let base = Memref_view.of_buffer buf phys in
   let strided =
@@ -565,6 +583,97 @@ let test_copy_parity_golden () =
     Out_channel.with_open_bin "copy_parity.fresh.txt" (fun oc ->
         Out_channel.output_string oc fresh);
     Alcotest.(check string) "copies match golden/copy_parity.txt" golden fresh
+  end
+
+(* The CPU reference kernels, pinned the same way: every counter's bits
+   after each of two runs (the second meets a warm cache and
+   accumulates into the first's output), and a digest of the output
+   buffer's bytes. Operands are [(dims, offsets, sizes, step)] as in
+   {!parity_views}; the strided shapes slice larger buffers and step the
+   innermost dim of one operand by 2. *)
+let cpu_parity_cases =
+  let v dims offsets sizes step = ("", dims, offsets, sizes, step) in
+  let mm name kernel =
+    let run soc = function [ a; b; c ] -> kernel soc ~a ~b ~c | _ -> () in
+    [
+      ( name ^ " 5x7x3 whole",
+        [ v [ 5; 7 ] [ 0; 0 ] [ 5; 7 ] 1; v [ 7; 3 ] [ 0; 0 ] [ 7; 3 ] 1;
+          v [ 5; 3 ] [ 0; 0 ] [ 5; 3 ] 1 ],
+        run );
+      ( name ^ " 9x5x7 strided",
+        [ v [ 11; 8 ] [ 1; 2 ] [ 9; 5 ] 1; v [ 6; 7 ] [ 1; 0 ] [ 5; 7 ] 2;
+          v [ 10; 9 ] [ 1; 1 ] [ 9; 7 ] 1 ],
+        run );
+    ]
+  in
+  let conv name stride out_whole out_strided =
+    let run soc = function
+      | [ input; filter; output ] -> Cpu_reference.conv2d ~stride soc ~input ~filter ~output
+      | _ -> ()
+    in
+    [
+      ( name ^ " whole",
+        [ v [ 1; 3; 7; 6 ] [ 0; 0; 0; 0 ] [ 1; 3; 7; 6 ] 1;
+          v [ 2; 3; 3; 2 ] [ 0; 0; 0; 0 ] [ 2; 3; 3; 2 ] 1; out_whole ],
+        run );
+      ( name ^ " strided",
+        [ v [ 2; 4; 8; 7 ] [ 1; 1; 1; 0 ] [ 1; 3; 7; 6 ] 2;
+          v [ 3; 3; 3; 2 ] [ 1; 0; 0; 0 ] [ 2; 3; 3; 2 ] 1; out_strided ],
+        run );
+    ]
+  in
+  List.concat
+    [
+      mm "matmul" Cpu_reference.matmul;
+      mm "matmul_optimized" (fun soc ~a ~b ~c ->
+          Cpu_reference.matmul_optimized soc ~a ~b ~c ());
+      mm "matmul_optimized sample_rows=2" (fun soc ~a ~b ~c ->
+          Cpu_reference.matmul_optimized soc ~a ~b ~c ~sample_rows:2 ());
+      conv "conv2d stride=1" 1
+        (v [ 1; 2; 5; 5 ] [ 0; 0; 0; 0 ] [ 1; 2; 5; 5 ] 1)
+        (v [ 1; 3; 6; 6 ] [ 0; 1; 1; 0 ] [ 1; 2; 5; 5 ] 1);
+      conv "conv2d stride=2" 2
+        (v [ 1; 2; 3; 3 ] [ 0; 0; 0; 0 ] [ 1; 2; 3; 3 ] 1)
+        (v [ 1; 3; 4; 4 ] [ 0; 1; 1; 1 ] [ 1; 2; 3; 3 ] 1);
+    ]
+
+let cpu_parity_line (name, specs, run) (cost_name, cost) =
+  let soc = Soc.create ~cost () in
+  let views =
+    List.mapi (fun k spec -> parity_view ~salt:(37 + (4 * k)) soc.Soc.memory spec) specs
+  in
+  let counters =
+    List.init 2 (fun _ ->
+        Perf_counters.reset soc.Soc.counters;
+        run soc views;
+        String.concat ","
+          (List.map
+             (fun (_, v) -> Printf.sprintf "%Lx" (Int64.bits_of_float v))
+             (Perf_counters.fields soc.Soc.counters)))
+  in
+  let out = (List.nth views (List.length views - 1)).Memref_view.buf in
+  Printf.sprintf "%s %s counters=%s out=%Lx" name cost_name (String.concat ";" counters)
+    (fnv_words (float_bits (Array.to_list out.Sim_memory.data)))
+
+let test_cpu_reference_parity_golden () =
+  let fresh =
+    String.concat "\n"
+      (List.concat_map
+         (fun case ->
+           List.map (cpu_parity_line case)
+             [ ("default", Cost_model.default); ("ragged", ragged_cost) ])
+         cpu_parity_cases)
+    ^ "\n"
+  in
+  let golden =
+    In_channel.with_open_bin
+      (Filename.concat "golden" "cpu_reference_parity.txt")
+      In_channel.input_all
+  in
+  if fresh <> golden then begin
+    Out_channel.with_open_bin "cpu_reference_parity.fresh.txt" (fun oc ->
+        Out_channel.output_string oc fresh);
+    Alcotest.(check string) "kernels match golden/cpu_reference_parity.txt" golden fresh
   end
 
 (* ------------------------------------------------------------------ *)
@@ -697,6 +806,8 @@ let tests =
       test_iter_runs_allocates_nothing;
     Alcotest.test_case "alloc: every copy strategy and direction allocates nothing" `Quick
       test_copies_allocate_nothing;
+    Alcotest.test_case "alloc: the CPU reference kernels allocate nothing" `Quick
+      test_cpu_reference_allocates_nothing;
     Alcotest.test_case "alloc: exact minor words of a small manual and generated conv run"
       `Quick test_conv_minor_words_pinned;
     QCheck_alcotest.to_alcotest prop_copies_stage_the_view;
@@ -704,6 +815,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_fifo_is_a_queue;
     Alcotest.test_case "parity: every copy's counters, words, bytes and cache lines" `Quick
       test_copy_parity_golden;
+    Alcotest.test_case "parity: every CPU reference kernel's counters and output" `Quick
+      test_cpu_reference_parity_golden;
     Alcotest.test_case "messages: decode desync and truncation" `Quick test_decode_messages;
     Alcotest.test_case "messages: desync found past the first eight tags" `Quick
       test_read_data_stops_at_instruction;
