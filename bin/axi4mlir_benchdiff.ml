@@ -114,4 +114,4 @@ let cmd =
     (Cmd.info "axi4mlir-benchdiff" ~doc)
     Term.(ret (const run_tool $ baselines $ fresh $ do_bless $ exps))
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval ~argv:(Tool_common.argv ()) cmd)

@@ -114,4 +114,4 @@ let cmd =
         (const run_tool $ list_presets $ preset $ flow $ output $ check
        $ platform_preset $ check_platform))
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval ~argv:(Tool_common.argv ()) cmd)

@@ -113,4 +113,4 @@ let cmd =
     Term.(
       ret (const run_tool $ seed $ count $ only $ replay $ shrink $ corpus $ verbose))
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval ~argv:(Tool_common.argv ()) cmd)

@@ -151,4 +151,4 @@ let cmd =
        $ no_cpu_tiling $ no_copy_spec $ coalesce $ double_buffer $ accel_only $ cpu_only
        $ pretty $ list_passes $ Tool_common.remarks_flag $ Tool_common.metrics_out))
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval ~argv:(Tool_common.argv ()) cmd)

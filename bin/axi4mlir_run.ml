@@ -250,4 +250,4 @@ let cmd =
        $ Tool_common.critical_path_out $ graph $ residency $ batch $ width
        $ graph_json))
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval ~argv:(Tool_common.argv ()) cmd)

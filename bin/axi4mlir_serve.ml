@@ -388,4 +388,4 @@ let cmd =
        $ telemetry_out $ assert_fired $ report_out $ json_out $ trace_out
        $ Tool_common.remarks_flag $ Tool_common.metrics_out))
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval ~argv:(Tool_common.argv ()) cmd)

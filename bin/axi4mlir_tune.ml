@@ -314,4 +314,4 @@ let cmd =
        $ Tool_common.critical_path_out $ seed_from_bottleneck $ platform_search_flag
        $ area_budget $ platform_out $ requests $ rps))
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval ~argv:(Tool_common.argv ()) cmd)

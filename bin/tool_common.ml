@@ -111,6 +111,29 @@ let with_observability ~remarks ~metrics body =
     in
     fail (Printf.sprintf "%s on %s: %s" what failing_op message)
 
+(* The command line as cmdliner should see it. cmdliner takes any
+   argument that starts with '-' for an option, so "--count -5" fails
+   as "unknown option '-5'" before the flag's own check can name the
+   problem. A long flag followed by a negative number ("-5", "-16,16,16",
+   "-0.5") is joined into "--count=-5", which cmdliner reads as the
+   flag's value; nothing after "--" is touched. Every tool passes this
+   to [Cmd.eval ~argv]. *)
+let argv () =
+  let negative a = String.length a >= 2 && a.[0] = '-' && a.[1] >= '0' && a.[1] <= '9' in
+  let long_flag a =
+    String.length a > 2 && String.starts_with ~prefix:"--" a && not (String.contains a '=')
+  in
+  let rec join = function
+    | "--" :: _ as rest -> rest
+    | flag :: value :: rest when long_flag flag && negative value ->
+      (flag ^ "=" ^ value) :: join rest
+    | arg :: rest -> arg :: join rest
+    | [] -> []
+  in
+  match Array.to_list Sys.argv with
+  | [] -> Sys.argv
+  | prog :: args -> Array.of_list (prog :: join args)
+
 (* A comma-separated integer flag value ("16,16,16"); a malformed one
    fails naming the flag. *)
 let parse_ints ~flag text =

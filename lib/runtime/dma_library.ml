@@ -61,72 +61,38 @@ let stage_literal t literal ~offset =
    in, the received words are its environment and the DMA offset or
    received-word index its accumulator, so a copy allocates nothing.
 
-   The charges are the element-wise model's, written out against the
-   counters: modules are compiled separately, so a call into [Soc] per
-   charge was most of what a copy cost. Each helper below adds to each
-   counter field what the [Soc] charge it names adds, and the copies
-   charge element by element in the model's order, so every field
-   receives the same sequence of float additions as a call per charge
-   made, and stays bit-identical. Only the cost constants are read once
-   per row; a constant is the float [Soc] computes,
-   [float_of_int n *. c] for [n] operations, never a product standing
-   for several additions. A row is staged with one
-   {!Dma_engine.stage_rows} after its charges. *)
+   The charges are the element-wise model's, written out: modules are
+   compiled separately, so a call into [Soc] per charge was most of
+   what a copy cost, and a load and store of a counter field per charge
+   most of the rest. A row function loads each counter field it charges
+   into a local when the row starts, adds the charges to the locals
+   element by element in the model's order, and writes them back once
+   when the row ends, before its words are staged with one
+   {!Dma_engine.stage_rows}. Each field so receives the same float
+   additions of the same operands in the same order as a call per
+   charge made, and stays bit-identical. Comments name the [Soc] charge
+   that each group of additions mirrors; a constant is the float [Soc]
+   computes, [float_of_int n *. c] for [n] operations, never a product
+   standing for several additions. The locals are refs that no helper
+   or closure sees, which keeps them unboxed: that is why every row
+   function writes its charges out.
 
-(* [Soc.charge_access] of an access that hit at [level_hit]. *)
-let[@inline] charge_level soc (c : Perf_counters.t) ~l2 level_hit =
-  c.l1_accesses <- c.l1_accesses +. 1.0;
-  if level_hit >= 2 then begin
-    c.l1_misses <- c.l1_misses +. 1.0;
-    if l2 then c.l2_accesses <- c.l2_accesses +. 1.0
-  end;
-  if level_hit >= 3 then c.l2_misses <- c.l2_misses +. 1.0;
-  c.cycles <- c.cycles +. soc.Soc.access_cycles.(level_hit - 1);
-  c.instructions <- c.instructions +. 1.0
+   A raise inside a row (an index outside its buffer) leaves the
+   counters as they stood when the row started. *)
 
-(* One cache access at a byte address; [last] is the L1 line of the
-   row's previous access (-1 before its first), and the line of this
-   one is returned. An access to [last] is an L1 hit that changes no
-   cache state ({!Cache.line_shift}), so it is charged without asking
-   the cache: a run pays one cache lookup per line, not per element. *)
-let[@inline] access soc c ~l2 ~shift last addr =
-  let line = addr lsr shift in
-  charge_level soc c ~l2 (if line = last then 1 else Cache.access soc.Soc.cache addr);
-  line
+(* The 1-based level an access at byte address [addr] hits, for
+   [Soc.charge_access]. [last] is the L1 line of the row's previous
+   access (-1 before its first). An access to [last] is an L1 hit that
+   changes no cache state ({!Cache.line_shift}), so it is taken without
+   asking the cache: a run pays one cache lookup per line, not per
+   element. *)
+let[@inline] level cache ~shift last addr =
+  if addr lsr shift = last then 1 else Cache.access cache addr
 
 (* [Sim_memory.addr_of], which raises for an index outside the buffer. *)
 let[@inline] addr_of buf i =
   if i < 0 || i >= Array.length buf.Sim_memory.data then Sim_memory.addr_of buf i
   else buf.Sim_memory.base + (i * 4)
-
-(* [Soc.alu], [Soc.uncached_store_words], and the uncached loads of a
-   copy in: [n] instructions costing [cycles]. *)
-let[@inline] ops (c : Perf_counters.t) cycles n =
-  c.cycles <- c.cycles +. cycles;
-  c.instructions <- c.instructions +. n
-
-(* [Soc.branch]. *)
-let[@inline] branches (c : Perf_counters.t) cycles n =
-  c.cycles <- c.cycles +. cycles;
-  c.branches <- c.branches +. n;
-  c.instructions <- c.instructions +. n
-
-(* [Soc.charge_l1_hits]. *)
-let[@inline] l1_hits (c : Perf_counters.t) cycles n =
-  c.l1_accesses <- c.l1_accesses +. n;
-  c.cycles <- c.cycles +. cycles;
-  c.instructions <- c.instructions +. n
-
-(* A vectorised (memcpy-style) read or write of a run that spans
-   [chunks] vector chunks of [chunk] elements: one cache access per
-   chunk, then one vector op per chunk beyond the accesses. *)
-let[@inline] vector_range soc c ~l2 ~shift last buf i ~chunk ~chunks =
-  let last = ref last in
-  for k = 0 to chunks - 1 do
-    last := access soc c ~l2 ~shift !last (addr_of buf (i + (k * chunk)))
-  done;
-  c.instructions <- c.instructions +. float_of_int chunks;
-  !last
 
 let has_l2 soc = Cache.levels soc.Soc.cache >= 2
 
@@ -146,46 +112,116 @@ let overhead_ops cost =
 let generic_out_row t () view base run count stride offset =
   let soc = t.soc in
   let c = soc.Soc.counters and cost = soc.Soc.cost and l2 = has_l2 soc in
-  let shift = Cache.line_shift soc.Soc.cache and last = ref (-1) in
+  let cache = soc.Soc.cache and access_cycles = soc.Soc.access_cycles in
+  let shift = Cache.line_shift cache and last = ref (-1) in
   let buf = view.Memref_view.buf in
   let meta = metadata_loads cost and overhead = overhead_ops cost in
   let meta_cycles = meta *. cost.Cost_model.l1_hit_cycles
-  and overhead_cycles = overhead *. cost.Cost_model.alu_cycles in
+  and overhead_cycles = overhead *. cost.Cost_model.alu_cycles
+  and branch_cycles = cost.Cost_model.branch_cycles
+  and store_cycles = cost.Cost_model.uncached_store_cycles in
+  let cycles = ref c.cycles and instructions = ref c.instructions in
+  let branches = ref c.branches and l1_accesses = ref c.l1_accesses in
+  let l1_misses = ref c.l1_misses and l2_accesses = ref c.l2_accesses in
+  let l2_misses = ref c.l2_misses in
   for k = 0 to count - 1 do
     let start = base + (k * stride) in
     for i = start to start + run - 1 do
-      l1_hits c meta_cycles meta;
-      ops c overhead_cycles overhead;
-      branches c cost.Cost_model.branch_cycles 1.0;
-      last := access soc c ~l2 ~shift !last (addr_of buf i);
-      ops c cost.Cost_model.uncached_store_cycles 1.0
+      (* [Soc.charge_l1_hits] of the metadata loads *)
+      l1_accesses := !l1_accesses +. meta;
+      cycles := !cycles +. meta_cycles;
+      instructions := !instructions +. meta;
+      (* [Soc.alu] of the address arithmetic *)
+      cycles := !cycles +. overhead_cycles;
+      instructions := !instructions +. overhead;
+      (* [Soc.branch] *)
+      cycles := !cycles +. branch_cycles;
+      branches := !branches +. 1.0;
+      instructions := !instructions +. 1.0;
+      (* [Soc.charge_access] of the element *)
+      let addr = addr_of buf i in
+      let h = level cache ~shift !last addr in
+      last := addr lsr shift;
+      l1_accesses := !l1_accesses +. 1.0;
+      if h >= 2 then begin
+        l1_misses := !l1_misses +. 1.0;
+        if l2 then l2_accesses := !l2_accesses +. 1.0
+      end;
+      if h >= 3 then l2_misses := !l2_misses +. 1.0;
+      cycles := !cycles +. access_cycles.(h - 1);
+      instructions := !instructions +. 1.0;
+      (* [Soc.uncached_store_words] of the element *)
+      cycles := !cycles +. store_cycles;
+      instructions := !instructions +. 1.0
     done
   done;
+  c.cycles <- !cycles;
+  c.instructions <- !instructions;
+  c.branches <- !branches;
+  c.l1_accesses <- !l1_accesses;
+  c.l1_misses <- !l1_misses;
+  c.l2_accesses <- !l2_accesses;
+  c.l2_misses <- !l2_misses;
   Dma_engine.stage_rows t.engine ~offset buf.Sim_memory.data base ~len:run ~count ~stride;
   offset + (run * count)
 
 (* Specialised copy: memcpy each maximal contiguous run with vectorised
-   loads; requires unit innermost stride (checked by the caller). *)
+   loads, one cache access per vector chunk; requires unit innermost
+   stride (checked by the caller). *)
 let specialized_out_row t () view base run count stride offset =
   let soc = t.soc in
   let c = soc.Soc.counters and cost = soc.Soc.cost and l2 = has_l2 soc in
-  let shift = Cache.line_shift soc.Soc.cache and last = ref (-1) in
+  let cache = soc.Soc.cache and access_cycles = soc.Soc.access_cycles in
+  let shift = Cache.line_shift cache and last = ref (-1) in
   let buf = view.Memref_view.buf in
   let chunk = cost.Cost_model.vector_chunk_bytes / 4 in
   let chunks = Util.ceil_div run chunk in
+  let vector_ops = float_of_int chunks in
   let loop_branches = float_of_int (Util.ceil_div run (chunk * 4)) in
   let loop_cycles = loop_branches *. cost.Cost_model.branch_cycles in
   let words = float_of_int run in
   let store_cycles = words *. cost.Cost_model.uncached_store_cycles in
+  let cycles = ref c.cycles and instructions = ref c.instructions in
+  let branches = ref c.branches and l1_accesses = ref c.l1_accesses in
+  let l1_misses = ref c.l1_misses and l2_accesses = ref c.l2_accesses in
+  let l2_misses = ref c.l2_misses in
   for k = 0 to count - 1 do
     let start = base + (k * stride) in
-    (* one memcpy call covering the run *)
-    ops c cost.Cost_model.memcpy_row_setup_cycles 6.0;
-    branches c cost.Cost_model.branch_cycles 1.0;
-    last := vector_range soc c ~l2 ~shift !last buf start ~chunk ~chunks;
-    branches c loop_cycles loop_branches;
-    ops c store_cycles words
+    (* one memcpy call covering the run: [Soc.alu], [Soc.branch] *)
+    cycles := !cycles +. cost.Cost_model.memcpy_row_setup_cycles;
+    instructions := !instructions +. 6.0;
+    cycles := !cycles +. cost.Cost_model.branch_cycles;
+    branches := !branches +. 1.0;
+    instructions := !instructions +. 1.0;
+    (* [Soc.charge_access] of each chunk, then one vector op per chunk *)
+    for j = 0 to chunks - 1 do
+      let addr = addr_of buf (start + (j * chunk)) in
+      let h = level cache ~shift !last addr in
+      last := addr lsr shift;
+      l1_accesses := !l1_accesses +. 1.0;
+      if h >= 2 then begin
+        l1_misses := !l1_misses +. 1.0;
+        if l2 then l2_accesses := !l2_accesses +. 1.0
+      end;
+      if h >= 3 then l2_misses := !l2_misses +. 1.0;
+      cycles := !cycles +. access_cycles.(h - 1);
+      instructions := !instructions +. 1.0
+    done;
+    instructions := !instructions +. vector_ops;
+    (* [Soc.branch] of the unrolled loop, [Soc.uncached_store_words] *)
+    cycles := !cycles +. loop_cycles;
+    branches := !branches +. loop_branches;
+    instructions := !instructions +. loop_branches;
+    cycles := !cycles +. store_cycles;
+    instructions := !instructions +. words
   done;
+  c.cycles <- !cycles;
+  c.instructions <- !instructions;
+  c.branches <- !branches;
+  c.l1_accesses <- !l1_accesses;
+  c.l1_misses <- !l1_misses;
+  c.l2_accesses <- !l2_accesses;
+  c.l2_misses <- !l2_misses;
   Dma_engine.stage_rows t.engine ~offset buf.Sim_memory.data base ~len:run ~count ~stride;
   offset + (run * count)
 
@@ -194,18 +230,49 @@ let specialized_out_row t () view base run count stride offset =
 let bare_out_row t () view base run count stride offset =
   let soc = t.soc in
   let c = soc.Soc.counters and cost = soc.Soc.cost and l2 = has_l2 soc in
-  let shift = Cache.line_shift soc.Soc.cache and last = ref (-1) in
+  let cache = soc.Soc.cache and access_cycles = soc.Soc.access_cycles in
+  let shift = Cache.line_shift cache and last = ref (-1) in
   let buf = view.Memref_view.buf in
-  let alu_cycles = 2.0 *. cost.Cost_model.alu_cycles in
+  let alu_cycles = 2.0 *. cost.Cost_model.alu_cycles
+  and branch_cycles = cost.Cost_model.branch_cycles
+  and store_cycles = cost.Cost_model.uncached_store_cycles in
+  let cycles = ref c.cycles and instructions = ref c.instructions in
+  let branches = ref c.branches and l1_accesses = ref c.l1_accesses in
+  let l1_misses = ref c.l1_misses and l2_accesses = ref c.l2_accesses in
+  let l2_misses = ref c.l2_misses in
   for k = 0 to count - 1 do
     let start = base + (k * stride) in
     for i = start to start + run - 1 do
-      ops c alu_cycles 2.0;
-      branches c cost.Cost_model.branch_cycles 1.0;
-      last := access soc c ~l2 ~shift !last (addr_of buf i);
-      ops c cost.Cost_model.uncached_store_cycles 1.0
+      (* [Soc.alu] of the pointer bump, [Soc.branch] *)
+      cycles := !cycles +. alu_cycles;
+      instructions := !instructions +. 2.0;
+      cycles := !cycles +. branch_cycles;
+      branches := !branches +. 1.0;
+      instructions := !instructions +. 1.0;
+      (* [Soc.charge_access] of the element *)
+      let addr = addr_of buf i in
+      let h = level cache ~shift !last addr in
+      last := addr lsr shift;
+      l1_accesses := !l1_accesses +. 1.0;
+      if h >= 2 then begin
+        l1_misses := !l1_misses +. 1.0;
+        if l2 then l2_accesses := !l2_accesses +. 1.0
+      end;
+      if h >= 3 then l2_misses := !l2_misses +. 1.0;
+      cycles := !cycles +. access_cycles.(h - 1);
+      instructions := !instructions +. 1.0;
+      (* [Soc.uncached_store_words] of the element *)
+      cycles := !cycles +. store_cycles;
+      instructions := !instructions +. 1.0
     done
   done;
+  c.cycles <- !cycles;
+  c.instructions <- !instructions;
+  c.branches <- !branches;
+  c.l1_accesses <- !l1_accesses;
+  c.l1_misses <- !l1_misses;
+  c.l2_accesses <- !l2_accesses;
+  c.l2_misses <- !l2_misses;
   Dma_engine.stage_rows t.engine ~offset buf.Sim_memory.data base ~len:run ~count ~stride;
   offset + (run * count)
 
@@ -262,99 +329,216 @@ let skip_resident t ~words ~what =
 
 (* Copies from the DMA output region back into a memref. [data] holds
    the received words in row-major order; a row function's accumulator
-   is the index of the row's first word in it. *)
-
-(* One received element into the view: a cached store, or a cached
-   load, an add and a cached store when accumulating. *)
-let[@inline] store_received soc c ~l2 ~shift ~fpu_cycles last buf li ~accumulate data i =
-  let addr = addr_of buf li in
-  let d = buf.Sim_memory.data in
-  let line = access soc c ~l2 ~shift last addr in
-  if accumulate then begin
-    (* [Soc.fpu] of one operation *)
-    ops c fpu_cycles 1.0;
-    c.flops <- c.flops +. 1.0;
-    ignore (access soc c ~l2 ~shift line addr);
-    d.(li) <- d.(li) +. data.(i)
-  end
-  else d.(li) <- data.(i);
-  line
+   is the index of the row's first word in it. Each received element is
+   a cached store into the view, or, when accumulating, a cached load,
+   an add and a cached store. *)
 
 let generic_in_row ~accumulate t data view base run count stride i =
   let soc = t.soc in
   let c = soc.Soc.counters and cost = soc.Soc.cost and l2 = has_l2 soc in
-  let shift = Cache.line_shift soc.Soc.cache and last = ref (-1) in
+  let cache = soc.Soc.cache and access_cycles = soc.Soc.access_cycles in
+  let shift = Cache.line_shift cache and last = ref (-1) in
   let buf = view.Memref_view.buf in
+  let d = buf.Sim_memory.data in
   let meta = metadata_loads cost and overhead = overhead_ops cost in
   let meta_cycles = meta *. cost.Cost_model.l1_hit_cycles
-  and overhead_cycles = overhead *. cost.Cost_model.alu_cycles in
-  let fpu_cycles = cost.Cost_model.fpu_cycles in
+  and overhead_cycles = overhead *. cost.Cost_model.alu_cycles
+  and branch_cycles = cost.Cost_model.branch_cycles
+  and load_cycles = cost.Cost_model.uncached_load_cycles
+  and fpu_cycles = cost.Cost_model.fpu_cycles in
+  let cycles = ref c.cycles and instructions = ref c.instructions in
+  let branches = ref c.branches and l1_accesses = ref c.l1_accesses in
+  let l1_misses = ref c.l1_misses and l2_accesses = ref c.l2_accesses in
+  let l2_misses = ref c.l2_misses and flops = ref c.flops in
   for k = 0 to count - 1 do
     let start = base + (k * stride) and first = i + (k * run) in
     for j = 0 to run - 1 do
-      l1_hits c meta_cycles meta;
-      ops c overhead_cycles overhead;
-      branches c cost.Cost_model.branch_cycles 1.0;
-      ops c cost.Cost_model.uncached_load_cycles 1.0;
-      last :=
-        store_received soc c ~l2 ~shift ~fpu_cycles !last buf (start + j) ~accumulate data
-          (first + j)
+      (* [Soc.charge_l1_hits] of the metadata loads *)
+      l1_accesses := !l1_accesses +. meta;
+      cycles := !cycles +. meta_cycles;
+      instructions := !instructions +. meta;
+      (* [Soc.alu] of the address arithmetic, [Soc.branch] *)
+      cycles := !cycles +. overhead_cycles;
+      instructions := !instructions +. overhead;
+      cycles := !cycles +. branch_cycles;
+      branches := !branches +. 1.0;
+      instructions := !instructions +. 1.0;
+      (* the uncached load of the received word *)
+      cycles := !cycles +. load_cycles;
+      instructions := !instructions +. 1.0;
+      (* [Soc.charge_access] of the element *)
+      let li = start + j in
+      let addr = addr_of buf li in
+      let h = level cache ~shift !last addr in
+      last := addr lsr shift;
+      l1_accesses := !l1_accesses +. 1.0;
+      if h >= 2 then begin
+        l1_misses := !l1_misses +. 1.0;
+        if l2 then l2_accesses := !l2_accesses +. 1.0
+      end;
+      if h >= 3 then l2_misses := !l2_misses +. 1.0;
+      cycles := !cycles +. access_cycles.(h - 1);
+      instructions := !instructions +. 1.0;
+      if accumulate then begin
+        (* [Soc.fpu] of the add, then [Soc.charge_access] of the store:
+           an L1 hit on the line just loaded *)
+        cycles := !cycles +. fpu_cycles;
+        instructions := !instructions +. 1.0;
+        flops := !flops +. 1.0;
+        l1_accesses := !l1_accesses +. 1.0;
+        cycles := !cycles +. access_cycles.(0);
+        instructions := !instructions +. 1.0;
+        d.(li) <- d.(li) +. data.(first + j)
+      end
+      else d.(li) <- data.(first + j)
     done
   done;
+  c.cycles <- !cycles;
+  c.instructions <- !instructions;
+  c.branches <- !branches;
+  c.l1_accesses <- !l1_accesses;
+  c.l1_misses <- !l1_misses;
+  c.l2_accesses <- !l2_accesses;
+  c.l2_misses <- !l2_misses;
+  c.flops <- !flops;
   i + (run * count)
 
 let specialized_in_row ~accumulate t data view base run count stride i =
   let soc = t.soc in
   let c = soc.Soc.counters and cost = soc.Soc.cost and l2 = has_l2 soc in
-  let shift = Cache.line_shift soc.Soc.cache and last = ref (-1) in
+  let cache = soc.Soc.cache and access_cycles = soc.Soc.access_cycles in
+  let shift = Cache.line_shift cache and last = ref (-1) in
   let buf = view.Memref_view.buf in
   let d = buf.Sim_memory.data in
   let chunk = cost.Cost_model.vector_chunk_bytes / 4 in
   let chunks = Util.ceil_div run chunk in
+  let vector_ops = float_of_int chunks in
   let loop_branches = float_of_int (Util.ceil_div run (chunk * 4)) in
   let loop_cycles = loop_branches *. cost.Cost_model.branch_cycles in
   let words = float_of_int run in
   let load_cycles = words *. cost.Cost_model.uncached_load_cycles in
   (* vectorised adds: 4 lanes per FPU op *)
   let vadd_cycles = float_of_int chunks *. cost.Cost_model.fpu_cycles in
+  let cycles = ref c.cycles and instructions = ref c.instructions in
+  let branches = ref c.branches and l1_accesses = ref c.l1_accesses in
+  let l1_misses = ref c.l1_misses and l2_accesses = ref c.l2_accesses in
+  let l2_misses = ref c.l2_misses and flops = ref c.flops in
   for k = 0 to count - 1 do
     let start = base + (k * stride) and first = i + (k * run) in
-    ops c cost.Cost_model.memcpy_row_setup_cycles 6.0;
-    branches c cost.Cost_model.branch_cycles 1.0;
-    ops c load_cycles words;
-    if accumulate then begin
-      last := vector_range soc c ~l2 ~shift !last buf start ~chunk ~chunks;
-      c.cycles <- c.cycles +. vadd_cycles;
-      c.flops <- c.flops +. words
-    end;
-    last := vector_range soc c ~l2 ~shift !last buf start ~chunk ~chunks;
-    branches c loop_cycles loop_branches;
+    (* one memcpy call covering the run: [Soc.alu], [Soc.branch], then
+       the uncached loads of the received words *)
+    cycles := !cycles +. cost.Cost_model.memcpy_row_setup_cycles;
+    instructions := !instructions +. 6.0;
+    cycles := !cycles +. cost.Cost_model.branch_cycles;
+    branches := !branches +. 1.0;
+    instructions := !instructions +. 1.0;
+    cycles := !cycles +. load_cycles;
+    instructions := !instructions +. words;
+    (* An accumulating copy reads the run's chunks and adds before it
+       writes them: per pass, [Soc.charge_access] of each chunk, then
+       one vector op per chunk. *)
+    for pass = (if accumulate then 0 else 1) to 1 do
+      for j = 0 to chunks - 1 do
+        let addr = addr_of buf (start + (j * chunk)) in
+        let h = level cache ~shift !last addr in
+        last := addr lsr shift;
+        l1_accesses := !l1_accesses +. 1.0;
+        if h >= 2 then begin
+          l1_misses := !l1_misses +. 1.0;
+          if l2 then l2_accesses := !l2_accesses +. 1.0
+        end;
+        if h >= 3 then l2_misses := !l2_misses +. 1.0;
+        cycles := !cycles +. access_cycles.(h - 1);
+        instructions := !instructions +. 1.0
+      done;
+      instructions := !instructions +. vector_ops;
+      if pass = 0 then begin
+        cycles := !cycles +. vadd_cycles;
+        flops := !flops +. words
+      end
+    done;
+    (* [Soc.branch] of the unrolled loop *)
+    cycles := !cycles +. loop_cycles;
+    branches := !branches +. loop_branches;
+    instructions := !instructions +. loop_branches;
     if accumulate then
       for j = 0 to run - 1 do
         d.(start + j) <- d.(start + j) +. data.(first + j)
       done
     else Array.blit data first d start run
   done;
+  c.cycles <- !cycles;
+  c.instructions <- !instructions;
+  c.branches <- !branches;
+  c.l1_accesses <- !l1_accesses;
+  c.l1_misses <- !l1_misses;
+  c.l2_accesses <- !l2_accesses;
+  c.l2_misses <- !l2_misses;
+  c.flops <- !flops;
   i + (run * count)
 
 let bare_in_row ~accumulate t data view base run count stride i =
   let soc = t.soc in
   let c = soc.Soc.counters and cost = soc.Soc.cost and l2 = has_l2 soc in
-  let shift = Cache.line_shift soc.Soc.cache and last = ref (-1) in
+  let cache = soc.Soc.cache and access_cycles = soc.Soc.access_cycles in
+  let shift = Cache.line_shift cache and last = ref (-1) in
   let buf = view.Memref_view.buf in
-  let alu_cycles = 2.0 *. cost.Cost_model.alu_cycles in
-  let fpu_cycles = cost.Cost_model.fpu_cycles in
+  let d = buf.Sim_memory.data in
+  let alu_cycles = 2.0 *. cost.Cost_model.alu_cycles
+  and branch_cycles = cost.Cost_model.branch_cycles
+  and load_cycles = cost.Cost_model.uncached_load_cycles
+  and fpu_cycles = cost.Cost_model.fpu_cycles in
+  let cycles = ref c.cycles and instructions = ref c.instructions in
+  let branches = ref c.branches and l1_accesses = ref c.l1_accesses in
+  let l1_misses = ref c.l1_misses and l2_accesses = ref c.l2_accesses in
+  let l2_misses = ref c.l2_misses and flops = ref c.flops in
   for k = 0 to count - 1 do
     let start = base + (k * stride) and first = i + (k * run) in
     for j = 0 to run - 1 do
-      ops c alu_cycles 2.0;
-      branches c cost.Cost_model.branch_cycles 1.0;
-      ops c cost.Cost_model.uncached_load_cycles 1.0;
-      last :=
-        store_received soc c ~l2 ~shift ~fpu_cycles !last buf (start + j) ~accumulate data
-          (first + j)
+      (* [Soc.alu] of the pointer bump, [Soc.branch], and the uncached
+         load of the received word *)
+      cycles := !cycles +. alu_cycles;
+      instructions := !instructions +. 2.0;
+      cycles := !cycles +. branch_cycles;
+      branches := !branches +. 1.0;
+      instructions := !instructions +. 1.0;
+      cycles := !cycles +. load_cycles;
+      instructions := !instructions +. 1.0;
+      (* [Soc.charge_access] of the element *)
+      let li = start + j in
+      let addr = addr_of buf li in
+      let h = level cache ~shift !last addr in
+      last := addr lsr shift;
+      l1_accesses := !l1_accesses +. 1.0;
+      if h >= 2 then begin
+        l1_misses := !l1_misses +. 1.0;
+        if l2 then l2_accesses := !l2_accesses +. 1.0
+      end;
+      if h >= 3 then l2_misses := !l2_misses +. 1.0;
+      cycles := !cycles +. access_cycles.(h - 1);
+      instructions := !instructions +. 1.0;
+      if accumulate then begin
+        (* [Soc.fpu] of the add, then [Soc.charge_access] of the store:
+           an L1 hit on the line just loaded *)
+        cycles := !cycles +. fpu_cycles;
+        instructions := !instructions +. 1.0;
+        flops := !flops +. 1.0;
+        l1_accesses := !l1_accesses +. 1.0;
+        cycles := !cycles +. access_cycles.(0);
+        instructions := !instructions +. 1.0;
+        d.(li) <- d.(li) +. data.(first + j)
+      end
+      else d.(li) <- data.(first + j)
     done
   done;
+  c.cycles <- !cycles;
+  c.instructions <- !instructions;
+  c.branches <- !branches;
+  c.l1_accesses <- !l1_accesses;
+  c.l1_misses <- !l1_misses;
+  c.l2_accesses <- !l2_accesses;
+  c.l2_misses <- !l2_misses;
+  c.flops <- !flops;
   i + (run * count)
 
 (* The row functions with [accumulate] applied, made once. *)

@@ -28,11 +28,15 @@
     Cost: a copy charges per element, in the element-wise model's
     order, but not through a call per charge: it walks the view a row
     of runs at a time ({!Memref_view.fold_runs}), writes each charge of
-    {!Soc} out against the counters (so each counter field receives the
-    float additions a call per charge would make, in the same order,
-    and stays bit-identical), looks the cache up once per line rather
-    than per element ({!Cache.line_shift}), and stages each row with
-    one {!Dma_engine.stage_rows}.
+    {!Soc} out, looks the cache up once per line rather than per
+    element ({!Cache.line_shift}), and stages each row with one
+    {!Dma_engine.stage_rows}. The charges of a row accumulate in locals,
+    loaded from the counters when the row starts and written back once
+    when its charges end, before it is staged; each counter field so
+    receives the float additions a call per charge would make, in the
+    same order, and stays bit-identical. A copy that raises inside a
+    row (an index outside its buffer) leaves the counters as they stood
+    when that row started.
 
     Allocation: with tracing and metrics off, staging, a copy in either
     direction with any strategy, a blocking flush and a blocking

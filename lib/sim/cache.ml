@@ -89,16 +89,6 @@ let access t addr =
 
 let line_shift t = if Array.length t = 0 then 0 else t.(0).line_shift
 
-let access_range t ~addr ~bytes ~touched =
-  if bytes > 0 then begin
-    let line_bytes = if Array.length t = 0 then 64 else 1 lsl t.(0).line_shift in
-    let first = addr / line_bytes in
-    let last = (addr + bytes - 1) / line_bytes in
-    for line = first to last do
-      touched (access t (line * line_bytes))
-    done
-  end
-
 let flush t =
   Array.iter (fun level -> Array.fill level.lines 0 (Array.length level.lines) (-1)) t
 

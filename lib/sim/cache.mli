@@ -55,11 +55,8 @@ val line_shift : t -> int
     set, so the next access to that line, with no access in between,
     hits L1 and changes nothing. A caller that made both accesses may
     take that hit as level 1 without calling {!access}: this is how the
-    runtime copies charge a run per line. *)
-
-val access_range : t -> addr:int -> bytes:int -> touched:(int -> unit) -> unit
-(** Probe every line overlapped by [addr, addr+bytes); calls [touched]
-    with each access's hit level (for cost accounting). *)
+    runtime copies charge a run per line, and how the CPU reference
+    kernels charge the store of the element they just loaded. *)
 
 val flush : t -> unit
 (** Invalidate everything. *)

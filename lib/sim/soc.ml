@@ -82,6 +82,8 @@ let absorb_makespan t =
     t.host_serial <- Some t.counters.Perf_counters.cycles;
   t.counters.Perf_counters.cycles <- task_clock_cycles t
 
+(* The host's own busy cycles: the captured pre-absorb counter, or the
+   live counter when [absorb_makespan] has not run yet. *)
 let host_serial_cycles t =
   match t.host_serial with Some c -> c | None -> t.counters.Perf_counters.cycles
 

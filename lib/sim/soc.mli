@@ -72,10 +72,6 @@ val absorb_makespan : t -> unit
     no-op for blocking runs (empty timeline). The first call also
     captures [host_serial]. *)
 
-val host_serial_cycles : t -> float
-(** The host's own busy cycles: the captured pre-absorb counter, or the
-    live counter when {!absorb_makespan} has not run yet. *)
-
 val critpath_input : t -> Critpath.input
 (** Snapshot the run's event DAG — timeline agent events, host marks,
     total DMA wire time and device busy time — in the neutral form
@@ -93,14 +89,18 @@ val engine_track_names : t -> (int * string) list
     modules a [float] crossing a module boundary is boxed, so callers
     charge here and read or write [buf.Sim_memory.data] themselves.
 
-    The runtime copies ([Dma_library]) do not call these per element:
-    a call into this module per charge was most of what a copy cost.
-    They write the same charges out against {!t.counters}, element by
-    element in the element-wise model's order, so each counter field
-    receives exactly the float additions these functions would make
-    and stays bit-identical. A memcpy-style copy charges one cache
-    reference per {!Cost_model.t.vector_chunk_bytes} chunk; an access to
-    the L1 line the copy's previous access touched is charged as the L1
+    The runtime copies ([Dma_library]) and the CPU reference kernels
+    ([Cpu_reference]) do not call these in their hot loops: a call into
+    this module per charge was most of what they cost. They write the
+    same charges out, element by element in the element-wise model's
+    order, into locals loaded from {!t.counters} when a row (a copy's
+    row of runs, a kernel's reduction into one output element) starts
+    and written back when it ends, so each counter field receives
+    exactly the float additions these functions would make and stays
+    bit-identical. A memcpy-style copy charges one cache reference per
+    {!Cost_model.t.vector_chunk_bytes} chunk. An access known to be to
+    the L1 line the previous access touched (a copy's next element in
+    the same line, a kernel's store after its load) is charged as the L1
     hit it is without a cache lookup ({!Cache.line_shift}). *)
 
 val charge_access : t -> int -> unit

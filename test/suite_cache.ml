@@ -51,18 +51,6 @@ let test_flush () =
   let r = Cache.access c 0 in
   Alcotest.(check int) "miss after flush" 2 r
 
-let test_access_range () =
-  let c = Cache.create [ tiny ] in
-  let hits = ref 0 and misses = ref 0 in
-  Cache.access_range c ~addr:10 ~bytes:60 ~touched:(fun level ->
-      if level = 1 then incr hits else incr misses);
-  (* bytes 10..69 span lines 0, 1, 2 *)
-  Alcotest.(check int) "three lines probed" 3 (!hits + !misses);
-  Alcotest.(check int) "all cold misses" 3 !misses;
-  Cache.access_range c ~addr:10 ~bytes:60 ~touched:(fun level ->
-      if level = 1 then incr hits);
-  Alcotest.(check int) "now hits" 3 !hits
-
 let test_empty_hierarchy () =
   let c = Cache.create [] in
   let r = Cache.access c 1234 in
@@ -192,7 +180,6 @@ let tests =
     Alcotest.test_case "LRU eviction" `Quick test_lru_eviction;
     Alcotest.test_case "two inclusive levels" `Quick test_two_levels_inclusive;
     Alcotest.test_case "flush" `Quick test_flush;
-    Alcotest.test_case "access_range line granularity" `Quick test_access_range;
     Alcotest.test_case "empty hierarchy" `Quick test_empty_hierarchy;
     QCheck_alcotest.to_alcotest prop_small_working_set;
     QCheck_alcotest.to_alcotest prop_matches_reference_model;

@@ -192,12 +192,15 @@ let test_cpu_reference_allocates_nothing () =
   let slice dims offsets sizes = Memref_view.subview (view dims) ~offsets ~sizes in
   let a = slice [ 9; 8 ] [ 1; 2 ] [ 7; 5 ] and b = view [ 5; 6 ] in
   let c = slice [ 8; 7 ] [ 1; 1 ] [ 7; 6 ] in
+  let input = slice [ 2; 4; 7; 7 ] [ 1; 1; 0; 1 ] [ 1; 3; 6; 6 ] and filter = view [ 2; 3; 3; 3 ] in
+  let output = view [ 1; 2; 4; 4 ] in
   let check name f =
     f ();
     Alcotest.(check (float 0.0)) name 0.0 (net_minor_words f)
   in
   check "matmul" (fun () -> Cpu_reference.matmul soc ~a ~b ~c);
-  check "matmul_optimized, exact" (fun () -> Cpu_reference.matmul_optimized soc ~a ~b ~c ())
+  check "matmul_optimized, exact" (fun () -> Cpu_reference.matmul_optimized soc ~a ~b ~c ());
+  check "conv2d" (fun () -> Cpu_reference.conv2d soc ~input ~filter ~output)
 
 (* The exact minor words of one small conv layer through the manual Rs
    driver and through the generated Os code (fHW=3, iC=8, a 5x6 input,
