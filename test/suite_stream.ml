@@ -192,8 +192,8 @@ let test_cpu_reference_allocates_nothing () =
   let slice dims offsets sizes = Memref_view.subview (view dims) ~offsets ~sizes in
   let a = slice [ 9; 8 ] [ 1; 2 ] [ 7; 5 ] and b = view [ 5; 6 ] in
   let c = slice [ 8; 7 ] [ 1; 1 ] [ 7; 6 ] in
-  let input = slice [ 2; 4; 7; 7 ] [ 1; 1; 0; 1 ] [ 1; 3; 6; 6 ] and filter = view [ 2; 3; 3; 3 ] in
-  let output = view [ 1; 2; 4; 4 ] in
+  let input = slice [ 2; 4; 7; 7 ] [ 1; 1; 0; 1 ] [ 1; 3; 6; 6 ] in
+  let filter = view [ 2; 3; 3; 3 ] and output = view [ 1; 2; 4; 4 ] in
   let check name f =
     f ();
     Alcotest.(check (float 0.0)) name 0.0 (net_minor_words f)
