@@ -56,6 +56,45 @@ let test_empty_hierarchy () =
   let r = Cache.access c 1234 in
   Alcotest.(check int) "straight to memory" 1 r
 
+(* A probe reads and moves lines only inside its own set. With one way
+   and with two, every set filled, accesses to one set (the first, one
+   in the middle, the last) that hit it, miss it and evict from it
+   leave every line of every other set resident, checked after each
+   access. *)
+let test_probe_stays_in_its_set () =
+  List.iter
+    (fun assoc ->
+      let geom = { Cache.size_bytes = 256; line_bytes = 32; assoc } in
+      let sets = geom.Cache.size_bytes / geom.Cache.line_bytes / assoc in
+      (* the [k]-th line number of [set] *)
+      let addr set k = ((k * sets) + set) * geom.Cache.line_bytes in
+      List.iter
+        (fun target ->
+          let c = Cache.create [ geom ] in
+          for set = 0 to sets - 1 do
+            for way = 0 to assoc - 1 do
+              ignore (Cache.access c (addr set way))
+            done
+          done;
+          List.iter
+            (fun k ->
+              ignore (Cache.access c (addr target k));
+              let what = Printf.sprintf "assoc %d, set %d, after line %d" assoc target k in
+              Alcotest.(check bool) (what ^ ": accessed line resident") true
+                (Cache.resident c ~level:1 (addr target k));
+              for set = 0 to sets - 1 do
+                if set <> target then
+                  for way = 0 to assoc - 1 do
+                    Alcotest.(check bool)
+                      (Printf.sprintf "%s: set %d way %d resident" what set way)
+                      true
+                      (Cache.resident c ~level:1 (addr set way))
+                  done
+              done)
+            [ 0; assoc; assoc; assoc + 1; 0; assoc + 2; assoc + 2 ])
+        [ 0; sets / 2; sets - 1 ])
+    [ 1; 2 ]
+
 (* Property: a working set smaller than one way-capacity never misses
    after the first pass (no conflict misses for sequential lines within
    a single set's associativity budget). *)
@@ -115,11 +154,12 @@ module Reference = struct
     go 1 levels
 end
 
-(* One level: lines of 16-64 bytes, 1-16 ways, up to 512 KiB. *)
+(* One level: lines of 16-64 bytes, 1-16 ways (one way, direct-mapped,
+   in a third of the draws), up to 512 KiB. *)
 let gen_geometry =
   let open QCheck.Gen in
   let* line_log = int_range 4 6 in
-  let* assoc_log = int_range 0 4 in
+  let* assoc_log = frequency [ (1, return 0); (2, int_range 1 4) ] in
   let* size_log = int_range (line_log + assoc_log) 19 in
   return
     { Cache.size_bytes = 1 lsl size_log; line_bytes = 1 lsl line_log; assoc = 1 lsl assoc_log }
@@ -181,6 +221,7 @@ let tests =
     Alcotest.test_case "two inclusive levels" `Quick test_two_levels_inclusive;
     Alcotest.test_case "flush" `Quick test_flush;
     Alcotest.test_case "empty hierarchy" `Quick test_empty_hierarchy;
+    Alcotest.test_case "probe stays in its set" `Quick test_probe_stays_in_its_set;
     QCheck_alcotest.to_alcotest prop_small_working_set;
     QCheck_alcotest.to_alcotest prop_matches_reference_model;
   ]

@@ -246,20 +246,22 @@ let test_conv_minor_words_pinned () =
 (* What the copies stage                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* A device that decodes every word as data and records it: a staged
-   instruction word fails the decode. *)
-let recording_device () =
+(* A device that records every word of a transaction with its tag:
+   [(true, v)] for an instruction word, [(false, v)] for data. *)
+let tagging_device () =
   let seen = ref [] in
   let one = [| 0.0 |] in
   let consume win _ =
     while not (Axi_word.at_end win) do
-      Axi_word.read_data ~who:"recorder" win one 1;
-      seen := one.(0) :: !seen
+      match Axi_word.read_data ~who:"tagger" win one 1 with
+      | () -> seen := (false, one.(0)) :: !seen
+      | exception Failure _ ->
+        seen := (true, float_of_int (Axi_word.next_inst ~who:"tagger" win)) :: !seen
     done
   in
   let device =
     {
-      Accel_device.device_name = "recorder";
+      Accel_device.device_name = "tagger";
       consume;
       drain = (fun _ -> [||]);
       drain_into = (fun _ _ -> ());
@@ -268,11 +270,11 @@ let recording_device () =
       regions = [];
     }
   in
-  (device, fun () -> Array.of_list (List.rev !seen))
+  (device, fun () -> List.rev !seen)
 
 let recording_lib ~capacity strategy =
   let soc = Soc.create () in
-  let device, recorded = recording_device () in
+  let device, recorded = tagging_device () in
   let engine =
     Soc.attach_engine soc ~dma_id:0 ~device ~in_capacity_words:capacity
       ~out_capacity_words:16
@@ -293,9 +295,43 @@ let gen_spec =
       (List.map
          (fun d ->
            int_range 0 (d - 1) >>= fun off ->
-           map (fun size -> (off, size)) (int_range 0 (d - off)))
+           map
+             (fun size -> (off, size))
+             (frequency [ (1, return 1); (2, int_range 0 (d - off)) ]))
          dims)
     >>= fun slices -> return { dims; step; slices })
+
+(* A [1 x C x k x k] conv patch, k = 1 or 3, of a larger rank-4 input:
+   one block of C rows of k runs at k = 3, one row of C runs of 1 at
+   k = 1. *)
+let gen_patch =
+  QCheck.Gen.(
+    oneofl [ 1; 3 ] >>= fun k ->
+    int_range 1 6 >>= fun c ->
+    int_range 0 2 >>= fun c_off ->
+    int_range k (k + 3) >>= fun h ->
+    int_range k (k + 3) >>= fun w ->
+    int_range 0 1 >>= fun n ->
+    int_range 0 (h - k) >>= fun y ->
+    int_range 0 (w - k) >>= fun x ->
+    return
+      {
+        dims = [ 2; c + c_off; h; w ];
+        step = 1;
+        slices = [ (n, 1); (c_off, c); (y, k); (x, k) ];
+      })
+
+(* A 2-D tile of a larger matrix, its columns optionally stepping by 2. *)
+let gen_tile =
+  QCheck.Gen.(
+    int_range 1 6 >>= fun rows ->
+    int_range 1 6 >>= fun cols ->
+    int_range 0 3 >>= fun r ->
+    int_range 0 3 >>= fun c ->
+    oneofl [ 1; 2 ] >>= fun step ->
+    return { dims = [ rows + r; cols + c ]; step; slices = [ (r, rows); (c, cols) ] })
+
+let gen_view = QCheck.Gen.frequency [ (2, gen_spec); (1, gen_patch); (1, gen_tile) ]
 
 let print_spec s =
   Printf.sprintf "dims=[%s] step=%d slices=[%s]"
@@ -335,27 +371,49 @@ let reference_indices view =
 
 let strategies = Dma_library.[ Generic; Specialized; Bare ]
 
+(* What staging leaves in an engine with a tagging device: the
+   high-water mark, then the words with their tags that a token send
+   delivers, which run from the batch's lowest staged offset to that
+   mark. *)
+let staged_batch engine recorded =
+  let high_water = Dma_engine.staged_high_water engine in
+  ignore (Dma_engine.wait_token engine (Dma_engine.start_send_token engine));
+  (high_water, recorded ())
+
 let prop_copies_stage_the_view =
-  QCheck.Test.make ~name:"every copy strategy stages exactly the view, as data" ~count:300
-    (QCheck.make ~print:print_spec gen_spec)
+  QCheck.Test.make
+    ~name:"every copy strategy stages exactly the view, as staging element by element does"
+    ~count:300
+    (QCheck.make ~print:print_spec gen_view)
     (fun spec ->
+      let at = 3 in
       List.for_all
         (fun strategy ->
           let soc, engine, lib, recorded = recording_lib ~capacity:1024 strategy in
           let view = make_view soc.Soc.memory spec in
           let d = view.Memref_view.buf.Sim_memory.data in
-          let expected = List.map (fun li -> d.(li)) (reference_indices view) in
-          let next = Dma_library.copy_to_dma_region_with lib strategy view ~offset:0 in
-          Dma_engine.send_staged engine;
-          next = List.length expected
+          let indices = reference_indices view in
+          let visited = ref [] in
+          Memref_view.iter_runs view (fun start len ->
+              for i = start to start + len - 1 do
+                visited := i :: !visited
+              done);
+          let expected = List.map (fun li -> d.(li)) indices in
+          let next = Dma_library.copy_to_dma_region_with lib strategy view ~offset:at in
+          let _, ref_engine, _, ref_recorded = recording_lib ~capacity:1024 strategy in
+          List.iteri
+            (fun i v -> Dma_engine.stage ref_engine ~offset:(at + i) (Axi_word.Data v))
+            expected;
+          List.rev !visited = indices
+          && next = at + List.length expected
           && Array.to_list (Memref_view.to_array view) = expected
-          && Array.to_list (recorded ()) = expected)
+          && staged_batch engine recorded = staged_batch ref_engine ref_recorded)
         strategies)
 
 let prop_copies_in_write_the_view =
   QCheck.Test.make ~name:"every copy strategy writes the view back, with and without +="
     ~count:300
-    (QCheck.make ~print:print_spec gen_spec)
+    (QCheck.make ~print:print_spec gen_view)
     (fun spec ->
       List.for_all
         (fun (strategy, accumulate) ->
@@ -410,32 +468,6 @@ let prop_fifo_is_a_queue =
 (* ------------------------------------------------------------------ *)
 (* Copy-path parity: every observable effect of a copy, pinned         *)
 (* ------------------------------------------------------------------ *)
-
-(* A device that records every word of a transaction with its tag:
-   [(true, v)] for an instruction word, [(false, v)] for data. *)
-let tagging_device () =
-  let seen = ref [] in
-  let one = [| 0.0 |] in
-  let consume win _ =
-    while not (Axi_word.at_end win) do
-      match Axi_word.read_data ~who:"tagger" win one 1 with
-      | () -> seen := (false, one.(0)) :: !seen
-      | exception Failure _ ->
-        seen := (true, float_of_int (Axi_word.next_inst ~who:"tagger" win)) :: !seen
-    done
-  in
-  let device =
-    {
-      Accel_device.device_name = "tagger";
-      consume;
-      drain = (fun _ -> [||]);
-      drain_into = (fun _ _ -> ());
-      available = (fun () -> 0);
-      reset_device = ignore;
-      regions = [];
-    }
-  in
-  (device, fun () -> List.rev !seen)
 
 (* The parity views: buffer shape, slice offsets and sizes, and whether
    the innermost dim steps by 2 through its buffer. Together they cover
@@ -764,7 +796,20 @@ let test_overflow_messages () =
         ("library copy, " ^ Dma_library.strategy_to_string strategy)
         (overflow 8)
         (failure_of (fun () ->
-             ignore (Dma_library.copy_to_dma_region_with lib strategy view ~offset:5))))
+             ignore (Dma_library.copy_to_dma_region_with lib strategy view ~offset:5)));
+      (* a [2 x 2 x 3] tile of a [2 x 4 x 6] buffer is one block of two
+         rows of two runs of 3, 12 words: its first row fits *)
+      let buf = Sim_memory.alloc soc.Soc.memory ~label:"planes" 48 in
+      let block =
+        Memref_view.subview
+          (Memref_view.of_buffer buf [ 2; 4; 6 ])
+          ~offsets:[ 0; 1; 2 ] ~sizes:[ 2; 2; 3 ]
+      in
+      check
+        ("library copy of a block crossing the end, " ^ Dma_library.strategy_to_string strategy)
+        (overflow 8)
+        (failure_of (fun () ->
+             ignore (Dma_library.copy_to_dma_region_with lib strategy block ~offset:0))))
     strategies
 
 (* ------------------------------------------------------------------ *)
