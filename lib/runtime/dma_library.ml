@@ -57,28 +57,32 @@ let stage_literal t literal ~offset =
 (* ------------------------------------------------------------------ *)
 
 (* Each copy is a {!Memref_view.fold_runs} walk with a closed row
-   function, called once per row of runs: the library and, for copies
-   in, the received words are its environment and the DMA offset or
+   function, called once per block of runs (the runs of a row, for each
+   row of the leading dim above it): the library and, for copies in, the
+   received words are its environment and the DMA offset or
    received-word index its accumulator, so a copy allocates nothing.
 
    The charges are the element-wise model's, written out: modules are
    compiled separately, so a call into [Soc] per charge was most of
    what a copy cost, and a load and store of a counter field per charge
-   most of the rest. A row function loads each counter field it charges
-   into a local when the row starts, adds the charges to the locals
-   element by element in the model's order, and writes them back once
-   when the row ends, before its words are staged with one
-   {!Dma_engine.stage_rows}. Each field so receives the same float
-   additions of the same operands in the same order as a call per
-   charge made, and stays bit-identical. Comments name the [Soc] charge
-   that each group of additions mirrors; a constant is the float [Soc]
-   computes, [float_of_int n *. c] for [n] operations, never a product
-   standing for several additions. The locals are refs that no helper
-   or closure sees, which keeps them unboxed: that is why every row
-   function writes its charges out.
+   most of the rest. A row function computes its constants and loads
+   each counter field it charges into a local once per block, adds the
+   charges to the locals element by element in the model's order, and
+   writes them back once when the block ends. Each field so receives
+   the same float additions of the same operands in the same order as a
+   call per charge made, and stays bit-identical. Comments name the
+   [Soc] charge that each group of additions mirrors; a constant is the
+   float [Soc] computes, [float_of_int n *. c] for [n] operations, never
+   a product standing for several additions. The locals are refs that
+   no helper or closure sees, which keeps them unboxed: that is why
+   every row function writes its charges out.
 
-   A raise inside a row (an index outside its buffer) leaves the
-   counters as they stood when the row started. *)
+   A copy out stages its block with one {!Dma_engine.stage_rows} before
+   it charges anything: a block that overflows the input region, or
+   that reaches outside its buffer, raises uncharged and unstaged, and
+   once staging has checked the block's ends its addresses need no
+   check. A copy in checks each element's index as it goes; a raise
+   there leaves the counters as they stood when the block started. *)
 
 (* The 1-based level an access at byte address [addr] hits, for
    [Soc.charge_access]. [last] is the L1 line of the row's previous
@@ -89,7 +93,8 @@ let stage_literal t literal ~offset =
 let[@inline] level cache ~shift last addr =
   if addr lsr shift = last then 1 else Cache.access cache addr
 
-(* [Sim_memory.addr_of], which raises for an index outside the buffer. *)
+(* [Sim_memory.addr_of], which raises for an index outside the buffer:
+   for copies in, which stage nothing. *)
 let[@inline] addr_of buf i =
   if i < 0 || i >= Array.length buf.Sim_memory.data then Sim_memory.addr_of buf i
   else buf.Sim_memory.base + (i * 4)
@@ -109,12 +114,14 @@ let overhead_ops cost =
    the paper describes (Sec. IV-B) — per element it reloads size/stride
    metadata, computes a strided address, loads the element through the
    cache and stores it to the uncached DMA region. *)
-let generic_out_row t () view base run count stride offset =
+let generic_out_row t () view base run count stride rows row_stride offset =
+  let buf = view.Memref_view.buf in
+  Dma_engine.stage_rows t.engine ~offset buf base ~len:run ~count ~stride ~rows ~row_stride;
   let soc = t.soc in
   let c = soc.Soc.counters and cost = soc.Soc.cost and l2 = has_l2 soc in
   let cache = soc.Soc.cache and access_cycles = soc.Soc.access_cycles in
   let shift = Cache.line_shift cache and last = ref (-1) in
-  let buf = view.Memref_view.buf in
+  let origin = buf.Sim_memory.base in
   let meta = metadata_loads cost and overhead = overhead_ops cost in
   let meta_cycles = meta *. cost.Cost_model.l1_hit_cycles
   and overhead_cycles = overhead *. cost.Cost_model.alu_cycles
@@ -124,35 +131,37 @@ let generic_out_row t () view base run count stride offset =
   let branches = ref c.branches and l1_accesses = ref c.l1_accesses in
   let l1_misses = ref c.l1_misses and l2_accesses = ref c.l2_accesses in
   let l2_misses = ref c.l2_misses in
-  for k = 0 to count - 1 do
-    let start = base + (k * stride) in
-    for i = start to start + run - 1 do
-      (* [Soc.charge_l1_hits] of the metadata loads *)
-      l1_accesses := !l1_accesses +. meta;
-      cycles := !cycles +. meta_cycles;
-      instructions := !instructions +. meta;
-      (* [Soc.alu] of the address arithmetic *)
-      cycles := !cycles +. overhead_cycles;
-      instructions := !instructions +. overhead;
-      (* [Soc.branch] *)
-      cycles := !cycles +. branch_cycles;
-      branches := !branches +. 1.0;
-      instructions := !instructions +. 1.0;
-      (* [Soc.charge_access] of the element *)
-      let addr = addr_of buf i in
-      let h = level cache ~shift !last addr in
-      last := addr lsr shift;
-      l1_accesses := !l1_accesses +. 1.0;
-      if h >= 2 then begin
-        l1_misses := !l1_misses +. 1.0;
-        if l2 then l2_accesses := !l2_accesses +. 1.0
-      end;
-      if h >= 3 then l2_misses := !l2_misses +. 1.0;
-      cycles := !cycles +. access_cycles.(h - 1);
-      instructions := !instructions +. 1.0;
-      (* [Soc.uncached_store_words] of the element *)
-      cycles := !cycles +. store_cycles;
-      instructions := !instructions +. 1.0
+  for r = 0 to rows - 1 do
+    for k = 0 to count - 1 do
+      let start = base + (r * row_stride) + (k * stride) in
+      for i = start to start + run - 1 do
+        (* [Soc.charge_l1_hits] of the metadata loads *)
+        l1_accesses := !l1_accesses +. meta;
+        cycles := !cycles +. meta_cycles;
+        instructions := !instructions +. meta;
+        (* [Soc.alu] of the address arithmetic *)
+        cycles := !cycles +. overhead_cycles;
+        instructions := !instructions +. overhead;
+        (* [Soc.branch] *)
+        cycles := !cycles +. branch_cycles;
+        branches := !branches +. 1.0;
+        instructions := !instructions +. 1.0;
+        (* [Soc.charge_access] of the element *)
+        let addr = origin + (i * 4) in
+        let h = level cache ~shift !last addr in
+        last := addr lsr shift;
+        l1_accesses := !l1_accesses +. 1.0;
+        if h >= 2 then begin
+          l1_misses := !l1_misses +. 1.0;
+          if l2 then l2_accesses := !l2_accesses +. 1.0
+        end;
+        if h >= 3 then l2_misses := !l2_misses +. 1.0;
+        cycles := !cycles +. access_cycles.(h - 1);
+        instructions := !instructions +. 1.0;
+        (* [Soc.uncached_store_words] of the element *)
+        cycles := !cycles +. store_cycles;
+        instructions := !instructions +. 1.0
+      done
     done
   done;
   c.cycles <- !cycles;
@@ -162,18 +171,19 @@ let generic_out_row t () view base run count stride offset =
   c.l1_misses <- !l1_misses;
   c.l2_accesses <- !l2_accesses;
   c.l2_misses <- !l2_misses;
-  Dma_engine.stage_rows t.engine ~offset buf.Sim_memory.data base ~len:run ~count ~stride;
-  offset + (run * count)
+  offset + (run * count * rows)
 
 (* Specialised copy: memcpy each maximal contiguous run with vectorised
    loads, one cache access per vector chunk; requires unit innermost
    stride (checked by the caller). *)
-let specialized_out_row t () view base run count stride offset =
+let specialized_out_row t () view base run count stride rows row_stride offset =
+  let buf = view.Memref_view.buf in
+  Dma_engine.stage_rows t.engine ~offset buf base ~len:run ~count ~stride ~rows ~row_stride;
   let soc = t.soc in
   let c = soc.Soc.counters and cost = soc.Soc.cost and l2 = has_l2 soc in
   let cache = soc.Soc.cache and access_cycles = soc.Soc.access_cycles in
   let shift = Cache.line_shift cache and last = ref (-1) in
-  let buf = view.Memref_view.buf in
+  let origin = buf.Sim_memory.base in
   let chunk = cost.Cost_model.vector_chunk_bytes / 4 in
   let chunks = Util.ceil_div run chunk in
   let vector_ops = float_of_int chunks in
@@ -185,85 +195,36 @@ let specialized_out_row t () view base run count stride offset =
   let branches = ref c.branches and l1_accesses = ref c.l1_accesses in
   let l1_misses = ref c.l1_misses and l2_accesses = ref c.l2_accesses in
   let l2_misses = ref c.l2_misses in
-  for k = 0 to count - 1 do
-    let start = base + (k * stride) in
-    (* one memcpy call covering the run: [Soc.alu], [Soc.branch] *)
-    cycles := !cycles +. cost.Cost_model.memcpy_row_setup_cycles;
-    instructions := !instructions +. 6.0;
-    cycles := !cycles +. cost.Cost_model.branch_cycles;
-    branches := !branches +. 1.0;
-    instructions := !instructions +. 1.0;
-    (* [Soc.charge_access] of each chunk, then one vector op per chunk *)
-    for j = 0 to chunks - 1 do
-      let addr = addr_of buf (start + (j * chunk)) in
-      let h = level cache ~shift !last addr in
-      last := addr lsr shift;
-      l1_accesses := !l1_accesses +. 1.0;
-      if h >= 2 then begin
-        l1_misses := !l1_misses +. 1.0;
-        if l2 then l2_accesses := !l2_accesses +. 1.0
-      end;
-      if h >= 3 then l2_misses := !l2_misses +. 1.0;
-      cycles := !cycles +. access_cycles.(h - 1);
-      instructions := !instructions +. 1.0
-    done;
-    instructions := !instructions +. vector_ops;
-    (* [Soc.branch] of the unrolled loop, [Soc.uncached_store_words] *)
-    cycles := !cycles +. loop_cycles;
-    branches := !branches +. loop_branches;
-    instructions := !instructions +. loop_branches;
-    cycles := !cycles +. store_cycles;
-    instructions := !instructions +. words
-  done;
-  c.cycles <- !cycles;
-  c.instructions <- !instructions;
-  c.branches <- !branches;
-  c.l1_accesses <- !l1_accesses;
-  c.l1_misses <- !l1_misses;
-  c.l2_accesses <- !l2_accesses;
-  c.l2_misses <- !l2_misses;
-  Dma_engine.stage_rows t.engine ~offset buf.Sim_memory.data base ~len:run ~count ~stride;
-  offset + (run * count)
-
-(* Bare strided loop over a C array: pointer bump + load + store, one
-   branch per element; no descriptor traffic, no memcpy call setup. *)
-let bare_out_row t () view base run count stride offset =
-  let soc = t.soc in
-  let c = soc.Soc.counters and cost = soc.Soc.cost and l2 = has_l2 soc in
-  let cache = soc.Soc.cache and access_cycles = soc.Soc.access_cycles in
-  let shift = Cache.line_shift cache and last = ref (-1) in
-  let buf = view.Memref_view.buf in
-  let alu_cycles = 2.0 *. cost.Cost_model.alu_cycles
-  and branch_cycles = cost.Cost_model.branch_cycles
-  and store_cycles = cost.Cost_model.uncached_store_cycles in
-  let cycles = ref c.cycles and instructions = ref c.instructions in
-  let branches = ref c.branches and l1_accesses = ref c.l1_accesses in
-  let l1_misses = ref c.l1_misses and l2_accesses = ref c.l2_accesses in
-  let l2_misses = ref c.l2_misses in
-  for k = 0 to count - 1 do
-    let start = base + (k * stride) in
-    for i = start to start + run - 1 do
-      (* [Soc.alu] of the pointer bump, [Soc.branch] *)
-      cycles := !cycles +. alu_cycles;
-      instructions := !instructions +. 2.0;
-      cycles := !cycles +. branch_cycles;
+  for r = 0 to rows - 1 do
+    for k = 0 to count - 1 do
+      let start = base + (r * row_stride) + (k * stride) in
+      (* one memcpy call covering the run: [Soc.alu], [Soc.branch] *)
+      cycles := !cycles +. cost.Cost_model.memcpy_row_setup_cycles;
+      instructions := !instructions +. 6.0;
+      cycles := !cycles +. cost.Cost_model.branch_cycles;
       branches := !branches +. 1.0;
       instructions := !instructions +. 1.0;
-      (* [Soc.charge_access] of the element *)
-      let addr = addr_of buf i in
-      let h = level cache ~shift !last addr in
-      last := addr lsr shift;
-      l1_accesses := !l1_accesses +. 1.0;
-      if h >= 2 then begin
-        l1_misses := !l1_misses +. 1.0;
-        if l2 then l2_accesses := !l2_accesses +. 1.0
-      end;
-      if h >= 3 then l2_misses := !l2_misses +. 1.0;
-      cycles := !cycles +. access_cycles.(h - 1);
-      instructions := !instructions +. 1.0;
-      (* [Soc.uncached_store_words] of the element *)
+      (* [Soc.charge_access] of each chunk, then one vector op per chunk *)
+      for j = 0 to chunks - 1 do
+        let addr = origin + ((start + (j * chunk)) * 4) in
+        let h = level cache ~shift !last addr in
+        last := addr lsr shift;
+        l1_accesses := !l1_accesses +. 1.0;
+        if h >= 2 then begin
+          l1_misses := !l1_misses +. 1.0;
+          if l2 then l2_accesses := !l2_accesses +. 1.0
+        end;
+        if h >= 3 then l2_misses := !l2_misses +. 1.0;
+        cycles := !cycles +. access_cycles.(h - 1);
+        instructions := !instructions +. 1.0
+      done;
+      instructions := !instructions +. vector_ops;
+      (* [Soc.branch] of the unrolled loop, [Soc.uncached_store_words] *)
+      cycles := !cycles +. loop_cycles;
+      branches := !branches +. loop_branches;
+      instructions := !instructions +. loop_branches;
       cycles := !cycles +. store_cycles;
-      instructions := !instructions +. 1.0
+      instructions := !instructions +. words
     done
   done;
   c.cycles <- !cycles;
@@ -273,8 +234,61 @@ let bare_out_row t () view base run count stride offset =
   c.l1_misses <- !l1_misses;
   c.l2_accesses <- !l2_accesses;
   c.l2_misses <- !l2_misses;
-  Dma_engine.stage_rows t.engine ~offset buf.Sim_memory.data base ~len:run ~count ~stride;
-  offset + (run * count)
+  offset + (run * count * rows)
+
+(* Bare strided loop over a C array: pointer bump + load + store, one
+   branch per element; no descriptor traffic, no memcpy call setup. *)
+let bare_out_row t () view base run count stride rows row_stride offset =
+  let buf = view.Memref_view.buf in
+  Dma_engine.stage_rows t.engine ~offset buf base ~len:run ~count ~stride ~rows ~row_stride;
+  let soc = t.soc in
+  let c = soc.Soc.counters and cost = soc.Soc.cost and l2 = has_l2 soc in
+  let cache = soc.Soc.cache and access_cycles = soc.Soc.access_cycles in
+  let shift = Cache.line_shift cache and last = ref (-1) in
+  let origin = buf.Sim_memory.base in
+  let alu_cycles = 2.0 *. cost.Cost_model.alu_cycles
+  and branch_cycles = cost.Cost_model.branch_cycles
+  and store_cycles = cost.Cost_model.uncached_store_cycles in
+  let cycles = ref c.cycles and instructions = ref c.instructions in
+  let branches = ref c.branches and l1_accesses = ref c.l1_accesses in
+  let l1_misses = ref c.l1_misses and l2_accesses = ref c.l2_accesses in
+  let l2_misses = ref c.l2_misses in
+  for r = 0 to rows - 1 do
+    for k = 0 to count - 1 do
+      let start = base + (r * row_stride) + (k * stride) in
+      for i = start to start + run - 1 do
+        (* [Soc.alu] of the pointer bump, [Soc.branch] *)
+        cycles := !cycles +. alu_cycles;
+        instructions := !instructions +. 2.0;
+        cycles := !cycles +. branch_cycles;
+        branches := !branches +. 1.0;
+        instructions := !instructions +. 1.0;
+        (* [Soc.charge_access] of the element *)
+        let addr = origin + (i * 4) in
+        let h = level cache ~shift !last addr in
+        last := addr lsr shift;
+        l1_accesses := !l1_accesses +. 1.0;
+        if h >= 2 then begin
+          l1_misses := !l1_misses +. 1.0;
+          if l2 then l2_accesses := !l2_accesses +. 1.0
+        end;
+        if h >= 3 then l2_misses := !l2_misses +. 1.0;
+        cycles := !cycles +. access_cycles.(h - 1);
+        instructions := !instructions +. 1.0;
+        (* [Soc.uncached_store_words] of the element *)
+        cycles := !cycles +. store_cycles;
+        instructions := !instructions +. 1.0
+      done
+    done
+  done;
+  c.cycles <- !cycles;
+  c.instructions <- !instructions;
+  c.branches <- !branches;
+  c.l1_accesses <- !l1_accesses;
+  c.l1_misses <- !l1_misses;
+  c.l2_accesses <- !l2_accesses;
+  c.l2_misses <- !l2_misses;
+  offset + (run * count * rows)
 
 let rec innermost_unit = function [] -> true | [ s ] -> s = 1 | _ :: rest -> innermost_unit rest
 let can_specialize view = innermost_unit view.Memref_view.strides
@@ -329,11 +343,11 @@ let skip_resident t ~words ~what =
 
 (* Copies from the DMA output region back into a memref. [data] holds
    the received words in row-major order; a row function's accumulator
-   is the index of the row's first word in it. Each received element is
+   is the index of the block's first word in it. Each received element is
    a cached store into the view, or, when accumulating, a cached load,
    an add and a cached store. *)
 
-let generic_in_row ~accumulate t data view base run count stride i =
+let generic_in_row ~accumulate t data view base run count stride rows row_stride i =
   let soc = t.soc in
   let c = soc.Soc.counters and cost = soc.Soc.cost and l2 = has_l2 soc in
   let cache = soc.Soc.cache and access_cycles = soc.Soc.access_cycles in
@@ -350,47 +364,50 @@ let generic_in_row ~accumulate t data view base run count stride i =
   let branches = ref c.branches and l1_accesses = ref c.l1_accesses in
   let l1_misses = ref c.l1_misses and l2_accesses = ref c.l2_accesses in
   let l2_misses = ref c.l2_misses and flops = ref c.flops in
-  for k = 0 to count - 1 do
-    let start = base + (k * stride) and first = i + (k * run) in
-    for j = 0 to run - 1 do
-      (* [Soc.charge_l1_hits] of the metadata loads *)
-      l1_accesses := !l1_accesses +. meta;
-      cycles := !cycles +. meta_cycles;
-      instructions := !instructions +. meta;
-      (* [Soc.alu] of the address arithmetic, [Soc.branch] *)
-      cycles := !cycles +. overhead_cycles;
-      instructions := !instructions +. overhead;
-      cycles := !cycles +. branch_cycles;
-      branches := !branches +. 1.0;
-      instructions := !instructions +. 1.0;
-      (* the uncached load of the received word *)
-      cycles := !cycles +. load_cycles;
-      instructions := !instructions +. 1.0;
-      (* [Soc.charge_access] of the element *)
-      let li = start + j in
-      let addr = addr_of buf li in
-      let h = level cache ~shift !last addr in
-      last := addr lsr shift;
-      l1_accesses := !l1_accesses +. 1.0;
-      if h >= 2 then begin
-        l1_misses := !l1_misses +. 1.0;
-        if l2 then l2_accesses := !l2_accesses +. 1.0
-      end;
-      if h >= 3 then l2_misses := !l2_misses +. 1.0;
-      cycles := !cycles +. access_cycles.(h - 1);
-      instructions := !instructions +. 1.0;
-      if accumulate then begin
-        (* [Soc.fpu] of the add, then [Soc.charge_access] of the store:
-           an L1 hit on the line just loaded *)
-        cycles := !cycles +. fpu_cycles;
+  for r = 0 to rows - 1 do
+    for k = 0 to count - 1 do
+      let start = base + (r * row_stride) + (k * stride)
+      and first = i + (((r * count) + k) * run) in
+      for j = 0 to run - 1 do
+        (* [Soc.charge_l1_hits] of the metadata loads *)
+        l1_accesses := !l1_accesses +. meta;
+        cycles := !cycles +. meta_cycles;
+        instructions := !instructions +. meta;
+        (* [Soc.alu] of the address arithmetic, [Soc.branch] *)
+        cycles := !cycles +. overhead_cycles;
+        instructions := !instructions +. overhead;
+        cycles := !cycles +. branch_cycles;
+        branches := !branches +. 1.0;
         instructions := !instructions +. 1.0;
-        flops := !flops +. 1.0;
+        (* the uncached load of the received word *)
+        cycles := !cycles +. load_cycles;
+        instructions := !instructions +. 1.0;
+        (* [Soc.charge_access] of the element *)
+        let li = start + j in
+        let addr = addr_of buf li in
+        let h = level cache ~shift !last addr in
+        last := addr lsr shift;
         l1_accesses := !l1_accesses +. 1.0;
-        cycles := !cycles +. access_cycles.(0);
+        if h >= 2 then begin
+          l1_misses := !l1_misses +. 1.0;
+          if l2 then l2_accesses := !l2_accesses +. 1.0
+        end;
+        if h >= 3 then l2_misses := !l2_misses +. 1.0;
+        cycles := !cycles +. access_cycles.(h - 1);
         instructions := !instructions +. 1.0;
-        d.(li) <- d.(li) +. data.(first + j)
-      end
-      else d.(li) <- data.(first + j)
+        if accumulate then begin
+          (* [Soc.fpu] of the add, then [Soc.charge_access] of the store:
+             an L1 hit on the line just loaded *)
+          cycles := !cycles +. fpu_cycles;
+          instructions := !instructions +. 1.0;
+          flops := !flops +. 1.0;
+          l1_accesses := !l1_accesses +. 1.0;
+          cycles := !cycles +. access_cycles.(0);
+          instructions := !instructions +. 1.0;
+          d.(li) <- d.(li) +. data.(first + j)
+        end
+        else d.(li) <- data.(first + j)
+      done
     done
   done;
   c.cycles <- !cycles;
@@ -401,9 +418,9 @@ let generic_in_row ~accumulate t data view base run count stride i =
   c.l2_accesses <- !l2_accesses;
   c.l2_misses <- !l2_misses;
   c.flops <- !flops;
-  i + (run * count)
+  i + (run * count * rows)
 
-let specialized_in_row ~accumulate t data view base run count stride i =
+let specialized_in_row ~accumulate t data view base run count stride rows row_stride i =
   let soc = t.soc in
   let c = soc.Soc.counters and cost = soc.Soc.cost and l2 = has_l2 soc in
   let cache = soc.Soc.cache and access_cycles = soc.Soc.access_cycles in
@@ -423,49 +440,52 @@ let specialized_in_row ~accumulate t data view base run count stride i =
   let branches = ref c.branches and l1_accesses = ref c.l1_accesses in
   let l1_misses = ref c.l1_misses and l2_accesses = ref c.l2_accesses in
   let l2_misses = ref c.l2_misses and flops = ref c.flops in
-  for k = 0 to count - 1 do
-    let start = base + (k * stride) and first = i + (k * run) in
-    (* one memcpy call covering the run: [Soc.alu], [Soc.branch], then
-       the uncached loads of the received words *)
-    cycles := !cycles +. cost.Cost_model.memcpy_row_setup_cycles;
-    instructions := !instructions +. 6.0;
-    cycles := !cycles +. cost.Cost_model.branch_cycles;
-    branches := !branches +. 1.0;
-    instructions := !instructions +. 1.0;
-    cycles := !cycles +. load_cycles;
-    instructions := !instructions +. words;
-    (* An accumulating copy reads the run's chunks and adds before it
-       writes them: per pass, [Soc.charge_access] of each chunk, then
-       one vector op per chunk. *)
-    for pass = (if accumulate then 0 else 1) to 1 do
-      for j = 0 to chunks - 1 do
-        let addr = addr_of buf (start + (j * chunk)) in
-        let h = level cache ~shift !last addr in
-        last := addr lsr shift;
-        l1_accesses := !l1_accesses +. 1.0;
-        if h >= 2 then begin
-          l1_misses := !l1_misses +. 1.0;
-          if l2 then l2_accesses := !l2_accesses +. 1.0
-        end;
-        if h >= 3 then l2_misses := !l2_misses +. 1.0;
-        cycles := !cycles +. access_cycles.(h - 1);
-        instructions := !instructions +. 1.0
+  for r = 0 to rows - 1 do
+    for k = 0 to count - 1 do
+      let start = base + (r * row_stride) + (k * stride)
+      and first = i + (((r * count) + k) * run) in
+      (* one memcpy call covering the run: [Soc.alu], [Soc.branch], then
+         the uncached loads of the received words *)
+      cycles := !cycles +. cost.Cost_model.memcpy_row_setup_cycles;
+      instructions := !instructions +. 6.0;
+      cycles := !cycles +. cost.Cost_model.branch_cycles;
+      branches := !branches +. 1.0;
+      instructions := !instructions +. 1.0;
+      cycles := !cycles +. load_cycles;
+      instructions := !instructions +. words;
+      (* An accumulating copy reads the run's chunks and adds before it
+         writes them: per pass, [Soc.charge_access] of each chunk, then
+         one vector op per chunk. *)
+      for pass = (if accumulate then 0 else 1) to 1 do
+        for j = 0 to chunks - 1 do
+          let addr = addr_of buf (start + (j * chunk)) in
+          let h = level cache ~shift !last addr in
+          last := addr lsr shift;
+          l1_accesses := !l1_accesses +. 1.0;
+          if h >= 2 then begin
+            l1_misses := !l1_misses +. 1.0;
+            if l2 then l2_accesses := !l2_accesses +. 1.0
+          end;
+          if h >= 3 then l2_misses := !l2_misses +. 1.0;
+          cycles := !cycles +. access_cycles.(h - 1);
+          instructions := !instructions +. 1.0
+        done;
+        instructions := !instructions +. vector_ops;
+        if pass = 0 then begin
+          cycles := !cycles +. vadd_cycles;
+          flops := !flops +. words
+        end
       done;
-      instructions := !instructions +. vector_ops;
-      if pass = 0 then begin
-        cycles := !cycles +. vadd_cycles;
-        flops := !flops +. words
-      end
-    done;
-    (* [Soc.branch] of the unrolled loop *)
-    cycles := !cycles +. loop_cycles;
-    branches := !branches +. loop_branches;
-    instructions := !instructions +. loop_branches;
-    if accumulate then
-      for j = 0 to run - 1 do
-        d.(start + j) <- d.(start + j) +. data.(first + j)
-      done
-    else Array.blit data first d start run
+      (* [Soc.branch] of the unrolled loop *)
+      cycles := !cycles +. loop_cycles;
+      branches := !branches +. loop_branches;
+      instructions := !instructions +. loop_branches;
+      if accumulate then
+        for j = 0 to run - 1 do
+          d.(start + j) <- d.(start + j) +. data.(first + j)
+        done
+      else Array.blit data first d start run
+    done
   done;
   c.cycles <- !cycles;
   c.instructions <- !instructions;
@@ -475,9 +495,9 @@ let specialized_in_row ~accumulate t data view base run count stride i =
   c.l2_accesses <- !l2_accesses;
   c.l2_misses <- !l2_misses;
   c.flops <- !flops;
-  i + (run * count)
+  i + (run * count * rows)
 
-let bare_in_row ~accumulate t data view base run count stride i =
+let bare_in_row ~accumulate t data view base run count stride rows row_stride i =
   let soc = t.soc in
   let c = soc.Soc.counters and cost = soc.Soc.cost and l2 = has_l2 soc in
   let cache = soc.Soc.cache and access_cycles = soc.Soc.access_cycles in
@@ -492,43 +512,46 @@ let bare_in_row ~accumulate t data view base run count stride i =
   let branches = ref c.branches and l1_accesses = ref c.l1_accesses in
   let l1_misses = ref c.l1_misses and l2_accesses = ref c.l2_accesses in
   let l2_misses = ref c.l2_misses and flops = ref c.flops in
-  for k = 0 to count - 1 do
-    let start = base + (k * stride) and first = i + (k * run) in
-    for j = 0 to run - 1 do
-      (* [Soc.alu] of the pointer bump, [Soc.branch], and the uncached
-         load of the received word *)
-      cycles := !cycles +. alu_cycles;
-      instructions := !instructions +. 2.0;
-      cycles := !cycles +. branch_cycles;
-      branches := !branches +. 1.0;
-      instructions := !instructions +. 1.0;
-      cycles := !cycles +. load_cycles;
-      instructions := !instructions +. 1.0;
-      (* [Soc.charge_access] of the element *)
-      let li = start + j in
-      let addr = addr_of buf li in
-      let h = level cache ~shift !last addr in
-      last := addr lsr shift;
-      l1_accesses := !l1_accesses +. 1.0;
-      if h >= 2 then begin
-        l1_misses := !l1_misses +. 1.0;
-        if l2 then l2_accesses := !l2_accesses +. 1.0
-      end;
-      if h >= 3 then l2_misses := !l2_misses +. 1.0;
-      cycles := !cycles +. access_cycles.(h - 1);
-      instructions := !instructions +. 1.0;
-      if accumulate then begin
-        (* [Soc.fpu] of the add, then [Soc.charge_access] of the store:
-           an L1 hit on the line just loaded *)
-        cycles := !cycles +. fpu_cycles;
+  for r = 0 to rows - 1 do
+    for k = 0 to count - 1 do
+      let start = base + (r * row_stride) + (k * stride)
+      and first = i + (((r * count) + k) * run) in
+      for j = 0 to run - 1 do
+        (* [Soc.alu] of the pointer bump, [Soc.branch], and the uncached
+           load of the received word *)
+        cycles := !cycles +. alu_cycles;
+        instructions := !instructions +. 2.0;
+        cycles := !cycles +. branch_cycles;
+        branches := !branches +. 1.0;
         instructions := !instructions +. 1.0;
-        flops := !flops +. 1.0;
+        cycles := !cycles +. load_cycles;
+        instructions := !instructions +. 1.0;
+        (* [Soc.charge_access] of the element *)
+        let li = start + j in
+        let addr = addr_of buf li in
+        let h = level cache ~shift !last addr in
+        last := addr lsr shift;
         l1_accesses := !l1_accesses +. 1.0;
-        cycles := !cycles +. access_cycles.(0);
+        if h >= 2 then begin
+          l1_misses := !l1_misses +. 1.0;
+          if l2 then l2_accesses := !l2_accesses +. 1.0
+        end;
+        if h >= 3 then l2_misses := !l2_misses +. 1.0;
+        cycles := !cycles +. access_cycles.(h - 1);
         instructions := !instructions +. 1.0;
-        d.(li) <- d.(li) +. data.(first + j)
-      end
-      else d.(li) <- data.(first + j)
+        if accumulate then begin
+          (* [Soc.fpu] of the add, then [Soc.charge_access] of the store:
+             an L1 hit on the line just loaded *)
+          cycles := !cycles +. fpu_cycles;
+          instructions := !instructions +. 1.0;
+          flops := !flops +. 1.0;
+          l1_accesses := !l1_accesses +. 1.0;
+          cycles := !cycles +. access_cycles.(0);
+          instructions := !instructions +. 1.0;
+          d.(li) <- d.(li) +. data.(first + j)
+        end
+        else d.(li) <- data.(first + j)
+      done
     done
   done;
   c.cycles <- !cycles;
@@ -539,7 +562,7 @@ let bare_in_row ~accumulate t data view base run count stride i =
   c.l2_accesses <- !l2_accesses;
   c.l2_misses <- !l2_misses;
   c.flops <- !flops;
-  i + (run * count)
+  i + (run * count * rows)
 
 (* The row functions with [accumulate] applied, made once. *)
 let generic_store_row = generic_in_row ~accumulate:false

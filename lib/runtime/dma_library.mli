@@ -26,17 +26,21 @@
     every element, reproducing the paper's fHW==1 slowdown.
 
     Cost: a copy charges per element, in the element-wise model's
-    order, but not through a call per charge: it walks the view a row
-    of runs at a time ({!Memref_view.fold_runs}), writes each charge of
-    {!Soc} out, looks the cache up once per line rather than per
-    element ({!Cache.line_shift}), and stages each row with one
-    {!Dma_engine.stage_rows}. The charges of a row accumulate in locals,
-    loaded from the counters when the row starts and written back once
-    when its charges end, before it is staged; each counter field so
-    receives the float additions a call per charge would make, in the
-    same order, and stays bit-identical. A copy that raises inside a
-    row (an index outside its buffer) leaves the counters as they stood
-    when that row started.
+    order, but not through a call per charge: it walks the view a block
+    of runs at a time ({!Memref_view.fold_runs}; a [1 x C x 3 x 3]
+    patch is one block, not [C] rows), writes each charge of {!Soc}
+    out, and looks the cache up once per line rather than per element
+    ({!Cache.line_shift}). Per block it computes its cost constants
+    once, loads each counter field it charges into a local, and writes
+    the locals back once when the block's charges end; each counter
+    field so receives the float additions a call per charge would make,
+    in the same order, and stays bit-identical. A copy out first stages
+    the block with one {!Dma_engine.stage_rows}, which checks the
+    region's capacity and the buffer's range once for the whole block:
+    a block that would overflow the region or reach outside its buffer
+    raises before any of its rows is charged or staged. A copy in
+    checks each element's index; one that raises there leaves the
+    counters as they stood when that block started.
 
     Allocation: with tracing and metrics off, staging, a copy in either
     direction with any strategy, a blocking flush and a blocking
@@ -92,10 +96,10 @@ val copy_to_dma_region_with :
   t -> strategy -> Memref_view.t -> offset:int -> int
 (** Stage a tile's elements (row-major) with the given strategy;
     returns the next offset. A tile that does not fit the input region
-    fails with {!Dma_engine.stage_run}'s overflow message and offset.
-    The counters then hold the charges of every element of the row
-    whose staging failed, and none of that row's words is staged; the
-    run has failed, and no caller reads either. *)
+    fails with {!Dma_engine.stage_rows}'s overflow message and offset,
+    and one that reaches outside its buffer with
+    {!Sim_memory.addr_of}'s; either way the failing block is neither
+    charged nor staged, while the blocks before it are. *)
 
 val copy_from_data_with :
   t -> strategy -> Memref_view.t -> accumulate:bool -> float array -> unit

@@ -99,22 +99,27 @@ let contiguous_run t = run_below (leading_dims t.shape t.strides) t.shape t.stri
 
 (* The leading dims down to the innermost one whose extent is not 1:
    the dims below it add nothing to a run's start, so that one is the
-   row dim, whose runs one call of the run function covers. *)
-let rec row_dims lead shape =
+   row dim. One call of the run function covers a block: the runs of a
+   row, and the rows of the leading dim above the row dim. *)
+let rec row_depth lead shape =
   match shape with
   | extent :: shape when lead > 0 ->
-    let inner = row_dims (lead - 1) shape in
+    let inner = row_depth (lead - 1) shape in
     if inner > 0 || extent <> 1 then inner + 1 else 0
   | _ -> 0
 
-let rec walk_rows f a b t rows shape strides base run acc =
+let rec walk_blocks f a b t depth shape strides base run acc =
   match (shape, strides) with
   | extent :: shape, stride :: strides ->
-    if rows = 1 then f a b t base run extent stride acc
+    if depth = 1 then f a b t base run extent stride 1 0 acc
+    else if depth = 2 then
+      match (shape, strides) with
+      | count :: _, row_stride :: _ -> f a b t base run count row_stride extent stride acc
+      | _ -> acc
     else begin
       let acc = ref acc in
       for i = 0 to extent - 1 do
-        acc := walk_rows f a b t (rows - 1) shape strides (base + (i * stride)) run !acc
+        acc := walk_blocks f a b t (depth - 1) shape strides (base + (i * stride)) run !acc
       done;
       !acc
     end
@@ -125,15 +130,18 @@ let fold_runs t f a b acc =
   else
     let lead = leading_dims t.shape t.strides in
     let run = run_below lead t.shape t.strides in
-    let rows = row_dims lead t.shape in
-    if rows = 0 then f a b t t.offset run 1 0 acc
-    else walk_rows f a b t rows t.shape t.strides t.offset run acc
+    let depth = row_depth lead t.shape in
+    if depth = 0 then f a b t t.offset run 1 0 1 0 acc
+    else walk_blocks f a b t depth t.shape t.strides t.offset run acc
 
 let iter_runs t f =
   fold_runs t
-    (fun f () _ start len count stride () ->
-      for k = 0 to count - 1 do
-        f (start + (k * stride)) len
+    (fun f () _ start len count stride rows row_stride () ->
+      for r = 0 to rows - 1 do
+        let row = start + (r * row_stride) in
+        for k = 0 to count - 1 do
+          f (row + (k * stride)) len
+        done
       done)
     f () ()
 

@@ -52,23 +52,36 @@ val get : t -> int list -> float
 val set : t -> int list -> float -> unit
 
 val fold_runs :
-  t -> ('a -> 'b -> t -> int -> int -> int -> int -> 'c -> 'c) -> 'a -> 'b -> 'c -> 'c
+  t ->
+  ('a -> 'b -> t -> int -> int -> int -> int -> int -> int -> 'c -> 'c) ->
+  'a ->
+  'b ->
+  'c ->
+  'c
 (** [fold_runs t f a b acc] visits each maximal contiguous run (see
-    {!contiguous_run}) in row-major logical order, a row of runs per
-    call, threading [acc]: [acc <- f a b t start len count stride acc]
-    stands for the [count] runs of buffer indices
-    [start + k*stride .. start + k*stride + len - 1], [k = 0 .. count-1],
-    in that order, and the last [acc] is returned. A row is the
-    innermost leading dim whose extent is not 1 (a fHW=1 conv patch
-    [1 x iC x 1 x 1] is one row of [iC] runs of 1); a view with no such
-    dim is one call with [count = 1]. Every run has length
-    [contiguous_run t]; an empty view has none. With a closed [f] (one
-    that captures nothing; [a] and [b] carry what it needs) and an
-    immediate [acc], the walk allocates nothing at any rank. *)
+    {!contiguous_run}) in row-major logical order, a block of runs per
+    call, threading [acc]:
+    [acc <- f a b t start len count stride rows row_stride acc] stands
+    for the [rows * count] runs of buffer indices
+    [start + r*row_stride + k*stride .. (same) + len - 1], [r] outer
+    ([0 .. rows-1]) and [k] inner ([0 .. count-1]), in that order, and
+    the last [acc] is returned.
+
+    The block contract: [count] and [stride] are the extent and stride
+    of the row dim, the innermost leading dim whose extent is not 1;
+    [rows] and [row_stride] are those of the leading dim above it, 1
+    and 0 when there is none. A [1 x C x 3 x 3] conv patch is one call
+    of [C] rows of 3 runs of 3, a fHW=1 patch [1 x C x 1 x 1] one call
+    of one row of [C] runs of 1; a view with no leading dim whose
+    extent is not 1 is one call with [count = rows = 1]. Every run has
+    length [contiguous_run t]; an empty view has none, and [f] is not
+    called. With a closed [f] (one that captures nothing; [a] and [b]
+    carry what it needs) and an immediate [acc], the walk allocates
+    nothing at any rank. *)
 
 val iter_runs : t -> (int -> int -> unit) -> unit
-(** [iter_runs t f] calls [f start len] for each run, as {!fold_runs}.
-    Allocates nothing beyond [f] itself. *)
+(** [iter_runs t f] calls [f start len] for each run, in the order of
+    {!fold_runs}. Allocates nothing beyond [f] itself. *)
 
 val contiguous_run : t -> int
 (** Length of the maximal contiguous run of elements at the end of the

@@ -12,19 +12,48 @@ let set_inst s i n =
   s.data.(i) <- float_of_int n;
   Bytes.set s.tags i inst_tag
 
-(* Word by word: most runs a copy stages are 1-3 words long (conv
-   patches at fHW = 1 and 3), where a loop costs less than the two C
-   calls of [Array.blit] and [Bytes.fill]. From 5 words on the calls
-   cost less, but switching on the length did not move conv_layers. *)
-let gather_data s i src j ~len ~count ~stride =
-  let data = s.data and tags = s.tags in
-  for k = 0 to count - 1 do
-    let at = i + (k * len) and from = j + (k * stride) in
-    for m = 0 to len - 1 do
-      data.(at + m) <- src.(from + m);
-      Bytes.set tags (at + m) data_tag
+(* [Sim_memory.addr_of]'s failure for the block's first index, in
+   walk order, outside [src]. *)
+let fail_outside src j ~len ~count ~stride ~rows ~row_stride =
+  for r = 0 to rows - 1 do
+    for k = 0 to count - 1 do
+      for m = 0 to len - 1 do
+        ignore (Sim_memory.addr_of src (j + (r * row_stride) + (k * stride) + m))
+      done
     done
-  done
+  done;
+  assert false
+
+(* How far [n] steps of [stride] reach from the first. *)
+let reach n stride = (n - 1) * stride
+
+(* One check of each end of the block up front proves every index below
+   in range, so the loops skip the per-access bounds checks, as
+   [Mac.matmul_acc] does. Word by word: most runs a copy stages are 1-3
+   words long (conv patches at fHW = 1 and 3), where a loop costs less
+   than the two C calls of [Array.blit] and [Bytes.fill]. *)
+let gather_data s i (src : Sim_memory.buffer) j ~len ~count ~stride ~rows ~row_stride =
+  if len > 0 && count > 0 && rows > 0 then begin
+    let data = s.data and tags = s.tags and from = src.Sim_memory.data in
+    let words = len * count * rows in
+    if i < 0 || words > Array.length data - i then
+      invalid_arg "Axi_word.gather_data: block outside the stream";
+    let r = reach rows row_stride and k = reach count stride in
+    if
+      j + Int.min 0 r + Int.min 0 k < 0
+      || j + Int.max 0 r + Int.max 0 k + len > Array.length from
+    then fail_outside src j ~len ~count ~stride ~rows ~row_stride;
+    for r = 0 to rows - 1 do
+      let row = j + (r * row_stride) and at_row = i + (r * count * len) in
+      for k = 0 to count - 1 do
+        let at = at_row + (k * len) and pos = row + (k * stride) in
+        for m = 0 to len - 1 do
+          Array.unsafe_set data (at + m) (Array.unsafe_get from (pos + m));
+          Bytes.unsafe_set tags (at + m) data_tag
+        done
+      done
+    done
+  end
 
 let set s i = function
   | Inst n -> set_inst s i n

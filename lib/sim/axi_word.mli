@@ -37,10 +37,27 @@ val set_inst : stream -> int -> int -> unit
 (** Store an instruction word. *)
 
 val gather_data :
-  stream -> int -> float array -> int -> len:int -> count:int -> stride:int -> unit
-(** [gather_data s i src j ~len ~count ~stride] stores [count] runs of
-    [len] words back to back as data words from [i]: the [k]-th run is
-    [src.(j + k*stride .. j + k*stride + len-1)]. *)
+  stream ->
+  int ->
+  Sim_memory.buffer ->
+  int ->
+  len:int ->
+  count:int ->
+  stride:int ->
+  rows:int ->
+  row_stride:int ->
+  unit
+(** [gather_data s i src j ~len ~count ~stride ~rows ~row_stride]
+    stores a block of [rows * count] runs of [len] words back to back as
+    data words from [i], in the order of {!Memref_view.fold_runs}: the
+    run for row [r] and [k] is the buffer's
+    [data.(j + r*row_stride + k*stride ..)], [len] words. Nothing is
+    stored when [len], [count] or [rows] is not positive. The block's
+    ends are checked once, then the words are copied without bounds
+    checks. Raises [Invalid_argument] before any word is stored: when
+    the block does not fit the stream from [i], else with
+    {!Sim_memory.addr_of}'s message for the block's first index, in that
+    order, outside the buffer. *)
 
 (** {1 Windows} *)
 

@@ -57,32 +57,43 @@ let create geoms = Array.of_list (List.map make_level geoms)
 
 let levels t = Array.length t
 
-(* Probe one level: returns true on hit. Either way the line moves to
-   the front of its segment and the lines before it shift back a slot,
-   so a miss drops the last slot: the LRU line, or an invalid one.
+(* Probe one level: returns true on hit. A hit in the front slot (the
+   set's most recently used line) changes nothing. Otherwise the line
+   moves to the front of its segment and the lines before it shift back
+   a slot, so a miss drops the last slot: the LRU line, or an invalid
+   one. Every read and write is inside the segment [base, base + assoc):
+   [line land set_mask] is in [0, set_mask] for any int address, and
+   [make_level] makes [lines] (set_mask + 1) * assoc slots long, so the
+   accesses go unchecked. The scan reads a slot only after the one
+   before it, from [base + 1], and only while that slot is inside the
+   segment: with one way it reads nothing past [base].
    Inlined into [access], its one caller. *)
 let[@inline] probe level addr =
   let lines = level.lines in
   let line = addr lsr level.line_shift in
   let base = (line land level.set_mask) lsl level.assoc_shift in
-  let last = base + (1 lsl level.assoc_shift) - 1 in
-  let slot = ref base in
-  while !slot < last && lines.(!slot) <> line do
-    incr slot
-  done;
-  let hit = lines.(!slot) = line in
-  while !slot > base do
-    lines.(!slot) <- lines.(!slot - 1);
-    decr slot
-  done;
-  lines.(base) <- line;
-  hit
+  if Array.unsafe_get lines base = line then true
+  else begin
+    let last = base + (1 lsl level.assoc_shift) - 1 in
+    let slot = ref base in
+    while !slot < last && Array.unsafe_get lines (!slot + 1) <> line do
+      incr slot
+    done;
+    (* the line's slot on a hit, the last slot on a miss *)
+    let hit = !slot < last in
+    let slot = if hit then !slot + 1 else last in
+    for j = slot downto base + 1 do
+      Array.unsafe_set lines j (Array.unsafe_get lines (j - 1))
+    done;
+    Array.unsafe_set lines base line;
+    hit
+  end
 
 (* A loop, not a local recursive function: the closure would be
    allocated on every access. *)
 let access t addr =
   let i = ref 0 in
-  while !i < Array.length t && not (probe t.(!i) addr) do
+  while !i < Array.length t && not (probe (Array.unsafe_get t !i) addr) do
     incr i
   done;
   !i + 1

@@ -46,7 +46,13 @@ val levels : t -> int
 val access : t -> int -> int
 (** Look up a non-negative byte address, updating LRU state and
     filling on miss. Returns the 1-based level that hit; [levels t + 1]
-    means DRAM. Allocates nothing. *)
+    means DRAM. Allocates nothing. A hit on a set's most recently used
+    line returns without a store. The probe reads and writes its set's
+    segment without bounds checks: the set index is the line number
+    masked by (sets - 1), so the segment [set * assoc, set * assoc +
+    assoc) lies inside the level's [sets * assoc] slots for any int
+    address, and with one way the scan reads nothing past the set's one
+    slot. *)
 
 val line_shift : t -> int
 (** log2 of the L1 line size (0 without levels): addresses [a] and [b]

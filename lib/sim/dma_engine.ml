@@ -165,19 +165,16 @@ let stage_inst t ~offset literal =
   Axi_word.set_inst t.in_region offset literal;
   note_staged t ~offset ~len:1
 
-(* Runs overflow at the first offset word-by-word staging would have
-   rejected, before any of their words is staged. *)
-let stage_rows t ~offset src pos ~len ~count ~stride =
-  let words = len * count in
-  if words > 0 then begin
-    let capacity = Axi_word.length t.in_region in
+(* A block overflows at the first offset word-by-word staging would
+   have rejected, before any of its words is staged. *)
+let stage_rows t ~offset src pos ~len ~count ~stride ~rows ~row_stride =
+  if len > 0 && count > 0 && rows > 0 then begin
+    let words = len * count * rows and capacity = Axi_word.length t.in_region in
     if offset < 0 then overflow t offset;
     if offset + words > capacity then overflow t (Int.max offset capacity);
-    Axi_word.gather_data t.in_region offset src pos ~len ~count ~stride;
+    Axi_word.gather_data t.in_region offset src pos ~len ~count ~stride ~rows ~row_stride;
     note_staged t ~offset ~len:words
   end
-
-let stage_run t ~offset src pos len = stage_rows t ~offset src pos ~len ~count:1 ~stride:0
 
 let staged_high_water t = t.high_water
 

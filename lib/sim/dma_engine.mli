@@ -8,10 +8,9 @@
     the output region.
 
     The input region is an unboxed {!Axi_word.stream}: data words are
-    staged by the contiguous run ({!stage_run}) or by a row of runs
-    ({!stage_rows}), never as boxed {!Axi_word.t}s, and a send hands the
-    device an {!Axi_word.window} over the staged range instead of a
-    copy. Timing:
+    staged by the block of runs ({!stage_rows}), never as boxed
+    {!Axi_word.t}s, and a send hands the device an {!Axi_word.window}
+    over the staged range instead of a copy. Timing:
 
     - starting a transfer costs {!Cost_model.t.dma_program_cycles};
     - each waited transfer costs one word per
@@ -74,18 +73,29 @@ val stage : t -> offset:int -> Axi_word.t -> unit
 val stage_inst : t -> offset:int -> int -> unit
 (** Stage one instruction word. *)
 
-val stage_run : t -> offset:int -> float array -> int -> int -> unit
-(** [stage_run t ~offset src pos len] stages [src.(pos .. pos+len-1)]
-    as data words at [offset ..]. On overflow nothing is staged, and
-    [N] in the message is the first offset word-by-word staging would
-    have rejected. *)
-
 val stage_rows :
-  t -> offset:int -> float array -> int -> len:int -> count:int -> stride:int -> unit
-(** [stage_rows t ~offset src pos ~len ~count ~stride] stages [count]
-    runs of [len] words back to back from [offset], the [k]-th run from
-    [src.(pos + k*stride ..)]: one call for a row of runs
-    ({!Memref_view.fold_runs}). Overflow is as for {!stage_run}. *)
+  t ->
+  offset:int ->
+  Sim_memory.buffer ->
+  int ->
+  len:int ->
+  count:int ->
+  stride:int ->
+  rows:int ->
+  row_stride:int ->
+  unit
+(** [stage_rows t ~offset src pos ~len ~count ~stride ~rows ~row_stride]
+    stages a block of [rows * count] runs of [len] words back to back
+    as data words from [offset], the run of row [r] and [k] from the
+    buffer's [data.(pos + r*row_stride + k*stride ..)]: one call for a
+    block of {!Memref_view.fold_runs} (a contiguous run is [~count:1
+    ~stride:0 ~rows:1 ~row_stride:0]). The region's capacity is checked
+    once, then the buffer's range (see {!Axi_word.gather_data}), and the
+    words are copied without per-word checks. On a failure nothing is
+    staged: an overflow raises [Failure] with [N] in the message the
+    first offset word-by-word staging would have rejected, and a source
+    index outside the buffer {!Sim_memory.addr_of}'s
+    [Invalid_argument]. *)
 
 val staged_high_water : t -> int
 (** Highest staged offset + 1 since the last send (the batch length). *)

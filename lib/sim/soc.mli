@@ -94,7 +94,7 @@ val engine_track_names : t -> (int * string) list
     this module per charge was most of what they cost. They write the
     same charges out, element by element in the element-wise model's
     order, into locals loaded from {!t.counters} when a row (a copy's
-    row of runs, a kernel's reduction into one output element) starts
+    block of runs, a kernel's reduction into one output element) starts
     and written back when it ends, so each counter field receives
     exactly the float additions these functions would make and stays
     bit-identical. A memcpy-style copy charges one cache reference per

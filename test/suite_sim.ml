@@ -185,7 +185,9 @@ let test_v4_mac_order () =
         incr pos
       in
       let data src =
-        Axi_word.gather_data stream !pos src 0 ~len:(Array.length src) ~count:1 ~stride:0;
+        let buf = { Sim_memory.base = 0; data = src; label = "src" } in
+        Axi_word.gather_data stream !pos buf 0 ~len:(Array.length src) ~count:1 ~stride:0
+          ~rows:1 ~row_stride:0;
         pos := !pos + Array.length src
       in
       List.iter inst
@@ -369,12 +371,16 @@ let test_dma_accounting_pin () =
   Metrics.reset Metrics.default;
   Fun.protect ~finally:(fun () -> Metrics.disable Metrics.default) @@ fun () ->
   let soc, engine = make_soc_with_v3 () in
-  let ones = Array.make 4 1.0 in
+  let ones = { Sim_memory.base = 0; data = Array.make 4 1.0; label = "ones" } in
+  let stage_ones offset =
+    Dma_engine.stage_rows engine ~offset ones 0 ~len:4 ~count:1 ~stride:0 ~rows:1
+      ~row_stride:0
+  in
   let stage_tile () =
     Dma_engine.stage_inst engine ~offset:0 Isa.mm_load_a;
-    Dma_engine.stage_run engine ~offset:1 ones 0 4;
+    stage_ones 1;
     Dma_engine.stage_inst engine ~offset:5 Isa.mm_load_b;
-    Dma_engine.stage_run engine ~offset:6 ones 0 4;
+    stage_ones 6;
     Dma_engine.stage_inst engine ~offset:10 Isa.mm_compute;
     Dma_engine.stage_inst engine ~offset:11 Isa.mm_drain
   in

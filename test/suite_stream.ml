@@ -35,18 +35,24 @@ let test_charge_access_allocates_nothing () =
   in
   Alcotest.(check (float 0.0)) "1e5 Soc.charge_access calls" 0.0 words
 
+(* [src.data.(pos .. pos+len-1)] staged as one contiguous run. *)
+let stage_run engine ~offset src pos len =
+  Dma_engine.stage_rows engine ~offset src pos ~len ~count:1 ~stride:0 ~rows:1 ~row_stride:0
+
 (* Stage [mm_set_tm tm; mm_set_tk 64; mm_load_a <tm*64 words>] with one
    stage_run and send it to a v4_16 engine: returns the net minor words
    of staging plus the send. *)
 let send_payload_words engine ~tm =
-  let payload = Array.init (tm * 64) float_of_int in
+  let payload =
+    { Sim_memory.base = 0; data = Array.init (tm * 64) float_of_int; label = "payload" }
+  in
   let stage_and_send () =
     Dma_engine.stage_inst engine ~offset:0 Isa.mm_set_tm;
     Dma_engine.stage_inst engine ~offset:1 tm;
     Dma_engine.stage_inst engine ~offset:2 Isa.mm_set_tk;
     Dma_engine.stage_inst engine ~offset:3 64;
     Dma_engine.stage_inst engine ~offset:4 Isa.mm_load_a;
-    Dma_engine.stage_run engine ~offset:5 payload 0 (Array.length payload);
+    stage_run engine ~offset:5 payload 0 (tm * 64);
     Dma_engine.send_staged engine
   in
   (* the first send of a shape registers its metrics *)
@@ -768,9 +774,29 @@ let test_read_data_stops_at_instruction () =
            (Axi_word.of_words (Array.init 16 (fun i -> Axi_word.Data (float_of_int i))))
            dst 17))
 
+(* The message of a copy to the DMA region of [make_view]'s view that
+   fails, checking that the copy charged nothing but its call and
+   staged nothing: its library's counters end as a twin's do after one
+   [Soc.call_overhead]. *)
+let failed_copy_message strategy make_view =
+  let soc, engine, lib, _ = recording_lib ~capacity:8 strategy in
+  let twin, _, _, _ = recording_lib ~capacity:8 strategy in
+  Soc.call_overhead twin;
+  let view = make_view soc.Soc.memory in
+  let message =
+    match Dma_library.copy_to_dma_region_with lib strategy view ~offset:0 with
+    | exception (Failure msg | Invalid_argument msg) -> msg
+    | _ -> "(no failure)"
+  in
+  let fields soc = Perf_counters.fields soc.Soc.counters in
+  Alcotest.(check (list (pair string (float 0.0))))
+    "counters: only the call is charged" (fields twin) (fields soc);
+  Alcotest.(check int) "nothing staged" 0 (Dma_engine.staged_high_water engine);
+  message
+
 let test_overflow_messages () =
   let check = Alcotest.(check string) in
-  let src = Array.make 8 1.0 in
+  let src = { Sim_memory.base = 0; data = Array.make 8 1.0; label = "src" } in
   let _, engine, _, _ = recording_lib ~capacity:8 Dma_library.Generic in
   let overflow at = Printf.sprintf "DMA input region overflow: offset %d, capacity 8" at in
   check "stage" (overflow 8)
@@ -779,14 +805,15 @@ let test_overflow_messages () =
     (failure_of (fun () -> Dma_engine.stage_inst engine ~offset:(-1) 0));
   check "rows crossing the end" (overflow 8)
     (failure_of (fun () ->
-         Dma_engine.stage_rows engine ~offset:6 src 0 ~len:2 ~count:2 ~stride:3));
+         Dma_engine.stage_rows engine ~offset:6 src 0 ~len:2 ~count:2 ~stride:3 ~rows:1
+           ~row_stride:0));
   (* a run reports the first offset word-by-word staging would reject *)
   check "run crossing the end" (overflow 8)
-    (failure_of (fun () -> Dma_engine.stage_run engine ~offset:5 src 0 6));
+    (failure_of (fun () -> stage_run engine ~offset:5 src 0 6));
   check "run past the end" (overflow 11)
-    (failure_of (fun () -> Dma_engine.stage_run engine ~offset:11 src 0 2));
+    (failure_of (fun () -> stage_run engine ~offset:11 src 0 2));
   check "run before the start" (overflow (-2))
-    (failure_of (fun () -> Dma_engine.stage_run engine ~offset:(-2) src 0 3));
+    (failure_of (fun () -> stage_run engine ~offset:(-2) src 0 3));
   List.iter
     (fun strategy ->
       let soc, _, lib, _ = recording_lib ~capacity:8 strategy in
@@ -799,17 +826,20 @@ let test_overflow_messages () =
              ignore (Dma_library.copy_to_dma_region_with lib strategy view ~offset:5)));
       (* a [2 x 2 x 3] tile of a [2 x 4 x 6] buffer is one block of two
          rows of two runs of 3, 12 words: its first row fits *)
-      let buf = Sim_memory.alloc soc.Soc.memory ~label:"planes" 48 in
-      let block =
-        Memref_view.subview
-          (Memref_view.of_buffer buf [ 2; 4; 6 ])
-          ~offsets:[ 0; 1; 2 ] ~sizes:[ 2; 2; 3 ]
-      in
       check
         ("library copy of a block crossing the end, " ^ Dma_library.strategy_to_string strategy)
         (overflow 8)
-        (failure_of (fun () ->
-             ignore (Dma_library.copy_to_dma_region_with lib strategy block ~offset:0))))
+        (failed_copy_message strategy (fun mem ->
+             Memref_view.subview
+               (Memref_view.of_buffer (Sim_memory.alloc mem ~label:"planes" 48) [ 2; 4; 6 ])
+               ~offsets:[ 0; 1; 2 ] ~sizes:[ 2; 2; 3 ]));
+      (* a hand-built 6-element view of a 4-element buffer *)
+      check
+        ("library copy reaching outside its buffer, " ^ Dma_library.strategy_to_string strategy)
+        "Sim_memory.addr_of: index 4 out of bounds for tile (4 elements)"
+        (failed_copy_message strategy (fun mem ->
+             let view = Memref_view.of_buffer (Sim_memory.alloc mem ~label:"tile" 4) [ 4 ] in
+             { view with Memref_view.shape = [ 6 ] })))
     strategies
 
 (* ------------------------------------------------------------------ *)
