@@ -82,14 +82,8 @@ val recv_mode_of : Ir.op -> recv_mode
 val is_flush : Ir.op -> bool
 val is_accel : Ir.op -> bool
 
-val op_names : string list
-(** All accel op names (for matching in passes). *)
-
 val dma_init_name : string
 val recv_name : string
-val start_send_name : string
-val start_recv_name : string
-val wait_name : string
 
 (** {1 Verification} The per-op checks {!Verifier} reaches by op name. *)
 

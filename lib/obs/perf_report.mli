@@ -10,18 +10,6 @@
     per-phase cycle totals always sum (up to float rounding) to the
     aggregate counter value passed as [total]. *)
 
-type span = {
-  sp_name : string;
-  sp_cat : string;
-  sp_t0 : float;
-  sp_t1 : float;
-  sp_deltas : (string * float) list;  (** inclusive counter deltas *)
-  sp_children : span list;
-}
-
-val spans_of_events : Trace.event list -> span list
-(** Top-level host-track spans, in order. Unclosed spans are dropped. *)
-
 type phase = {
   ph_name : string;  (** span category, or ["host"] for uncovered time *)
   ph_totals : (string * float) list;  (** exclusive counter totals *)

@@ -85,7 +85,7 @@ let stage_literal t literal ~offset =
    there leaves the counters as they stood when the block started. *)
 
 (* The 1-based level an access at byte address [addr] hits, for
-   [Soc.charge_access]. [last] is the L1 line of the row's previous
+   [Soc.charge_access]. [last] is the L1 line of the block's previous
    access (-1 before its first). An access to [last] is an L1 hit that
    changes no cache state ({!Cache.line_shift}), so it is taken without
    asking the cache: a run pays one cache lookup per line, not per

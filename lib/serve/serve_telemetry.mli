@@ -88,14 +88,11 @@ val totals : t -> (string * float) list
     corresponding {!Serve_sim.outcome} count ({!Serve_report} and the
     bench gate check this exactly). *)
 
-val slo_data : t -> Slo.spec -> Slo.window_data array
-(** Per-window event counts against an objective: latency objectives
-    read the [latency] distribution (bad = samples above the limit),
-    availability objectives read [arrivals]/[rejections] (bad =
-    rejected). *)
-
 val evaluate : t -> Slo.spec list -> Slo.eval list
-(** {!Slo.evaluate} over {!slo_data} for each spec. *)
+(** {!Slo.evaluate} of each spec over its per-window event counts:
+    latency objectives read the [latency] distribution (bad = samples
+    above the limit), availability objectives read
+    [arrivals]/[rejections] (bad = rejected). *)
 
 (** {1 Export} *)
 

@@ -31,7 +31,9 @@ let reach n stride = (n - 1) * stride
    in range, so the loops skip the per-access bounds checks, as
    [Mac.matmul_acc] does. Word by word: most runs a copy stages are 1-3
    words long (conv patches at fHW = 1 and 3), where a loop costs less
-   than the two C calls of [Array.blit] and [Bytes.fill]. *)
+   than the two C calls of [Array.blit] and [Bytes.fill]. From 5 words
+   on the calls cost less, but switching on the length did not move
+   conv_layers. *)
 let gather_data s i (src : Sim_memory.buffer) j ~len ~count ~stride ~rows ~row_stride =
   if len > 0 && count > 0 && rows > 0 then begin
     let data = s.data and tags = s.tags and from = src.Sim_memory.data in

@@ -9,6 +9,3 @@
 
 val pass : Pass.t
 (** Rewrites every [linalg.generic] in the module. *)
-
-val lower_generic : Builder.t -> Ir.op -> unit
-(** Emit the loop nest replacing the given generic op. *)

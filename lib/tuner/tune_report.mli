@@ -34,9 +34,6 @@ type t = {
   rp_results : result list;
 }
 
-val speedup_vs_baseline : result -> float option
-(** baseline cycles / best cycles; [None] without both. *)
-
 val to_json : t -> Json.t
 val render : t -> string
 val write_file : string -> t -> unit

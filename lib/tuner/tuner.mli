@@ -43,17 +43,6 @@ val default_options : options
 (** Grid over {!Tune_space.default}, no cache, default host and cost
     model, no tracer, no bottleneck seeding. *)
 
-val baseline_candidate :
-  ?cost:Cost_model.t -> Tune_space.t -> Tune_workload.t -> Tune_space.candidate option
-(** The candidate {!Heuristics.choose} would pick today: for matmul,
-    the space's preferred engine (largest size; flexible wins ties)
-    under the heuristic's flow/tiles; for conv, the Conv2D engine's
-    default flow. [None] when the heuristic finds no feasible tiling. *)
-
-val tune_workload : options -> Tune_workload.named -> Tune_report.result
-(** Tune one workload. Never raises on rejected candidates — they are
-    recorded in the result. *)
-
 val tune : options -> Tune_workload.named list -> Tune_report.t
 (** Tune a list of workloads (a whole model, fig-13-style sweep, ...)
     into one report. *)

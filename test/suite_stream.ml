@@ -386,10 +386,11 @@ let staged_batch engine recorded =
   ignore (Dma_engine.wait_token engine (Dma_engine.start_send_token engine));
   (high_water, recorded ())
 
+(* A copy stages the words, tags, high-water mark and lowest offset
+   that staging the view's elements one by one does, and visits them
+   in row-major order. *)
 let prop_copies_stage_the_view =
-  QCheck.Test.make
-    ~name:"every copy strategy stages exactly the view, as staging element by element does"
-    ~count:300
+  QCheck.Test.make ~name:"every copy strategy stages exactly the view, as data" ~count:300
     (QCheck.make ~print:print_spec gen_view)
     (fun spec ->
       let at = 3 in
