@@ -73,8 +73,8 @@ let run () =
           end
           else None
         in
-        (* measured Cs first and Ns last, as the blessed baseline was:
-           the runs share the SoC's cache *)
+        (* measured Cs first and Ns last: the blessed baseline numbers
+           its records in that order *)
         let gens = List.rev_map (fun flow -> ("gen " ^ flow, gen flow)) (List.rev flows) in
         let accel_name = Printf.sprintf "%s_%d" (Report.version_name version) size in
         Tabulate.add_row t
